@@ -29,8 +29,11 @@ for v, sl in zip(values, slices):
           f"({sum(len(c) for c in sl.curves)} points)")
 print(f"wrote {len(paths)} frames to {OUT}/frame_*.json")
 
-# The middle frame (w = 0) is degenerate: the hyperplane is tangent to the
-# surface along the whole theta = 0 and theta = pi sections, so the tracer
-# returns many short fragments that all lie on the arc and its mirror image.
+# The middle frame (w = 0) cuts the surface transversely: there
+# dw/dtheta = h(t) cos(theta) != 0, and the true slice is one closed curve,
+# the arc at theta = 0 joined at the poles to its mirror image at theta = pi.
+# The tracer still returns many short fragments on that curve, because the
+# level runs exactly along grid rows (theta = 0, pi) and the pole rows; this
+# is a known defect of the slicer, not a property of the surface.
 mid = spun4d.slice_surface(surface, "w", 0.0)
-print(f"w = 0 frame: {len(mid.curves)} fragment(s) along the two tangent sections")
+print(f"w = 0 frame: {len(mid.curves)} fragment(s) along the arc and its mirror image")

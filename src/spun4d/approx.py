@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -87,18 +86,19 @@ def bernstein_fit2(samples: np.ndarray, degree: int) -> tuple[Poly2, Poly2, Poly
     S = _shift_half(degree)
     # monomial in u = (t+1)/2, v = (s+1)/2, then substituted back to (t, s);
     # conv is 2^degree times the true conversion matrix, kept in exact integer
-    # arithmetic with exact-rational samples so the giant alternating sums
-    # cancel exactly, and floats only appear in the final division
+    # arithmetic so the giant alternating sums cancel exactly.  Every float
+    # sample is an integer over a power of two, so all samples of a coordinate
+    # become integers over one common power of two; floats only appear in the
+    # final int / int division, which Python rounds correctly.
     conv = S.T @ T.T
-    scale = Fraction(4 ** degree)
     out = []
     for c in range(4):
-        V = np.empty((degree + 1, degree + 1), dtype=object)
-        for i in range(degree + 1):
-            for j in range(degree + 1):
-                V[i, j] = Fraction(float(samples[i, j, c]))
-        W = conv @ V @ conv.T
-        out.append(Poly2(np.array([[float(w / scale) for w in row] for row in W])))
+        ratios = [x.as_integer_ratio() for x in samples[:, :, c].ravel().tolist()]
+        denom = max(d for _, d in ratios)
+        V = np.array([n * (denom // d) for n, d in ratios], dtype=object)
+        W = conv @ V.reshape(degree + 1, degree + 1) @ conv.T
+        scale = denom * 4 ** degree
+        out.append(Poly2(np.array([[w / scale for w in row] for row in W.tolist()])))
     return tuple(out)
 
 

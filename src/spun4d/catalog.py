@@ -49,24 +49,49 @@ def _root_bound(p: Poly1) -> float:
     return 1.0 + max(abs(x) for x in c[:-1]) / abs(c[-1]) if len(c) > 1 else 1.0
 
 
+def _system(f, g, df, dg, x):
+    """Residual (f(s) - f(t), g(s) - g(t)), its Jacobian and the Jacobian's
+    determinant at every row (s, t) of ``x``."""
+    s, t = x[:, 0], x[:, 1]
+    F = np.stack([f(s) - f(t), g(s) - g(t)], axis=-1)
+    J = np.stack([np.stack([df(s), -df(t)], -1), np.stack([dg(s), -dg(t)], -1)], axis=1)
+    det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+    return F, J, det
+
+
 def _newton_refine(f, g, df, dg, s0, t0, bound, iters=60):
-    x = np.array([s0, t0], float)
-    bad = np.array([np.nan, np.nan]), np.array([np.inf, np.inf]), 0.0
+    """Newton iteration from every start (s0[k], t0[k]) at once; each start
+    runs exactly the steps it would run alone.
+
+    Returns x, F, det per start.  A start stops at a singular Jacobian (det
+    reported as 0), or diverges when a step leaves |x| <= bound (x = nan,
+    F = inf, det = 0), or converges once its residual falls below 1e-14 (F and
+    det evaluated at the final x, as after the last iteration)."""
+    x = np.column_stack([s0, t0]).astype(float)
+    F_out = np.empty_like(x)
+    det_out = np.zeros(len(x))
+    running = np.ones(len(x), bool)
+    stopped = np.zeros(len(x), bool)  # singular or diverged: outputs final
     for _ in range(iters):
-        F = np.array([f(x[0]) - f(x[1]), g(x[0]) - g(x[1])])
-        J = np.array([[df(x[0]), -df(x[1])], [dg(x[0]), -dg(x[1])]])
-        det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-        if det == 0.0 or not np.isfinite(det):
-            return x, F, 0.0
-        x = x - np.linalg.solve(J, F)
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > bound:
-            return bad  # diverged away from the interval
-        if np.max(np.abs(F)) < 1e-14:
+        k = np.flatnonzero(running)
+        if not k.size:
             break
-    F = np.array([f(x[0]) - f(x[1]), g(x[0]) - g(x[1])])
-    J = np.array([[df(x[0]), -df(x[1])], [dg(x[0]), -dg(x[1])]])
-    det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-    return x, F, det
+        F, J, det = _system(f, g, df, dg, x[k])
+        singular = (det == 0.0) | ~np.isfinite(det)
+        F_out[k[singular]] = F[singular]
+        stopped[k[singular]] = True
+        running[k[singular]] = False
+        k, F, J = k[~singular], F[~singular], J[~singular]
+        xn = x[k] - np.linalg.solve(J, F[..., None])[..., 0]
+        diverged = ~np.all(np.isfinite(xn), axis=1) | (np.max(np.abs(xn), axis=1) > bound)
+        x[k[diverged]] = np.nan
+        F_out[k[diverged]] = np.inf
+        stopped[k[diverged]] = True
+        x[k[~diverged]] = xn[~diverged]
+        running[k[diverged | (np.max(np.abs(F), axis=1) < 1e-14)]] = False
+    k = np.flatnonzero(~stopped)
+    F_out[k], _, det_out[k] = _system(f, g, df, dg, x[k])
+    return x, F_out, det_out
 
 
 def plane_double_points(f: Poly1, g: Poly1, iv: Interval) -> list[tuple[float, float]]:
@@ -101,8 +126,8 @@ def plane_double_points(f: Poly1, g: Poly1, iv: Interval) -> list[tuple[float, f
     scale = max(poly_scale(f, iv), poly_scale(g, iv))
     bound = 2.0 * max(abs(iv.lo), abs(iv.hi)) + 1.0
     found: list[tuple[float, float]] = []
-    for i, j in cand:
-        (s, t), F, det = _newton_refine(f, g, df, dg, ts[i], ts[j], bound)
+    refined = _newton_refine(f, g, df, dg, ts[cand[:, 0]], ts[cand[:, 1]], bound)
+    for (s, t), F, det in zip(*refined):
         if not (np.isfinite(s) and np.isfinite(t)):
             continue
         if s > t:
@@ -220,18 +245,29 @@ def knot_names() -> list[str]:
 
 
 def get_knot(name: str) -> KnotArc:
-    """Catalog arc by name, or a user definition loaded from a JSON file path."""
+    """Catalog arc by name, or a user definition loaded from a JSON file path.
+
+    Catalog arcs are built once per process; a user file is read on every
+    call, so edits to it are seen."""
     if name in _CACHE:
         return _CACHE[name]
     if name in _FIXTURES:
         fx = _FIXTURES[name]
         arc = _build_arc(name, Poly1(fx["f"]), Poly1(fx["g"]), Poly1(fx["h"]))
-    elif name.endswith(".json"):
-        arc = _load_user_knot(name)
-    else:
-        raise UnknownKnot(f"unknown knot {name!r}; available: {', '.join(knot_names())}")
-    _CACHE[name] = arc
-    return arc
+        _CACHE[name] = arc
+        return arc
+    if name.endswith(".json"):
+        return _load_user_knot(name)
+    raise UnknownKnot(f"unknown knot {name!r}; available: {', '.join(knot_names())}")
+
+
+def _user_poly(doc: dict, key: str, path: str) -> Poly1:
+    try:
+        return Poly1(tuple(doc[key]["coeffs"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DegenerateInput(
+            f"knot definition {path!r}: missing or malformed {key!r} (expected {{\"coeffs\": [...]}})"
+        ) from exc
 
 
 def _load_user_knot(path: str) -> KnotArc:
@@ -240,8 +276,16 @@ def _load_user_knot(path: str) -> KnotArc:
             doc = json.load(fh)
     except OSError as exc:
         raise UnknownKnot(f"cannot read knot definition {path!r}: {exc}") from exc
-    f = Poly1(tuple(doc["f"]["coeffs"]))
-    g = Poly1(tuple(doc["g"]["coeffs"]))
-    h = Poly1(tuple(doc["h"]["coeffs"]))
-    hint = Interval(*doc["interval_hint"]) if "interval_hint" in doc else None
+    except ValueError as exc:
+        raise DegenerateInput(f"knot definition {path!r} is not valid JSON: {exc}") from exc
+    f, g, h = (_user_poly(doc, key, path) for key in "fgh")
+    hint = None
+    if "interval_hint" in doc:
+        try:
+            lo, hi = map(float, doc["interval_hint"])
+            hint = Interval(lo, hi)
+        except (TypeError, ValueError) as exc:
+            raise DegenerateInput(
+                f"knot definition {path!r}: malformed 'interval_hint' (expected [lo, hi]): {exc}"
+            ) from exc
     return _build_arc(doc.get("name", path), f, g, h, hint)

@@ -46,11 +46,26 @@ def _load_config(path: str | None) -> dict:
     if path is not None or os.path.exists(candidate):
         with open(candidate) as fh:
             user = json.load(fh)
+        if not isinstance(user, dict):
+            raise ValueError(f"{candidate}: config must be a JSON object")
         unknown = set(user) - set(DEFAULT_CONFIG)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in user.items():
+            _check_config_value(candidate, key, value)
         cfg.update(user)
     return cfg
+
+
+def _check_config_value(path: str, key: str, value) -> None:
+    """An int where the default is an int, a finite number where it is a
+    float; either way greater than 0."""
+    if isinstance(DEFAULT_CONFIG[key], int):
+        ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    else:
+        ok, kind = isinstance(value, (int, float)) and not isinstance(value, bool), "a finite number"
+    if not ok or not 0 < value < float("inf"):
+        raise ValueError(f"{path}: config key {key!r} must be {kind} > 0, got {value!r}")
 
 
 def _config_hash(cfg: dict) -> str:

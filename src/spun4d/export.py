@@ -58,7 +58,7 @@ class SliceCurveSet:
             "axis": self.axis,
             "slice_value": self.slice_value,
             "curves": [
-                {"closed": bool(c), "points": [[float(x) for x in p] for p in pts]}
+                {"closed": bool(c), "points": np.asarray(pts, float).tolist()}
                 for pts, c in zip(self.curves, self.closed)
             ],
         }
@@ -74,19 +74,18 @@ class SurfaceMesh:
     def edge_count(self) -> int:
         return len(self._edge_multiplicity())
 
-    def _edge_multiplicity(self) -> dict:
-        mult: dict[tuple[int, int], int] = {}
-        for a, b, c in self.faces:
-            for e in ((a, b), (b, c), (c, a)):
-                key = (min(e), max(e))
-                mult[key] = mult.get(key, 0) + 1
-        return mult
+    def _edge_multiplicity(self) -> np.ndarray:
+        """Number of faces on each distinct undirected edge."""
+        f = np.asarray(self.faces, dtype=np.int64).reshape(-1, 3)
+        edges = np.sort(np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]]), axis=1)
+        n = int(edges.max()) + 1 if edges.size else 0
+        return np.unique(edges[:, 0] * n + edges[:, 1], return_counts=True)[1]
 
     def euler_characteristic(self) -> int:
         return len(self.vertices) - self.edge_count + len(self.faces)
 
     def is_watertight(self) -> bool:
-        return all(m == 2 for m in self._edge_multiplicity().values())
+        return bool(np.all(self._edge_multiplicity() == 2))
 
 
 def sample_surface(s, n_t: int, n_s: int) -> Grid4:
@@ -261,49 +260,49 @@ def to_mesh(grid: Grid3, weld_seam: bool | None = None, collapse_poles: bool | N
     weld = grid.seam_duplicated if weld_seam is None else weld_seam
     poles = (grid.pole_low or grid.pole_high) if collapse_poles is None else collapse_poles
 
-    index = -np.ones((nt, ns), dtype=int)
-    verts: list[np.ndarray] = []
-
-    def add_vertex(p) -> int:
-        verts.append(np.asarray(p, float))
-        return len(verts) - 1
-
+    low = poles and grid.pole_low
+    high = poles and grid.pole_high and nt > 1  # a one-row grid is all low pole
+    first, stop = int(low), nt - int(high)  # rows with a vertex per sample
     ns_eff = ns - 1 if weld else ns
-    for i in range(nt):
-        if poles and grid.pole_low and i == 0:
-            vid = add_vertex(grid.points[0].mean(axis=0))
-            index[0, :] = vid
-            continue
-        if poles and grid.pole_high and i == nt - 1:
-            vid = add_vertex(grid.points[-1].mean(axis=0))
-            index[-1, :] = vid
-            continue
-        for j in range(ns_eff):
-            index[i, j] = add_vertex(grid.points[i, j])
-        if weld:
-            index[i, ns - 1] = index[i, 0]
+    body = grid.points[first:stop, :ns_eff]
+    nb = body.shape[0]
 
-    faces = []
-    for i in range(nt - 1):
-        for j in range(ns - 1):
-            a, b = index[i, j], index[i + 1, j]
-            c, d = index[i + 1, j + 1], index[i, j + 1]
-            for tri in ((a, b, c), (a, c, d)):
-                if len(set(tri)) == 3:
-                    faces.append(tri)
-    mesh = SurfaceMesh(np.array(verts), np.array(faces, dtype=int))
-    return mesh
+    # vertex ids in row-major order: low pole, body rows, high pole
+    index = np.empty((nt, ns), dtype=int)
+    index[first:stop, :ns_eff] = first + np.arange(nb * ns_eff).reshape(nb, ns_eff)
+    if weld:
+        index[:, ns - 1] = index[:, 0]
+    verts = [body.reshape(nb * ns_eff, body.shape[-1])]
+    if low:
+        index[0] = 0
+        verts.insert(0, grid.points[0].mean(axis=0)[None])
+    if high:
+        index[-1] = first + nb * ns_eff
+        verts.append(grid.points[-1].mean(axis=0)[None])
+
+    # per cell (a, b, c) then (a, c, d), cells row-major; triangles that
+    # touch a collapsed pole twice are dropped
+    a, b = index[:-1, :-1], index[1:, :-1]
+    c, d = index[1:, 1:], index[:-1, 1:]
+    tris = np.stack([np.stack([a, b, c], -1), np.stack([a, c, d], -1)], axis=2).reshape(-1, 3)
+    keep = (tris[:, 0] != tris[:, 1]) & (tris[:, 1] != tris[:, 2]) & (tris[:, 0] != tris[:, 2])
+    return SurfaceMesh(np.asarray(np.concatenate(verts), float), tris[keep])
 
 
 # -- file export ------------------------------------------------------------
 
+def _format_rows(prefix: str, fmt: str, rows: np.ndarray, sep: str = " ") -> str:
+    """All rows of a 2D array as text in one formatting pass, one line each:
+    ``prefix`` then the row's values in ``fmt`` separated by ``sep``."""
+    line = prefix + sep.join([fmt] * rows.shape[1]) + "\n"
+    return (line * rows.shape[0]) % tuple(rows.ravel().tolist())
+
+
 def export_mesh(mesh: SurfaceMesh, fmt: str, path) -> None:
     if fmt == "obj":
         with open(path, "w") as fh:
-            for v in mesh.vertices:
-                fh.write("v " + " ".join(FLOAT_FMT % x for x in v) + "\n")
-            for f in mesh.faces:
-                fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+            fh.write(_format_rows("v ", FLOAT_FMT, np.asarray(mesh.vertices)))
+            fh.write(_format_rows("f ", "%d", np.asarray(mesh.faces).reshape(-1, 3) + 1))
     elif fmt == "ply":
         with open(path, "w") as fh:
             fh.write("ply\nformat ascii 1.0\n")
@@ -311,30 +310,28 @@ def export_mesh(mesh: SurfaceMesh, fmt: str, path) -> None:
             fh.write("property float x\nproperty float y\nproperty float z\n")
             fh.write(f"element face {len(mesh.faces)}\n")
             fh.write("property list uchar int vertex_indices\nend_header\n")
-            for v in mesh.vertices:
-                fh.write(" ".join(FLOAT_FMT % x for x in v) + "\n")
-            for f in mesh.faces:
-                fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
+            fh.write(_format_rows("", FLOAT_FMT, np.asarray(mesh.vertices)))
+            fh.write(_format_rows("3 ", "%d", np.asarray(mesh.faces).reshape(-1, 3)))
     elif fmt == "json":
         with open(path, "w") as fh:
-            json.dump({
+            # json.dumps encodes in C; json.dump streams through the Python encoder
+            fh.write(json.dumps({
                 "type": "surface_mesh",
-                "vertices": [[float(x) for x in v] for v in mesh.vertices],
-                "faces": [[int(i) for i in f] for f in mesh.faces],
-            }, fh)
+                "vertices": np.asarray(mesh.vertices, float).tolist(),
+                "faces": np.asarray(mesh.faces, int).tolist(),
+            }))
     else:
         raise ValueError(f"unsupported mesh format {fmt!r}")
 
 
 def export_grid_csv(grid, path) -> None:
     """One sample per row: t, theta, then the image coordinates."""
-    nt, ns, dim = grid.points.shape
+    dim = grid.points.shape[-1]
+    T, S = np.meshgrid(grid.tvals, grid.svals, indexing="ij")
+    rows = np.column_stack([T.ravel(), S.ravel(), grid.points.reshape(-1, dim)])
     with open(path, "w") as fh:
         fh.write("t,theta," + ",".join(AXIS_NAMES[:dim]) + "\n")
-        for i in range(nt):
-            for j in range(ns):
-                row = [grid.tvals[i], grid.svals[j], *grid.points[i, j]]
-                fh.write(",".join(FLOAT_FMT % x for x in row) + "\n")
+        fh.write(_format_rows("", FLOAT_FMT, rows, ","))
 
 
 def load_grid_csv(path) -> np.ndarray:
@@ -349,13 +346,12 @@ def export_slices(slices, fmt: str, path_pattern: str) -> list[str]:
         path = path_pattern.format(i)
         if fmt == "json":
             with open(path, "w") as fh:
-                json.dump(sl.to_json(), fh)
+                fh.write(json.dumps(sl.to_json()))
         elif fmt == "csv":
             with open(path, "w") as fh:
                 fh.write("curve,closed,c0,c1,c2\n")
                 for ci, (pts, closed) in enumerate(zip(sl.curves, sl.closed)):
-                    for p in pts:
-                        fh.write(f"{ci},{int(closed)}," + ",".join(FLOAT_FMT % x for x in p) + "\n")
+                    fh.write(_format_rows(f"{ci},{int(closed)},", FLOAT_FMT, np.asarray(pts), ","))
         else:
             raise ValueError(f"unsupported slice format {fmt!r}")
         paths.append(path)

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.signal import convolve2d
 
 from .errors import DegenerateInput
 
@@ -135,6 +134,16 @@ def _trim2(grid) -> np.ndarray:
     return a
 
 
+def _convolve2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full 2D convolution of two coefficient grids: the shifted copies of
+    ``a`` scaled by each entry of ``b`` are summed into a zero grid."""
+    out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1))
+    na, ma = a.shape
+    for (i, j), bij in np.ndenumerate(b):
+        out[i : i + na, j : j + ma] += a * bij
+    return out
+
+
 @dataclass(frozen=True)
 class Poly2:
     """Real polynomial in two variables; ``coeffs[i, j]`` multiplies t^i s^j."""
@@ -184,7 +193,7 @@ class Poly2:
         if isinstance(other, Poly2):
             if self.is_zero or other.is_zero:
                 return Poly2()
-            return Poly2(convolve2d(self.coeffs, other.coeffs))
+            return Poly2(_convolve2(self.coeffs, other.coeffs))
         return Poly2(self.coeffs * float(other))
 
     __rmul__ = __mul__

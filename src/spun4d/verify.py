@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .approx import PerturbationSpec
 from .catalog import KnotArc
@@ -131,6 +130,10 @@ def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float =
     ``param_sep``.  An empty result means no self-intersection detected at
     this resolution.
     """
+    # scipy.spatial takes longer to import than most commands take to run;
+    # only this scan needs it
+    from scipy.spatial import cKDTree
+
     tp, sp, pole = _scan_params(s, n_t, n_s)
     pts = s.evaluate(tp, sp)
     tree = cKDTree(pts)

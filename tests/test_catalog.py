@@ -196,3 +196,19 @@ def test_user_knot_json(tmp_path):
     assert arc.ab.lo == pytest.approx(-1.0, abs=1e-9)
     assert arc.ab.hi == pytest.approx(1.0, abs=1e-9)
     assert arc.crossings == ()
+
+
+def test_user_knot_json_is_reread_after_edit(tmp_path):
+    path = tmp_path / "knot.json"
+
+    def write(height_coeffs):
+        path.write_text(json.dumps({
+            "f": {"coeffs": [0.0, 1.0]},
+            "g": {"coeffs": [0.0, 0.0, 1.0]},
+            "h": {"coeffs": height_coeffs},
+        }))
+
+    write([1.0, 0.0, -1.0])  # roots at -1, 1
+    assert get_knot(str(path)).ab.hi == pytest.approx(1.0, abs=1e-9)
+    write([4.0, 0.0, -1.0])  # roots at -2, 2
+    assert get_knot(str(path)).ab.hi == pytest.approx(2.0, abs=1e-9)

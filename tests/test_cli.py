@@ -134,3 +134,44 @@ def test_config_file_overrides(workdir, capsys):
     assert man["tolerances"]["n_rank"] == 64
     (workdir / "spun4d.json").write_text(json.dumps({"bogus": 1}))
     assert dispatch(["catalog"]) == 1
+
+
+@pytest.mark.parametrize("cfg", [
+    {"n_rank": "abc"}, {"n_rank": True}, {"n_inject": 2.5}, {"n_rank": 0},
+    {"image_tol": 0}, {"rank_tol": -1e-6}, {"param_sep": "0.1"}, {"image_tol": None},
+])
+def test_bad_config_value_is_one_error_line(workdir, capsys, cfg):
+    (workdir / "spun4d.json").write_text(json.dumps(cfg))
+    assert dispatch(["spin", "trefoil_spun", "--verify"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("spun4d: error:")
+    assert repr(next(iter(cfg))) in err[0]
+
+
+def test_int_config_value_accepted_where_default_is_float(workdir):
+    (workdir / "spun4d.json").write_text(json.dumps({"image_tol": 1, "param_sep": 0.25}))
+    assert dispatch(["catalog"]) == 0
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"f": {"coeffs": [0.0, 1.0]}, "h": {"coeffs": [1.0, 0.0, -1.0]}}, "g"),
+    ({"f": {"coeffs": [0.0, 1.0]}, "g": {}, "h": {"coeffs": [1.0, 0.0, -1.0]}}, "g"),
+    ({"f": {"coeffs": [0.0, 1.0]}, "g": {"coeffs": [0.0, 0.0, 1.0]}}, "h"),
+    ({"f": {"coeffs": [0.0, 1.0]}, "g": {"coeffs": [0.0, 0.0, 1.0]},
+      "h": {"coeffs": [1.0, 0.0, -1.0]}, "interval_hint": [1.0]}, "interval_hint"),
+    ({"f": {"coeffs": [0.0, 1.0]}, "g": {"coeffs": [0.0, 0.0, 1.0]},
+      "h": {"coeffs": [1.0, 0.0, -1.0]}, "interval_hint": ["a", "b"]}, "interval_hint"),
+])
+def test_knot_file_missing_key_names_file_and_key(workdir, capsys, doc, key):
+    (workdir / "k.json").write_text(json.dumps(doc))
+    assert dispatch(["spin", "k.json"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("spun4d: error:")
+    assert "k.json" in err[0] and repr(key) in err[0]
+
+
+def test_knot_file_invalid_json_names_file(workdir, capsys):
+    (workdir / "k.json").write_text("not json")
+    assert dispatch(["spin", "k.json"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("spun4d: error:") and "k.json" in err[0]
