@@ -100,16 +100,25 @@ def _write_manifest(args, cfg, outputs, t0, warnings=()):
 
 
 def _load_surface(path: str):
+    """A surface4 or polymap4 file; any defect names the file and the key."""
     from .surface import PolyMap4, Surface4
 
     with open(path) as fh:
-        doc = json.load(fh)
-    kind = doc.get("type")
-    if kind == "surface4":
-        return Surface4.from_json(doc)
-    if kind == "polymap4":
-        return PolyMap4.from_json(doc)
-    raise ValueError(f"{path}: not a surface file (type={kind!r})")
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a surface file must be a JSON object with key 'type', "
+                         f"got a JSON {type(doc).__name__}")
+    cls = {"surface4": Surface4, "polymap4": PolyMap4}.get(doc.get("type"))
+    if cls is None:
+        raise ValueError(f"{path}: not a surface file (key 'type' is {doc.get('type')!r}, "
+                         "expected 'surface4' or 'polymap4')")
+    try:
+        return cls.from_json(doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _default_axis(arc):
@@ -263,7 +272,7 @@ def _cmd_construct(args, cfg):
 def _cmd_polynomialize(args, cfg):
     from .catalog import knot_names
     from .spin import polynomial_spin
-    from .surface import max_grid_deviation
+    from .surface import PolyMap4, max_grid_deviation
     from .twist import polynomialize_twist
 
     t0 = time.time()
@@ -277,6 +286,9 @@ def _cmd_polynomialize(args, cfg):
         dev = max_grid_deviation(spin(arc), poly)
     else:
         surface = _load_surface(args.input)
+        if isinstance(surface, PolyMap4):
+            raise ValueError(f"{args.input}: key 'type' must be 'surface4' to polynomialize; "
+                             "a polymap4 is polynomial already")
         poly, dev = polynomialize_twist(surface, degree, args.bump_degree)
     out = args.out or "polynomialized.json"
     _write_json(poly.to_json(), out)

@@ -8,16 +8,20 @@ import numpy as np
 from .approx import chebyshev_fit
 from .catalog import KnotArc
 from .poly import Interval, Poly2
-from .surface import TWO_PI, CosK, PolyMap4, PolyT, Product, SinK, Surface4
+from .surface import TWO_PI, PolyMap4, Surface4, Term, Trig
 
 __all__ = ["spin", "polynomial_spin"]
 
 
 def spin(arc: KnotArc) -> Surface4:
     """Exact spun surface (f(t), g(t), h(t) cos(theta), h(t) sin(theta))."""
-    f, g, h = PolyT(arc.f), PolyT(arc.g), PolyT(arc.h)
     return Surface4(
-        coords=(f, g, Product((h, CosK(1))), Product((h, SinK(1)))),
+        coords=(
+            (Term(1.0, (arc.f,)),),
+            (Term(1.0, (arc.g,)),),
+            (Term(1.0, (arc.h,), (Trig(1),)),),
+            (Term(1.0, (arc.h,), (Trig(1, sine=True),)),),
+        ),
         t_dom=arc.ab,
         s_dom=Interval(0.0, TWO_PI),
         periodic_s=True,

@@ -1,316 +1,368 @@
-"""Evaluable factor trees for surfaces mapping a parameter rectangle
-(t, theta) into R^4.
+"""Separable surfaces mapping a parameter rectangle (t, theta) into R^4.
 
-Coordinate functions are trees of tagged nodes: polynomials in t or theta,
-reference cosine/sine of integer multiples of theta, bump factors in t, and
-sums/products of those.  Every node evaluates vectorized and supplies exact
-first partial derivatives, so Jacobians never rely on finite differences.
-Trees serialize to/from JSON for pipeline files.
+Each coordinate of a ``Surface4`` is a flat sum of terms
+
+    c * (product of t-factors)(t) * (product of theta-factors)(theta)
+
+where a t-factor is a ``Poly1`` or a ``Bump`` and a theta-factor is a
+``Poly1`` or a ``Trig`` (cos or sin of an integer multiple of theta).  Every
+construction here has this form: the spin has one term per coordinate, the
+k-twist spin at most four.  Grid evaluation samples each distinct factor once
+on its 1-D sample vector and multiplies a (terms x n_t) by a (terms x n_s)
+matrix; first partials follow by the product rule, never by finite
+differences.
+
+Surface files keep the tagged tree format (``sum``, ``product``, ``const``,
+``poly_t``, ``poly_theta``, ``cos_k``, ``sin_k``, ``bump``): the writer emits
+each coordinate as a sum of products, the reader distributes any tree into
+terms.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .poly import Interval, Poly1, Poly2
 
-__all__ = [
-    "Node", "Const", "PolyT", "PolyTheta", "CosK", "SinK", "Sum", "Product",
-    "Surface4", "PolyMap4", "node_from_json", "register_node",
-]
+__all__ = ["Bump", "Trig", "Term", "Surface4", "PolyMap4", "max_grid_deviation"]
 
 TWO_PI = 2.0 * np.pi
 
 
-class Node:
-    """Base class: a scalar function of (t, theta) with exact partials."""
+# -- factors ----------------------------------------------------------------
 
-    tag = "node"
+def _soft_step(x):
+    """exp(-1/x) for x > 0, identically 0 otherwise (C-infinity glue)."""
+    x = np.asarray(x, float)
+    out = np.zeros_like(x)
+    pos = x > 0
+    out[pos] = np.exp(-1.0 / x[pos])
+    return out
 
-    def ev(self, t, th):
-        raise NotImplementedError
 
-    def dt(self, t, th):
-        raise NotImplementedError
-
-    def dth(self, t, th):
-        raise NotImplementedError
-
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
-    def replace(self, fn) -> "Node":
-        """Return a copy with ``fn`` applied bottom-up to every node."""
-        return fn(self)
+def _soft_step_deriv(x):
+    x = np.asarray(x, float)
+    out = np.zeros_like(x)
+    pos = x > 0
+    out[pos] = np.exp(-1.0 / x[pos]) / x[pos] ** 2
+    return out
 
 
 @dataclass(frozen=True)
-class Const(Node):
-    value: float
-    tag = "const"
+class Bump:
+    """Even C-infinity bump: 1 on |t| <= sqrt(d1), 0 on |t| >= sqrt(d2)."""
 
-    def ev(self, t, th):
-        return np.full(np.broadcast(t, th).shape, self.value)
+    d1: float
+    d2: float
 
-    def dt(self, t, th):
-        return np.zeros(np.broadcast(t, th).shape)
+    def __post_init__(self):
+        if not 0.0 < self.d1 < self.d2:
+            raise ValueError(f"need 0 < d1 < d2, got d1={self.d1}, d2={self.d2}")
 
-    dth = dt
+    def __call__(self, t):
+        t2 = np.asarray(t, float) ** 2
+        u = _soft_step(self.d2 - t2)
+        v = _soft_step(t2 - self.d1)
+        # closed-form branches keep the division away from 0/0 at the plateaus
+        return np.where(t2 >= self.d2, 0.0, np.where(t2 <= self.d1, 1.0, u / (u + v)))
 
-    def to_json(self):
-        return {"tag": self.tag, "value": self.value}
-
-
-@dataclass(frozen=True)
-class PolyT(Node):
-    """Polynomial in the t parameter."""
-
-    p: Poly1
-    tag = "poly_t"
-
-    def ev(self, t, th):
-        return np.broadcast_to(self.p(t), np.broadcast(t, th).shape).copy()
-
-    def dt(self, t, th):
-        return np.broadcast_to(self.p.derivative()(t), np.broadcast(t, th).shape).copy()
-
-    def dth(self, t, th):
-        return np.zeros(np.broadcast(t, th).shape)
-
-    def to_json(self):
-        return {"tag": self.tag, "coeffs": list(self.p.coeffs)}
+    def derivative(self, t):
+        t = np.asarray(t, float)
+        t2 = t ** 2
+        u = _soft_step(self.d2 - t2)
+        v = _soft_step(t2 - self.d1)
+        du = -2.0 * t * _soft_step_deriv(self.d2 - t2)
+        dv = 2.0 * t * _soft_step_deriv(t2 - self.d1)
+        mid = (self.d1 < t2) & (t2 < self.d2)
+        out = np.zeros_like(t)
+        w = u + v
+        out[mid] = (du[mid] * v[mid] - u[mid] * dv[mid]) / w[mid] ** 2
+        return out
 
 
 @dataclass(frozen=True)
-class PolyTheta(Node):
-    """Polynomial in the theta parameter."""
-
-    p: Poly1
-    tag = "poly_theta"
-
-    def ev(self, t, th):
-        return np.broadcast_to(self.p(th), np.broadcast(t, th).shape).copy()
-
-    def dt(self, t, th):
-        return np.zeros(np.broadcast(t, th).shape)
-
-    def dth(self, t, th):
-        return np.broadcast_to(self.p.derivative()(th), np.broadcast(t, th).shape).copy()
-
-    def to_json(self):
-        return {"tag": self.tag, "coeffs": list(self.p.coeffs)}
-
-
-@dataclass(frozen=True)
-class CosK(Node):
-    """cos(k * theta) for integer k >= 0."""
+class Trig:
+    """cos(k * theta), or sin(k * theta) when ``sine``, for an integer k >= 0."""
 
     k: int
-    tag = "cos_k"
+    sine: bool = False
 
-    def ev(self, t, th):
-        return np.broadcast_to(np.cos(self.k * np.asarray(th, float)), np.broadcast(t, th).shape).copy()
+    def __post_init__(self):
+        object.__setattr__(self, "k", operator.index(self.k))
+        if self.k < 0:
+            raise ValueError(f"trig multiple k must be >= 0, got {self.k}")
 
-    def dt(self, t, th):
-        return np.zeros(np.broadcast(t, th).shape)
+    def __call__(self, th):
+        x = self.k * np.asarray(th, float)
+        return np.sin(x) if self.sine else np.cos(x)
 
-    def dth(self, t, th):
-        return np.broadcast_to(-self.k * np.sin(self.k * np.asarray(th, float)), np.broadcast(t, th).shape).copy()
-
-    def to_json(self):
-        return {"tag": self.tag, "k": self.k}
-
-
-@dataclass(frozen=True)
-class SinK(Node):
-    """sin(k * theta) for integer k >= 0."""
-
-    k: int
-    tag = "sin_k"
-
-    def ev(self, t, th):
-        return np.broadcast_to(np.sin(self.k * np.asarray(th, float)), np.broadcast(t, th).shape).copy()
-
-    def dt(self, t, th):
-        return np.zeros(np.broadcast(t, th).shape)
-
-    def dth(self, t, th):
-        return np.broadcast_to(self.k * np.cos(self.k * np.asarray(th, float)), np.broadcast(t, th).shape).copy()
-
-    def to_json(self):
-        return {"tag": self.tag, "k": self.k}
+    def derivative(self, th):
+        x = self.k * np.asarray(th, float)
+        return self.k * np.cos(x) if self.sine else -self.k * np.sin(x)
 
 
-@dataclass(frozen=True)
-class Sum(Node):
-    terms: tuple[Node, ...]
-    tag = "sum"
+def _slope(f, x):
+    return f.derivative()(x) if isinstance(f, Poly1) else f.derivative(x)
 
-    def ev(self, t, th):
-        out = self.terms[0].ev(t, th)
-        for n in self.terms[1:]:
-            out = out + n.ev(t, th)
+
+def _order(f):
+    """Sort key that puts equal factor lists in the same order."""
+    if isinstance(f, Poly1):
+        return 0, f.coeffs
+    if isinstance(f, Bump):
+        return 1, (f.d1, f.d2)
+    return 2, (f.k, f.sine)
+
+
+class Term(NamedTuple):
+    """c * prod(t-factors)(t) * prod(theta-factors)(theta)."""
+
+    c: float
+    t: tuple = ()
+    s: tuple = ()
+
+
+def _collect(terms) -> tuple[Term, ...]:
+    """Canonical form of a sum of terms: constant polynomials and cos(0),
+    sin(0) folded into c, factors sorted, terms with the same factors merged,
+    zero terms dropped.  Terms keep the order of their first appearance."""
+    merged: dict[tuple, float] = {}
+    for c, tf, sf in terms:
+        c = float(c)
+        keep = ([], [])
+        for side, factors in zip(keep, (tf, sf)):
+            for f in factors:
+                if isinstance(f, Poly1) and f.degree <= 0:
+                    c *= f.coeffs[0] if f.coeffs else 0.0
+                elif isinstance(f, Trig) and f.k == 0:
+                    c *= 0.0 if f.sine else 1.0
+                else:
+                    side.append(f)
+        key = tuple(tuple(sorted(side, key=_order)) for side in keep)
+        merged[key] = merged.get(key, 0.0) + c
+    return tuple(Term(c, tf, sf) for (tf, sf), c in merged.items() if c != 0.0)
+
+
+# -- evaluation -------------------------------------------------------------
+
+def _rows(coords, side: str, x, deriv: bool = False):
+    """Per coordinate, the list of its terms' products of ``side`` ("t" or
+    "s") factors on the samples x, with c folded into the t side, and with
+    ``deriv`` the list of their x-derivatives by the product rule.  Every
+    distinct factor is evaluated once for all coordinates."""
+    x = np.asarray(x, float)
+    distinct = {f for terms in coords for term in terms for f in getattr(term, side)}
+    val = {f: f(x) for f in distinct}
+    der = {f: _slope(f, x) for f in distinct} if deriv else {}
+    out = []
+    for terms in coords:
+        vals, ders = [], []
+        for term in terms:
+            p, d = (term.c if side == "t" else 1.0), 0.0
+            for f in getattr(term, side):
+                if deriv:
+                    d = d * val[f] + p * der[f]
+                p = p * val[f]
+            vals.append(np.broadcast_to(p, x.shape))
+            ders.append(np.broadcast_to(d, x.shape))
+        out.append((vals, ders))
+    return out
+
+
+def _matmul(a_rows, s_rows, n_t: int, n_s: int) -> np.ndarray:
+    """sum_k a_k(t) s_k(theta) over a tensor grid: (n_t x terms) @ (terms x n_s)."""
+    return np.reshape(a_rows, (len(a_rows), n_t)).T @ np.reshape(s_rows, (len(s_rows), n_s))
+
+
+# points per block of a scattered evaluation: bounds the memory the factor
+# tables take on large scans
+POINT_BLOCK = 1 << 14
+
+
+def _eval_points(coords, t, th) -> np.ndarray:
+    """Coordinates at scattered points; shape broadcast(t, th) + (len(coords),).
+
+    Points are taken in blocks; within a block every distinct factor is
+    evaluated once on every point."""
+    t, th = np.broadcast_arrays(np.asarray(t, float), np.asarray(th, float))
+    out = np.empty(t.shape + (len(coords),))
+    flat, tf, sf = out.reshape(-1, len(coords)), t.reshape(-1), th.reshape(-1)
+    for lo in range(0, tf.size, POINT_BLOCK):
+        blk = slice(lo, lo + POINT_BLOCK)
+        for i, ((a_rows, _), (s_rows, _)) in enumerate(
+                zip(_rows(coords, "t", tf[blk]), _rows(coords, "s", sf[blk]))):
+            flat[blk, i] = sum(a * s for a, s in zip(a_rows, s_rows))
+    return out
+
+
+def _eval_tensor(coords, tvals, svals) -> np.ndarray:
+    """Coordinates over the tensor grid tvals x svals; shape (n_t, n_s, len(coords))."""
+    n_t, n_s = len(tvals), len(svals)
+    return np.stack([_matmul(a, s, n_t, n_s) for (a, _), (s, _) in
+                     zip(_rows(coords, "t", tvals), _rows(coords, "s", svals))], axis=-1)
+
+
+# -- surface files ----------------------------------------------------------
+
+def _leaf_json(f, side: str) -> dict:
+    if isinstance(f, Poly1):
+        return {"tag": "poly_t" if side == "t" else "poly_theta", "coeffs": list(f.coeffs)}
+    if isinstance(f, Bump):
+        return {"tag": "bump", "d1": f.d1, "d2": f.d2}
+    return {"tag": "sin_k" if f.sine else "cos_k", "k": f.k}
+
+
+def _coord_json(terms) -> dict:
+    if not terms:
+        return {"tag": "const", "value": 0.0}
+    return {"tag": "sum", "terms": [
+        {"tag": "product", "factors": [{"tag": "const", "value": c}]
+         + [_leaf_json(f, "t") for f in tf] + [_leaf_json(f, "s") for f in sf]}
+        for c, tf, sf in terms
+    ]}
+
+
+def _number(x) -> float:
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {x!r}")
+    return float(x)
+
+
+def _coeffs(node) -> Poly1:
+    return Poly1(tuple(_number(x) for x in node["coeffs"]))
+
+
+def _trig(node, sine: bool) -> Trig:
+    k = node["k"]
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise ValueError(f"'k' must be an integer, got {k!r}")
+    return Trig(k, sine)
+
+
+_LEAVES = {
+    "const": lambda d: Term(_number(d["value"])),
+    "poly_t": lambda d: Term(1.0, (_coeffs(d),)),
+    "poly_theta": lambda d: Term(1.0, (), (_coeffs(d),)),
+    "cos_k": lambda d: Term(1.0, (), (_trig(d, False),)),
+    "sin_k": lambda d: Term(1.0, (), (_trig(d, True),)),
+    "bump": lambda d: Term(1.0, (Bump(_number(d["d1"]), _number(d["d2"])),)),
+}
+
+
+def _terms_from_json(node) -> list[Term]:
+    """Distribute a tagged tree into a flat list of terms."""
+    tag = node.get("tag") if isinstance(node, dict) else None
+    if tag == "sum":
+        return [term for child in node["terms"] for term in _terms_from_json(child)]
+    if tag == "product":
+        out = [Term(1.0)]
+        for child in node["factors"]:
+            sub = _terms_from_json(child)
+            out = [Term(a.c * b.c, a.t + b.t, a.s + b.s) for a in out for b in sub]
         return out
-
-    def dt(self, t, th):
-        out = self.terms[0].dt(t, th)
-        for n in self.terms[1:]:
-            out = out + n.dt(t, th)
-        return out
-
-    def dth(self, t, th):
-        out = self.terms[0].dth(t, th)
-        for n in self.terms[1:]:
-            out = out + n.dth(t, th)
-        return out
-
-    def to_json(self):
-        return {"tag": self.tag, "terms": [n.to_json() for n in self.terms]}
-
-    def replace(self, fn):
-        return fn(Sum(tuple(n.replace(fn) for n in self.terms)))
+    if tag in _LEAVES:
+        return [_LEAVES[tag](node)]
+    raise ValueError(f"unknown node tag {tag!r}")
 
 
-@dataclass(frozen=True)
-class Product(Node):
-    factors: tuple[Node, ...]
-    tag = "product"
-
-    def ev(self, t, th):
-        out = self.factors[0].ev(t, th)
-        for n in self.factors[1:]:
-            out = out * n.ev(t, th)
-        return out
-
-    def _dprod(self, t, th, which):
-        vals = [n.ev(t, th) for n in self.factors]
-        ders = [getattr(n, which)(t, th) for n in self.factors]
-        out = np.zeros(np.broadcast(t, th).shape)
-        for i in range(len(self.factors)):
-            term = ders[i]
-            for j, v in enumerate(vals):
-                if j != i:
-                    term = term * v
-            out = out + term
-        return out
-
-    def dt(self, t, th):
-        return self._dprod(t, th, "dt")
-
-    def dth(self, t, th):
-        return self._dprod(t, th, "dth")
-
-    def to_json(self):
-        return {"tag": self.tag, "factors": [n.to_json() for n in self.factors]}
-
-    def replace(self, fn):
-        return fn(Product(tuple(n.replace(fn) for n in self.factors)))
+def _interval(doc: dict, key: str) -> Interval:
+    if key not in doc:
+        raise ValueError(f"missing key {key!r}")
+    v = doc[key]
+    if not (isinstance(v, list) and len(v) == 2):
+        raise ValueError(f"key {key!r} must be [lo, hi], got {v!r}")
+    lo, hi = (_number(x) for x in v)
+    return Interval(lo, hi)
 
 
-_NODE_REGISTRY: dict[str, callable] = {}
+def _read(doc: dict, parse, flag_default: bool):
+    """The keys both surface file types share: four coordinates (each read
+    by ``parse``), the two domains and the three flags."""
+    coords = doc.get("coords")
+    if not (isinstance(coords, list) and len(coords) == 4):
+        raise ValueError(f"key 'coords' must be a list of 4 coordinates, got "
+                         f"{len(coords) if isinstance(coords, list) else repr(coords)}")
+    parsed = []
+    for i, c in enumerate(coords):
+        try:
+            parsed.append(parse(c))
+        except KeyError as exc:
+            raise ValueError(f"key 'coords'[{i}]: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"key 'coords'[{i}]: {exc}") from None
+    flags = []
+    for key in ("periodic_s", "pole_low", "pole_high"):
+        v = doc.get(key, flag_default)
+        if not isinstance(v, bool):
+            raise ValueError(f"key {key!r} must be true or false, got {v!r}")
+        flags.append(v)
+    return (tuple(parsed), _interval(doc, "t_dom"), _interval(doc, "s_dom"), *flags)
 
 
-def register_node(tag, loader):
-    _NODE_REGISTRY[tag] = loader
+def _domain_json(s) -> dict:
+    return {
+        "t_dom": [s.t_dom.lo, s.t_dom.hi],
+        "s_dom": [s.s_dom.lo, s.s_dom.hi],
+        "periodic_s": s.periodic_s,
+        "pole_low": s.pole_low,
+        "pole_high": s.pole_high,
+    }
 
 
-register_node("const", lambda d: Const(float(d["value"])))
-register_node("poly_t", lambda d: PolyT(Poly1(tuple(d["coeffs"]))))
-register_node("poly_theta", lambda d: PolyTheta(Poly1(tuple(d["coeffs"]))))
-register_node("cos_k", lambda d: CosK(int(d["k"])))
-register_node("sin_k", lambda d: SinK(int(d["k"])))
-register_node("sum", lambda d: Sum(tuple(node_from_json(x) for x in d["terms"])))
-register_node("product", lambda d: Product(tuple(node_from_json(x) for x in d["factors"])))
-
-
-def node_from_json(doc: dict) -> Node:
-    try:
-        loader = _NODE_REGISTRY[doc["tag"]]
-    except KeyError:
-        raise ValueError(f"unknown node tag {doc.get('tag')!r}")
-    return loader(doc)
-
-
-def scaled(node: Node, c: float) -> Node:
-    return Product((Const(float(c)), node))
-
-
-def blend(bump: Node, rotated: Node, original: Node) -> Node:
-    """B * rotated + (1 - B) * original, written as original + B*(rotated - original)."""
-    diff = Sum((rotated, scaled(original, -1.0)))
-    return Sum((original, Product((bump, diff))))
-
+# -- surfaces ---------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Surface4:
-    """Map from a rectangle in (t, theta) space to R^4 built from factor trees.
+    """Map from a rectangle in (t, theta) space to R^4; each coordinate is a
+    sum of separable terms, brought to canonical form on construction.
 
     ``pole_low`` / ``pole_high`` flag t-endpoints whose whole theta-row maps to
     a single point (sphere poles); ``periodic_s`` flags theta = 0 == 2*pi.
     """
 
-    coords: tuple[Node, Node, Node, Node]
+    coords: tuple[tuple[Term, ...], ...]
     t_dom: Interval
     s_dom: Interval = field(default_factory=lambda: Interval(0.0, TWO_PI))
     periodic_s: bool = True
     pole_low: bool = True
     pole_high: bool = True
 
+    def __post_init__(self):
+        object.__setattr__(self, "coords", tuple(_collect(c) for c in self.coords))
+
     def evaluate(self, t, th) -> np.ndarray:
         """Evaluate all four coordinates; result shape broadcast(t, th) + (4,)."""
-        t = np.asarray(t, float)
-        th = np.asarray(th, float)
-        return np.stack([c.ev(t, th) for c in self.coords], axis=-1)
+        return _eval_points(self.coords, t, th)
 
     def eval_grid(self, tvals, svals) -> np.ndarray:
-        T, S = np.meshgrid(np.asarray(tvals, float), np.asarray(svals, float), indexing="ij")
-        return self.evaluate(T, S)
+        return _eval_tensor(self.coords, tvals, svals)
 
     def partials_grid(self, tvals, svals):
         """(d/dt, d/dtheta) of all coordinates over the tensor grid."""
-        T, S = np.meshgrid(np.asarray(tvals, float), np.asarray(svals, float), indexing="ij")
-        dt = np.stack([c.dt(T, S) for c in self.coords], axis=-1)
-        ds = np.stack([c.dth(T, S) for c in self.coords], axis=-1)
+        n_t, n_s = len(tvals), len(svals)
+        A = _rows(self.coords, "t", tvals, deriv=True)
+        S = _rows(self.coords, "s", svals, deriv=True)
+        dt = np.stack([_matmul(da, s, n_t, n_s) for (_, da), (s, _) in zip(A, S)], axis=-1)
+        ds = np.stack([_matmul(a, dsv, n_t, n_s) for (a, _), (_, dsv) in zip(A, S)], axis=-1)
         return dt, ds
 
     def jacobian(self, t, th) -> np.ndarray:
         """4x2 Jacobian at a single parameter point."""
-        t = np.asarray(t, float)
-        th = np.asarray(th, float)
-        col_t = [float(c.dt(t, th)) for c in self.coords]
-        col_s = [float(c.dth(t, th)) for c in self.coords]
-        return np.column_stack([col_t, col_s])
-
-    def map_coords(self, fn) -> "Surface4":
-        """New surface with ``fn`` applied bottom-up to every node of every coordinate."""
-        return Surface4(
-            tuple(c.replace(fn) for c in self.coords),
-            self.t_dom, self.s_dom, self.periodic_s, self.pole_low, self.pole_high,
-        )
+        dt, ds = self.partials_grid([float(t)], [float(th)])
+        return np.column_stack([dt[0, 0], ds[0, 0]])
 
     def to_json(self) -> dict:
-        return {
-            "type": "surface4",
-            "coords": [c.to_json() for c in self.coords],
-            "t_dom": [self.t_dom.lo, self.t_dom.hi],
-            "s_dom": [self.s_dom.lo, self.s_dom.hi],
-            "periodic_s": self.periodic_s,
-            "pole_low": self.pole_low,
-            "pole_high": self.pole_high,
-        }
+        return {"type": "surface4", "coords": [_coord_json(c) for c in self.coords],
+                **_domain_json(self)}
 
     @classmethod
     def from_json(cls, doc: dict) -> "Surface4":
-        return cls(
-            tuple(node_from_json(d) for d in doc["coords"]),
-            Interval(*doc["t_dom"]),
-            Interval(*doc["s_dom"]),
-            bool(doc.get("periodic_s", True)),
-            bool(doc.get("pole_low", True)),
-            bool(doc.get("pole_high", True)),
-        )
+        return cls(*_read(doc, _terms_from_json, True))
 
 
 @dataclass(frozen=True)
@@ -340,26 +392,20 @@ class PolyMap4:
         return dt, ds
 
     def to_json(self) -> dict:
-        return {
-            "type": "polymap4",
-            "coords": [p.to_json() for p in self.polys],
-            "t_dom": [self.t_dom.lo, self.t_dom.hi],
-            "s_dom": [self.s_dom.lo, self.s_dom.hi],
-            "periodic_s": self.periodic_s,
-            "pole_low": self.pole_low,
-            "pole_high": self.pole_high,
-        }
+        return {"type": "polymap4", "coords": [p.to_json() for p in self.polys],
+                **_domain_json(self)}
 
     @classmethod
     def from_json(cls, doc: dict) -> "PolyMap4":
-        return cls(
-            tuple(Poly2.from_json(d) for d in doc["coords"]),
-            Interval(*doc["t_dom"]),
-            Interval(*doc["s_dom"]),
-            bool(doc.get("periodic_s", False)),
-            bool(doc.get("pole_low", False)),
-            bool(doc.get("pole_high", False)),
-        )
+        return cls(*_read(doc, _poly2_from_json, False))
+
+
+def _poly2_from_json(node) -> Poly2:
+    rows = node["coeffs"]
+    if not (isinstance(rows, list) and rows and all(isinstance(r, list) and r for r in rows)
+            and len({len(r) for r in rows}) == 1):
+        raise ValueError("'coeffs' must be a non-empty rectangular list of lists")
+    return Poly2(np.array([[_number(x) for x in r] for r in rows]))
 
 
 def max_grid_deviation(a, b, n_t: int = 200, n_s: int = 200) -> float:

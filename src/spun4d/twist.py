@@ -19,88 +19,13 @@ from .catalog import KnotArc
 from .errors import NonUnitAxis, NoRoom, PlaneCrossing
 from .poly import Interval, Poly1
 from .surface import (
-    TWO_PI, Const, CosK, Node, PolyT, PolyTheta, Product, SinK, Sum, Surface4,
-    blend, register_node, scaled,
+    TWO_PI, Bump, Surface4, Term, Trig, _eval_points, _eval_tensor, max_grid_deviation,
 )
 
 __all__ = [
     "Bump", "TwistAxis", "rodrigues", "axis_rotation", "make_axis",
     "choose_bump", "twisted_arc", "twist_spin", "polynomialize_twist",
 ]
-
-
-# -- bump -------------------------------------------------------------------
-
-def _soft_step(x):
-    """exp(-1/x) for x > 0, identically 0 otherwise (C-infinity glue)."""
-    x = np.asarray(x, float)
-    out = np.zeros_like(x)
-    pos = x > 0
-    out[pos] = np.exp(-1.0 / x[pos])
-    return out
-
-
-def _soft_step_deriv(x):
-    x = np.asarray(x, float)
-    out = np.zeros_like(x)
-    pos = x > 0
-    out[pos] = np.exp(-1.0 / x[pos]) / x[pos] ** 2
-    return out
-
-
-@dataclass(frozen=True)
-class Bump:
-    """Even C-infinity bump: 1 on |t| <= sqrt(d1), 0 on |t| >= sqrt(d2)."""
-
-    d1: float
-    d2: float
-
-    def __post_init__(self):
-        if not 0.0 < self.d1 < self.d2:
-            raise ValueError(f"need 0 < d1 < d2, got d1={self.d1}, d2={self.d2}")
-
-    def __call__(self, t):
-        t2 = np.asarray(t, float) ** 2
-        u = _soft_step(self.d2 - t2)
-        v = _soft_step(t2 - self.d1)
-        # closed-form branches keep the division away from 0/0 at the plateaus
-        return np.where(t2 >= self.d2, 0.0, np.where(t2 <= self.d1, 1.0, u / (u + v)))
-
-    def derivative(self, t):
-        t = np.asarray(t, float)
-        t2 = t ** 2
-        u = _soft_step(self.d2 - t2)
-        v = _soft_step(t2 - self.d1)
-        du = -2.0 * t * _soft_step_deriv(self.d2 - t2)
-        dv = 2.0 * t * _soft_step_deriv(t2 - self.d1)
-        mid = (self.d1 < t2) & (t2 < self.d2)
-        out = np.zeros_like(t)
-        w = u + v
-        out[mid] = (du[mid] * v[mid] - u[mid] * dv[mid]) / w[mid] ** 2
-        return out
-
-
-@dataclass(frozen=True)
-class BumpT(Node):
-    """Bump factor in t as a surface-tree node."""
-
-    bump: Bump
-    tag = "bump"
-
-    def ev(self, t, th):
-        return np.broadcast_to(self.bump(t), np.broadcast(t, th).shape).copy()
-
-    def dt(self, t, th):
-        return np.broadcast_to(self.bump.derivative(t), np.broadcast(t, th).shape).copy()
-
-    def dth(self, t, th):
-        return np.zeros(np.broadcast(t, th).shape)
-
-    def to_json(self):
-        return {"tag": self.tag, "d1": self.bump.d1, "d2": self.bump.d2}
-
-
-register_node("bump", lambda d: BumpT(Bump(float(d["d1"]), float(d["d2"]))))
 
 
 # -- rotation algebra -------------------------------------------------------
@@ -192,62 +117,32 @@ def axis_rotation(axis: TwistAxis, phi: float) -> AffineMap:
 
 # -- twisted arc ------------------------------------------------------------
 
-def _rotated_coord_nodes(arc: KnotArc, axis: TwistAxis, cos_n: Node, sin_n: Node):
-    """Coordinate trees of the axis rotation applied to (f, g, h)(t), with the
-    rotation angle supplied through the cosine/sine nodes.
+def _twisted_coords(arc: KnotArc, axis: TwistAxis, bump: Bump, k: int):
+    """Terms of (f~, g~, h~)(t, theta): the arc rotated by k*theta about PQ,
+    blended into the fixed arc by the bump.
 
-    Written from the conjugated rotation matrix entries; for the catalog's
-    odd-symmetric arcs the chord projection P'Q' passes through the origin and
-    the expressions reduce to the matrix form T_c * R * T_{-c}.
+    With v(t) = (f, g, h)(t) - P and Rodrigues' R = kk^T + (I - kk^T) cos +
+    K sin about the unit axis direction k, the blend
+    (f, g, h) + B (P + R v - (f, g, h)) is
+    (f, g, h) - B u + B u cos(k theta) + B w sin(k theta) with
+    u = (I - kk^T) v and w = K v, all polynomials of the arc's degree.
     """
-    f, g, h = PolyT(arc.f), PolyT(arc.g), PolyT(arc.h)
-    f21, g21, c, n2 = axis.f21, axis.g21, axis.c, axis.n2
-    n = math.sqrt(n2)
-    one_m_cos = Sum((Const(1.0), scaled(cos_n, -1.0)))
-    h_m_c = Sum((h, Const(-c)))
-    # in-plane coordinates of the conjugation point P (zero for the
-    # odd-symmetric fixtures, where P'Q' passes through the origin)
-    ax_x, ax_y = axis.p1
-
-    # rotation applied to (v - P) + P, expanded in tree form
-    vx = Sum((f, Const(-ax_x)))
-    vy = Sum((g, Const(-ax_y)))
-    vz = h_m_c
-    kx, ky = f21 / n, g21 / n
-
-    def rot_row(cxx, cxy, cxz):
-        # cij are (constant, cos-coefficient, sin-coefficient) triples
-        terms = []
-        for (c0, cc, cs), v in zip((cxx, cxy, cxz), (vx, vy, vz)):
-            if c0:
-                terms.append(scaled(v, c0))
-            if cc:
-                terms.append(Product((Const(cc), cos_n, v)))
-            if cs:
-                terms.append(Product((Const(cs), sin_n, v)))
-        return Sum(tuple(terms))
-
-    # R = I + sin K + (1-cos) K^2 with k = (kx, ky, 0):
-    #   R = [[kx^2 + ky^2 cos, kx ky (1-cos),      ky sin],
-    #        [kx ky (1-cos),   ky^2 + kx^2 cos,   -kx sin],
-    #        [-ky sin,         kx sin,              cos  ]]
-    rx = rot_row((kx * kx, ky * ky, 0.0), (kx * ky, -kx * ky, 0.0), (0.0, 0.0, ky))
-    ry = rot_row((kx * ky, -kx * ky, 0.0), (ky * ky, kx * kx, 0.0), (0.0, 0.0, -kx))
-    rz = rot_row((0.0, 0.0, -ky), (0.0, 0.0, kx), (0.0, 1.0, 0.0))
-
-    fx = Sum((rx, Const(ax_x)))
-    fy = Sum((ry, Const(ax_y)))
-    fz = Sum((rz, Const(c)))
-    return fx, fy, fz
-
-
-def _blended_coord_nodes(arc: KnotArc, axis: TwistAxis, bump: Bump, cos_n: Node, sin_n: Node):
-    fx, fy, fz = _rotated_coord_nodes(arc, axis, cos_n, sin_n)
-    b = BumpT(bump)
-    return (
-        blend(b, fx, PolyT(arc.f)),
-        blend(b, fy, PolyT(arc.g)),
-        blend(b, fz, PolyT(arc.h)),
+    kx, ky = axis.f21 / axis.n_len, axis.g21 / axis.n_len
+    vx = arc.f - Poly1((axis.p1[0],))
+    vy = arc.g - Poly1((axis.p1[1],))
+    vz = arc.h - Poly1((axis.c,))
+    # u = (I - kk^T) v and w = k x v with k = (kx, ky, 0), per coordinate as
+    # (coefficient, polynomial) pairs so that multiples of vz share a factor
+    uw = (
+        ((1.0, ky * ky * vx - kx * ky * vy), (ky, vz)),
+        ((1.0, kx * kx * vy - kx * ky * vx), (-kx, vz)),
+        ((1.0, vz), (1.0, kx * vy - ky * vx)),
+    )
+    cos_k, sin_k = Trig(k), Trig(k, sine=True)
+    return tuple(
+        (Term(1.0, (p,)), Term(-a, (bump, u)),
+         Term(a, (bump, u), (cos_k,)), Term(b, (bump, w), (sin_k,)))
+        for p, ((a, u), (b, w)) in zip((arc.f, arc.g, arc.h), uw)
     )
 
 
@@ -255,15 +150,12 @@ class TwistedArc:
     """The blended rotated arc at a fixed rotation angle phi."""
 
     def __init__(self, arc: KnotArc, axis: TwistAxis, bump: Bump, phi: float):
-        cos_n, sin_n = Const(math.cos(phi)), Const(math.sin(phi))
-        self._nodes = _blended_coord_nodes(arc, axis, bump, cos_n, sin_n)
+        self._coords = _twisted_coords(arc, axis, bump, 1)
         self.phi = phi
 
     def __call__(self, t):
         """(f~, g~, h~)(t); result shape t.shape + (3,)."""
-        t = np.asarray(t, float)
-        th = np.zeros_like(t)
-        return np.stack([n.ev(t, th) for n in self._nodes], axis=-1)
+        return _eval_points(self._coords, t, self.phi)
 
 
 def twisted_arc(arc: KnotArc, axis: TwistAxis, bump: Bump, phi: float) -> TwistedArc:
@@ -294,14 +186,13 @@ PRECHECK_NT = 2000
 PRECHECK_NPHI = 360
 
 
-def _check_height_positive(h_node: Node, t_dom: Interval):
+def _check_height_positive(h_terms, t_dom: Interval):
     ts = t_dom.sample(PRECHECK_NT + 2)[1:-1]  # open interior
     phis = np.linspace(0.0, TWO_PI, PRECHECK_NPHI, endpoint=False)
-    T, PH = np.meshgrid(ts, phis, indexing="ij")
-    vals = h_node.ev(T, PH)
+    vals = _eval_tensor((h_terms,), ts, phis)[..., 0]
     i, j = np.unravel_index(np.argmin(vals), vals.shape)
     if vals[i, j] <= 0.0:
-        raise PlaneCrossing(float(T[i, j]), float(PH[i, j]), float(vals[i, j]))
+        raise PlaneCrossing(float(ts[i]), float(phis[j]), float(vals[i, j]))
 
 
 def twist_spin(arc: KnotArc, axis: TwistAxis, bump: Bump, k: int) -> Surface4:
@@ -312,11 +203,12 @@ def twist_spin(arc: KnotArc, axis: TwistAxis, bump: Bump, k: int) -> Surface4:
     """
     if k < 0:
         raise ValueError("twist count k must be >= 0")
-    cos_n, sin_n = CosK(k), SinK(k)
-    ft, gt, ht = _blended_coord_nodes(arc, axis, bump, cos_n, sin_n)
+    ft, gt, ht = _twisted_coords(arc, axis, bump, k)
     _check_height_positive(ht, arc.ab)
+    spun = [[Term(c, tf, sf + (trig,)) for c, tf, sf in ht]
+            for trig in (Trig(1), Trig(1, sine=True))]
     return Surface4(
-        coords=(ft, gt, Product((ht, CosK(1))), Product((ht, SinK(1)))),
+        coords=(ft, gt, *spun),
         t_dom=arc.ab,
         s_dom=Interval(0.0, TWO_PI),
         periodic_s=True,
@@ -329,29 +221,29 @@ def polynomialize_twist(s: Surface4, cheb_degree: int, bump_degree: int | None =
     """Replace every cos(k th) / sin(k th) factor by its Chebyshev interpolant
     on [0, 2*pi], and (optionally) the bump by a Chebyshev fit on the t-domain.
 
+    A fit stays a factor of its own: multiplying it into another polynomial
+    would cost accuracy (a degree-40 bump fit times an arc polynomial differs
+    from the product of their values by about 4e-2).
+
     Returns the new surface and its max deviation from ``s`` on a 200x200 grid.
     """
     if cheb_degree < 1:
         raise ValueError("cheb_degree must be >= 1")
-    dom = s.s_dom
-    fits: dict[tuple[str, int], Poly1] = {}
+    fits: dict = {}
 
-    def trig_fit(kind: str, k: int) -> Poly1:
-        key = (kind, k)
-        if key not in fits:
-            base = np.cos if kind == "cos" else np.sin
-            fits[key] = chebyshev_fit(lambda x: base(k * x), dom, cheb_degree).poly
-        return fits[key]
+    def fit(f):
+        if f not in fits:
+            if isinstance(f, Trig):
+                fits[f] = chebyshev_fit(f, s.s_dom, cheb_degree).poly
+            elif isinstance(f, Bump) and bump_degree is not None:
+                fits[f] = chebyshev_fit(f, s.t_dom, bump_degree).poly
+            else:
+                fits[f] = f
+        return fits[f]
 
-    def swap(node: Node) -> Node:
-        if isinstance(node, CosK):
-            return PolyTheta(trig_fit("cos", node.k))
-        if isinstance(node, SinK):
-            return PolyTheta(trig_fit("sin", node.k))
-        if bump_degree is not None and isinstance(node, BumpT):
-            return PolyT(chebyshev_fit(node.bump, s.t_dom, bump_degree).poly)
-        return node
-
-    out = s.map_coords(swap)
-    from .surface import max_grid_deviation
+    out = Surface4(
+        tuple([Term(c, tuple(map(fit, tf)), tuple(map(fit, sf))) for c, tf, sf in coord]
+              for coord in s.coords),
+        s.t_dom, s.s_dom, s.periodic_s, s.pole_low, s.pole_high,
+    )
     return out, max_grid_deviation(s, out)

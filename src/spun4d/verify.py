@@ -189,21 +189,19 @@ def isotopy_family_check(
 ) -> bool:
     """Run both scans on the perturbation family F_u for every u.
 
-    ``map4`` is the *unperturbed* PolyMap4 (or 4-tuple of Poly2 over a stated
-    domain); F_u adds u * eps * t^(2N+1) and u * eps * s^(2N+1) to the third
-    and fourth coordinates.
+    ``map4`` is the *unperturbed* PolyMap4; F_u adds u * eps * t^(2N+1) and
+    u * eps * s^(2N+1) to the third and fourth coordinates.
     """
-    base = map4 if isinstance(map4, PolyMap4) else PolyMap4(tuple(map4), Interval(-1, 1), Interval(-1, 1))
     power = 2 * spec.N + 1
     for u in u_samples:
         bump_t = np.zeros((power + 1, 1))
         bump_t[power, 0] = u * spec.epsilon
         bump_s = np.zeros((1, power + 1))
         bump_s[0, power] = u * spec.epsilon
-        x, y, z, w = base.polys
+        x, y, z, w = map4.polys
         fu = PolyMap4(
             (x, y, z + Poly2(bump_t), w + Poly2(bump_s)),
-            base.t_dom, base.s_dom, base.periodic_s, base.pole_low, base.pole_high,
+            map4.t_dom, map4.s_dom, map4.periodic_s, map4.pole_low, map4.pole_high,
         )
         ok, _ = jacobian_rank_scan(fu, n_rank, n_rank, rank_tol)
         if not ok:

@@ -175,3 +175,55 @@ def test_knot_file_invalid_json_names_file(workdir, capsys):
     assert dispatch(["spin", "k.json"]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("spun4d: error:") and "k.json" in err[0]
+
+
+_TWIST_DOMAIN = {"t_dom": [-1.0, 1.0], "s_dom": [0.0, 6.283185307179586]}
+_POLY_COORD = {"coeffs": [[0.0, 1.0], [1.0, 0.0]]}
+
+
+@pytest.mark.parametrize("doc,key", [
+    ([1, 2, 3], "'type'"),
+    ({"type": "surface4", "coords": [{"tag": "const", "value": 1.0}] * 4,
+      "s_dom": [0.0, 1.0]}, "'t_dom'"),
+    ({"type": "polymap4", "coords": [_POLY_COORD], **_TWIST_DOMAIN}, "'coords'"),
+    ({"type": "surface4", "coords": [{"tag": "cosine", "k": 1}] * 4, **_TWIST_DOMAIN},
+     "'cosine'"),
+    ({"type": "surface4", "coords": [{"tag": "bump", "d1": 2.0, "d2": 1.0}] * 4, **_TWIST_DOMAIN},
+     "d1"),
+    ({"type": "surface4", "coords": [{"tag": "poly_t"}] * 4, **_TWIST_DOMAIN}, "'coeffs'"),
+    ({"type": "mesh"}, "'type'"),
+])
+@pytest.mark.parametrize("cmd", [["project", "bad.json", "--out", "p.csv"],
+                                 ["export", "bad.json", "--format", "obj", "--out", "p.obj"]])
+def test_bad_surface_file_names_file_and_key(workdir, capsys, doc, key, cmd):
+    (workdir / "bad.json").write_text(json.dumps(doc))
+    assert dispatch(cmd) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("spun4d: error: bad.json:") and key in err[0]
+
+
+def test_polynomialize_twist_file_with_bump_degree(workdir, capsys):
+    import numpy as np
+
+    from spun4d.surface import Surface4, max_grid_deviation
+    from spun4d.twist import polynomialize_twist
+
+    assert dispatch(["twistspin", "trefoil_twist", "--k", "2", "--out", "tw.json"]) == 0
+    capsys.readouterr()
+    assert dispatch(["polynomialize", "tw.json", "--bump-degree", "16", "--out", "pz.json"]) == 0
+    out = capsys.readouterr().out.strip().splitlines()
+    twist = Surface4.from_json(json.loads((workdir / "tw.json").read_text()))
+    poly, dev = polynomialize_twist(twist, 8, 16)
+    assert out == [f"max grid deviation from exact surface: {dev:.6e}"]
+    assert np.isfinite(dev) and dev > 0.0
+    reloaded = Surface4.from_json(json.loads((workdir / "pz.json").read_text()))
+    assert reloaded == poly
+    assert max_grid_deviation(reloaded, poly, 60, 60) == 0.0
+
+
+def test_polynomialize_rejects_polymap_file(workdir, capsys):
+    assert dispatch(["polynomialize", "trefoil_spun", "--out", "p.json"]) == 0
+    capsys.readouterr()
+    assert dispatch(["polynomialize", "p.json"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "p.json" in err[0] and "'type'" in err[0]

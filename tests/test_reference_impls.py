@@ -23,14 +23,17 @@ from spun4d.approx import (
 from spun4d.catalog import (
     DIAG_SEP, GRID_N, MERGE_TOL, RESIDUAL_TOL, get_knot, knot_names, lift_height,
 )
-from spun4d.errors import NonGeneric
+from spun4d.errors import NonGeneric, PlaneCrossing
 from spun4d.export import (
     AXIS_NAMES, FLOAT_FMT, Grid3, SurfaceMesh, export_grid_csv, export_mesh,
     export_slices, project, sample_surface, slice_surface, to_mesh,
 )
 from spun4d.poly import Interval, Poly1, Poly2, poly_scale
 from spun4d.spin import polynomial_spin, spin
-from spun4d.surface import TWO_PI, PolyMap4
+from spun4d.surface import POINT_BLOCK, TWO_PI, PolyMap4, Surface4, max_grid_deviation
+from spun4d.twist import (
+    PRECHECK_NPHI, PRECHECK_NT, Bump, choose_bump, make_axis, polynomialize_twist, twist_spin,
+)
 
 
 def _bits(a) -> bytes:
@@ -395,3 +398,223 @@ def test_poly2_product_within_rounding_of_exact_convolution():
         err = np.array([[float(abs(Fraction(got[i, j]) - exact[i][j])) for j in range(shape[1])]
                         for i in range(shape[0])])
         assert np.all(err <= 4 * terms * eps * abs_sum)
+
+
+# -- surface model --------------------------------------------------------------
+#
+# Surfaces used to be trees of tagged nodes evaluated node by node.  The
+# references below rebuild those trees as JSON documents, with the same
+# construction as before, and evaluate them by the same node semantics.
+
+def tree_eval(node, t, th):
+    """Value, d/dt and d/dtheta of a tagged surface-tree node, broadcast over (t, th)."""
+    shape = np.broadcast(t, th).shape
+    zero = np.zeros(shape)
+
+    def full(a):
+        return np.broadcast_to(a, shape).astype(float)
+
+    tag = node["tag"]
+    if tag == "const":
+        return full(node["value"]), zero, zero
+    if tag in ("poly_t", "poly_theta"):
+        p = Poly1(tuple(node["coeffs"]))
+        x = t if tag == "poly_t" else th
+        d = full(p.derivative()(x))
+        return (full(p(x)), d, zero) if tag == "poly_t" else (full(p(x)), zero, d)
+    if tag == "cos_k":
+        k = node["k"]
+        return full(np.cos(k * th)), zero, full(-k * np.sin(k * th))
+    if tag == "sin_k":
+        k = node["k"]
+        return full(np.sin(k * th)), zero, full(k * np.cos(k * th))
+    if tag == "bump":
+        b = Bump(node["d1"], node["d2"])
+        return full(b(t)), full(b.derivative(t)), zero
+    if tag == "sum":
+        parts = [tree_eval(n, t, th) for n in node["terms"]]
+        return tuple(sum(p[i] for p in parts) for i in range(3))
+    if tag == "product":
+        parts = [tree_eval(n, t, th) for n in node["factors"]]
+        value = np.prod([p[0] for p in parts], axis=0)
+        ders = []
+        for which in (1, 2):
+            total = zero
+            for i, p in enumerate(parts):
+                term = p[which]
+                for j, q in enumerate(parts):
+                    if j != i:
+                        term = term * q[0]
+                total = total + term
+            ders.append(total)
+        return value, ders[0], ders[1]
+    raise ValueError(tag)
+
+
+def _const(v):
+    return {"tag": "const", "value": float(v)}
+
+
+def _sum(*terms):
+    return {"tag": "sum", "terms": list(terms)}
+
+
+def _prod(*factors):
+    return {"tag": "product", "factors": list(factors)}
+
+
+def _poly_t(p):
+    return {"tag": "poly_t", "coeffs": list(p.coeffs)}
+
+
+def _trig(kind, k):
+    return {"tag": f"{kind}_k", "k": k}
+
+
+def spin_tree(arc):
+    h = _poly_t(arc.h)
+    return [_poly_t(arc.f), _poly_t(arc.g), _prod(h, _trig("cos", 1)), _prod(h, _trig("sin", 1))]
+
+
+def twist_tree(arc, axis, bump, k):
+    """The k-twist coordinates as the tree the node classes built: the
+    rotation matrix expanded entry by entry, blended as orig + B (rot - orig)."""
+    f, g, h = _poly_t(arc.f), _poly_t(arc.g), _poly_t(arc.h)
+    n = np.sqrt(axis.n2)
+    kx, ky = axis.f21 / n, axis.g21 / n
+    ax_x, ax_y = axis.p1
+    cos_n, sin_n = _trig("cos", k), _trig("sin", k)
+    v = (_sum(f, _const(-ax_x)), _sum(g, _const(-ax_y)), _sum(h, _const(-axis.c)))
+
+    def row(*entries):  # entries are (constant, cos, sin) coefficients
+        terms = []
+        for (c0, cc, cs), vi in zip(entries, v):
+            if c0:
+                terms.append(_prod(_const(c0), vi))
+            if cc:
+                terms.append(_prod(_const(cc), cos_n, vi))
+            if cs:
+                terms.append(_prod(_const(cs), sin_n, vi))
+        return _sum(*terms)
+
+    rot = (
+        _sum(row((kx * kx, ky * ky, 0.0), (kx * ky, -kx * ky, 0.0), (0.0, 0.0, ky)), _const(ax_x)),
+        _sum(row((kx * ky, -kx * ky, 0.0), (ky * ky, kx * kx, 0.0), (0.0, 0.0, -kx)), _const(ax_y)),
+        _sum(row((0.0, 0.0, -ky), (0.0, 0.0, kx), (0.0, 1.0, 0.0)), _const(axis.c)),
+    )
+    b = {"tag": "bump", "d1": bump.d1, "d2": bump.d2}
+    ft, gt, ht = (_sum(o, _prod(b, _sum(r, _prod(_const(-1.0), o)))) for r, o in zip(rot, (f, g, h)))
+    return [ft, gt, _prod(ht, _trig("cos", 1)), _prod(ht, _trig("sin", 1))]
+
+
+def polynomialize_tree(node, s_dom, t_dom, cheb_degree, bump_degree=None):
+    """Every cos_k / sin_k leaf swapped for its Chebyshev fit, and the bump
+    too when ``bump_degree`` is given."""
+    if node["tag"] in ("sum", "product"):
+        key = "terms" if node["tag"] == "sum" else "factors"
+        return {"tag": node["tag"],
+                key: [polynomialize_tree(n, s_dom, t_dom, cheb_degree, bump_degree) for n in node[key]]}
+    if node["tag"] in ("cos_k", "sin_k"):
+        fn, k = (np.cos if node["tag"] == "cos_k" else np.sin), node["k"]
+        p = chebyshev_fit(lambda x: fn(k * x), s_dom, cheb_degree).poly
+        return {"tag": "poly_theta", "coeffs": list(p.coeffs)}
+    if node["tag"] == "bump" and bump_degree is not None:
+        return _poly_t(chebyshev_fit(Bump(node["d1"], node["d2"]), t_dom, bump_degree).poly)
+    return node
+
+
+def _tree_grid(coords, tv, sv):
+    T, S = np.meshgrid(tv, sv, indexing="ij")
+    parts = [tree_eval(c, T, S) for c in coords]
+    return tuple(np.stack([p[i] for p in parts], axis=-1) for i in range(3))
+
+
+def assert_matches_tree(surface, coords):
+    """Values within 1e-12; partials within 1e-12 max(1, max|partial|); on a
+    200x200 grid, at scattered points of broadcast shapes and in more than one
+    evaluation block, and in the Jacobian."""
+    tv, sv = surface.t_dom.sample(200), surface.s_dom.sample(200)
+    v, dt, ds = _tree_grid(coords, tv, sv)
+    assert np.max(np.abs(surface.eval_grid(tv, sv) - v)) <= 1e-12
+    got_dt, got_ds = surface.partials_grid(tv, sv)
+    assert np.max(np.abs(got_dt - dt)) <= 1e-12 * max(1.0, np.max(np.abs(dt)))
+    assert np.max(np.abs(got_ds - ds)) <= 1e-12 * max(1.0, np.max(np.abs(ds)))
+
+    rng = np.random.default_rng(11)
+    t = rng.uniform(surface.t_dom.lo, surface.t_dom.hi, (30, 1))
+    th = rng.uniform(surface.s_dom.lo, surface.s_dom.hi, (1, 20))
+    n = 2 * POINT_BLOCK + 17  # spans several evaluation blocks
+    many = (rng.uniform(surface.t_dom.lo, surface.t_dom.hi, n),
+            rng.uniform(surface.s_dom.lo, surface.s_dom.hi, n))
+    for a, b in ((t, th), (t.ravel(), th.ravel()[:1]), (float(t[0, 0]), th), many):
+        want = np.stack([tree_eval(c, a, b)[0] for c in coords], axis=-1)
+        got = surface.evaluate(a, b)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12
+    J = surface.jacobian(float(t[3, 0]), float(th[0, 5]))
+    ref = [tree_eval(c, t[3, 0], th[0, 5]) for c in coords]
+    assert np.max(np.abs(J - [[r[1], r[2]] for r in ref])) <= 1e-12 * max(1.0, np.max(np.abs(J)))
+
+
+def _twist_setup(name):
+    arc = get_knot(name)
+    if name == "trefoil_twist":
+        return arc, make_axis(arc, -2.19, 2.19)
+    return arc, make_axis(arc, -1.0, 1.0)  # the acceptance test's axis for figure8_spun
+
+
+@pytest.mark.parametrize("name", knot_names())
+def test_spin_matches_tree(name):
+    arc = get_knot(name)
+    surface = spin(arc)
+    assert [len(c) for c in surface.coords] == [1, 1, 1, 1]
+    assert_matches_tree(surface, spin_tree(arc))
+
+
+@pytest.mark.parametrize("name", ["trefoil_twist", "figure8_spun"])
+@pytest.mark.parametrize("k", [0, 1, 10])
+def test_twist_spin_matches_tree(name, k):
+    arc, axis = _twist_setup(name)
+    bump = choose_bump(arc, axis)
+    coords = twist_tree(arc, axis, bump, k)
+    # the height pre-check on the same 2000 x 360 grid
+    ts = arc.ab.sample(PRECHECK_NT + 2)[1:-1]
+    phis = np.linspace(0.0, TWO_PI, PRECHECK_NPHI, endpoint=False)
+    T, PH = np.meshgrid(ts, phis, indexing="ij")
+    heights = tree_eval(coords[2]["factors"][0], T, PH)[0]
+    if heights.min() <= 0.0:
+        with pytest.raises(PlaneCrossing) as exc:
+            twist_spin(arc, axis, bump, k)
+        # reported at a grid point where the tree's height is least, up to rounding
+        at = tree_eval(coords[2]["factors"][0], exc.value.t, exc.value.phi)[0]
+        assert exc.value.t in ts and exc.value.phi in phis
+        assert abs(at - heights.min()) <= 1e-12 and abs(exc.value.value - heights.min()) <= 1e-12
+        return
+    surface = twist_spin(arc, axis, bump, k)
+    assert max(len(c) for c in surface.coords) <= 4
+    assert_matches_tree(surface, coords)
+
+
+@pytest.mark.parametrize("k", [0, 1, 10])
+@pytest.mark.parametrize("bump_degree", [None, 40])
+def test_polynomialize_twist_matches_tree(k, bump_degree):
+    arc, axis = _twist_setup("trefoil_twist")
+    bump = choose_bump(arc, axis)
+    poly, dev = polynomialize_twist(twist_spin(arc, axis, bump, k), 24, bump_degree)
+    coords = [polynomialize_tree(c, poly.s_dom, poly.t_dom, 24, bump_degree)
+              for c in twist_tree(arc, axis, bump, k)]
+    assert_matches_tree(poly, coords)
+
+
+def test_tree_file_written_by_node_classes_loads():
+    """``spun4d twistspin trefoil_twist --k 3`` as written when surfaces were
+    node trees: it loads, matches the tree, and round-trips exactly."""
+    path = os.path.join(os.path.dirname(__file__), "data", "trefoil_twist_k3_tree.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    surface = Surface4.from_json(doc)
+    assert max(len(c) for c in surface.coords) <= 9
+    assert_matches_tree(surface, doc["coords"])
+    again = Surface4.from_json(surface.to_json())
+    assert again == surface
+    assert max_grid_deviation(surface, again) == 0.0

@@ -9,7 +9,7 @@ from spun4d.poly import Interval
 from spun4d.spin import spin
 from spun4d.surface import Surface4, max_grid_deviation
 from spun4d.twist import (
-    Bump, BumpT, axis_rotation, choose_bump, make_axis, polynomialize_twist,
+    Bump, axis_rotation, choose_bump, make_axis, polynomialize_twist,
     rodrigues, twist_spin, twisted_arc,
 )
 
@@ -52,16 +52,6 @@ def test_bump_rejects_bad_parameters():
         Bump(2.0, 1.0)
     with pytest.raises(ValueError):
         Bump(0.0, 1.0)
-
-
-def test_bump_node_derivative():
-    node = BumpT(Bump(1.0, 2.0))
-    t = np.linspace(-1.6, 1.6, 41)
-    th = np.zeros_like(t)
-    eps = 1e-7
-    fd = (node.ev(t + eps, th) - node.ev(t - eps, th)) / (2 * eps)
-    assert np.max(np.abs(node.dt(t, th) - fd)) < 1e-5
-    assert np.all(node.dth(t, th) == 0.0)
 
 
 # -- rotation algebra -------------------------------------------------------
