@@ -211,6 +211,8 @@ def _sweep_values(surface, axis, count, n):
 
     from .export import AXIS_NAMES, sample_surface
 
+    if count < 1:
+        raise ValueError(f"--count must be at least 1, got {count}")
     idx = AXIS_NAMES.index(axis)
     grid = sample_surface(surface, n, n)
     w = grid.points[..., idx]

@@ -124,68 +124,80 @@ def project(grid: Grid4, spec) -> Grid3:
 
 # -- marching squares -------------------------------------------------------
 
-def _cell_segments(field, tvals, svals, value, center_field):
-    """Marching squares on the parameter grid.
+# A cell's case code has bit 0 set when node (i, j) is above the level, bit 1
+# for (i+1, j), bit 2 for (i+1, j+1) and bit 3 for (i, j+1).  Its edges are
+# numbered bottom (i, j)-(i+1, j), right, top, left.
+_B, _R, _T, _L = range(4)
+_CASES = {
+    1: [(_B, _L)], 2: [(_B, _R)], 3: [(_R, _L)], 4: [(_R, _T)], 6: [(_B, _T)],
+    7: [(_T, _L)], 8: [(_T, _L)], 9: [(_B, _T)], 11: [(_R, _T)], 12: [(_R, _L)],
+    13: [(_B, _R)], 14: [(_B, _L)],
+}
 
-    Returns segments as pairs of edge keys plus the interpolated parameter
-    location of the crossing on each edge.  Edge keys: ('h', i, j) is the edge
-    from node (i, j) to (i+1, j); ('v', i, j) from (i, j) to (i, j+1).
-    Saddle cells are disambiguated by the sign of the true field at the cell
-    center.
+
+def _segment_table() -> np.ndarray:
+    """table[code, center above the level]: a cell's segments as up to two
+    (edge, edge) pairs, padded with -1.  Only the saddle codes 5 and 10 depend
+    on the center: it joins the two diagonal corners on its side of the level."""
+    table = np.full((16, 2, 2, 2), -1, dtype=np.intp)
+    for code, pairs in _CASES.items():
+        table[code, :, :len(pairs)] = pairs
+    cut_1_3 = [(_B, _R), (_T, _L)]  # cut off nodes (i+1, j) and (i, j+1)
+    cut_0_2 = [(_B, _L), (_R, _T)]  # cut off nodes (i, j) and (i+1, j+1)
+    table[5, 1] = table[10, 0] = cut_1_3
+    table[5, 0] = table[10, 1] = cut_0_2
+    return table
+
+
+_SEGMENT_TABLE = _segment_table()
+
+
+def _cell_segments(field, tvals, svals, value, center_field):
+    """Marching squares on the parameter grid, over all cells at once.
+
+    Returns the segments as an (m, 2) array of edge keys, cells in row-major
+    order, and an array whose row k is the interpolated parameter location
+    (t, theta) of the crossing on edge k, filled for the edges the segments
+    use.  Edge keys: i*ns + j is the edge from node (i, j) to (i+1, j), and
+    (nt-1)*ns + i*(ns-1) + j the edge from (i, j) to (i, j+1).  Saddle cells
+    are disambiguated by the sign of the true field at the cell center.
     """
     v = field - value
     tiny = np.finfo(float).tiny
     v = np.where(v == 0.0, tiny, v)  # nodes exactly on the level count as positive
     pos = v > 0.0
     nt, ns = v.shape
-    crossings: dict[tuple, tuple[float, float]] = {}
+    code = pos[:-1, :-1] | pos[1:, :-1] << 1 | pos[1:, 1:] << 2 | pos[:-1, 1:] << 3
+    i, j = np.nonzero((code != 0) & (code != 15))
+    pairs = _SEGMENT_TABLE[code[i, j], (center_field[i, j] > value).astype(np.intp)]
+    pairs = pairs.reshape(-1, 4)
 
-    def edge_point(kind, i, j):
-        key = (kind, i, j)
-        if key not in crossings:
-            if kind == "h":
-                a, b = v[i, j], v[i + 1, j]
-                frac = a / (a - b)
-                crossings[key] = (tvals[i] + frac * (tvals[i + 1] - tvals[i]), svals[j])
-            else:
-                a, b = v[i, j], v[i, j + 1]
-                frac = a / (a - b)
-                crossings[key] = (tvals[i], svals[j] + frac * (svals[j + 1] - svals[j]))
-        return key
+    n_h = (nt - 1) * ns
+    bottom, left = i * ns + j, n_h + i * (ns - 1) + j
+    edges = np.stack([bottom, left + (ns - 1), bottom + 1, left], axis=1)
+    segments = np.take_along_axis(edges, pairs, axis=1).reshape(-1, 2)
+    segments = segments[pairs.reshape(-1, 2)[:, 0] >= 0]
 
-    segments = []
-    for i in range(nt - 1):
-        for j in range(ns - 1):
-            code = (pos[i, j] << 0) | (pos[i + 1, j] << 1) | (pos[i + 1, j + 1] << 2) | (pos[i, j + 1] << 3)
-            if code in (0, 15):
-                continue
-            # edges of the cell: bottom (h,i,j), right (v,i+1,j), top (h,i,j+1), left (v,i,j)
-            bottom = ("h", i, j)
-            right = ("v", i + 1, j)
-            top = ("h", i, j + 1)
-            left = ("v", i, j)
-            table = {
-                1: [(bottom, left)], 2: [(bottom, right)], 3: [(right, left)],
-                4: [(right, top)], 6: [(bottom, top)], 7: [(top, left)],
-                8: [(top, left)], 9: [(bottom, top)], 11: [(right, top)],
-                12: [(right, left)], 13: [(bottom, right)], 14: [(bottom, left)],
-            }
-            if code in (5, 10):
-                center_pos = center_field[i, j] > value
-                if (code == 5) == center_pos:
-                    pairs = [(bottom, right), (top, left)]
-                else:
-                    pairs = [(bottom, left), (right, top)]
-            else:
-                pairs = table[code]
-            for ka, kb in pairs:
-                segments.append((edge_point(*ka), edge_point(*kb)))
+    keys = np.unique(segments)
+    crossings = np.empty((n_h + nt * (ns - 1), 2))
+    h = keys[keys < n_h]
+    hi, hj = np.divmod(h, ns)
+    a, b = v[hi, hj], v[hi + 1, hj]
+    frac = a / (a - b)
+    crossings[h, 0] = tvals[hi] + frac * (tvals[hi + 1] - tvals[hi])
+    crossings[h, 1] = svals[hj]
+    w = keys[keys >= n_h]
+    wi, wj = np.divmod(w - n_h, ns - 1)
+    a, b = v[wi, wj], v[wi, wj + 1]
+    frac = a / (a - b)
+    crossings[w, 0] = tvals[wi]
+    crossings[w, 1] = svals[wj] + frac * (svals[wj + 1] - svals[wj])
     return segments, crossings
 
 
 def _chain_segments(segments):
     """Join segments sharing edge keys into polylines; returns (key lists, closed flags)."""
-    adj: dict[tuple, list[int]] = {}
+    adj: dict[int, list[int]] = {}
     for idx, (a, b) in enumerate(segments):
         adj.setdefault(a, []).append(idx)
         adj.setdefault(b, []).append(idx)
@@ -227,6 +239,8 @@ def slice_surface(s, axis: str, value: float, n_t: int = 128, n_s: int = 128) ->
         raise ValueError("slice grid must be at least 64x64")
     if axis not in AXIS_NAMES:
         raise BadAxes(f"axis must be one of 'xyzw', got {axis!r}")
+    if not np.isfinite(value):
+        raise ValueError(f"slice value must be finite, got {value!r}")
     ci = AXIS_NAMES.index(axis)
     keep = [i for i in range(4) if i != ci]
     tvals = s.t_dom.sample(n_t)
@@ -240,14 +254,15 @@ def slice_surface(s, axis: str, value: float, n_t: int = 128, n_s: int = 128) ->
     center = s.evaluate(Tc, Sc)[..., ci]
 
     segments, crossings = _cell_segments(field, tvals, svals, value, center)
-    chains = _chain_segments(segments)
-    curves, closed = [], []
-    for chain, is_closed in chains:
-        params = np.array([crossings[k] for k in chain])
-        img = s.evaluate(params[:, 0], params[:, 1])[..., keep]
-        curves.append(img)
-        closed.append(is_closed)
-    return SliceCurveSet(axis, float(value), tuple(curves), tuple(closed))
+    chains = _chain_segments(segments.tolist())
+    if not chains:
+        return SliceCurveSet(axis, float(value), (), ())
+    # one evaluation for all chains; evaluate works point by point, so no
+    # image depends on the other points in the call
+    params = crossings[np.concatenate([chain for chain, _ in chains])]
+    img = s.evaluate(params[:, 0], params[:, 1])[..., keep]
+    curves = np.split(img, np.cumsum([len(chain) for chain, _ in chains])[:-1])
+    return SliceCurveSet(axis, float(value), tuple(curves), tuple(c for _, c in chains))
 
 
 # -- meshing ----------------------------------------------------------------
@@ -340,10 +355,19 @@ def load_grid_csv(path) -> np.ndarray:
 
 
 def export_slices(slices, fmt: str, path_pattern: str) -> list[str]:
-    """Write one file per SliceCurveSet; pattern must contain '{}' for the index."""
-    paths = []
-    for i, sl in enumerate(slices):
-        path = path_pattern.format(i)
+    """Write one file per SliceCurveSet; pattern must contain '{}' for the index.
+
+    Every path is formatted, and checked distinct, before any file is written."""
+    hint = "put '{}' where the slice index goes"
+    try:
+        paths = [path_pattern.format(i) for i in range(len(slices))]
+    except (IndexError, KeyError, AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"output pattern {path_pattern!r} does not format with a slice index "
+                         f"({type(exc).__name__}: {exc}); {hint}") from None
+    if len(set(paths)) < len(paths):
+        raise ValueError(f"output pattern {path_pattern!r} gives {len(paths)} slices only "
+                         f"{len(set(paths))} distinct path(s); {hint}")
+    for path, sl in zip(paths, slices):
         if fmt == "json":
             with open(path, "w") as fh:
                 fh.write(json.dumps(sl.to_json()))
@@ -354,5 +378,4 @@ def export_slices(slices, fmt: str, path_pattern: str) -> list[str]:
                     fh.write(_format_rows(f"{ci},{int(closed)},", FLOAT_FMT, np.asarray(pts), ","))
         else:
             raise ValueError(f"unsupported slice format {fmt!r}")
-        paths.append(path)
     return paths

@@ -86,6 +86,38 @@ def test_twistspin_sweep_emits_count_files(workdir):
     assert len(files) == 5
 
 
+def _one_error_line(capsys):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("spun4d: error:")
+    return err[0]
+
+
+@pytest.mark.parametrize("values", ["nan", "inf,1", "1,-inf"])
+def test_slice_non_finite_value_is_one_error_line(workdir, capsys, values):
+    assert dispatch(["spin", "trefoil_spun", "--out", "s.json"]) == 0
+    assert dispatch(["slice", "s.json", "--values", values]) == 1
+    assert "finite" in _one_error_line(capsys)
+    assert not any(p.startswith("slice_") for p in os.listdir(workdir))
+
+
+@pytest.mark.parametrize("cmd", [["sweep", "s.json", "--count"],
+                                 ["twistspin", "trefoil_twist", "--k", "2", "--sweep", "w", "--count"]])
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_count_below_one_is_one_error_line(workdir, capsys, cmd, count):
+    assert dispatch(["spin", "trefoil_spun", "--out", "s.json"]) == 0
+    assert dispatch(cmd + [count]) == 1
+    assert "--count" in _one_error_line(capsys)
+    assert sorted(os.listdir(workdir)) == ["s.json", "s.json.manifest.json"]
+
+
+@pytest.mark.parametrize("pattern", ["x.json", "a{1}.json", "a{x}.json"])
+def test_bad_out_pattern_is_one_error_line(workdir, capsys, pattern):
+    assert dispatch(["spin", "trefoil_spun", "--out", "s.json"]) == 0
+    assert dispatch(["slice", "s.json", "--values", "0,1.5", "--out-pattern", pattern]) == 1
+    assert repr(pattern) in _one_error_line(capsys)
+    assert sorted(os.listdir(workdir)) == ["s.json", "s.json.manifest.json"]
+
+
 def test_polynomialize_and_slice_pipeline(workdir, capsys):
     assert dispatch(["spin", "trefoil_spun", "--out", "s.json"]) == 0
     assert dispatch(["polynomialize", "trefoil_spun", "--cheb-degree", "8",

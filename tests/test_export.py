@@ -104,6 +104,9 @@ def test_slice_validates_input(trefoil_surface):
         slice_surface(trefoil_surface, "w", 0.0, 32, 128)
     with pytest.raises(BadAxes):
         slice_surface(trefoil_surface, "q", 0.0)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            slice_surface(trefoil_surface, "w", value)
 
 
 def test_marching_squares_circle_level_set():
@@ -189,3 +192,14 @@ def test_export_slices_json_and_csv(tmp_path, trefoil_surface):
     assert first[0] == "curve,closed,c0,c1,c2"
     with pytest.raises(ValueError):
         export_slices(slices, "tsv", str(tmp_path / "s_{}.tsv"))
+
+
+@pytest.mark.parametrize("pattern", ["x.json", "a{1}.json", "a{x}.json", "a{.x}", "a{"])
+def test_export_slices_rejects_bad_pattern_before_writing(tmp_path, trefoil_surface, pattern):
+    slices = [slice_surface(trefoil_surface, "w", v, 64, 64) for v in (0.0, 1.0)]
+    with pytest.raises(ValueError) as exc:
+        export_slices(slices, "json", str(tmp_path / pattern))
+    assert repr(str(tmp_path / pattern)) in str(exc.value)
+    assert list(tmp_path.iterdir()) == []
+    # one slice needs no index
+    assert export_slices(slices[:1], "json", str(tmp_path / "x.json")) == [str(tmp_path / "x.json")]

@@ -25,8 +25,8 @@ from spun4d.catalog import (
 )
 from spun4d.errors import NonGeneric, PlaneCrossing
 from spun4d.export import (
-    AXIS_NAMES, FLOAT_FMT, Grid3, SurfaceMesh, export_grid_csv, export_mesh,
-    export_slices, project, sample_surface, slice_surface, to_mesh,
+    AXIS_NAMES, FLOAT_FMT, Grid3, SurfaceMesh, _cell_segments, _chain_segments,
+    export_grid_csv, export_mesh, export_slices, project, sample_surface, slice_surface, to_mesh,
 )
 from spun4d.poly import Interval, Poly1, Poly2, poly_scale
 from spun4d.spin import polynomial_spin, spin
@@ -259,6 +259,133 @@ def test_slice_writers_match_loop_reference(tmp_path, fmt):
     export_slices_loop(slices, fmt, str(tmp_path / ("ref_{}." + fmt)))
     for i, path in enumerate(got):
         assert open(path, "rb").read() == (tmp_path / f"ref_{i}.{fmt}").read_bytes()
+
+
+# -- marching squares ---------------------------------------------------------
+
+def cell_segments_loop(field, tvals, svals, value, center_field):
+    """Reference: the per-cell loop, with ('h', i, j) for the edge from node
+    (i, j) to (i+1, j) and ('v', i, j) for the edge from (i, j) to (i, j+1)."""
+    v = field - value
+    tiny = np.finfo(float).tiny
+    v = np.where(v == 0.0, tiny, v)
+    pos = v > 0.0
+    nt, ns = v.shape
+    crossings = {}
+
+    def edge_point(kind, i, j):
+        key = (kind, i, j)
+        if key not in crossings:
+            if kind == "h":
+                a, b = v[i, j], v[i + 1, j]
+                frac = a / (a - b)
+                crossings[key] = (tvals[i] + frac * (tvals[i + 1] - tvals[i]), svals[j])
+            else:
+                a, b = v[i, j], v[i, j + 1]
+                frac = a / (a - b)
+                crossings[key] = (tvals[i], svals[j] + frac * (svals[j + 1] - svals[j]))
+        return key
+
+    segments = []
+    for i in range(nt - 1):
+        for j in range(ns - 1):
+            code = (pos[i, j] << 0) | (pos[i + 1, j] << 1) | (pos[i + 1, j + 1] << 2) | (pos[i, j + 1] << 3)
+            if code in (0, 15):
+                continue
+            bottom, right = ("h", i, j), ("v", i + 1, j)
+            top, left = ("h", i, j + 1), ("v", i, j)
+            table = {
+                1: [(bottom, left)], 2: [(bottom, right)], 3: [(right, left)],
+                4: [(right, top)], 6: [(bottom, top)], 7: [(top, left)],
+                8: [(top, left)], 9: [(bottom, top)], 11: [(right, top)],
+                12: [(right, left)], 13: [(bottom, right)], 14: [(bottom, left)],
+            }
+            if code in (5, 10):
+                center_pos = center_field[i, j] > value
+                if (code == 5) == center_pos:
+                    pairs = [(bottom, right), (top, left)]
+                else:
+                    pairs = [(bottom, left), (right, top)]
+            else:
+                pairs = table[code]
+            for ka, kb in pairs:
+                segments.append((edge_point(*ka), edge_point(*kb)))
+    return segments, crossings
+
+
+def slice_surface_loop(s, axis, value, n_t, n_s):
+    """Reference: the slice traced by the loop, one evaluation per chain;
+    returns (curves, closed flags)."""
+    ci = AXIS_NAMES.index(axis)
+    keep = [i for i in range(4) if i != ci]
+    tvals, svals = s.t_dom.sample(n_t), s.s_dom.sample(n_s)
+    field = s.eval_grid(tvals, svals)[..., ci]
+    Tc, Sc = np.meshgrid(0.5 * (tvals[:-1] + tvals[1:]), 0.5 * (svals[:-1] + svals[1:]),
+                         indexing="ij")
+    center = s.evaluate(Tc, Sc)[..., ci]
+    segments, crossings = cell_segments_loop(field, tvals, svals, value, center)
+    curves, closed = [], []
+    for chain, is_closed in _chain_segments(segments):
+        params = np.array([crossings[k] for k in chain])
+        curves.append(s.evaluate(params[:, 0], params[:, 1])[..., keep])
+        closed.append(is_closed)
+    return curves, closed
+
+
+def _loop_key(key, nt, ns):
+    kind, i, j = key
+    return i * ns + j if kind == "h" else (nt - 1) * ns + i * (ns - 1) + j
+
+
+def test_cell_segments_match_loop_on_saddles_and_level_nodes():
+    rng = np.random.default_rng(3)
+    nt, ns = 24, 31
+    tvals = np.cumsum(rng.uniform(0.1, 1.0, nt))
+    svals = np.cumsum(rng.uniform(0.1, 1.0, ns))
+    # few distinct node values, so that nodes lie exactly on either level and
+    # saddles are common
+    field = rng.choice([-1.0, 0.0, 0.5, 1.0], size=(nt, ns))
+    for value in (0.0, 0.5):
+        center = value + rng.choice([-1.0, 0.0, 1.0], size=(nt - 1, ns - 1))
+        pos = np.where(field == value, True, field > value)
+        code = pos[:-1, :-1] | pos[1:, :-1] << 1 | pos[1:, 1:] << 2 | pos[:-1, 1:] << 3
+        saddles = {(int(c), bool(up)) for c, up in zip(code.ravel(), (center > value).ravel())
+                   if c in (5, 10)}
+        assert saddles == {(5, False), (5, True), (10, False), (10, True)}
+        assert (field == value).any()
+
+        got, params = _cell_segments(field, tvals, svals, value, center)
+        ref, ref_params = cell_segments_loop(field, tvals, svals, value, center)
+        assert got.tolist() == [[_loop_key(a, nt, ns), _loop_key(b, nt, ns)] for a, b in ref]
+        for key, p in ref_params.items():
+            assert _bits(params[_loop_key(key, nt, ns)]) == _bits(np.array(p))
+        chains = _chain_segments(got.tolist())
+        ref_chains = _chain_segments(ref)
+        assert [c for _, c in chains] == [c for _, c in ref_chains]
+        assert [k for k, _ in chains] == [[_loop_key(x, nt, ns) for x in k] for k, _ in ref_chains]
+
+
+@pytest.fixture(scope="module")
+def slice_surfaces():
+    arc, tarc = get_knot("trefoil_spun"), get_knot("trefoil_twist")
+    axis = make_axis(tarc, -2.19, 2.19)
+    return {"spin": spin(arc), "twist_k10": twist_spin(tarc, axis, choose_bump(tarc, axis), 10),
+            "polynomial_spin_8": polynomial_spin(arc, 8)}
+
+
+@pytest.mark.parametrize("name", ["spin", "twist_k10", "polynomial_spin_8"])
+@pytest.mark.parametrize("axis", list(AXIS_NAMES))
+def test_slice_surface_matches_loop_reference(slice_surfaces, name, axis):
+    s = slice_surfaces[name]
+    f = sample_surface(s, 64, 64).points[..., AXIS_NAMES.index(axis)]
+    # interior sweep values, a level through grid nodes, an empty slice
+    values = [*np.linspace(f.min(), f.max(), 5)[1:-1], 0.0, 100.0]
+    for n_t, n_s in ((64, 64), (64, 97)):
+        for value in values:
+            got = slice_surface(s, axis, float(value), n_t, n_s)
+            curves, closed = slice_surface_loop(s, axis, float(value), n_t, n_s)
+            assert got.closed == tuple(closed)
+            assert [_bits(c) for c in got.curves] == [_bits(c) for c in curves]
 
 
 # -- catalog double points ---------------------------------------------------
