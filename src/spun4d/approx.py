@@ -77,6 +77,7 @@ def bernstein_fit2(samples: np.ndarray, degree: int) -> tuple[Poly2, Poly2, Poly
     monomial basis.  Bernstein approximation converges but does not
     interpolate; only constants and degree-1 coordinates come back exactly.
     """
+    _check_degree(degree)
     samples = np.asarray(samples, float)
     if samples.shape != (degree + 1, degree + 1, 4):
         raise GridMismatch(
@@ -102,8 +103,14 @@ def bernstein_fit2(samples: np.ndarray, degree: int) -> tuple[Poly2, Poly2, Poly
     return tuple(out)
 
 
+def _check_degree(degree: int) -> None:
+    if degree < 1:
+        raise ValueError(f"Bernstein degree must be at least 1, got {degree}")
+
+
 def bernstein_lattice(degree: int) -> np.ndarray:
     """The (degree+1) uniform control abscissae on [-1, 1]."""
+    _check_degree(degree)
     return -1.0 + 2.0 * np.arange(degree + 1) / degree
 
 
@@ -145,7 +152,7 @@ def odd_perturbation(
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
-    x, y, z, w = map4
+    _, _, z, w = map4
     power = 2 * N + 1
     bound = math.inf
     for (t1, s1), (t2, s2) in S:
@@ -160,10 +167,13 @@ def odd_perturbation(
             )
         bound = min(bound, max(allowances))
     eps = 1.0 if math.isinf(bound) else 0.5 * bound
+    return PerturbationSpec(N=N, delta_z=eps, delta_w=eps, epsilon=eps), _perturb(map4, N, eps)
 
-    bump_t = np.zeros((power + 1, 1))
-    bump_t[power, 0] = eps
-    bump_s = np.zeros((1, power + 1))
-    bump_s[0, power] = eps
-    perturbed = (x, y, z + Poly2(bump_t), w + Poly2(bump_s))
-    return PerturbationSpec(N=N, delta_z=eps, delta_w=eps, epsilon=eps), perturbed
+
+def _perturb(map4: Sequence[Poly2], N: int, eps: float) -> tuple[Poly2, Poly2, Poly2, Poly2]:
+    """(x, y, z + eps t^(2N+1), w + eps s^(2N+1))."""
+    x, y, z, w = map4
+    power = 2 * N + 1
+    bump = np.zeros((power + 1, 1))
+    bump[power, 0] = eps
+    return x, y, z + Poly2(bump), w + Poly2(bump.T)

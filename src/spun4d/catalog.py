@@ -261,15 +261,6 @@ def get_knot(name: str) -> KnotArc:
     raise UnknownKnot(f"unknown knot {name!r}; available: {', '.join(knot_names())}")
 
 
-def _user_poly(doc: dict, key: str, path: str) -> Poly1:
-    try:
-        return Poly1(tuple(doc[key]["coeffs"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DegenerateInput(
-            f"knot definition {path!r}: missing or malformed {key!r} (expected {{\"coeffs\": [...]}})"
-        ) from exc
-
-
 def _load_user_knot(path: str) -> KnotArc:
     try:
         with open(path) as fh:
@@ -278,14 +269,19 @@ def _load_user_knot(path: str) -> KnotArc:
         raise UnknownKnot(f"cannot read knot definition {path!r}: {exc}") from exc
     except ValueError as exc:
         raise DegenerateInput(f"knot definition {path!r} is not valid JSON: {exc}") from exc
-    f, g, h = (_user_poly(doc, key, path) for key in "fgh")
-    hint = None
-    if "interval_hint" in doc:
+    if not isinstance(doc, dict):
+        raise DegenerateInput(f"knot definition {path!r} must be a JSON object with keys "
+                              f"'f', 'g' and 'h', got a JSON {type(doc).__name__}")
+
+    def read(key, cls):
         try:
-            lo, hi = map(float, doc["interval_hint"])
-            hint = Interval(lo, hi)
-        except (TypeError, ValueError) as exc:
-            raise DegenerateInput(
-                f"knot definition {path!r}: malformed 'interval_hint' (expected [lo, hi]): {exc}"
-            ) from exc
+            return cls.from_json(doc[key])
+        except KeyError:
+            raise DegenerateInput(f"knot definition {path!r}: missing key {key!r} "
+                                  "(expected {\"coeffs\": [...]})") from None
+        except ValueError as exc:
+            raise DegenerateInput(f"knot definition {path!r}: key {key!r}: {exc}") from None
+
+    f, g, h = (read(key, Poly1) for key in "fgh")
+    hint = read("interval_hint", Interval) if "interval_hint" in doc else None
     return _build_arc(doc.get("name", path), f, g, h, hint)

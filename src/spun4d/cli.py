@@ -40,12 +40,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _read_json(path: str):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from None
+
+
 def _load_config(path: str | None) -> dict:
     cfg = dict(DEFAULT_CONFIG)
     candidate = path or "spun4d.json"
     if path is not None or os.path.exists(candidate):
-        with open(candidate) as fh:
-            user = json.load(fh)
+        user = _read_json(candidate)
         if not isinstance(user, dict):
             raise ValueError(f"{candidate}: config must be a JSON object")
         unknown = set(user) - set(DEFAULT_CONFIG)
@@ -103,11 +110,7 @@ def _load_surface(path: str):
     """A surface4 or polymap4 file; any defect names the file and the key."""
     from .surface import PolyMap4, Surface4
 
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: a surface file must be a JSON object with key 'type', "
                          f"got a JSON {type(doc).__name__}")
@@ -278,7 +281,7 @@ def _cmd_polynomialize(args, cfg):
     from .twist import polynomialize_twist
 
     t0 = time.time()
-    degree = args.cheb_degree or cfg["cheb_degree"]
+    degree = cfg["cheb_degree"] if args.cheb_degree is None else args.cheb_degree
     if args.input in knot_names():
         from .catalog import get_knot
         from .spin import spin

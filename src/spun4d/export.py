@@ -4,7 +4,7 @@ and file export (OBJ / PLY / CSV / JSON)."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -12,9 +12,9 @@ from .errors import BadAxes
 from .poly import Interval
 
 __all__ = [
-    "Grid4", "Grid3", "SliceCurveSet", "SurfaceMesh",
+    "Grid", "SliceCurveSet", "SurfaceMesh",
     "sample_surface", "project", "slice_surface", "to_mesh",
-    "export_mesh", "export_grid_csv", "export_slices", "load_grid_csv",
+    "export_mesh", "export_grid_csv", "export_slices",
 ]
 
 AXIS_NAMES = "xyzw"
@@ -22,22 +22,16 @@ FLOAT_FMT = "%.9g"
 
 
 @dataclass(frozen=True)
-class Grid4:
-    """Tensor sampling of a surface; points[i, j] is the image of (tvals[i], svals[j])."""
+class Grid:
+    """Tensor sampling of a surface or of its projection to R^3;
+    points[i, j] is the image of (tvals[i], svals[j]).
+
+    ``seam_duplicated`` flags a last theta column that repeats the first,
+    ``pole_low`` / ``pole_high`` a first / last row that is one point."""
 
     tvals: np.ndarray
     svals: np.ndarray
-    points: np.ndarray  # (n_t, n_s, 4)
-    seam_duplicated: bool
-    pole_low: bool
-    pole_high: bool
-
-
-@dataclass(frozen=True)
-class Grid3:
-    tvals: np.ndarray
-    svals: np.ndarray
-    points: np.ndarray  # (n_t, n_s, 3)
+    points: np.ndarray  # (n_t, n_s, d), d = 4 sampled or 3 projected
     seam_duplicated: bool
     pole_low: bool
     pole_high: bool
@@ -68,7 +62,6 @@ class SliceCurveSet:
 class SurfaceMesh:
     vertices: np.ndarray  # (V, 3)
     faces: np.ndarray     # (F, 3) int indices
-    closed: bool = True
 
     @property
     def edge_count(self) -> int:
@@ -88,7 +81,7 @@ class SurfaceMesh:
         return bool(np.all(self._edge_multiplicity() == 2))
 
 
-def sample_surface(s, n_t: int, n_s: int) -> Grid4:
+def sample_surface(s, n_t: int, n_s: int) -> Grid:
     """Uniform grid over the domain rectangle, including both theta endpoints
     (the seam row is duplicated and flagged)."""
     if n_t < 2 or n_s < 2:
@@ -96,7 +89,7 @@ def sample_surface(s, n_t: int, n_s: int) -> Grid4:
     tvals = s.t_dom.sample(n_t)
     svals = s.s_dom.sample(n_s)
     pts = s.eval_grid(tvals, svals)
-    return Grid4(tvals, svals, pts, s.periodic_s, s.pole_low, s.pole_high)
+    return Grid(tvals, svals, pts, s.periodic_s, s.pole_low, s.pole_high)
 
 
 def _axes_indices(spec: str) -> list[int]:
@@ -105,7 +98,7 @@ def _axes_indices(spec: str) -> list[int]:
     return [AXIS_NAMES.index(c) for c in spec]
 
 
-def project(grid: Grid4, spec) -> Grid3:
+def project(grid: Grid, spec) -> Grid:
     """Coordinate-triple selection (e.g. "xzw") or a general 3x4 linear
     projection applied pointwise."""
     if isinstance(spec, str):
@@ -118,8 +111,7 @@ def project(grid: Grid4, spec) -> Grid3:
         if np.linalg.matrix_rank(M) < 3:
             raise BadAxes("projection matrix rows must be independent")
         pts = grid.points @ M.T
-    return Grid3(grid.tvals, grid.svals, pts, grid.seam_duplicated,
-                 grid.pole_low, grid.pole_high)
+    return replace(grid, points=pts)
 
 
 # -- marching squares -------------------------------------------------------
@@ -267,16 +259,13 @@ def slice_surface(s, axis: str, value: float, n_t: int = 128, n_s: int = 128) ->
 
 # -- meshing ----------------------------------------------------------------
 
-def to_mesh(grid: Grid3, weld_seam: bool | None = None, collapse_poles: bool | None = None) -> SurfaceMesh:
-    """Triangulate a sampled grid.  Seam rows are welded and pole rows
-    collapsed to single vertices (by default, per the grid's own flags), which
+def to_mesh(grid: Grid) -> SurfaceMesh:
+    """Triangulate a sampled grid.  Per the grid's own flags, the seam column
+    is welded to the first and pole rows collapse to single vertices, which
     closes spun surfaces into genus-0 meshes."""
     nt, ns, _ = grid.points.shape
-    weld = grid.seam_duplicated if weld_seam is None else weld_seam
-    poles = (grid.pole_low or grid.pole_high) if collapse_poles is None else collapse_poles
-
-    low = poles and grid.pole_low
-    high = poles and grid.pole_high and nt > 1  # a one-row grid is all low pole
+    weld, low = grid.seam_duplicated, grid.pole_low
+    high = grid.pole_high and nt > 1  # a one-row grid is all low pole
     first, stop = int(low), nt - int(high)  # rows with a vertex per sample
     ns_eff = ns - 1 if weld else ns
     body = grid.points[first:stop, :ns_eff]
@@ -347,11 +336,6 @@ def export_grid_csv(grid, path) -> None:
     with open(path, "w") as fh:
         fh.write("t,theta," + ",".join(AXIS_NAMES[:dim]) + "\n")
         fh.write(_format_rows("", FLOAT_FMT, rows, ","))
-
-
-def load_grid_csv(path) -> np.ndarray:
-    """Rows of an exported grid CSV as a float array (t, theta, coords...)."""
-    return np.loadtxt(path, delimiter=",", skiprows=1)
 
 
 def export_slices(slices, fmt: str, path_pattern: str) -> list[str]:

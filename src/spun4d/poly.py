@@ -8,7 +8,7 @@ of ``t**i * s**j``.  Both are immutable and safe to share between threads.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +41,32 @@ class Interval:
 
     def sample(self, n: int) -> np.ndarray:
         return np.linspace(self.lo, self.hi, n)
+
+    @classmethod
+    def from_json(cls, doc) -> "Interval":
+        """``[lo, hi]``: two finite numbers with lo <= hi."""
+        if not (isinstance(doc, list) and len(doc) == 2):
+            raise ValueError(f"expected [lo, hi], got {doc!r}")
+        return cls(*(_finite(x) for x in doc))
+
+
+def _finite(x, where: str = "") -> float:
+    """A JSON number that is finite; booleans, strings and null are refused.
+    ``where`` prefixes the message (the key the number was read from)."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
+        raise ValueError(f"{where}expected a finite number, got {x!r}")
+    return float(x)
+
+
+def _coeffs_json(doc) -> list:
+    """The list under key 'coeffs' of a polynomial's JSON form."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected an object with key 'coeffs', got {doc!r}")
+    if "coeffs" not in doc:
+        raise ValueError("missing key 'coeffs'")
+    if not isinstance(doc["coeffs"], list):
+        raise ValueError(f"key 'coeffs' must be a list, got {doc['coeffs']!r}")
+    return doc["coeffs"]
 
 
 def _trim1(coeffs) -> tuple[float, ...]:
@@ -82,12 +108,6 @@ class Poly1:
             return Poly1()
         return Poly1(npoly.polyder(self.coeffs, m=order))
 
-    def integral(self) -> "Poly1":
-        """Coefficientwise antiderivative with zero constant term."""
-        if self.is_zero:
-            return Poly1()
-        return Poly1(npoly.polyint(self.coeffs))
-
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other: "Poly1") -> "Poly1":
         return Poly1(npoly.polyadd(self.coeffs or (0.0,), other.coeffs or (0.0,)))
@@ -113,7 +133,9 @@ class Poly1:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Poly1":
-        return cls(tuple(doc["coeffs"]))
+        """``{"coeffs": [a0, a1, ...]}`` of finite numbers."""
+        c = _coeffs_json(doc)
+        return cls(tuple(_finite(x, f"key 'coeffs'[{i}]: ") for i, x in enumerate(c)))
 
     def __repr__(self):
         return f"Poly1({list(self.coeffs)})"
@@ -127,8 +149,6 @@ def _trim2(grid) -> np.ndarray:
         a = a[:-1]
     while a.shape[1] > 1 and not a[:, -1].any():
         a = a[:, :-1]
-    if a.shape == (1, 1) and a[0, 0] == 0.0:
-        pass  # canonical zero: [[0.0]]
     a = a.copy()
     a.flags.writeable = False
     return a
@@ -186,9 +206,6 @@ class Poly2:
         a[: other.coeffs.shape[0], : other.coeffs.shape[1]] += other.coeffs
         return Poly2(a)
 
-    def __sub__(self, other: "Poly2") -> "Poly2":
-        return self + (other * -1.0)
-
     def __mul__(self, other):
         if isinstance(other, Poly2):
             if self.is_zero or other.is_zero:
@@ -214,7 +231,14 @@ class Poly2:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Poly2":
-        return cls(np.array(doc["coeffs"], dtype=float))
+        """``{"coeffs": [[c00, c01, ...], [c10, ...], ...]}``: a non-empty
+        rectangular list of rows of finite numbers."""
+        rows = _coeffs_json(doc)
+        if not (rows and all(isinstance(r, list) and r for r in rows)
+                and len({len(r) for r in rows}) == 1):
+            raise ValueError("key 'coeffs' must be a non-empty rectangular list of lists")
+        return cls(np.array([[_finite(x, f"key 'coeffs'[{i}][{j}]: ") for j, x in enumerate(r)]
+                             for i, r in enumerate(rows)]))
 
     def __repr__(self):
         return f"Poly2(deg_t={self.deg_t}, deg_s={self.deg_s})"
@@ -315,12 +339,3 @@ def roots_in_interval(p: Poly1, iv: Interval, tol: float = 1e-9) -> list[float]:
             continue
         merged.append(r)
     return merged
-
-
-def load_poly_json(path) -> Poly1 | Poly2:
-    with open(path) as fh:
-        doc = json.load(fh)
-    c = doc["coeffs"]
-    if c and isinstance(c[0], list):
-        return Poly2.from_json(doc)
-    return Poly1.from_json(doc)

@@ -38,7 +38,7 @@ def polynomial_spin(arc: KnotArc, cheb_degree: int) -> PolyMap4:
     errors; compare with ``surface.max_grid_deviation``.
     """
     if cheb_degree < 6:
-        raise ValueError("cheb_degree must be >= 6")
+        raise ValueError(f"cheb_degree must be >= 6, got {cheb_degree}")
     dom = Interval(0.0, TWO_PI)
     C = chebyshev_fit(np.cos, dom, cheb_degree).poly
     S = chebyshev_fit(np.sin, dom, cheb_degree).poly

@@ -20,14 +20,13 @@ terms.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .poly import Interval, Poly1, Poly2
+from .poly import Interval, Poly1, Poly2, _finite
 
 __all__ = ["Bump", "Trig", "Term", "Surface4", "PolyMap4", "max_grid_deviation"]
 
@@ -227,16 +226,6 @@ def _coord_json(terms) -> dict:
     ]}
 
 
-def _number(x) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
-        raise ValueError(f"expected a finite number, got {x!r}")
-    return float(x)
-
-
-def _coeffs(node) -> Poly1:
-    return Poly1(tuple(_number(x) for x in node["coeffs"]))
-
-
 def _trig(node, sine: bool) -> Trig:
     k = node["k"]
     if isinstance(k, bool) or not isinstance(k, int):
@@ -245,12 +234,12 @@ def _trig(node, sine: bool) -> Trig:
 
 
 _LEAVES = {
-    "const": lambda d: Term(_number(d["value"])),
-    "poly_t": lambda d: Term(1.0, (_coeffs(d),)),
-    "poly_theta": lambda d: Term(1.0, (), (_coeffs(d),)),
+    "const": lambda d: Term(_finite(d["value"], "key 'value': ")),
+    "poly_t": lambda d: Term(1.0, (Poly1.from_json(d),)),
+    "poly_theta": lambda d: Term(1.0, (), (Poly1.from_json(d),)),
     "cos_k": lambda d: Term(1.0, (), (_trig(d, False),)),
     "sin_k": lambda d: Term(1.0, (), (_trig(d, True),)),
-    "bump": lambda d: Term(1.0, (Bump(_number(d["d1"]), _number(d["d2"])),)),
+    "bump": lambda d: Term(1.0, (Bump(*(_finite(d[k], f"key {k!r}: ") for k in ("d1", "d2"))),)),
 }
 
 
@@ -270,14 +259,14 @@ def _terms_from_json(node) -> list[Term]:
     raise ValueError(f"unknown node tag {tag!r}")
 
 
-def _interval(doc: dict, key: str) -> Interval:
-    if key not in doc:
-        raise ValueError(f"missing key {key!r}")
-    v = doc[key]
-    if not (isinstance(v, list) and len(v) == 2):
-        raise ValueError(f"key {key!r} must be [lo, hi], got {v!r}")
-    lo, hi = (_number(x) for x in v)
-    return Interval(lo, hi)
+def _keyed(key: str, parse, value):
+    """``parse(value)``, with any defect reported under ``key``."""
+    try:
+        return parse(value)
+    except KeyError as exc:
+        raise ValueError(f"key {key}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"key {key}: {exc}") from None
 
 
 def _read(doc: dict, parse, flag_default: bool):
@@ -287,21 +276,19 @@ def _read(doc: dict, parse, flag_default: bool):
     if not (isinstance(coords, list) and len(coords) == 4):
         raise ValueError(f"key 'coords' must be a list of 4 coordinates, got "
                          f"{len(coords) if isinstance(coords, list) else repr(coords)}")
-    parsed = []
-    for i, c in enumerate(coords):
-        try:
-            parsed.append(parse(c))
-        except KeyError as exc:
-            raise ValueError(f"key 'coords'[{i}]: missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"key 'coords'[{i}]: {exc}") from None
+    parsed = tuple(_keyed(f"'coords'[{i}]", parse, c) for i, c in enumerate(coords))
+    domains = []
+    for key in ("t_dom", "s_dom"):
+        if key not in doc:
+            raise ValueError(f"missing key {key!r}")
+        domains.append(_keyed(repr(key), Interval.from_json, doc[key]))
     flags = []
     for key in ("periodic_s", "pole_low", "pole_high"):
         v = doc.get(key, flag_default)
         if not isinstance(v, bool):
             raise ValueError(f"key {key!r} must be true or false, got {v!r}")
         flags.append(v)
-    return (tuple(parsed), _interval(doc, "t_dom"), _interval(doc, "s_dom"), *flags)
+    return (parsed, *domains, *flags)
 
 
 def _domain_json(s) -> dict:
@@ -351,11 +338,6 @@ class Surface4:
         ds = np.stack([_matmul(a, dsv, n_t, n_s) for (a, _), (_, dsv) in zip(A, S)], axis=-1)
         return dt, ds
 
-    def jacobian(self, t, th) -> np.ndarray:
-        """4x2 Jacobian at a single parameter point."""
-        dt, ds = self.partials_grid([float(t)], [float(th)])
-        return np.column_stack([dt[0, 0], ds[0, 0]])
-
     def to_json(self) -> dict:
         return {"type": "surface4", "coords": [_coord_json(c) for c in self.coords],
                 **_domain_json(self)}
@@ -397,15 +379,7 @@ class PolyMap4:
 
     @classmethod
     def from_json(cls, doc: dict) -> "PolyMap4":
-        return cls(*_read(doc, _poly2_from_json, False))
-
-
-def _poly2_from_json(node) -> Poly2:
-    rows = node["coeffs"]
-    if not (isinstance(rows, list) and rows and all(isinstance(r, list) and r for r in rows)
-            and len({len(r) for r in rows}) == 1):
-        raise ValueError("'coeffs' must be a non-empty rectangular list of lists")
-    return Poly2(np.array([[_number(x) for x in r] for r in rows]))
+        return cls(*_read(doc, Poly2.from_json, False))
 
 
 def max_grid_deviation(a, b, n_t: int = 200, n_s: int = 200) -> float:

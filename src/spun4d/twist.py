@@ -59,10 +59,6 @@ class TwistAxis:
         return math.hypot(self.f21, self.g21)
 
     @property
-    def n2(self) -> float:
-        return self.f21 ** 2 + self.g21 ** 2
-
-    @property
     def direction(self) -> np.ndarray:
         return np.array([self.f21 / self.n_len, self.g21 / self.n_len, 0.0])
 
@@ -228,7 +224,7 @@ def polynomialize_twist(s: Surface4, cheb_degree: int, bump_degree: int | None =
     Returns the new surface and its max deviation from ``s`` on a 200x200 grid.
     """
     if cheb_degree < 1:
-        raise ValueError("cheb_degree must be >= 1")
+        raise ValueError(f"cheb_degree must be >= 1, got {cheb_degree}")
     fits: dict = {}
 
     def fit(f):

@@ -8,14 +8,13 @@ resolution", never a proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .approx import PerturbationSpec
+from .approx import PerturbationSpec, _perturb
 from .catalog import KnotArc
-from .poly import Interval, Poly2, poly_scale
-from .surface import PolyMap4
+from .poly import Interval, poly_scale
 
 __all__ = [
     "VerifyReport", "Collision", "jacobian_rank_scan", "injectivity_scan",
@@ -192,17 +191,8 @@ def isotopy_family_check(
     ``map4`` is the *unperturbed* PolyMap4; F_u adds u * eps * t^(2N+1) and
     u * eps * s^(2N+1) to the third and fourth coordinates.
     """
-    power = 2 * spec.N + 1
     for u in u_samples:
-        bump_t = np.zeros((power + 1, 1))
-        bump_t[power, 0] = u * spec.epsilon
-        bump_s = np.zeros((1, power + 1))
-        bump_s[0, power] = u * spec.epsilon
-        x, y, z, w = map4.polys
-        fu = PolyMap4(
-            (x, y, z + Poly2(bump_t), w + Poly2(bump_s)),
-            map4.t_dom, map4.s_dom, map4.periodic_s, map4.pole_low, map4.pole_high,
-        )
+        fu = replace(map4, polys=_perturb(map4.polys, spec.N, u * spec.epsilon))
         ok, _ = jacobian_rank_scan(fu, n_rank, n_rank, rank_tol)
         if not ok:
             return False

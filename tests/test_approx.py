@@ -106,6 +106,14 @@ def test_bernstein_shape_check():
         bernstein_fit2(np.zeros((4, 5, 4)), 4)
 
 
+@pytest.mark.parametrize("degree", [0, -1])
+def test_bernstein_rejects_degree_below_one(degree):
+    with pytest.raises(ValueError, match=f"degree must be at least 1, got {degree}"):
+        bernstein_lattice(degree)
+    with pytest.raises(ValueError, match=f"degree must be at least 1, got {degree}"):
+        bernstein_fit2(np.zeros((1, 1, 4)), degree)
+
+
 def test_bernstein_lattice_endpoints():
     u = bernstein_lattice(8)
     assert u[0] == -1.0 and u[-1] == 1.0 and len(u) == 9

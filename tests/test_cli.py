@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import pytest
 
@@ -134,6 +135,17 @@ def test_polynomialize_and_slice_pipeline(workdir, capsys):
     assert (workdir / "sw_2.json").exists()
 
 
+@pytest.mark.parametrize("cmd", [["polynomialize", "trefoil_spun", "--cheb-degree"],
+                                 ["approx", "bernstein", "trefoil_spun", "--degree"]])
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_degree_below_one_is_one_error_line(workdir, capsys, cmd, degree):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dispatch(cmd + [degree, "--out", "o.json"]) == 1
+    assert f"got {degree}" in _one_error_line(capsys)
+    assert os.listdir(workdir) == []
+
+
 def test_approx_bernstein(workdir, capsys):
     assert dispatch(["approx", "bernstein", "trefoil_spun", "--degree", "8",
                      "--out", "b.json"]) == 0
@@ -180,6 +192,12 @@ def test_bad_config_value_is_one_error_line(workdir, capsys, cfg):
     assert repr(next(iter(cfg))) in err[0]
 
 
+def test_invalid_config_json_names_the_file(workdir, capsys):
+    (workdir / "bad.json").write_text("{'n_rank': 64}")
+    assert dispatch(["--config", "bad.json", "catalog"]) == 1
+    assert _one_error_line(capsys).startswith("spun4d: error: bad.json: not valid JSON")
+
+
 def test_int_config_value_accepted_where_default_is_float(workdir):
     (workdir / "spun4d.json").write_text(json.dumps({"image_tol": 1, "param_sep": 0.25}))
     assert dispatch(["catalog"]) == 0
@@ -200,6 +218,34 @@ def test_knot_file_missing_key_names_file_and_key(workdir, capsys, doc, key):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("spun4d: error:")
     assert "k.json" in err[0] and repr(key) in err[0]
+
+
+_KNOT = {"f": {"coeffs": [0.0, 1.0]}, "g": {"coeffs": [0.0, 0.0, 1.0]},
+         "h": {"coeffs": [1.0, 0.0, -1.0]}}
+_INF = float("inf")
+
+
+@pytest.mark.parametrize("key, doc", [
+    (key, {"coeffs": [1.0, bad, 0.0, -1.0]})
+    for key in "fgh" for bad in [float("nan"), _INF, -_INF, True, "0", None]
+] + [("interval_hint", bad) for bad in [
+    [2.0, -2.0], [-_INF, 2.0], [-2.0, float("nan")], [1.0], [-2.0, 0.0, 2.0], 3.0,
+    ["-2", "2"], [True, 2.0], None,
+]])
+def test_knot_file_bad_number_names_file_and_key(workdir, capsys, key, doc):
+    (workdir / "k.json").write_text(json.dumps({**_KNOT, key: doc}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dispatch(["spin", "k.json"]) == 1
+    line = _one_error_line(capsys)
+    assert "'k.json'" in line and f"key {key!r}" in line
+    assert os.listdir(workdir) == ["k.json"]
+
+
+def test_knot_file_must_be_an_object(workdir, capsys):
+    (workdir / "k.json").write_text(json.dumps([_KNOT]))
+    assert dispatch(["spin", "k.json"]) == 1
+    assert "'k.json' must be a JSON object" in _one_error_line(capsys)
 
 
 def test_knot_file_invalid_json_names_file(workdir, capsys):

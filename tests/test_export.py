@@ -7,7 +7,7 @@ import pytest
 from spun4d.catalog import KnotArc, get_knot
 from spun4d.errors import BadAxes
 from spun4d.export import (
-    export_grid_csv, export_mesh, export_slices, load_grid_csv, project,
+    export_grid_csv, export_mesh, export_slices, project,
     sample_surface, slice_surface, to_mesh,
 )
 from spun4d.poly import Interval, Poly1
@@ -174,7 +174,7 @@ def test_grid_csv_roundtrip(tmp_path, trefoil_surface):
     g = sample_surface(trefoil_surface, 12, 12)
     path = tmp_path / "grid.csv"
     export_grid_csv(g, path)
-    rows = load_grid_csv(path)
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
     assert rows.shape == (144, 6)
     k = 7 * 12 + 3
     assert np.allclose(rows[k, 2:], g.points[7, 3], rtol=1e-6)

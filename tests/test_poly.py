@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spun4d.poly import Interval, Poly1, Poly2, load_poly_json, poly_scale, roots_in_interval
+from spun4d.poly import Interval, Poly1, Poly2, poly_scale, roots_in_interval
 
 
 def test_interval_basics():
@@ -47,11 +47,11 @@ def test_poly1_arithmetic():
     assert (p * 3.0).coeffs == (3.0, 0.0, 3.0)
 
 
-def test_poly1_derivative_integral_inverse():
+def test_poly1_derivative():
     p = Poly1((2.0, -1.0, 0.5, 4.0))
-    back = p.integral().derivative()
-    assert np.allclose(back.coeffs, p.coeffs)
     assert p.derivative().coeffs == (-1.0, 1.0, 12.0)
+    assert p.derivative(2).coeffs == (1.0, 24.0)
+    assert Poly1((5.0,)).derivative().is_zero
 
 
 def test_poly1_json_roundtrip():
@@ -132,8 +132,40 @@ def test_roots_trefoil_heights_analytic():
     assert np.allclose(got2, [-expect2, expect2], atol=1e-9)
 
 
-def test_load_poly_json(tmp_path):
-    path = tmp_path / "p.json"
-    path.write_text('{"coeffs": [1.0, 0.0, -1.0]}')
-    p = load_poly_json(str(path))
-    assert p.coeffs == (1.0, 0.0, -1.0)
+def test_poly2_json_roundtrip():
+    q = Poly2(np.array([[1.0, 3.0], [2.0, 4.0], [0.0, 5.0]]))
+    again = Poly2.from_json(q.to_json())
+    assert np.array_equal(again.coeffs, q.coeffs)
+    assert Interval.from_json([-1, 2.5]) == Interval(-1.0, 2.5)
+
+
+_NOT_FINITE = [math.nan, math.inf, -math.inf, True, "0", None]
+
+
+@pytest.mark.parametrize("bad", _NOT_FINITE)
+def test_json_readers_refuse_non_finite_numbers(bad):
+    with pytest.raises(ValueError, match=r"key 'coeffs'\[1\]: expected a finite number"):
+        Poly1.from_json({"coeffs": [1.0, bad]})
+    with pytest.raises(ValueError, match=r"key 'coeffs'\[1\]\[0\]: expected a finite number"):
+        Poly2.from_json({"coeffs": [[1.0], [bad]]})
+    with pytest.raises(ValueError, match="expected a finite number"):
+        Interval.from_json([bad, 1.0])
+
+
+@pytest.mark.parametrize("doc", [None, [1.0], {}, {"coeffs": 1.0}, {"coeffs": "12"}, {"coeffs": None}])
+def test_json_readers_refuse_a_malformed_polynomial(doc):
+    for cls in (Poly1, Poly2):
+        with pytest.raises(ValueError, match="'coeffs'"):
+            cls.from_json(doc)
+
+
+@pytest.mark.parametrize("rows", [[], [[]], [[1.0, 2.0], [3.0]], [[1.0], 2.0]])
+def test_poly2_from_json_refuses_ragged_rows(rows):
+    with pytest.raises(ValueError, match="key 'coeffs' must be a non-empty rectangular"):
+        Poly2.from_json({"coeffs": rows})
+
+
+@pytest.mark.parametrize("doc", [[2.0, 1.0], [1.0], [0.0, 1.0, 2.0], (0.0, 1.0), {"lo": 0.0}])
+def test_interval_from_json_refuses_a_bad_pair(doc):
+    with pytest.raises(ValueError, match=r"\[lo, hi\]|lo <= hi"):
+        Interval.from_json(doc)

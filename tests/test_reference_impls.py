@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,7 @@ from spun4d.catalog import (
 )
 from spun4d.errors import NonGeneric, PlaneCrossing
 from spun4d.export import (
-    AXIS_NAMES, FLOAT_FMT, Grid3, SurfaceMesh, _cell_segments, _chain_segments,
+    AXIS_NAMES, FLOAT_FMT, SurfaceMesh, _cell_segments, _chain_segments,
     export_grid_csv, export_mesh, export_slices, project, sample_surface, slice_surface, to_mesh,
 )
 from spun4d.poly import Interval, Poly1, Poly2, poly_scale
@@ -105,11 +106,10 @@ def test_bernstein_fit_matches_fraction_reference(degree):
 
 # -- meshes and writers ---------------------------------------------------------
 
-def to_mesh_loop(grid, weld_seam=None, collapse_poles=None):
+def to_mesh_loop(grid):
     """Reference: the per-vertex and per-cell loop triangulation."""
     nt, ns, _ = grid.points.shape
-    weld = grid.seam_duplicated if weld_seam is None else weld_seam
-    poles = (grid.pole_low or grid.pole_high) if collapse_poles is None else collapse_poles
+    weld = grid.seam_duplicated
     index = -np.ones((nt, ns), dtype=int)
     verts = []
 
@@ -119,10 +119,10 @@ def to_mesh_loop(grid, weld_seam=None, collapse_poles=None):
 
     ns_eff = ns - 1 if weld else ns
     for i in range(nt):
-        if poles and grid.pole_low and i == 0:
+        if grid.pole_low and i == 0:
             index[0, :] = add_vertex(grid.points[0].mean(axis=0))
             continue
-        if poles and grid.pole_high and i == nt - 1:
+        if grid.pole_high and i == nt - 1:
             index[-1, :] = add_vertex(grid.points[-1].mean(axis=0))
             continue
         for j in range(ns_eff):
@@ -196,22 +196,21 @@ def _mesh_grids():
     """Projected grids covering every weld / pole combination."""
     tref = project(sample_surface(spin(get_knot("trefoil_spun")), 60, 45), "xzw")
     disk = project(sample_surface(_open_disk(), 10, 10), "xyz")
-    one_pole = Grid3(tref.tvals, tref.svals, tref.points, True, False, True)
     return [
-        (tref, {}),
-        (tref, {"weld_seam": False}),
-        (tref, {"collapse_poles": False}),
-        (tref, {"weld_seam": False, "collapse_poles": False}),
-        (one_pole, {}),
-        (disk, {}),
-        (disk, {"weld_seam": True, "collapse_poles": True}),
+        tref,
+        replace(tref, seam_duplicated=False),
+        replace(tref, pole_low=False, pole_high=False),
+        replace(tref, seam_duplicated=False, pole_low=False, pole_high=False),
+        replace(tref, pole_low=False),
+        disk,
+        replace(disk, seam_duplicated=True),
     ]
 
 
 @pytest.mark.parametrize("case", range(7))
 def test_to_mesh_matches_loop_reference(case):
-    grid, kw = _mesh_grids()[case]
-    got, ref = to_mesh(grid, **kw), to_mesh_loop(grid, **kw)
+    grid = _mesh_grids()[case]
+    got, ref = to_mesh(grid), to_mesh_loop(grid)
     assert _bits(got.vertices) == _bits(ref.vertices)
     assert _bits(got.faces) == _bits(ref.faces)
     mult = edge_multiplicity_loop(ref)
@@ -221,8 +220,8 @@ def test_to_mesh_matches_loop_reference(case):
 
 @pytest.mark.parametrize("fmt", ["obj", "ply", "json"])
 def test_mesh_writers_match_loop_reference(tmp_path, fmt):
-    for case, (grid, kw) in enumerate(_mesh_grids()):
-        mesh = to_mesh(grid, **kw)
+    for case, grid in enumerate(_mesh_grids()):
+        mesh = to_mesh(grid)
         export_mesh(mesh, fmt, tmp_path / f"got{case}.{fmt}")
         export_mesh_loop(mesh, fmt, tmp_path / f"ref{case}.{fmt}")
         assert (tmp_path / f"got{case}.{fmt}").read_bytes() == (tmp_path / f"ref{case}.{fmt}").read_bytes()
@@ -607,7 +606,7 @@ def twist_tree(arc, axis, bump, k):
     """The k-twist coordinates as the tree the node classes built: the
     rotation matrix expanded entry by entry, blended as orig + B (rot - orig)."""
     f, g, h = _poly_t(arc.f), _poly_t(arc.g), _poly_t(arc.h)
-    n = np.sqrt(axis.n2)
+    n = np.sqrt(axis.f21 ** 2 + axis.g21 ** 2)
     kx, ky = axis.f21 / n, axis.g21 / n
     ax_x, ax_y = axis.p1
     cos_n, sin_n = _trig("cos", k), _trig("sin", k)
@@ -678,7 +677,8 @@ def assert_matches_tree(surface, coords):
         got = surface.evaluate(a, b)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12
-    J = surface.jacobian(float(t[3, 0]), float(th[0, 5]))
+    dt, ds = surface.partials_grid([t[3, 0]], [th[0, 5]])
+    J = np.column_stack([dt[0, 0], ds[0, 0]])
     ref = [tree_eval(c, t[3, 0], th[0, 5]) for c in coords]
     assert np.max(np.abs(J - [[r[1], r[2]] for r in ref])) <= 1e-12 * max(1.0, np.max(np.abs(J)))
 
