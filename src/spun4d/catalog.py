@@ -103,12 +103,17 @@ def plane_double_points(f: Poly1, g: Poly1, iv: Interval) -> list[tuple[float, f
     (non-transverse) intersection.
     """
     ts = iv.sample(GRID_N)
-    fv, gv = f(ts), g(ts)
-    D = (fv[:, None] - fv[None, :]) ** 2 + (gv[:, None] - gv[None, :]) ** 2
     step = iv.length / (GRID_N - 1)
-    df, dg = f.derivative(), g.derivative()
-    speed = float(np.max(np.hypot(df(ts), dg(ts))))
-    thresh = (6.0 * step * max(speed, 1e-12)) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        df, dg = f.derivative(), g.derivative()
+        fv, gv = f(ts), g(ts)
+        D = (fv[:, None] - fv[None, :]) ** 2 + (gv[:, None] - gv[None, :]) ** 2
+        speed = float(np.max(np.hypot(df(ts), dg(ts))))
+        thresh, speed_sq = np.square([6.0 * step * max(speed, 1e-12), max(speed, 1.0)])
+    if not (np.isfinite(D).all() and np.isfinite([thresh, speed_sq]).all()):
+        raise DegenerateInput(f"the plane curve (f, g) on [{iv.lo:.6g}, {iv.hi:.6g}] is too "
+                              "large for double precision: its samples, speeds or squared "
+                              "distances overflow")
 
     off = max(1, int(np.ceil(DIAG_SEP / step)))
     mask = np.triu(np.ones_like(D, bool), k=off)
@@ -267,7 +272,7 @@ def _load_user_knot(path: str) -> KnotArc:
             doc = json.load(fh)
     except OSError as exc:
         raise UnknownKnot(f"cannot read knot definition {path!r}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DegenerateInput(f"knot definition {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DegenerateInput(f"knot definition {path!r} must be a JSON object with keys "
@@ -284,4 +289,7 @@ def _load_user_knot(path: str) -> KnotArc:
 
     f, g, h = (read(key, Poly1) for key in "fgh")
     hint = read("interval_hint", Interval) if "interval_hint" in doc else None
-    return _build_arc(doc.get("name", path), f, g, h, hint)
+    try:
+        return _build_arc(doc.get("name", path), f, g, h, hint)
+    except DegenerateInput as exc:
+        raise DegenerateInput(f"knot definition {path!r}: {exc}") from None

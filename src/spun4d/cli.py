@@ -14,6 +14,22 @@ import os
 import sys
 import time
 
+import numpy as np
+
+from . import __version__
+from .approx import bernstein_fit2, bernstein_lattice
+from .catalog import get_knot, knot_names
+from .errors import Spun4dError
+from .export import (
+    AXIS_NAMES, export_grid_csv, export_mesh, export_slices, project, sample_surface,
+    slice_surface, to_mesh,
+)
+from .poly import Interval, Poly1, roots_in_interval
+from .spin import polynomial_spin, spin
+from .surface import PolyMap4, Surface4, max_grid_deviation
+from .twist import Bump, choose_bump, make_axis, polynomialize_twist, twist_spin
+from .verify import verify_surface
+
 PROG = "spun4d"
 
 # central defaults; overridable per-key by a spun4d.json config file
@@ -44,7 +60,7 @@ def _read_json(path: str):
     with open(path) as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from None
 
 
@@ -86,11 +102,7 @@ def _write_json(doc: dict, path: str) -> None:
         fh.write("\n")
 
 
-def _write_manifest(args, cfg, outputs, t0, warnings=()):
-    from . import __version__
-
-    primary = outputs[0] if outputs else f"{args.cmd}"
-    path = primary + ".manifest.json"
+def _write_manifest(args, cfg, outputs, t0, warnings):
     _write_json(
         {
             "command": [PROG] + args.argv,
@@ -101,15 +113,12 @@ def _write_manifest(args, cfg, outputs, t0, warnings=()):
             "outputs": outputs,
             "warnings": list(warnings),
         },
-        path,
+        outputs[0] + ".manifest.json",
     )
-    return path
 
 
 def _load_surface(path: str):
     """A surface4 or polymap4 file; any defect names the file and the key."""
-    from .surface import PolyMap4, Surface4
-
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: a surface file must be a JSON object with key 'type', "
@@ -128,9 +137,6 @@ def _default_axis(arc):
     """Axis endpoints straddling the crossing interval at equal heights:
     t2 halfway between the crossings and the upper root, t1 the matching
     height parameter below the crossings."""
-    from .poly import Interval, Poly1, roots_in_interval
-    from .twist import make_axis
-
     if arc.crossing_iv is None:
         lo, hi = arc.ab.lo, arc.ab.hi
         t2 = lo + 0.75 * (hi - lo)
@@ -145,20 +151,14 @@ def _default_axis(arc):
     return make_axis(arc, matches[-1], t2)
 
 
-def _build_surface(args, cfg):
+def _build_surface(args):
     """Surface for the construction subcommands, plus the source arc."""
-    from .catalog import get_knot
-    from .spin import spin
-    from .twist import Bump, choose_bump, twist_spin
-
     arc = get_knot(args.knot)
     if args.cmd == "spin":
         return spin(arc), arc
     if args.t1 is not None or args.t2 is not None:
         if args.t1 is None or args.t2 is None:
             raise ValueError("--t1 and --t2 must be given together")
-        from .twist import make_axis
-
         axis = make_axis(arc, args.t1, args.t2)
     else:
         axis = _default_axis(arc)
@@ -171,21 +171,12 @@ def _build_surface(args, cfg):
     return twist_spin(arc, axis, bump, args.k), arc
 
 
+_VERIFY_KEYS = ("n_rank", "n_inject", "param_sep", "rank_tol", "image_tol")
+
+
 def _run_verify(surface, arc, cfg):
-    from .verify import verify_surface
-
-    return verify_surface(
-        surface,
-        arc,
-        n_rank=cfg["n_rank"],
-        n_inject=cfg["n_inject"],
-        param_sep=cfg["param_sep"],
-        rank_tol=cfg["rank_tol"],
-        image_tol=cfg["image_tol"],
-    )
-
-
-def _print_report(report):
+    """The verification report, printed one line per check."""
+    report = verify_surface(surface, arc, **{key: cfg[key] for key in _VERIFY_KEYS})
     print(f"rank-2 on grid: {'pass' if report.rank_ok else 'FAIL'} "
           f"(min singular ratio {report.min_singular_ratio:.3e})")
     print(f"injectivity: {'pass' if not report.collisions else 'FAIL'} "
@@ -193,99 +184,69 @@ def _print_report(report):
     if report.boundary_ok is not None:
         print(f"boundary transversality: {'pass' if report.boundary_ok else 'FAIL'}")
     print(f"overall: {'pass' if report.ok else 'FAIL'}")
+    return report
 
 
 def _export_surface(surface, fmt, out, plane, cfg):
-    from .export import export_grid_csv, export_mesh, project, sample_surface, to_mesh
-
     grid = sample_surface(surface, cfg["grid_nt"], cfg["grid_ns"])
     if fmt == "csv":
         export_grid_csv(grid, out)
-        return
-    g3 = project(grid, plane)
-    if fmt in ("obj", "ply", "json"):
-        export_mesh(to_mesh(g3), fmt, out)
     else:
-        raise ValueError(f"unknown export format {fmt!r}")
+        export_mesh(to_mesh(project(grid, plane)), fmt, out)
 
 
-def _sweep_values(surface, axis, count, n):
-    import numpy as np
-
-    from .export import AXIS_NAMES, sample_surface
-
-    if count < 1:
-        raise ValueError(f"--count must be at least 1, got {count}")
-    idx = AXIS_NAMES.index(axis)
-    grid = sample_surface(surface, n, n)
-    w = grid.points[..., idx]
-    return np.linspace(float(w.min()), float(w.max()), count + 2)[1:-1]
-
-
-def _do_slices(surface, axis, values, fmt, pattern, cfg):
-    from .export import export_slices, slice_surface
-
+def _slice_files(surface, axis, args, cfg, pattern):
+    """Write cross-sections of ``surface`` across ``axis`` through ``pattern``:
+    at the ``--values`` of ``slice``, otherwise at ``--count`` values evenly
+    spaced strictly inside the range the axis takes on a sample grid."""
     n = cfg["slice_n"]
+    if args.cmd == "slice":
+        values = [float(v) for v in args.values.split(",")]
+    else:
+        if args.count < 1:
+            raise ValueError(f"--count must be at least 1, got {args.count}")
+        w = sample_surface(surface, n, n).points[..., AXIS_NAMES.index(axis)]
+        values = np.linspace(float(w.min()), float(w.max()), args.count + 2)[1:-1]
     slices = [slice_surface(surface, axis, float(v), n, n) for v in values]
-    return export_slices(slices, fmt, pattern)
+    return export_slices(slices, args.format, pattern)
 
+
+# Each handler returns (exit code, files written, manifest warnings);
+# dispatch writes the manifest when any file was written.
 
 def _cmd_catalog(args, cfg):
-    from .catalog import get_knot, knot_names
-
     for name in knot_names():
         arc = get_knot(name)
         print(f"{name:15s} deg(f,g,h)=({arc.f.degree},{arc.g.degree},{arc.h.degree}) "
               f"t in [{arc.ab.lo:.6g}, {arc.ab.hi:.6g}] "
               f"crossings={len(arc.crossings)}")
-    return 0
+    return 0, [], []
 
 
 def _cmd_construct(args, cfg):
-    t0 = time.time()
-    surface, arc = _build_surface(args, cfg)
-    outputs, warnings = [], []
-
+    surface, arc = _build_surface(args)
     if args.verify:
         report = _run_verify(surface, arc, cfg)
-        _print_report(report)
         if not report.ok:
             rpath = (args.out or f"{args.knot}_{args.cmd}") + ".report.json"
             _write_json(report.to_json(), rpath)
-            warnings.append("verification failed; exports skipped")
-            _write_manifest(args, cfg, [rpath], t0, warnings)
-            return 2
-
+            return 2, [rpath], ["verification failed; exports skipped"]
     if args.cmd == "twistspin" and args.sweep:
         pattern = args.out_pattern or f"{args.knot}_k{args.k}_{args.sweep}_{{}}.json"
-        values = _sweep_values(surface, args.sweep, args.count, cfg["slice_n"])
-        outputs += _do_slices(surface, args.sweep, values, args.format, pattern, cfg)
-    elif args.export:
+        return 0, _slice_files(surface, args.sweep, args, cfg, pattern), []
+    if args.export:
         if not args.out:
             raise ValueError("--export requires --out")
         _export_surface(surface, args.export, args.out, args.plane, cfg)
-        outputs.append(args.out)
-    else:
-        out = args.out or f"{args.knot}_{args.cmd}.json"
-        _write_json(surface.to_json(), out)
-        outputs.append(out)
-
-    _write_manifest(args, cfg, outputs, t0, warnings)
-    return 0
+        return 0, [args.out], []
+    out = args.out or f"{args.knot}_{args.cmd}.json"
+    _write_json(surface.to_json(), out)
+    return 0, [out], []
 
 
 def _cmd_polynomialize(args, cfg):
-    from .catalog import knot_names
-    from .spin import polynomial_spin
-    from .surface import PolyMap4, max_grid_deviation
-    from .twist import polynomialize_twist
-
-    t0 = time.time()
     degree = cfg["cheb_degree"] if args.cheb_degree is None else args.cheb_degree
     if args.input in knot_names():
-        from .catalog import get_knot
-        from .spin import spin
-
         arc = get_knot(args.input)
         poly = polynomial_spin(arc, degree)
         dev = max_grid_deviation(spin(arc), poly)
@@ -298,23 +259,11 @@ def _cmd_polynomialize(args, cfg):
     out = args.out or "polynomialized.json"
     _write_json(poly.to_json(), out)
     print(f"max grid deviation from exact surface: {dev:.6e}")
-    _write_manifest(args, cfg, [out], t0)
-    return 0
+    return 0, [out], []
 
 
 def _cmd_approx(args, cfg):
-    import numpy as np
-
-    from .approx import bernstein_fit2, bernstein_lattice
-    from .catalog import knot_names
-    from .poly import Interval
-    from .surface import PolyMap4
-
-    t0 = time.time()
     if args.input in knot_names():
-        from .catalog import get_knot
-        from .spin import spin
-
         surface = spin(get_knot(args.input))
     else:
         surface = _load_surface(args.input)
@@ -333,62 +282,35 @@ def _cmd_approx(args, cfg):
     doc["source_s_dom"] = [surface.s_dom.lo, surface.s_dom.hi]
     _write_json(doc, out)
     print(f"lattice residual: {err:.6e}")
-    _write_manifest(args, cfg, [out], t0)
-    return 0
+    return 0, [out], []
 
 
 def _cmd_verify(args, cfg):
-    from .catalog import get_knot
-
-    t0 = time.time()
     surface = _load_surface(args.input)
     arc = get_knot(args.knot) if args.knot else None
     report = _run_verify(surface, arc, cfg)
-    _print_report(report)
     out = args.out or args.input + ".report.json"
     _write_json(report.to_json(), out)
-    _write_manifest(args, cfg, [out], t0,
-                    () if report.ok else ("verification failed",))
-    return 0 if report.ok else 2
+    return (0, [out], []) if report.ok else (2, [out], ["verification failed"])
 
 
 def _cmd_project(args, cfg):
-    from .export import export_grid_csv, project, sample_surface
-
-    t0 = time.time()
     surface = _load_surface(args.input)
     grid = sample_surface(surface, cfg["grid_nt"], cfg["grid_ns"])
     export_grid_csv(project(grid, args.plane), args.out)
-    _write_manifest(args, cfg, [args.out], t0)
-    return 0
+    return 0, [args.out], []
 
 
 def _cmd_slice(args, cfg):
-    t0 = time.time()
     surface = _load_surface(args.input)
-    values = [float(v) for v in args.values.split(",")]
-    pattern = args.out_pattern or f"slice_{args.axis}_{{}}.{args.format}"
-    outputs = _do_slices(surface, args.axis, values, args.format, pattern, cfg)
-    _write_manifest(args, cfg, outputs, t0)
-    return 0
-
-
-def _cmd_sweep(args, cfg):
-    t0 = time.time()
-    surface = _load_surface(args.input)
-    values = _sweep_values(surface, args.axis, args.count, cfg["slice_n"])
-    pattern = args.out_pattern or f"sweep_{args.axis}_{{}}.{args.format}"
-    outputs = _do_slices(surface, args.axis, values, args.format, pattern, cfg)
-    _write_manifest(args, cfg, outputs, t0)
-    return 0
+    pattern = args.out_pattern or f"{args.cmd}_{args.axis}_{{}}.{args.format}"
+    return 0, _slice_files(surface, args.axis, args, cfg, pattern), []
 
 
 def _cmd_export(args, cfg):
-    t0 = time.time()
     surface = _load_surface(args.input)
     _export_surface(surface, args.format, args.out, args.plane, cfg)
-    _write_manifest(args, cfg, [args.out], t0)
-    return 0
+    return 0, [args.out], []
 
 
 def _build_parser() -> _Parser:
@@ -396,10 +318,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", help="path to a spun4d.json config file")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    sub.add_parser("catalog", help="list built-in knots")
+    sub.add_parser("catalog", help="list built-in knots").set_defaults(run=_cmd_catalog)
 
     def construction(name, help):
         c = sub.add_parser(name, help=help)
+        c.set_defaults(run=_cmd_construct)
         c.add_argument("knot", help="catalog name or knot-definition JSON path")
         c.add_argument("--out", help="output path (surface JSON unless --export)")
         c.add_argument("--verify", action="store_true")
@@ -420,6 +343,7 @@ def _build_parser() -> _Parser:
     tw.add_argument("--out-pattern")
 
     pz = sub.add_parser("polynomialize", help="replace transcendental factors by Chebyshev fits")
+    pz.set_defaults(run=_cmd_polynomialize)
     pz.add_argument("input", help="catalog name or surface JSON path")
     pz.add_argument("--cheb-degree", type=int)
     pz.add_argument("--bump-degree", type=int)
@@ -428,35 +352,38 @@ def _build_parser() -> _Parser:
     ap = sub.add_parser("approx", help="approximation utilities")
     apsub = ap.add_subparsers(dest="approx_cmd", required=True)
     ab = apsub.add_parser("bernstein", help="bivariate Bernstein tensor fit of a surface")
+    ab.set_defaults(run=_cmd_approx)
     ab.add_argument("input", help="catalog name or surface JSON path")
     ab.add_argument("--degree", type=int, required=True)
     ab.add_argument("--out")
 
     v = sub.add_parser("verify", help="embedding checks on a surface file")
+    v.set_defaults(run=_cmd_verify)
     v.add_argument("input")
     v.add_argument("--knot", help="catalog arc for the boundary check")
     v.add_argument("--out")
 
     pr = sub.add_parser("project", help="project a surface to 3D and write a CSV grid")
+    pr.set_defaults(run=_cmd_project)
     pr.add_argument("input")
     pr.add_argument("--plane", default="xyz")
     pr.add_argument("--out", required=True)
 
-    sl = sub.add_parser("slice", help="hyperplane cross-sections at given values")
-    sl.add_argument("input")
-    sl.add_argument("--axis", choices=list("xyzw"), default="w")
-    sl.add_argument("--values", required=True, help="comma-separated slice values")
-    sl.add_argument("--format", choices=["json", "csv"], default="json")
-    sl.add_argument("--out-pattern")
-
-    sw = sub.add_parser("sweep", help="evenly spaced cross-sections across an axis")
-    sw.add_argument("input")
-    sw.add_argument("--axis", choices=list("xyzw"), default="w")
-    sw.add_argument("--count", type=int, default=24)
-    sw.add_argument("--format", choices=["json", "csv"], default="json")
-    sw.add_argument("--out-pattern")
+    for name, help in (("slice", "hyperplane cross-sections at given values"),
+                       ("sweep", "evenly spaced cross-sections across an axis")):
+        sl = sub.add_parser(name, help=help)
+        sl.set_defaults(run=_cmd_slice)
+        sl.add_argument("input")
+        sl.add_argument("--axis", choices=list("xyzw"), default="w")
+        if name == "slice":
+            sl.add_argument("--values", required=True, help="comma-separated slice values")
+        else:
+            sl.add_argument("--count", type=int, default=24)
+        sl.add_argument("--format", choices=["json", "csv"], default="json")
+        sl.add_argument("--out-pattern")
 
     ex = sub.add_parser("export", help="mesh/grid export of a surface file")
+    ex.set_defaults(run=_cmd_export)
     ex.add_argument("input")
     ex.add_argument("--format", required=True, choices=["obj", "ply", "json", "csv"])
     ex.add_argument("--out", required=True)
@@ -464,39 +391,25 @@ def _build_parser() -> _Parser:
     return p
 
 
-_DISPATCH = {
-    "catalog": _cmd_catalog,
-    "spin": _cmd_construct,
-    "twistspin": _cmd_construct,
-    "polynomialize": _cmd_polynomialize,
-    "approx": _cmd_approx,
-    "verify": _cmd_verify,
-    "project": _cmd_project,
-    "slice": _cmd_slice,
-    "sweep": _cmd_sweep,
-    "export": _cmd_export,
-}
-
-
 def dispatch(argv) -> int:
-    # cap BLAS parallelism before numpy spins up its thread pools
-    threads = os.environ.get("SPUN4D_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
-
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse stores [] for "--opt=--"; no option here takes a list
+        for key, value in vars(args).items():
+            if isinstance(value, list):
+                parser.error(f"argument --{key.replace('_', '-')}: expected one argument")
     except SystemExit as exc:
         return int(exc.code or 0)
     args.argv = list(argv)
 
-    from .errors import Spun4dError
-
     try:
         cfg = _load_config(args.config)
-        return _DISPATCH[args.cmd](args, cfg)
+        t0 = time.time()
+        code, outputs, warnings = args.run(args, cfg)
+        if outputs:
+            _write_manifest(args, cfg, outputs, t0, warnings)
+        return code
     except (Spun4dError, OSError, ValueError, KeyError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1

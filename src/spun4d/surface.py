@@ -84,17 +84,22 @@ class Bump:
         return out
 
 
+# every integer up to this one converts to a float exactly
+TRIG_MAX_K = 2 ** 53
+
+
 @dataclass(frozen=True)
 class Trig:
-    """cos(k * theta), or sin(k * theta) when ``sine``, for an integer k >= 0."""
+    """cos(k * theta), or sin(k * theta) when ``sine``, for an integer
+    0 <= k <= TRIG_MAX_K."""
 
     k: int
     sine: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "k", operator.index(self.k))
-        if self.k < 0:
-            raise ValueError(f"trig multiple k must be >= 0, got {self.k}")
+        if not 0 <= self.k <= TRIG_MAX_K:
+            raise ValueError(f"trig multiple k must be in [0, 2**53], got {self.k}")
 
     def __call__(self, th):
         x = self.k * np.asarray(th, float)

@@ -19,7 +19,8 @@ from .catalog import KnotArc
 from .errors import NonUnitAxis, NoRoom, PlaneCrossing
 from .poly import Interval, Poly1
 from .surface import (
-    TWO_PI, Bump, Surface4, Term, Trig, _eval_points, _eval_tensor, max_grid_deviation,
+    TRIG_MAX_K, TWO_PI, Bump, Surface4, Term, Trig, _eval_points, _eval_tensor,
+    max_grid_deviation,
 )
 
 __all__ = [
@@ -77,6 +78,10 @@ HEIGHT_MATCH_TOL = 1e-6
 def make_axis(arc: KnotArc, t1: float, t2: float) -> TwistAxis:
     """Axis through (f, g, h)(t1) and (f, g, h)(t2); heights must agree and the
     crossing interval must sit strictly between t1 and t2."""
+    a, b = arc.ab.lo, arc.ab.hi
+    if not (a <= t1 <= b and a <= t2 <= b):
+        raise ValueError(f"axis endpoints must be arc points, finite numbers in "
+                         f"[{a:.6g}, {b:.6g}], got t1={t1!r}, t2={t2!r}")
     h1, h2 = float(arc.h(t1)), float(arc.h(t2))
     scale = max(abs(h1), abs(h2), 1.0)
     if abs(h1 - h2) > HEIGHT_MATCH_TOL * scale:
@@ -194,11 +199,16 @@ def _check_height_positive(h_terms, t_dom: Interval):
 def twist_spin(arc: KnotArc, axis: TwistAxis, bump: Bump, k: int) -> Surface4:
     """k-twist spun surface (f~(t,k th), g~(t,k th), h~(t,k th) cos th, h~(t,k th) sin th).
 
-    Rejects the construction with PlaneCrossing if the rotating knotted part
-    would dip below the xy-plane (dense 2000x360 sampling of h~).
+    Rejects the construction with NoRoom if the bump does not vanish at both
+    arc ends (d2 > min(a^2, b^2)), and with PlaneCrossing if the rotating
+    knotted part would dip below the xy-plane (dense 2000x360 sampling of h~).
     """
-    if k < 0:
-        raise ValueError("twist count k must be >= 0")
+    if not 0 <= k <= TRIG_MAX_K:
+        raise ValueError(f"twist count k must be in [0, 2**53], got {k}")
+    bound = min(arc.ab.lo ** 2, arc.ab.hi ** 2)
+    if bump.d2 > bound:
+        raise NoRoom(f"bump support d2={bump.d2!r} reaches past the arc ends: "
+                     f"need d2 <= min(a^2, b^2) = {bound:.6g}")
     ft, gt, ht = _twisted_coords(arc, axis, bump, k)
     _check_height_positive(ht, arc.ab)
     spun = [[Term(c, tf, sf + (trig,)) for c, tf, sf in ht]

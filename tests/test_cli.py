@@ -1,10 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
 from spun4d.cli import dispatch
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture()
@@ -270,6 +274,8 @@ _POLY_COORD = {"coeffs": [[0.0, 1.0], [1.0, 0.0]]}
      "d1"),
     ({"type": "surface4", "coords": [{"tag": "poly_t"}] * 4, **_TWIST_DOMAIN}, "'coeffs'"),
     ({"type": "mesh"}, "'type'"),
+    ({"type": "surface4", "coords": [{"tag": "cos_k", "k": 10 ** 400}] * 4, **_TWIST_DOMAIN},
+     "2**53"),
 ])
 @pytest.mark.parametrize("cmd", [["project", "bad.json", "--out", "p.csv"],
                                  ["export", "bad.json", "--format", "obj", "--out", "p.obj"]])
@@ -305,3 +311,136 @@ def test_polynomialize_rejects_polymap_file(workdir, capsys):
     assert dispatch(["polynomialize", "p.json"]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "p.json" in err[0] and "'type'" in err[0]
+
+
+# -- the command frame ---------------------------------------------------------
+
+_SMALL = {"n_rank": 40, "n_inject": 40, "grid_nt": 24, "grid_ns": 24, "slice_n": 64}
+_SPIN = ["spin", "trefoil_spun", "--out", "s.json"]
+_POLY = ["polynomialize", "trefoil_spun", "--cheb-degree", "8", "--out", "p.json"]
+
+# the README's CLI commands, each after the commands that write its inputs
+_README = [
+    ([], ["catalog"]),
+    ([], ["spin", "trefoil_spun", "--verify", "--export", "obj", "--out", "tref.obj"]),
+    ([], ["twistspin", "trefoil_twist", "--k", "10", "--sweep", "w", "--count", "24"]),
+    ([], _SPIN),
+    ([_SPIN], ["verify", "s.json", "--knot", "trefoil_spun"]),
+    ([], _POLY),
+    ([], ["approx", "bernstein", "trefoil_spun", "--degree", "20", "--out", "b.json"]),
+    ([_SPIN], ["project", "s.json", "--plane", "xzw", "--out", "grid.csv"]),
+    ([_SPIN], ["slice", "s.json", "--axis", "w", "--values", "0,1.5"]),
+    ([_POLY], ["sweep", "p.json", "--axis", "w", "--count", "24"]),
+    ([_SPIN], ["export", "s.json", "--format", "ply", "--out", "mesh.ply"]),
+]
+
+
+@pytest.mark.parametrize("setup, cmd", _README, ids=[" ".join(cmd[:2]) for _, cmd in _README])
+def test_readme_command_writes_one_manifest_listing_its_outputs(workdir, capsys, setup, cmd):
+    (workdir / "spun4d.json").write_text(json.dumps(_SMALL))
+    for argv in setup:
+        assert dispatch(argv) == 0
+    before = set(os.listdir(workdir))
+    assert dispatch(cmd) == 0
+    written = set(os.listdir(workdir)) - before
+    manifests = [p for p in written if p.endswith(".manifest.json")]
+    if cmd == ["catalog"]:
+        assert written == set()
+        return
+    assert len(manifests) == 1
+    man = json.loads((workdir / manifests[0]).read_text())
+    assert manifests[0] == man["outputs"][0] + ".manifest.json"
+    assert sorted(man["outputs"]) == sorted(written - set(manifests))
+    assert man["command"] == ["spun4d"] + cmd and man["warnings"] == []
+    assert man["tolerances"]["slice_n"] == 64
+
+
+@pytest.mark.parametrize("cmd, report, warning", [
+    (["spin", "trefoil_spun", "--verify", "--out", "v.json"], "v.json.report.json",
+     "verification failed; exports skipped"),
+    (["verify", "s.json"], "s.json.report.json", "verification failed"),
+])
+def test_failed_verification_manifest_lists_the_report(workdir, capsys, cmd, report, warning):
+    assert dispatch(_SPIN) == 0
+    # no sampled Jacobian of the spin reaches a singular-value ratio of 0.5
+    (workdir / "fail.json").write_text(json.dumps({"rank_tol": 0.5, "n_rank": 40, "n_inject": 40}))
+    before = set(os.listdir(workdir))
+    assert dispatch(["--config", "fail.json"] + cmd) == 2
+    assert set(os.listdir(workdir)) - before == {report, report + ".manifest.json"}
+    man = json.loads((workdir / (report + ".manifest.json")).read_text())
+    assert man["outputs"] == [report] and man["warnings"] == [warning]
+    assert "overall: FAIL" in capsys.readouterr().out
+
+
+def test_spin_command_loads_no_scipy(tmp_path):
+    # scipy is for the injectivity scan alone; it costs more to import than
+    # the whole spin command takes
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "spun4d.cli", "spin",
+                           "trefoil_spun", "--out", "s.json"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    imported = [ln.rsplit("|", 1)[-1].strip() for ln in proc.stderr.splitlines()
+                if ln.startswith("import time:")]
+    assert "spun4d.verify" in imported
+    assert [m for m in imported if m.split(".")[0] == "scipy"] == []
+
+
+# -- inputs that used to end in a traceback or a warning ------------------------
+
+_DEEP = '{"tag": "sum", "terms": [' * 600 + "]}" * 600
+
+
+@pytest.mark.parametrize("name, text, cmd", [
+    ("deep.json", '{"type": "surface4", "coords": [' + _DEEP + "]}",
+     ["project", "deep.json", "--out", "x.csv"]),
+    ("deepknot.json", '{"f": ' + _DEEP + "}", ["spin", "deepknot.json"]),
+    ("deepcfg.json", '{"n_rank": ' + _DEEP + "}", ["--config", "deepcfg.json", "catalog"]),
+], ids=["surface", "knot", "config"])
+def test_deeply_nested_json_is_one_error_line(workdir, capsys, name, text, cmd):
+    (workdir / name).write_text(text)
+    assert dispatch(cmd) == 1
+    line = _one_error_line(capsys)
+    assert name in line and "not valid JSON" in line
+    assert os.listdir(workdir) == [name]
+
+
+@pytest.mark.parametrize("c", [1e300, 1e200])
+def test_knot_file_overflowing_plane_curve_is_one_error_line(workdir, capsys, c):
+    (workdir / "big.json").write_text(json.dumps(
+        {"f": {"coeffs": [0, c]}, "g": {"coeffs": [0, 0, c]}, "h": {"coeffs": [1, 0, -1]}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dispatch(["spin", "big.json"]) == 1
+    line = _one_error_line(capsys)
+    assert "'big.json'" in line and "overflow" in line
+    assert os.listdir(workdir) == ["big.json"]
+
+
+@pytest.mark.parametrize("flags, words", [
+    (["--d1", "1", "--d2", "10"], ["d2=10.0", "6.47214"]),
+    (["--d1", "1", "--d2", "inf"], ["d2=inf", "6.47214"]),
+    (["--t1", "inf", "--t2", "2.19"], ["t1=inf", "[-2.54404, 2.54404]"]),
+    (["--k", str(2 ** 53 + 1)], ["2**53"]),
+])
+def test_twist_flags_outside_their_range_are_one_error_line(workdir, capsys, flags, words):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dispatch(["twistspin", "trefoil_twist", "--k", "2"] + flags) == 1
+    line = _one_error_line(capsys)
+    assert all(w in line for w in words), line
+    assert os.listdir(workdir) == []
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["twistspin", "trefoil_twist", "--k=--"], "--k"),
+    (["twistspin", "trefoil_twist", "--k", "2", "--t1=--", "--t2", "2.19"], "--t1"),
+    (["slice", "s.json", "--values=--"], "--values"),
+    (["export", "s.json", "--format", "obj", "--plane=--", "--out", "m.obj"], "--plane"),
+])
+def test_lone_double_dash_as_a_value_is_a_usage_error(workdir, capsys, argv, flag):
+    # argparse stores [] for "--opt=--" instead of refusing it
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: spun4d")
+    assert err[-1] == f"spun4d: error: argument {flag}: expected one argument"

@@ -1,13 +1,15 @@
 """Malformed input files, one defect at a time: a knot file, a surface file
 (``spin`` output and a ``polymap4``) and a config file, each changed by one
 malformed step, must end in exit code 1 and exactly one ``spun4d: error:``
-line, never a traceback or a warning."""
+line, never a traceback or a warning.  Random values of the numeric and
+axis flags must either succeed or end the same way."""
 
 import contextlib
 import copy
 import io
 import json
 import math
+import re
 import warnings
 
 import pytest
@@ -133,3 +135,65 @@ def test_one_malformed_step_is_one_error_line(inputs, which, data):
     assert code == 1, (kind, path, bad)
     assert len(lines) == 1 and lines[0].startswith("spun4d: error:"), lines
     assert out.getvalue() == ""
+
+
+# -- command-line flags ------------------------------------------------------
+
+SMALL_CONFIG = {"grid_nt": 8, "grid_ns": 8, "slice_n": 64}
+FLAG_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.sampled_from(["", " ", "nan", "-inf", "1e999", "0x10", "1_0", "1,2", "xyzw", "--",
+                     str(2 ** 53 + 1), "9" * 400]),
+    st.text(max_size=6),
+)
+FLAG_VALUES = {
+    "--values": st.one_of(FLAG_TEXT, st.lists(st.floats().map(repr), min_size=1, max_size=3)
+                          .map(",".join)),
+    "--plane": st.one_of(st.text(alphabet="xyzwq, ", max_size=5), st.text(max_size=5)),
+    "--t1": FLAG_TEXT, "--t2": FLAG_TEXT, "--d1": FLAG_TEXT, "--d2": FLAG_TEXT, "--k": FLAG_TEXT,
+}
+
+
+@pytest.fixture(scope="module")
+def flag_commands(tmp_path_factory):
+    """Per flag, the command that reads its value v (passed as --flag=v, so
+    that a value starting with '-' is not read as an option)."""
+    d = tmp_path_factory.mktemp("flags")
+    config = d / "config.json"
+    config.write_text(json.dumps(SMALL_CONFIG))
+    common = ["--config", str(config)]
+    spin = str(d / "spin.json")
+    assert dispatch(common + ["spin", "trefoil_spun", "--out", spin]) == 0
+    twist = common + ["twistspin", "trefoil_twist", "--out", str(d / "twist.json")]
+    return {
+        "--values": lambda v: common + ["slice", spin, "--values=" + v,
+                                        "--out-pattern", str(d / "slice_{}.json")],
+        "--plane": lambda v: common + ["project", spin, "--plane=" + v, "--out", str(d / "p.csv")],
+        "--t1": lambda v: twist + ["--k", "1", "--t1=" + v, "--t2", "2.19"],
+        "--t2": lambda v: twist + ["--k", "1", "--t1", "-2.19", "--t2=" + v],
+        "--d1": lambda v: twist + ["--k", "1", "--d1=" + v, "--d2", "4.8"],
+        "--d2": lambda v: twist + ["--k", "1", "--d1", "3.8", "--d2=" + v],
+        "--k": lambda v: twist + ["--k=" + v],
+    }
+
+
+@pytest.mark.parametrize("flag", list(FLAG_VALUES))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_random_flag_value_succeeds_or_is_one_error_line(flag_commands, flag, data):
+    value = data.draw(FLAG_VALUES[flag])
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = dispatch(flag_commands[flag](value))
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == [], (value, lines)
+        return
+    assert code == 1, (value, lines)
+    # argparse's own refusals name the subcommand ("spun4d twistspin: error:")
+    # and come after a usage message
+    errors = [ln for ln in lines if re.match(r"spun4d( [a-z]+)?: error: ", ln)]
+    assert len(errors) == 1, (value, lines)
+    assert all(ln is errors[0] or ln.startswith(("usage:", " ")) for ln in lines), (value, lines)

@@ -98,6 +98,14 @@ def test_make_axis_rejections():
         make_axis(arc, -1.0, 1.0)  # crossings not inside
 
 
+@pytest.mark.parametrize("t1, t2", [(math.inf, 2.19), (math.nan, 2.19), (-2.19, -math.inf),
+                                    (-2.19, 2.6)])
+def test_make_axis_refuses_endpoints_off_the_arc(t1, t2):
+    # the trefoil_twist arc is [-2.54404, 2.54404]
+    with pytest.raises(ValueError, match="arc points"):
+        make_axis(get_knot("trefoil_twist"), t1, t2)
+
+
 def test_axis_rotation_fixes_axis_points():
     arc = get_knot("trefoil_twist")
     axis = make_axis(arc, -2.19, 2.19)
@@ -231,6 +239,21 @@ def test_twist_spin_rejects_negative_k(twist_setup):
     arc, axis, bump = twist_setup
     with pytest.raises(ValueError):
         twist_spin(arc, axis, bump, -1)
+
+
+def test_twist_spin_rejects_k_beyond_float_precision(twist_setup):
+    arc, axis, bump = twist_setup
+    with pytest.raises(ValueError, match=r"2\*\*53"):
+        twist_spin(arc, axis, bump, 2 ** 53 + 1)
+
+
+@pytest.mark.parametrize("d2", [10.0, math.inf])
+def test_twist_spin_refuses_bump_reaching_the_arc_ends(twist_setup, d2):
+    # the bump would not vanish at t = a, b (a^2 = b^2 = 6.47214), so the end
+    # rows would spread instead of staying one pole point each
+    arc, axis, _ = twist_setup
+    with pytest.raises(NoRoom, match=f"d2={d2!r}.*6.47214"):
+        twist_spin(arc, axis, Bump(1.0, d2), 2)
 
 
 def test_twist_spin_plane_crossing_detected():
