@@ -119,8 +119,6 @@ class PerturbationSpec:
     """Odd-degree perturbation (z, w) -> (z + eps t^(2N+1), w + eps s^(2N+1))."""
 
     N: int
-    delta_z: float
-    delta_w: float
     epsilon: float
 
 
@@ -167,7 +165,7 @@ def odd_perturbation(
             )
         bound = min(bound, max(allowances))
     eps = 1.0 if math.isinf(bound) else 0.5 * bound
-    return PerturbationSpec(N=N, delta_z=eps, delta_w=eps, epsilon=eps), _perturb(map4, N, eps)
+    return PerturbationSpec(N=N, epsilon=eps), _perturb(map4, N, eps)
 
 
 def _perturb(map4: Sequence[Poly2], N: int, eps: float) -> tuple[Poly2, Poly2, Poly2, Poly2]:

@@ -110,10 +110,11 @@ def plane_double_points(f: Poly1, g: Poly1, iv: Interval) -> list[tuple[float, f
         D = (fv[:, None] - fv[None, :]) ** 2 + (gv[:, None] - gv[None, :]) ** 2
         speed = float(np.max(np.hypot(df(ts), dg(ts))))
         thresh, speed_sq = np.square([6.0 * step * max(speed, 1e-12), max(speed, 1.0)])
-    if not (np.isfinite(D).all() and np.isfinite([thresh, speed_sq]).all()):
+        scale = max(poly_scale(f, iv), poly_scale(g, iv))
+    if not (np.isfinite(D).all() and np.isfinite([thresh, speed_sq, scale]).all()):
         raise DegenerateInput(f"the plane curve (f, g) on [{iv.lo:.6g}, {iv.hi:.6g}] is too "
-                              "large for double precision: its samples, speeds or squared "
-                              "distances overflow")
+                              "large for double precision: its samples, speeds, scales or "
+                              "squared distances overflow")
 
     off = max(1, int(np.ceil(DIAG_SEP / step)))
     mask = np.triu(np.ones_like(D, bool), k=off)
@@ -128,7 +129,6 @@ def plane_double_points(f: Poly1, g: Poly1, iv: Interval) -> list[tuple[float, f
             is_min &= Dm <= P[1 + di : 1 + di + GRID_N, 1 + dj : 1 + dj + GRID_N]
     cand = np.argwhere(is_min & (Dm < thresh))
 
-    scale = max(poly_scale(f, iv), poly_scale(g, iv))
     bound = 2.0 * max(abs(iv.lo), abs(iv.hi)) + 1.0
     found: list[tuple[float, float]] = []
     refined = _newton_refine(f, g, df, dg, ts[cand[:, 0]], ts[cand[:, 1]], bound)

@@ -242,8 +242,7 @@ def slice_surface(s, axis: str, value: float, n_t: int = 128, n_s: int = 128) ->
     # true field at cell centers resolves saddle-cell ambiguity
     tc = 0.5 * (tvals[:-1] + tvals[1:])
     sc = 0.5 * (svals[:-1] + svals[1:])
-    Tc, Sc = np.meshgrid(tc, sc, indexing="ij")
-    center = s.evaluate(Tc, Sc)[..., ci]
+    center = s.evaluate(tc[:, None], sc[None, :])[..., ci]
 
     segments, crossings = _cell_segments(field, tvals, svals, value, center)
     chains = _chain_segments(segments.tolist())

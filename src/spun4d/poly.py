@@ -186,9 +186,11 @@ class Poly2:
         return self.coeffs.shape[1] - 1
 
     def __call__(self, t, s):
-        t = np.asarray(t, dtype=float)
-        s = np.asarray(s, dtype=float)
-        return npoly.polyval2d(t, s, self.coeffs)
+        """Values at the points broadcast(t, s): Horner in t on t's own shape,
+        then in s, so a grid given as t[:, None], s[None, :] costs one t-pass
+        per grid row.  Same steps as ``polyval2d``, without its shape check."""
+        t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
+        return npoly.polyval(s, npoly.polyval(t, self.coeffs), tensor=False)
 
     def partial(self, wrt: str) -> "Poly2":
         """Formal partial derivative with respect to 't' or 's'."""
@@ -249,8 +251,9 @@ def poly_scale(p: Poly1, iv: Interval) -> float:
     max |coefficient| times max(1, m**degree) with m the larger endpoint magnitude."""
     if p.is_zero:
         return 1.0
-    m = max(abs(iv.lo), abs(iv.hi))
-    return max(abs(c) for c in p.coeffs) * max(1.0, m ** p.degree)
+    m = max(abs(iv.lo), abs(iv.hi), 1.0)
+    # a float64 power overflows to inf where a Python float one would raise
+    return max(abs(c) for c in p.coeffs) * np.float64(m) ** p.degree
 
 
 _REFINE_WIDTH = 1e-12
@@ -293,11 +296,12 @@ def roots_in_interval(p: Poly1, iv: Interval, tol: float = 1e-9) -> list[float]:
         raise ValueError("tol must be positive")
     if p.is_zero:
         raise DegenerateInput("cannot isolate roots of the zero polynomial")
-    scale = poly_scale(p, iv)
-    dp = p.derivative()
     n = max(256, 64 * max(p.degree, 1))
     ts = iv.sample(n + 1)
-    vs = np.asarray(p(ts))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale, dp, vs = poly_scale(p, iv), p.derivative(), np.asarray(p(ts))
+    if not (math.isfinite(scale) and np.isfinite(dp.coeffs).all() and np.isfinite(vs).all()):
+        raise DegenerateInput(f"cannot isolate roots in {iv}: values overflow double precision")
 
     roots: list[float] = []
     # grid points that are exact (or numerically exact) roots

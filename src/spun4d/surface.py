@@ -7,10 +7,11 @@ Each coordinate of a ``Surface4`` is a flat sum of terms
 where a t-factor is a ``Poly1`` or a ``Bump`` and a theta-factor is a
 ``Poly1`` or a ``Trig`` (cos or sin of an integer multiple of theta).  Every
 construction here has this form: the spin has one term per coordinate, the
-k-twist spin at most four.  Grid evaluation samples each distinct factor once
-on its 1-D sample vector and multiplies a (terms x n_t) by a (terms x n_s)
-matrix; first partials follow by the product rule, never by finite
-differences.
+k-twist spin at most four.  One evaluator serves points, grids and partials:
+it samples each distinct factor once on t and once on theta and sums the
+broadcast products term by term, so a grid given as a column of t and a row
+of theta costs one factor sample per grid line.  First partials follow by the
+product rule, never by finite differences.
 
 Surface files keep the tagged tree format (``sum``, ``product``, ``const``,
 ``poly_t``, ``poly_theta``, ``cos_k``, ``sin_k``, ``bump``): the writer emits
@@ -156,59 +157,41 @@ def _collect(terms) -> tuple[Term, ...]:
 
 def _rows(coords, side: str, x, deriv: bool = False):
     """Per coordinate, the list of its terms' products of ``side`` ("t" or
-    "s") factors on the samples x, with c folded into the t side, and with
-    ``deriv`` the list of their x-derivatives by the product rule.  Every
-    distinct factor is evaluated once for all coordinates."""
-    x = np.asarray(x, float)
+    "s") factors on the samples x, with c folded into the t side, or with
+    ``deriv`` their x-derivatives by the product rule.  Every distinct factor
+    is evaluated once for all coordinates, on x in its own shape."""
     distinct = {f for terms in coords for term in terms for f in getattr(term, side)}
     val = {f: f(x) for f in distinct}
     der = {f: _slope(f, x) for f in distinct} if deriv else {}
     out = []
     for terms in coords:
-        vals, ders = [], []
+        rows = []
         for term in terms:
             p, d = (term.c if side == "t" else 1.0), 0.0
             for f in getattr(term, side):
                 if deriv:
                     d = d * val[f] + p * der[f]
                 p = p * val[f]
-            vals.append(np.broadcast_to(p, x.shape))
-            ders.append(np.broadcast_to(d, x.shape))
-        out.append((vals, ders))
+            rows.append(d if deriv else p)
+        out.append(rows)
     return out
 
 
-def _matmul(a_rows, s_rows, n_t: int, n_s: int) -> np.ndarray:
-    """sum_k a_k(t) s_k(theta) over a tensor grid: (n_t x terms) @ (terms x n_s)."""
-    return np.reshape(a_rows, (len(a_rows), n_t)).T @ np.reshape(s_rows, (len(s_rows), n_s))
+def _eval_points(coords, t, th, deriv: str = "") -> np.ndarray:
+    """Coordinates at the points broadcast(t, th); shape that + (len(coords),).
+    With ``deriv`` "t" or "s", their partial derivative in t or theta.
 
-
-# points per block of a scattered evaluation: bounds the memory the factor
-# tables take on large scans
-POINT_BLOCK = 1 << 14
-
-
-def _eval_points(coords, t, th) -> np.ndarray:
-    """Coordinates at scattered points; shape broadcast(t, th) + (len(coords),).
-
-    Points are taken in blocks; within a block every distinct factor is
-    evaluated once on every point."""
-    t, th = np.broadcast_arrays(np.asarray(t, float), np.asarray(th, float))
-    out = np.empty(t.shape + (len(coords),))
-    flat, tf, sf = out.reshape(-1, len(coords)), t.reshape(-1), th.reshape(-1)
-    for lo in range(0, tf.size, POINT_BLOCK):
-        blk = slice(lo, lo + POINT_BLOCK)
-        for i, ((a_rows, _), (s_rows, _)) in enumerate(
-                zip(_rows(coords, "t", tf[blk]), _rows(coords, "s", sf[blk]))):
-            flat[blk, i] = sum(a * s for a, s in zip(a_rows, s_rows))
+    Each factor is sampled on t and on th in their own shapes, so an outer
+    product t[:, None], th[None, :] samples it once per grid line; the terms
+    c a(t) b(th) are then summed, broadcast, in order of the terms."""
+    t, th = np.asarray(t, float), np.asarray(th, float)
+    a_rows = _rows(coords, "t", t, deriv == "t")
+    s_rows = _rows(coords, "s", th, deriv == "s")
+    out = np.zeros(np.broadcast_shapes(t.shape, th.shape) + (len(coords),))
+    for i, (a, s) in enumerate(zip(a_rows, s_rows)):
+        for ak, sk in zip(a, s):
+            out[..., i] += ak * sk
     return out
-
-
-def _eval_tensor(coords, tvals, svals) -> np.ndarray:
-    """Coordinates over the tensor grid tvals x svals; shape (n_t, n_s, len(coords))."""
-    n_t, n_s = len(tvals), len(svals)
-    return np.stack([_matmul(a, s, n_t, n_s) for (a, _), (s, _) in
-                     zip(_rows(coords, "t", tvals), _rows(coords, "s", svals))], axis=-1)
 
 
 # -- surface files ----------------------------------------------------------
@@ -332,16 +315,12 @@ class Surface4:
         return _eval_points(self.coords, t, th)
 
     def eval_grid(self, tvals, svals) -> np.ndarray:
-        return _eval_tensor(self.coords, tvals, svals)
+        return _eval_points(self.coords, np.reshape(tvals, (-1, 1)), np.reshape(svals, (1, -1)))
 
     def partials_grid(self, tvals, svals):
         """(d/dt, d/dtheta) of all coordinates over the tensor grid."""
-        n_t, n_s = len(tvals), len(svals)
-        A = _rows(self.coords, "t", tvals, deriv=True)
-        S = _rows(self.coords, "s", svals, deriv=True)
-        dt = np.stack([_matmul(da, s, n_t, n_s) for (_, da), (s, _) in zip(A, S)], axis=-1)
-        ds = np.stack([_matmul(a, dsv, n_t, n_s) for (a, _), (_, dsv) in zip(A, S)], axis=-1)
-        return dt, ds
+        t, th = np.reshape(tvals, (-1, 1)), np.reshape(svals, (1, -1))
+        return _eval_points(self.coords, t, th, "t"), _eval_points(self.coords, t, th, "s")
 
     def to_json(self) -> dict:
         return {"type": "surface4", "coords": [_coord_json(c) for c in self.coords],
@@ -364,19 +343,15 @@ class PolyMap4:
     pole_high: bool = False
 
     def evaluate(self, t, s) -> np.ndarray:
-        t = np.asarray(t, float)
-        s = np.asarray(s, float)
+        """All four coordinates; result shape broadcast(t, s) + (4,)."""
         return np.stack([p(t, s) for p in self.polys], axis=-1)
 
     def eval_grid(self, tvals, svals) -> np.ndarray:
-        T, S = np.meshgrid(np.asarray(tvals, float), np.asarray(svals, float), indexing="ij")
-        return self.evaluate(T, S)
+        return self.evaluate(np.reshape(tvals, (-1, 1)), np.reshape(svals, (1, -1)))
 
     def partials_grid(self, tvals, svals):
-        T, S = np.meshgrid(np.asarray(tvals, float), np.asarray(svals, float), indexing="ij")
-        dt = np.stack([p.partial("t")(T, S) for p in self.polys], axis=-1)
-        ds = np.stack([p.partial("s")(T, S) for p in self.polys], axis=-1)
-        return dt, ds
+        t, s = np.reshape(tvals, (-1, 1)), np.reshape(svals, (1, -1))
+        return tuple(np.stack([p.partial(w)(t, s) for p in self.polys], axis=-1) for w in "ts")
 
     def to_json(self) -> dict:
         return {"type": "polymap4", "coords": [p.to_json() for p in self.polys],

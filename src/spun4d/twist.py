@@ -19,8 +19,7 @@ from .catalog import KnotArc
 from .errors import NonUnitAxis, NoRoom, PlaneCrossing
 from .poly import Interval, Poly1
 from .surface import (
-    TRIG_MAX_K, TWO_PI, Bump, Surface4, Term, Trig, _eval_points, _eval_tensor,
-    max_grid_deviation,
+    TRIG_MAX_K, TWO_PI, Bump, Surface4, Term, Trig, _eval_points, max_grid_deviation,
 )
 
 __all__ = [
@@ -187,10 +186,15 @@ PRECHECK_NT = 2000
 PRECHECK_NPHI = 360
 
 
-def _check_height_positive(h_terms, t_dom: Interval):
-    ts = t_dom.sample(PRECHECK_NT + 2)[1:-1]  # open interior
+def _check_height_positive(arc: KnotArc, axis: TwistAxis, bump: Bump, k: int):
+    """Refuse a twist whose height h~ is <= 0 inside the arc.  h~ depends on
+    k and theta only through the rotation angle phi = k theta, so the check
+    samples phi itself: the 1-twist's h~ over (t, phi) for every k >= 1, the
+    fixed arc for k = 0."""
+    ts = arc.ab.sample(PRECHECK_NT + 2)[1:-1]  # open interior
     phis = np.linspace(0.0, TWO_PI, PRECHECK_NPHI, endpoint=False)
-    vals = _eval_tensor((h_terms,), ts, phis)[..., 0]
+    h_terms = _twisted_coords(arc, axis, bump, min(k, 1))[2]
+    vals = _eval_points((h_terms,), ts[:, None], phis)[..., 0]
     i, j = np.unravel_index(np.argmin(vals), vals.shape)
     if vals[i, j] <= 0.0:
         raise PlaneCrossing(float(ts[i]), float(phis[j]), float(vals[i, j]))
@@ -201,7 +205,8 @@ def twist_spin(arc: KnotArc, axis: TwistAxis, bump: Bump, k: int) -> Surface4:
 
     Rejects the construction with NoRoom if the bump does not vanish at both
     arc ends (d2 > min(a^2, b^2)), and with PlaneCrossing if the rotating
-    knotted part would dip below the xy-plane (dense 2000x360 sampling of h~).
+    knotted part would dip below the xy-plane at any rotation angle (dense
+    2000x360 sampling of h~ over t and the angle).
     """
     if not 0 <= k <= TRIG_MAX_K:
         raise ValueError(f"twist count k must be in [0, 2**53], got {k}")
@@ -209,8 +214,8 @@ def twist_spin(arc: KnotArc, axis: TwistAxis, bump: Bump, k: int) -> Surface4:
     if bump.d2 > bound:
         raise NoRoom(f"bump support d2={bump.d2!r} reaches past the arc ends: "
                      f"need d2 <= min(a^2, b^2) = {bound:.6g}")
+    _check_height_positive(arc, axis, bump, k)
     ft, gt, ht = _twisted_coords(arc, axis, bump, k)
-    _check_height_positive(ht, arc.ab)
     spun = [[Term(c, tf, sf + (trig,)) for c, tf, sf in ht]
             for trig in (Trig(1), Trig(1, sine=True))]
     return Surface4(

@@ -96,28 +96,26 @@ def jacobian_rank_scan(s, n_t: int, n_s: int, tol: float = RANK_TOL) -> tuple[bo
     return min_ratio > tol, min_ratio
 
 
-def _scan_params(s, n_t: int, n_s: int):
-    """Sample parameters for collision scanning.
+def _scan_points(s, n_t: int, n_s: int):
+    """Sample parameters and their images for collision scanning.
 
-    Seam duplicates are dropped when theta is periodic and pole rows collapse
-    to a single representative so identified parameters are never reported
-    against themselves.
+    Seam duplicates are dropped when theta is periodic, and a pole row keeps
+    only its first sample, so identified parameters are never reported
+    against themselves.  Returns (tvals, svals, pts, first): the kept samples
+    are the run pts of the row-major (n_t, n_s) image grid that starts at
+    flat index ``first``.
     """
     tvals = s.t_dom.sample(n_t)
     if s.periodic_s:
         svals = s.s_dom.lo + s.s_dom.length * np.arange(n_s) / n_s
     else:
         svals = s.s_dom.sample(n_s)
-    T, S = np.meshgrid(tvals, svals, indexing="ij")
-    pole = np.zeros(T.shape, bool)
-    keep = np.ones(T.shape, bool)
-    if s.pole_low:
-        pole[0, :] = True
-        keep[0, 1:] = False
-    if s.pole_high:
-        pole[-1, :] = True
-        keep[-1, 1:] = False
-    return T[keep], S[keep], pole[keep]
+    grid = s.evaluate(tvals[:, None], svals[None, :]).reshape(n_t * n_s, -1)
+    first = n_s - 1 if s.pole_low else 0
+    # a low pole's kept sample moves to the end of its row, where the run starts
+    grid[first] = grid[0]
+    stop = (n_t - 1) * n_s + 1 if s.pole_high else n_t * n_s
+    return tvals, svals, grid[first:stop], first
 
 
 def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float = IMAGE_TOL) -> list[Collision]:
@@ -129,31 +127,36 @@ def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float =
     ``param_sep``.  An empty result means no self-intersection detected at
     this resolution.
     """
+    if n_t < 16 or n_s < 16:
+        raise ValueError(f"injectivity grid sizes must be >= 16, got {n_t}x{n_s}")
+    if not 0.0 < param_sep < 1.0:
+        raise ValueError(f"param_sep must be in (0, 1), got {param_sep!r}")
     # scipy.spatial takes longer to import than most commands take to run;
     # only this scan needs it
     from scipy.spatial import cKDTree
 
-    tp, sp, pole = _scan_params(s, n_t, n_s)
-    pts = s.evaluate(tp, sp)
-    tree = cKDTree(pts)
-    pairs = tree.query_pairs(image_tol, output_type="ndarray")
+    tvals, svals, pts, first = _scan_points(s, n_t, n_s)
+    pairs = cKDTree(pts).query_pairs(image_tol, output_type="ndarray")
     out: list[Collision] = []
     if len(pairs) == 0:
         return out
-    tl, sl = s.t_dom.length, s.s_dom.length
-    du = np.abs(tp[pairs[:, 0]] - tp[pairs[:, 1]]) / tl
-    dv = np.abs(sp[pairs[:, 0]] - sp[pairs[:, 1]]) / sl
+    # grid row and column of both points of every pair; a pole stands at its first sample
+    row, col = np.divmod(pairs + first, n_s)
+    pole = (row == 0) & s.pole_low | (row == n_t - 1) & s.pole_high
+    col[pole] = 0
+    tp, sp = tvals[row], svals[col]
+    du = np.abs(tp[:, 0] - tp[:, 1]) / s.t_dom.length
+    dv = np.abs(sp[:, 0] - sp[:, 1]) / s.s_dom.length
     if s.periodic_s:
         dv = np.minimum(dv, 1.0 - dv)
     # a pole parameter is a single point: its theta coordinate is immaterial
-    either_pole = pole[pairs[:, 0]] | pole[pairs[:, 1]]
-    dv = np.where(either_pole, 0.0, dv)
-    sep = np.hypot(du, dv)
-    hits = pairs[sep > param_sep]
-    dist = np.linalg.norm(pts[hits[:, 0]] - pts[hits[:, 1]], axis=-1)
-    for (i, j), d in zip(hits, dist):
-        a = (float(tp[i]), float(sp[i]))
-        b = (float(tp[j]), float(sp[j]))
+    dv = np.where(pole.any(axis=1), 0.0, dv)
+    hits = np.flatnonzero(np.hypot(du, dv) > param_sep)
+    i, j = pairs[hits].T
+    dist = np.linalg.norm(pts[i] - pts[j], axis=-1)
+    for h, d in zip(hits, dist):
+        a = (float(tp[h, 0]), float(sp[h, 0]))
+        b = (float(tp[h, 1]), float(sp[h, 1]))
         if b < a:
             a, b = b, a
         out.append(Collision(a, b, float(d)))

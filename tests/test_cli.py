@@ -444,3 +444,48 @@ def test_lone_double_dash_as_a_value_is_a_usage_error(workdir, capsys, argv, fla
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith("usage: spun4d")
     assert err[-1] == f"spun4d: error: argument {flag}: expected one argument"
+
+
+@pytest.mark.parametrize("k", ["0", "1", "360", "720"])
+def test_twist_height_precheck_sees_every_rotation_angle(workdir, capsys, k):
+    # the short trefoil's knotted part dips below the boundary plane at the
+    # rotation angle phi = 3.12414 for every k >= 1; a 360-point theta grid
+    # would see only multiples of 2 pi as k theta for k = 360 and k = 720
+    argv = ["twistspin", "trefoil_spun", "--k", k, "--t1", "-2.1", "--t2", "2.1"]
+    if k == "0":
+        assert dispatch(argv) == 0
+        return
+    assert dispatch(argv) == 1
+    assert "phi=3.12414" in _one_error_line(capsys)
+    assert os.listdir(workdir) == []
+
+
+@pytest.mark.parametrize("f, h", [
+    # 1e308 (1 - t^2): root isolation would overflow and count 257 roots
+    ([0, 1], [1e308, 0, -1e308]),
+    # t + 1e-300 t^1100 on [-2, 2]: finite samples, but its scale 2^1100 overflows
+    ([0, 1] + [0] * 1098 + [1e-300], [4, 0, -1]),
+], ids=["height", "curve_scale"])
+def test_knot_file_overflowing_scale_is_one_error_line(workdir, capsys, f, h):
+    (workdir / "big.json").write_text(json.dumps(
+        {"f": {"coeffs": f}, "g": {"coeffs": [0, 0, 1]}, "h": {"coeffs": h}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dispatch(["spin", "big.json"]) == 1
+    line = _one_error_line(capsys)
+    assert "'big.json'" in line and "overflow" in line
+    assert os.listdir(workdir) == ["big.json"]
+
+
+@pytest.mark.parametrize("cfg, words", [({"n_inject": 1}, ">= 16, got 1x1"),
+                                        ({"param_sep": 5}, "param_sep must be in (0, 1)")])
+def test_scan_setting_that_cannot_fail_is_one_error_line(workdir, capsys, cfg, words):
+    # a 1x1 grid has no pair to test; normalized parameters lie at most sqrt(2)
+    # apart, so no pair is ever separated by more than param_sep = 5
+    assert dispatch(["spin", "trefoil_spun", "--out", "s.json"]) == 0
+    (workdir / "cfg.json").write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dispatch(["--config", "cfg.json", "verify", "s.json", "--knot", "trefoil_spun"]) == 1
+    assert words in _one_error_line(capsys)
+    assert not os.path.exists(workdir / "s.json.report.json")

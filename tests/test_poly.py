@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from spun4d.errors import DegenerateInput
 from spun4d.poly import Interval, Poly1, Poly2, poly_scale, roots_in_interval
 
 
@@ -169,3 +171,13 @@ def test_poly2_from_json_refuses_ragged_rows(rows):
 def test_interval_from_json_refuses_a_bad_pair(doc):
     with pytest.raises(ValueError, match=r"\[lo, hi\]|lo <= hi"):
         Interval.from_json(doc)
+
+
+@pytest.mark.parametrize("coeffs", [
+    (1e308, 0.0, -1e308),  # its derivative and its samples overflow
+    (1.0, 0.0, -1.0) + (0.0,) * 697 + (-1e-300,),  # 3^700, its scale, overflows
+])
+def test_roots_in_interval_refuses_overflowing_values(coeffs):
+    with warnings.catch_warnings(), pytest.raises(DegenerateInput, match="overflow double precision"):
+        warnings.simplefilter("error")
+        roots_in_interval(Poly1(coeffs), Interval(-3.0, 3.0))

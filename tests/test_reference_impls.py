@@ -20,6 +20,7 @@ import spun4d
 from spun4d import catalog
 from spun4d.approx import (
     _bernstein_to_monomial, _shift_half, bernstein_fit2, bernstein_lattice, chebyshev_fit,
+    odd_perturbation,
 )
 from spun4d.catalog import (
     DIAG_SEP, GRID_N, MERGE_TOL, RESIDUAL_TOL, get_knot, knot_names, lift_height,
@@ -31,10 +32,11 @@ from spun4d.export import (
 )
 from spun4d.poly import Interval, Poly1, Poly2, poly_scale
 from spun4d.spin import polynomial_spin, spin
-from spun4d.surface import POINT_BLOCK, TWO_PI, PolyMap4, Surface4, max_grid_deviation
+from spun4d.surface import TWO_PI, PolyMap4, Surface4, Term, Trig, max_grid_deviation
 from spun4d.twist import (
     PRECHECK_NPHI, PRECHECK_NT, Bump, choose_bump, make_axis, polynomialize_twist, twist_spin,
 )
+from spun4d.verify import Collision, injectivity_scan
 
 
 def _bits(a) -> bytes:
@@ -657,8 +659,8 @@ def _tree_grid(coords, tv, sv):
 
 def assert_matches_tree(surface, coords):
     """Values within 1e-12; partials within 1e-12 max(1, max|partial|); on a
-    200x200 grid, at scattered points of broadcast shapes and in more than one
-    evaluation block, and in the Jacobian."""
+    200x200 grid, at scattered points of broadcast shapes and at many points
+    at once, and in the Jacobian."""
     tv, sv = surface.t_dom.sample(200), surface.s_dom.sample(200)
     v, dt, ds = _tree_grid(coords, tv, sv)
     assert np.max(np.abs(surface.eval_grid(tv, sv) - v)) <= 1e-12
@@ -669,7 +671,7 @@ def assert_matches_tree(surface, coords):
     rng = np.random.default_rng(11)
     t = rng.uniform(surface.t_dom.lo, surface.t_dom.hi, (30, 1))
     th = rng.uniform(surface.s_dom.lo, surface.s_dom.hi, (1, 20))
-    n = 2 * POINT_BLOCK + 17  # spans several evaluation blocks
+    n = 2 * 2 ** 14 + 17
     many = (rng.uniform(surface.t_dom.lo, surface.t_dom.hi, n),
             rng.uniform(surface.s_dom.lo, surface.s_dom.hi, n))
     for a, b in ((t, th), (t.ravel(), th.ravel()[:1]), (float(t[0, 0]), th), many):
@@ -704,16 +706,18 @@ def test_twist_spin_matches_tree(name, k):
     arc, axis = _twist_setup(name)
     bump = choose_bump(arc, axis)
     coords = twist_tree(arc, axis, bump, k)
-    # the height pre-check on the same 2000 x 360 grid
+    # the height pre-check on the same 2000 x 360 grid of t and the rotation
+    # angle phi = k theta, which the 1-twist's height takes as its theta
+    height = twist_tree(arc, axis, bump, min(k, 1))[2]["factors"][0]
     ts = arc.ab.sample(PRECHECK_NT + 2)[1:-1]
     phis = np.linspace(0.0, TWO_PI, PRECHECK_NPHI, endpoint=False)
     T, PH = np.meshgrid(ts, phis, indexing="ij")
-    heights = tree_eval(coords[2]["factors"][0], T, PH)[0]
+    heights = tree_eval(height, T, PH)[0]
     if heights.min() <= 0.0:
         with pytest.raises(PlaneCrossing) as exc:
             twist_spin(arc, axis, bump, k)
         # reported at a grid point where the tree's height is least, up to rounding
-        at = tree_eval(coords[2]["factors"][0], exc.value.t, exc.value.phi)[0]
+        at = tree_eval(height, exc.value.t, exc.value.phi)[0]
         assert exc.value.t in ts and exc.value.phi in phis
         assert abs(at - heights.min()) <= 1e-12 and abs(exc.value.value - heights.min()) <= 1e-12
         return
@@ -745,3 +749,140 @@ def test_tree_file_written_by_node_classes_loads():
     again = Surface4.from_json(surface.to_json())
     assert again == surface
     assert max_grid_deviation(surface, again) == 0.0
+
+
+# -- one sampling contract -------------------------------------------------------
+
+def _samplers():
+    """Each model the library builds: the spin, the k = 10 twist, a
+    polynomial spin, a Bernstein fit and a perturbed family map."""
+    arc = get_knot("trefoil_spun")
+    twist_arc, axis = _twist_setup("trefoil_twist")
+    poly = polynomial_spin(arc, 8)
+    exact = spin(arc)
+    u = bernstein_lattice(20)
+    samples = exact.eval_grid(exact.t_dom.mid + 0.5 * exact.t_dom.length * u,
+                              exact.s_dom.mid + 0.5 * exact.s_dom.length * u)
+    _, perturbed = odd_perturbation(poly.polys, 2, [])
+    return {
+        "spin": exact,
+        "twist_k10": twist_spin(twist_arc, axis, choose_bump(twist_arc, axis), 10),
+        "polynomial_spin_8": poly,
+        "bernstein_20": PolyMap4(bernstein_fit2(samples, 20), Interval(-1.0, 1.0), Interval(-1.0, 1.0)),
+        "family": replace(poly, polys=perturbed),
+    }
+
+
+@pytest.mark.parametrize("name", ["spin", "twist_k10", "polynomial_spin_8", "bernstein_20", "family"])
+def test_sampler_contract(name):
+    """Every model evaluates at broadcast arguments, and its grids are its
+    points: eval_grid is evaluate on the meshgrid, bit for bit; a PolyMap4's
+    grids and partials are its polynomials on the meshgrid, bit for bit."""
+    s = _samplers()[name]
+    tv, sv = s.t_dom.sample(37), s.s_dom.sample(29)
+    assert s.evaluate(tv, sv[3]).shape == (37, 4)
+    assert s.evaluate(tv[5], sv).shape == (29, 4)
+    assert s.evaluate(tv[:, None], sv[None, :]).shape == (37, 29, 4)
+    T, S = np.meshgrid(tv, sv, indexing="ij")
+    grid = s.eval_grid(tv, sv)
+    assert _bits(grid) == _bits(s.evaluate(T, S))
+    assert _bits(s.evaluate(tv[:, None], sv[None, :])) == _bits(grid)
+    assert _bits(s.evaluate(tv, sv[3])) == _bits(grid[:, 3])
+    assert _bits(s.evaluate(tv[5], sv)) == _bits(grid[5])
+    if isinstance(s, PolyMap4):
+        assert _bits(grid) == _bits(np.stack([p(T, S) for p in s.polys], axis=-1))
+        for got, w in zip(s.partials_grid(tv, sv), "ts"):
+            assert _bits(got) == _bits(np.stack([p.partial(w)(T, S) for p in s.polys], axis=-1))
+
+
+# -- injectivity scan --------------------------------------------------------------
+
+def injectivity_scan_meshgrid(s, n_t, n_s, param_sep, image_tol):
+    """Reference: parameter meshgrids masked to the kept samples (seam column
+    dropped when periodic, one sample per pole row), evaluated as scattered
+    points."""
+    from scipy.spatial import cKDTree
+
+    tvals = s.t_dom.sample(n_t)
+    if s.periodic_s:
+        svals = s.s_dom.lo + s.s_dom.length * np.arange(n_s) / n_s
+    else:
+        svals = s.s_dom.sample(n_s)
+    T, S = np.meshgrid(tvals, svals, indexing="ij")
+    pole = np.zeros(T.shape, bool)
+    keep = np.ones(T.shape, bool)
+    if s.pole_low:
+        pole[0, :] = True
+        keep[0, 1:] = False
+    if s.pole_high:
+        pole[-1, :] = True
+        keep[-1, 1:] = False
+    tp, sp, pole = T[keep], S[keep], pole[keep]
+    pts = s.evaluate(tp, sp)
+    pairs = cKDTree(pts).query_pairs(image_tol, output_type="ndarray")
+    if len(pairs) == 0:
+        return []
+    du = np.abs(tp[pairs[:, 0]] - tp[pairs[:, 1]]) / s.t_dom.length
+    dv = np.abs(sp[pairs[:, 0]] - sp[pairs[:, 1]]) / s.s_dom.length
+    if s.periodic_s:
+        dv = np.minimum(dv, 1.0 - dv)
+    dv = np.where(pole[pairs[:, 0]] | pole[pairs[:, 1]], 0.0, dv)
+    hits = pairs[np.hypot(du, dv) > param_sep]
+    dist = np.linalg.norm(pts[hits[:, 0]] - pts[hits[:, 1]], axis=-1)
+    out = []
+    for (i, j), d in zip(hits, dist):
+        a, b = (float(tp[i]), float(sp[i])), (float(tp[j]), float(sp[j]))
+        out.append(Collision(*sorted([a, b]), float(d)))
+    return sorted(out, key=lambda c: (c.param_a, c.param_b))
+
+
+class _DropCoordinate:
+    """A surface's image with one coordinate set to 0; implements only the
+    sampling contract's ``evaluate``."""
+
+    def __init__(self, s, drop):
+        self._s, self._drop = s, drop
+        self.t_dom, self.s_dom = s.t_dom, s.s_dom
+        self.periodic_s, self.pole_low, self.pole_high = s.periodic_s, s.pole_low, s.pole_high
+
+    def evaluate(self, t, th):
+        p = self._s.evaluate(t, th)
+        p[..., self._drop] = 0.0
+        return p
+
+
+def _scan_cases():
+    arc = get_knot("trefoil_spun")
+    twist_arc, axis = _twist_setup("trefoil_twist")
+    fold = PolyMap4((Poly2.from_t(Poly1((0.0, 0.0, 1.0))), Poly2.from_s(Poly1((0.0, 1.0))),
+                     Poly2(), Poly2()), Interval(-1.0, 1.0), Interval(-1.0, 1.0))
+    sphere_h = Poly1((1.0 + 1e-12, 0.0, -1.0))
+    return {
+        # the xzw projection of the spun trefoil crosses itself (criterion 6)
+        "xzw_projection": (_DropCoordinate(spin(arc), 1), 400, 0.05, 0.05),
+        # t -> t^2 folds the square onto itself
+        "planted_fold": (fold, 101, 0.05, 1e-6),
+        "twist_k10": (twist_spin(twist_arc, axis, choose_bump(twist_arc, axis), 10), 200, 0.05, 1e-3),
+        # with no poles and no seam declared, the pole rows and the seam column collide
+        "spin_without_poles": (replace(spin(arc), periodic_s=False, pole_low=False, pole_high=False),
+                               120, 0.05, 1e-3),
+        # a round sphere whose pole rows are circles of radius 1e-12, as float
+        # roots of a height leave them; at this radius each pole meets the
+        # rows next to it, across all theta
+        "sphere_poles": (Surface4(((Term(1.0, (Poly1((0.0, 1.0)),)),), (),
+                                   (Term(1.0, (sphere_h,), (Trig(1),)),),
+                                   (Term(1.0, (sphere_h,), (Trig(1, sine=True),)),)),
+                                  Interval(-1.0, 1.0)), 64, 0.02, 0.15),
+    }
+
+
+@pytest.mark.parametrize("name", ["xzw_projection", "planted_fold", "twist_k10",
+                                  "spin_without_poles", "sphere_poles"])
+def test_injectivity_scan_matches_meshgrid_reference(name):
+    s, n, param_sep, image_tol = _scan_cases()[name]
+    got = injectivity_scan(s, n, n, param_sep, image_tol)
+    assert got == injectivity_scan_meshgrid(s, n, n, param_sep, image_tol)
+    if name != "twist_k10":
+        assert len(got) >= 1
+    if name == "sphere_poles":
+        assert any(c.param_a == (-1.0, 0.0) for c in got)

@@ -139,6 +139,6 @@ def test_isotopy_family_check_fails_for_folded_map():
          Poly2(), Poly2()),
         Interval(-1, 1), Interval(-1, 1),
     )
-    spec = PerturbationSpec(N=2, delta_z=0.0, delta_w=0.0, epsilon=0.0)
+    spec = PerturbationSpec(N=2, epsilon=0.0)
     # with eps = 0 the fold is never repaired
     assert not isotopy_family_check(folded, spec, [0.0], n_rank=32, n_inject=64)
