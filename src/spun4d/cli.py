@@ -179,8 +179,8 @@ def _run_verify(surface, arc, cfg):
     report = verify_surface(surface, arc, **{key: cfg[key] for key in _VERIFY_KEYS})
     print(f"rank-2 on grid: {'pass' if report.rank_ok else 'FAIL'} "
           f"(min singular ratio {report.min_singular_ratio:.3e})")
-    print(f"injectivity: {'pass' if not report.collisions else 'FAIL'} "
-          f"({len(report.collisions)} collision(s))")
+    count = f"{'at least ' if report.collisions_capped else ''}{len(report.collisions)}"
+    print(f"injectivity: {'pass' if not report.collisions else 'FAIL'} ({count} collision(s))")
     if report.boundary_ok is not None:
         print(f"boundary transversality: {'pass' if report.boundary_ok else 'FAIL'}")
     print(f"overall: {'pass' if report.ok else 'FAIL'}")

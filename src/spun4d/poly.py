@@ -247,13 +247,16 @@ class Poly2:
 
 
 def poly_scale(p: Poly1, iv: Interval) -> float:
-    """Magnitude scale used to make root tolerances dimensionally sane:
-    max |coefficient| times max(1, m**degree) with m the larger endpoint magnitude."""
+    """Magnitude scale used to make root tolerances dimensionally sane: the
+    sum of |c_i| m**i, with m the larger of 1 and the endpoint magnitudes,
+    which bounds |p| on the interval."""
     if p.is_zero:
         return 1.0
     m = max(abs(iv.lo), abs(iv.hi), 1.0)
-    # a float64 power overflows to inf where a Python float one would raise
-    return max(abs(c) for c in p.coeffs) * np.float64(m) ** p.degree
+    c = np.abs(p.coeffs)
+    i = np.flatnonzero(c)
+    # float64 powers overflow to inf where Python float ones would raise
+    return float(np.sum(c[i] * np.float64(m) ** i))
 
 
 _REFINE_WIDTH = 1e-12

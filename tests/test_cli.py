@@ -373,17 +373,31 @@ def test_failed_verification_manifest_lists_the_report(workdir, capsys, cmd, rep
 
 
 def test_spin_command_loads_no_scipy(tmp_path):
-    # scipy is for the injectivity scan alone; it costs more to import than
-    # the whole spin command takes
+    # scipy.spatial costs more to import than a whole command takes; the
+    # injectivity scan of the verifying commands needs numpy alone
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "spun4d.cli", "spin",
-                           "trefoil_spun", "--out", "s.json"],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    imported = [ln.rsplit("|", 1)[-1].strip() for ln in proc.stderr.splitlines()
-                if ln.startswith("import time:")]
-    assert "spun4d.verify" in imported
-    assert [m for m in imported if m.split(".")[0] == "scipy"] == []
+    for cmd in (_SPIN, ["spin", "trefoil_spun", "--verify", "--out", "v.json"],
+                ["verify", "s.json", "--knot", "trefoil_spun"]):
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "spun4d.cli"] + cmd,
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        imported = [ln.rsplit("|", 1)[-1].strip() for ln in proc.stderr.splitlines()
+                    if ln.startswith("import time:")]
+        assert "spun4d.verify" in imported
+        assert [m for m in imported if m.split(".")[0] == "scipy"] == [], cmd
+
+
+def test_verify_constant_map_reports_at_least_the_cap(workdir, capsys):
+    # every pair of samples of a constant map collides; the scan stops at the cap
+    const = {"type": "polymap4", "coords": [{"coeffs": [[c]]} for c in (1.0, 2.0, 3.0, 4.0)],
+             "t_dom": [-1.0, 1.0], "s_dom": [-1.0, 1.0]}
+    (workdir / "c.json").write_text(json.dumps(const))
+    (workdir / "cfg.json").write_text(json.dumps({"n_rank": 16, "n_inject": 64}))
+    assert dispatch(["--config", "cfg.json", "verify", "c.json"]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert "injectivity: FAIL (at least 65536 collision(s))" in out
+    report = json.loads((workdir / "c.json.report.json").read_text())
+    assert report["collisions_capped"] is True and len(report["collisions"]) == 65536
 
 
 # -- inputs that used to end in a traceback or a warning ------------------------
@@ -475,6 +489,19 @@ def test_knot_file_overflowing_scale_is_one_error_line(workdir, capsys, f, h):
     line = _one_error_line(capsys)
     assert "'big.json'" in line and "overflow" in line
     assert os.listdir(workdir) == ["big.json"]
+
+
+def test_knot_file_with_a_tiny_high_degree_term_spins(workdir):
+    # 1 - t^2 - 1e-300 t^700 has the roots +-1; its coefficients bound it on
+    # [-2, 2] by 5 + 5e-90, far below max |c| * 2^700 = 5e210
+    h = [1.0, 0.0, -1.0] + [0.0] * 697 + [-1e-300]
+    (workdir / "tiny.json").write_text(json.dumps(
+        {"f": {"coeffs": [0, 1]}, "g": {"coeffs": [0, 0, 1]}, "h": {"coeffs": h},
+         "interval_hint": [-2, 2]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dispatch(["spin", "tiny.json", "--out", "s.json"]) == 0
+    assert os.path.exists(workdir / "s.json")
 
 
 @pytest.mark.parametrize("cfg, words", [({"n_inject": 1}, ">= 16, got 1x1"),

@@ -99,6 +99,13 @@ def test_poly_scale_bounds_values():
     assert np.max(np.abs(p(t))) <= bound + 1e-12
 
 
+def test_roots_in_interval_with_a_tiny_high_degree_term():
+    # |p| <= 5 + 5e-90 on [-2, 2], so no sample of 1 - t^2 passes as an exact root
+    p = Poly1((1.0, 0.0, -1.0) + (0.0,) * 697 + (-1e-300,))
+    assert poly_scale(p, Interval(-2.0, 2.0)) == 5.0
+    assert roots_in_interval(p, Interval(-2.0, 2.0)) == [-1.0, 1.0]
+
+
 def test_roots_in_interval_against_numpy():
     # (t - 0.3)(t + 1.2)(t - 2.0) expanded, roots well separated
     r = np.array([0.3, -1.2, 2.0])

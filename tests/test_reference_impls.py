@@ -15,6 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spun4d
 from spun4d import catalog
@@ -36,7 +38,7 @@ from spun4d.surface import TWO_PI, PolyMap4, Surface4, Term, Trig, max_grid_devi
 from spun4d.twist import (
     PRECHECK_NPHI, PRECHECK_NT, Bump, choose_bump, make_axis, polynomialize_twist, twist_spin,
 )
-from spun4d.verify import Collision, injectivity_scan
+from spun4d.verify import Collision, _close_pairs, injectivity_scan
 
 
 def _bits(a) -> bytes:
@@ -491,7 +493,7 @@ def test_lift_height_matches_scalar_newton(monkeypatch):
 def test_poly2_product_bitwise_on_polynomial_spin(name):
     """polynomial_spin multiplies h(t) by the Chebyshev fits of cos and sin in
     theta: one term per coefficient, so no summation order is involved."""
-    from scipy.signal import convolve2d
+    convolve2d = pytest.importorskip("scipy.signal").convolve2d
 
     arc = get_knot(name)
     h2 = Poly2.from_t(arc.h)
@@ -801,7 +803,7 @@ def injectivity_scan_meshgrid(s, n_t, n_s, param_sep, image_tol):
     """Reference: parameter meshgrids masked to the kept samples (seam column
     dropped when periodic, one sample per pole row), evaluated as scattered
     points."""
-    from scipy.spatial import cKDTree
+    cKDTree = pytest.importorskip("scipy.spatial").cKDTree
 
     tvals = s.t_dom.sample(n_t)
     if s.periodic_s:
@@ -886,3 +888,74 @@ def test_injectivity_scan_matches_meshgrid_reference(name):
         assert len(got) >= 1
     if name == "sphere_poles":
         assert any(c.param_a == (-1.0, 0.0) for c in got)
+
+
+# -- close-pair search ---------------------------------------------------------------
+
+
+def _assert_close_pairs_match_kdtree(pts, r):
+    """The hashed search finds each pair once, and exactly the pairs
+    ``cKDTree.query_pairs`` finds."""
+    cKDTree = pytest.importorskip("scipy.spatial").cKDTree
+    got = [(int(a), int(b)) for i, j in _close_pairs(pts, r) for a, b in zip(i, j)]
+    assert all(i < j for i, j in got)
+    assert len(set(got)) == len(got)
+    assert sorted(got) == sorted(cKDTree(pts).query_pairs(r))
+    return set(got)
+
+
+_SEED = st.integers(0, 2 ** 32 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_SEED, n=st.integers(2, 400), r=st.floats(1e-3, 0.3))
+def test_close_pairs_uniform_cloud(seed, n, r):
+    pts = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 4))
+    _assert_close_pairs_match_kdtree(pts, r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_SEED, clusters=st.integers(1, 8), n=st.integers(2, 300), r=st.floats(1e-4, 0.1))
+def test_close_pairs_clustered_cloud_with_duplicates(seed, clusters, n, r):
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(-3.0, 3.0, (clusters, 4))
+    pts = centres[rng.integers(0, clusters, n)] + rng.normal(0.0, r, (n, 4))
+    # repeat some points exactly
+    pts = np.concatenate([pts, pts[rng.integers(0, n, n // 3)]])
+    _assert_close_pairs_match_kdtree(pts, r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_SEED, n=st.integers(2, 300), exp=st.integers(-12, 2), steps=st.integers(1, 3))
+def test_close_pairs_lattice_ties_the_radius(seed, n, exp, steps):
+    # lattice coordinates and the radius are dyadic, so squared distances are
+    # exact and many equal r * r: such pairs count as close
+    step = 2.0 ** exp
+    pts = np.random.default_rng(seed).integers(-4, 5, (n, 4)) * step
+    r = steps * step
+    # one pair at exactly r along an axis, one at exactly r along a diagonal
+    pts = np.concatenate([pts, pts[:1] + [r, 0.0, 0.0, 0.0], pts[:1] + 0.5 * r])
+    found = _assert_close_pairs_match_kdtree(pts, r)
+    assert {(0, n), (0, n + 1)} <= found
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=_SEED, n=st.integers(2, 200), r=st.floats(1e-6, 1.0))
+def test_close_pairs_cloud_denser_than_a_cell(seed, n, r):
+    # the whole cloud fits in a box of side r / 4: every pair is close
+    pts = 5.0 + np.random.default_rng(seed).uniform(0.0, 0.25 * r, (n, 4))
+    assert len(_assert_close_pairs_match_kdtree(pts, r)) == n * (n - 1) // 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_SEED, n=st.integers(2, 300), a=st.integers(0, 299), frac=st.floats(0.0, 0.99))
+def test_close_pairs_finds_a_planted_collision(seed, n, a, frac):
+    # a lattice of spacing 1 with one point moved to within r of another
+    rng = np.random.default_rng(seed)
+    pts = rng.permutation(np.stack(np.unravel_index(np.arange(n), (7, 7, 7, 7)), axis=1)).astype(float)
+    r = 1e-3
+    a %= n
+    b = (a + 1 + int(rng.integers(0, n - 1))) % n
+    offset = rng.normal(size=4)
+    pts[b] = pts[a] + frac * r * offset / np.linalg.norm(offset)
+    assert _assert_close_pairs_match_kdtree(pts, r) == {(min(a, b), max(a, b))}

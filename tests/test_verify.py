@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+
+import spun4d
 
 from spun4d.approx import PerturbationSpec, odd_perturbation
 from spun4d.catalog import KnotArc, get_knot
@@ -9,7 +15,7 @@ from spun4d.poly import Interval, Poly1, Poly2
 from spun4d.spin import polynomial_spin, spin
 from spun4d.surface import PolyMap4
 from spun4d.verify import (
-    VerifyReport, boundary_check, injectivity_scan, isotopy_family_check,
+    MAX_COLLISIONS, VerifyReport, boundary_check, injectivity_scan, isotopy_family_check,
     jacobian_rank_scan, verify_surface,
 )
 
@@ -43,6 +49,18 @@ def test_rank_scan_input_validation():
         jacobian_rank_scan(s, 8, 64)
     with pytest.raises(ValueError):
         jacobian_rank_scan(s, 64, 64, tol=1.5)
+
+
+def test_injectivity_scan_input_validation():
+    s = spin(_unknot())
+    for image_tol in (0.0, -1e-3, math.nan):
+        with pytest.raises(ValueError, match="image_tol must be > 0"):
+            injectivity_scan(s, 64, 64, 0.05, image_tol)
+    # 1e300 t^2 overflows to inf at t = +-1e5
+    huge = PolyMap4((Poly2.from_t(Poly1((0.0, 0.0, 1e300))), Poly2.from_s(Poly1((0.0, 1.0))),
+                     Poly2(), Poly2()), Interval(-1e5, 1e5), Interval(-1, 1))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+        injectivity_scan(huge, 64, 64, 0.05)
 
 
 def test_injectivity_clean_on_sphere():
@@ -123,6 +141,43 @@ def test_verify_surface_failure_reported():
     report = verify_surface(folded, None, n_rank=32, n_inject=64)
     assert not report.ok and len(report.collisions) > 0
     assert report.boundary_ok is None
+    assert not report.collisions_capped and "collisions_capped" not in report.to_json()
+
+
+def test_constant_map_scan_stops_at_the_cap():
+    # every pair of the 160,000 samples is a collision: about 1.3e10 of them
+    const = PolyMap4(tuple(Poly2(np.array([[c]])) for c in (1.0, 2.0, 3.0, 4.0)),
+                     Interval(-1, 1), Interval(-1, 1))
+    tracemalloc.start()
+    try:
+        report = verify_surface(const, None, n_rank=16, n_inject=400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.collisions) == MAX_COLLISIONS and report.collisions_capped
+    assert report.to_json()["collisions_capped"] is True
+    assert peak < 200e6
+
+
+def test_verify_runs_without_scipy():
+    # a meta-path finder refuses every scipy module
+    code = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"blocked: {name}")
+
+sys.meta_path.insert(0, NoScipy())
+from spun4d import get_knot, spin, verify_surface
+print(verify_surface(spin(get_knot("trefoil_spun")), n_inject=64).ok)
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spun4d.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "True"
 
 
 def test_isotopy_family_check_passes_for_embedded_map():
