@@ -17,7 +17,8 @@ import numpy as np
 from .errors import DegenerateInput, NonGeneric, UnknownKnot, UnliftableHeight
 from .poly import Interval, Poly1, poly_scale, roots_in_interval
 
-__all__ = ["KnotArc", "get_knot", "knot_names", "lift_height", "plane_double_points"]
+__all__ = ["KnotArc", "get_knot", "height_admissible", "knot_names", "lift_height",
+           "plane_double_points"]
 
 # parameter pairs closer than this to the diagonal are the curve meeting
 # itself trivially, not double points
@@ -47,6 +48,16 @@ def _root_bound(p: Poly1) -> float:
     """Cauchy bound on the magnitude of real roots."""
     c = p.coeffs
     return 1.0 + max(abs(x) for x in c[:-1]) / abs(c[-1]) if len(c) > 1 else 1.0
+
+
+def height_admissible(h: Poly1, ab: Interval, n_interior: int = 1000) -> bool:
+    """True iff h is positive at ``n_interior`` evenly spaced points strictly
+    inside [a, b] and crosses zero transversely at both ends: h'(a) > 0 > h'(b)."""
+    interior = np.linspace(ab.lo, ab.hi, n_interior + 2)[1:-1]
+    if not np.min(h(interior)) > 0.0:
+        return False
+    dh = h.derivative()
+    return float(dh(ab.lo)) > 0.0 and float(dh(ab.hi)) < 0.0
 
 
 def _system(f, g, df, dg, x):
@@ -172,10 +183,7 @@ def lift_height(h0: Poly1, f: Poly1, g: Poly1, granularity: float = 1e-3) -> tup
         if len(roots) != 2:
             return None
         ab = Interval(roots[0], roots[1])
-        interior = np.linspace(ab.lo, ab.hi, 1002)[1:-1]
-        if np.min(h(interior)) <= 0:
-            return None
-        if any(not ab.contains(p) for p in params):
+        if not height_admissible(h, ab) or any(not ab.contains(p) for p in params):
             return None
         return ab
 
@@ -236,6 +244,11 @@ def _build_arc(name: str, f: Poly1, g: Poly1, h: Poly1, hint: Optional[Interval]
             f"height of {name!r} has {len(roots)} roots in {search}; expected exactly 2"
         )
     ab = Interval(roots[0], roots[1])
+    if not height_admissible(h, ab):
+        raise DegenerateInput(
+            f"height of {name!r} is not positive between its roots {ab.lo:.6g} and "
+            f"{ab.hi:.6g}, or does not cross zero transversely at both"
+        )
     crossings = tuple(plane_double_points(f, g, ab))
     if crossings:
         params = [p for pair in crossings for p in pair]

@@ -116,35 +116,33 @@ def project(grid: Grid, spec) -> Grid:
 
 # -- marching squares -------------------------------------------------------
 
-# A cell's case code has bit 0 set when node (i, j) is above the level, bit 1
-# for (i+1, j), bit 2 for (i+1, j+1) and bit 3 for (i, j+1).  Its edges are
-# numbered bottom (i, j)-(i+1, j), right, top, left.
-_B, _R, _T, _L = range(4)
-_CASES = {
-    1: [(_B, _L)], 2: [(_B, _R)], 3: [(_R, _L)], 4: [(_R, _T)], 6: [(_B, _T)],
-    7: [(_T, _L)], 8: [(_T, _L)], 9: [(_B, _T)], 11: [(_R, _T)], 12: [(_R, _L)],
-    13: [(_B, _R)], 14: [(_B, _L)],
-}
+# A cell's corners 0-3 are the nodes (i, j), (i+1, j), (i+1, j+1) and (i, j+1);
+# its case code has bit c set when corner c is above the level.  Edge e runs
+# from corner e to corner e+1 (mod 4): bottom, right, top, left.
 
 
 def _segment_table() -> np.ndarray:
     """table[code, center above the level]: a cell's segments as up to two
-    (edge, edge) pairs, padded with -1.  Only the saddle codes 5 and 10 depend
-    on the center: it joins the two diagonal corners on its side of the level."""
+    (edge, edge) pairs, padded with -1.  A segment joins the two edges whose
+    end corners differ in sign.  At the saddle codes 5 and 10 all four edges
+    do, and the center's side of the level decides: the two diagonal corners
+    on the other side are cut off, each by a segment across its own edges."""
     table = np.full((16, 2, 2, 2), -1, dtype=np.intp)
-    for code, pairs in _CASES.items():
-        table[code, :, :len(pairs)] = pairs
-    cut_1_3 = [(_B, _R), (_T, _L)]  # cut off nodes (i+1, j) and (i, j+1)
-    cut_0_2 = [(_B, _L), (_R, _T)]  # cut off nodes (i, j) and (i+1, j+1)
-    table[5, 1] = table[10, 0] = cut_1_3
-    table[5, 0] = table[10, 1] = cut_0_2
+    for code in range(1, 15):
+        bit = [code >> c & 1 for c in range(4)]
+        crossed = [e for e in range(4) if bit[e] != bit[(e + 1) % 4]]
+        if len(crossed) == 2:
+            table[code, :, 0] = crossed
+            continue
+        for up in (0, 1):  # corner c lies between edges c - 1 and c
+            table[code, up] = [sorted(((c - 1) % 4, c)) for c in range(4) if bit[c] != up]
     return table
 
 
 _SEGMENT_TABLE = _segment_table()
 
 
-def _cell_segments(field, tvals, svals, value, center_field):
+def _cell_segments(field, tvals, svals, value, center):
     """Marching squares on the parameter grid, over all cells at once.
 
     Returns the segments as an (m, 2) array of edge keys, cells in row-major
@@ -152,7 +150,9 @@ def _cell_segments(field, tvals, svals, value, center_field):
     (t, theta) of the crossing on edge k, filled for the edges the segments
     use.  Edge keys: i*ns + j is the edge from node (i, j) to (i+1, j), and
     (nt-1)*ns + i*(ns-1) + j the edge from (i, j) to (i, j+1).  Saddle cells
-    are disambiguated by the sign of the true field at the cell center.
+    are disambiguated by the sign of the true field at the cell center:
+    ``center(i, j)`` gives it for arrays of cell indices, and is called only
+    when there are saddle cells.
     """
     v = field - value
     tiny = np.finfo(float).tiny
@@ -161,8 +161,12 @@ def _cell_segments(field, tvals, svals, value, center_field):
     nt, ns = v.shape
     code = pos[:-1, :-1] | pos[1:, :-1] << 1 | pos[1:, 1:] << 2 | pos[:-1, 1:] << 3
     i, j = np.nonzero((code != 0) & (code != 15))
-    pairs = _SEGMENT_TABLE[code[i, j], (center_field[i, j] > value).astype(np.intp)]
-    pairs = pairs.reshape(-1, 4)
+    code = code[i, j]
+    up = np.zeros(len(code), dtype=np.intp)
+    saddle = np.flatnonzero((code == 5) | (code == 10))
+    if len(saddle):
+        up[saddle] = center(i[saddle], j[saddle]) > value
+    pairs = _SEGMENT_TABLE[code, up].reshape(-1, 4)
 
     n_h = (nt - 1) * ns
     bottom, left = i * ns + j, n_h + i * (ns - 1) + j
@@ -170,54 +174,49 @@ def _cell_segments(field, tvals, svals, value, center_field):
     segments = np.take_along_axis(edges, pairs, axis=1).reshape(-1, 2)
     segments = segments[pairs.reshape(-1, 2)[:, 0] >= 0]
 
+    # each used edge runs from node (i, j) to node (i1, j1), one step in t or in theta
     keys = np.unique(segments)
+    in_s = keys >= n_h
+    i, j = np.where(in_s, np.divmod(keys - n_h, ns - 1), np.divmod(keys, ns))
+    i1, j1 = i + ~in_s, j + in_s
+    a, b = v[i, j], v[i1, j1]
+    frac = a / (a - b)
     crossings = np.empty((n_h + nt * (ns - 1), 2))
-    h = keys[keys < n_h]
-    hi, hj = np.divmod(h, ns)
-    a, b = v[hi, hj], v[hi + 1, hj]
-    frac = a / (a - b)
-    crossings[h, 0] = tvals[hi] + frac * (tvals[hi + 1] - tvals[hi])
-    crossings[h, 1] = svals[hj]
-    w = keys[keys >= n_h]
-    wi, wj = np.divmod(w - n_h, ns - 1)
-    a, b = v[wi, wj], v[wi, wj + 1]
-    frac = a / (a - b)
-    crossings[w, 0] = tvals[wi]
-    crossings[w, 1] = svals[wj] + frac * (svals[wj + 1] - svals[wj])
+    crossings[keys, 0] = tvals[i] + frac * (tvals[i1] - tvals[i])
+    crossings[keys, 1] = svals[j] + frac * (svals[j1] - svals[j])
     return segments, crossings
 
 
 def _chain_segments(segments):
-    """Join segments sharing edge keys into polylines; returns (key lists, closed flags)."""
+    """Join segments sharing edge keys into polylines; returns (key lists,
+    closed flags).  Each chain is walked from both ends of its first segment,
+    so an open polyline comes out whole whatever order its segments come in."""
     adj: dict[int, list[int]] = {}
     for idx, (a, b) in enumerate(segments):
         adj.setdefault(a, []).append(idx)
         adj.setdefault(b, []).append(idx)
     used = [False] * len(segments)
-    chains = []
 
-    def walk(start_key, seg_idx):
-        chain = [start_key]
-        key, idx = start_key, seg_idx
-        while True:
-            used[idx] = True
-            a, b = segments[idx]
+    def walk(key):
+        """The keys reached from ``key`` over unused segments, in order."""
+        keys = []
+        while nxt := [k for k in adj[key] if not used[k]]:
+            used[nxt[0]] = True
+            a, b = segments[nxt[0]]
             key = b if key == a else a
-            if key == chain[0]:
-                return chain, True  # loop closed; start point not repeated
-            chain.append(key)
-            nxt = [k for k in adj.get(key, []) if not used[k]]
-            if not nxt:
-                return chain, False
-            idx = nxt[0]
+            keys.append(key)
+        return keys
 
-    for idx in range(len(segments)):
+    chains = []
+    for idx, (a, b) in enumerate(segments):
         if used[idx]:
             continue
-        a, b = segments[idx]
-        # start from a dangling end when there is one, so open chains come out whole
-        start = a if len(adj[a]) == 1 else (b if len(adj[b]) == 1 else a)
-        chains.append(walk(start, idx))
+        used[idx] = True
+        ahead = walk(b)
+        if ahead and ahead[-1] == a:
+            chains.append(([a, b, *ahead[:-1]], True))  # start point not repeated
+        else:
+            chains.append(([*walk(a)[::-1], a, b, *ahead], False))
     return chains
 
 
@@ -237,12 +236,12 @@ def slice_surface(s, axis: str, value: float, n_t: int = 128, n_s: int = 128) ->
     keep = [i for i in range(4) if i != ci]
     tvals = s.t_dom.sample(n_t)
     svals = s.s_dom.sample(n_s)
-    pts = s.eval_grid(tvals, svals)
-    field = pts[..., ci]
-    # true field at cell centers resolves saddle-cell ambiguity
+    field = s.eval_grid(tvals, svals)[..., ci]
     tc = 0.5 * (tvals[:-1] + tvals[1:])
     sc = 0.5 * (svals[:-1] + svals[1:])
-    center = s.evaluate(tc[:, None], sc[None, :])[..., ci]
+
+    def center(i, j):
+        return s.evaluate(tc[i], sc[j])[..., ci]
 
     segments, crossings = _cell_segments(field, tvals, svals, value, center)
     chains = _chain_segments(segments.tolist())

@@ -146,20 +146,11 @@ def _twisted_coords(arc: KnotArc, axis: TwistAxis, bump: Bump, k: int):
     )
 
 
-class TwistedArc:
-    """The blended rotated arc at a fixed rotation angle phi."""
-
-    def __init__(self, arc: KnotArc, axis: TwistAxis, bump: Bump, phi: float):
-        self._coords = _twisted_coords(arc, axis, bump, 1)
-        self.phi = phi
-
-    def __call__(self, t):
-        """(f~, g~, h~)(t); result shape t.shape + (3,)."""
-        return _eval_points(self._coords, t, self.phi)
-
-
-def twisted_arc(arc: KnotArc, axis: TwistAxis, bump: Bump, phi: float) -> TwistedArc:
-    return TwistedArc(arc, axis, bump, phi)
+def twisted_arc(arc: KnotArc, axis: TwistAxis, bump: Bump, phi: float):
+    """The blended rotated arc at a fixed rotation angle phi, as a function
+    t -> (f~, g~, h~)(t) with result shape t.shape + (3,)."""
+    coords = _twisted_coords(arc, axis, bump, 1)
+    return lambda t: _eval_points(coords, t, phi)
 
 
 BUMP_MARGIN_FRAC = 0.05

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .approx import PerturbationSpec, _perturb
-from .catalog import KnotArc
+from .catalog import KnotArc, height_admissible
 from .poly import Interval, poly_scale
 
 __all__ = [
@@ -97,16 +97,20 @@ def jacobian_rank_scan(s, n_t: int, n_s: int, tol: float = RANK_TOL) -> tuple[bo
         raise ValueError("tol must be in (0, 1)")
     tvals = _inset_samples(s.t_dom, n_t)
     svals = _inset_samples(s.s_dom, n_s)
-    dt, ds = s.partials_grid(tvals, svals)
-    g11 = np.sum(dt * dt, axis=-1)
-    g22 = np.sum(ds * ds, axis=-1)
-    g12 = np.sum(dt * ds, axis=-1)
-    tr = g11 + g22
-    disc = np.sqrt(np.maximum((g11 - g22) ** 2 + 4.0 * g12 ** 2, 0.0))
-    lam_hi = 0.5 * (tr + disc)
-    lam_lo = np.maximum(0.5 * (tr - disc), 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        dt, ds = s.partials_grid(tvals, svals)
+        g11 = np.sum(dt * dt, axis=-1)
+        g22 = np.sum(ds * ds, axis=-1)
+        g12 = np.sum(dt * ds, axis=-1)
+        tr = g11 + g22
+        disc = np.sqrt(np.maximum((g11 - g22) ** 2 + 4.0 * g12 ** 2, 0.0))
+        lam_hi = 0.5 * (tr + disc)
+        lam_lo = np.maximum(0.5 * (tr - disc), 0.0)
         ratio = np.sqrt(np.where(lam_hi > 0.0, lam_lo / lam_hi, 0.0))
+    # tr and disc are >= 0 or NaN, so lam_hi is finite iff both are
+    if not np.isfinite(lam_hi).all():
+        raise ValueError("the surface's Jacobian is not finite on the rank grid, "
+                         "or its Gram matrix overflows")
     min_ratio = float(np.min(ratio))
     return min_ratio > tol, min_ratio
 
@@ -125,7 +129,8 @@ def _scan_points(s, n_t: int, n_s: int):
         svals = s.s_dom.lo + s.s_dom.length * np.arange(n_s) / n_s
     else:
         svals = s.s_dom.sample(n_s)
-    grid = s.evaluate(tvals[:, None], svals[None, :]).reshape(n_t * n_s, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = s.evaluate(tvals[:, None], svals[None, :]).reshape(n_t * n_s, -1)
     first = n_s - 1 if s.pole_low else 0
     # a low pole's kept sample moves to the end of its row, where the run starts
     grid[first] = grid[0]
@@ -261,11 +266,7 @@ def boundary_check(arc: KnotArc, n_interior: int = 1000) -> bool:
     a, b = arc.ab.lo, arc.ab.hi
     if abs(float(arc.h(a))) > 1e-6 * scale or abs(float(arc.h(b))) > 1e-6 * scale:
         return False
-    interior = np.linspace(a, b, n_interior + 2)[1:-1]
-    if np.min(arc.h(interior)) <= 0.0:
-        return False
-    dh = arc.h.derivative()
-    return float(dh(a)) > 0.0 and float(dh(b)) < 0.0
+    return height_admissible(arc.h, arc.ab, n_interior)
 
 
 def isotopy_family_check(

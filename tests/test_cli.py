@@ -516,3 +516,32 @@ def test_scan_setting_that_cannot_fail_is_one_error_line(workdir, capsys, cfg, w
         assert dispatch(["--config", "cfg.json", "verify", "s.json", "--knot", "trefoil_spun"]) == 1
     assert words in _one_error_line(capsys)
     assert not os.path.exists(workdir / "s.json.report.json")
+
+
+@pytest.mark.parametrize("h", [
+    [-1, 0, 1],          # t^2 - 1: negative between its roots
+    [-1, 0, 2, 0, -1],   # -(t^2 - 1)^2: double roots at +-1, nowhere positive
+], ids=["negative", "double_roots"])
+def test_knot_file_height_not_positive_between_roots_is_one_error_line(workdir, capsys, h):
+    (workdir / "h.json").write_text(json.dumps(
+        {"f": {"coeffs": [0, 1]}, "g": {"coeffs": [0, 0, 1]}, "h": {"coeffs": h}}))
+    assert dispatch(["spin", "h.json", "--out", "s.json"]) == 1
+    line = _one_error_line(capsys)
+    assert "'h.json'" in line and "positive between its roots" in line
+    assert os.listdir(workdir) == ["h.json"]
+
+
+def test_verify_overflowing_map_is_one_error_line_without_warnings(tmp_path):
+    # x = 1e308 t on [-10, 10]: finite coefficients whose partials' squares and
+    # samples overflow
+    doc = {"type": "polymap4", "t_dom": [-10.0, 10.0], "s_dom": [-1.0, 1.0],
+           "coords": [{"coeffs": [[0.0], [1e308]]}, {"coeffs": [[0.0, 1.0]]},
+                      {"coeffs": [[1.0]]}, {"coeffs": [[2.0]]}]}
+    (tmp_path / "big.json").write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "spun4d.cli",
+                           "verify", "big.json"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    err = proc.stderr.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("spun4d: error:") and "not finite" in err[0]

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from spun4d import export
 from spun4d.catalog import KnotArc, get_knot
 from spun4d.errors import BadAxes
 from spun4d.export import (
-    export_grid_csv, export_mesh, export_slices, project,
+    _chain_segments as chain_segments, export_grid_csv, export_mesh, export_slices, project,
     sample_surface, slice_surface, to_mesh,
 )
 from spun4d.poly import Interval, Poly1
@@ -107,6 +108,53 @@ def test_slice_validates_input(trefoil_surface):
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             slice_surface(trefoil_surface, "w", value)
+
+
+@pytest.mark.parametrize("axis,value", [("w", 0.0), ("z", 1.5)])
+def test_no_edge_key_ends_two_open_chains(trefoil_surface, monkeypatch, axis, value):
+    # a chain stops only where no segment continues it, so an open line is
+    # never cut into pieces that meet at a shared edge key
+    chains = []
+
+    def record(segments):
+        out = chain_segments(segments)
+        chains.extend(out)
+        return out
+
+    monkeypatch.setattr(export, "_chain_segments", record)
+    slice_surface(trefoil_surface, axis, value, 128, 128)
+    ends = [key for keys, closed in chains if not closed for key in (keys[0], keys[-1])]
+    assert ends and len(set(ends)) == len(ends)
+
+
+class _CountingSurface:
+    """Proxy that counts the surface evaluations made through it."""
+
+    def __init__(self, s):
+        self._s, self.calls = s, 0
+
+    def __getattr__(self, name):
+        return getattr(self._s, name)
+
+    def evaluate(self, t, s):
+        self.calls += 1
+        return self._s.evaluate(t, s)
+
+    def eval_grid(self, tvals, svals):
+        self.calls += 1
+        return self._s.eval_grid(tvals, svals)
+
+
+def test_slice_without_saddle_cells_evaluates_surface_twice(trefoil_surface):
+    field = sample_surface(trefoil_surface, 128, 128).points[..., 3] - 1.5
+    pos = field >= 0.0
+    code = pos[:-1, :-1] | pos[1:, :-1] << 1 | pos[1:, 1:] << 2 | pos[:-1, 1:] << 3
+    assert not np.isin(code, (5, 10)).any()
+    proxy = _CountingSurface(trefoil_surface)
+    cs = slice_surface(proxy, "w", 1.5, 128, 128)
+    assert cs.curves and proxy.calls == 2  # field grid, then crossing points
+    ref = slice_surface(trefoil_surface, "w", 1.5, 128, 128)
+    assert all(np.array_equal(a, b) for a, b in zip(cs.curves, ref.curves))
 
 
 def test_marching_squares_circle_level_set():

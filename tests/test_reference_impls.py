@@ -357,7 +357,7 @@ def test_cell_segments_match_loop_on_saddles_and_level_nodes():
         assert saddles == {(5, False), (5, True), (10, False), (10, True)}
         assert (field == value).any()
 
-        got, params = _cell_segments(field, tvals, svals, value, center)
+        got, params = _cell_segments(field, tvals, svals, value, lambda i, j: center[i, j])
         ref, ref_params = cell_segments_loop(field, tvals, svals, value, center)
         assert got.tolist() == [[_loop_key(a, nt, ns), _loop_key(b, nt, ns)] for a, b in ref]
         for key, p in ref_params.items():
