@@ -30,18 +30,9 @@ for v, sl in zip(values, slices):
 print(f"wrote {len(paths)} frames to {OUT}/frame_*.json")
 
 # The middle frame (w = 0) cuts the surface transversely: there
-# dw/dtheta = h(t) cos(theta) != 0, and the true slice is one closed curve,
-# the arc at theta = 0 joined at the poles to its mirror image at theta = pi.
-# The tracer still returns many short open fragments; this is a known defect
-# of the slicer, not a property of the surface.  At n = 128, theta = pi is not
-# a grid column (it falls 63.5 steps in), so the mirror image is crossed
-# cleanly between two columns.  The trouble is at the grid's edges.  On the
-# seam column w is exactly 0 at theta = 0 (a node on the level counts as
-# above it) and -2.4e-16 h at theta = 2 pi, so the arc at theta = 0 is never
-# crossed.  On the pole rows h(a) = h(b) = -1.2e-12, so the level runs along
-# both pole rows instead of through the poles.  The line at theta = pi thus
-# ends on the pole rows, and the chaining, which extends a polyline only
-# forward from the segment it starts on, breaks that open line into
-# two-point pieces.
+# dw/dtheta = h(t) cos(theta) != 0, and the slice is one closed curve, the arc
+# at theta = 0 joined at the poles to its mirror image at theta = pi.  The
+# slicer treats the theta seam and each pole row as the single points of the
+# sphere they are, so the curve runs on across them.
 mid = spun4d.slice_surface(surface, "w", 0.0)
-print(f"w = 0 frame: {len(mid.curves)} open fragment(s) in place of one closed curve")
+print(f"w = 0 frame: {len(mid.curves)} curve(s), {sum(mid.closed)} closed")

@@ -31,9 +31,12 @@ def chebyshev_fit(f: Callable[[np.ndarray], np.ndarray], iv: Interval, degree: i
     if degree < 1:
         raise ValueError("degree must be >= 1")
     mid, half = iv.mid, 0.5 * iv.length
-    cheb_coeffs = ncheb.chebinterpolate(lambda x: np.asarray(f(mid + half * x), float), degree)
-    if not np.all(np.isfinite(cheb_coeffs)):
+    # the nodes chebinterpolate samples at, checked before it interpolates
+    nodes = ncheb.chebpts1(degree + 1)
+    values = np.asarray(f(mid + half * nodes), float)
+    if not np.all(np.isfinite(values)):
         raise NonFiniteSample("function returned non-finite values at Chebyshev nodes")
+    cheb_coeffs = ncheb.chebinterpolate(lambda x: values, degree)
     mono_x = ncheb.cheb2poly(cheb_coeffs)
     # compose with x = (t - mid) / half to express in t directly
     p = np.polynomial.Polynomial(mono_x)

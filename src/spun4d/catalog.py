@@ -26,6 +26,10 @@ DIAG_SEP = 1e-3
 MERGE_TOL = 1e-4
 RESIDUAL_TOL = 1e-8
 GRID_N = 600
+# a height must be positive at this many evenly spaced interior points
+HEIGHT_SAMPLES = 1000
+# lift_height's binary search stops once its bracket on the shift is this narrow
+LIFT_GRANULARITY = 1e-3
 
 
 @dataclass(frozen=True)
@@ -50,10 +54,11 @@ def _root_bound(p: Poly1) -> float:
     return 1.0 + max(abs(x) for x in c[:-1]) / abs(c[-1]) if len(c) > 1 else 1.0
 
 
-def height_admissible(h: Poly1, ab: Interval, n_interior: int = 1000) -> bool:
-    """True iff h is positive at ``n_interior`` evenly spaced points strictly
-    inside [a, b] and crosses zero transversely at both ends: h'(a) > 0 > h'(b)."""
-    interior = np.linspace(ab.lo, ab.hi, n_interior + 2)[1:-1]
+def height_admissible(h: Poly1, ab: Interval) -> bool:
+    """True iff h is positive at ``HEIGHT_SAMPLES`` evenly spaced points
+    strictly inside [a, b] and crosses zero transversely at both ends:
+    h'(a) > 0 > h'(b)."""
+    interior = np.linspace(ab.lo, ab.hi, HEIGHT_SAMPLES + 2)[1:-1]
     if not np.min(h(interior)) > 0.0:
         return False
     dh = h.derivative()
@@ -164,8 +169,8 @@ def plane_double_points(f: Poly1, g: Poly1, iv: Interval) -> list[tuple[float, f
     return found
 
 
-def lift_height(h0: Poly1, f: Poly1, g: Poly1, granularity: float = 1e-3) -> tuple[Poly1, Interval]:
-    """Shift ``h0`` by the minimal R (binary search at ``granularity``) so that
+def lift_height(h0: Poly1, f: Poly1, g: Poly1) -> tuple[Poly1, Interval]:
+    """Shift ``h0`` by the minimal R (binary search to ``LIFT_GRANULARITY``) so that
     h = h0 + R has exactly two real roots a < b, is positive between them, and
     [a, b] contains every double point of the (f, g) projection."""
     if h0.is_zero or h0.degree < 2 or h0.degree % 2 != 0 or h0.coeffs[-1] >= 0:
@@ -187,13 +192,13 @@ def lift_height(h0: Poly1, f: Poly1, g: Poly1, granularity: float = 1e-3) -> tup
             return None
         return ab
 
-    hi = max(granularity, 1.0)
+    hi = max(LIFT_GRANULARITY, 1.0)
     while ok(hi) is None:
         hi *= 2.0
         if hi > 1e9:
             raise UnliftableHeight("no admissible shift found up to R = 1e9")
     lo = 0.0
-    while hi - lo > granularity:
+    while hi - lo > LIFT_GRANULARITY:
         mid = 0.5 * (lo + hi)
         if ok(mid) is None:
             lo = mid

@@ -10,6 +10,7 @@ import numpy as np
 
 from .errors import BadAxes
 from .poly import Interval
+from .surface import _grid_nodes
 
 __all__ = [
     "Grid", "SliceCurveSet", "SurfaceMesh",
@@ -81,14 +82,22 @@ class SurfaceMesh:
         return bool(np.all(self._edge_multiplicity() == 2))
 
 
+def _require_finite(pts: np.ndarray, what: str) -> None:
+    if not np.isfinite(pts).all():
+        raise ValueError(f"{what} is not finite")
+
+
 def sample_surface(s, n_t: int, n_s: int) -> Grid:
     """Uniform grid over the domain rectangle, including both theta endpoints
-    (the seam row is duplicated and flagged)."""
+    (the seam row is duplicated and flagged).  A surface whose image is not
+    finite on the grid is refused with a ValueError."""
     if n_t < 2 or n_s < 2:
         raise ValueError("grid sizes must be >= 2")
     tvals = s.t_dom.sample(n_t)
     svals = s.s_dom.sample(n_s)
-    pts = s.eval_grid(tvals, svals)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts = s.eval_grid(tvals, svals)
+    _require_finite(pts, "the surface's image on the sample grid")
     return Grid(tvals, svals, pts, s.periodic_s, s.pole_low, s.pole_high)
 
 
@@ -224,7 +233,12 @@ def slice_surface(s, axis: str, value: float, n_t: int = 128, n_s: int = 128) ->
     """Marching-squares cross-section of the surface by {coordinate == value}.
 
     The level set is traced on the parameter grid of the chosen coordinate,
-    then mapped through the remaining three coordinates.
+    then mapped through the remaining three coordinates.  Samples that are
+    one node of ``_grid_nodes`` (the seam column and column 0 when theta is
+    periodic, the samples of a pole row) take that node's first value, and a
+    t-edge on the seam column is the t-edge on column 0, so a curve through
+    the seam or a pole goes on across it.  A surface whose image is not
+    finite on the grid or at the crossings is refused with a ValueError.
     """
     if n_t < 64 or n_s < 64:
         raise ValueError("slice grid must be at least 64x64")
@@ -234,23 +248,30 @@ def slice_surface(s, axis: str, value: float, n_t: int = 128, n_s: int = 128) ->
         raise ValueError(f"slice value must be finite, got {value!r}")
     ci = AXIS_NAMES.index(axis)
     keep = [i for i in range(4) if i != ci]
-    tvals = s.t_dom.sample(n_t)
-    svals = s.s_dom.sample(n_s)
-    field = s.eval_grid(tvals, svals)[..., ci]
+    grid = sample_surface(s, n_t, n_s)
+    tvals, svals = grid.tvals, grid.svals
+    nodes, firsts = _grid_nodes(n_t, n_s, s.periodic_s, s.pole_low, s.pole_high)
+    field = grid.points[..., ci].ravel()[firsts][nodes]
     tc = 0.5 * (tvals[:-1] + tvals[1:])
     sc = 0.5 * (svals[:-1] + svals[1:])
 
     def center(i, j):
         return s.evaluate(tc[i], sc[j])[..., ci]
 
-    segments, crossings = _cell_segments(field, tvals, svals, value, center)
+    with np.errstate(over="ignore", invalid="ignore"):
+        segments, crossings = _cell_segments(field, tvals, svals, value, center)
+    if s.periodic_s:  # t-edge keys are i * n_s + j, and j = n_s - 1 is the seam
+        seam = (segments < (n_t - 1) * n_s) & (segments % n_s == n_s - 1)
+        segments[seam] -= n_s - 1
     chains = _chain_segments(segments.tolist())
     if not chains:
         return SliceCurveSet(axis, float(value), (), ())
     # one evaluation for all chains; evaluate works point by point, so no
     # image depends on the other points in the call
     params = crossings[np.concatenate([chain for chain, _ in chains])]
-    img = s.evaluate(params[:, 0], params[:, 1])[..., keep]
+    with np.errstate(over="ignore", invalid="ignore"):
+        img = s.evaluate(params[:, 0], params[:, 1])[..., keep]
+    _require_finite(img, "the surface's image at the slice's crossings")
     curves = np.split(img, np.cumsum([len(chain) for chain, _ in chains])[:-1])
     return SliceCurveSet(axis, float(value), tuple(curves), tuple(c for _, c in chains))
 
@@ -258,29 +279,20 @@ def slice_surface(s, axis: str, value: float, n_t: int = 128, n_s: int = 128) ->
 # -- meshing ----------------------------------------------------------------
 
 def to_mesh(grid: Grid) -> SurfaceMesh:
-    """Triangulate a sampled grid.  Per the grid's own flags, the seam column
-    is welded to the first and pole rows collapse to single vertices, which
-    closes spun surfaces into genus-0 meshes."""
-    nt, ns, _ = grid.points.shape
-    weld, low = grid.seam_duplicated, grid.pole_low
-    high = grid.pole_high and nt > 1  # a one-row grid is all low pole
-    first, stop = int(low), nt - int(high)  # rows with a vertex per sample
-    ns_eff = ns - 1 if weld else ns
-    body = grid.points[first:stop, :ns_eff]
-    nb = body.shape[0]
-
-    # vertex ids in row-major order: low pole, body rows, high pole
-    index = np.empty((nt, ns), dtype=int)
-    index[first:stop, :ns_eff] = first + np.arange(nb * ns_eff).reshape(nb, ns_eff)
-    if weld:
-        index[:, ns - 1] = index[:, 0]
-    verts = [body.reshape(nb * ns_eff, body.shape[-1])]
-    if low:
-        index[0] = 0
-        verts.insert(0, grid.points[0].mean(axis=0)[None])
-    if high:
-        index[-1] = first + nb * ns_eff
-        verts.append(grid.points[-1].mean(axis=0)[None])
+    """Triangulate a sampled grid with one vertex per node of
+    ``_grid_nodes``: per the grid's own flags, the seam column is welded to
+    the first and each pole row is one vertex, at the row's mean, which closes
+    spun surfaces into genus-0 meshes.  A vertex that is not finite is
+    refused with a ValueError."""
+    nt, ns, dim = grid.points.shape
+    index, firsts = _grid_nodes(nt, ns, grid.seam_duplicated, grid.pole_low, grid.pole_high)
+    verts = np.take(grid.points.reshape(nt * ns, dim), firsts, axis=0).astype(float, copy=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if grid.pole_low:
+            verts[0] = grid.points[0].mean(axis=0)
+        if grid.pole_high:
+            verts[-1] = grid.points[-1].mean(axis=0)
+    _require_finite(verts, "a vertex of the mesh (a pole row's mean)")
 
     # per cell (a, b, c) then (a, c, d), cells row-major; triangles that
     # touch a collapsed pole twice are dropped
@@ -288,7 +300,7 @@ def to_mesh(grid: Grid) -> SurfaceMesh:
     c, d = index[1:, 1:], index[:-1, 1:]
     tris = np.stack([np.stack([a, b, c], -1), np.stack([a, c, d], -1)], axis=2).reshape(-1, 3)
     keep = (tris[:, 0] != tris[:, 1]) & (tris[:, 1] != tris[:, 2]) & (tris[:, 0] != tris[:, 2])
-    return SurfaceMesh(np.asarray(np.concatenate(verts), float), tris[keep])
+    return SurfaceMesh(verts, tris[keep])
 
 
 # -- file export ------------------------------------------------------------

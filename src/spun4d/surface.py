@@ -362,6 +362,26 @@ class PolyMap4:
         return cls(*_read(doc, Poly2.from_json, False))
 
 
+def _grid_nodes(n_t: int, n_s: int, periodic_s: bool, pole_low: bool, pole_high: bool):
+    """Which samples of an (n_t, n_s) tensor grid are one point of the
+    surface: with ``periodic_s`` the last column (theta at the end of its
+    domain) is column 0, and each flagged pole row is a single node.
+
+    Returns ``(ids, firsts)``: the node id of every sample, an (n_t, n_s)
+    array numbering the nodes in row-major order of their first samples, and
+    the flat (row-major) index of each node's first sample."""
+    first = np.arange(n_t * n_s).reshape(n_t, n_s)
+    if periodic_s:
+        first[:, -1] = first[:, 0]
+    if pole_low:
+        first[0] = 0
+    if pole_high:
+        first[-1] = first[-1, 0]
+    is_first = first.ravel() == np.arange(n_t * n_s)
+    ids = (np.cumsum(is_first) - 1)[first]
+    return ids, np.flatnonzero(is_first)
+
+
 def max_grid_deviation(a, b, n_t: int = 200, n_s: int = 200) -> float:
     """Max Euclidean distance between two samplers over a shared tensor grid."""
     tvals = a.t_dom.sample(n_t)

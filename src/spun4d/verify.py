@@ -15,6 +15,7 @@ import numpy as np
 from .approx import PerturbationSpec, _perturb
 from .catalog import KnotArc, height_admissible
 from .poly import Interval, poly_scale
+from .surface import _grid_nodes
 
 __all__ = [
     "VerifyReport", "Collision", "jacobian_rank_scan", "injectivity_scan",
@@ -118,11 +119,12 @@ def jacobian_rank_scan(s, n_t: int, n_s: int, tol: float = RANK_TOL) -> tuple[bo
 def _scan_points(s, n_t: int, n_s: int):
     """Sample parameters and their images for collision scanning.
 
-    Seam duplicates are dropped when theta is periodic, and a pole row keeps
-    only its first sample, so identified parameters are never reported
-    against themselves.  Returns (tvals, svals, pts, first): the kept samples
-    are the run pts of the row-major (n_t, n_s) image grid that starts at
-    flat index ``first``.
+    Theta is sampled without its end when periodic, so the grid has no seam
+    column, and the samples of each pole row are one node of ``_grid_nodes``.
+    Returns (tvals, svals, pts, firsts): pts holds one image per node, the
+    image of the node's first sample, whose flat index in the row-major
+    (n_t, n_s) grid is in ``firsts``.  pts is the front of the image grid, so
+    identified parameters are never reported against themselves.
     """
     tvals = s.t_dom.sample(n_t)
     if s.periodic_s:
@@ -131,11 +133,11 @@ def _scan_points(s, n_t: int, n_s: int):
         svals = s.s_dom.sample(n_s)
     with np.errstate(over="ignore", invalid="ignore"):
         grid = s.evaluate(tvals[:, None], svals[None, :]).reshape(n_t * n_s, -1)
-    first = n_s - 1 if s.pole_low else 0
-    # a low pole's kept sample moves to the end of its row, where the run starts
-    grid[first] = grid[0]
-    stop = (n_t - 1) * n_s + 1 if s.pole_high else n_t * n_s
-    return tvals, svals, grid[first:stop], first
+    _, firsts = _grid_nodes(n_t, n_s, False, s.pole_low, s.pole_high)
+    pts = grid[:len(firsts)]
+    if len(firsts) < len(grid):
+        np.take(grid, firsts, axis=0, out=pts)
+    return tvals, svals, pts, firsts
 
 
 def _close_pairs(pts: np.ndarray, r: float):
@@ -229,16 +231,15 @@ def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float =
         raise ValueError(f"param_sep must be in (0, 1), got {param_sep!r}")
     if not image_tol > 0.0:
         raise ValueError(f"image_tol must be > 0, got {image_tol!r}")
-    tvals, svals, pts, first = _scan_points(s, n_t, n_s)
+    tvals, svals, pts, firsts = _scan_points(s, n_t, n_s)
     if not np.isfinite(pts).all():
         raise ValueError("the surface's image is not finite on the injectivity grid")
     out: list[Collision] = []
     for pairs in _close_pairs(pts, image_tol):
         pairs = np.stack(pairs, axis=1)
-        # grid row and column of both points of every pair; a pole stands at its first sample
-        row, col = np.divmod(pairs + first, n_s)
+        # grid row and column of the first sample of both nodes of every pair
+        row, col = np.divmod(firsts[pairs], n_s)
         pole = (row == 0) & s.pole_low | (row == n_t - 1) & s.pole_high
-        col[pole] = 0
         tp, sp = tvals[row], svals[col]
         du = np.abs(tp[:, 0] - tp[:, 1]) / s.t_dom.length
         dv = np.abs(sp[:, 0] - sp[:, 1]) / s.s_dom.length
@@ -258,7 +259,7 @@ def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float =
     return out
 
 
-def boundary_check(arc: KnotArc, n_interior: int = 1000) -> bool:
+def boundary_check(arc: KnotArc) -> bool:
     """True iff the arc meets the boundary plane transversely exactly at its
     ends: h vanishes at both endpoints, is positive strictly inside, and has
     nonzero slope of the correct sign at each end."""
@@ -266,7 +267,7 @@ def boundary_check(arc: KnotArc, n_interior: int = 1000) -> bool:
     a, b = arc.ab.lo, arc.ab.hi
     if abs(float(arc.h(a))) > 1e-6 * scale or abs(float(arc.h(b))) > 1e-6 * scale:
         return False
-    return height_admissible(arc.h, arc.ab, n_interior)
+    return height_admissible(arc.h, arc.ab)
 
 
 def isotopy_family_check(

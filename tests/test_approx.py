@@ -61,7 +61,8 @@ def test_chebyshev_reference_coefficients():
 def test_chebyshev_rejects_bad_input():
     with pytest.raises(ValueError):
         chebyshev_fit(np.cos, Interval(0, 1), 0)
-    with pytest.raises(NonFiniteSample):
+    # the middle node is t = 0.5, where the function divides by zero
+    with pytest.raises(NonFiniteSample), np.errstate(divide="ignore"):
         chebyshev_fit(lambda t: 1.0 / (np.asarray(t) - 0.5), Interval(0, 1), 8)
 
 

@@ -531,17 +531,24 @@ def test_knot_file_height_not_positive_between_roots_is_one_error_line(workdir, 
     assert os.listdir(workdir) == ["h.json"]
 
 
-def test_verify_overflowing_map_is_one_error_line_without_warnings(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["verify", "big.json"],
+    ["slice", "big.json", "--axis", "y", "--values", "0"],
+    ["sweep", "big.json", "--axis", "y", "--count", "3"],
+    ["project", "big.json", "--plane", "xyz", "--out", "p.csv"],
+    ["export", "big.json", "--format", "obj", "--out", "b.obj"],
+], ids=lambda argv: argv[0])
+def test_verify_overflowing_map_is_one_error_line_without_warnings(tmp_path, argv):
     # x = 1e308 t on [-10, 10]: finite coefficients whose partials' squares and
-    # samples overflow
+    # samples overflow; nothing is written
     doc = {"type": "polymap4", "t_dom": [-10.0, 10.0], "s_dom": [-1.0, 1.0],
            "coords": [{"coeffs": [[0.0], [1e308]]}, {"coeffs": [[0.0, 1.0]]},
                       {"coeffs": [[1.0]]}, {"coeffs": [[2.0]]}]}
     (tmp_path / "big.json").write_text(json.dumps(doc))
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "spun4d.cli",
-                           "verify", "big.json"],
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "spun4d.cli", *argv],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
     err = proc.stderr.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("spun4d: error:") and "not finite" in err[0]
+    assert os.listdir(tmp_path) == ["big.json"]

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -113,7 +114,9 @@ def test_slice_validates_input(trefoil_surface):
 @pytest.mark.parametrize("axis,value", [("w", 0.0), ("z", 1.5)])
 def test_no_edge_key_ends_two_open_chains(trefoil_surface, monkeypatch, axis, value):
     # a chain stops only where no segment continues it, so an open line is
-    # never cut into pieces that meet at a shared edge key
+    # never cut into pieces that meet at a shared edge key; with no seam and
+    # no poles declared, the curves through them stay open at the grid's edges
+    open_surface = replace(trefoil_surface, periodic_s=False, pole_low=False, pole_high=False)
     chains = []
 
     def record(segments):
@@ -122,9 +125,19 @@ def test_no_edge_key_ends_two_open_chains(trefoil_surface, monkeypatch, axis, va
         return out
 
     monkeypatch.setattr(export, "_chain_segments", record)
-    slice_surface(trefoil_surface, axis, value, 128, 128)
+    slice_surface(open_surface, axis, value, 128, 128)
     ends = [key for keys, closed in chains if not closed for key in (keys[0], keys[-1])]
     assert ends and len(set(ends)) == len(ends)
+
+
+@pytest.mark.parametrize("axis,value", [("w", 0.0), ("z", 0.0), ("z", 1.5), ("x", 0.5)])
+def test_slice_curves_close_across_the_seam_and_the_poles(trefoil_surface, axis, value):
+    # w = 0 is the arc at theta = 0 and its mirror image at theta = pi, joined
+    # at the poles; z = 0 and z = 1.5 cross the seam; x = 0.5 cuts three circles
+    cs = slice_surface(trefoil_surface, axis, value, 128, 128)
+    assert cs.curves and all(cs.closed)
+    if axis != "x":
+        assert len(cs.curves) == 1
 
 
 class _CountingSurface:
@@ -195,6 +208,14 @@ def test_mesh_open_grid_is_disk():
     mesh = to_mesh(g3)
     assert mesh.euler_characteristic() == 1  # disk: V - E + F = 1
     assert not mesh.is_watertight()
+
+
+def test_mesh_refuses_a_pole_row_whose_mean_overflows():
+    # every sample is finite, but the pole rows' sums overflow
+    g3 = project(sample_surface(_unknot_spin(), 16, 16), "xyz")
+    g3 = replace(g3, points=np.full_like(g3.points, 1.5e308))
+    with pytest.raises(ValueError, match="not finite"):
+        to_mesh(g3)
 
 
 def test_mesh_export_formats(tmp_path, trefoil_surface):

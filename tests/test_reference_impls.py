@@ -318,15 +318,26 @@ def cell_segments_loop(field, tvals, svals, value, center_field):
 
 def slice_surface_loop(s, axis, value, n_t, n_s):
     """Reference: the slice traced by the loop, one evaluation per chain;
-    returns (curves, closed flags)."""
+    returns (curves, closed flags).  When theta is periodic the seam column
+    takes column 0's values and a t-edge on it is the t-edge on column 0; a
+    pole row takes the value of its first sample."""
     ci = AXIS_NAMES.index(axis)
     keep = [i for i in range(4) if i != ci]
     tvals, svals = s.t_dom.sample(n_t), s.s_dom.sample(n_s)
     field = s.eval_grid(tvals, svals)[..., ci]
+    for i in range(n_t):
+        for j in range(n_s):
+            if s.periodic_s and j == n_s - 1:
+                field[i, j] = field[i, 0]
+            if (s.pole_low and i == 0) or (s.pole_high and i == n_t - 1):
+                field[i, j] = field[i, 0]
     Tc, Sc = np.meshgrid(0.5 * (tvals[:-1] + tvals[1:]), 0.5 * (svals[:-1] + svals[1:]),
                          indexing="ij")
     center = s.evaluate(Tc, Sc)[..., ci]
     segments, crossings = cell_segments_loop(field, tvals, svals, value, center)
+    if s.periodic_s:
+        seam = {("h", i, n_s - 1): ("h", i, 0) for i in range(n_t - 1)}
+        segments = [(seam.get(a, a), seam.get(b, b)) for a, b in segments]
     curves, closed = [], []
     for chain, is_closed in _chain_segments(segments):
         params = np.array([crossings[k] for k in chain])
