@@ -27,10 +27,18 @@ IMAGE_TOL = 1e-3
 # the injectivity scan stops once it holds this many collisions
 MAX_COLLISIONS = 1 << 16
 
-# odd multipliers that hash a cell's 4 integer coordinates into one key
+# odd multipliers that hash a cell's integer coordinates into one key
 _CELL_HASH = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9,
                        0x27D4EB2F165667C5], np.uint64).view(np.int64)
 _AXIS_BITS = 1 << np.arange(len(_CELL_HASH))
+# an odd multiplier that re-hashes keys: equal keys stay equal, and the top
+# bits of the products are fresh
+_REHASH = np.uint64(0xFF51AFD7ED558CCD).view(np.int64)
+# the columns are an orthonormal basis of the 2-plane of the close-pair
+# prefilter; the entries are exact, so the projection is 1-Lipschitz.  It
+# maps both the xy and the zw plane onto it one to one (a spun surface's
+# theta circles stay circles)
+_PLANE = np.array([[0.5, 0.5], [0.5, -0.5], [0.5, -0.5], [0.5, 0.5]])
 
 
 @dataclass(frozen=True)
@@ -121,10 +129,10 @@ def _scan_points(s, n_t: int, n_s: int):
 
     Theta is sampled without its end when periodic, so the grid has no seam
     column, and the samples of each pole row are one node of ``_grid_nodes``.
-    Returns (tvals, svals, pts, firsts): pts holds one image per node, the
-    image of the node's first sample, whose flat index in the row-major
-    (n_t, n_s) grid is in ``firsts``.  pts is the front of the image grid, so
-    identified parameters are never reported against themselves.
+    Returns (tvals, svals, pts): pts holds one image per node, the image of
+    the node's first sample in the row-major (n_t, n_s) grid, in the order of
+    the nodes.  pts is the front of the image grid, so identified parameters
+    are never reported against themselves.
     """
     tvals = s.t_dom.sample(n_t)
     if s.periodic_s:
@@ -132,61 +140,133 @@ def _scan_points(s, n_t: int, n_s: int):
     else:
         svals = s.s_dom.sample(n_s)
     with np.errstate(over="ignore", invalid="ignore"):
-        grid = s.evaluate(tvals[:, None], svals[None, :]).reshape(n_t * n_s, -1)
+        grid = np.ascontiguousarray(s.evaluate(tvals[:, None], svals[None, :]))
+    d = grid.shape[-1]
+    grid = grid.reshape(n_t * n_s, d)
     _, firsts = _grid_nodes(n_t, n_s, False, s.pole_low, s.pole_high)
-    pts = grid[:len(firsts)]
-    if len(firsts) < len(grid):
-        np.take(grid, firsts, axis=0, out=pts)
-    return tvals, svals, pts, firsts
+    # move the images of the nodes to the front, one run of consecutive first
+    # samples at a time: numpy copies an overlapping 1-D slice of the flat
+    # (viewed) grid without a buffer
+    flat = grid.reshape(-1)
+    starts = np.flatnonzero(np.diff(firsts, prepend=-2) != 1)
+    for a, b in zip(starts.tolist(), np.append(starts[1:], len(firsts)).tolist()):
+        f = int(firsts[a])
+        flat[d * a:d * b] = flat[d * f:d * (f + b - a)]
+    return tvals, svals, grid[:len(firsts)]
+
+
+def _shared(key: np.ndarray) -> np.ndarray:
+    """Ascending indices of the entries of the int64 array ``key`` that
+    another entry may share: all of those that do, and few that do not.
+
+    A bincount over a table of at least twice as many buckets as keys keeps
+    the keys whose bucket holds another key.  Equal keys always share a
+    bucket; to drop keys that share one only by chance, the survivors are
+    re-hashed with fresh bits of the key until a round drops less than a
+    quarter of them.
+    """
+    idx = None
+    while True:
+        bits = max(10, (2 * len(key)).bit_length())
+        bucket = key >> (64 - bits)
+        bucket &= (1 << bits) - 1
+        sel = np.flatnonzero((np.bincount(bucket, minlength=1 << bits) > 1)[bucket])
+        idx = sel if idx is None else idx[sel]
+        if 4 * len(sel) >= 3 * len(key):
+            return idx
+        key = key[sel] * _REHASH  # wraps
+
+
+def _half_cells(pts: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """floor(pts @ basis) as int64: the half-cell indices of the rows of
+    ``pts`` along the scaled axes that are the columns of ``basis``."""
+    # einsum, not matmul: a threaded BLAS matrix-vector product of this shape
+    # can take ten times as long as one thread
+    u = np.einsum("ij,j...->i...", pts, basis)
+    return np.floor(u, out=u).astype(np.int64)
+
+
+def _grids(pts: np.ndarray, basis: np.ndarray):
+    """Hash the rows of ``pts`` into the 2**d grids of cells two half cells
+    wide along the d columns of ``basis``, each grid shifted by half a cell
+    along a subset of the axes.
+
+    Yields ``(grid, key, odd)`` for each grid, in Gray-code order: each grid
+    shifts one axis more or less than the one before.  ``grid`` has one bit
+    per shifted axis; ``key`` (updated in place) is each point's cell key in
+    the grid; ``odd`` has one bit per axis, set when the point's half-cell
+    index is odd, so that the grid shifted along that axis puts it in the
+    next cell.
+    """
+    key = np.zeros(len(pts), np.int64)
+    odd = np.zeros(len(pts), np.uint8)
+    for axis in range(basis.shape[1]):
+        h = _half_cells(pts, basis[:, axis])
+        odd |= (h & 1).astype(np.uint8) << axis
+        h >>= 1
+        h *= _CELL_HASH[axis]
+        key += h  # wraps: two cells sharing a key only add candidates
+    del h
+    grid = 0
+    yield grid, key, odd
+    for n in range(1, 1 << basis.shape[1]):
+        axis = (n & -n).bit_length() - 1
+        grid ^= 1 << axis
+        step = np.add if grid >> axis & 1 else np.subtract
+        step(key, (odd >> axis & 1) * _CELL_HASH[axis], out=key)
+        yield grid, key, odd
 
 
 def _close_pairs(pts: np.ndarray, r: float):
     """Yield batches ``(i, j)``, i < j, of the index pairs of the rows of the
-    (m, 4) array ``pts`` at most ``r`` apart, each pair once.
+    (m, 4) array ``pts`` at most ``r`` apart, each pair once: exactly the
+    pairs ``cKDTree.query_pairs`` finds.
 
     Spatial hashing (Teschner et al., "Optimized spatial hashing for collision
-    detection of deformable objects", VMV 2003) on 16 grids of cells of side
-    just over 2 r, each shifted by half a cell along a subset of the axes.
-    Two coordinates at most r apart lie in one cell of the plain or of the
-    shifted grid of their axis, so a pair with every |dx_k| <= r shares a cell
-    in at least one grid, and then in the one that shifts just the axes where
-    its cells in the plain grid differ: it is kept only there.  Per grid,
-    points whose key no other point shares are dropped, the rest are sorted by
-    key, and points are compared only within runs of equal keys, at offset
-    d = 1, 2, ... along the run, and only when the parities of their half-cell
-    indices allow the pair to be kept in this grid.  The test is the squared
-    distance summed coordinate by coordinate, at most r * r, as
-    ``cKDTree.query_pairs`` makes it.
+    detection of deformable objects", VMV 2003), in two stages, on grids of
+    cells of side just over 2 r, each shifted by half a cell along a subset
+    of the axes.  Two coordinates at most r apart lie in one cell of the
+    plain or of the shifted grid of their axis, so two points whose
+    coordinates are all at most r apart share a cell in at least one grid.
+
+    The first stage is an exact prefilter.  It projects the points onto a
+    fixed 2-plane, which moves no pair further apart, and hashes the
+    projections on the 4 grids of the plane.  A point that shares no cell
+    with another point in any of them is in no close pair; the rest are the
+    suspects, a small share of the points of a surface's scan.
+
+    The second stage searches the suspects on the 16 grids of R^4, with the
+    cell size of the whole point set.  A close pair shares a cell in the grid
+    that shifts just the axes where its cells in the plain grid differ, and
+    is kept only there.  Per grid, points whose key no other point shares
+    are dropped, the rest are sorted by key, and points are compared only
+    within runs of equal keys, at offset d = 1, 2, ... along the run, and
+    only when the parities of their half-cell indices allow the pair to be
+    kept in this grid.  The test is the squared distance summed coordinate
+    by coordinate, at most r * r, as ``cKDTree.query_pairs`` makes it.
     """
-    m = len(pts)
-    # half a cell: r plus room for the rounding of pts / half and of the test
     size = max(float(pts.max(initial=0.0)), -float(pts.min(initial=0.0)))
-    scale = 1.0 / (r * (1.0 + 2.0 ** -20) + 4.0 * np.finfo(float).eps * size)
-
-    def cells(p):
-        # half-cell indices; clipping, like floor, never widens a gap
-        return np.floor(np.clip(p * scale, -2.0 ** 62, 2.0 ** 62)).astype(np.int64)
-
-    # the key of each point's cell in the plain grid, and one bit per axis: set
-    # when the grid shifted along that axis puts the point in the next cell
-    key = np.zeros(m, np.int64)
-    odd = np.zeros(m, np.uint8)
-    for axis, mult in enumerate(_CELL_HASH):
-        h = cells(pts[:, axis])
-        key += (h >> 1) * mult  # wraps: two cells sharing a key only add candidates
-        odd |= (h & 1).astype(np.uint8) << axis
-    # a table of at least 2 m buckets, indexed by the key's top bits
-    bucket_bits = max(10, (2 * m).bit_length())
-    grid = 0
-    for n in range(16):
-        if n:
-            # Gray-code order: each grid shifts one axis more or less than the one before
-            axis = (n & -n).bit_length() - 1
-            grid ^= 1 << axis
-            step = np.add if grid >> axis & 1 else np.subtract
-            step(key, _CELL_HASH[axis], out=key, where=(odd >> axis & 1).astype(bool))
-        bucket = key >> (64 - bucket_bits) & ((1 << bucket_bits) - 1)
-        cand = np.flatnonzero(np.bincount(bucket, minlength=1 << bucket_bits)[bucket] > 1)
+    eps = np.finfo(float).eps
+    # A half cell is r plus room for rounding.  A pair that passes the test
+    # is at most r (1 + 4 eps) apart.  Measured in the original units, a
+    # scaled coordinate is within eps * size / 2 of its exact value, and a
+    # projection onto the plane (four products summed) within 5 eps * size:
+    # the room, 4 or 16 eps * size, is more than two points' errors take.
+    # Scaled coordinates stay below 2 ** 50 in size, so they floor exactly.
+    r_up = r * (1.0 + 2.0 ** -20)
+    suspect = np.zeros(len(pts), bool)
+    for _, key, _ in _grids(pts, _PLANE / (r_up + 16.0 * eps * size)):
+        suspect[_shared(key)] = True
+    del key, _
+    sus = np.flatnonzero(suspect)
+    del suspect
+    if len(sus) < len(pts):
+        pts = pts[sus]
+    # the scaled identity: pts @ basis rounds each coordinate once, the same
+    # way for any subset of the points
+    basis = np.eye(4) / (r_up + 4.0 * eps * size)
+    for grid, key, odd in _grids(pts, basis):
+        cand = _shared(key)
         if len(cand) == 0:
             continue
         # sort the keys with each candidate's rank in their low bits: a run of
@@ -207,9 +287,9 @@ def _close_pairs(pts: np.ndarray, r: float):
             sq = np.square(pts[i] - pts[j])
             close = sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3] <= r * r
             i, j = i[close], j[close]
-            own = (cells(pts[i]) >> 1 != cells(pts[j]) >> 1) @ _AXIS_BITS == grid
+            own = (_half_cells(pts[i], basis) >> 1 != _half_cells(pts[j], basis) >> 1) @ _AXIS_BITS == grid
             if own.any():
-                yield i[own], j[own]
+                yield sus[i[own]], sus[j[own]]
             # positions whose run reaches offset d + 1
             pos = pos[same[pos + d]]
             d += 1
@@ -231,11 +311,16 @@ def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float =
         raise ValueError(f"param_sep must be in (0, 1), got {param_sep!r}")
     if not image_tol > 0.0:
         raise ValueError(f"image_tol must be > 0, got {image_tol!r}")
-    tvals, svals, pts, firsts = _scan_points(s, n_t, n_s)
+    tvals, svals, pts = _scan_points(s, n_t, n_s)
     if not np.isfinite(pts).all():
         raise ValueError("the surface's image is not finite on the injectivity grid")
     out: list[Collision] = []
+    firsts = None
     for pairs in _close_pairs(pts, image_tol):
+        if firsts is None:
+            # the flat grid index of each node's first sample, built only once
+            # there is a pair to place
+            _, firsts = _grid_nodes(n_t, n_s, False, s.pole_low, s.pole_high)
         pairs = np.stack(pairs, axis=1)
         # grid row and column of the first sample of both nodes of every pair
         row, col = np.divmod(firsts[pairs], n_s)

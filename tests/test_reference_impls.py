@@ -38,7 +38,7 @@ from spun4d.surface import TWO_PI, PolyMap4, Surface4, Term, Trig, max_grid_devi
 from spun4d.twist import (
     PRECHECK_NPHI, PRECHECK_NT, Bump, choose_bump, make_axis, polynomialize_twist, twist_spin,
 )
-from spun4d.verify import Collision, _close_pairs, injectivity_scan
+from spun4d.verify import _PLANE, Collision, _close_pairs, injectivity_scan
 
 
 def _bits(a) -> bytes:
@@ -901,6 +901,15 @@ def test_injectivity_scan_matches_meshgrid_reference(name):
         assert any(c.param_a == (-1.0, 0.0) for c in got)
 
 
+@pytest.mark.parametrize("pole", ["pole_low", "pole_high"])
+def test_injectivity_scan_matches_meshgrid_reference_with_one_pole(pole):
+    # the other pole row is 64 samples with one image: they collide
+    s = replace(spin(get_knot("trefoil_spun")), **{pole: False})
+    got = injectivity_scan(s, 64, 64, 0.05, 1e-3)
+    assert len(got) >= 1
+    assert got == injectivity_scan_meshgrid(s, 64, 64, 0.05, 1e-3)
+
+
 # -- close-pair search ---------------------------------------------------------------
 
 
@@ -970,3 +979,50 @@ def test_close_pairs_finds_a_planted_collision(seed, n, a, frac):
     offset = rng.normal(size=4)
     pts[b] = pts[a] + frac * r * offset / np.linalg.norm(offset)
     assert _assert_close_pairs_match_kdtree(pts, r) == {(min(a, b), max(a, b))}
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=_SEED, n=st.integers(2, 300), r=st.floats(1e-3, 0.3), offset=st.floats(-10.0, 10.0))
+def test_close_pairs_cloud_in_the_kernel_of_the_prefilter_plane(seed, n, r, offset):
+    # every point projects to one point of the prefilter's plane, so the
+    # prefilter keeps them all
+    kernel = np.linalg.svd(_PLANE.T)[2][2:]
+    rng = np.random.default_rng(seed)
+    pts = offset * _PLANE[:, 0] + rng.uniform(-1.0, 1.0, (n, 2)) @ kernel
+    _assert_close_pairs_match_kdtree(pts, r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=_SEED, n=st.integers(2, 200), exp=st.integers(-12, 2), steps=st.integers(1, 3))
+def test_close_pairs_finds_pairs_r_apart_along_the_prefilter_plane(seed, n, exp, steps):
+    # pairs exactly r apart along the plane's own directions are r apart in
+    # the plane too, the most a close pair can be; the lattice, the
+    # directions and r are dyadic, so the distances are exact
+    step = 2.0 ** exp
+    pts = np.random.default_rng(seed).integers(-4, 5, (n, 4)) * step
+    r = 2 * steps * step
+    planted = [pts[k % n] + sign * r * _PLANE[:, axis]
+               for k, (axis, sign) in enumerate([(0, 1), (1, 1), (0, -1), (1, -1)])]
+    pts = np.concatenate([pts, planted])
+    found = _assert_close_pairs_match_kdtree(pts, r)
+    assert {(k % n, n + k) for k in range(4)} <= found
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=_SEED, n=st.integers(3, 300), a=st.integers(0, 299), frac=st.floats(0.0, 0.99))
+def test_close_pairs_finds_planted_collisions_near_overflow(seed, n, a, frac):
+    # coordinates up to 1.7e308, whose plain sums overflow (the suite turns
+    # the overflow warning into an error), with one point copied and two
+    # moved to within r of each other near the origin
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.0, 1.0, (n, 4)) * 1.7e308
+    r = 1e-3
+    a %= n
+    b = (a + 1 + int(rng.integers(0, n - 1))) % n
+    c = next(k for k in range(n) if k not in (a, b))
+    offset = rng.normal(size=4)
+    pts[a] = rng.uniform(-1.0, 1.0, 4)
+    pts[b] = pts[a] + frac * r * offset / np.linalg.norm(offset)
+    pts = np.concatenate([pts, pts[c:c + 1]])
+    got = {(int(i), int(j)) for bi, bj in _close_pairs(pts, r) for i, j in zip(bi, bj)}
+    assert got == {(min(a, b), max(a, b)), (c, n)}

@@ -14,6 +14,7 @@ from spun4d.catalog import KnotArc, get_knot
 from spun4d.poly import Interval, Poly1, Poly2
 from spun4d.spin import polynomial_spin, spin
 from spun4d.surface import PolyMap4
+from spun4d.twist import choose_bump, make_axis, twist_spin
 from spun4d.verify import (
     MAX_COLLISIONS, VerifyReport, boundary_check, injectivity_scan, isotopy_family_check,
     jacobian_rank_scan, verify_surface,
@@ -157,6 +158,29 @@ def test_constant_map_scan_stops_at_the_cap():
     assert len(report.collisions) == MAX_COLLISIONS and report.collisions_capped
     assert report.to_json()["collisions_capped"] is True
     assert peak < 200e6
+    # each reported collision is a real one, and is reported once
+    assert len(set(report.collisions)) == MAX_COLLISIONS
+    a = np.array([c.param_a for c in report.collisions])
+    b = np.array([c.param_b for c in report.collisions])
+    assert max(c.distance for c in report.collisions) <= 1e-3
+    assert np.linalg.norm(const.evaluate(a[:, 0], a[:, 1]) - const.evaluate(b[:, 0], b[:, 1]),
+                          axis=-1).max() <= 1e-3
+    # both parameter intervals have length 2
+    assert np.hypot(*(np.abs(a - b) / 2.0).T).min() > 0.05
+
+
+def test_injectivity_scan_peak_memory_at_600():
+    # the (600 * 600, 4) image grid alone takes 11.5 MB
+    arc = get_knot("trefoil_twist")
+    axis = make_axis(arc, -2.19, 2.19)
+    s = twist_spin(arc, axis, choose_bump(arc, axis), 10)
+    tracemalloc.start()
+    try:
+        assert injectivity_scan(s, 600, 600, 0.05, 1e-3) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 36e6
 
 
 def test_verify_runs_without_scipy():
