@@ -213,7 +213,9 @@ def _grids(pts: np.ndarray, basis: np.ndarray):
         axis = (n & -n).bit_length() - 1
         grid ^= 1 << axis
         step = np.add if grid >> axis & 1 else np.subtract
-        step(key, (odd >> axis & 1) * _CELL_HASH[axis], out=key)
+        # the parity as int64: numpy 1.x promotes a uint8 array times this
+        # multiplier to uint64, which cannot be added into the int64 key
+        step(key, (odd >> axis & 1).astype(np.int64) * _CELL_HASH[axis], out=key)
         yield grid, key, odd
 
 
