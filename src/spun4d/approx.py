@@ -51,25 +51,19 @@ def chebyshev_fit(f: Callable[[np.ndarray], np.ndarray], iv: Interval, degree: i
     return ChebFit(poly, err)
 
 
-def _bernstein_to_monomial(n: int) -> np.ndarray:
-    """T[i, k]: coefficient of u^k in the Bernstein basis polynomial b_{i,n}(u).
-    Exact integers (object dtype): entries reach comb(n, n//2) and the basis
-    change cancels catastrophically in float64 beyond degree ~25."""
-    T = np.zeros((n + 1, n + 1), dtype=object)
-    for i in range(n + 1):
-        base = math.comb(n, i)
-        for k in range(i, n + 1):
-            T[i, k] = base * math.comb(n - i, k - i) * (-1) ** (k - i)
-    return T
-
-
-def _shift_half(n: int) -> np.ndarray:
-    """S[k, m]: 2^n times the coefficient of t^m in ((t + 1) / 2)^k, exact."""
-    S = np.zeros((n + 1, n + 1), dtype=object)
-    for k in range(n + 1):
-        for m in range(k + 1):
-            S[k, m] = math.comb(k, m) * 2 ** (n - k)
-    return S
+def _bernstein_to_power(c: np.ndarray) -> None:
+    """Along axis 0 of an object array of integers, in place: Bernstein
+    coefficients of degree n on [-1, 1] become 2^n times the power
+    coefficients in t.  With u = (t + 1) / 2, the power coefficients in u are
+    comb(n, k) * (k-th forward difference at 0); weights 2^(n - k) express
+    them in x = 2u, and repeated suffix sums are the Taylor shift x -> t + 1."""
+    n = len(c) - 1
+    for k in range(1, n + 1):
+        c[k:] = c[k:] - c[k - 1:-1]
+    c *= np.array([math.comb(n, k) << (n - k) for k in range(n + 1)],
+                  dtype=object).reshape((-1,) + (1,) * (c.ndim - 1))
+    for i in range(n):
+        c[i:] = np.add.accumulate(c[i:][::-1])[::-1]
 
 
 def bernstein_fit2(samples: np.ndarray, degree: int) -> tuple[Poly2, Poly2, Poly2, Poly2]:
@@ -79,6 +73,10 @@ def bernstein_fit2(samples: np.ndarray, degree: int) -> tuple[Poly2, Poly2, Poly
     ``s = -1 + 2 j / degree``.  Returns the four coordinate polynomials in the
     monomial basis.  Bernstein approximation converges but does not
     interpolate; only constants and degree-1 coordinates come back exactly.
+
+    The basis change is exact, in Python integers: forward differences and a
+    Taylor shift (Farouki and Rajan, CAGD 1988), along t and then along s.  In
+    float64 its alternating sums cancel catastrophically beyond degree ~25.
     """
     _check_degree(degree)
     samples = np.asarray(samples, float)
@@ -86,21 +84,17 @@ def bernstein_fit2(samples: np.ndarray, degree: int) -> tuple[Poly2, Poly2, Poly
         raise GridMismatch(
             f"expected sample lattice of shape {(degree + 1, degree + 1, 4)}, got {samples.shape}"
         )
-    T = _bernstein_to_monomial(degree)
-    S = _shift_half(degree)
-    # monomial in u = (t+1)/2, v = (s+1)/2, then substituted back to (t, s);
-    # conv is 2^degree times the true conversion matrix, kept in exact integer
-    # arithmetic so the giant alternating sums cancel exactly.  Every float
-    # sample is an integer over a power of two, so all samples of a coordinate
-    # become integers over one common power of two; floats only appear in the
-    # final int / int division, which Python rounds correctly.
-    conv = S.T @ T.T
+    # Every float sample is an integer over a power of two, so all samples of a
+    # coordinate become integers over one common power of two; floats only
+    # appear in the final int / int division, which Python rounds correctly.
     out = []
     for c in range(4):
         ratios = [x.as_integer_ratio() for x in samples[:, :, c].ravel().tolist()]
         denom = max(d for _, d in ratios)
         V = np.array([n * (denom // d) for n, d in ratios], dtype=object)
-        W = conv @ V.reshape(degree + 1, degree + 1) @ conv.T
+        W = V.reshape(degree + 1, degree + 1)
+        _bernstein_to_power(W)
+        _bernstein_to_power(W.T)
         scale = denom * 4 ** degree
         out.append(Poly2(np.array([[w / scale for w in row] for row in W.tolist()])))
     return tuple(out)

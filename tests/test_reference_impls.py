@@ -7,6 +7,7 @@ are held to a rounding-error bound instead.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,10 +21,7 @@ from hypothesis import strategies as st
 
 import spun4d
 from spun4d import catalog
-from spun4d.approx import (
-    _bernstein_to_monomial, _shift_half, bernstein_fit2, bernstein_lattice, chebyshev_fit,
-    odd_perturbation,
-)
+from spun4d.approx import bernstein_fit2, bernstein_lattice, chebyshev_fit, odd_perturbation
 from spun4d.catalog import (
     DIAG_SEP, GRID_N, MERGE_TOL, RESIDUAL_TOL, get_knot, knot_names, lift_height,
 )
@@ -59,12 +57,34 @@ def test_import_loads_no_scipy():
 
 # -- Bernstein fit ------------------------------------------------------------
 
+def _fraction_poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _bernstein_basis_fraction(n):
+    """M[i, m]: 2^n times the coefficient of t^m in
+    comb(n, i) ((1 + t) / 2)^i ((1 - t) / 2)^(n - i), expanded from the
+    definition; the integers keep the products below fast."""
+    half = Fraction(1, 2)
+    M = np.empty((n + 1, n + 1), dtype=object)
+    for i in range(n + 1):
+        p = [Fraction(math.comb(n, i))]
+        for factor in [[half, half]] * i + [[half, -half]] * (n - i):
+            p = _fraction_poly_mul(p, factor)
+        scaled = [x * 2 ** n for x in p]
+        assert all(x.denominator == 1 for x in scaled)
+        M[i] = [x.numerator for x in scaled]
+    return M
+
+
 def bernstein_fit2_fraction(samples, degree):
-    """Reference: the exact path in Fraction arithmetic."""
+    """Reference: sum_ij samples[i, j] b_i(t) b_j(s) expanded in Fraction arithmetic."""
     samples = np.asarray(samples, float)
-    T = _bernstein_to_monomial(degree)
-    S = _shift_half(degree)
-    conv = S.T @ T.T
+    M = _bernstein_basis_fraction(degree)
     scale = Fraction(4 ** degree)
     out = []
     for c in range(4):
@@ -72,7 +92,7 @@ def bernstein_fit2_fraction(samples, degree):
         for i in range(degree + 1):
             for j in range(degree + 1):
                 V[i, j] = Fraction(float(samples[i, j, c]))
-        W = conv @ V @ conv.T
+        W = M.T @ V @ M
         out.append(Poly2(np.array([[float(w / scale) for w in row] for row in W])))
     return tuple(out)
 
