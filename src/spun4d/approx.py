@@ -11,7 +11,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from numpy.polynomial import chebyshev as ncheb
 
-from .errors import GridMismatch, NonFiniteSample, ZeroGap
+from .errors import GridMismatch, NonFiniteSample, Spun4dError, ZeroGap
 from .poly import Interval, Poly1, Poly2
 
 __all__ = ["ChebFit", "chebyshev_fit", "bernstein_fit2", "PerturbationSpec", "odd_perturbation"]
@@ -77,6 +77,8 @@ def bernstein_fit2(samples: np.ndarray, degree: int) -> tuple[Poly2, Poly2, Poly
     The basis change is exact, in Python integers: forward differences and a
     Taylor shift (Farouki and Rajan, CAGD 1988), along t and then along s.  In
     float64 its alternating sums cancel catastrophically beyond degree ~25.
+    Samples that are not finite raise NonFiniteSample, and a coefficient
+    beyond double range raises Spun4dError.
     """
     _check_degree(degree)
     samples = np.asarray(samples, float)
@@ -84,6 +86,8 @@ def bernstein_fit2(samples: np.ndarray, degree: int) -> tuple[Poly2, Poly2, Poly
         raise GridMismatch(
             f"expected sample lattice of shape {(degree + 1, degree + 1, 4)}, got {samples.shape}"
         )
+    if not np.isfinite(samples).all():
+        raise NonFiniteSample("Bernstein samples are not finite")
     # Every float sample is an integer over a power of two, so all samples of a
     # coordinate become integers over one common power of two; floats only
     # appear in the final int / int division, which Python rounds correctly.
@@ -96,7 +100,11 @@ def bernstein_fit2(samples: np.ndarray, degree: int) -> tuple[Poly2, Poly2, Poly
         _bernstein_to_power(W)
         _bernstein_to_power(W.T)
         scale = denom * 4 ** degree
-        out.append(Poly2(np.array([[w / scale for w in row] for row in W.tolist()])))
+        try:
+            out.append(Poly2(np.array([[w / scale for w in row] for row in W.tolist()])))
+        except OverflowError:
+            raise Spun4dError(f"coordinate {'xyzw'[c]} of the degree-{degree} Bernstein fit "
+                              "has a coefficient beyond double range") from None
     return tuple(out)
 
 

@@ -26,7 +26,7 @@ from .export import (
 )
 from .poly import Interval, Poly1, roots_in_interval
 from .spin import polynomial_spin, spin
-from .surface import PolyMap4, Surface4, max_grid_deviation
+from .surface import PolyMap4, Surface4, _max_distance, max_grid_deviation
 from .twist import Bump, choose_bump, make_axis, polynomialize_twist, twist_spin
 from .verify import verify_surface
 
@@ -270,12 +270,12 @@ def _cmd_approx(args, cfg):
     u = bernstein_lattice(args.degree)
     tv = surface.t_dom.mid + 0.5 * surface.t_dom.length * u
     sv = surface.s_dom.mid + 0.5 * surface.s_dom.length * u
-    samples = surface.eval_grid(tv, sv)
-    polys = bernstein_fit2(samples, args.degree)
-    fit = PolyMap4(polys, Interval(-1.0, 1.0), Interval(-1.0, 1.0),
-                   surface.periodic_s, surface.pole_low, surface.pole_high)
-    err = float(np.max(np.linalg.norm(
-        fit.eval_grid(u, u) - samples, axis=-1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = surface.eval_grid(tv, sv)
+        polys = bernstein_fit2(samples, args.degree)
+        fit = PolyMap4(polys, Interval(-1.0, 1.0), Interval(-1.0, 1.0),
+                       surface.periodic_s, surface.pole_low, surface.pole_high)
+        err = _max_distance(fit.eval_grid(u, u), samples, "the Bernstein lattice")
     out = args.out or "bernstein.json"
     doc = fit.to_json()
     doc["source_t_dom"] = [surface.t_dom.lo, surface.t_dom.hi]

@@ -382,10 +382,29 @@ def _grid_nodes(n_t: int, n_s: int, periodic_s: bool, pole_low: bool, pole_high:
     return ids, np.flatnonzero(is_first)
 
 
+def _max_distance(pa: np.ndarray, pb: np.ndarray, what: str) -> float:
+    """Largest Euclidean distance between matching points of two arrays of
+    shape (..., 4).  Points that are not finite, or a distance beyond double
+    range, raise a ValueError.  Only when the plain norm overflows are both
+    arrays first scaled by a power of two, so other values are unchanged."""
+    if not (np.isfinite(pa).all() and np.isfinite(pb).all()):
+        raise ValueError(f"{what}: an image is not finite")
+    with np.errstate(over="ignore"):
+        dist = np.max(np.linalg.norm(pa - pb, axis=-1))
+        if not np.isfinite(dist):
+            scale = np.ldexp(1.0, -np.frexp(max(np.abs(pa).max(), np.abs(pb).max()))[1])
+            dist = np.max(np.linalg.norm(pa * scale - pb * scale, axis=-1)) / scale
+    if not np.isfinite(dist):
+        raise ValueError(f"{what}: the largest distance is beyond double range")
+    return float(dist)
+
+
 def max_grid_deviation(a, b, n_t: int = 200, n_s: int = 200) -> float:
-    """Max Euclidean distance between two samplers over a shared tensor grid."""
+    """Max Euclidean distance between two samplers over a shared tensor grid.
+    An image that is not finite on the grid is refused with a ValueError."""
     tvals = a.t_dom.sample(n_t)
     svals = a.s_dom.sample(n_s)
-    pa = a.eval_grid(tvals, svals)
-    pb = b.eval_grid(tvals, svals)
-    return float(np.max(np.linalg.norm(pa - pb, axis=-1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        pa = a.eval_grid(tvals, svals)
+        pb = b.eval_grid(tvals, svals)
+    return _max_distance(pa, pb, f"the {n_t}x{n_s} deviation grid")

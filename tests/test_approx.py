@@ -4,12 +4,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spun4d.approx import (
-    ChebFit, PerturbationSpec, bernstein_fit2, bernstein_lattice, chebyshev_fit,
-    odd_perturbation,
+    ChebFit, PerturbationSpec, _bernstein_to_power, bernstein_fit2, bernstein_lattice,
+    chebyshev_fit, odd_perturbation,
 )
-from spun4d.errors import GridMismatch, NonFiniteSample, ZeroGap
+from spun4d.errors import GridMismatch, NonFiniteSample, Spun4dError, ZeroGap
 from spun4d.poly import Interval, Poly1, Poly2
 
 TWO_PI = 2.0 * math.pi
@@ -113,6 +115,36 @@ def test_bernstein_rejects_degree_below_one(degree):
         bernstein_lattice(degree)
     with pytest.raises(ValueError, match=f"degree must be at least 1, got {degree}"):
         bernstein_fit2(np.zeros((1, 1, 4)), degree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 80).flatmap(
+           lambda n: st.lists(st.integers(-2 ** 300, 2 ** 300), min_size=n + 1, max_size=n + 1)),
+       st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=3, max_size=3))
+def test_bernstein_to_power_matches_the_definition(b, ts):
+    # 2^n sum_i b_i comb(n, i) ((1 + t) / 2)^i ((1 - t) / 2)^(n - i), in exact integers
+    n = len(b) - 1
+    c = np.array(b, dtype=object)
+    _bernstein_to_power(c)
+    for t in ts:
+        expected = sum(bi * math.comb(n, i) * (1 + t) ** i * (1 - t) ** (n - i)
+                       for i, bi in enumerate(b))
+        assert sum(ck * t ** k for k, ck in enumerate(c.tolist())) == expected
+
+
+def test_bernstein_refuses_non_finite_samples():
+    samples = np.zeros((5, 5, 4))
+    samples[2, 3, 1] = np.inf
+    with pytest.raises(NonFiniteSample):
+        bernstein_fit2(samples, 4)
+
+
+def test_bernstein_refuses_a_coefficient_beyond_double_range():
+    # 1.7e308 on the middle t-row: the t^4 coefficient is 70 * 6 / 256 times that
+    samples = np.zeros((9, 9, 4))
+    samples[4, :, 2] = 1.7e308
+    with pytest.raises(Spun4dError, match="coordinate z of the degree-8 Bernstein fit"):
+        bernstein_fit2(samples, 8)
 
 
 def test_bernstein_lattice_endpoints():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -552,3 +553,66 @@ def test_verify_overflowing_map_is_one_error_line_without_warnings(tmp_path, arg
     err = proc.stderr.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("spun4d: error:") and "not finite" in err[0]
     assert os.listdir(tmp_path) == ["big.json"]
+
+
+_ZERO = {"tag": "const", "value": 0.0}
+# x = 1e308 t on [-10, 10]: finite coefficients, samples that overflow
+_OVERFLOWING_X = {"tag": "poly_t", "coeffs": [0.0, 1e308]}
+# 1.7e308 on the lattice row t = 0 and 0 on the others (the bump is 0 for |t| >= 0.2):
+# the degree-8 fit's t^4 coefficient is 70 * 6 / 256 times 1.7e308
+_MIDDLE_ROW_X = {"tag": "product", "factors": [{"tag": "const", "value": 1.7e308},
+                                               {"tag": "bump", "d1": 0.01, "d2": 0.04}]}
+
+
+def _x_surface(x, t_dom):
+    return {"type": "surface4", "t_dom": t_dom, "s_dom": [0.0, 2.0 * math.pi],
+            "coords": [x, _ZERO, _ZERO, _ZERO]}
+
+
+@pytest.mark.parametrize("argv, x, message", [
+    (["approx", "bernstein", "big.json", "--degree", "8"], _OVERFLOWING_X, "not finite"),
+    (["polynomialize", "big.json"], _OVERFLOWING_X, "not finite"),
+    (["approx", "bernstein", "big.json", "--degree", "8"], _MIDDLE_ROW_X,
+     "coordinate x of the degree-8 Bernstein fit has a coefficient beyond double range"),
+], ids=["bernstein_samples", "polynomialize", "bernstein_coefficient"])
+def test_fit_of_an_overflowing_surface_is_one_error_line(workdir, capsys, argv, x, message):
+    (workdir / "big.json").write_text(json.dumps(_x_surface(x, [-10.0, 10.0])))
+    assert dispatch(argv) == 1
+    assert message in _one_error_line(capsys)
+    assert os.listdir(workdir) == ["big.json"]
+
+
+@pytest.mark.parametrize("argv", [["approx", "bernstein", "big.json", "--degree", "8"],
+                                  ["polynomialize", "big.json", "--cheb-degree", "8"]],
+                         ids=lambda argv: argv[0])
+def test_distance_of_a_huge_finite_surface_is_finite(workdir, capsys, argv):
+    # x = a cos 4 theta: at a = 1e200 the squares of a plain norm overflow
+    values = []
+    for a in (1.0, 1e200):
+        x = {"tag": "product", "factors": [{"tag": "const", "value": a}, {"tag": "cos_k", "k": 4}]}
+        (workdir / "big.json").write_text(json.dumps(_x_surface(x, [-1.0, 1.0])))
+        assert dispatch(argv) == 0
+        (line,) = capsys.readouterr().out.strip().splitlines()
+        values.append(float(line.rsplit(":", 1)[1]))
+    assert 0.5 < values[0] < 2.0
+    assert values[1] == pytest.approx(1e200 * values[0], rel=1e-6)
+
+
+def test_max_distance_scales_only_when_the_plain_norm_overflows():
+    import numpy as np
+
+    from spun4d.surface import _max_distance
+
+    rng = np.random.default_rng(7)
+    pa, pb = rng.normal(size=(2, 30, 30, 4))
+    plain = _max_distance(pa, pb, "p")
+    assert plain == float(np.max(np.linalg.norm(pa - pb, axis=-1)))
+    # a power of two scales the distance exactly, also through the rescaled path
+    assert _max_distance(pa * 2.0 ** 1000, pb * 2.0 ** 1000, "p") == plain * 2.0 ** 1000
+    assert _max_distance(pa * 2.0 ** 1000, -pa * 2.0 ** 1000, "p") > 1e300
+    big = np.zeros((1, 4))
+    big[0, 0] = 1.7e308
+    with pytest.raises(ValueError, match="p: an image is not finite"):
+        _max_distance(big, np.full((1, 4), np.nan), "p")
+    with pytest.raises(ValueError, match="beyond double range"):
+        _max_distance(big, -big, "p")
