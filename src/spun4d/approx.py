@@ -101,10 +101,11 @@ def bernstein_fit2(samples: np.ndarray, degree: int) -> tuple[Poly2, Poly2, Poly
         _bernstein_to_power(W.T)
         scale = denom * 4 ** degree
         try:
-            out.append(Poly2(np.array([[w / scale for w in row] for row in W.tolist()])))
+            coeffs = [[w / scale for w in row] for row in W.tolist()]
         except OverflowError:
             raise Spun4dError(f"coordinate {'xyzw'[c]} of the degree-{degree} Bernstein fit "
                               "has a coefficient beyond double range") from None
+        out.append(Poly2(np.array(coeffs)))
     return tuple(out)
 
 

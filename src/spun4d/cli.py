@@ -272,10 +272,12 @@ def _cmd_approx(args, cfg):
     sv = surface.s_dom.mid + 0.5 * surface.s_dom.length * u
     with np.errstate(over="ignore", invalid="ignore"):
         samples = surface.eval_grid(tv, sv)
-        polys = bernstein_fit2(samples, args.degree)
-        fit = PolyMap4(polys, Interval(-1.0, 1.0), Interval(-1.0, 1.0),
-                       surface.periodic_s, surface.pole_low, surface.pole_high)
-        err = _max_distance(fit.eval_grid(u, u), samples, "the Bernstein lattice")
+    polys = bernstein_fit2(samples, args.degree)
+    fit = PolyMap4(polys, Interval(-1.0, 1.0), Interval(-1.0, 1.0),
+                   surface.periodic_s, surface.pole_low, surface.pole_high)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fitted = fit.eval_grid(u, u)
+    err = _max_distance(fitted, samples, "the Bernstein fit on its lattice")
     out = args.out or "bernstein.json"
     doc = fit.to_json()
     doc["source_t_dom"] = [surface.t_dom.lo, surface.t_dom.hi]

@@ -558,25 +558,32 @@ def test_verify_overflowing_map_is_one_error_line_without_warnings(tmp_path, arg
 _ZERO = {"tag": "const", "value": 0.0}
 # x = 1e308 t on [-10, 10]: finite coefficients, samples that overflow
 _OVERFLOWING_X = {"tag": "poly_t", "coeffs": [0.0, 1e308]}
+_WIDE = [-10.0, 10.0]
 # 1.7e308 on the lattice row t = 0 and 0 on the others (the bump is 0 for |t| >= 0.2):
 # the degree-8 fit's t^4 coefficient is 70 * 6 / 256 times 1.7e308
 _MIDDLE_ROW_X = {"tag": "product", "factors": [{"tag": "const", "value": 1.7e308},
                                                {"tag": "bump", "d1": 0.01, "d2": 0.04}]}
+# 1.7e308 (1 - 0.75 s - 0.75 s^2) on s in [-1, 1]: the degree-2 fit's coefficients
+# (1.0625, -1.275, -0.6375) x 1e308 are finite, but their sum at s = -1 overflows
+_OVERFLOWING_FIT_X = {"tag": "product", "factors": [{"tag": "const", "value": 1.7e308},
+                                                    {"tag": "poly_theta", "coeffs": [1.0, -0.75, -0.75]}]}
 
 
-def _x_surface(x, t_dom):
-    return {"type": "surface4", "t_dom": t_dom, "s_dom": [0.0, 2.0 * math.pi],
+def _x_surface(x, t_dom, s_dom=(0.0, 2.0 * math.pi)):
+    return {"type": "surface4", "t_dom": t_dom, "s_dom": list(s_dom),
             "coords": [x, _ZERO, _ZERO, _ZERO]}
 
 
-@pytest.mark.parametrize("argv, x, message", [
-    (["approx", "bernstein", "big.json", "--degree", "8"], _OVERFLOWING_X, "not finite"),
-    (["polynomialize", "big.json"], _OVERFLOWING_X, "not finite"),
-    (["approx", "bernstein", "big.json", "--degree", "8"], _MIDDLE_ROW_X,
+@pytest.mark.parametrize("argv, x, dom, message", [
+    (["approx", "bernstein", "big.json", "--degree", "8"], _OVERFLOWING_X, _WIDE, "not finite"),
+    (["polynomialize", "big.json"], _OVERFLOWING_X, _WIDE, "not finite"),
+    (["approx", "bernstein", "big.json", "--degree", "8"], _MIDDLE_ROW_X, _WIDE,
      "coordinate x of the degree-8 Bernstein fit has a coefficient beyond double range"),
-], ids=["bernstein_samples", "polynomialize", "bernstein_coefficient"])
-def test_fit_of_an_overflowing_surface_is_one_error_line(workdir, capsys, argv, x, message):
-    (workdir / "big.json").write_text(json.dumps(_x_surface(x, [-10.0, 10.0])))
+    (["approx", "bernstein", "big.json", "--degree", "2"], _OVERFLOWING_FIT_X, [-1.0, 1.0],
+     "the Bernstein fit on its lattice: an image is not finite"),
+], ids=["bernstein_samples", "polynomialize", "bernstein_coefficient", "bernstein_fit_image"])
+def test_fit_of_an_overflowing_surface_is_one_error_line(workdir, capsys, argv, x, dom, message):
+    (workdir / "big.json").write_text(json.dumps(_x_surface(x, dom, dom)))
     assert dispatch(argv) == 1
     assert message in _one_error_line(capsys)
     assert os.listdir(workdir) == ["big.json"]
