@@ -95,8 +95,7 @@ def bernstein_fit2(samples: np.ndarray, degree: int) -> tuple[Poly2, Poly2, Poly
     for c in range(4):
         ratios = [x.as_integer_ratio() for x in samples[:, :, c].ravel().tolist()]
         denom = max(d for _, d in ratios)
-        V = np.array([n * (denom // d) for n, d in ratios], dtype=object)
-        W = V.reshape(degree + 1, degree + 1)
+        W = np.array([n * (denom // d) for n, d in ratios], dtype=object).reshape(degree + 1, -1)
         _bernstein_to_power(W)
         _bernstein_to_power(W.T)
         scale = denom * 4 ** degree
