@@ -24,9 +24,61 @@ class ChebFit(NamedTuple):
     max_error: float
 
 
+def _trim(c: np.ndarray) -> np.ndarray:
+    """Drop trailing zeros but keep one entry, as numpy.polynomial trims."""
+    if c[-1] != 0:
+        return c
+    nonzero = np.flatnonzero(c)
+    return c[:nonzero[-1] + 1] if len(nonzero) else c[:1]
+
+
+def _cheb_to_power(cheb: np.ndarray, mid: float, half: float) -> np.ndarray:
+    """Power coefficients in t of the Chebyshev series ``cheb`` in
+    x = (t - mid) / half.
+
+    The arithmetic is numpy's, operation for operation, on plain arrays:
+    ``cheb2poly``'s recurrence and then ``Polynomial(mono)(Polynomial([-mid /
+    half, 1 / half]))``, a Horner loop of ``np.convolve`` products.  So the
+    coefficients are bitwise those of that numpy.polynomial code, lengths and
+    signed zeros included, without its object overhead.
+    """
+    # cheb2poly: of its trims only the input's can act, since each later
+    # leading coefficient is 2^j times the input's nonzero one
+    c = _trim(np.array(cheb, float))
+    if len(c) >= 3:
+        c0, c1 = c[-2:-1], c[-1:]
+        for i in range(len(c) - 1, 1, -1):
+            x1 = _mulx(c1) * 2
+            x1[:len(c0)] += c0
+            c0 = -c1
+            c0[0] += c[i - 2]
+            c1 = x1
+        c = _mulx(c1)
+        c[:len(c0)] += c0
+    x = _trim(np.array([-mid / half, 1.0 / half]))  # x = (t - mid) / half
+    # polyval: start from c[-1] + x * 0, then multiply by x and add
+    p = _trim(np.convolve(x, [0.0]))
+    p[0] += c[-1]
+    for a in c[-2::-1]:
+        p = _trim(np.convolve(p, x))
+        p[0] += a
+    return p
+
+
+def _mulx(c: np.ndarray) -> np.ndarray:
+    """x * c(x) as numpy's polymulx forms it: the new constant is c[0] * 0."""
+    return np.concatenate(([c[0] * 0], c))
+
+
 def chebyshev_fit(f: Callable[[np.ndarray], np.ndarray], iv: Interval, degree: int) -> ChebFit:
     """Degree-``degree`` interpolant of ``f`` at Chebyshev nodes mapped to ``iv``,
-    converted to the monomial basis, with its max error over 1000 uniform samples.
+    converted to the monomial basis in t, with its max error over 1000 uniform
+    samples.
+
+    numpy's ``chebinterpolate`` gives the Chebyshev coefficients; the change
+    to powers of t repeats numpy.polynomial's arithmetic on plain arrays
+    (``_cheb_to_power``), so the coefficients are those of ``cheb2poly`` and
+    ``Polynomial`` composition bit for bit.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -37,11 +89,7 @@ def chebyshev_fit(f: Callable[[np.ndarray], np.ndarray], iv: Interval, degree: i
     if not np.all(np.isfinite(values)):
         raise NonFiniteSample("function returned non-finite values at Chebyshev nodes")
     cheb_coeffs = ncheb.chebinterpolate(lambda x: values, degree)
-    mono_x = ncheb.cheb2poly(cheb_coeffs)
-    # compose with x = (t - mid) / half to express in t directly
-    p = np.polynomial.Polynomial(mono_x)
-    q = p(np.polynomial.Polynomial([-mid / half, 1.0 / half]))
-    poly = Poly1(tuple(np.atleast_1d(q.coef)))
+    poly = Poly1(tuple(_cheb_to_power(cheb_coeffs, mid, half)))
 
     ts = iv.sample(_ERROR_SAMPLES)
     ref = np.asarray(f(ts), float)

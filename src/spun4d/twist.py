@@ -174,21 +174,30 @@ def choose_bump(arc: KnotArc, axis: TwistAxis) -> Bump:
 # -- twist spin -------------------------------------------------------------
 
 PRECHECK_NT = 2000
-PRECHECK_NPHI = 360
+# height evaluations per t sample: the minimum over the angle has a closed
+# form.  Kept because perfbench/tracing.py reports PRECHECK_NT * PRECHECK_NPHI
+# as the pre-check's point count.
+PRECHECK_NPHI = 1
 
 
 def _check_height_positive(arc: KnotArc, axis: TwistAxis, bump: Bump, k: int):
-    """Refuse a twist whose height h~ is <= 0 inside the arc.  h~ depends on
-    k and theta only through the rotation angle phi = k theta, so the check
-    samples phi itself: the 1-twist's h~ over (t, phi) for every k >= 1, the
-    fixed arc for k = 0."""
+    """Refuse a twist whose height h~ is <= 0 inside the arc, at any angle.
+
+    h~ depends on k and theta only through the rotation angle phi = k theta,
+    and the 1-twist's height is alpha(t) + beta(t) cos phi + gamma(t) sin phi.
+    So at each of PRECHECK_NT interior t samples its least value over every
+    phi is alpha - hypot(beta, gamma), taken at phi = atan2(-gamma, -beta):
+    exact in phi, sampled in t.  For k = 0 the angle stays 0 and the fixed
+    arc's alpha + beta is checked instead."""
     ts = arc.ab.sample(PRECHECK_NT + 2)[1:-1]  # open interior
-    phis = np.linspace(0.0, TWO_PI, PRECHECK_NPHI, endpoint=False)
-    h_terms = _twisted_coords(arc, axis, bump, min(k, 1))[2]
-    vals = _eval_points((h_terms,), ts[:, None], phis)[..., 0]
-    i, j = np.unravel_index(np.argmin(vals), vals.shape)
-    if vals[i, j] <= 0.0:
-        raise PlaneCrossing(float(ts[i]), float(phis[j]), float(vals[i, j]))
+    fixed, drop, cos_term, sin_term = _twisted_coords(arc, axis, bump, 1)[2]
+    alpha, beta, gamma = _eval_points(
+        ([fixed, drop], [cos_term._replace(s=())], [sin_term._replace(s=())]), ts, 0.0).T
+    low = alpha + beta if k == 0 else alpha - np.hypot(beta, gamma)
+    i = np.argmin(low)
+    if low[i] <= 0.0:
+        phi = 0.0 if k == 0 else math.atan2(-gamma[i], -beta[i]) % TWO_PI
+        raise PlaneCrossing(float(ts[i]), phi, float(low[i]))
 
 
 def twist_spin(arc: KnotArc, axis: TwistAxis, bump: Bump, k: int) -> Surface4:
@@ -196,8 +205,8 @@ def twist_spin(arc: KnotArc, axis: TwistAxis, bump: Bump, k: int) -> Surface4:
 
     Rejects the construction with NoRoom if the bump does not vanish at both
     arc ends (d2 > min(a^2, b^2)), and with PlaneCrossing if the rotating
-    knotted part would dip below the xy-plane at any rotation angle (dense
-    2000x360 sampling of h~ over t and the angle).
+    knotted part would dip below the xy-plane at any rotation angle (exact
+    in the angle, at 2000 samples of t).
     """
     if not 0 <= k <= TRIG_MAX_K:
         raise ValueError(f"twist count k must be in [0, 2**53], got {k}")

@@ -68,6 +68,20 @@ def test_chebyshev_rejects_bad_input():
         chebyshev_fit(lambda t: 1.0 / (np.asarray(t) - 0.5), Interval(0, 1), 8)
 
 
+def test_chebyshev_fit_builds_no_numpy_polynomial_objects(monkeypatch):
+    # the change to powers of t runs on plain arrays, not numpy.polynomial's
+    # object arithmetic, which cost most of a fit's time
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.polynomial object arithmetic in chebyshev_fit")
+
+    monkeypatch.setattr(np.polynomial, "Polynomial", refuse)
+    monkeypatch.setattr(np.polynomial.polynomial, "Polynomial", refuse)
+    monkeypatch.setattr(np.polynomial.chebyshev, "cheb2poly", refuse)
+    for degree in (1, 2, 8, 60):
+        assert chebyshev_fit(np.cos, Interval(0.0, 2.0 * np.pi), degree).poly.degree <= degree
+    assert chebyshev_fit(np.cos, Interval(0.0, 2.0 * np.pi), 24).max_error < 1e-12
+
+
 def _lattice_samples(fns, degree):
     u = bernstein_lattice(degree)
     U, V = np.meshgrid(u, u, indexing="ij")

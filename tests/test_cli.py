@@ -7,7 +7,11 @@ import warnings
 
 import pytest
 
+from spun4d.catalog import get_knot
 from spun4d.cli import dispatch
+from spun4d.errors import PlaneCrossing
+from spun4d.twist import choose_bump, make_axis, twist_spin
+from test_reference_impls import assert_exact_plane_crossing
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -463,16 +467,24 @@ def test_lone_double_dash_as_a_value_is_a_usage_error(workdir, capsys, argv, fla
 
 @pytest.mark.parametrize("k", ["0", "1", "360", "720"])
 def test_twist_height_precheck_sees_every_rotation_angle(workdir, capsys, k):
-    # the short trefoil's knotted part dips below the boundary plane at the
-    # rotation angle phi = 3.12414 for every k >= 1; a 360-point theta grid
-    # would see only multiples of 2 pi as k theta for k = 360 and k = 720
+    # the short trefoil's knotted part dips below the boundary plane for every
+    # k >= 1; the check takes the least height over the rotation angle
+    # phi = k theta itself, where a 360-point theta grid would see only
+    # multiples of 2 pi as k theta for k = 360 and k = 720
     argv = ["twistspin", "trefoil_spun", "--k", k, "--t1", "-2.1", "--t2", "2.1"]
     if k == "0":
         assert dispatch(argv) == 0
         return
     assert dispatch(argv) == 1
-    assert "phi=3.12414" in _one_error_line(capsys)
+    line = _one_error_line(capsys)
     assert os.listdir(workdir) == []
+    arc = get_knot("trefoil_spun")
+    axis = make_axis(arc, -2.1, 2.1)
+    bump = choose_bump(arc, axis)
+    with pytest.raises(PlaneCrossing) as exc:
+        twist_spin(arc, axis, bump, int(k))
+    assert line == f"spun4d: error: {exc.value}"
+    assert_exact_plane_crossing(arc, axis, bump, int(k), exc.value)
 
 
 @pytest.mark.parametrize("f, h", [

@@ -16,12 +16,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as ncheb
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spun4d
 from spun4d import catalog
-from spun4d.approx import bernstein_fit2, bernstein_lattice, chebyshev_fit, odd_perturbation
+from spun4d.approx import (
+    _cheb_to_power, bernstein_fit2, bernstein_lattice, chebyshev_fit, odd_perturbation,
+)
 from spun4d.catalog import (
     DIAG_SEP, GRID_N, MERGE_TOL, RESIDUAL_TOL, get_knot, knot_names, lift_height,
 )
@@ -34,7 +37,7 @@ from spun4d.poly import Interval, Poly1, Poly2, poly_scale
 from spun4d.spin import polynomial_spin, spin
 from spun4d.surface import TWO_PI, PolyMap4, Surface4, Term, Trig, max_grid_deviation
 from spun4d.twist import (
-    PRECHECK_NPHI, PRECHECK_NT, Bump, choose_bump, make_axis, polynomialize_twist, twist_spin,
+    PRECHECK_NT, Bump, choose_bump, make_axis, polynomialize_twist, twist_spin,
 )
 from spun4d.verify import _PLANE, Collision, _close_pairs, injectivity_scan
 
@@ -126,6 +129,55 @@ def test_bernstein_fit_matches_fraction_reference(degree):
         ref = bernstein_fit2_fraction(samples, degree)
         for p, q in zip(got, ref):
             assert _bits(p.coeffs) == _bits(q.coeffs)
+
+
+# -- Chebyshev conversion -------------------------------------------------------
+
+def cheb_to_power_numpy(cheb, mid, half):
+    """Reference: numpy.polynomial's cheb2poly, then the power series
+    composed with the Polynomial x = (t - mid) / half."""
+    mono = ncheb.cheb2poly(cheb)
+    q = np.polynomial.Polynomial(mono)(np.polynomial.Polynomial([-mid / half, 1.0 / half]))
+    return np.atleast_1d(q.coef)
+
+
+def chebyshev_fit_numpy(f, iv, degree):
+    mid, half = iv.mid, 0.5 * iv.length
+    values = np.asarray(f(mid + half * ncheb.chebpts1(degree + 1)), float)
+    cheb = ncheb.chebinterpolate(lambda x: values, degree)
+    return Poly1(tuple(cheb_to_power_numpy(cheb, mid, half)))
+
+
+_SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(cheb=st.integers(1, 60).flatmap(lambda d: st.lists(
+           st.one_of(_SIGNED_ZEROS, st.floats(-1e3, 1e3), st.floats(-1e-3, 1e-3)),
+           min_size=d + 1, max_size=d + 1)),
+       tail=st.lists(_SIGNED_ZEROS, max_size=4),
+       mid=st.one_of(_SIGNED_ZEROS, st.floats(-10.0, 10.0)),
+       half=st.floats(1e-2, 1e4))
+def test_cheb_to_power_matches_numpy_polynomial_bitwise(cheb, tail, mid, half):
+    """Degrees 1-60 with planted zeros of both signs, trailing ones too, under
+    random affine maps: the same coefficients, lengths and signed zeros."""
+    cheb = np.array(cheb)
+    cheb[len(cheb) - min(len(tail), len(cheb)):] = tail[:len(cheb)]
+    assert _bits(_cheb_to_power(cheb, mid, half)) == _bits(cheb_to_power_numpy(cheb, mid, half))
+
+
+_FIT_FUNCTIONS = ([Trig(k, sine) for k in range(15) for sine in (False, True)]
+                  + [Bump(1.0, 2.0), np.cos, np.exp, lambda x: x ** 3 - 2.0 * x + 1.0,
+                     np.ones_like, np.zeros_like])
+
+
+@pytest.mark.parametrize("iv", [Interval(0.0, TWO_PI), Interval(-2.5, 2.5), Interval(-1.3, 4.1)],
+                         ids=["theta", "symmetric", "shifted"])
+def test_chebyshev_fit_matches_numpy_polynomial_bitwise(iv):
+    for f in _FIT_FUNCTIONS:
+        for degree in (1, 2, 3, 4, 5, 8, 12, 16, 24, 40, 50, 60):
+            got, ref = chebyshev_fit(f, iv, degree).poly, chebyshev_fit_numpy(f, iv, degree)
+            assert _bits(np.array(got.coeffs)) == _bits(np.array(ref.coeffs))
 
 
 # -- meshes and writers ---------------------------------------------------------
@@ -733,26 +785,45 @@ def test_spin_matches_tree(name):
     assert_matches_tree(surface, spin_tree(arc))
 
 
+def assert_exact_plane_crossing(arc, axis, bump, k, exc):
+    """A PlaneCrossing from the twist height pre-check, against the tree's
+    height of the 1-twist over (t, phi), which a k-twist takes at the
+    rotation angle phi = k theta (the fixed arc's at phi = 0 for k = 0).
+
+    The reported t is a pre-check sample; the tree's height at the reported
+    (t, phi) is the reported value; that value is no more than the tree's
+    least height on the 2000 x 360 grid of t and phi; and the reported phi
+    is where a dense scan of phi at that t finds the least height."""
+    height = twist_tree(arc, axis, bump, min(k, 1))[2]["factors"][0]
+    ts = arc.ab.sample(PRECHECK_NT + 2)[1:-1]
+    assert exc.t in ts
+    assert abs(tree_eval(height, exc.t, exc.phi)[0] - exc.value) <= 1e-12
+    grid = tree_eval(height, ts[:, None], np.linspace(0.0, TWO_PI, 360, endpoint=False))[0]
+    assert exc.value <= grid.min() + 1e-12
+    if k == 0:
+        assert exc.phi == 0.0
+        return
+    step = TWO_PI / 2 ** 16
+    dense = step * np.arange(2 ** 16)
+    gap = abs(exc.phi - dense[np.argmin(tree_eval(height, exc.t, dense)[0])])
+    assert min(gap, TWO_PI - gap) <= step
+
+
 @pytest.mark.parametrize("name", ["trefoil_twist", "figure8_spun"])
 @pytest.mark.parametrize("k", [0, 1, 10])
 def test_twist_spin_matches_tree(name, k):
     arc, axis = _twist_setup(name)
     bump = choose_bump(arc, axis)
     coords = twist_tree(arc, axis, bump, k)
-    # the height pre-check on the same 2000 x 360 grid of t and the rotation
-    # angle phi = k theta, which the 1-twist's height takes as its theta
+    # a height <= 0 anywhere on the grid of pre-check t samples and 360
+    # rotation angles phi = k theta must be refused
     height = twist_tree(arc, axis, bump, min(k, 1))[2]["factors"][0]
     ts = arc.ab.sample(PRECHECK_NT + 2)[1:-1]
-    phis = np.linspace(0.0, TWO_PI, PRECHECK_NPHI, endpoint=False)
-    T, PH = np.meshgrid(ts, phis, indexing="ij")
-    heights = tree_eval(height, T, PH)[0]
-    if heights.min() <= 0.0:
+    phis = np.linspace(0.0, TWO_PI, 360, endpoint=False)
+    if tree_eval(height, ts[:, None], phis)[0].min() <= 0.0:
         with pytest.raises(PlaneCrossing) as exc:
             twist_spin(arc, axis, bump, k)
-        # reported at a grid point where the tree's height is least, up to rounding
-        at = tree_eval(height, exc.value.t, exc.value.phi)[0]
-        assert exc.value.t in ts and exc.value.phi in phis
-        assert abs(at - heights.min()) <= 1e-12 and abs(exc.value.value - heights.min()) <= 1e-12
+        assert_exact_plane_crossing(arc, axis, bump, k, exc.value)
         return
     surface = twist_spin(arc, axis, bump, k)
     assert max(len(c) for c in surface.coords) <= 4

@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from spun4d import twist as twist_module
 from spun4d.catalog import get_knot
 from spun4d.errors import NonUnitAxis, NoRoom, PlaneCrossing
 from spun4d.poly import Interval
 from spun4d.spin import spin
-from spun4d.surface import Surface4, max_grid_deviation
+from spun4d.surface import Surface4, _eval_points, max_grid_deviation
 from spun4d.twist import (
-    Bump, axis_rotation, choose_bump, make_axis, polynomialize_twist,
+    PRECHECK_NT, Bump, axis_rotation, choose_bump, make_axis, polynomialize_twist,
     rodrigues, twist_spin, twisted_arc,
 )
+from test_reference_impls import assert_exact_plane_crossing
 
 TWO_PI = 2.0 * math.pi
 
@@ -265,6 +267,50 @@ def test_twist_spin_plane_crossing_detected():
     with pytest.raises(PlaneCrossing) as exc:
         twist_spin(arc, axis, bump, 1)
     assert exc.value.value <= 0.0
+
+
+def test_twist_spin_refuses_a_dip_between_sampled_angles():
+    # with the axis at +-1.9674196 the short trefoil's rotated knotted part
+    # just reaches below the boundary plane: by 2.5e-6 at the least, while its
+    # least height on a grid of 2000 t samples and 360 angles is +9.9e-6
+    arc = get_knot("trefoil_spun")
+    axis = make_axis(arc, -1.9674196, 1.9674196)
+    bump = choose_bump(arc, axis)
+    ts = arc.ab.sample(PRECHECK_NT + 2)[1:-1]
+    phis = np.linspace(0.0, TWO_PI, 360, endpoint=False)
+    assert twisted_arc(arc, axis, bump, phis)(ts[:, None])[..., 2].min() > 0.0
+    with pytest.raises(PlaneCrossing) as exc:
+        twist_spin(arc, axis, bump, 1)
+    assert -1e-5 < exc.value.value <= 0.0
+    assert_exact_plane_crossing(arc, axis, bump, 1, exc.value)
+
+
+def test_twist_spin_zero_twists_checks_the_fixed_arc_only():
+    # figure8_spun's knotted part dips below the boundary plane when rotated
+    # about the chord at t = +-1, but with k = 0 it is not rotated at all
+    arc = get_knot("figure8_spun")
+    axis = make_axis(arc, -1.0, 1.0)
+    bump = choose_bump(arc, axis)
+    assert max_grid_deviation(twist_spin(arc, axis, bump, 0), spin(arc)) < 1e-10
+    with pytest.raises(PlaneCrossing):
+        twist_spin(arc, axis, bump, 1)
+
+
+def test_twist_height_precheck_evaluates_one_point_per_t_sample(twist_setup, monkeypatch):
+    # the least height over the rotation angle is in closed form, so the
+    # check evaluates the height's parts once per t sample, not on a grid
+    arc, axis, bump = twist_setup
+    points = []
+
+    def counting(coords, t, th, deriv=""):
+        points.append(np.broadcast(t, th).size)
+        return _eval_points(coords, t, th, deriv)
+
+    monkeypatch.setattr(twist_module, "_eval_points", counting)
+    for k in (0, 1, 10):
+        points.clear()
+        twist_spin(arc, axis, bump, k)
+        assert 0 < sum(points) <= 4 * PRECHECK_NT
 
 
 def test_twist_spin_json_roundtrip(twist_setup):
