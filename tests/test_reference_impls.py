@@ -15,8 +15,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from numpy.polynomial import chebyshev as ncheb
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
