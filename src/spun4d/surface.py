@@ -322,6 +322,31 @@ class Surface4:
         t, th = np.reshape(tvals, (-1, 1)), np.reshape(svals, (1, -1))
         return _eval_points(self.coords, t, th, "t"), _eval_points(self.coords, t, th, "s")
 
+    def _grid_factors(self, tvals, svals):
+        """The image grid as a rank-K product: ``(a, b, m)`` with ``a`` of
+        shape (n_t, K), ``b`` of shape (K, n_s, 4) and coordinate i at node
+        (t, theta) the sum over k of a[t, k] * b[k, theta, i].
+
+        There is one k per term: a[:, k] is its t-row with c folded in, as
+        ``_rows`` makes it, and b[k, :, i] its theta-row in the column of
+        its coordinate, 0 in the others.  Summed in term order from 0.0 the
+        products are ``eval_grid`` bit for bit.  ``m`` is at least the sum
+        of |a| |b| over k and i at every node, and ``evaluate`` there rounds
+        by at most eps * m, summed over the coordinates: K times that sum
+        bounds the rounding of K products summed in a row."""
+        tvals, svals = np.asarray(tvals, float), np.asarray(svals, float)
+        k = sum(map(len, self.coords))
+        a = np.empty((len(tvals), k))
+        b = np.zeros((k, len(svals), 4))
+        col = 0
+        for i, (a_rows, b_rows) in enumerate(zip(_rows(self.coords, "t", tvals),
+                                                 _rows(self.coords, "s", svals))):
+            for a_row, b_row in zip(a_rows, b_rows):
+                a[:, col], b[col, :, i] = a_row, b_row
+                col += 1
+        m = k * np.max(np.abs(a) @ np.abs(b).max(axis=(1, 2)), initial=0.0)
+        return a, b, m
+
     def to_json(self) -> dict:
         return {"type": "surface4", "coords": [_coord_json(c) for c in self.coords],
                 **_domain_json(self)}
@@ -352,6 +377,31 @@ class PolyMap4:
     def partials_grid(self, tvals, svals):
         t, s = np.reshape(tvals, (-1, 1)), np.reshape(svals, (1, -1))
         return tuple(np.stack([p.partial(w)(t, s) for p in self.polys], axis=-1) for w in "ts")
+
+    def _grid_factors(self, tvals, svals):
+        """The image grid as a rank-K product, K = deg_t + 1, as
+        ``Surface4._grid_factors`` describes: ``a`` is the Vandermonde matrix
+        of tvals, and b[:, :, i] the coefficients of coordinate i times the
+        transposed Vandermonde matrix of svals.
+
+        ``m`` is 2 (deg_t + deg_s + 1) times the largest sum of
+        |c_ij| |t|^i |s|^j over the coordinates, which bounds the sum of
+        |a| |b|.  ``evaluate``'s Horner steps in t and then in s round by at
+        most (2 deg_t + 2 deg_s) eps / 2 times that sum, and the powers and
+        products that make a and b by (deg_t + 2 deg_s + 1) eps / 2 times
+        it: together at most eps * m."""
+        coeffs = [p.coeffs for p in self.polys]
+        dt = max(c.shape[0] for c in coeffs) - 1
+        ds = max(c.shape[1] for c in coeffs) - 1
+        c = np.zeros((4, dt + 1, ds + 1))
+        for ci, p in zip(c, coeffs):
+            ci[:p.shape[0], :p.shape[1]] = p
+        a = np.vander(np.asarray(tvals, float), dt + 1, increasing=True)
+        vs = np.vander(np.asarray(svals, float), ds + 1, increasing=True)
+        b = np.ascontiguousarray(np.moveaxis(c @ vs.T, 0, -1))
+        beta = np.abs(c).sum(axis=0) @ np.abs(vs).max(axis=0)
+        m = 2.0 * (dt + ds + 1) * np.max(np.abs(a) @ beta)
+        return a, b, m
 
     def to_json(self) -> dict:
         return {"type": "polymap4", "coords": [p.to_json() for p in self.polys],

@@ -15,7 +15,6 @@ import numpy as np
 from .approx import PerturbationSpec, _perturb
 from .catalog import KnotArc, height_admissible
 from .poly import Interval, poly_scale
-from .surface import _grid_nodes
 
 __all__ = [
     "VerifyReport", "Collision", "jacobian_rank_scan", "injectivity_scan",
@@ -39,6 +38,8 @@ _REHASH = np.uint64(0xFF51AFD7ED558CCD).view(np.int64)
 # maps both the xy and the zw plane onto it one to one (a spun surface's
 # theta circles stay circles)
 _PLANE = np.array([[0.5, 0.5], [0.5, -0.5], [0.5, -0.5], [0.5, 0.5]])
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -92,6 +93,18 @@ def _inset_samples(iv: Interval, n: int) -> np.ndarray:
     return iv.lo + step * (np.arange(n) + 0.5)
 
 
+def _gram(dt: np.ndarray, ds: np.ndarray):
+    """g11, g22, g12 of the Gram matrix J^T J from the partials, arrays of
+    shape (..., 4): each is summed over the coordinates as
+    ((p0 + p1) + p2) + p3, the order of ``np.sum`` over a length-4 axis,
+    without its reduction loop."""
+    def dot(x, y):
+        p = x * y
+        return p[..., 0] + p[..., 1] + p[..., 2] + p[..., 3]
+
+    return dot(dt, dt), dot(ds, ds), dot(dt, ds)
+
+
 def jacobian_rank_scan(s, n_t: int, n_s: int, tol: float = RANK_TOL) -> tuple[bool, float]:
     """Smallest ratio sigma_2 / sigma_1 of the 4x2 Jacobian over an inset grid.
 
@@ -107,10 +120,7 @@ def jacobian_rank_scan(s, n_t: int, n_s: int, tol: float = RANK_TOL) -> tuple[bo
     tvals = _inset_samples(s.t_dom, n_t)
     svals = _inset_samples(s.s_dom, n_s)
     with np.errstate(all="ignore"):
-        dt, ds = s.partials_grid(tvals, svals)
-        g11 = np.sum(dt * dt, axis=-1)
-        g22 = np.sum(ds * ds, axis=-1)
-        g12 = np.sum(dt * ds, axis=-1)
+        g11, g22, g12 = _gram(*s.partials_grid(tvals, svals))
         tr = g11 + g22
         disc = np.sqrt(np.maximum((g11 - g22) ** 2 + 4.0 * g12 ** 2, 0.0))
         lam_hi = 0.5 * (tr + disc)
@@ -122,37 +132,6 @@ def jacobian_rank_scan(s, n_t: int, n_s: int, tol: float = RANK_TOL) -> tuple[bo
                          "or its Gram matrix overflows")
     min_ratio = float(np.min(ratio))
     return min_ratio > tol, min_ratio
-
-
-def _scan_points(s, n_t: int, n_s: int):
-    """Sample parameters and their images for collision scanning.
-
-    Theta is sampled without its end when periodic, so the grid has no seam
-    column, and the samples of each pole row are one node of ``_grid_nodes``.
-    Returns (tvals, svals, pts): pts holds one image per node, the image of
-    the node's first sample in the row-major (n_t, n_s) grid, in the order of
-    the nodes.  pts is the front of the image grid, so identified parameters
-    are never reported against themselves.
-    """
-    tvals = s.t_dom.sample(n_t)
-    if s.periodic_s:
-        svals = s.s_dom.lo + s.s_dom.length * np.arange(n_s) / n_s
-    else:
-        svals = s.s_dom.sample(n_s)
-    with np.errstate(over="ignore", invalid="ignore"):
-        grid = np.ascontiguousarray(s.evaluate(tvals[:, None], svals[None, :]))
-    d = grid.shape[-1]
-    grid = grid.reshape(n_t * n_s, d)
-    _, firsts = _grid_nodes(n_t, n_s, False, s.pole_low, s.pole_high)
-    # move the images of the nodes to the front, one run of consecutive first
-    # samples at a time: numpy copies an overlapping 1-D slice of the flat
-    # (viewed) grid without a buffer
-    flat = grid.reshape(-1)
-    starts = np.flatnonzero(np.diff(firsts, prepend=-2) != 1)
-    for a, b in zip(starts.tolist(), np.append(starts[1:], len(firsts)).tolist()):
-        f = int(firsts[a])
-        flat[d * a:d * b] = flat[d * f:d * (f + b - a)]
-    return tvals, svals, grid[:len(firsts)]
 
 
 def _shared(key: np.ndarray) -> np.ndarray:
@@ -177,19 +156,23 @@ def _shared(key: np.ndarray) -> np.ndarray:
         key = key[sel] * _REHASH  # wraps
 
 
-def _half_cells(pts: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """floor(pts @ basis) as int64: the half-cell indices of the rows of
-    ``pts`` along the scaled axes that are the columns of ``basis``."""
-    # einsum, not matmul: a threaded BLAS matrix-vector product of this shape
-    # can take ten times as long as one thread
-    u = np.einsum("ij,j...->i...", pts, basis)
-    return np.floor(u, out=u).astype(np.int64)
+def _half_width(r: float, room: float) -> float:
+    """Half the cell side of the hash grids for radius ``r``.  A pair that
+    passes the distance test is at most r (1 + 4 eps) apart, which the
+    factor 1 + 2**-20 covers; ``room`` covers the rounding of the hashed
+    coordinates."""
+    return r * (1.0 + 2.0 ** -20) + room
 
 
-def _grids(pts: np.ndarray, basis: np.ndarray):
-    """Hash the rows of ``pts`` into the 2**d grids of cells two half cells
-    wide along the d columns of ``basis``, each grid shifted by half a cell
-    along a subset of the axes.
+def _half_cells(u: np.ndarray) -> np.ndarray:
+    """floor(u) as int64."""
+    return np.floor(u).astype(np.int64)
+
+
+def _grids(u: np.ndarray):
+    """Hash the rows of the (m, d) array ``u`` of coordinates, in half
+    cells, into the 2**d grids of cells two half cells wide, each grid
+    shifted by half a cell along a subset of the axes.
 
     Yields ``(grid, key, odd)`` for each grid, in Gray-code order: each grid
     shifts one axis more or less than the one before.  ``grid`` has one bit
@@ -198,10 +181,10 @@ def _grids(pts: np.ndarray, basis: np.ndarray):
     index is odd, so that the grid shifted along that axis puts it in the
     next cell.
     """
-    key = np.zeros(len(pts), np.int64)
-    odd = np.zeros(len(pts), np.uint8)
-    for axis in range(basis.shape[1]):
-        h = _half_cells(pts, basis[:, axis])
+    key = np.zeros(len(u), np.int64)
+    odd = np.zeros(len(u), np.uint8)
+    for axis in range(u.shape[1]):
+        h = _half_cells(u[:, axis])
         odd |= (h & 1).astype(np.uint8) << axis
         h >>= 1
         h *= _CELL_HASH[axis]
@@ -209,7 +192,7 @@ def _grids(pts: np.ndarray, basis: np.ndarray):
     del h
     grid = 0
     yield grid, key, odd
-    for n in range(1, 1 << basis.shape[1]):
+    for n in range(1, 1 << u.shape[1]):
         axis = (n & -n).bit_length() - 1
         grid ^= 1 << axis
         step = np.add if grid >> axis & 1 else np.subtract
@@ -219,55 +202,52 @@ def _grids(pts: np.ndarray, basis: np.ndarray):
         yield grid, key, odd
 
 
-def _close_pairs(pts: np.ndarray, r: float):
-    """Yield batches ``(i, j)``, i < j, of the index pairs of the rows of the
-    (m, 4) array ``pts`` at most ``r`` apart, each pair once: exactly the
-    pairs ``cKDTree.query_pairs`` finds.
+def _size(pts: np.ndarray) -> float:
+    return max(float(pts.max(initial=0.0)), -float(pts.min(initial=0.0)))
 
-    Spatial hashing (Teschner et al., "Optimized spatial hashing for collision
-    detection of deformable objects", VMV 2003), in two stages, on grids of
-    cells of side just over 2 r, each shifted by half a cell along a subset
-    of the axes.  Two coordinates at most r apart lie in one cell of the
-    plain or of the shifted grid of their axis, so two points whose
-    coordinates are all at most r apart share a cell in at least one grid.
 
-    The first stage is an exact prefilter.  It projects the points onto a
-    fixed 2-plane, which moves no pair further apart, and hashes the
-    projections on the 4 grids of the plane.  A point that shares no cell
-    with another point in any of them is in no close pair; the rest are the
-    suspects, a small share of the points of a surface's scan.
+def _image_plane(pts: np.ndarray, r: float) -> np.ndarray:
+    """The plane coordinates, in half cells of the plane stage for radius
+    ``r``, of the rows of the (m, 4) array ``pts``.
 
-    The second stage searches the suspects on the 16 grids of R^4, with the
-    cell size of the whole point set.  A close pair shares a cell in the grid
-    that shifts just the axes where its cells in the plain grid differ, and
-    is kept only there.  Per grid, points whose key no other point shares
-    are dropped, the rest are sorted by key, and points are compared only
-    within runs of equal keys, at offset d = 1, 2, ... along the run, and
-    only when the parities of their half-cell indices allow the pair to be
-    kept in this grid.  The test is the squared distance summed coordinate
-    by coordinate, at most r * r, as ``cKDTree.query_pairs`` makes it.
+    With size the largest |coordinate|, each is within 5 eps * size of the
+    exact projection of its row (four products summed, and the scale
+    rounded), so a room of 16 eps * size covers two rows; scaled
+    coordinates stay below 2**50 in size, so they floor exactly.
     """
-    size = max(float(pts.max(initial=0.0)), -float(pts.min(initial=0.0)))
-    eps = np.finfo(float).eps
-    # A half cell is r plus room for rounding.  A pair that passes the test
-    # is at most r (1 + 4 eps) apart.  Measured in the original units, a
-    # scaled coordinate is within eps * size / 2 of its exact value, and a
-    # projection onto the plane (four products summed) within 5 eps * size:
-    # the room, 4 or 16 eps * size, is more than two points' errors take.
-    # Scaled coordinates stay below 2 ** 50 in size, so they floor exactly.
-    r_up = r * (1.0 + 2.0 ** -20)
-    suspect = np.zeros(len(pts), bool)
-    for _, key, _ in _grids(pts, _PLANE / (r_up + 16.0 * eps * size)):
+    # einsum, not matmul: a threaded BLAS product of this shape can take ten
+    # times as long as one thread
+    return np.einsum("ij,jk->ik", pts, _PLANE / _half_width(r, 16.0 * _EPS * _size(pts)))
+
+
+def _suspects(u: np.ndarray) -> np.ndarray:
+    """The plane stage: ascending indices of the rows of the (m, 2) array
+    ``u`` of plane coordinates, in half cells, that share a cell with
+    another row in one of the 4 grids of the plane."""
+    suspect = np.zeros(len(u), bool)
+    for _, key, _ in _grids(u):
         suspect[_shared(key)] = True
-    del key, _
-    sus = np.flatnonzero(suspect)
-    del suspect
-    if len(sus) < len(pts):
-        pts = pts[sus]
-    # the scaled identity: pts @ basis rounds each coordinate once, the same
-    # way for any subset of the points
-    basis = np.eye(4) / (r_up + 4.0 * eps * size)
-    for grid, key, odd in _grids(pts, basis):
+    return np.flatnonzero(suspect)
+
+
+def _space_pairs(pts: np.ndarray, r: float):
+    """The R^4 stage: yield batches ``(i, j)``, i < j, of the index pairs of
+    the rows of the (m, 4) array ``pts`` at most ``r`` apart, each pair once.
+
+    The rows are searched on the 16 grids of R^4, with cells of half side
+    r plus 4 eps * size: a scaled coordinate is within eps * size / 2 of its
+    exact value, which the room covers for two rows.  A close pair shares a
+    cell in the grid that shifts just the axes where its cells in the plain
+    grid differ, and is kept only there.  Per grid, rows whose key no other
+    row shares are dropped, the rest are sorted by key, and rows are
+    compared only within runs of equal keys, at offset d = 1, 2, ... along
+    the run, and only when the parities of their half-cell indices allow
+    the pair to be kept in this grid.  The test is the squared distance
+    summed coordinate by coordinate, at most r * r, as
+    ``cKDTree.query_pairs`` makes it.
+    """
+    u = pts / _half_width(r, 4.0 * _EPS * _size(pts))
+    for grid, key, odd in _grids(u):
         cand = _shared(key)
         if len(cand) == 0:
             continue
@@ -286,15 +266,69 @@ def _close_pairs(pts: np.ndarray, r: float):
             # grid along each shifted axis: its half-cell indices differ in parity
             mine = (odd[i] ^ odd[j]) & grid == grid
             i, j = i[mine], j[mine]
-            sq = np.square(pts[i] - pts[j])
-            close = sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3] <= r * r
+            # rows whose keys agree by chance may be far apart: a square
+            # beyond double range is inf, which fails the test
+            with np.errstate(over="ignore"):
+                sq = np.square(pts[i] - pts[j])
+                close = sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3] <= r * r
             i, j = i[close], j[close]
-            own = (_half_cells(pts[i], basis) >> 1 != _half_cells(pts[j], basis) >> 1) @ _AXIS_BITS == grid
+            own = (_half_cells(u[i]) >> 1 != _half_cells(u[j]) >> 1) @ _AXIS_BITS == grid
             if own.any():
-                yield sus[i[own]], sus[j[own]]
+                yield i[own], j[own]
             # positions whose run reaches offset d + 1
             pos = pos[same[pos + d]]
             d += 1
+
+
+def _close_pairs(pts: np.ndarray, r: float):
+    """Yield batches ``(i, j)``, i < j, of the index pairs of the rows of the
+    (m, 4) array ``pts`` at most ``r`` apart, each pair once: exactly the
+    pairs ``cKDTree.query_pairs`` finds.
+
+    Spatial hashing (Teschner et al., "Optimized spatial hashing for collision
+    detection of deformable objects", VMV 2003), in two stages, on grids of
+    cells of side just over 2 r, each shifted by half a cell along a subset
+    of the axes.  Two coordinates at most r apart lie in one cell of the
+    plain or of the shifted grid of their axis, so two points whose
+    coordinates are all at most r apart share a cell in at least one grid.
+
+    The plane stage (``_suspects``) is an exact prefilter.  It projects the
+    points onto a fixed 2-plane, which moves no pair further apart, and
+    hashes the projections on the 4 grids of the plane.  A point that
+    shares no cell with another point in any of them is in no close pair;
+    the rest are the suspects, a small share of the points of a surface's
+    scan.  The R^4 stage (``_space_pairs``) searches the suspects alone.
+    """
+    sus = _suspects(_image_plane(pts, r))
+    for i, j in _space_pairs(pts[sus] if len(sus) < len(pts) else pts, r):
+        yield sus[i], sus[j]
+
+
+def _factor_plane(s, tvals, svals, r: float):
+    """The plane coordinates, in half cells of the plane stage for radius
+    ``r``, of every sample of the scan grid, as an (n_t * n_s, 2) array in
+    row-major order, from the sampler's rank-K grid factors (a, b, m) in one
+    product a @ (b @ _PLANE); or None when m or b @ _PLANE is not finite.
+
+    The room is (K + 8) eps (m + 2**-1022).  At a node, the image that
+    ``evaluate`` returns is within eps * m of the exact sum of a b, summed
+    over the coordinates (the factors' contract), so its exact projection
+    is within eps * m / 2 of that sum's; the products and sums that make
+    the hashed coordinate, and its scaling, round by at most
+    (K + 5) eps * m / 4.  Two nodes take less than (K + 7) eps * m / 2;
+    2**-1022, the least normal double, covers underflow.  |a b| summed is
+    at most m, so scaled coordinates stay below 2**50 in size and floor
+    exactly.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b, m = s._grid_factors(tvals, svals)
+        bp = b @ _PLANE
+    if not (np.isfinite(m) and np.isfinite(bp).all()):
+        return None
+    k = a.shape[1]
+    u = np.matmul(a, bp.reshape(k, 2 * len(svals))).reshape(-1, 2)
+    u /= _half_width(r, (k + 8) * _EPS * (m + _TINY))
+    return u
 
 
 def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float = IMAGE_TOL) -> list[Collision]:
@@ -306,6 +340,16 @@ def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float =
     ``param_sep``.  An empty result means no self-intersection detected at
     this resolution.  The scan stops once it holds ``MAX_COLLISIONS``
     collisions, so a result of that length is a lower bound.
+
+    Theta is sampled without its end when periodic, so the grid has no seam
+    column, and each flagged pole row is one node, its first sample.  The
+    nodes are then the samples start:stop of the row-major grid, once sample
+    start stands for the low pole.  The search is ``_close_pairs``, with the
+    plane stage run once, on plane coordinates taken from the sampler's
+    rank-K grid factors when it has them (``_factor_plane``, whose rounding
+    room covers the gap to the projections of the images that ``evaluate``
+    returns) and else from the image grid.  Only the suspects' images go to
+    the R^4 stage: ``evaluate`` computes them when the image grid was not.
     """
     if n_t < 16 or n_s < 16:
         raise ValueError(f"injectivity grid sizes must be >= 16, got {n_t}x{n_s}")
@@ -313,21 +357,47 @@ def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float =
         raise ValueError(f"param_sep must be in (0, 1), got {param_sep!r}")
     if not image_tol > 0.0:
         raise ValueError(f"image_tol must be > 0, got {image_tol!r}")
-    tvals, svals, pts = _scan_points(s, n_t, n_s)
-    if not np.isfinite(pts).all():
-        raise ValueError("the surface's image is not finite on the injectivity grid")
+    tvals = s.t_dom.sample(n_t)
+    if s.periodic_s:
+        svals = s.s_dom.lo + s.s_dom.length * np.arange(n_s) / n_s
+    else:
+        svals = s.s_dom.sample(n_s)
+    start = n_s - 1 if s.pole_low else 0
+    stop = (n_t - 1) * n_s + 1 if s.pole_high else n_t * n_s
+    plane = _factor_plane(s, tvals, svals, image_tol) if hasattr(s, "_grid_factors") else None
+    images = None
+    if plane is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            images = np.ascontiguousarray(s.evaluate(tvals[:, None], svals[None, :])).reshape(-1, 4)
+        if not np.isfinite(images).all():
+            raise ValueError("the surface's image is not finite on the injectivity grid")
+        images[start] = images[0]
+        images = images[start:stop]
+        plane = _image_plane(images, image_tol)
+    else:
+        plane[start] = plane[0]
+        plane = plane[start:stop]
+    sus = _suspects(plane)
+    del plane
+    if len(sus) == 0:
+        return []
+    # grid row and column of each suspect's first sample
+    row, col = np.divmod(sus + start, n_s)
+    if start:
+        row[sus == 0] = col[sus == 0] = 0
+    if images is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            pts = s.evaluate(tvals[row], svals[col])
+        if not np.isfinite(pts).all():
+            raise ValueError("the surface's image is not finite on the injectivity grid")
+    else:
+        pts = images[sus]
     out: list[Collision] = []
-    firsts = None
-    for pairs in _close_pairs(pts, image_tol):
-        if firsts is None:
-            # the flat grid index of each node's first sample, built only once
-            # there is a pair to place
-            _, firsts = _grid_nodes(n_t, n_s, False, s.pole_low, s.pole_high)
+    for pairs in _space_pairs(pts, image_tol):
         pairs = np.stack(pairs, axis=1)
-        # grid row and column of the first sample of both nodes of every pair
-        row, col = np.divmod(firsts[pairs], n_s)
-        pole = (row == 0) & s.pole_low | (row == n_t - 1) & s.pole_high
-        tp, sp = tvals[row], svals[col]
+        prow = row[pairs]
+        pole = (prow == 0) & s.pole_low | (prow == n_t - 1) & s.pole_high
+        tp, sp = tvals[prow], svals[col[pairs]]
         du = np.abs(tp[:, 0] - tp[:, 1]) / s.t_dom.length
         dv = np.abs(sp[:, 0] - sp[:, 1]) / s.s_dom.length
         if s.periodic_s:

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import spun4d
 from spun4d import catalog
 from spun4d.approx import (
-    _cheb_to_power, bernstein_fit2, bernstein_lattice, chebyshev_fit, odd_perturbation,
+    _cheb_to_power, _perturb, bernstein_fit2, bernstein_lattice, chebyshev_fit, odd_perturbation,
 )
 from spun4d.catalog import (
     DIAG_SEP, GRID_N, MERGE_TOL, RESIDUAL_TOL, get_knot, knot_names, lift_height,
@@ -39,7 +39,7 @@ from spun4d.surface import TWO_PI, PolyMap4, Surface4, Term, Trig, max_grid_devi
 from spun4d.twist import (
     PRECHECK_NT, Bump, choose_bump, make_axis, polynomialize_twist, twist_spin,
 )
-from spun4d.verify import _PLANE, Collision, _close_pairs, injectivity_scan
+from spun4d.verify import _PLANE, MAX_COLLISIONS, Collision, _close_pairs, injectivity_scan
 
 
 def _bits(a) -> bytes:
@@ -955,13 +955,38 @@ class _DropCoordinate:
         return p
 
 
+def _cancelling_terms():
+    """A fold whose images carry rounding noise of about 2**-7: the terms
+    +-2**45 (1 + t) cos(theta) and sin(theta) cancel up to 2**-15, so the
+    factor bound m exceeds the images, of size 10, by 10**14.  Each
+    coordinate adds (t**2 + t / 20) / 2, so the pairs (t, -t - 1/20) meet,
+    and pairs on either side of them lie at every distance, a few just
+    inside image_tol and a few just outside, along the first axis of the
+    prefilter's plane, where the rounding room matters most."""
+    cos, sin = (Trig(1),), (Trig(1, sine=True),)
+    p, q = (Poly1((1.0, 1.0)),), (Poly1((1.0, 1.0, 2.0 ** -60)),)
+    fold = Term(0.5, (Poly1((0.0, 0.05, 1.0)),))
+    c = 2.0 ** 45
+    return Surface4(((fold, Term(10.0, (), cos), Term(c, p, cos), Term(-c, q, cos)),
+                     (fold, Term(10.0, (), sin)),
+                     (fold, Term(c, p, sin), Term(-c, q, sin)),
+                     (fold,)),
+                    Interval(-1.0, 1.0), pole_low=False, pole_high=False)
+
+
 def _scan_cases():
     arc = get_knot("trefoil_spun")
     twist_arc, axis = _twist_setup("trefoil_twist")
     fold = PolyMap4((Poly2.from_t(Poly1((0.0, 0.0, 1.0))), Poly2.from_s(Poly1((0.0, 1.0))),
                      Poly2(), Poly2()), Interval(-1.0, 1.0), Interval(-1.0, 1.0))
     sphere_h = Poly1((1.0 + 1e-12, 0.0, -1.0))
+    poly = polynomial_spin(arc, 8)
+    spec, _ = odd_perturbation(poly.polys, 2, [])
     return {
+        # the isotopy family F_u of criterion 8 is not embedded at u = 0.005
+        "family_u0.005": (replace(poly, polys=_perturb(poly.polys, spec.N, 0.005 * spec.epsilon)),
+                          200, 0.05, 1e-3),
+        "cancelling_terms": (_cancelling_terms(), 100, 0.05, 0.002),
         # the xzw projection of the spun trefoil crosses itself (criterion 6)
         "xzw_projection": (_DropCoordinate(spin(arc), 1), 400, 0.05, 0.05),
         # t -> t^2 folds the square onto itself
@@ -981,7 +1006,8 @@ def _scan_cases():
 
 
 @pytest.mark.parametrize("name", ["xzw_projection", "planted_fold", "twist_k10",
-                                  "spin_without_poles", "sphere_poles"])
+                                  "spin_without_poles", "sphere_poles", "family_u0.005",
+                                  "cancelling_terms"])
 def test_injectivity_scan_matches_meshgrid_reference(name):
     s, n, param_sep, image_tol = _scan_cases()[name]
     got = injectivity_scan(s, n, n, param_sep, image_tol)
@@ -990,6 +1016,42 @@ def test_injectivity_scan_matches_meshgrid_reference(name):
         assert len(got) >= 1
     if name == "sphere_poles":
         assert any(c.param_a == (-1.0, 0.0) for c in got)
+    if name == "cancelling_terms":
+        _, _, m = s._grid_factors(s.t_dom.sample(n), s.s_dom.sample(n))
+        assert m > 1e14 * np.abs(s.eval_grid(s.t_dom.sample(n), s.s_dom.sample(n))).max()
+        assert max(c.distance for c in got) > 0.9 * image_tol
+        assert len(injectivity_scan_meshgrid(s, n, n, param_sep, 1.05 * image_tol)) > len(got)
+
+
+_COEF = st.floats(-3.0, 3.0)
+_POLY1 = st.lists(_COEF, min_size=1, max_size=4).map(lambda c: Poly1(tuple(c)))
+_BUMP = st.tuples(st.floats(0.05, 0.5), st.floats(0.55, 1.0)).map(lambda d: Bump(*d))
+_TERM = st.builds(Term, _COEF,
+                  st.lists(st.one_of(_POLY1, _BUMP), max_size=2).map(tuple),
+                  st.lists(st.one_of(_POLY1, st.builds(Trig, st.integers(0, 4), st.booleans())),
+                           max_size=2).map(tuple))
+_SURFACE = st.builds(lambda coords, flags: Surface4(coords, Interval(-1.0, 1.0), Interval(0.0, TWO_PI), *flags),
+                     st.tuples(*[st.lists(_TERM, min_size=1, max_size=4).map(tuple)] * 4),
+                     st.tuples(st.booleans(), st.booleans(), st.booleans()))
+_POLY2 = st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(0, 2 ** 32 - 1)).map(
+    lambda a: Poly2(np.random.default_rng(a[2]).uniform(-3.0, 3.0, a[:2])))
+_POLYMAP = st.builds(lambda polys, flags: PolyMap4(polys, Interval(-1.0, 1.0), Interval(-1.0, 1.0), *flags),
+                     st.tuples(*[_POLY2] * 4), st.tuples(st.booleans(), st.booleans(), st.booleans()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(s=st.one_of(_SURFACE, _POLYMAP), n_t=st.integers(16, 48), n_s=st.integers(16, 48),
+       log_tol=st.floats(-4.0, 0.0))
+def test_injectivity_scan_matches_meshgrid_on_random_samplers(s, n_t, n_s, log_tol):
+    # random Surface4s of 1-4 terms per coordinate and PolyMap4s of degree
+    # <= 6, with random seam and pole flags
+    image_tol = 10.0 ** log_tol
+    got = injectivity_scan(s, n_t, n_s, 0.05, image_tol)
+    want = injectivity_scan_meshgrid(s, n_t, n_s, 0.05, image_tol)
+    if len(want) < MAX_COLLISIONS:
+        assert got == want
+    else:
+        assert len(got) == MAX_COLLISIONS and set(got) <= set(want)
 
 
 @pytest.mark.parametrize("pole", ["pole_low", "pole_high"])

@@ -9,15 +9,16 @@ import pytest
 
 import spun4d
 
+import spun4d.surface as surface_module
 from spun4d.approx import PerturbationSpec, odd_perturbation
 from spun4d.catalog import KnotArc, get_knot
 from spun4d.poly import Interval, Poly1, Poly2
 from spun4d.spin import polynomial_spin, spin
-from spun4d.surface import PolyMap4
+from spun4d.surface import PolyMap4, Surface4, Term
 from spun4d.twist import choose_bump, make_axis, twist_spin
 from spun4d.verify import (
-    MAX_COLLISIONS, VerifyReport, boundary_check, injectivity_scan, isotopy_family_check,
-    jacobian_rank_scan, verify_surface,
+    MAX_COLLISIONS, VerifyReport, _gram, _inset_samples, boundary_check, injectivity_scan,
+    isotopy_family_check, jacobian_rank_scan, verify_surface,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -62,6 +63,60 @@ def test_injectivity_scan_input_validation():
                      Poly2(), Poly2()), Interval(-1e5, 1e5), Interval(-1, 1))
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
         injectivity_scan(huge, 64, 64, 0.05)
+
+
+def _twist_k10():
+    arc = get_knot("trefoil_twist")
+    axis = make_axis(arc, -2.19, 2.19)
+    return twist_spin(arc, axis, choose_bump(arc, axis), 10)
+
+
+def _scaled(s, k):
+    return Surface4(tuple(tuple(Term(c * k, tf, sf) for c, tf, sf in terms) for terms in s.coords),
+                    s.t_dom, s.s_dom, s.periodic_s, s.pole_low, s.pole_high)
+
+
+def test_injectivity_scan_refuses_an_overflowing_t_factor():
+    # 1e300 t^2 overflows to inf at t = +-1e5, so the grid factors' bound is
+    # not finite and the refusal comes from the evaluated images
+    huge = Surface4(((Term(1e300, (Poly1((0.0, 0.0, 1.0)),)),), (Term(1.0, (), (Poly1((0.0, 1.0)),)),),
+                     (), ()), Interval(-1e5, 1e5), Interval(-1.0, 1.0), False, False, False)
+    with pytest.raises(ValueError, match="not finite"):
+        injectivity_scan(huge, 64, 64, 0.05)
+
+
+def test_injectivity_scan_of_a_huge_finite_surface():
+    # scaled by 1e200, the factors' products stay finite, and the hashed
+    # coordinates stay in int64 range: the suite turns any RuntimeWarning
+    # into an error
+    s = spin(_unknot())
+    assert injectivity_scan(_scaled(s, 1e200), 128, 128, 0.05) == []
+    poly = polynomial_spin(_unknot(), 8)
+    big = PolyMap4(tuple(Poly2(p.coeffs * 1e200) for p in poly.polys), poly.t_dom, poly.s_dom,
+                   poly.periodic_s, poly.pole_low, poly.pole_high)
+    assert injectivity_scan(big, 128, 128, 0.05) == []
+
+
+def test_injectivity_scan_evaluates_images_at_suspects_only(monkeypatch):
+    # the plane coordinates come from the grid factors, so only the nodes
+    # that share a plane cell with another node have their images evaluated
+    s = _twist_k10()
+    tvals, svals = s.t_dom.sample(400), 2.0 * np.pi * np.arange(400) / 400
+    a, b, _ = s._grid_factors(tvals, svals)
+    summed = np.zeros((400, 400, 4))
+    for k in range(a.shape[1]):
+        summed += a[:, k, None, None] * b[k]
+    assert summed.tobytes() == s.eval_grid(tvals, svals).tobytes()
+    points = []
+    evaluate = surface_module._eval_points
+
+    def counting(coords, t, th, deriv=""):
+        points.append(np.broadcast(t, th).size)
+        return evaluate(coords, t, th, deriv)
+
+    monkeypatch.setattr(surface_module, "_eval_points", counting)
+    assert injectivity_scan(s, 400, 400, 0.05, 1e-3) == []
+    assert 0 < sum(points) < 0.02 * 400 * 400
 
 
 def test_injectivity_clean_on_sphere():
@@ -170,17 +225,25 @@ def test_constant_map_scan_stops_at_the_cap():
 
 
 def test_injectivity_scan_peak_memory_at_600():
-    # the (600 * 600, 4) image grid alone takes 11.5 MB
-    arc = get_knot("trefoil_twist")
-    axis = make_axis(arc, -2.19, 2.19)
-    s = twist_spin(arc, axis, choose_bump(arc, axis), 10)
+    # no (600 * 600, 4) image grid: the plane coordinates of the grid take
+    # 5.8 MB, and the plane stage's bucket table 8.4 MB
+    s = _twist_k10()
     tracemalloc.start()
     try:
         assert injectivity_scan(s, 600, 600, 0.05, 1e-3) == []
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 36e6
+    assert peak < 23.8e6
+
+
+@pytest.mark.parametrize("name", ["twist_k10", "polynomial_spin_8"])
+def test_gram_sums_match_np_sum_bitwise(name):
+    s = _twist_k10() if name == "twist_k10" else polynomial_spin(get_knot("trefoil_spun"), 8)
+    dt, ds = s.partials_grid(_inset_samples(s.t_dom, 200), _inset_samples(s.s_dom, 200))
+    want = (np.sum(dt * dt, axis=-1), np.sum(ds * ds, axis=-1), np.sum(dt * ds, axis=-1))
+    for got, ref in zip(_gram(dt, ds), want):
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_verify_runs_without_scipy():
