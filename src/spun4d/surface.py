@@ -270,6 +270,8 @@ def _read(doc: dict, parse, flag_default: bool):
         if key not in doc:
             raise ValueError(f"missing key {key!r}")
         domains.append(_keyed(repr(key), Interval.from_json, doc[key]))
+        if domains[-1].length == 0.0:
+            raise ValueError(f"key {key!r}: the domain has length 0, got {doc[key]}")
     flags = []
     for key in ("periodic_s", "pole_low", "pole_high"):
         v = doc.get(key, flag_default)

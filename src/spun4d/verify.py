@@ -331,6 +331,15 @@ def _factor_plane(s, tvals, svals, r: float):
     return u
 
 
+def _images(s, t, th) -> np.ndarray:
+    """``s.evaluate(t, th)``, refused unless every coordinate is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts = s.evaluate(t, th)
+    if not np.isfinite(pts).all():
+        raise ValueError("the surface's image is not finite on the injectivity grid")
+    return pts
+
+
 def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float = IMAGE_TOL) -> list[Collision]:
     """Sampled self-intersection detection.
 
@@ -344,12 +353,13 @@ def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float =
     Theta is sampled without its end when periodic, so the grid has no seam
     column, and each flagged pole row is one node, its first sample.  The
     nodes are then the samples start:stop of the row-major grid, once sample
-    start stands for the low pole.  The search is ``_close_pairs``, with the
-    plane stage run once, on plane coordinates taken from the sampler's
-    rank-K grid factors when it has them (``_factor_plane``, whose rounding
-    room covers the gap to the projections of the images that ``evaluate``
-    returns) and else from the image grid.  Only the suspects' images go to
-    the R^4 stage: ``evaluate`` computes them when the image grid was not.
+    start stands for the low pole.  The plane coordinates of every sample
+    come from the sampler's rank-K grid factors when it has them with a
+    finite bound (``_factor_plane``, whose rounding room covers the gap to
+    the projections of the images that ``evaluate`` returns), and else from
+    the image grid (``_image_plane``), which is dropped once projected.  One
+    path follows: the plane stage (``_suspects``) on the nodes, the images
+    of the suspects alone, and the R^4 stage (``_space_pairs``) on them.
     """
     if n_t < 16 or n_s < 16:
         raise ValueError(f"injectivity grid sizes must be >= 16, got {n_t}x{n_s}")
@@ -357,6 +367,9 @@ def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float =
         raise ValueError(f"param_sep must be in (0, 1), got {param_sep!r}")
     if not image_tol > 0.0:
         raise ValueError(f"image_tol must be > 0, got {image_tol!r}")
+    for name, dom in (("t_dom", s.t_dom), ("s_dom", s.s_dom)):
+        if not dom.length > 0.0:
+            raise ValueError(f"{name} must have positive length, got [{dom.lo!r}, {dom.hi!r}]")
     tvals = s.t_dom.sample(n_t)
     if s.periodic_s:
         svals = s.s_dom.lo + s.s_dom.length * np.arange(n_s) / n_s
@@ -365,19 +378,10 @@ def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float =
     start = n_s - 1 if s.pole_low else 0
     stop = (n_t - 1) * n_s + 1 if s.pole_high else n_t * n_s
     plane = _factor_plane(s, tvals, svals, image_tol) if hasattr(s, "_grid_factors") else None
-    images = None
     if plane is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            images = np.ascontiguousarray(s.evaluate(tvals[:, None], svals[None, :])).reshape(-1, 4)
-        if not np.isfinite(images).all():
-            raise ValueError("the surface's image is not finite on the injectivity grid")
-        images[start] = images[0]
-        images = images[start:stop]
-        plane = _image_plane(images, image_tol)
-    else:
-        plane[start] = plane[0]
-        plane = plane[start:stop]
-    sus = _suspects(plane)
+        plane = _image_plane(_images(s, tvals[:, None], svals[None, :]).reshape(-1, 4), image_tol)
+    plane[start] = plane[0]
+    sus = _suspects(plane[start:stop])
     del plane
     if len(sus) == 0:
         return []
@@ -385,13 +389,7 @@ def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float =
     row, col = np.divmod(sus + start, n_s)
     if start:
         row[sus == 0] = col[sus == 0] = 0
-    if images is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            pts = s.evaluate(tvals[row], svals[col])
-        if not np.isfinite(pts).all():
-            raise ValueError("the surface's image is not finite on the injectivity grid")
-    else:
-        pts = images[sus]
+    pts = _images(s, tvals[row], svals[col])
     out: list[Collision] = []
     for pairs in _space_pairs(pts, image_tol):
         pairs = np.stack(pairs, axis=1)
@@ -437,19 +435,17 @@ def isotopy_family_check(
     rank_tol: float = RANK_TOL,
     image_tol: float = IMAGE_TOL,
 ) -> bool:
-    """Run both scans on the perturbation family F_u for every u.
+    """True iff ``verify_surface`` passes (no boundary arc) on the
+    perturbation family F_u for every u; stops at the first u that fails.
 
     ``map4`` is the *unperturbed* PolyMap4; F_u adds u * eps * t^(2N+1) and
     u * eps * s^(2N+1) to the third and fourth coordinates.
     """
-    for u in u_samples:
-        fu = replace(map4, polys=_perturb(map4.polys, spec.N, u * spec.epsilon))
-        ok, _ = jacobian_rank_scan(fu, n_rank, n_rank, rank_tol)
-        if not ok:
-            return False
-        if injectivity_scan(fu, n_inject, n_inject, param_sep, image_tol):
-            return False
-    return True
+    return all(
+        verify_surface(replace(map4, polys=_perturb(map4.polys, spec.N, u * spec.epsilon)), None,
+                       n_rank, n_inject, param_sep, rank_tol, image_tol).ok
+        for u in u_samples
+    )
 
 
 def verify_surface(

@@ -88,6 +88,19 @@ def test_verify_pass_on_spun_surface(workdir):
     assert report["ok"] is True and report["boundary_ok"] is True
 
 
+@pytest.mark.parametrize("key, dom", [("t_dom", [0.5, 0.5]), ("s_dom", [1.0, 1.0])])
+def test_verify_zero_length_domain_is_one_error_line(workdir, capsys, key, dom):
+    # over a zero-length domain every parameter separation is 0 / 0, which
+    # no pair exceeds: the file is refused rather than passed
+    assert dispatch(["spin", "trefoil_spun", "--out", "s.json"]) == 0
+    doc = json.loads((workdir / "s.json").read_text())
+    (workdir / "z.json").write_text(json.dumps({**doc, key: dom}))
+    capsys.readouterr()
+    assert dispatch(["verify", "z.json", "--knot", "trefoil_spun"]) == 1
+    assert f"z.json: key '{key}'" in _one_error_line(capsys)
+    assert sorted(os.listdir(workdir)) == ["s.json", "s.json.manifest.json", "z.json"]
+
+
 def test_twistspin_sweep_emits_count_files(workdir):
     assert dispatch(["twistspin", "trefoil_twist", "--k", "2", "--sweep", "w",
                      "--count", "5"]) == 0

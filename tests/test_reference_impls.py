@@ -39,7 +39,9 @@ from spun4d.surface import TWO_PI, PolyMap4, Surface4, Term, Trig, max_grid_devi
 from spun4d.twist import (
     PRECHECK_NT, Bump, choose_bump, make_axis, polynomialize_twist, twist_spin,
 )
-from spun4d.verify import _PLANE, MAX_COLLISIONS, Collision, _close_pairs, injectivity_scan
+from spun4d.verify import (
+    _PLANE, MAX_COLLISIONS, Collision, _close_pairs, _factor_plane, injectivity_scan,
+)
 
 
 def _bits(a) -> bytes:
@@ -1061,6 +1063,24 @@ def test_injectivity_scan_matches_meshgrid_reference_with_one_pole(pole):
     got = injectivity_scan(s, 64, 64, 0.05, 1e-3)
     assert len(got) >= 1
     assert got == injectivity_scan_meshgrid(s, 64, 64, 0.05, 1e-3)
+
+
+def test_injectivity_scan_with_an_overflowing_factor_bound_matches_meshgrid_reference():
+    # x is +-2**1022 (1 + t) on two t factors that differ only in a 2**-60 t**2
+    # term, below the rounding of 1 + t on [-1, 1]: the terms cancel exactly in
+    # every image, but the grid factors' bound m overflows, so the plane
+    # coordinates come from the evaluated image grid.  The fold (t**2, s) in y
+    # and z makes the pairs (t, s), (-t, s) collide
+    c, p, q = 2.0 ** 1022, (Poly1((1.0, 1.0)),), (Poly1((1.0, 1.0, 2.0 ** -60)),)
+    s = Surface4(((Term(c, p), Term(-c, q)), (Term(1.0, (Poly1((0.0, 0.0, 1.0)),)),),
+                  (Term(1.0, (), (Poly1((0.0, 1.0)),)),), ()),
+                 Interval(-1.0, 1.0), Interval(-1.0, 1.0), False, False, False)
+    tvals, svals = s.t_dom.sample(48), s.s_dom.sample(48)
+    assert _factor_plane(s, tvals, svals, 1e-3) is None
+    assert not s.eval_grid(tvals, svals)[..., 0].any()
+    got = injectivity_scan(s, 48, 48, 0.05, 1e-3)
+    assert len(got) >= 1
+    assert got == injectivity_scan_meshgrid(s, 48, 48, 0.05, 1e-3)
 
 
 # -- close-pair search ---------------------------------------------------------------

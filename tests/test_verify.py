@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,6 +64,11 @@ def test_injectivity_scan_input_validation():
                      Poly2(), Poly2()), Interval(-1e5, 1e5), Interval(-1, 1))
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
         injectivity_scan(huge, 64, 64, 0.05)
+    # over a zero-length domain every parameter separation is 0 / 0, which no
+    # pair exceeds
+    for key in ("t_dom", "s_dom"):
+        with pytest.raises(ValueError, match=f"{key} must have positive length"):
+            injectivity_scan(replace(s, **{key: Interval(0.5, 0.5)}), 64, 64, 0.05)
 
 
 def _twist_k10():
@@ -235,6 +241,36 @@ def test_injectivity_scan_peak_memory_at_600():
     finally:
         tracemalloc.stop()
     assert peak < 23.8e6
+
+
+class _EvaluateOnly:
+    """A surface that implements only the sampling contract's ``evaluate``,
+    with its domains and flags; it records the points of each call."""
+
+    def __init__(self, s):
+        self._s, self.points = s, []
+        self.t_dom, self.s_dom = s.t_dom, s.s_dom
+        self.periodic_s, self.pole_low, self.pole_high = s.periodic_s, s.pole_low, s.pole_high
+
+    def evaluate(self, t, th):
+        self.points.append(np.broadcast(t, th).size)
+        return self._s.evaluate(t, th)
+
+
+def test_injectivity_scan_of_an_evaluate_only_sampler_at_600():
+    # the image grid is projected and dropped before the plane stage, so the
+    # scan peaks no higher than the factor route; only the suspects' images
+    # are evaluated again
+    s = _EvaluateOnly(_twist_k10())
+    tracemalloc.start()
+    try:
+        assert injectivity_scan(s, 600, 600, 0.05, 1e-3) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 23.8e6
+    assert len(s.points) == 2 and s.points[0] == 600 * 600
+    assert 0 < s.points[1] < 0.02 * 600 * 600
 
 
 @pytest.mark.parametrize("name", ["twist_k10", "polynomial_spin_8"])
