@@ -415,6 +415,9 @@ def dispatch(argv) -> int:
     except (Spun4dError, OSError, ValueError, KeyError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"{PROG}: error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

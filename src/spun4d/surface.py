@@ -11,7 +11,9 @@ k-twist spin at most four.  One evaluator serves points, grids and partials:
 it samples each distinct factor once on t and once on theta and sums the
 broadcast products term by term, so a grid given as a column of t and a row
 of theta costs one factor sample per grid line.  First partials follow by the
-product rule, never by finite differences.
+product rule, never by finite differences.  The scans take a tensor grid and
+its partials instead as rank-K products of the terms' t-rows and theta-rows
+(``_grid_factors``, ``_partial_factors``).
 
 Surface files keep the tagged tree format (``sum``, ``product``, ``const``,
 ``poly_t``, ``poly_theta``, ``cos_k``, ``sin_k``, ``bump``): the writer emits
@@ -155,11 +157,12 @@ def _collect(terms) -> tuple[Term, ...]:
 
 # -- evaluation -------------------------------------------------------------
 
-def _rows(coords, side: str, x, deriv: bool = False):
-    """Per coordinate, the list of its terms' products of ``side`` ("t" or
-    "s") factors on the samples x, with c folded into the t side, or with
-    ``deriv`` their x-derivatives by the product rule.  Every distinct factor
-    is evaluated once for all coordinates, on x in its own shape."""
+def _term_rows(coords, side: str, x, deriv: bool):
+    """Per coordinate, the list of its terms' pairs (product, derivative):
+    the product of the term's ``side`` ("t" or "s") factors on the samples
+    x, with c folded into the t side, and with ``deriv`` its x-derivative by
+    the product rule (else None).  Every distinct factor is evaluated once
+    for all coordinates, on x in its own shape."""
     distinct = {f for terms in coords for term in terms for f in getattr(term, side)}
     val = {f: f(x) for f in distinct}
     der = {f: _slope(f, x) for f in distinct} if deriv else {}
@@ -172,9 +175,16 @@ def _rows(coords, side: str, x, deriv: bool = False):
                 if deriv:
                     d = d * val[f] + p * der[f]
                 p = p * val[f]
-            rows.append(d if deriv else p)
+            rows.append((p, d if deriv else None))
         out.append(rows)
     return out
+
+
+def _rows(coords, side: str, x, deriv: bool = False):
+    """Per coordinate, the list of its terms' products of ``side`` factors
+    on x, as ``_term_rows`` makes them, or with ``deriv`` their
+    x-derivatives."""
+    return [[d if deriv else p for p, d in rows] for rows in _term_rows(coords, side, x, deriv)]
 
 
 def _eval_points(coords, t, th, deriv: str = "") -> np.ndarray:
@@ -330,24 +340,41 @@ class Surface4:
         (t, theta) the sum over k of a[t, k] * b[k, theta, i].
 
         There is one k per term: a[:, k] is its t-row with c folded in, as
-        ``_rows`` makes it, and b[k, :, i] its theta-row in the column of
+        ``_term_rows`` makes it, and b[k, :, i] its theta-row in the column of
         its coordinate, 0 in the others.  Summed in term order from 0.0 the
         products are ``eval_grid`` bit for bit.  ``m`` is at least the sum
         of |a| |b| over k and i at every node, and ``evaluate`` there rounds
         by at most eps * m, summed over the coordinates: K times that sum
         bounds the rounding of K products summed in a row."""
-        tvals, svals = np.asarray(tvals, float), np.asarray(svals, float)
-        k = sum(map(len, self.coords))
-        a = np.empty((len(tvals), k))
-        b = np.zeros((k, len(svals), 4))
-        col = 0
-        for i, (a_rows, b_rows) in enumerate(zip(_rows(self.coords, "t", tvals),
-                                                 _rows(self.coords, "s", svals))):
-            for a_row, b_row in zip(a_rows, b_rows):
-                a[:, col], b[col, :, i] = a_row, b_row
-                col += 1
-        m = k * np.max(np.abs(a) @ np.abs(b).max(axis=(1, 2)), initial=0.0)
+        (a,), (b,) = self._term_factors(tvals, svals, False)
+        m = a.shape[1] * np.max(np.abs(a) @ np.abs(b).max(axis=(1, 2)), initial=0.0)
         return a, b, m
+
+    def _partial_factors(self, tvals, svals):
+        """The partials over the tensor grid in rank-K form: ``(a, a_t, b,
+        b_s)`` with ``a`` and ``b`` as ``_grid_factors`` gives them and
+        a_t, b_s their derivatives in t and theta, by the product rule per
+        term, so that d/dt is a_t times b and d/dtheta is a times b_s,
+        summed over k.  Each distinct factor is sampled once on t and once
+        on theta, for its values and its slopes."""
+        (a, a_t), (b, b_s) = self._term_factors(tvals, svals, True)
+        return a, a_t, b, b_s
+
+    def _term_factors(self, tvals, svals, deriv: bool):
+        """The stacked t-rows (n, n_t, K) and theta-rows (n, K, n_s, 4) of the
+        terms, n = 1, or n = 2 with ``deriv``: values, then derivatives."""
+        tvals, svals = np.asarray(tvals, float), np.asarray(svals, float)
+        n, k = 1 + deriv, sum(map(len, self.coords))
+        a = np.empty((n, len(tvals), k))
+        b = np.zeros((n, k, len(svals), 4))
+        col = 0
+        for i, (a_rows, b_rows) in enumerate(zip(_term_rows(self.coords, "t", tvals, deriv),
+                                                 _term_rows(self.coords, "s", svals, deriv))):
+            for a_pair, b_pair in zip(a_rows, b_rows):
+                for j in range(n):
+                    a[j, :, col], b[j, col, :, i] = a_pair[j], b_pair[j]
+                col += 1
+        return a, b
 
     def to_json(self) -> dict:
         return {"type": "surface4", "coords": [_coord_json(c) for c in self.coords],
@@ -392,18 +419,29 @@ class PolyMap4:
         most (2 deg_t + 2 deg_s) eps / 2 times that sum, and the powers and
         products that make a and b by (deg_t + 2 deg_s + 1) eps / 2 times
         it: together at most eps * m."""
-        coeffs = [p.coeffs for p in self.polys]
-        dt = max(c.shape[0] for c in coeffs) - 1
-        ds = max(c.shape[1] for c in coeffs) - 1
-        c = np.zeros((4, dt + 1, ds + 1))
-        for ci, p in zip(c, coeffs):
-            ci[:p.shape[0], :p.shape[1]] = p
-        a = np.vander(np.asarray(tvals, float), dt + 1, increasing=True)
-        vs = np.vander(np.asarray(svals, float), ds + 1, increasing=True)
+        c, a, vs = self._vanders(tvals, svals)
         b = np.ascontiguousarray(np.moveaxis(c @ vs.T, 0, -1))
         beta = np.abs(c).sum(axis=0) @ np.abs(vs).max(axis=0)
-        m = 2.0 * (dt + ds + 1) * np.max(np.abs(a) @ beta)
+        m = 2.0 * (c.shape[1] + c.shape[2] - 1) * np.max(np.abs(a) @ beta)
         return a, b, m
+
+    def _partial_factors(self, tvals, svals):
+        """The partials over the tensor grid in rank-K form, as
+        ``Surface4._partial_factors`` describes: a_t and b_s are made as a
+        and b are, from the differentiated Vandermonde matrices."""
+        c, a, vs = self._vanders(tvals, svals)
+        b, b_s = (np.moveaxis(c @ v.T, 0, -1) for v in (vs, _vander_slope(vs)))
+        return a, _vander_slope(a), b, b_s
+
+    def _vanders(self, tvals, svals):
+        """The coefficients as one (4, deg_t + 1, deg_s + 1) array, and the
+        increasing Vandermonde matrices of tvals and svals."""
+        coeffs = [p.coeffs for p in self.polys]
+        c = np.zeros((4, max(p.shape[0] for p in coeffs), max(p.shape[1] for p in coeffs)))
+        for ci, p in zip(c, coeffs):
+            ci[:p.shape[0], :p.shape[1]] = p
+        return (c, np.vander(np.asarray(tvals, float), c.shape[1], increasing=True),
+                np.vander(np.asarray(svals, float), c.shape[2], increasing=True))
 
     def to_json(self) -> dict:
         return {"type": "polymap4", "coords": [p.to_json() for p in self.polys],
@@ -412,6 +450,14 @@ class PolyMap4:
     @classmethod
     def from_json(cls, doc: dict) -> "PolyMap4":
         return cls(*_read(doc, Poly2.from_json, False))
+
+
+def _vander_slope(v: np.ndarray) -> np.ndarray:
+    """The x-derivative of an increasing Vandermonde matrix of x: column j
+    is j x^(j-1)."""
+    out = np.zeros_like(v)
+    out[:, 1:] = v[:, :-1] * np.arange(1, v.shape[1])
+    return out
 
 
 def _grid_nodes(n_t: int, n_s: int, periodic_s: bool, pole_low: bool, pole_high: bool):

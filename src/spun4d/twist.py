@@ -240,6 +240,8 @@ def polynomialize_twist(s: Surface4, cheb_degree: int, bump_degree: int | None =
     """
     if cheb_degree < 1:
         raise ValueError(f"cheb_degree must be >= 1, got {cheb_degree}")
+    if bump_degree is not None and bump_degree < 1:
+        raise ValueError(f"bump_degree must be >= 1, got {bump_degree}")
     fits: dict = {}
 
     def fit(f):

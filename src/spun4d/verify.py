@@ -105,13 +105,28 @@ def _gram(dt: np.ndarray, ds: np.ndarray):
     return dot(dt, dt), dot(ds, ds), dot(dt, ds)
 
 
+def _partials(s, tvals, svals):
+    """The partials (d/dt, d/dtheta) over the tensor grid, from the
+    sampler's rank-K derivative factors in two products (n_t, K) @ (K, 4 n_s).
+    Each is an (n_t, n_s, 4) view of a coordinate-major array, so a
+    coordinate's slice of it is contiguous."""
+    a, a_t, b, b_s = s._partial_factors(tvals, svals)
+    shape = (len(tvals), 4, len(svals))
+    # einsum, not matmul: on 2 cores a threaded BLAS product of this shape
+    # can take a hundred times as long as one thread
+    return tuple(np.einsum("ij,jk->ik", x, np.swapaxes(y, 1, 2).reshape(len(y), -1))
+                 .reshape(shape).swapaxes(1, 2) for x, y in ((a_t, b), (a, b_s)))
+
+
 def jacobian_rank_scan(s, n_t: int, n_s: int, tol: float = RANK_TOL) -> tuple[bool, float]:
     """Smallest ratio sigma_2 / sigma_1 of the 4x2 Jacobian over an inset grid.
 
-    The ratio comes from the eigenvalues of the 2x2 Gram matrix J^T J; the
-    scan passes when the minimum exceeds ``tol``.  Pole rows are excluded by
-    the half-cell inset (the parametrization is intentionally degenerate
-    there).
+    The partials come from the sampler's rank-K derivative factors
+    (``_partial_factors``) in two matrix products, not from
+    ``partials_grid``; they agree with it to rounding.  The ratio comes from
+    the eigenvalues of the 2x2 Gram matrix J^T J; the scan passes when the
+    minimum exceeds ``tol``.  Pole rows are excluded by the half-cell inset
+    (the parametrization is intentionally degenerate there).
     """
     if n_t < 16 or n_s < 16:
         raise ValueError("grid sizes must be >= 16")
@@ -120,17 +135,19 @@ def jacobian_rank_scan(s, n_t: int, n_s: int, tol: float = RANK_TOL) -> tuple[bo
     tvals = _inset_samples(s.t_dom, n_t)
     svals = _inset_samples(s.s_dom, n_s)
     with np.errstate(all="ignore"):
-        g11, g22, g12 = _gram(*s.partials_grid(tvals, svals))
+        g11, g22, g12 = _gram(*_partials(s, tvals, svals))
         tr = g11 + g22
         disc = np.sqrt(np.maximum((g11 - g22) ** 2 + 4.0 * g12 ** 2, 0.0))
         lam_hi = 0.5 * (tr + disc)
         lam_lo = np.maximum(0.5 * (tr - disc), 0.0)
-        ratio = np.sqrt(np.where(lam_hi > 0.0, lam_lo / lam_hi, 0.0))
+        ratio_sq = np.where(lam_hi > 0.0, lam_lo / lam_hi, 0.0)
     # tr and disc are >= 0 or NaN, so lam_hi is finite iff both are
     if not np.isfinite(lam_hi).all():
         raise ValueError("the surface's Jacobian is not finite on the rank grid, "
                          "or its Gram matrix overflows")
-    min_ratio = float(np.min(ratio))
+    # sqrt is monotone and correctly rounded: the root of the least square is
+    # the least root
+    min_ratio = float(np.sqrt(np.min(ratio_sq)))
     return min_ratio > tol, min_ratio
 
 

@@ -331,6 +331,27 @@ def test_polynomialize_rejects_polymap_file(workdir, capsys):
     assert len(err) == 1 and "p.json" in err[0] and "'type'" in err[0]
 
 
+def test_polynomialize_out_of_memory_is_one_error_line(workdir, capsys):
+    # the degree-100000 Chebyshev interpolation asks numpy for a 74.5 GiB
+    # Vandermonde matrix, which it refuses at once
+    assert dispatch(["twistspin", "trefoil_twist", "--k", "3", "--out", "t3.json"]) == 0
+    capsys.readouterr()
+    assert dispatch(["polynomialize", "t3.json", "--cheb-degree", "100000"]) == 1
+    assert "out of memory" in _one_error_line(capsys)
+    assert sorted(os.listdir(workdir)) == ["t3.json", "t3.json.manifest.json"]
+
+
+@pytest.mark.parametrize("cmd, degree", [(["twistspin", "trefoil_twist", "--k", "2"], "0"),
+                                         (["spin", "trefoil_spun"], "-1")], ids=["twist", "spin"])
+def test_polynomialize_refuses_bump_degree_below_one(workdir, capsys, cmd, degree):
+    # a spin file has no bump, and is refused all the same
+    assert dispatch(cmd + ["--out", "s.json"]) == 0
+    capsys.readouterr()
+    assert dispatch(["polynomialize", "s.json", "--bump-degree", degree]) == 1
+    assert f"bump_degree must be >= 1, got {degree}" in _one_error_line(capsys)
+    assert sorted(os.listdir(workdir)) == ["s.json", "s.json.manifest.json"]
+
+
 # -- the command frame ---------------------------------------------------------
 
 _SMALL = {"n_rank": 40, "n_inject": 40, "grid_nt": 24, "grid_ns": 24, "slice_n": 64}

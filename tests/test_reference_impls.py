@@ -40,7 +40,8 @@ from spun4d.twist import (
     PRECHECK_NT, Bump, choose_bump, make_axis, polynomialize_twist, twist_spin,
 )
 from spun4d.verify import (
-    _PLANE, MAX_COLLISIONS, Collision, _close_pairs, _factor_plane, injectivity_scan,
+    _PLANE, MAX_COLLISIONS, Collision, _close_pairs, _factor_plane, _gram, _inset_samples,
+    injectivity_scan, jacobian_rank_scan,
 )
 
 
@@ -899,6 +900,61 @@ def test_sampler_contract(name):
         assert _bits(grid) == _bits(np.stack([p(T, S) for p in s.polys], axis=-1))
         for got, w in zip(s.partials_grid(tv, sv), "ts"):
             assert _bits(got) == _bits(np.stack([p.partial(w)(T, S) for p in s.polys], axis=-1))
+
+
+# -- rank scan ----------------------------------------------------------------------
+
+def jacobian_rank_ratio_reference(s, n_t, n_s):
+    """Reference: the least sigma_2 / sigma_1 over the inset grid, from
+    ``partials_grid`` through the same Gram sums and eigenvalues."""
+    tvals, svals = _inset_samples(s.t_dom, n_t), _inset_samples(s.s_dom, n_s)
+    g11, g22, g12 = _gram(*s.partials_grid(tvals, svals))
+    tr = g11 + g22
+    disc = np.sqrt(np.maximum((g11 - g22) ** 2 + 4.0 * g12 ** 2, 0.0))
+    lam_hi = 0.5 * (tr + disc)
+    lam_lo = np.maximum(0.5 * (tr - disc), 0.0)
+    return float(np.min(np.sqrt(np.where(lam_hi > 0.0, lam_lo / lam_hi, 0.0))))
+
+
+def _refuse_partials_grid(monkeypatch):
+    def refuse(self, tvals, svals):
+        raise AssertionError("the rank scan called partials_grid")
+
+    for cls in (Surface4, PolyMap4):
+        monkeypatch.setattr(cls, "partials_grid", refuse)
+
+
+@pytest.mark.parametrize("name", ["spin", "twist_k10", "polynomial_spin_8", "bernstein_20",
+                                  "family", "twist_k0", "twist_k3"])
+def test_rank_scan_matches_partials_grid_reference(name, monkeypatch):
+    """The ratio from the rank-K derivative factors is the reference's
+    without ``partials_grid``: within 1e-13 relative on the square grids the
+    checks use, and within 1e-12 on oblong grids, which catch a transposed
+    layout.  The power basis and Horner round differently, and the Gram
+    matrix squares the condition of the ratio: on bernstein_20 at 37 x 150
+    the two differ by 1.5e-13 relative at the least ratio, 0.0158, where
+    Horner is 4e-15 from the exact value."""
+    if name.startswith("twist_k") and name != "twist_k10":
+        arc, axis = _twist_setup("trefoil_twist")
+        s = twist_spin(arc, axis, choose_bump(arc, axis), int(name.removeprefix("twist_k")))
+    else:
+        s = _samplers()[name]
+    grids = {(96, 96): 1e-13, (200, 200): 1e-13, (200, 61): 1e-12, (37, 150): 1e-12}
+    want = {grid: jacobian_rank_ratio_reference(s, *grid) for grid in grids}
+    _refuse_partials_grid(monkeypatch)
+    for grid, rel in grids.items():
+        ok, got = jacobian_rank_scan(s, *grid)
+        assert ok and want[grid] > 0.0
+        assert abs(got - want[grid]) <= rel * want[grid]
+
+
+def test_rank_scan_of_a_degenerate_map_is_zero_without_partials_grid(monkeypatch):
+    # the second coordinate is twice the first: rank 1 everywhere
+    flat = PolyMap4((Poly2.from_t(Poly1((0.0, 1.0))), Poly2.from_t(Poly1((0.0, 2.0))), Poly2(), Poly2()),
+                    Interval(-1.0, 1.0), Interval(-1.0, 1.0))
+    assert jacobian_rank_ratio_reference(flat, 32, 32) == 0.0
+    _refuse_partials_grid(monkeypatch)
+    assert jacobian_rank_scan(flat, 32, 32) == (False, 0.0)
 
 
 # -- injectivity scan --------------------------------------------------------------

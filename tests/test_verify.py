@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -91,16 +92,29 @@ def test_injectivity_scan_refuses_an_overflowing_t_factor():
         injectivity_scan(huge, 64, 64, 0.05)
 
 
+def _huge_surfaces():
+    """The spin and the degree-8 polynomial spin of the unknot, scaled by 1e200."""
+    poly = polynomial_spin(_unknot(), 8)
+    return (_scaled(spin(_unknot()), 1e200),
+            PolyMap4(tuple(Poly2(p.coeffs * 1e200) for p in poly.polys), poly.t_dom, poly.s_dom,
+                     poly.periodic_s, poly.pole_low, poly.pole_high))
+
+
 def test_injectivity_scan_of_a_huge_finite_surface():
     # scaled by 1e200, the factors' products stay finite, and the hashed
     # coordinates stay in int64 range: the suite turns any RuntimeWarning
     # into an error
-    s = spin(_unknot())
-    assert injectivity_scan(_scaled(s, 1e200), 128, 128, 0.05) == []
-    poly = polynomial_spin(_unknot(), 8)
-    big = PolyMap4(tuple(Poly2(p.coeffs * 1e200) for p in poly.polys), poly.t_dom, poly.s_dom,
-                   poly.periodic_s, poly.pole_low, poly.pole_high)
-    assert injectivity_scan(big, 128, 128, 0.05) == []
+    for s in _huge_surfaces():
+        assert injectivity_scan(s, 128, 128, 0.05) == []
+
+
+def test_rank_scan_of_a_huge_finite_surface_is_refused():
+    # the partials are finite, but their squares in the Gram matrix overflow
+    for s in _huge_surfaces():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite on the rank grid, or its Gram matrix overflows"):
+                jacobian_rank_scan(s, 64, 64)
 
 
 def test_injectivity_scan_evaluates_images_at_suspects_only(monkeypatch):
