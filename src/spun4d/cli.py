@@ -28,14 +28,14 @@ from .poly import Interval, Poly1, roots_in_interval
 from .spin import polynomial_spin, spin
 from .surface import PolyMap4, Surface4, _max_distance, max_grid_deviation
 from .twist import Bump, choose_bump, make_axis, polynomialize_twist, twist_spin
-from .verify import verify_surface
+from .verify import IMAGE_TOL, RANK_TOL, verify_surface
 
 PROG = "spun4d"
 
 # central defaults; overridable per-key by a spun4d.json config file
 DEFAULT_CONFIG = {
-    "rank_tol": 1e-6,
-    "image_tol": 1e-3,
+    "rank_tol": RANK_TOL,
+    "image_tol": IMAGE_TOL,
     "param_sep": 0.05,
     "n_rank": 200,
     "n_inject": 400,
@@ -246,6 +246,8 @@ def _cmd_construct(args, cfg):
 
 def _cmd_polynomialize(args, cfg):
     degree = cfg["cheb_degree"] if args.cheb_degree is None else args.cheb_degree
+    if args.bump_degree is not None and args.bump_degree < 1:
+        raise ValueError(f"bump_degree must be >= 1, got {args.bump_degree}")
     if args.input in knot_names():
         arc = get_knot(args.input)
         poly = polynomial_spin(arc, degree)

@@ -11,9 +11,10 @@ k-twist spin at most four.  One evaluator serves points, grids and partials:
 it samples each distinct factor once on t and once on theta and sums the
 broadcast products term by term, so a grid given as a column of t and a row
 of theta costs one factor sample per grid line.  First partials follow by the
-product rule, never by finite differences.  The scans take a tensor grid and
-its partials instead as rank-K products of the terms' t-rows and theta-rows
-(``_grid_factors``, ``_partial_factors``).
+product rule, never by finite differences.  The scans take a tensor grid,
+and its partials when they ask, instead as a rank-K product of the terms'
+t-rows and theta-rows: each model has one such method, ``_factors``
+(``PolyMap4``'s rows are Vandermonde matrices).
 
 Surface files keep the tagged tree format (``sum``, ``product``, ``const``,
 ``poly_t``, ``poly_theta``, ``cos_k``, ``sin_k``, ``bump``): the writer emits
@@ -180,13 +181,6 @@ def _term_rows(coords, side: str, x, deriv: bool):
     return out
 
 
-def _rows(coords, side: str, x, deriv: bool = False):
-    """Per coordinate, the list of its terms' products of ``side`` factors
-    on x, as ``_term_rows`` makes them, or with ``deriv`` their
-    x-derivatives."""
-    return [[d if deriv else p for p, d in rows] for rows in _term_rows(coords, side, x, deriv)]
-
-
 def _eval_points(coords, t, th, deriv: str = "") -> np.ndarray:
     """Coordinates at the points broadcast(t, th); shape that + (len(coords),).
     With ``deriv`` "t" or "s", their partial derivative in t or theta.
@@ -195,12 +189,13 @@ def _eval_points(coords, t, th, deriv: str = "") -> np.ndarray:
     product t[:, None], th[None, :] samples it once per grid line; the terms
     c a(t) b(th) are then summed, broadcast, in order of the terms."""
     t, th = np.asarray(t, float), np.asarray(th, float)
-    a_rows = _rows(coords, "t", t, deriv == "t")
-    s_rows = _rows(coords, "s", th, deriv == "s")
+    dt, ds = deriv == "t", deriv == "s"
     out = np.zeros(np.broadcast_shapes(t.shape, th.shape) + (len(coords),))
+    a_rows, s_rows = _term_rows(coords, "t", t, dt), _term_rows(coords, "s", th, ds)
     for i, (a, s) in enumerate(zip(a_rows, s_rows)):
+        # each row is a pair (product, derivative): index True picks the derivative
         for ak, sk in zip(a, s):
-            out[..., i] += ak * sk
+            out[..., i] += ak[dt] * sk[ds]
     return out
 
 
@@ -334,35 +329,23 @@ class Surface4:
         t, th = np.reshape(tvals, (-1, 1)), np.reshape(svals, (1, -1))
         return _eval_points(self.coords, t, th, "t"), _eval_points(self.coords, t, th, "s")
 
-    def _grid_factors(self, tvals, svals):
-        """The image grid as a rank-K product: ``(a, b, m)`` with ``a`` of
-        shape (n_t, K), ``b`` of shape (K, n_s, 4) and coordinate i at node
-        (t, theta) the sum over k of a[t, k] * b[k, theta, i].
+    def _factors(self, tvals, svals, deriv: bool = False):
+        """The tensor grid as a rank-K product: ``(a, b, m)`` with ``a`` of
+        shape (n, n_t, K), ``b`` of shape (n, K, n_s, 4) and coordinate i at
+        node (t, theta) the sum over k of a[0, t, k] * b[0, k, theta, i].
+        n = 1, or n = 2 with ``deriv``: a[1] and b[1] are the derivatives of
+        a[0] and b[0] in t and theta, so that d/dt is a[1] times b[0] and
+        d/dtheta is a[0] times b[1], summed over k.
 
-        There is one k per term: a[:, k] is its t-row with c folded in, as
-        ``_term_rows`` makes it, and b[k, :, i] its theta-row in the column of
-        its coordinate, 0 in the others.  Summed in term order from 0.0 the
-        products are ``eval_grid`` bit for bit.  ``m`` is at least the sum
-        of |a| |b| over k and i at every node, and ``evaluate`` there rounds
-        by at most eps * m, summed over the coordinates: K times that sum
-        bounds the rounding of K products summed in a row."""
-        (a,), (b,) = self._term_factors(tvals, svals, False)
-        m = a.shape[1] * np.max(np.abs(a) @ np.abs(b).max(axis=(1, 2)), initial=0.0)
-        return a, b, m
-
-    def _partial_factors(self, tvals, svals):
-        """The partials over the tensor grid in rank-K form: ``(a, a_t, b,
-        b_s)`` with ``a`` and ``b`` as ``_grid_factors`` gives them and
-        a_t, b_s their derivatives in t and theta, by the product rule per
-        term, so that d/dt is a_t times b and d/dtheta is a times b_s,
-        summed over k.  Each distinct factor is sampled once on t and once
-        on theta, for its values and its slopes."""
-        (a, a_t), (b, b_s) = self._term_factors(tvals, svals, True)
-        return a, a_t, b, b_s
-
-    def _term_factors(self, tvals, svals, deriv: bool):
-        """The stacked t-rows (n, n_t, K) and theta-rows (n, K, n_s, 4) of the
-        terms, n = 1, or n = 2 with ``deriv``: values, then derivatives."""
+        There is one k per term: a[:, :, k] is its t-row with c folded in,
+        as ``_term_rows`` makes it (the product rule per term for the
+        derivative), and b[:, k, :, i] its theta-row in the column of its
+        coordinate, 0 in the others.  Each distinct factor is sampled once
+        on t and once on theta.  Summed in term order from 0.0 the products
+        a[0] b[0] are ``eval_grid`` bit for bit.  ``m`` is at least the sum
+        of |a[0]| |b[0]| over k and i at every node, and ``evaluate`` there
+        rounds by at most eps * m, summed over the coordinates: K times that
+        sum bounds the rounding of K products summed in a row."""
         tvals, svals = np.asarray(tvals, float), np.asarray(svals, float)
         n, k = 1 + deriv, sum(map(len, self.coords))
         a = np.empty((n, len(tvals), k))
@@ -374,7 +357,8 @@ class Surface4:
                 for j in range(n):
                     a[j, :, col], b[j, col, :, i] = a_pair[j], b_pair[j]
                 col += 1
-        return a, b
+        m = k * np.max(np.abs(a[0]) @ np.abs(b[0]).max(axis=(1, 2)), initial=0.0)
+        return a, b, m
 
     def to_json(self) -> dict:
         return {"type": "surface4", "coords": [_coord_json(c) for c in self.coords],
@@ -407,41 +391,31 @@ class PolyMap4:
         t, s = np.reshape(tvals, (-1, 1)), np.reshape(svals, (1, -1))
         return tuple(np.stack([p.partial(w)(t, s) for p in self.polys], axis=-1) for w in "ts")
 
-    def _grid_factors(self, tvals, svals):
-        """The image grid as a rank-K product, K = deg_t + 1, as
-        ``Surface4._grid_factors`` describes: ``a`` is the Vandermonde matrix
-        of tvals, and b[:, :, i] the coefficients of coordinate i times the
-        transposed Vandermonde matrix of svals.
+    def _factors(self, tvals, svals, deriv: bool = False):
+        """The tensor grid as a rank-K product, K = deg_t + 1, as
+        ``Surface4._factors`` describes: ``a[0]`` is the Vandermonde matrix
+        of tvals, and b[0, :, :, i] the coefficients of coordinate i times
+        the transposed Vandermonde matrix of svals; with ``deriv``, a[1] and
+        b[1] are made from the differentiated Vandermonde matrices.
 
         ``m`` is 2 (deg_t + deg_s + 1) times the largest sum of
         |c_ij| |t|^i |s|^j over the coordinates, which bounds the sum of
-        |a| |b|.  ``evaluate``'s Horner steps in t and then in s round by at
-        most (2 deg_t + 2 deg_s) eps / 2 times that sum, and the powers and
-        products that make a and b by (deg_t + 2 deg_s + 1) eps / 2 times
-        it: together at most eps * m."""
-        c, a, vs = self._vanders(tvals, svals)
-        b = np.ascontiguousarray(np.moveaxis(c @ vs.T, 0, -1))
-        beta = np.abs(c).sum(axis=0) @ np.abs(vs).max(axis=0)
-        m = 2.0 * (c.shape[1] + c.shape[2] - 1) * np.max(np.abs(a) @ beta)
-        return a, b, m
-
-    def _partial_factors(self, tvals, svals):
-        """The partials over the tensor grid in rank-K form, as
-        ``Surface4._partial_factors`` describes: a_t and b_s are made as a
-        and b are, from the differentiated Vandermonde matrices."""
-        c, a, vs = self._vanders(tvals, svals)
-        b, b_s = (np.moveaxis(c @ v.T, 0, -1) for v in (vs, _vander_slope(vs)))
-        return a, _vander_slope(a), b, b_s
-
-    def _vanders(self, tvals, svals):
-        """The coefficients as one (4, deg_t + 1, deg_s + 1) array, and the
-        increasing Vandermonde matrices of tvals and svals."""
+        |a[0]| |b[0]|.  ``evaluate``'s Horner steps in t and then in s round
+        by at most (2 deg_t + 2 deg_s) eps / 2 times that sum, and the
+        powers and products that make a and b by (deg_t + 2 deg_s + 1)
+        eps / 2 times it: together at most eps * m."""
         coeffs = [p.coeffs for p in self.polys]
         c = np.zeros((4, max(p.shape[0] for p in coeffs), max(p.shape[1] for p in coeffs)))
         for ci, p in zip(c, coeffs):
             ci[:p.shape[0], :p.shape[1]] = p
-        return (c, np.vander(np.asarray(tvals, float), c.shape[1], increasing=True),
-                np.vander(np.asarray(svals, float), c.shape[2], increasing=True))
+        vt = np.vander(np.asarray(tvals, float), c.shape[1], increasing=True)
+        vs = np.vander(np.asarray(svals, float), c.shape[2], increasing=True)
+        a = np.stack([vt, _vander_slope(vt)] if deriv else [vt])
+        vss = [vs, _vander_slope(vs)] if deriv else [vs]
+        b = np.stack([np.moveaxis(c @ v.T, 0, -1) for v in vss])
+        beta = np.abs(c).sum(axis=0) @ np.abs(vs).max(axis=0)
+        m = 2.0 * (c.shape[1] + c.shape[2] - 1) * np.max(np.abs(vt) @ beta)
+        return a, b, m
 
     def to_json(self) -> dict:
         return {"type": "polymap4", "coords": [p.to_json() for p in self.polys],

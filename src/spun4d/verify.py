@@ -107,23 +107,25 @@ def _gram(dt: np.ndarray, ds: np.ndarray):
 
 def _partials(s, tvals, svals):
     """The partials (d/dt, d/dtheta) over the tensor grid, from the
-    sampler's rank-K derivative factors in two products (n_t, K) @ (K, 4 n_s).
-    Each is an (n_t, n_s, 4) view of a coordinate-major array, so a
-    coordinate's slice of it is contiguous."""
-    a, a_t, b, b_s = s._partial_factors(tvals, svals)
-    shape = (len(tvals), 4, len(svals))
+    sampler's rank-K factors and their derivatives (``_factors`` with
+    ``deriv``) in two products (n_t, K) @ (K, 4 n_s).  Each is an
+    (n_t, n_s, 4) view of a coordinate-major array, so a coordinate's slice
+    of it is contiguous."""
+    (a, a_t), (b, b_s), _ = s._factors(tvals, svals, True)
+    n_t, n_s, k = len(tvals), len(svals), a.shape[1]
     # einsum, not matmul: on 2 cores a threaded BLAS product of this shape
     # can take a hundred times as long as one thread
-    return tuple(np.einsum("ij,jk->ik", x, np.swapaxes(y, 1, 2).reshape(len(y), -1))
-                 .reshape(shape).swapaxes(1, 2) for x, y in ((a_t, b), (a, b_s)))
+    return tuple(np.einsum("ij,jk->ik", x, np.swapaxes(y, 1, 2).reshape(k, 4 * n_s))
+                 .reshape(n_t, 4, n_s).swapaxes(1, 2) for x, y in ((a_t, b), (a, b_s)))
 
 
 def jacobian_rank_scan(s, n_t: int, n_s: int, tol: float = RANK_TOL) -> tuple[bool, float]:
     """Smallest ratio sigma_2 / sigma_1 of the 4x2 Jacobian over an inset grid.
 
-    The partials come from the sampler's rank-K derivative factors
-    (``_partial_factors``) in two matrix products, not from
-    ``partials_grid``; they agree with it to rounding.  The ratio comes from
+    The partials come from the sampler's rank-K factors and their
+    derivatives (``_factors`` with ``deriv``) in two matrix products, not
+    from ``partials_grid``; they agree with it to rounding.  A sampler of no
+    terms has zero partials, and a ratio of 0.  The ratio comes from
     the eigenvalues of the 2x2 Gram matrix J^T J; the scan passes when the
     minimum exceeds ``tol``.  Pole rows are excluded by the half-cell inset
     (the parametrization is intentionally degenerate there).
@@ -324,8 +326,9 @@ def _close_pairs(pts: np.ndarray, r: float):
 def _factor_plane(s, tvals, svals, r: float):
     """The plane coordinates, in half cells of the plane stage for radius
     ``r``, of every sample of the scan grid, as an (n_t * n_s, 2) array in
-    row-major order, from the sampler's rank-K grid factors (a, b, m) in one
-    product a @ (b @ _PLANE); or None when m or b @ _PLANE is not finite.
+    row-major order, from the sampler's rank-K factors of its values,
+    ``(a,), (b,), m = s._factors(tvals, svals)``, in one product
+    a @ (b @ _PLANE); or None when m or b @ _PLANE is not finite.
 
     The room is (K + 8) eps (m + 2**-1022).  At a node, the image that
     ``evaluate`` returns is within eps * m of the exact sum of a b, summed
@@ -338,7 +341,7 @@ def _factor_plane(s, tvals, svals, r: float):
     exactly.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        a, b, m = s._grid_factors(tvals, svals)
+        (a,), (b,), m = s._factors(tvals, svals)
         bp = b @ _PLANE
     if not (np.isfinite(m) and np.isfinite(bp).all()):
         return None
@@ -371,7 +374,7 @@ def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float =
     column, and each flagged pole row is one node, its first sample.  The
     nodes are then the samples start:stop of the row-major grid, once sample
     start stands for the low pole.  The plane coordinates of every sample
-    come from the sampler's rank-K grid factors when it has them with a
+    come from the sampler's rank-K ``_factors`` when it has them with a
     finite bound (``_factor_plane``, whose rounding room covers the gap to
     the projections of the images that ``evaluate`` returns), and else from
     the image grid (``_image_plane``), which is dropped once projected.  One
@@ -394,7 +397,7 @@ def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float =
         svals = s.s_dom.sample(n_s)
     start = n_s - 1 if s.pole_low else 0
     stop = (n_t - 1) * n_s + 1 if s.pole_high else n_t * n_s
-    plane = _factor_plane(s, tvals, svals, image_tol) if hasattr(s, "_grid_factors") else None
+    plane = _factor_plane(s, tvals, svals, image_tol) if hasattr(s, "_factors") else None
     if plane is None:
         plane = _image_plane(_images(s, tvals[:, None], svals[None, :]).reshape(-1, 4), image_tol)
     plane[start] = plane[0]

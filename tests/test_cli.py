@@ -61,24 +61,34 @@ def test_spin_export_obj_watertight(workdir):
     assert nv > 0 and nf > 0 and ne > 0
 
 
+_FOLD = {
+    "type": "polymap4",
+    "coords": [
+        {"coeffs": [[0.0], [0.0], [1.0]]},   # t^2
+        {"coeffs": [[0.0, 1.0]]},            # s
+        {"coeffs": [[0.0]]},
+        {"coeffs": [[0.0]]},
+    ],
+    "t_dom": [-1.0, 1.0],
+    "s_dom": [-1.0, 1.0],
+}
+# every coordinate the constant 0: a surface of no terms, with zero partials
+_NO_TERMS = {"type": "surface4", "coords": [{"tag": "const", "value": 0}] * 4,
+             "t_dom": [0, 1], "s_dom": [0, 1]}
+
+
 def test_verify_failure_exits_2_with_report(workdir):
-    # a folded, non-injective polynomial map
-    (workdir / "bad.json").write_text(json.dumps({
-        "type": "polymap4",
-        "coords": [
-            {"coeffs": [[0.0], [0.0], [1.0]]},   # t^2
-            {"coeffs": [[0.0, 1.0]]},            # s
-            {"coeffs": [[0.0]]},
-            {"coeffs": [[0.0]]},
-        ],
-        "t_dom": [-1.0, 1.0],
-        "s_dom": [-1.0, 1.0],
-    }))
-    code = dispatch(["verify", "bad.json"])
-    assert code == 2
-    report = json.loads((workdir / "bad.json.report.json").read_text())
-    assert report["ok"] is False
-    assert len(report["collisions"]) > 0
+    # a folded, non-injective polynomial map, and a map of no terms
+    for doc, rank_ok in ((_FOLD, True), (_NO_TERMS, False)):
+        (workdir / "bad.json").write_text(json.dumps(doc))
+        code = dispatch(["verify", "bad.json"])
+        assert code == 2
+        report = json.loads((workdir / "bad.json.report.json").read_text())
+        assert report["ok"] is False
+        assert len(report["collisions"]) > 0
+        assert report["rank_ok"] is rank_ok
+        if not rank_ok:
+            assert report["min_singular_ratio"] == 0.0
 
 
 def test_verify_pass_on_spun_surface(workdir):
@@ -342,14 +352,19 @@ def test_polynomialize_out_of_memory_is_one_error_line(workdir, capsys):
 
 
 @pytest.mark.parametrize("cmd, degree", [(["twistspin", "trefoil_twist", "--k", "2"], "0"),
-                                         (["spin", "trefoil_spun"], "-1")], ids=["twist", "spin"])
+                                         (["spin", "trefoil_spun"], "-1"), ([], "-1")],
+                         ids=["twist", "spin", "catalog"])
 def test_polynomialize_refuses_bump_degree_below_one(workdir, capsys, cmd, degree):
-    # a spin file has no bump, and is refused all the same
-    assert dispatch(cmd + ["--out", "s.json"]) == 0
+    # a spin file and a catalog name have no bump, and are refused all the same
+    written = []
+    if cmd:
+        assert dispatch(cmd + ["--out", "s.json"]) == 0
+        written = ["s.json", "s.json.manifest.json"]
     capsys.readouterr()
-    assert dispatch(["polynomialize", "s.json", "--bump-degree", degree]) == 1
+    source = "s.json" if cmd else "trefoil_spun"
+    assert dispatch(["polynomialize", source, "--bump-degree", degree]) == 1
     assert f"bump_degree must be >= 1, got {degree}" in _one_error_line(capsys)
-    assert sorted(os.listdir(workdir)) == ["s.json", "s.json.manifest.json"]
+    assert sorted(os.listdir(workdir)) == written
 
 
 # -- the command frame ---------------------------------------------------------
@@ -437,6 +452,7 @@ def test_verify_constant_map_reports_at_least_the_cap(workdir, capsys):
     assert "injectivity: FAIL (at least 65536 collision(s))" in out
     report = json.loads((workdir / "c.json.report.json").read_text())
     assert report["collisions_capped"] is True and len(report["collisions"]) == 65536
+
 
 
 # -- inputs that used to end in a traceback or a warning ------------------------

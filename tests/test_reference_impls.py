@@ -880,12 +880,26 @@ def _samplers():
     }
 
 
-@pytest.mark.parametrize("name", ["spin", "twist_k10", "polynomial_spin_8", "bernstein_20", "family"])
+def _no_terms():
+    """A Surface4 whose four coordinates are the constant 0: it has no terms."""
+    return Surface4(((),) * 4, Interval(0.0, 1.0), Interval(0.0, 1.0))
+
+
+@pytest.mark.parametrize("name", ["spin", "twist_k10", "polynomial_spin_8", "bernstein_20", "family",
+                                  "no_terms"])
 def test_sampler_contract(name):
     """Every model evaluates at broadcast arguments, and its grids are its
     points: eval_grid is evaluate on the meshgrid, bit for bit; a PolyMap4's
-    grids and partials are its polynomials on the meshgrid, bit for bit."""
-    s = _samplers()[name]
+    grids and partials are its polynomials on the meshgrid, bit for bit.
+
+    Its rank-K ``_factors``: a Surface4's value factors summed in term
+    order are eval_grid bit for bit; with ``deriv`` the value factors are
+    unchanged and the derivative products are partials_grid to rounding; m
+    bounds the sum of |a| |b| at every node.  The rounding scale is the
+    products' sum of absolute values, for a PolyMap4 with |c_ij| |t|^i |s|^j
+    in place of its terms: a power basis cancels inside b (the polynomial
+    spin's theta fits, at theta = pi)."""
+    s = _no_terms() if name == "no_terms" else _samplers()[name]
     tv, sv = s.t_dom.sample(37), s.s_dom.sample(29)
     assert s.evaluate(tv, sv[3]).shape == (37, 4)
     assert s.evaluate(tv[5], sv).shape == (29, 4)
@@ -900,6 +914,27 @@ def test_sampler_contract(name):
         assert _bits(grid) == _bits(np.stack([p(T, S) for p in s.polys], axis=-1))
         for got, w in zip(s.partials_grid(tv, sv), "ts"):
             assert _bits(got) == _bits(np.stack([p.partial(w)(T, S) for p in s.polys], axis=-1))
+
+    (a,), (b,), m = s._factors(tv, sv)
+    k = a.shape[1]
+    assert a.shape == (37, k) and b.shape == (k, 29, 4)
+    if isinstance(s, Surface4):
+        summed = np.zeros((37, 29, 4))
+        for j in range(k):
+            summed += a[:, j, None, None] * b[j]
+        assert _bits(summed) == _bits(grid)
+    assert (np.einsum("tk,ksi->ts", np.abs(a), np.abs(b)) <= m).all()
+    (a0, a_t), (b0, b_s), m_deriv = s._factors(tv, sv, True)
+    assert _bits(a0) == _bits(a) and _bits(b0) == _bits(b) and m_deriv == m
+    if isinstance(s, PolyMap4):
+        bound = replace(s, polys=tuple(Poly2(np.abs(p.coeffs)) for p in s.polys))
+        (x_abs, x_t_abs), (y_abs, y_s_abs), _ = bound._factors(np.abs(tv), np.abs(sv), True)
+    else:
+        x_abs, x_t_abs, y_abs, y_s_abs = map(np.abs, (a0, a_t, b0, b_s))
+    for (x, y), want, (xa, ya) in zip(((a_t, b0), (a0, b_s)), s.partials_grid(tv, sv),
+                                      ((x_t_abs, y_abs), (x_abs, y_s_abs))):
+        got = np.einsum("tk,ksi->tsi", x, y)
+        assert (np.abs(got - want) <= 1e-13 * np.einsum("tk,ksi->tsi", xa, ya)).all()
 
 
 # -- rank scan ----------------------------------------------------------------------
@@ -949,12 +984,16 @@ def test_rank_scan_matches_partials_grid_reference(name, monkeypatch):
 
 
 def test_rank_scan_of_a_degenerate_map_is_zero_without_partials_grid(monkeypatch):
-    # the second coordinate is twice the first: rank 1 everywhere
+    # the second coordinate is twice the first: rank 1 everywhere; and a
+    # Surface4 of no terms, whose partials are all 0
     flat = PolyMap4((Poly2.from_t(Poly1((0.0, 1.0))), Poly2.from_t(Poly1((0.0, 2.0))), Poly2(), Poly2()),
                     Interval(-1.0, 1.0), Interval(-1.0, 1.0))
-    assert jacobian_rank_ratio_reference(flat, 32, 32) == 0.0
+    maps = (flat, _no_terms())
+    # with no terms the reference's eigenvalues are 0, and its ratio 0 / 0 is dropped
+    with np.errstate(invalid="ignore"):
+        assert [jacobian_rank_ratio_reference(s, 32, 32) for s in maps] == [0.0, 0.0]
     _refuse_partials_grid(monkeypatch)
-    assert jacobian_rank_scan(flat, 32, 32) == (False, 0.0)
+    assert [jacobian_rank_scan(s, 32, 32) for s in maps] == [(False, 0.0), (False, 0.0)]
 
 
 # -- injectivity scan --------------------------------------------------------------
@@ -1075,7 +1114,7 @@ def test_injectivity_scan_matches_meshgrid_reference(name):
     if name == "sphere_poles":
         assert any(c.param_a == (-1.0, 0.0) for c in got)
     if name == "cancelling_terms":
-        _, _, m = s._grid_factors(s.t_dom.sample(n), s.s_dom.sample(n))
+        _, _, m = s._factors(s.t_dom.sample(n), s.s_dom.sample(n))
         assert m > 1e14 * np.abs(s.eval_grid(s.t_dom.sample(n), s.s_dom.sample(n))).max()
         assert max(c.distance for c in got) > 0.9 * image_tol
         assert len(injectivity_scan_meshgrid(s, n, n, param_sep, 1.05 * image_tol)) > len(got)
@@ -1098,11 +1137,13 @@ _POLYMAP = st.builds(lambda polys, flags: PolyMap4(polys, Interval(-1.0, 1.0), I
 
 
 @settings(max_examples=30, deadline=None)
-@given(s=st.one_of(_SURFACE, _POLYMAP), n_t=st.integers(16, 48), n_s=st.integers(16, 48),
+@given(s=st.one_of(_SURFACE, _POLYMAP), n_t=st.integers(16, 32), n_s=st.integers(16, 32),
        log_tol=st.floats(-4.0, 0.0))
 def test_injectivity_scan_matches_meshgrid_on_random_samplers(s, n_t, n_s, log_tol):
     # random Surface4s of 1-4 terms per coordinate and PolyMap4s of degree
-    # <= 6, with random seam and pole flags
+    # <= 6, with random seam and pole flags.  The cost is the collisions, up
+    # to all pairs of nodes at image_tol near 1: grids of at most 32 x 32
+    # keep it steady and still reach MAX_COLLISIONS
     image_tol = 10.0 ** log_tol
     got = injectivity_scan(s, n_t, n_s, 0.05, image_tol)
     want = injectivity_scan_meshgrid(s, n_t, n_s, 0.05, image_tol)

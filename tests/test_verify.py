@@ -122,7 +122,7 @@ def test_injectivity_scan_evaluates_images_at_suspects_only(monkeypatch):
     # that share a plane cell with another node have their images evaluated
     s = _twist_k10()
     tvals, svals = s.t_dom.sample(400), 2.0 * np.pi * np.arange(400) / 400
-    a, b, _ = s._grid_factors(tvals, svals)
+    (a,), (b,), _ = s._factors(tvals, svals)
     summed = np.zeros((400, 400, 4))
     for k in range(a.shape[1]):
         summed += a[:, k, None, None] * b[k]
