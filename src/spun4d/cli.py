@@ -21,14 +21,14 @@ from .approx import bernstein_fit2, bernstein_lattice
 from .catalog import get_knot, knot_names
 from .errors import Spun4dError
 from .export import (
-    AXIS_NAMES, export_grid_csv, export_mesh, export_slices, project, sample_surface,
-    slice_surface, to_mesh,
+    AXIS_NAMES, _axes_indices, export_grid_csv, export_mesh, export_slices, project,
+    sample_surface, slice_surface, to_mesh,
 )
 from .poly import Interval, Poly1, roots_in_interval
-from .spin import polynomial_spin, spin
-from .surface import PolyMap4, Surface4, _max_distance, max_grid_deviation
+from .spin import spin
+from .surface import PolyMap4, _max_distance, surface_from_json
 from .twist import Bump, choose_bump, make_axis, polynomialize_twist, twist_spin
-from .verify import IMAGE_TOL, RANK_TOL, verify_surface
+from .verify import IMAGE_TOL, N_INJECT, N_RANK, PARAM_SEP, RANK_TOL, verify_surface
 
 PROG = "spun4d"
 
@@ -36,9 +36,9 @@ PROG = "spun4d"
 DEFAULT_CONFIG = {
     "rank_tol": RANK_TOL,
     "image_tol": IMAGE_TOL,
-    "param_sep": 0.05,
-    "n_rank": 200,
-    "n_inject": 400,
+    "param_sep": PARAM_SEP,
+    "n_rank": N_RANK,
+    "n_inject": N_INJECT,
     "cheb_degree": 8,
     "grid_nt": 200,
     "grid_ns": 200,
@@ -120,17 +120,15 @@ def _write_manifest(args, cfg, outputs, t0, warnings):
 def _load_surface(path: str):
     """A surface4 or polymap4 file; any defect names the file and the key."""
     doc = _read_json(path)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: a surface file must be a JSON object with key 'type', "
-                         f"got a JSON {type(doc).__name__}")
-    cls = {"surface4": Surface4, "polymap4": PolyMap4}.get(doc.get("type"))
-    if cls is None:
-        raise ValueError(f"{path}: not a surface file (key 'type' is {doc.get('type')!r}, "
-                         "expected 'surface4' or 'polymap4')")
     try:
-        return cls.from_json(doc)
+        return surface_from_json(doc)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _input_surface(name: str):
+    """The spin of a catalog arc, or the surface in a file."""
+    return spin(get_knot(name)) if name in knot_names() else _load_surface(name)
 
 
 def _default_axis(arc):
@@ -201,7 +199,10 @@ def _slice_files(surface, axis, args, cfg, pattern):
     spaced strictly inside the range the axis takes on a sample grid."""
     n = cfg["slice_n"]
     if args.cmd == "slice":
-        values = [float(v) for v in args.values.split(",")]
+        try:
+            values = [float(v) for v in args.values.split(",")]
+        except ValueError as exc:  # the message quotes the entry
+            raise ValueError(f"--values {args.values!r}: {exc}") from None
     else:
         if args.count < 1:
             raise ValueError(f"--count must be at least 1, got {args.count}")
@@ -224,6 +225,10 @@ def _cmd_catalog(args, cfg):
 
 
 def _cmd_construct(args, cfg):
+    if args.cmd == "twistspin" and args.sweep and (args.export or args.out):
+        raise ValueError("--sweep names its slice files by --out-pattern, not --export or --out")
+    if args.export and not args.out:
+        raise ValueError("--export requires --out")
     surface, arc = _build_surface(args)
     if args.verify:
         report = _run_verify(surface, arc, cfg)
@@ -235,8 +240,6 @@ def _cmd_construct(args, cfg):
         pattern = args.out_pattern or f"{args.knot}_k{args.k}_{args.sweep}_{{}}.json"
         return 0, _slice_files(surface, args.sweep, args, cfg, pattern), []
     if args.export:
-        if not args.out:
-            raise ValueError("--export requires --out")
         _export_surface(surface, args.export, args.out, args.plane, cfg)
         return 0, [args.out], []
     out = args.out or f"{args.knot}_{args.cmd}.json"
@@ -246,18 +249,11 @@ def _cmd_construct(args, cfg):
 
 def _cmd_polynomialize(args, cfg):
     degree = cfg["cheb_degree"] if args.cheb_degree is None else args.cheb_degree
-    if args.bump_degree is not None and args.bump_degree < 1:
-        raise ValueError(f"bump_degree must be >= 1, got {args.bump_degree}")
-    if args.input in knot_names():
-        arc = get_knot(args.input)
-        poly = polynomial_spin(arc, degree)
-        dev = max_grid_deviation(spin(arc), poly)
-    else:
-        surface = _load_surface(args.input)
-        if isinstance(surface, PolyMap4):
-            raise ValueError(f"{args.input}: key 'type' must be 'surface4' to polynomialize; "
-                             "a polymap4 is polynomial already")
-        poly, dev = polynomialize_twist(surface, degree, args.bump_degree)
+    surface = _input_surface(args.input)
+    if isinstance(surface, PolyMap4):
+        raise ValueError(f"{args.input}: key 'type' must be 'surface4' to polynomialize; "
+                         "a polymap4 is polynomial already")
+    poly, dev = polynomialize_twist(surface, degree, args.bump_degree)
     out = args.out or "polynomialized.json"
     _write_json(poly.to_json(), out)
     print(f"max grid deviation from exact surface: {dev:.6e}")
@@ -265,10 +261,7 @@ def _cmd_polynomialize(args, cfg):
 
 
 def _cmd_approx(args, cfg):
-    if args.input in knot_names():
-        surface = spin(get_knot(args.input))
-    else:
-        surface = _load_surface(args.input)
+    surface = _input_surface(args.input)
     u = bernstein_lattice(args.degree)
     tv = surface.t_dom.mid + 0.5 * surface.t_dom.length * u
     sv = surface.s_dom.mid + 0.5 * surface.s_dom.length * u
@@ -409,6 +402,7 @@ def dispatch(argv) -> int:
 
     try:
         cfg = _load_config(args.config)
+        _axes_indices(getattr(args, "plane", "xyz"))  # for every format, before any work
         t0 = time.time()
         code, outputs, warnings = args.run(args, cfg)
         if outputs:

@@ -3,56 +3,48 @@ about its boundary plane, sweeping out a 2-sphere in R^4."""
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
-from .approx import chebyshev_fit
 from .catalog import KnotArc
-from .poly import Interval, Poly2
-from .surface import TWO_PI, PolyMap4, Surface4, Term, Trig
+from .poly import Poly2
+from .surface import PolyMap4, Surface4, Term, Trig
+from .twist import _polynomialized
 
 __all__ = ["spin", "polynomial_spin"]
 
 
 def spin(arc: KnotArc) -> Surface4:
     """Exact spun surface (f(t), g(t), h(t) cos(theta), h(t) sin(theta))."""
-    return Surface4(
-        coords=(
-            (Term(1.0, (arc.f,)),),
-            (Term(1.0, (arc.g,)),),
-            (Term(1.0, (arc.h,), (Trig(1),)),),
-            (Term(1.0, (arc.h,), (Trig(1, sine=True),)),),
-        ),
-        t_dom=arc.ab,
-        s_dom=Interval(0.0, TWO_PI),
-        periodic_s=True,
-        pole_low=True,
-        pole_high=True,
-    )
+    # Surface4's defaults: theta in [0, 2 pi] with its seam, a pole at each arc end
+    return Surface4((
+        (Term(1.0, (arc.f,)),),
+        (Term(1.0, (arc.g,)),),
+        (Term(1.0, (arc.h,), (Trig(1),)),),
+        (Term(1.0, (arc.h,), (Trig(1, sine=True),)),),
+    ), arc.ab)
 
 
 def polynomial_spin(arc: KnotArc, cheb_degree: int) -> PolyMap4:
-    """Fully polynomial spun surface with the reference cosine/sine replaced by
-    their Chebyshev interpolants on [0, 2*pi].
+    """The spin of ``arc`` polynomialized as ``twist.polynomialize_twist``
+    does it, with cos and sin replaced by their Chebyshev interpolants on
+    [0, 2*pi], and multiplied out into a ``PolyMap4``:
+    (f(t), g(t), h(t) C(theta), h(t) S(theta)).
 
     The deviation from the exact spin is bounded by max|h| times the fit
     errors; compare with ``surface.max_grid_deviation``.
     """
     if cheb_degree < 6:
         raise ValueError(f"cheb_degree must be >= 6, got {cheb_degree}")
-    dom = Interval(0.0, TWO_PI)
-    C = chebyshev_fit(np.cos, dom, cheb_degree).poly
-    S = chebyshev_fit(np.sin, dom, cheb_degree).poly
-    h2 = Poly2.from_t(arc.h)
-    return PolyMap4(
-        polys=(
-            Poly2.from_t(arc.f),
-            Poly2.from_t(arc.g),
-            h2 * Poly2.from_s(C),
-            h2 * Poly2.from_s(S),
-        ),
-        t_dom=arc.ab,
-        s_dom=dom,
-        periodic_s=True,
-        pole_low=True,
-        pole_high=True,
-    )
+    s = _polynomialized(spin(arc), cheb_degree, None)
+    return PolyMap4(tuple(map(_multiplied_out, s.coords)), s.t_dom, s.s_dom,
+                    s.periodic_s, s.pole_low, s.pole_high)
+
+
+def _multiplied_out(terms) -> Poly2:
+    """A sum of terms c a(t) b(theta) whose factors are all ``Poly1``s,
+    multiplied out into one ``Poly2``."""
+    return sum((Poly2(np.outer(reduce(np.convolve, [f.coeffs for f in tf], np.array([c])),
+                               reduce(np.convolve, [f.coeffs for f in sf], np.ones(1))))
+                for c, tf, sf in terms), Poly2())

@@ -426,6 +426,19 @@ class PolyMap4:
         return cls(*_read(doc, Poly2.from_json, False))
 
 
+def surface_from_json(doc):
+    """The ``Surface4`` or ``PolyMap4`` of a surface file, by its key 'type'."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a surface file must be a JSON object with key 'type', "
+                         f"got a JSON {type(doc).__name__}")
+    tag = doc.get("type")
+    cls = {"surface4": Surface4, "polymap4": PolyMap4}.get(tag) if isinstance(tag, str) else None
+    if cls is None:
+        raise ValueError(f"not a surface file (key 'type' is {tag!r}, "
+                         "expected 'surface4' or 'polymap4')")
+    return cls.from_json(doc)
+
+
 def _vander_slope(v: np.ndarray) -> np.ndarray:
     """The x-derivative of an increasing Vandermonde matrix of x: column j
     is j x^(j-1)."""

@@ -10,14 +10,14 @@ stay put on the boundary plane.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .approx import chebyshev_fit
 from .catalog import KnotArc
 from .errors import NonUnitAxis, NoRoom, PlaneCrossing
-from .poly import Interval, Poly1
+from .poly import Poly1
 from .surface import (
     TRIG_MAX_K, TWO_PI, Bump, Surface4, Term, Trig, _eval_points, max_grid_deviation,
 )
@@ -218,19 +218,31 @@ def twist_spin(arc: KnotArc, axis: TwistAxis, bump: Bump, k: int) -> Surface4:
     ft, gt, ht = _twisted_coords(arc, axis, bump, k)
     spun = [[Term(c, tf, sf + (trig,)) for c, tf, sf in ht]
             for trig in (Trig(1), Trig(1, sine=True))]
-    return Surface4(
-        coords=(ft, gt, *spun),
-        t_dom=arc.ab,
-        s_dom=Interval(0.0, TWO_PI),
-        periodic_s=True,
-        pole_low=True,
-        pole_high=True,
-    )
+    # Surface4's defaults: theta in [0, 2 pi] with its seam, a pole at each arc end
+    return Surface4((ft, gt, *spun), arc.ab)
+
+
+def _polynomialized(s: Surface4, cheb_degree: int, bump_degree: int | None) -> Surface4:
+    """``s`` with each distinct cos/sin(k th) factor replaced, once, by its
+    Chebyshev interpolant on the theta-domain, and each bump by its fit on
+    the t-domain when ``bump_degree`` is given."""
+    factors = dict.fromkeys(f for coord in s.coords for term in coord for f in term.t + term.s)
+    fits = {f: chebyshev_fit(f, s.s_dom, cheb_degree).poly for f in factors if isinstance(f, Trig)}
+    if bump_degree is not None:
+        fits.update((f, chebyshev_fit(f, s.t_dom, bump_degree).poly)
+                    for f in factors if isinstance(f, Bump))
+    return replace(s, coords=tuple(
+        [Term(c, *(tuple(fits.get(f, f) for f in fs) for fs in (tf, sf))) for c, tf, sf in terms]
+        for terms in s.coords))
 
 
 def polynomialize_twist(s: Surface4, cheb_degree: int, bump_degree: int | None = None):
-    """Replace every cos(k th) / sin(k th) factor by its Chebyshev interpolant
-    on [0, 2*pi], and (optionally) the bump by a Chebyshev fit on the t-domain.
+    """Replace every cos(k th) / sin(k th) factor of a surface by its
+    Chebyshev interpolant on [0, 2*pi], and (optionally) the bump by a
+    Chebyshev fit on the t-domain.  This is the package's one
+    polynomialization: the CLI's ``polynomialize`` runs it on the spin of a
+    catalog arc and on a surface file alike, and ``spin.polynomial_spin``
+    multiplies its result out.
 
     A fit stays a factor of its own: multiplying it into another polynomial
     would cost accuracy (a degree-40 bump fit times an arc polynomial differs
@@ -242,21 +254,5 @@ def polynomialize_twist(s: Surface4, cheb_degree: int, bump_degree: int | None =
         raise ValueError(f"cheb_degree must be >= 1, got {cheb_degree}")
     if bump_degree is not None and bump_degree < 1:
         raise ValueError(f"bump_degree must be >= 1, got {bump_degree}")
-    fits: dict = {}
-
-    def fit(f):
-        if f not in fits:
-            if isinstance(f, Trig):
-                fits[f] = chebyshev_fit(f, s.s_dom, cheb_degree).poly
-            elif isinstance(f, Bump) and bump_degree is not None:
-                fits[f] = chebyshev_fit(f, s.t_dom, bump_degree).poly
-            else:
-                fits[f] = f
-        return fits[f]
-
-    out = Surface4(
-        tuple([Term(c, tuple(map(fit, tf)), tuple(map(fit, sf))) for c, tf, sf in coord]
-              for coord in s.coords),
-        s.t_dom, s.s_dom, s.periodic_s, s.pole_low, s.pole_high,
-    )
+    out = _polynomialized(s, cheb_degree, bump_degree)
     return out, max_grid_deviation(s, out)

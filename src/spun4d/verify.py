@@ -23,6 +23,10 @@ __all__ = [
 
 RANK_TOL = 1e-6
 IMAGE_TOL = 1e-3
+# verify_surface's least parameter separation of a collision, and its grids
+PARAM_SEP = 0.05
+N_RANK = 200
+N_INJECT = 400
 # the injectivity scan stops once it holds this many collisions
 MAX_COLLISIONS = 1 << 16
 
@@ -451,7 +455,7 @@ def isotopy_family_check(
     u_samples,
     n_rank: int = 96,
     n_inject: int = 200,
-    param_sep: float = 0.05,
+    param_sep: float = PARAM_SEP,
     rank_tol: float = RANK_TOL,
     image_tol: float = IMAGE_TOL,
 ) -> bool:
@@ -471,9 +475,9 @@ def isotopy_family_check(
 def verify_surface(
     s,
     arc: KnotArc | None = None,
-    n_rank: int = 200,
-    n_inject: int = 400,
-    param_sep: float = 0.05,
+    n_rank: int = N_RANK,
+    n_inject: int = N_INJECT,
+    param_sep: float = PARAM_SEP,
     rank_tol: float = RANK_TOL,
     image_tol: float = IMAGE_TOL,
 ) -> VerifyReport:

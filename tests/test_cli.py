@@ -133,6 +133,44 @@ def test_slice_non_finite_value_is_one_error_line(workdir, capsys, values):
     assert not any(p.startswith("slice_") for p in os.listdir(workdir))
 
 
+@pytest.mark.parametrize("values, entry", [("1,,2", "''"), ("", "''"), ("1,x", "'x'")])
+def test_slice_value_not_a_number_names_flag_and_entry(workdir, capsys, values, entry):
+    assert dispatch(["spin", "trefoil_spun", "--out", "s.json"]) == 0
+    assert dispatch(["slice", "s.json", "--values", values]) == 1
+    line = _one_error_line(capsys)
+    assert f"--values {values!r}" in line and line.endswith(f": {entry}")
+    assert sorted(os.listdir(workdir)) == ["s.json", "s.json.manifest.json"]
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["spin", "trefoil_spun", "--verify", "--export", "obj"], "--export requires --out"),
+    (["twistspin", "trefoil_twist", "--k", "1", "--sweep", "w", "--count", "2",
+      "--export", "obj", "--out", "x.obj"], "--sweep"),
+], ids=["export_without_out", "sweep_with_export"])
+def test_output_flags_are_checked_before_any_work(workdir, capsys, argv, words):
+    # the surface is neither built nor verified: nothing is printed or written
+    assert dispatch(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    err = out.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("spun4d: error:") and words in err[0]
+    assert os.listdir(workdir) == []
+
+
+@pytest.mark.parametrize("argv, plane", [
+    (["spin", "trefoil_spun", "--export", "csv", "--out", "x.csv"], "ab"),
+    (["twistspin", "trefoil_twist", "--k", "1", "--export", "csv", "--out", "x.csv"], "qq"),
+    (["export", "s.json", "--format", "csv", "--out", "x.csv"], "ab"),
+], ids=["spin", "twistspin", "export"])
+def test_bad_plane_is_refused_for_csv_too(workdir, capsys, argv, plane):
+    assert dispatch(_SPIN) == 0
+    capsys.readouterr()
+    assert dispatch(argv + ["--plane", plane]) == 1
+    assert _one_error_line(capsys) == (
+        f"spun4d: error: axes spec must be 3 distinct letters from 'xyzw', got {plane!r}")
+    assert sorted(os.listdir(workdir)) == ["s.json", "s.json.manifest.json"]
+
+
 @pytest.mark.parametrize("cmd", [["sweep", "s.json", "--count"],
                                  ["twistspin", "trefoil_twist", "--k", "2", "--sweep", "w", "--count"]])
 @pytest.mark.parametrize("count", ["0", "-5"])
@@ -158,7 +196,10 @@ def test_polynomialize_and_slice_pipeline(workdir, capsys):
     out = capsys.readouterr().out
     assert "deviation" in out
     doc = json.loads((workdir / "p.json").read_text())
-    assert doc["type"] == "polymap4"
+    assert doc["type"] == "surface4"
+    # a catalog name is polynomialized as the spin surface file is
+    assert dispatch(["polynomialize", "s.json", "--cheb-degree", "8", "--out", "q.json"]) == 0
+    assert (workdir / "p.json").read_bytes() == (workdir / "q.json").read_bytes()
     assert dispatch(["slice", "s.json", "--axis", "w", "--values", "0,1.0",
                      "--out-pattern", "sl_{}.json"]) == 0
     assert (workdir / "sl_0.json").exists() and (workdir / "sl_1.json").exists()
@@ -304,6 +345,7 @@ _POLY_COORD = {"coeffs": [[0.0, 1.0], [1.0, 0.0]]}
     ({"type": "mesh"}, "'type'"),
     ({"type": "surface4", "coords": [{"tag": "cos_k", "k": 10 ** 400}] * 4, **_TWIST_DOMAIN},
      "2**53"),
+    ({"type": ["surface4"]}, "'type'"),
 ])
 @pytest.mark.parametrize("cmd", [["project", "bad.json", "--out", "p.csv"],
                                  ["export", "bad.json", "--format", "obj", "--out", "p.obj"]])
@@ -334,11 +376,16 @@ def test_polynomialize_twist_file_with_bump_degree(workdir, capsys):
 
 
 def test_polynomialize_rejects_polymap_file(workdir, capsys):
-    assert dispatch(["polynomialize", "trefoil_spun", "--out", "p.json"]) == 0
+    assert dispatch(["approx", "bernstein", "trefoil_spun", "--degree", "8", "--out", "b.json"]) == 0
     capsys.readouterr()
-    assert dispatch(["polynomialize", "p.json"]) == 1
+    assert dispatch(["polynomialize", "b.json"]) == 1
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "p.json" in err[0] and "'type'" in err[0]
+    assert len(err) == 1 and "b.json" in err[0] and "'type'" in err[0]
+
+
+def test_polynomialize_catalog_name_takes_any_degree_a_file_takes(workdir, capsys):
+    assert dispatch(["polynomialize", "trefoil_spun", "--cheb-degree", "5", "--out", "p.json"]) == 0
+    assert json.loads((workdir / "p.json").read_text())["type"] == "surface4"
 
 
 def test_polynomialize_out_of_memory_is_one_error_line(workdir, capsys):
@@ -387,6 +434,14 @@ _README = [
     ([_POLY], ["sweep", "p.json", "--axis", "w", "--count", "24"]),
     ([_SPIN], ["export", "s.json", "--format", "ply", "--out", "mesh.ply"]),
 ]
+
+
+def test_readme_cli_block_is_the_tested_command_list():
+    # the sh block under "## CLI" in README.md, command for command
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    assert [line.split() for line in block.splitlines()] == [["spun4d"] + cmd for _, cmd in _README]
 
 
 @pytest.mark.parametrize("setup, cmd", _README, ids=[" ".join(cmd[:2]) for _, cmd in _README])
