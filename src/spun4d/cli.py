@@ -204,12 +204,13 @@ def _slice_files(surface, axis, args, cfg, pattern):
         except ValueError as exc:  # the message quotes the entry
             raise ValueError(f"--values {args.values!r}: {exc}") from None
     else:
-        if args.count < 1:
-            raise ValueError(f"--count must be at least 1, got {args.count}")
+        count = 24 if args.count is None else args.count
+        if count < 1:
+            raise ValueError(f"--count must be at least 1, got {count}")
         w = sample_surface(surface, n, n).points[..., AXIS_NAMES.index(axis)]
-        values = np.linspace(float(w.min()), float(w.max()), args.count + 2)[1:-1]
+        values = np.linspace(float(w.min()), float(w.max()), count + 2)[1:-1]
     slices = [slice_surface(surface, axis, float(v), n, n) for v in values]
-    return export_slices(slices, args.format, pattern)
+    return export_slices(slices, args.format or "json", pattern)
 
 
 # Each handler returns (exit code, files written, manifest warnings);
@@ -227,6 +228,11 @@ def _cmd_catalog(args, cfg):
 def _cmd_construct(args, cfg):
     if args.cmd == "twistspin" and args.sweep and (args.export or args.out):
         raise ValueError("--sweep names its slice files by --out-pattern, not --export or --out")
+    if args.cmd == "twistspin" and not args.sweep:
+        for flag, value in (("--out-pattern", args.out_pattern), ("--count", args.count),
+                            ("--format", args.format)):
+            if value is not None:
+                raise ValueError(f"{flag} applies only with --sweep")
     if args.export and not args.out:
         raise ValueError("--export requires --out")
     surface, arc = _build_surface(args)
@@ -335,8 +341,9 @@ def _build_parser() -> _Parser:
     tw.add_argument("--d1", type=float)
     tw.add_argument("--d2", type=float)
     tw.add_argument("--sweep", choices=list("xyzw"), help="emit cross-section files instead of a surface")
-    tw.add_argument("--count", type=int, default=24)
-    tw.add_argument("--format", choices=["json", "csv"], default="json")
+    # None when not given: without --sweep they are refused
+    tw.add_argument("--count", type=int)
+    tw.add_argument("--format", choices=["json", "csv"])
     tw.add_argument("--out-pattern")
 
     pz = sub.add_parser("polynomialize", help="replace transcendental factors by Chebyshev fits")
@@ -375,7 +382,7 @@ def _build_parser() -> _Parser:
         if name == "slice":
             sl.add_argument("--values", required=True, help="comma-separated slice values")
         else:
-            sl.add_argument("--count", type=int, default=24)
+            sl.add_argument("--count", type=int)
         sl.add_argument("--format", choices=["json", "csv"], default="json")
         sl.add_argument("--out-pattern")
 

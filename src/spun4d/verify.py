@@ -180,10 +180,10 @@ def _shared(key: np.ndarray) -> np.ndarray:
 
 
 def _half_width(r: float, room: float) -> float:
-    """Half the cell side of the hash grids for radius ``r``.  A pair that
-    passes the distance test is at most r (1 + 4 eps) apart, which the
-    factor 1 + 2**-20 covers; ``room`` covers the rounding of the hashed
-    coordinates."""
+    """Half the cell side of the close-pair search for radius ``r``.  A
+    pair that passes the distance test is at most r (1 + 4 eps) apart,
+    which the factor 1 + 2**-20 covers; ``room`` covers the rounding of the
+    scaled coordinates."""
     return r * (1.0 + 2.0 ** -20) + room
 
 
@@ -245,11 +245,57 @@ def _image_plane(pts: np.ndarray, r: float) -> np.ndarray:
 
 def _suspects(u: np.ndarray) -> np.ndarray:
     """The plane stage: ascending indices of the rows of the (m, 2) array
-    ``u`` of plane coordinates, in half cells, that share a cell with
-    another row in one of the 4 grids of the plane."""
-    suspect = np.zeros(len(u), bool)
-    for _, key, _ in _grids(u):
-        suspect[_shared(key)] = True
+    ``u`` of plane coordinates, in half cells, that have another row whose
+    half-cell indices (hx, hy) differ from theirs by at most 1 on both axes
+    (that is, share a cell in one of the 4 grids of the plane), and a few
+    more.
+
+    Two sorts find them.  For off = 0 and 1, the rows fall in columns
+    (hx + off) >> 1, two half cells wide, and a pair with |dhx| <= 1 shares
+    a column for one of the two.  A row's key packs, from the high bits to
+    the low, the top bits of a multiplicative hash of its column,
+    hy - min(hy) and the row's index.  Sorted, a column lists its rows by
+    hy, so a row with another at |dhy| <= 1 in its column has one as a
+    sorted neighbour; two neighbours whose keys, less the index bits,
+    differ by at most 1 are both suspects.  Columns whose hashes agree, and
+    the step from one column to the next, only add suspects.  When hy and
+    the index take more than 40 bits, hy is shifted right: pairs at
+    |dhy| <= 1 stay within 1, and the hash keeps 24 bits.  The keys sort as
+    unsigned, so the steps between neighbours are exact, and only a step
+    under two index fields gets the exact test.
+    """
+    m = len(u)
+    if m < 2:
+        return np.zeros(0, np.intp)
+    ib = (m - 1).bit_length()
+    low = _half_cells(u[:, 1])
+    low -= low.min()
+    yb = int(low.max()).bit_length()
+    bits = min(ib + yb, 40)
+    low >>= ib + yb - bits
+    low <<= ib
+    low |= np.arange(m)
+    x = _half_cells(u[:, 0])
+    keys = (x >> 1, x)
+    x += 1
+    x >>= 1
+    for key in keys:
+        key *= _CELL_HASH[0]  # wraps
+        key &= -1 << bits
+        key |= low
+    # low is spent: its buffer takes the steps between sorted keys
+    step = low.view(np.uint64)[1:]
+    index = (1 << ib) - 1
+    suspect = np.zeros(m, bool)
+    for key in keys:
+        key = key.view(np.uint64)
+        key.sort()
+        np.subtract(key[1:], key[:-1], out=step)
+        # neighbours less than two index fields apart, then the exact test
+        pos = np.flatnonzero(step < 2 << ib)
+        pos = pos[(key[pos + 1] >> ib) - (key[pos] >> ib) <= 1]
+        suspect[key[pos] & index] = True
+        suspect[key[pos + 1] & index] = True
     return np.flatnonzero(suspect)
 
 
@@ -308,19 +354,20 @@ def _close_pairs(pts: np.ndarray, r: float):
     (m, 4) array ``pts`` at most ``r`` apart, each pair once: exactly the
     pairs ``cKDTree.query_pairs`` finds.
 
-    Spatial hashing (Teschner et al., "Optimized spatial hashing for collision
-    detection of deformable objects", VMV 2003), in two stages, on grids of
-    cells of side just over 2 r, each shifted by half a cell along a subset
-    of the axes.  Two coordinates at most r apart lie in one cell of the
-    plain or of the shifted grid of their axis, so two points whose
-    coordinates are all at most r apart share a cell in at least one grid.
+    Two stages, on half cells of side just over r.  Two coordinates at most
+    r apart have floors, in half cells, at most 1 apart.
 
     The plane stage (``_suspects``) is an exact prefilter.  It projects the
     points onto a fixed 2-plane, which moves no pair further apart, and
-    hashes the projections on the 4 grids of the plane.  A point that
-    shares no cell with another point in any of them is in no close pair;
-    the rest are the suspects, a small share of the points of a surface's
-    scan.  The R^4 stage (``_space_pairs``) searches the suspects alone.
+    finds, with two sorts, the points that have another within one half
+    cell on both axes of the plane.  A point that has none is in no close
+    pair; the rest are the suspects, a small share of the points of a
+    surface's scan.  The R^4 stage (``_space_pairs``) searches the suspects
+    alone by spatial hashing (Teschner et al., "Optimized spatial hashing
+    for collision detection of deformable objects", VMV 2003) on grids of
+    cells two half cells wide, each shifted by half a cell along a subset of
+    the axes: two points whose coordinates are all at most r apart share a
+    cell in at least one grid.
     """
     sus = _suspects(_image_plane(pts, r))
     for i, j in _space_pairs(pts[sus] if len(sus) < len(pts) else pts, r):
@@ -382,8 +429,12 @@ def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float =
     finite bound (``_factor_plane``, whose rounding room covers the gap to
     the projections of the images that ``evaluate`` returns), and else from
     the image grid (``_image_plane``), which is dropped once projected.  One
-    path follows: the plane stage (``_suspects``) on the nodes, the images
-    of the suspects alone, and the R^4 stage (``_space_pairs``) on them.
+    path follows: the plane stage (``_suspects``, two sorts of packed keys)
+    on the nodes, the images of the suspects alone, and the R^4 stage
+    (``_space_pairs``) on them.  The first ``MAX_COLLISIONS`` collisions it
+    yields are kept as arrays, each pair with its lesser (t, theta) first,
+    sorted by a stable ``np.lexsort`` on (param_a, param_b), and only then
+    made ``Collision`` objects.
     """
     if n_t < 16 or n_s < 16:
         raise ValueError(f"injectivity grid sizes must be >= 16, got {n_t}x{n_s}")
@@ -414,7 +465,7 @@ def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float =
     if start:
         row[sus == 0] = col[sus == 0] = 0
     pts = _images(s, tvals[row], svals[col])
-    out: list[Collision] = []
+    found, count = [], 0
     for pairs in _space_pairs(pts, image_tol):
         pairs = np.stack(pairs, axis=1)
         prow = row[pairs]
@@ -426,16 +477,22 @@ def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float =
             dv = np.minimum(dv, 1.0 - dv)
         # a pole parameter is a single point: its theta coordinate is immaterial
         dv = np.where(pole.any(axis=1), 0.0, dv)
-        hits = np.flatnonzero(np.hypot(du, dv) > param_sep)[:MAX_COLLISIONS - len(out)]
+        hits = np.flatnonzero(np.hypot(du, dv) > param_sep)[:MAX_COLLISIONS - count]
         i, j = pairs[hits].T
-        dist = np.linalg.norm(pts[i] - pts[j], axis=-1)
-        a = zip(tp[hits, 0].tolist(), sp[hits, 0].tolist())
-        b = zip(tp[hits, 1].tolist(), sp[hits, 1].tolist())
-        out.extend(Collision(min(pa, pb), max(pa, pb), d) for pa, pb, d in zip(a, b, dist.tolist()))
-        if len(out) >= MAX_COLLISIONS:
+        found.append((tp[hits], sp[hits], np.linalg.norm(pts[i] - pts[j], axis=-1)))
+        count += len(hits)
+        if count >= MAX_COLLISIONS:
             break
-    out.sort(key=lambda c: (c.param_a, c.param_b))
-    return out
+    if not count:
+        return []
+    tp, sp, dist = (np.concatenate(c) for c in zip(*found))
+    # each pair's lesser (t, theta) first, then the pairs in ascending order
+    swap = (tp[:, 1] < tp[:, 0]) | (tp[:, 1] == tp[:, 0]) & (sp[:, 1] < sp[:, 0])
+    tp[swap], sp[swap] = tp[swap][:, ::-1], sp[swap][:, ::-1]
+    order = np.lexsort((sp[:, 1], tp[:, 1], sp[:, 0], tp[:, 0]))
+    ta, tb = tp[order].T.tolist()
+    sa, sb = sp[order].T.tolist()
+    return list(map(Collision, zip(ta, sa), zip(tb, sb), dist[order].tolist()))
 
 
 def boundary_check(arc: KnotArc) -> bool:

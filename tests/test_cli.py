@@ -146,7 +146,12 @@ def test_slice_value_not_a_number_names_flag_and_entry(workdir, capsys, values, 
     (["spin", "trefoil_spun", "--verify", "--export", "obj"], "--export requires --out"),
     (["twistspin", "trefoil_twist", "--k", "1", "--sweep", "w", "--count", "2",
       "--export", "obj", "--out", "x.obj"], "--sweep"),
-], ids=["export_without_out", "sweep_with_export"])
+    (["twistspin", "trefoil_twist", "--k", "1", "--out-pattern", "x_{}.json"],
+     "--out-pattern applies only with --sweep"),
+    (["twistspin", "trefoil_twist", "--k", "1", "--count", "3"], "--count applies only with --sweep"),
+    (["twistspin", "trefoil_twist", "--k", "1", "--format", "csv"], "--format applies only with --sweep"),
+], ids=["export_without_out", "sweep_with_export", "out_pattern_without_sweep",
+        "count_without_sweep", "format_without_sweep"])
 def test_output_flags_are_checked_before_any_work(workdir, capsys, argv, words):
     # the surface is neither built nor verified: nothing is printed or written
     assert dispatch(argv) == 1

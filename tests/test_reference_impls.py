@@ -41,7 +41,7 @@ from spun4d.twist import (
 )
 from spun4d.verify import (
     _PLANE, MAX_COLLISIONS, Collision, _close_pairs, _factor_plane, _gram, _inset_samples,
-    injectivity_scan, jacobian_rank_scan,
+    _suspects, injectivity_scan, jacobian_rank_scan,
 )
 
 
@@ -1296,3 +1296,96 @@ def test_close_pairs_finds_planted_collisions_near_overflow(seed, n, a, frac):
     pts = np.concatenate([pts, pts[c:c + 1]])
     got = {(int(i), int(j)) for bi, bj in _close_pairs(pts, r) for i, j in zip(bi, bj)}
     assert got == {(min(a, b), max(a, b)), (c, n)}
+
+
+# -- plane stage -----------------------------------------------------------------------
+
+
+def suspects_brute_force(u):
+    """Reference: the rows of the (m, 2) array ``u`` with another row whose
+    floors differ from theirs by at most 1 on both axes, from a count of the
+    rows in each half cell and a look at its 8 neighbours."""
+    cells = [tuple(c) for c in np.floor(u).astype(np.int64).tolist()]
+    count = {}
+    for c in cells:
+        count[c] = count.get(c, 0) + 1
+    return {i for i, (x, y) in enumerate(cells)
+            if count[x, y] > 1 or any((x + dx, y + dy) in count
+                                      for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy)}
+
+
+def _assert_suspects_cover_brute_force(u):
+    got = _suspects(u)
+    assert np.issubdtype(got.dtype, np.integer)
+    assert np.all(np.diff(got) > 0) and (len(got) == 0 or 0 <= got[0] <= got[-1] < len(u))
+    want = suspects_brute_force(u)
+    assert want <= set(got.tolist())
+    return got, want
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_SEED, n=st.integers(2, 400), size=st.floats(1.0, 1e4))
+def test_suspects_cover_brute_force_uniform_cloud(seed, n, size):
+    _assert_suspects_cover_brute_force(np.random.default_rng(seed).uniform(-size, size, (n, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_SEED, clusters=st.integers(1, 8), n=st.integers(2, 300), spread=st.floats(0.1, 3.0))
+def test_suspects_cover_brute_force_clustered_cloud_with_duplicates(seed, clusters, n, spread):
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(-1e3, 1e3, (clusters, 2))
+    u = centres[rng.integers(0, clusters, n)] + rng.normal(0.0, spread, (n, 2))
+    # repeat some rows exactly
+    _assert_suspects_cover_brute_force(np.concatenate([u, u[rng.integers(0, n, n // 3)]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_SEED, n=st.integers(2, 300), width=st.integers(2, 40))
+def test_suspects_cover_brute_force_on_cell_boundaries(seed, n, width):
+    # integer rows lie on the boundaries of the half cells, and their floors
+    # differ by exactly 0, 1 or 2: the pairs one apart are suspects and the
+    # pairs two apart are not; rows just below an integer floor one lower
+    rng = np.random.default_rng(seed)
+    u = rng.integers(-width, width + 1, (n, 2)).astype(float)
+    u[rng.random((n, 2)) < 0.25] -= 2.0 ** -40
+    _assert_suspects_cover_brute_force(u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_SEED, n=st.integers(2, 300), spread=st.integers(0, 4))
+def test_suspects_cover_brute_force_near_2_49_half_cells(seed, n, spread):
+    # rows near both -2**49 and 2**49 half cells: hy spans 2**50, so its
+    # field is shifted right in the keys; rows within 1 + spread of the
+    # corners make pairs at |dhy| <= 1 across the shift's boundaries
+    rng = np.random.default_rng(seed)
+    corner = rng.choice([-1.0, 1.0], (n, 2)) * 2.0 ** 49
+    u = corner + rng.integers(-1 - spread, 2 + spread, (n, 2)) + rng.choice([0.0, 0.5], (n, 2))
+    _, want = _assert_suspects_cover_brute_force(u)
+    if n > 100:
+        assert want
+
+
+@pytest.mark.parametrize("u, want", [
+    (np.zeros((0, 2)), []),
+    (np.array([[3.5, -7.25]]), []),
+    (np.array([[0.0, 0.0], [0.0, 0.0]]), [0, 1]),
+    (np.array([[0.5, 0.5], [1.5, -0.5]]), [0, 1]),
+    (np.array([[1.0, 0.0], [2.0, 0.0]]), [0, 1]),
+    (np.array([[-1.0, 5.0], [0.999, 6.999]]), [0, 1]),
+    (np.array([[0.0, 0.0], [2.0, 0.5]]), []),
+    (np.array([[0.0, 0.0], [0.5, 2.0]]), []),
+    (np.array([[0.0, 0.0], [1e6, -1e6]]), []),
+], ids=["m0", "m1", "m2_equal", "m2_diagonal", "m2_odd_column", "m2_corner", "m2_x_apart",
+        "m2_y_apart", "m2_far"])
+def test_suspects_of_at_most_two_rows(u, want):
+    got = _suspects(u)
+    assert got.tolist() == want == sorted(suspects_brute_force(u))
+
+
+def test_suspects_of_twist_k10_at_400_are_few():
+    # the plane stage of the k = 10 twist spin's scan, every node of its grid
+    arc, axis = _twist_setup("trefoil_twist")
+    s = twist_spin(arc, axis, choose_bump(arc, axis), 10)
+    svals = s.s_dom.lo + s.s_dom.length * np.arange(400) / 400
+    got, want = _assert_suspects_cover_brute_force(_factor_plane(s, s.t_dom.sample(400), svals, 1e-3))
+    assert 0 < len(got) <= 1.1 * len(want)
