@@ -32,6 +32,10 @@ from .verify import IMAGE_TOL, N_INJECT, N_RANK, PARAM_SEP, RANK_TOL, verify_sur
 
 PROG = "spun4d"
 
+# polynomialize warns when its grid deviation exceeds this share of the
+# input's largest |coordinate| on the same grid: the fit has diverged
+POLY_DEVIATION_WARN = 1e-3
+
 # central defaults; overridable per-key by a spun4d.json config file
 DEFAULT_CONFIG = {
     "rank_tol": RANK_TOL,
@@ -263,6 +267,15 @@ def _cmd_polynomialize(args, cfg):
     out = args.out or "polynomialized.json"
     _write_json(poly.to_json(), out)
     print(f"max grid deviation from exact surface: {dev:.6e}")
+    # the deviation's own 200x200 grid
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = float(np.abs(surface.eval_grid(surface.t_dom.sample(200),
+                                              surface.s_dom.sample(200))).max())
+    if dev > POLY_DEVIATION_WARN * size:
+        warning = (f"the deviation {dev:.3e} exceeds {POLY_DEVIATION_WARN:g} times the surface's "
+                   f"largest |coordinate| {size:.3e}: the Chebyshev fit has diverged")
+        print(f"{PROG}: warning: {warning}", file=sys.stderr)
+        return 0, [out], [warning]
     return 0, [out], []
 
 
@@ -333,7 +346,8 @@ def _build_parser() -> _Parser:
         c.add_argument("--plane", default="xyz", help="projection axes for mesh export")
         return c
 
-    construction("spin", "spin a catalog arc into an exact 2-sphere surface")
+    construction("spin", "spin a catalog arc into an exact surface: a topological 2-sphere, "
+                 "with a cone point at each pole")
     tw = construction("twistspin", "k-twist spin a catalog arc")
     tw.add_argument("--k", type=int, required=True)
     tw.add_argument("--t1", type=float)

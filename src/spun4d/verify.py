@@ -30,13 +30,9 @@ N_INJECT = 400
 # the injectivity scan stops once it holds this many collisions
 MAX_COLLISIONS = 1 << 16
 
-# odd multipliers that hash a cell's integer coordinates into one key
-_CELL_HASH = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9,
-                       0x27D4EB2F165667C5], np.uint64).view(np.int64)
-_AXIS_BITS = 1 << np.arange(len(_CELL_HASH))
-# an odd multiplier that re-hashes keys: equal keys stay equal, and the top
-# bits of the products are fresh
-_REHASH = np.uint64(0xFF51AFD7ED558CCD).view(np.int64)
+# odd multipliers that hash a column's integer coordinates into one key
+_CELL_HASH = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9],
+                      np.uint64).view(np.int64)
 # the columns are an orthonormal basis of the 2-plane of the close-pair
 # prefilter; the entries are exact, so the projection is 1-Lipschitz.  It
 # maps both the xy and the zw plane onto it one to one (a spun surface's
@@ -157,28 +153,6 @@ def jacobian_rank_scan(s, n_t: int, n_s: int, tol: float = RANK_TOL) -> tuple[bo
     return min_ratio > tol, min_ratio
 
 
-def _shared(key: np.ndarray) -> np.ndarray:
-    """Ascending indices of the entries of the int64 array ``key`` that
-    another entry may share: all of those that do, and few that do not.
-
-    A bincount over a table of at least twice as many buckets as keys keeps
-    the keys whose bucket holds another key.  Equal keys always share a
-    bucket; to drop keys that share one only by chance, the survivors are
-    re-hashed with fresh bits of the key until a round drops less than a
-    quarter of them.
-    """
-    idx = None
-    while True:
-        bits = max(10, (2 * len(key)).bit_length())
-        bucket = key >> (64 - bits)
-        bucket &= (1 << bits) - 1
-        sel = np.flatnonzero((np.bincount(bucket, minlength=1 << bits) > 1)[bucket])
-        idx = sel if idx is None else idx[sel]
-        if 4 * len(sel) >= 3 * len(key):
-            return idx
-        key = key[sel] * _REHASH  # wraps
-
-
 def _half_width(r: float, room: float) -> float:
     """Half the cell side of the close-pair search for radius ``r``.  A
     pair that passes the distance test is at most r (1 + 4 eps) apart,
@@ -190,39 +164,6 @@ def _half_width(r: float, room: float) -> float:
 def _half_cells(u: np.ndarray) -> np.ndarray:
     """floor(u) as int64."""
     return np.floor(u).astype(np.int64)
-
-
-def _grids(u: np.ndarray):
-    """Hash the rows of the (m, d) array ``u`` of coordinates, in half
-    cells, into the 2**d grids of cells two half cells wide, each grid
-    shifted by half a cell along a subset of the axes.
-
-    Yields ``(grid, key, odd)`` for each grid, in Gray-code order: each grid
-    shifts one axis more or less than the one before.  ``grid`` has one bit
-    per shifted axis; ``key`` (updated in place) is each point's cell key in
-    the grid; ``odd`` has one bit per axis, set when the point's half-cell
-    index is odd, so that the grid shifted along that axis puts it in the
-    next cell.
-    """
-    key = np.zeros(len(u), np.int64)
-    odd = np.zeros(len(u), np.uint8)
-    for axis in range(u.shape[1]):
-        h = _half_cells(u[:, axis])
-        odd |= (h & 1).astype(np.uint8) << axis
-        h >>= 1
-        h *= _CELL_HASH[axis]
-        key += h  # wraps: two cells sharing a key only add candidates
-    del h
-    grid = 0
-    yield grid, key, odd
-    for n in range(1, 1 << u.shape[1]):
-        axis = (n & -n).bit_length() - 1
-        grid ^= 1 << axis
-        step = np.add if grid >> axis & 1 else np.subtract
-        # the parity as int64: numpy 1.x promotes a uint8 array times this
-        # multiplier to uint64, which cannot be added into the int64 key
-        step(key, (odd >> axis & 1).astype(np.int64) * _CELL_HASH[axis], out=key)
-        yield grid, key, odd
 
 
 def _size(pts: np.ndarray) -> float:
@@ -243,6 +184,22 @@ def _image_plane(pts: np.ndarray, r: float) -> np.ndarray:
     return np.einsum("ij,jk->ik", pts, _PLANE / _half_width(r, 16.0 * _EPS * _size(pts)))
 
 
+def _low_fields(y: np.ndarray) -> tuple[int, int]:
+    """Make the int64 array ``y`` of half-cell indices, in place, the low
+    fields of the rows' sort keys: y - min(y) above the row's index.  When
+    the two take more than 40 bits, y - min(y) is shifted right: pairs at
+    |dy| <= 1 stay within 1, and a hash above keeps 24 bits.  Returns the
+    number of bits of both fields and of the index alone."""
+    ib = (len(y) - 1).bit_length()
+    y -= y.min()
+    yb = int(y.max()).bit_length()
+    bits = min(ib + yb, 40)
+    y >>= ib + yb - bits
+    y <<= ib
+    y |= np.arange(len(y))
+    return bits, ib
+
+
 def _suspects(u: np.ndarray) -> np.ndarray:
     """The plane stage: ascending indices of the rows of the (m, 2) array
     ``u`` of plane coordinates, in half cells, that have another row whose
@@ -253,28 +210,21 @@ def _suspects(u: np.ndarray) -> np.ndarray:
     Two sorts find them.  For off = 0 and 1, the rows fall in columns
     (hx + off) >> 1, two half cells wide, and a pair with |dhx| <= 1 shares
     a column for one of the two.  A row's key packs, from the high bits to
-    the low, the top bits of a multiplicative hash of its column,
-    hy - min(hy) and the row's index.  Sorted, a column lists its rows by
-    hy, so a row with another at |dhy| <= 1 in its column has one as a
-    sorted neighbour; two neighbours whose keys, less the index bits,
-    differ by at most 1 are both suspects.  Columns whose hashes agree, and
-    the step from one column to the next, only add suspects.  When hy and
-    the index take more than 40 bits, hy is shifted right: pairs at
-    |dhy| <= 1 stay within 1, and the hash keeps 24 bits.  The keys sort as
-    unsigned, so the steps between neighbours are exact, and only a step
-    under two index fields gets the exact test.
+    the low, the top bits of a multiplicative hash of its column and the
+    low fields of ``_low_fields``: hy - min(hy) and the row's index.
+    Sorted, a column lists its rows by hy, so a row with another at
+    |dhy| <= 1 in its column has one as a sorted neighbour; two neighbours
+    whose keys, less the index bits, differ by at most 1 are both suspects.
+    Columns whose hashes agree, and the step from one column to the next,
+    only add suspects.  The keys sort as unsigned, so the steps between
+    neighbours are exact, and only a step under two index fields gets the
+    exact test.
     """
     m = len(u)
     if m < 2:
         return np.zeros(0, np.intp)
-    ib = (m - 1).bit_length()
     low = _half_cells(u[:, 1])
-    low -= low.min()
-    yb = int(low.max()).bit_length()
-    bits = min(ib + yb, 40)
-    low >>= ib + yb - bits
-    low <<= ib
-    low |= np.arange(m)
+    bits, ib = _low_fields(low)
     x = _half_cells(u[:, 0])
     keys = (x >> 1, x)
     x += 1
@@ -303,50 +253,55 @@ def _space_pairs(pts: np.ndarray, r: float):
     """The R^4 stage: yield batches ``(i, j)``, i < j, of the index pairs of
     the rows of the (m, 4) array ``pts`` at most ``r`` apart, each pair once.
 
-    The rows are searched on the 16 grids of R^4, with cells of half side
-    r plus 4 eps * size: a scaled coordinate is within eps * size / 2 of its
-    exact value, which the room covers for two rows.  A close pair shares a
-    cell in the grid that shifts just the axes where its cells in the plain
-    grid differ, and is kept only there.  Per grid, rows whose key no other
-    row shares are dropped, the rest are sorted by key, and rows are
-    compared only within runs of equal keys, at offset d = 1, 2, ... along
-    the run, and only when the parities of their half-cell indices allow
-    the pair to be kept in this grid.  The test is the squared distance
-    summed coordinate by coordinate, at most r * r, as
+    The half cells have side r plus 4 eps * size: a scaled coordinate is
+    within eps * size / 2 of its exact value, which the room covers for two
+    rows.  Eight sorts find the pairs, as two find the plane stage's
+    suspects.  For each off in {0, 1}**3, the rows fall in columns
+    (h + off) >> 1 on axes 0-2, and a row's key packs the top bits of a
+    multiplicative hash of its column above the low fields of
+    ``_low_fields`` on axis 3.  A close pair shares a column for the off
+    that is 1 just on the axes where its indices h >> 1 differ, and is kept
+    only there.  Sorted, the rows between the two have keys, less the index
+    bits, between theirs, so the walk over offsets d = 1, 2, ... along the
+    sorted keys, at the positions whose key at d is at most 1 above their
+    own, meets the pair.  Columns whose hashes agree, and the step from one
+    column to the next, only add candidates.  The test is the squared
+    distance summed coordinate by coordinate, at most r * r, as
     ``cKDTree.query_pairs`` makes it.
     """
-    u = pts / _half_width(r, 4.0 * _EPS * _size(pts))
-    for grid, key, odd in _grids(u):
-        cand = _shared(key)
-        if len(cand) == 0:
-            continue
-        # sort the keys with each candidate's rank in their low bits: a run of
-        # equal keys then lists its points in index order
-        rank_bits = len(cand).bit_length()
-        packed = np.sort(key[cand] << rank_bits | np.arange(len(cand)))
-        order = cand[packed & ((1 << rank_bits) - 1)]
-        run_key = packed >> rank_bits
-        same = np.append(run_key[1:] == run_key[:-1], False)
-        pos = np.flatnonzero(same)
+    m = len(pts)
+    if m < 2:
+        return
+    h = _half_cells(pts / _half_width(r, 4.0 * _EPS * _size(pts)))
+    low = h[:, 3].copy()
+    bits, ib = _low_fields(low)
+    index = (1 << ib) - 1
+    cell = h[:, :3] >> 1
+    for off in np.ndindex(2, 2, 2):
+        key = ((h[:, :3] + off) >> 1) @ _CELL_HASH  # wraps
+        key &= -1 << bits
+        key |= low
+        key = key.view(np.uint64)
+        key.sort()
+        top = key >> ib
+        pos = np.arange(m - 1)
         d = 1
         while len(pos):
-            i, j = order[pos], order[pos + d]
-            # a pair kept in this grid shares a cell here but not in the plain
-            # grid along each shifted axis: its half-cell indices differ in parity
-            mine = (odd[i] ^ odd[j]) & grid == grid
+            pos = pos[top[pos + d] - top[pos] <= 1]
+            i = (key[pos] & index).astype(np.intp)
+            j = (key[pos + d] & index).astype(np.intp)
+            mine = ((cell[i] != cell[j]) == off).all(axis=1)
             i, j = i[mine], j[mine]
             # rows whose keys agree by chance may be far apart: a square
             # beyond double range is inf, which fails the test
             with np.errstate(over="ignore"):
                 sq = np.square(pts[i] - pts[j])
                 close = sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3] <= r * r
-            i, j = i[close], j[close]
-            own = (_half_cells(u[i]) >> 1 != _half_cells(u[j]) >> 1) @ _AXIS_BITS == grid
-            if own.any():
-                yield i[own], j[own]
-            # positions whose run reaches offset d + 1
-            pos = pos[same[pos + d]]
+            if close.any():
+                i, j = i[close], j[close]
+                yield np.minimum(i, j), np.maximum(i, j)
             d += 1
+            pos = pos[pos + d < m]
 
 
 def _close_pairs(pts: np.ndarray, r: float):
@@ -363,11 +318,8 @@ def _close_pairs(pts: np.ndarray, r: float):
     cell on both axes of the plane.  A point that has none is in no close
     pair; the rest are the suspects, a small share of the points of a
     surface's scan.  The R^4 stage (``_space_pairs``) searches the suspects
-    alone by spatial hashing (Teschner et al., "Optimized spatial hashing
-    for collision detection of deformable objects", VMV 2003) on grids of
-    cells two half cells wide, each shifted by half a cell along a subset of
-    the axes: two points whose coordinates are all at most r apart share a
-    cell in at least one grid.
+    alone, in the same way with eight sorts: columns of R^4 on three axes,
+    sorted along the fourth.
     """
     sus = _suspects(_image_plane(pts, r))
     for i, j in _space_pairs(pts[sus] if len(sus) < len(pts) else pts, r):
@@ -431,10 +383,10 @@ def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float =
     the image grid (``_image_plane``), which is dropped once projected.  One
     path follows: the plane stage (``_suspects``, two sorts of packed keys)
     on the nodes, the images of the suspects alone, and the R^4 stage
-    (``_space_pairs``) on them.  The first ``MAX_COLLISIONS`` collisions it
-    yields are kept as arrays, each pair with its lesser (t, theta) first,
-    sorted by a stable ``np.lexsort`` on (param_a, param_b), and only then
-    made ``Collision`` objects.
+    (``_space_pairs``, eight sorts) on them.  The first ``MAX_COLLISIONS``
+    collisions it yields are kept as arrays, each pair with its lesser
+    (t, theta) first, sorted by a stable ``np.lexsort`` on
+    (param_a, param_b), and only then made ``Collision`` objects.
     """
     if n_t < 16 or n_s < 16:
         raise ValueError(f"injectivity grid sizes must be >= 16, got {n_t}x{n_s}")

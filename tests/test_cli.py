@@ -403,6 +403,32 @@ def test_polynomialize_out_of_memory_is_one_error_line(workdir, capsys):
     assert sorted(os.listdir(workdir)) == ["t3.json", "t3.json.manifest.json"]
 
 
+_TWIST_219 = ["twistspin", "trefoil_twist", "--t1", "-2.19", "--t2", "2.19", "--out", "s.json", "--k"]
+
+
+@pytest.mark.parametrize("build, degree, warns", [
+    (["spin", "trefoil_spun", "--out", "s.json"], "8", False),
+    (["spin", "trefoil_spun", "--out", "s.json"], "6", True),
+    (_TWIST_219 + ["3"], "24", False),
+    (_TWIST_219 + ["5"], "24", True),
+    (_TWIST_219 + ["10"], "60", True),
+], ids=["spin_8", "spin_6", "twist_k3_24", "twist_k5_24", "twist_k10_60"])
+def test_polynomialize_warns_when_the_fit_diverges(workdir, capsys, build, degree, warns):
+    # a deviation beyond 1e-3 times the input's largest |coordinate| on the
+    # deviation grid is one warning line and a manifest warning; the exit
+    # code stays 0.  The k = 10 fit at degree 60 is off by about 5.5e32
+    assert dispatch(build) == 0
+    capsys.readouterr()
+    assert dispatch(["polynomialize", "s.json", "--cheb-degree", degree, "--out", "p.json"]) == 0
+    err = capsys.readouterr().err.strip().splitlines()
+    warnings = json.loads((workdir / "p.json.manifest.json").read_text())["warnings"]
+    if warns:
+        assert len(err) == 1 and err[0].startswith("spun4d: warning: ") and "diverged" in err[0]
+        assert warnings == [err[0].removeprefix("spun4d: warning: ")]
+    else:
+        assert err == [] and warnings == []
+
+
 @pytest.mark.parametrize("cmd, degree", [(["twistspin", "trefoil_twist", "--k", "2"], "0"),
                                          (["spin", "trefoil_spun"], "-1"), ([], "-1")],
                          ids=["twist", "spin", "catalog"])

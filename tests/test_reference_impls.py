@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import spun4d
 from spun4d import catalog
+from spun4d import verify as verify_module
 from spun4d.approx import (
     _cheb_to_power, _perturb, bernstein_fit2, bernstein_lattice, chebyshev_fit, odd_perturbation,
 )
@@ -1389,3 +1390,50 @@ def test_suspects_of_twist_k10_at_400_are_few():
     svals = s.s_dom.lo + s.s_dom.length * np.arange(400) / 400
     got, want = _assert_suspects_cover_brute_force(_factor_plane(s, s.t_dom.sample(400), svals, 1e-3))
     assert 0 < len(got) <= 1.1 * len(want)
+
+
+# -- column-hash collisions ------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=_SEED, n=st.integers(2, 300))
+def test_close_pairs_match_kdtree_when_every_column_hash_agrees(seed, n):
+    # the close-pair tests' clouds: uniform, clustered with exact repeats, a
+    # dyadic lattice whose pairs tie the radius, and a cloud in the kernel of
+    # the prefilter plane
+    rng = np.random.default_rng(seed)
+    r = float(rng.uniform(1e-3, 0.3))
+    centres = rng.uniform(-3.0, 3.0, (8, 4))
+    clustered = centres[rng.integers(0, 8, n)] + rng.normal(0.0, r, (n, 4))
+    step = 2.0 ** int(rng.integers(-12, 3))
+    kernel = np.linalg.svd(_PLANE.T)[2][2:]
+    clouds = [(rng.uniform(-1.0, 1.0, (n, 4)), r),
+              (np.concatenate([clustered, clustered[rng.integers(0, n, n // 3)]]), r),
+              (rng.integers(-4, 5, (n, 4)) * step, int(rng.integers(1, 4)) * step),
+              (rng.uniform(-1.0, 1.0, (n, 2)) @ kernel, r)]
+    # every column hashes to 0: all rows fall in one column group, and only
+    # the exact tests tell the columns apart
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify_module, "_CELL_HASH", np.zeros_like(verify_module._CELL_HASH))
+        for pts, radius in clouds:
+            _assert_close_pairs_match_kdtree(pts, radius)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=_SEED, n=st.integers(2, 300))
+def test_suspects_cover_brute_force_when_every_column_hash_agrees(seed, n):
+    # the plane-stage tests' clouds: uniform, clustered with exact repeats,
+    # rows on cell boundaries, and rows near +-2**49 half cells
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(-1e3, 1e3, (8, 2))
+    clustered = centres[rng.integers(0, 8, n)] + rng.normal(0.0, 1.0, (n, 2))
+    boundaries = rng.integers(-20, 21, (n, 2)).astype(float)
+    boundaries[rng.random((n, 2)) < 0.25] -= 2.0 ** -40
+    corners = (rng.choice([-1.0, 1.0], (n, 2)) * 2.0 ** 49 + rng.integers(-3, 4, (n, 2))
+               + rng.choice([0.0, 0.5], (n, 2)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify_module, "_CELL_HASH", np.zeros_like(verify_module._CELL_HASH))
+        for u in (rng.uniform(-100.0, 100.0, (n, 2)),
+                  np.concatenate([clustered, clustered[rng.integers(0, n, n // 3)]]),
+                  boundaries, corners):
+            _assert_suspects_cover_brute_force(u)
