@@ -79,35 +79,32 @@ def _newton_refine(f, g, df, dg, s0, t0, bound, iters=60):
     """Newton iteration from every start (s0[k], t0[k]) at once; each start
     runs exactly the steps it would run alone.
 
-    Returns x, F, det per start.  A start stops at a singular Jacobian (det
-    reported as 0), or diverges when a step leaves |x| <= bound (x = nan,
-    F = inf, det = 0), or converges once its residual falls below 1e-14 (F and
-    det evaluated at the final x, as after the last iteration)."""
+    Returns x, F, det per start, F and det evaluated at the final x.  A start
+    stops at a singular Jacobian (det reported as 0), or diverges when a step
+    leaves |x| <= bound (x = nan, F = inf, det = 0), or converges once its
+    residual falls below 1e-14."""
     x = np.column_stack([s0, t0]).astype(float)
-    F_out = np.empty_like(x)
-    det_out = np.zeros(len(x))
     running = np.ones(len(x), bool)
-    stopped = np.zeros(len(x), bool)  # singular or diverged: outputs final
+    singular = np.zeros(len(x), bool)
     for _ in range(iters):
         k = np.flatnonzero(running)
         if not k.size:
             break
         F, J, det = _system(f, g, df, dg, x[k])
-        singular = (det == 0.0) | ~np.isfinite(det)
-        F_out[k[singular]] = F[singular]
-        stopped[k[singular]] = True
-        running[k[singular]] = False
-        k, F, J = k[~singular], F[~singular], J[~singular]
+        stop = (det == 0.0) | ~np.isfinite(det)
+        singular[k[stop]] = True
+        running[k[stop]] = False
+        k, F, J = k[~stop], F[~stop], J[~stop]
         xn = x[k] - np.linalg.solve(J, F[..., None])[..., 0]
         diverged = ~np.all(np.isfinite(xn), axis=1) | (np.max(np.abs(xn), axis=1) > bound)
         x[k[diverged]] = np.nan
-        F_out[k[diverged]] = np.inf
-        stopped[k[diverged]] = True
         x[k[~diverged]] = xn[~diverged]
         running[k[diverged | (np.max(np.abs(F), axis=1) < 1e-14)]] = False
-    k = np.flatnonzero(~stopped)
-    F_out[k], _, det_out[k] = _system(f, g, df, dg, x[k])
-    return x, F_out, det_out
+    F, _, det = _system(f, g, df, dg, x)
+    diverged = np.isnan(x[:, 0])
+    F[diverged] = np.inf
+    det[singular | diverged] = 0.0
+    return x, F, det
 
 
 def plane_double_points(f: Poly1, g: Poly1, iv: Interval) -> list[tuple[float, float]]:

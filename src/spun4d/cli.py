@@ -101,8 +101,9 @@ def _config_hash(cfg: dict) -> str:
 
 
 def _write_json(doc: dict, path: str) -> None:
+    # one line, no indent: json.dumps then runs the C encoder
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write(json.dumps(doc, sort_keys=True))
         fh.write("\n")
 
 

@@ -263,12 +263,15 @@ _REFINE_WIDTH = 1e-12
 
 
 def _refine_bracket(p: Poly1, dp: Poly1, lo: float, hi: float) -> float:
-    """Newton refinement guarded by the sign-change bracket [lo, hi]."""
+    """The root of ``p`` in [lo, hi], where p changes sign: Newton steps with
+    the derivative ``dp``, each kept only inside the shrinking bracket, else
+    bisection.  ``roots_in_interval`` refines sign changes of p with (p, p')
+    and touch points with (p', p'')."""
     flo = float(p(lo))
     x = 0.5 * (lo + hi)
     for _ in range(200):
         if hi - lo <= _REFINE_WIDTH:
-            break
+            return 0.5 * (lo + hi)
         fx = float(p(x))
         if fx == 0.0:
             return x
@@ -284,7 +287,9 @@ def _refine_bracket(p: Poly1, dp: Poly1, lo: float, hi: float) -> float:
                 x = xn
                 continue
         x = 0.5 * (lo + hi)
-    return 0.5 * (lo + hi)
+    # at a multiple root Newton converges linearly from one side, and the
+    # other end of the bracket stays behind
+    return x
 
 
 def roots_in_interval(p: Poly1, iv: Interval, tol: float = 1e-9) -> list[float]:
@@ -292,8 +297,10 @@ def roots_in_interval(p: Poly1, iv: Interval, tol: float = 1e-9) -> list[float]:
     with Newton refinement.
 
     Simple roots bracketed by a sign change on the scan grid are always found.
-    Even-multiplicity touch points are detected as local minima of |p| that dip
-    below ``tol * poly_scale(p, iv)`` and are included in the result.
+    Even-multiplicity touch points are sought in the grid cells where p keeps
+    its sign and the slope of |p| goes from negative to non-negative: the
+    root of p' in such a cell is refined in the same way, and kept when |p|
+    there is at most ``tol * poly_scale(p, iv)``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -303,40 +310,22 @@ def roots_in_interval(p: Poly1, iv: Interval, tol: float = 1e-9) -> list[float]:
     ts = iv.sample(n + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         scale, dp, vs = poly_scale(p, iv), p.derivative(), np.asarray(p(ts))
+        # grid points that are exact (or numerically exact) roots
+        exact = np.abs(vs) <= 1e-14 * scale
+        sgn = np.where(exact, 0.0, np.sign(vs))
+        slope = sgn * dp(ts)  # of |p|
     if not (math.isfinite(scale) and np.isfinite(dp.coeffs).all() and np.isfinite(vs).all()):
         raise DegenerateInput(f"cannot isolate roots in {iv}: values overflow double precision")
 
-    roots: list[float] = []
-    # grid points that are exact (or numerically exact) roots
-    exact = np.abs(vs) <= 1e-14 * scale
-    for t in ts[exact]:
-        roots.append(float(t))
-    sgn = np.sign(vs)
-    sgn[exact] = 0.0
-    for i in range(n):
-        if sgn[i] * sgn[i + 1] < 0:
-            roots.append(_refine_bracket(p, dp, float(ts[i]), float(ts[i + 1])))
-
-    # even-multiplicity candidates: interior local minima of |p| below tolerance
-    absv = np.abs(vs)
-    interior = np.arange(1, n)
-    is_min = (absv[interior] <= absv[interior - 1]) & (absv[interior] <= absv[interior + 1])
-    for i in interior[is_min]:
-        if sgn[i] == 0.0 or absv[i] > tol * scale:
-            continue
-        # polish with a few Newton steps on p' (critical point of p)
-        x = float(ts[i])
-        d2 = dp.derivative() if dp.degree >= 1 else Poly1()
-        for _ in range(50):
-            d1v = float(dp(x))
-            d2v = float(d2(x)) if not d2.is_zero else 0.0
-            if d2v == 0.0:
-                break
-            step = d1v / d2v
-            x -= step
-            if abs(step) < _REFINE_WIDTH:
-                break
-        if iv.contains(x, slack=1e-12) and abs(float(p(x))) <= tol * scale:
+    roots = [float(t) for t in ts[exact]]
+    for i in np.flatnonzero(sgn[:-1] * sgn[1:] < 0):
+        roots.append(_refine_bracket(p, dp, float(ts[i]), float(ts[i + 1])))
+    d2 = dp.derivative()
+    for i in np.flatnonzero((sgn[:-1] == sgn[1:]) & (slope[:-1] < 0) & (slope[1:] >= 0)):
+        # p' = 0 at the cell's end: that sample is the critical point
+        x = float(ts[i + 1]) if slope[i + 1] == 0 else _refine_bracket(
+            dp, d2, float(ts[i]), float(ts[i + 1]))
+        if abs(float(p(x))) <= tol * scale:
             roots.append(x)
 
     roots.sort()

@@ -261,10 +261,11 @@ def _space_pairs(pts: np.ndarray, r: float):
     multiplicative hash of its column above the low fields of
     ``_low_fields`` on axis 3.  A close pair shares a column for the off
     that is 1 just on the axes where its indices h >> 1 differ, and is kept
-    only there.  Sorted, the rows between the two have keys, less the index
-    bits, between theirs, so the walk over offsets d = 1, 2, ... along the
-    sorted keys, at the positions whose key at d is at most 1 above their
-    own, meets the pair.  Columns whose hashes agree, and the step from one
+    only there; an off that is 1 on an axis where every row has the same
+    h >> 1 owns no pair and is skipped.  Sorted, the rows between the two
+    have keys, less the index bits, between theirs, so the walk over offsets
+    d = 1, 2, ... along the sorted keys, at the positions whose key at d is
+    at most 1 above their own, meets the pair.  Columns whose hashes agree, and the step from one
     column to the next, only add candidates.  The test is the squared
     distance summed coordinate by coordinate, at most r * r, as
     ``cKDTree.query_pairs`` makes it.
@@ -277,7 +278,10 @@ def _space_pairs(pts: np.ndarray, r: float):
     bits, ib = _low_fields(low)
     index = (1 << ib) - 1
     cell = h[:, :3] >> 1
+    varies = (cell != cell[0]).any(axis=0)
     for off in np.ndindex(2, 2, 2):
+        if any(o and not v for o, v in zip(off, varies)):
+            continue
         key = ((h[:, :3] + off) >> 1) @ _CELL_HASH  # wraps
         key &= -1 << bits
         key |= low

@@ -32,25 +32,31 @@ def brute_double_points(f, g, iv, n=2000, diag_sep=1e-3):
                 local &= d2 <= pad[1 + di : 1 + di + n, 1 + dj : 1 + dj + n]
     cand = np.argwhere(local & np.isfinite(d2))
     scale = max(1.0, float(np.max(np.abs(fv))), float(np.max(np.abs(gv))))
+    # pattern search on the squared image distance, all candidates in
+    # lockstep, each with its own s, t and w: a step only shrinks once the
+    # center beats its 5x5 neighborhood, so the search can track the full
+    # length of a curved valley before zooming in
+    S, T = ts[cand[:, 0]], ts[cand[:, 1]]
+    W = np.full(len(cand), 2 * step)
+    live = np.arange(len(cand))
+    for _ in range(2000):
+        if not live.size:
+            break
+        s, t, w = S[live], T[live], W[live]
+        ss = np.linspace(s - w, s + w, 5, axis=-1)
+        tt = np.linspace(t - w, t + w, 5, axis=-1)
+        q = ((f(ss)[:, :, None] - f(tt)[:, None, :]) ** 2
+             + (g(ss)[:, :, None] - g(tt)[:, None, :]) ** 2)
+        # the first minimum of each flattened 5x5, as np.argmin picks it
+        k = q.reshape(len(live), 25).argmin(axis=1)
+        center = k == 12
+        W[live[center]] = w[center] * 0.5
+        move = ~center
+        S[live[move]] = ss[move, k[move] // 5]
+        T[live[move]] = tt[move, k[move] % 5]
+        live = live[move | (W[live] >= 1e-13)]
     hits = []
-    for i, j in cand:
-        s, t = ts[i], ts[j]
-        # pattern search on the squared image distance: step only shrinks once
-        # the center beats its 5x5 neighborhood, so the search can track the
-        # full length of a curved valley before zooming in
-        w = 2 * step
-        for _ in range(2000):
-            ss = np.linspace(s - w, s + w, 5)
-            tt = np.linspace(t - w, t + w, 5)
-            SS, TT = np.meshgrid(ss, tt, indexing="ij")
-            q = (f(SS) - f(TT)) ** 2 + (g(SS) - g(TT)) ** 2
-            k = np.unravel_index(np.argmin(q), q.shape)
-            if k == (2, 2):
-                w *= 0.5
-                if w < 1e-13:
-                    break
-            else:
-                s, t = SS[k], TT[k]
+    for s, t in zip(S, T):
         if s > t:
             s, t = t, s
         if t - s <= diag_sep or not (iv.contains(s, 1e-6) and iv.contains(t, 1e-6)):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from spun4d.catalog import get_knot
@@ -318,6 +319,19 @@ def test_knot_file_bad_number_names_file_and_key(workdir, capsys, key, doc):
     line = _one_error_line(capsys)
     assert "'k.json'" in line and f"key {key!r}" in line
     assert os.listdir(workdir) == ["k.json"]
+
+
+def test_knot_file_whose_height_touches_zero_inside_the_arc_is_refused(workdir, capsys):
+    # h = (t - 0.3)^2 (4 - t^2) is positive at every one of the 1000 samples
+    # inside [-2, 2] but touches zero at 0.3, where the spin would pinch
+    h = np.polynomial.polynomial.polyfromroots([0.3, 0.3, -2.0, 2.0]) * -1.0
+    (workdir / "touch.json").write_text(json.dumps({
+        "name": "touch", "f": {"coeffs": [0.0, -3.0, 0.0, 1.0]},
+        "g": {"coeffs": [0.0, -10.0, 0.0, 0.0, 0.0, 1.0]}, "h": {"coeffs": list(h)}}))
+    assert dispatch(["spin", "touch.json", "--verify", "--out", "s.json"]) == 1
+    line = _one_error_line(capsys)
+    assert "'touch.json'" in line and "height of 'touch' has 3 roots" in line
+    assert os.listdir(workdir) == ["touch.json"]
 
 
 def test_knot_file_must_be_an_object(workdir, capsys):

@@ -128,6 +128,29 @@ def test_roots_in_interval_even_touch():
     assert np.allclose(got, [1.0], atol=1e-6)
 
 
+@pytest.mark.parametrize("roots, want", [
+    ((1.0, 1.0), [1.0]),
+    ((-1.0, -1.0, 1.0, 1.0), [-1.0, 1.0]),
+    ((0.3, 0.3, -1.2), [-1.2, 0.3]),
+], ids=["t_minus_1_squared", "t2_minus_1_squared", "double_0.3_simple_-1.2"])
+def test_roots_in_interval_finds_touch_points_between_samples(roots, want):
+    # no sample of the 256-cell grid on [-2, 2.1] lands on a double root, and
+    # |p| at the nearest samples is far above the tolerance: the touch point is refined as a
+    # root of p' bracketed where the slope of |p| turns
+    p = Poly1(tuple(np.polynomial.polynomial.polyfromroots(roots)))
+    got = roots_in_interval(p, Interval(-2.0, 2.1))
+    assert len(got) == len(want)
+    assert np.allclose(got, want, atol=1e-9)
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+def test_roots_in_interval_at_a_triple_or_quadruple_root(degree):
+    # Newton on t^3 (or on the derivative of t^4) converges linearly from one
+    # side, so the bracket's other end stays a grid cell away from the root
+    got = roots_in_interval(Poly1((0.0,) * degree + (1.0,)), Interval(-1.0, 1.01))
+    assert len(got) == 1 and abs(got[0]) <= 1e-9
+
+
 def test_roots_trefoil_heights_analytic():
     # -t^4 + 4 t^2 + 3 vanishes at t^2 = 2 + sqrt(7)
     h = Poly1((3.0, 0.0, 4.0, 0.0, -1.0))

@@ -1137,6 +1137,25 @@ _POLYMAP = st.builds(lambda polys, flags: PolyMap4(polys, Interval(-1.0, 1.0), I
                      st.tuples(*[_POLY2] * 4), st.tuples(st.booleans(), st.booleans(), st.booleans()))
 
 
+def _scan_mismatch(got, want):
+    """None when the scan ``got`` is the reference scan ``want``, or, when
+    the reference reaches the cap, MAX_COLLISIONS of its collisions; else a
+    message of a few lines.  Comparing the lists in the assertion itself
+    would have pytest diff up to 65,536 collisions a side."""
+    if len(want) < MAX_COLLISIONS:
+        if got == want:
+            return None
+        k = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b),
+                 min(len(got), len(want)))
+        return (f"{len(got)} collisions, the reference {len(want)}; the first difference, "
+                f"at {k}: {got[k:k + 1]} against {want[k:k + 1]}")
+    extra = set(got) - set(want)
+    if len(got) == MAX_COLLISIONS and not extra:
+        return None
+    return (f"{len(got)} collisions against the cap of {MAX_COLLISIONS}; {len(extra)} not in "
+            f"the reference, such as {next(iter(extra), None)}")
+
+
 @settings(max_examples=30, deadline=None)
 @given(s=st.one_of(_SURFACE, _POLYMAP), n_t=st.integers(16, 32), n_s=st.integers(16, 32),
        log_tol=st.floats(-4.0, 0.0))
@@ -1146,12 +1165,9 @@ def test_injectivity_scan_matches_meshgrid_on_random_samplers(s, n_t, n_s, log_t
     # to all pairs of nodes at image_tol near 1: grids of at most 32 x 32
     # keep it steady and still reach MAX_COLLISIONS
     image_tol = 10.0 ** log_tol
-    got = injectivity_scan(s, n_t, n_s, 0.05, image_tol)
-    want = injectivity_scan_meshgrid(s, n_t, n_s, 0.05, image_tol)
-    if len(want) < MAX_COLLISIONS:
-        assert got == want
-    else:
-        assert len(got) == MAX_COLLISIONS and set(got) <= set(want)
+    mismatch = _scan_mismatch(injectivity_scan(s, n_t, n_s, 0.05, image_tol),
+                              injectivity_scan_meshgrid(s, n_t, n_s, 0.05, image_tol))
+    assert mismatch is None, mismatch
 
 
 @pytest.mark.parametrize("pole", ["pole_low", "pole_high"])
