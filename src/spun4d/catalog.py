@@ -80,9 +80,10 @@ def _newton_refine(f, g, df, dg, s0, t0, bound, iters=60):
     runs exactly the steps it would run alone.
 
     Returns x, F, det per start, F and det evaluated at the final x.  A start
-    stops at a singular Jacobian (det reported as 0), or diverges when a step
-    leaves |x| <= bound (x = nan, F = inf, det = 0), or converges once its
-    residual falls below 1e-14."""
+    stops at a singular Jacobian (det reported as 0), also one whose LU
+    factorization meets an exact zero pivot although det != 0, or diverges
+    when a step leaves |x| <= bound (x = nan, F = inf, det = 0), or
+    converges once its residual falls below 1e-14."""
     x = np.column_stack([s0, t0]).astype(float)
     running = np.ones(len(x), bool)
     singular = np.zeros(len(x), bool)
@@ -92,10 +93,20 @@ def _newton_refine(f, g, df, dg, s0, t0, bound, iters=60):
             break
         F, J, det = _system(f, g, df, dg, x[k])
         stop = (det == 0.0) | ~np.isfinite(det)
+        step = np.zeros_like(F)
+        try:
+            step[~stop] = np.linalg.solve(J[~stop], F[~stop, :, None])[..., 0]
+        except np.linalg.LinAlgError:
+            # one start's zero pivot fails the whole batch: solve them one by one
+            for i in np.flatnonzero(~stop):
+                try:
+                    step[i] = np.linalg.solve(J[i], F[i])
+                except np.linalg.LinAlgError:
+                    stop[i] = True
         singular[k[stop]] = True
         running[k[stop]] = False
-        k, F, J = k[~stop], F[~stop], J[~stop]
-        xn = x[k] - np.linalg.solve(J, F[..., None])[..., 0]
+        k, F = k[~stop], F[~stop]
+        xn = x[k] - step[~stop]
         diverged = ~np.all(np.isfinite(xn), axis=1) | (np.max(np.abs(xn), axis=1) > bound)
         x[k[diverged]] = np.nan
         x[k[~diverged]] = xn[~diverged]

@@ -26,7 +26,7 @@ from .export import (
 )
 from .poly import Interval, Poly1, roots_in_interval
 from .spin import spin
-from .surface import PolyMap4, _max_distance, surface_from_json
+from .surface import PolyMap4, _images, _max_distance, surface_from_json
 from .twist import Bump, choose_bump, make_axis, polynomialize_twist, twist_spin
 from .verify import IMAGE_TOL, N_INJECT, N_RANK, PARAM_SEP, RANK_TOL, verify_surface
 
@@ -64,7 +64,7 @@ def _read_json(path: str):
     with open(path) as fh:
         try:
             return json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # ValueError: also text that is not UTF-8
             raise ValueError(f"{path}: not valid JSON ({exc})") from None
 
 
@@ -190,12 +190,20 @@ def _run_verify(surface, arc, cfg):
     return report
 
 
+def _check_plane(fmt, plane):
+    """Refuse a ``--plane`` that the format ``fmt`` would ignore: only a mesh
+    is projected."""
+    if plane is not None and fmt in (None, "csv"):
+        raise ValueError("--plane applies only to a mesh export (obj, ply or json); "
+                         "`spun4d project` writes a projected CSV")
+
+
 def _export_surface(surface, fmt, out, plane, cfg):
     grid = sample_surface(surface, cfg["grid_nt"], cfg["grid_ns"])
     if fmt == "csv":
         export_grid_csv(grid, out)
     else:
-        export_mesh(to_mesh(project(grid, plane)), fmt, out)
+        export_mesh(to_mesh(project(grid, plane or "xyz")), fmt, out)
 
 
 def _slice_files(surface, axis, args, cfg, pattern):
@@ -240,6 +248,7 @@ def _cmd_construct(args, cfg):
                 raise ValueError(f"{flag} applies only with --sweep")
     if args.export and not args.out:
         raise ValueError("--export requires --out")
+    _check_plane(args.export, args.plane)
     surface, arc = _build_surface(args)
     if args.verify:
         report = _run_verify(surface, arc, cfg)
@@ -269,9 +278,8 @@ def _cmd_polynomialize(args, cfg):
     _write_json(poly.to_json(), out)
     print(f"max grid deviation from exact surface: {dev:.6e}")
     # the deviation's own 200x200 grid
-    with np.errstate(over="ignore", invalid="ignore"):
-        size = float(np.abs(surface.eval_grid(surface.t_dom.sample(200),
-                                              surface.s_dom.sample(200))).max())
+    grid = surface.t_dom.sample(200)[:, None], surface.s_dom.sample(200)[None, :]
+    size = float(np.abs(_images(surface, *grid, "the surface's image on the 200x200 size grid")).max())
     if dev > POLY_DEVIATION_WARN * size:
         warning = (f"the deviation {dev:.3e} exceeds {POLY_DEVIATION_WARN:g} times the surface's "
                    f"largest |coordinate| {size:.3e}: the Chebyshev fit has diverged")
@@ -285,14 +293,12 @@ def _cmd_approx(args, cfg):
     u = bernstein_lattice(args.degree)
     tv = surface.t_dom.mid + 0.5 * surface.t_dom.length * u
     sv = surface.s_dom.mid + 0.5 * surface.s_dom.length * u
-    with np.errstate(over="ignore", invalid="ignore"):
-        samples = surface.eval_grid(tv, sv)
+    samples = _images(surface, tv[:, None], sv[None, :], "the surface's image on the Bernstein lattice")
     polys = bernstein_fit2(samples, args.degree)
     fit = PolyMap4(polys, Interval(-1.0, 1.0), Interval(-1.0, 1.0),
                    surface.periodic_s, surface.pole_low, surface.pole_high)
-    with np.errstate(over="ignore", invalid="ignore"):
-        fitted = fit.eval_grid(u, u)
-    err = _max_distance(fitted, samples, "the Bernstein fit on its lattice")
+    what = "the Bernstein fit on its lattice"
+    err = _max_distance(_images(fit, u[:, None], u[None, :], f"{what}: an image"), samples, what)
     out = args.out or "bernstein.json"
     doc = fit.to_json()
     doc["source_t_dom"] = [surface.t_dom.lo, surface.t_dom.hi]
@@ -325,6 +331,7 @@ def _cmd_slice(args, cfg):
 
 
 def _cmd_export(args, cfg):
+    _check_plane(args.format, args.plane)
     surface = _load_surface(args.input)
     _export_surface(surface, args.format, args.out, args.plane, cfg)
     return 0, [args.out], []
@@ -344,7 +351,8 @@ def _build_parser() -> _Parser:
         c.add_argument("--out", help="output path (surface JSON unless --export)")
         c.add_argument("--verify", action="store_true")
         c.add_argument("--export", choices=["obj", "ply", "json", "csv"])
-        c.add_argument("--plane", default="xyz", help="projection axes for mesh export")
+        # None when not given: refused unless --export writes a mesh
+        c.add_argument("--plane", help="projection axes for mesh export (default xyz)")
         return c
 
     construction("spin", "spin a catalog arc into an exact surface: a topological 2-sphere, "
@@ -406,7 +414,7 @@ def _build_parser() -> _Parser:
     ex.add_argument("input")
     ex.add_argument("--format", required=True, choices=["obj", "ply", "json", "csv"])
     ex.add_argument("--out", required=True)
-    ex.add_argument("--plane", default="xyz")
+    ex.add_argument("--plane", help="projection axes for a mesh format (default xyz)")
     return p
 
 
@@ -424,7 +432,7 @@ def dispatch(argv) -> int:
 
     try:
         cfg = _load_config(args.config)
-        _axes_indices(getattr(args, "plane", "xyz"))  # for every format, before any work
+        _axes_indices(getattr(args, "plane", None) or "xyz")  # for every format, before any work
         t0 = time.time()
         code, outputs, warnings = args.run(args, cfg)
         if outputs:

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import BadAxes
 from .poly import Interval
-from .surface import _grid_nodes
+from .surface import _grid_nodes, _images
 
 __all__ = [
     "Grid", "SliceCurveSet", "SurfaceMesh",
@@ -82,22 +82,14 @@ class SurfaceMesh:
         return bool(np.all(self._edge_multiplicity() == 2))
 
 
-def _require_finite(pts: np.ndarray, what: str) -> None:
-    if not np.isfinite(pts).all():
-        raise ValueError(f"{what} is not finite")
-
-
 def sample_surface(s, n_t: int, n_s: int) -> Grid:
     """Uniform grid over the domain rectangle, including both theta endpoints
     (the seam row is duplicated and flagged).  A surface whose image is not
     finite on the grid is refused with a ValueError."""
     if n_t < 2 or n_s < 2:
         raise ValueError("grid sizes must be >= 2")
-    tvals = s.t_dom.sample(n_t)
-    svals = s.s_dom.sample(n_s)
-    with np.errstate(over="ignore", invalid="ignore"):
-        pts = s.eval_grid(tvals, svals)
-    _require_finite(pts, "the surface's image on the sample grid")
+    tvals, svals = s.t_dom.sample(n_t), s.s_dom.sample(n_s)
+    pts = _images(s, tvals[:, None], svals[None, :], "the surface's image on the sample grid")
     return Grid(tvals, svals, pts, s.periodic_s, s.pole_low, s.pole_high)
 
 
@@ -238,7 +230,7 @@ def slice_surface(s, axis: str, value: float, n_t: int = 128, n_s: int = 128) ->
     periodic, the samples of a pole row) take that node's first value, and a
     t-edge on the seam column is the t-edge on column 0, so a curve through
     the seam or a pole goes on across it.  A surface whose image is not
-    finite on the grid or at the crossings is refused with a ValueError.
+    finite at a sample, a saddle centre or a crossing is refused with a ValueError.
     """
     if n_t < 64 or n_s < 64:
         raise ValueError("slice grid must be at least 64x64")
@@ -256,7 +248,7 @@ def slice_surface(s, axis: str, value: float, n_t: int = 128, n_s: int = 128) ->
     sc = 0.5 * (svals[:-1] + svals[1:])
 
     def center(i, j):
-        return s.evaluate(tc[i], sc[j])[..., ci]
+        return _images(s, tc[i], sc[j], "the surface's image at the slice's saddle centres")[..., ci]
 
     with np.errstate(over="ignore", invalid="ignore"):
         segments, crossings = _cell_segments(field, tvals, svals, value, center)
@@ -269,10 +261,8 @@ def slice_surface(s, axis: str, value: float, n_t: int = 128, n_s: int = 128) ->
     # one evaluation for all chains; evaluate works point by point, so no
     # image depends on the other points in the call
     params = crossings[np.concatenate([chain for chain, _ in chains])]
-    with np.errstate(over="ignore", invalid="ignore"):
-        img = s.evaluate(params[:, 0], params[:, 1])[..., keep]
-    _require_finite(img, "the surface's image at the slice's crossings")
-    curves = np.split(img, np.cumsum([len(chain) for chain, _ in chains])[:-1])
+    img = _images(s, params[:, 0], params[:, 1], "the surface's image at the slice's crossings")
+    curves = np.split(img[:, keep], np.cumsum([len(chain) for chain, _ in chains])[:-1])
     return SliceCurveSet(axis, float(value), tuple(curves), tuple(c for _, c in chains))
 
 
@@ -292,7 +282,8 @@ def to_mesh(grid: Grid) -> SurfaceMesh:
             verts[0] = grid.points[0].mean(axis=0)
         if grid.pole_high:
             verts[-1] = grid.points[-1].mean(axis=0)
-    _require_finite(verts, "a vertex of the mesh (a pole row's mean)")
+    if not np.isfinite(verts).all():
+        raise ValueError("a vertex of the mesh (a pole row's mean) is not finite")
 
     # per cell (a, b, c) then (a, c, d), cells row-major; triangles that
     # touch a collapsed pole twice are dropped

@@ -236,16 +236,32 @@ _LEAVES = {
 }
 
 
-def _terms_from_json(node) -> list[Term]:
-    """Distribute a tagged tree into a flat list of terms."""
+# a surface file's coordinate, and each product in it multiplied out before
+# its terms are collected, may have at most this many terms
+MAX_TERMS = 1 << 16
+
+
+def _bounded(n: int) -> None:
+    if n > MAX_TERMS:
+        raise ValueError(f"the coordinate multiplies out to more than {MAX_TERMS} terms")
+
+
+def _terms_from_json(node) -> list[Term] | tuple[Term, ...]:
+    """Distribute a tagged tree into a flat list of terms; a product is
+    collected after each factor, so powers of a sum stay small."""
     tag = node.get("tag") if isinstance(node, dict) else None
     if tag == "sum":
-        return [term for child in node["terms"] for term in _terms_from_json(child)]
+        out = []
+        for child in node["terms"]:
+            out += _terms_from_json(child)
+            _bounded(len(out))
+        return out
     if tag == "product":
         out = [Term(1.0)]
         for child in node["factors"]:
             sub = _terms_from_json(child)
-            out = [Term(a.c * b.c, a.t + b.t, a.s + b.s) for a in out for b in sub]
+            _bounded(len(out) * len(sub))
+            out = _collect(Term(a.c * b.c, a.t + b.t, a.s + b.s) for a in out for b in sub)
         return out
     if tag in _LEAVES:
         return [_LEAVES[tag](node)]
@@ -484,12 +500,21 @@ def _max_distance(pa: np.ndarray, pb: np.ndarray, what: str) -> float:
     return float(dist)
 
 
+def _images(s, t, th, what: str) -> np.ndarray:
+    """``s.evaluate(t, th)``, refused with "``what`` is not finite" unless every
+    coordinate is finite: the package's one sampler of images.  A tensor grid
+    is ``tvals[:, None], svals[None, :]``, as both models' ``eval_grid`` has it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts = s.evaluate(t, th)
+    if not np.isfinite(pts).all():
+        raise ValueError(f"{what} is not finite")
+    return pts
+
+
 def max_grid_deviation(a, b, n_t: int = 200, n_s: int = 200) -> float:
     """Max Euclidean distance between two samplers over a shared tensor grid.
     An image that is not finite on the grid is refused with a ValueError."""
-    tvals = a.t_dom.sample(n_t)
-    svals = a.s_dom.sample(n_s)
-    with np.errstate(over="ignore", invalid="ignore"):
-        pa = a.eval_grid(tvals, svals)
-        pb = b.eval_grid(tvals, svals)
-    return _max_distance(pa, pb, f"the {n_t}x{n_s} deviation grid")
+    t, th = a.t_dom.sample(n_t)[:, None], a.s_dom.sample(n_s)[None, :]
+    what = f"the {n_t}x{n_s} deviation grid"
+    pa, pb = (_images(x, t, th, f"{what}: an image") for x in (a, b))
+    return _max_distance(pa, pb, what)

@@ -15,6 +15,7 @@ import numpy as np
 from .approx import PerturbationSpec, _perturb
 from .catalog import KnotArc, height_admissible
 from .poly import Interval, poly_scale
+from .surface import _images
 
 __all__ = [
     "VerifyReport", "Collision", "jacobian_rank_scan", "injectivity_scan",
@@ -358,15 +359,6 @@ def _factor_plane(s, tvals, svals, r: float):
     return u
 
 
-def _images(s, t, th) -> np.ndarray:
-    """``s.evaluate(t, th)``, refused unless every coordinate is finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        pts = s.evaluate(t, th)
-    if not np.isfinite(pts).all():
-        raise ValueError("the surface's image is not finite on the injectivity grid")
-    return pts
-
-
 def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float = IMAGE_TOL) -> list[Collision]:
     """Sampled self-intersection detection.
 
@@ -406,11 +398,12 @@ def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float =
         svals = s.s_dom.lo + s.s_dom.length * np.arange(n_s) / n_s
     else:
         svals = s.s_dom.sample(n_s)
+    what = "the surface's image on the injectivity grid"
     start = n_s - 1 if s.pole_low else 0
     stop = (n_t - 1) * n_s + 1 if s.pole_high else n_t * n_s
     plane = _factor_plane(s, tvals, svals, image_tol) if hasattr(s, "_factors") else None
     if plane is None:
-        plane = _image_plane(_images(s, tvals[:, None], svals[None, :]).reshape(-1, 4), image_tol)
+        plane = _image_plane(_images(s, tvals[:, None], svals[None, :], what).reshape(-1, 4), image_tol)
     plane[start] = plane[0]
     sus = _suspects(plane[start:stop])
     del plane
@@ -420,7 +413,7 @@ def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float =
     row, col = np.divmod(sus + start, n_s)
     if start:
         row[sus == 0] = col[sus == 0] = 0
-    pts = _images(s, tvals[row], svals[col])
+    pts = _images(s, tvals[row], svals[col], what)
     found, count = [], 0
     for pairs in _space_pairs(pts, image_tol):
         pairs = np.stack(pairs, axis=1)

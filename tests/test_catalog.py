@@ -123,6 +123,24 @@ def test_double_points_empty_for_injective_curve():
     assert plane_double_points(Poly1((0.0, 1.0)), Poly1((0.0, 0.0, 1.0)), Interval(-2, 2)) == []
 
 
+def _seeded_curve(index):
+    """Curve ``index`` of a seeded family: f and g each with 3 to 7 normal
+    coefficients."""
+    rng = np.random.default_rng(0)
+    for _ in range(index + 1):
+        f, g = (Poly1(tuple(rng.normal(size=rng.integers(3, 8)))) for _ in "fg")
+    return f, g
+
+
+def test_double_points_survive_a_zero_lu_pivot():
+    # a Newton step of this curve meets a Jacobian whose determinant is not 0
+    # but whose LU factorization has an exact zero pivot: that start stops as
+    # singular, and the batch it was solved in goes on
+    found = plane_double_points(*_seeded_curve(5), Interval(-2, 2))
+    assert len(found) == 1
+    assert found[0] == pytest.approx((-1.81856, 1.77704), abs=1e-5)
+
+
 def test_catalog_names_and_arcs():
     names = knot_names()
     assert {"trefoil_spun", "trefoil_twist", "figure8_spun"} <= set(names)

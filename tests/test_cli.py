@@ -177,6 +177,22 @@ def test_bad_plane_is_refused_for_csv_too(workdir, capsys, argv, plane):
     assert sorted(os.listdir(workdir)) == ["s.json", "s.json.manifest.json"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["export", "s.json", "--format", "csv", "--out", "x.csv"],
+    ["spin", "trefoil_spun", "--export", "csv", "--out", "x.csv"],
+    ["spin", "trefoil_spun", "--out", "x.json"],
+    ["twistspin", "trefoil_twist", "--k", "1", "--sweep", "w", "--count", "2"],
+], ids=["export_csv", "spin_csv", "spin_surface", "twistspin_sweep"])
+def test_plane_outside_a_mesh_export_is_refused(workdir, capsys, argv):
+    # a CSV keeps all four coordinates, and a surface file or a sweep has no
+    # projection: an explicit --plane would be ignored there
+    assert dispatch(_SPIN) == 0
+    capsys.readouterr()
+    assert dispatch(argv + ["--plane", "xzw"]) == 1
+    assert "--plane applies only to a mesh export" in _one_error_line(capsys)
+    assert sorted(os.listdir(workdir)) == ["s.json", "s.json.manifest.json"]
+
+
 @pytest.mark.parametrize("cmd", [["sweep", "s.json", "--count"],
                                  ["twistspin", "trefoil_twist", "--k", "2", "--sweep", "w", "--count"]])
 @pytest.mark.parametrize("count", ["0", "-5"])
@@ -277,6 +293,17 @@ def test_invalid_config_json_names_the_file(workdir, capsys):
     assert _one_error_line(capsys).startswith("spun4d: error: bad.json: not valid JSON")
 
 
+@pytest.mark.parametrize("cmd", [["verify", "pic.json"], ["slice", "pic.json", "--values", "0"],
+                                 ["--config", "pic.json", "catalog"]],
+                         ids=["verify", "slice", "config"])
+def test_file_that_is_not_utf8_names_the_file(workdir, capsys, cmd):
+    # a PNG renamed .json
+    (workdir / "pic.json").write_bytes(b"\x89PNG\r\n\x1a\n\x00\x00")
+    assert dispatch(cmd) == 1
+    assert _one_error_line(capsys).startswith("spun4d: error: pic.json: not valid JSON")
+    assert os.listdir(workdir) == ["pic.json"]
+
+
 def test_int_config_value_accepted_where_default_is_float(workdir):
     (workdir / "spun4d.json").write_text(json.dumps({"image_tol": 1, "param_sep": 0.25}))
     assert dispatch(["catalog"]) == 0
@@ -340,6 +367,18 @@ def test_knot_file_must_be_an_object(workdir, capsys):
     assert "'k.json' must be a JSON object" in _one_error_line(capsys)
 
 
+def test_knot_file_whose_newton_meets_a_zero_lu_pivot_spins(workdir, capsys):
+    from test_catalog import _seeded_curve
+
+    f, g = _seeded_curve(5)
+    (workdir / "lin.json").write_text(json.dumps(
+        {"f": {"coeffs": list(f.coeffs)}, "g": {"coeffs": list(g.coeffs)},
+         "h": {"coeffs": [4.0, 0.0, -1.0]}}))
+    assert dispatch(["spin", "lin.json", "--verify"]) == 0
+    assert capsys.readouterr().out.strip().splitlines()[-1] == "overall: pass"
+    assert get_knot("lin.json").crossings == (pytest.approx((-1.81856, 1.77704), abs=1e-5),)
+
+
 def test_knot_file_invalid_json_names_file(workdir, capsys):
     (workdir / "k.json").write_text("not json")
     assert dispatch(["spin", "k.json"]) == 1
@@ -373,6 +412,19 @@ def test_bad_surface_file_names_file_and_key(workdir, capsys, doc, key, cmd):
     assert dispatch(cmd) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("spun4d: error: bad.json:") and key in err[0]
+
+
+def test_surface_file_beyond_the_term_bound_is_one_error_line(workdir, capsys):
+    # five sums of ten distinct terms: their product has 10^5 distinct terms
+    sums = [{"tag": "sum", "terms": [{"tag": "poly_t", "coeffs": [i + 1.0, j + 1.0]}
+                                     for j in range(10)]} for i in range(5)]
+    doc = {"type": "surface4", "coords": [{"tag": "product", "factors": sums}]
+           + [{"tag": "const", "value": 0.0}] * 3, **_TWIST_DOMAIN}
+    (workdir / "big.json").write_text(json.dumps(doc))
+    assert dispatch(["verify", "big.json"]) == 1
+    line = _one_error_line(capsys)
+    assert line.startswith("spun4d: error: big.json: key 'coords'[0]:") and "65536 terms" in line
+    assert os.listdir(workdir) == ["big.json"]
 
 
 def test_polynomialize_twist_file_with_bump_degree(workdir, capsys):

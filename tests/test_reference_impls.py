@@ -392,6 +392,43 @@ def cell_segments_loop(field, tvals, svals, value, center_field):
     return segments, crossings
 
 
+def chain_segments_loop(segments):
+    """Reference: join segments that share an edge key into polylines, as
+    (key list, closed flag) pairs.  Each chain starts at the first unused
+    segment (a, b) and walks on from b, each step over the first unused
+    segment listed at its key.  Back at a, the chain is closed (a is not
+    repeated); else a second walk goes on from a, and the chain is that walk
+    reversed, then a, b and the first walk."""
+    at = {}
+    for idx, seg in enumerate(segments):
+        for key in seg:
+            at.setdefault(key, []).append(idx)
+    used = set()
+
+    def walk(key):
+        keys = []
+        while True:
+            free = [idx for idx in at[key] if idx not in used]
+            if not free:
+                return keys
+            used.add(free[0])
+            a, b = segments[free[0]]
+            key = b if key == a else a
+            keys.append(key)
+
+    chains = []
+    for idx, (a, b) in enumerate(segments):
+        if idx in used:
+            continue
+        used.add(idx)
+        ahead = walk(b)
+        if ahead and ahead[-1] == a:
+            chains.append(([a, b] + ahead[:-1], True))
+        else:
+            chains.append((walk(a)[::-1] + [a, b] + ahead, False))
+    return chains
+
+
 def slice_surface_loop(s, axis, value, n_t, n_s):
     """Reference: the slice traced by the loop, one evaluation per chain;
     returns (curves, closed flags).  When theta is periodic the seam column
@@ -415,7 +452,7 @@ def slice_surface_loop(s, axis, value, n_t, n_s):
         seam = {("h", i, n_s - 1): ("h", i, 0) for i in range(n_t - 1)}
         segments = [(seam.get(a, a), seam.get(b, b)) for a, b in segments]
     curves, closed = [], []
-    for chain, is_closed in _chain_segments(segments):
+    for chain, is_closed in chain_segments_loop(segments):
         params = np.array([crossings[k] for k in chain])
         curves.append(s.evaluate(params[:, 0], params[:, 1])[..., keep])
         closed.append(is_closed)
@@ -450,7 +487,7 @@ def test_cell_segments_match_loop_on_saddles_and_level_nodes():
         for key, p in ref_params.items():
             assert _bits(params[_loop_key(key, nt, ns)]) == _bits(np.array(p))
         chains = _chain_segments(got.tolist())
-        ref_chains = _chain_segments(ref)
+        ref_chains = chain_segments_loop(ref)
         assert [c for _, c in chains] == [c for _, c in ref_chains]
         assert [k for k, _ in chains] == [[_loop_key(x, nt, ns) for x in k] for k, _ in ref_chains]
 
@@ -459,11 +496,16 @@ def test_cell_segments_match_loop_on_saddles_and_level_nodes():
 def slice_surfaces():
     arc, tarc = get_knot("trefoil_spun"), get_knot("trefoil_twist")
     axis = make_axis(tarc, -2.19, 2.19)
+    # a disk whose x-slices t = x + s^2 are open curves that the row-major
+    # cell order meets first in their middle
+    disk = PolyMap4(tuple(Poly2(np.array(c, float)) for c in (
+        [[0.0, 0.0, -1.0], [1.0, 0.0, 0.0]], [[0.0, 0.5], [1.0, 0.0]], [[0.0, 1.0]],
+        [[0.0, 0.0], [0.0, 1.0], [0.3, 0.0]])), Interval(-1.0, 2.0), Interval(-1.2, 1.2))
     return {"spin": spin(arc), "twist_k10": twist_spin(tarc, axis, choose_bump(tarc, axis), 10),
-            "polynomial_spin_8": polynomial_spin(arc, 8)}
+            "polynomial_spin_8": polynomial_spin(arc, 8), "open_disk": disk}
 
 
-@pytest.mark.parametrize("name", ["spin", "twist_k10", "polynomial_spin_8"])
+@pytest.mark.parametrize("name", ["spin", "twist_k10", "polynomial_spin_8", "open_disk"])
 @pytest.mark.parametrize("axis", list(AXIS_NAMES))
 def test_slice_surface_matches_loop_reference(slice_surfaces, name, axis):
     s = slice_surfaces[name]

@@ -5,6 +5,7 @@ import pytest
 
 from spun4d.catalog import get_knot
 from spun4d.spin import polynomial_spin, spin
+from spun4d.poly import Poly1
 from spun4d.surface import Surface4, max_grid_deviation
 
 TWO_PI = 2.0 * math.pi
@@ -93,3 +94,18 @@ def test_spin_surface_json_roundtrip():
     s = spin(get_knot("trefoil_spun"))
     s2 = Surface4.from_json(s.to_json())
     assert max_grid_deviation(s, s2, 40, 40) == 0.0
+
+
+def test_surface_file_power_of_a_sum_loads_collected():
+    # (1 + t)^25 multiplied out in full would be 2^25 terms; collected after
+    # each factor it is the 26 powers of t
+    one_plus_t = {"tag": "sum", "terms": [{"tag": "const", "value": 1.0},
+                                          {"tag": "poly_t", "coeffs": [0.0, 1.0]}]}
+    zero = {"tag": "const", "value": 0.0}
+    s = Surface4.from_json({"type": "surface4", "t_dom": [-1.0, 1.0], "s_dom": [0.0, 1.0],
+                            "coords": [{"tag": "product", "factors": [one_plus_t] * 25}] + [zero] * 3})
+    terms = s.coords[0]
+    assert len(terms) == 26
+    assert sorted(len(tf) for _, tf, _ in terms) == list(range(26))
+    assert all(sf == () and set(tf) <= {Poly1((0.0, 1.0))} for _, tf, sf in terms)
+    assert sorted(c for c, _, _ in terms) == sorted(float(math.comb(25, i)) for i in range(26))
