@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from spun4d.catalog import get_knot
-from spun4d.spin import polynomial_spin, spin
 from spun4d.poly import Poly1
+from spun4d.spin import polynomial_spin, spin
 from spun4d.surface import Surface4, max_grid_deviation
 
 TWO_PI = 2.0 * math.pi
