@@ -6,8 +6,6 @@ Run from the repository root:  python3 demos/04_motion_picture.py
 
 import os
 
-import numpy as np
-
 import spun4d
 
 OUT = "demo_output"
@@ -15,17 +13,14 @@ os.makedirs(OUT, exist_ok=True)
 
 surface = spun4d.spin(spun4d.get_knot("trefoil_spun"))
 
-# The w-range of the surface bounds the sweep; frames at the extremes are
-# tangencies, so sample strictly inside.
-grid = spun4d.sample_surface(surface, 64, 64)
-w = grid.points[..., 3]
-values = np.linspace(float(w.min()), float(w.max()), 26)[1:-1]
-
-slices = [spun4d.slice_surface(surface, "w", float(v)) for v in values]
+# 24 frames at levels evenly spaced strictly inside the w-range of the
+# sampled surface (the frames at the extremes would be tangencies), all sliced
+# from one sampling of the surface.
+slices = spun4d.sweep_surface(surface, "w", 24)
 paths = spun4d.export_slices(slices, "json", os.path.join(OUT, "frame_{}.json"))
-for v, sl in zip(values, slices):
+for sl in slices:
     kinds = "".join("o" if c else "-" for c in sl.closed)
-    print(f"w = {v:+8.4f}: {len(sl.curves)} curve(s) [{kinds}]  "
+    print(f"w = {sl.slice_value:+8.4f}: {len(sl.curves)} curve(s) [{kinds}]  "
           f"({sum(len(c) for c in sl.curves)} points)")
 print(f"wrote {len(paths)} frames to {OUT}/frame_*.json")
 

@@ -17,7 +17,7 @@ from .verify import (
 )
 from .export import (
     SliceCurveSet, SurfaceMesh, export_grid_csv, export_mesh, export_slices,
-    project, sample_surface, slice_surface, to_mesh,
+    project, sample_surface, slice_surface, sweep_surface, to_mesh,
 )
 
 __version__ = "0.1.0"
@@ -33,6 +33,6 @@ __all__ = [
     "VerifyReport", "boundary_check", "injectivity_scan", "isotopy_family_check",
     "jacobian_rank_scan", "verify_surface",
     "SliceCurveSet", "SurfaceMesh", "export_grid_csv", "export_mesh", "export_slices",
-    "project", "sample_surface", "slice_surface", "to_mesh",
+    "project", "sample_surface", "slice_surface", "sweep_surface", "to_mesh",
     "__version__",
 ]

@@ -21,12 +21,12 @@ from .approx import bernstein_fit2, bernstein_lattice
 from .catalog import get_knot, knot_names
 from .errors import Spun4dError
 from .export import (
-    AXIS_NAMES, _axes_indices, export_grid_csv, export_mesh, export_slices, project,
-    sample_surface, slice_surface, to_mesh,
+    _axes_indices, export_grid_csv, export_mesh, export_slices, project, sample_surface,
+    slice_surface, sweep_surface, to_mesh,
 )
 from .poly import Interval, Poly1, roots_in_interval
 from .spin import spin
-from .surface import PolyMap4, _images, _max_distance, surface_from_json
+from .surface import DEVIATION_GRID, PolyMap4, _images, _max_distance, surface_from_json
 from .twist import Bump, choose_bump, make_axis, polynomialize_twist, twist_spin
 from .verify import IMAGE_TOL, N_INJECT, N_RANK, PARAM_SEP, RANK_TOL, verify_surface
 
@@ -208,21 +208,19 @@ def _export_surface(surface, fmt, out, plane, cfg):
 
 def _slice_files(surface, axis, args, cfg, pattern):
     """Write cross-sections of ``surface`` across ``axis`` through ``pattern``:
-    at the ``--values`` of ``slice``, otherwise at ``--count`` values evenly
-    spaced strictly inside the range the axis takes on a sample grid."""
+    at the ``--values`` of ``slice``, otherwise a ``--count``-level sweep."""
     n = cfg["slice_n"]
     if args.cmd == "slice":
         try:
             values = [float(v) for v in args.values.split(",")]
         except ValueError as exc:  # the message quotes the entry
             raise ValueError(f"--values {args.values!r}: {exc}") from None
+        slices = [slice_surface(surface, axis, v, n, n) for v in values]
     else:
         count = 24 if args.count is None else args.count
         if count < 1:
             raise ValueError(f"--count must be at least 1, got {count}")
-        w = sample_surface(surface, n, n).points[..., AXIS_NAMES.index(axis)]
-        values = np.linspace(float(w.min()), float(w.max()), count + 2)[1:-1]
-    slices = [slice_surface(surface, axis, float(v), n, n) for v in values]
+        slices = sweep_surface(surface, axis, count, n, n)
     return export_slices(slices, args.format or "json", pattern)
 
 
@@ -277,9 +275,7 @@ def _cmd_polynomialize(args, cfg):
     out = args.out or "polynomialized.json"
     _write_json(poly.to_json(), out)
     print(f"max grid deviation from exact surface: {dev:.6e}")
-    # the deviation's own 200x200 grid
-    grid = surface.t_dom.sample(200)[:, None], surface.s_dom.sample(200)[None, :]
-    size = float(np.abs(_images(surface, *grid, "the surface's image on the 200x200 size grid")).max())
+    size = float(np.abs(sample_surface(surface, DEVIATION_GRID, DEVIATION_GRID).points).max())
     if dev > POLY_DEVIATION_WARN * size:
         warning = (f"the deviation {dev:.3e} exceeds {POLY_DEVIATION_WARN:g} times the surface's "
                    f"largest |coordinate| {size:.3e}: the Chebyshev fit has diverged")

@@ -14,7 +14,7 @@ from .surface import _grid_nodes, _images
 
 __all__ = [
     "Grid", "SliceCurveSet", "SurfaceMesh",
-    "sample_surface", "project", "slice_surface", "to_mesh",
+    "sample_surface", "project", "slice_surface", "sweep_surface", "to_mesh",
     "export_mesh", "export_grid_csv", "export_slices",
 ]
 
@@ -232,12 +232,31 @@ def slice_surface(s, axis: str, value: float, n_t: int = 128, n_s: int = 128) ->
     the seam or a pole goes on across it.  A surface whose image is not
     finite at a sample, a saddle centre or a crossing is refused with a ValueError.
     """
+    _check_slice(axis, n_t, n_s)
+    if not np.isfinite(value):
+        raise ValueError(f"slice value must be finite, got {value!r}")
+    return _slicer(s, axis, n_t, n_s)[1](value)
+
+
+def sweep_surface(s, axis: str, count: int, n_t: int = 128, n_s: int = 128) -> list[SliceCurveSet]:
+    """``count`` slices at levels evenly spaced strictly inside the range the axis
+    takes on the sampled grid, seam column and pole rows included: one sampling for all."""
+    _check_slice(axis, n_t, n_s)
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
+    w, level = _slicer(s, axis, n_t, n_s)
+    return [level(v) for v in np.linspace(float(w.min()), float(w.max()), count + 2)[1:-1]]
+
+
+def _check_slice(axis, n_t, n_s):
     if n_t < 64 or n_s < 64:
         raise ValueError("slice grid must be at least 64x64")
     if axis not in AXIS_NAMES:
         raise BadAxes(f"axis must be one of 'xyzw', got {axis!r}")
-    if not np.isfinite(value):
-        raise ValueError(f"slice value must be finite, got {value!r}")
+
+
+def _slicer(s, axis, n_t, n_s):
+    """The axis's coordinate on the sampled grid, and the slicer of one level."""
     ci = AXIS_NAMES.index(axis)
     keep = [i for i in range(4) if i != ci]
     grid = sample_surface(s, n_t, n_s)
@@ -250,20 +269,23 @@ def slice_surface(s, axis: str, value: float, n_t: int = 128, n_s: int = 128) ->
     def center(i, j):
         return _images(s, tc[i], sc[j], "the surface's image at the slice's saddle centres")[..., ci]
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        segments, crossings = _cell_segments(field, tvals, svals, value, center)
-    if s.periodic_s:  # t-edge keys are i * n_s + j, and j = n_s - 1 is the seam
-        seam = (segments < (n_t - 1) * n_s) & (segments % n_s == n_s - 1)
-        segments[seam] -= n_s - 1
-    chains = _chain_segments(segments.tolist())
-    if not chains:
-        return SliceCurveSet(axis, float(value), (), ())
-    # one evaluation for all chains; evaluate works point by point, so no
-    # image depends on the other points in the call
-    params = crossings[np.concatenate([chain for chain, _ in chains])]
-    img = _images(s, params[:, 0], params[:, 1], "the surface's image at the slice's crossings")
-    curves = np.split(img[:, keep], np.cumsum([len(chain) for chain, _ in chains])[:-1])
-    return SliceCurveSet(axis, float(value), tuple(curves), tuple(c for _, c in chains))
+    def level(value):
+        with np.errstate(over="ignore", invalid="ignore"):
+            segments, crossings = _cell_segments(field, tvals, svals, value, center)
+        if s.periodic_s:  # t-edge keys are i * n_s + j, and j = n_s - 1 is the seam
+            seam = (segments < (n_t - 1) * n_s) & (segments % n_s == n_s - 1)
+            segments[seam] -= n_s - 1
+        chains = _chain_segments(segments.tolist())
+        if not chains:
+            return SliceCurveSet(axis, float(value), (), ())
+        # one evaluation for all chains; evaluate works point by point, so no
+        # image depends on the other points in the call
+        params = crossings[np.concatenate([chain for chain, _ in chains])]
+        img = _images(s, params[:, 0], params[:, 1], "the surface's image at the slice's crossings")
+        curves = np.split(img[:, keep], np.cumsum([len(chain) for chain, _ in chains])[:-1])
+        return SliceCurveSet(axis, float(value), tuple(curves), tuple(c for _, c in chains))
+
+    return grid.points[..., ci], level
 
 
 # -- meshing ----------------------------------------------------------------

@@ -239,6 +239,7 @@ _LEAVES = {
 # a surface file's coordinate, and each product in it multiplied out before
 # its terms are collected, may have at most this many terms
 MAX_TERMS = 1 << 16
+DEVIATION_GRID = 200  # samples per side of max_grid_deviation's default grid
 
 
 def _bounded(n: int) -> None:
@@ -511,7 +512,7 @@ def _images(s, t, th, what: str) -> np.ndarray:
     return pts
 
 
-def max_grid_deviation(a, b, n_t: int = 200, n_s: int = 200) -> float:
+def max_grid_deviation(a, b, n_t: int = DEVIATION_GRID, n_s: int = DEVIATION_GRID) -> float:
     """Max Euclidean distance between two samplers over a shared tensor grid.
     An image that is not finite on the grid is refused with a ValueError."""
     t, th = a.t_dom.sample(n_t)[:, None], a.s_dom.sample(n_s)[None, :]

@@ -125,12 +125,15 @@ def jacobian_rank_scan(s, n_t: int, n_s: int, tol: float = RANK_TOL) -> tuple[bo
 
     The partials come from the sampler's rank-K factors and their
     derivatives (``_factors`` with ``deriv``) in two matrix products, not
-    from ``partials_grid``; they agree with it to rounding.  A sampler of no
-    terms has zero partials, and a ratio of 0.  The ratio comes from
-    the eigenvalues of the 2x2 Gram matrix J^T J; the scan passes when the
-    minimum exceeds ``tol``.  Pole rows are excluded by the half-cell inset
-    (the parametrization is intentionally degenerate there).
+    from ``partials_grid``; they agree with it to rounding.  A sampler without
+    them is refused with a TypeError.  A sampler of no terms has zero
+    partials, and a ratio of 0.  The ratio comes from the eigenvalues of the
+    2x2 Gram matrix J^T J; the scan passes when the minimum exceeds ``tol``.
+    Pole rows are excluded by the half-cell inset (the parametrization is
+    intentionally degenerate there).
     """
+    if not hasattr(s, "_factors"):
+        raise TypeError(f"the rank scan needs rank-K factors (_factors); {type(s).__name__} has none")
     if n_t < 16 or n_s < 16:
         raise ValueError("grid sizes must be >= 16")
     if not 0.0 < tol < 1.0:
@@ -487,7 +490,8 @@ def verify_surface(
     rank_tol: float = RANK_TOL,
     image_tol: float = IMAGE_TOL,
 ) -> VerifyReport:
-    """Bundle of all applicable checks for one surface, as a report."""
+    """Bundle of all applicable checks for one surface, as a report; a sampler
+    without rank-K ``_factors`` (only ``evaluate``) is refused with a TypeError."""
     rank_ok, min_ratio = jacobian_rank_scan(s, n_rank, n_rank, rank_tol)
     collisions = injectivity_scan(s, n_inject, n_inject, param_sep, image_tol)
     boundary_ok = boundary_check(arc) if arc is not None else None

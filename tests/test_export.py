@@ -7,13 +7,16 @@ import pytest
 
 from spun4d import export
 from spun4d.catalog import KnotArc, get_knot
+from spun4d.cli import _default_axis
 from spun4d.errors import BadAxes
 from spun4d.export import (
     _chain_segments as chain_segments, export_grid_csv, export_mesh, export_slices, project,
-    sample_surface, slice_surface, to_mesh,
+    sample_surface, slice_surface, sweep_surface, to_mesh,
 )
-from spun4d.poly import Interval, Poly1
+from spun4d.poly import Interval, Poly1, Poly2
 from spun4d.spin import spin
+from spun4d.surface import PolyMap4, surface_from_json
+from spun4d.twist import choose_bump, polynomialize_twist, twist_spin
 
 TWO_PI = 2.0 * math.pi
 
@@ -109,6 +112,12 @@ def test_slice_validates_input(trefoil_surface):
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             slice_surface(trefoil_surface, "w", value)
+    with pytest.raises(ValueError, match="64x64"):
+        sweep_surface(trefoil_surface, "w", 3, 128, 32)
+    with pytest.raises(BadAxes):
+        sweep_surface(trefoil_surface, "q", 3)
+    with pytest.raises(ValueError, match="count must be at least 1, got 0"):
+        sweep_surface(trefoil_surface, "w", 0)
 
 
 @pytest.mark.parametrize("axis,value", [("w", 0.0), ("z", 1.5)])
@@ -144,13 +153,14 @@ class _CountingSurface:
     """Proxy that counts the surface evaluations made through it."""
 
     def __init__(self, s):
-        self._s, self.calls = s, 0
+        self._s, self.calls, self.shapes = s, 0, []
 
     def __getattr__(self, name):
         return getattr(self._s, name)
 
     def evaluate(self, t, s):
         self.calls += 1
+        self.shapes.append(np.broadcast(t, s).shape)
         return self._s.evaluate(t, s)
 
     def eval_grid(self, tvals, svals):
@@ -170,12 +180,69 @@ def test_slice_without_saddle_cells_evaluates_surface_twice(trefoil_surface):
     assert all(np.array_equal(a, b) for a, b in zip(cs.curves, ref.curves))
 
 
+def _one_slice_per_level(s, axis, count, n=128):
+    """A sweep made of slice_surface calls: the range from a sampling of
+    its own, then one call, and one sampling, per level."""
+    w = sample_surface(s, n, n).points[..., "xyzw".index(axis)]
+    return [slice_surface(s, axis, float(v), n, n)
+            for v in np.linspace(float(w.min()), float(w.max()), count + 2)[1:-1]]
+
+
+def _saddle_map():
+    """(t, theta, t * theta, 0) on [-1, 1]^2: the level z = 0 has a saddle cell."""
+    t, th = Poly2.from_t(Poly1((0.0, 1.0))), Poly2.from_s(Poly1((0.0, 1.0)))
+    return PolyMap4((t, th, t * th, Poly2()), Interval(-1, 1), Interval(-1, 1))
+
+
+@pytest.mark.parametrize("name,axis,count", [("trefoil", "w", 1), ("trefoil", "w", 24),
+                                             ("saddle", "z", 3)])
+def test_sweep_samples_its_grid_once(trefoil_surface, name, axis, count):
+    # beyond one tensor grid, each level evaluates what slice_surface
+    # evaluates beyond its own grid: its saddle centres and its crossings
+    s = trefoil_surface if name == "trefoil" else _saddle_map()
+    proxy = _CountingSurface(s)
+    sweep = sweep_surface(proxy, axis, count, 128, 96)
+    assert len(sweep) == count and proxy.shapes[0] == (128, 96)
+    beyond = []
+    for sl in sweep:
+        ref = _CountingSurface(s)
+        slice_surface(ref, axis, sl.slice_value, 128, 96)
+        assert ref.shapes[0] == (128, 96)
+        beyond += ref.shapes[1:]
+    assert proxy.shapes[1:] == beyond and all(len(shape) == 1 for shape in beyond)
+    if name == "saddle":  # the crossings of each level, and the centre of z = 0's saddle cell
+        assert sweep[1].slice_value == 0.0 and len(beyond) == 4 and beyond[1] == (1,)
+
+
+def _swept(name):
+    """The surfaces of the README's sweeps, and a map whose seam column is
+    not its column 0 (its y-range on the raw grid is not the nodes')."""
+    if name == "seam":
+        return replace(_saddle_map(), periodic_s=True)
+    if name == "twist_k10":  # spun4d twistspin trefoil_twist --k 10 --sweep w
+        arc = get_knot("trefoil_twist")
+        axis = _default_axis(arc)
+        return twist_spin(arc, axis, choose_bump(arc, axis), 10)
+    spun = spin(get_knot("trefoil_spun"))
+    if name == "p_json":  # spun4d polynomialize trefoil_spun --cheb-degree 8 --out p.json
+        return surface_from_json(json.loads(json.dumps(polynomialize_twist(spun, 8)[0].to_json())))
+    return spun
+
+
+@pytest.mark.parametrize("name,axis", [("twist_k10", "w"), ("p_json", "w"), ("spin", "x"), ("seam", "y")])
+def test_sweep_equals_one_slice_per_level(name, axis):
+    s = _swept(name)
+    got, want = sweep_surface(s, axis, 24), _one_slice_per_level(s, axis, 24)
+    assert len(got) == len(want) == 24
+    for a, b in zip(got, want):
+        assert (a.axis, a.slice_value, a.closed) == (b.axis, b.slice_value, b.closed)
+        assert len(a.curves) == len(b.curves) and all(
+            x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(a.curves, b.curves))
+
+
 def test_marching_squares_circle_level_set():
     # analytic check on a plain polynomial surface: x^2 + y^2 slice of a
     # paraboloid-like map; slice z = r^2 of (t, s, t^2 + s^2, 0)
-    from spun4d.poly import Poly2
-    from spun4d.surface import PolyMap4
-
     m = PolyMap4(
         (Poly2.from_t(Poly1((0.0, 1.0))), Poly2.from_s(Poly1((0.0, 1.0))),
          Poly2.from_t(Poly1((0.0, 0.0, 1.0))) + Poly2.from_s(Poly1((0.0, 0.0, 1.0))),
@@ -196,9 +263,6 @@ def test_mesh_closed_sphere_topology(trefoil_surface):
 
 
 def test_mesh_open_grid_is_disk():
-    from spun4d.poly import Poly2
-    from spun4d.surface import PolyMap4
-
     m = PolyMap4(
         (Poly2.from_t(Poly1((0.0, 1.0))), Poly2.from_s(Poly1((0.0, 1.0))),
          Poly2(), Poly2()),

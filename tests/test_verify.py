@@ -289,6 +289,15 @@ def test_injectivity_scan_of_an_evaluate_only_sampler_at_600():
     assert 0 < s.points[1] < 0.02 * 600 * 600
 
 
+def test_rank_scan_and_verify_refuse_an_evaluate_only_sampler():
+    # the rank scan needs rank-K factors; it refuses before sampling anything
+    s = _EvaluateOnly(_twist_k10())
+    for scan in (lambda: jacobian_rank_scan(s, 32, 32), lambda: verify_surface(s)):
+        with pytest.raises(TypeError, match=r"rank-K factors \(_factors\).*_EvaluateOnly has none"):
+            scan()
+    assert s.points == []
+
+
 @pytest.mark.parametrize("name", ["twist_k10", "polynomial_spin_8"])
 def test_gram_sums_match_np_sum_bitwise(name):
     s = _twist_k10() if name == "twist_k10" else polynomial_spin(get_knot("trefoil_spun"), 8)
