@@ -237,8 +237,9 @@ _LEAVES = {
 
 
 # a surface file's coordinate, and each product in it multiplied out before
-# its terms are collected, may have at most this many terms
-MAX_TERMS = 1 << 16
+# its terms are collected, may have at most this many terms.  The scans'
+# factor arrays grow with the count; the constructions write at most 4
+MAX_TERMS = 1 << 8
 DEVIATION_GRID = 200  # samples per side of max_grid_deviation's default grid
 
 
@@ -486,11 +487,9 @@ def _grid_nodes(n_t: int, n_s: int, periodic_s: bool, pole_low: bool, pole_high:
 
 def _max_distance(pa: np.ndarray, pb: np.ndarray, what: str) -> float:
     """Largest Euclidean distance between matching points of two arrays of
-    shape (..., 4).  Points that are not finite, or a distance beyond double
-    range, raise a ValueError.  Only when the plain norm overflows are both
+    shape (..., 4), both ``_images`` output.  A distance beyond double
+    range raises a ValueError.  Only when the plain norm overflows are both
     arrays first scaled by a power of two, so other values are unchanged."""
-    if not (np.isfinite(pa).all() and np.isfinite(pb).all()):
-        raise ValueError(f"{what}: an image is not finite")
     with np.errstate(over="ignore"):
         dist = np.max(np.linalg.norm(pa - pb, axis=-1))
         if not np.isfinite(dist):

@@ -312,28 +312,6 @@ def _space_pairs(pts: np.ndarray, r: float):
             pos = pos[pos + d < m]
 
 
-def _close_pairs(pts: np.ndarray, r: float):
-    """Yield batches ``(i, j)``, i < j, of the index pairs of the rows of the
-    (m, 4) array ``pts`` at most ``r`` apart, each pair once: exactly the
-    pairs ``cKDTree.query_pairs`` finds.
-
-    Two stages, on half cells of side just over r.  Two coordinates at most
-    r apart have floors, in half cells, at most 1 apart.
-
-    The plane stage (``_suspects``) is an exact prefilter.  It projects the
-    points onto a fixed 2-plane, which moves no pair further apart, and
-    finds, with two sorts, the points that have another within one half
-    cell on both axes of the plane.  A point that has none is in no close
-    pair; the rest are the suspects, a small share of the points of a
-    surface's scan.  The R^4 stage (``_space_pairs``) searches the suspects
-    alone, in the same way with eight sorts: columns of R^4 on three axes,
-    sorted along the fourth.
-    """
-    sus = _suspects(_image_plane(pts, r))
-    for i, j in _space_pairs(pts[sus] if len(sus) < len(pts) else pts, r):
-        yield sus[i], sus[j]
-
-
 def _factor_plane(s, tvals, svals, r: float):
     """The plane coordinates, in half cells of the plane stage for radius
     ``r``, of every sample of the scan grid, as an (n_t * n_s, 2) array in
@@ -382,10 +360,13 @@ def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float =
     the image grid (``_image_plane``), which is dropped once projected.  One
     path follows: the plane stage (``_suspects``, two sorts of packed keys)
     on the nodes, the images of the suspects alone, and the R^4 stage
-    (``_space_pairs``, eight sorts) on them.  The first ``MAX_COLLISIONS``
-    collisions it yields are kept as arrays, each pair with its lesser
-    (t, theta) first, sorted by a stable ``np.lexsort`` on
-    (param_a, param_b), and only then made ``Collision`` objects.
+    (``_space_pairs``, eight sorts) on them.  The plane stage is an exact
+    prefilter: the projection moves no pair further apart, so a node with
+    no other within one half cell on both axes of the plane is in no close
+    pair.  The first ``MAX_COLLISIONS`` collisions it yields are kept as
+    arrays, each pair with its lesser (t, theta) first, sorted by a stable
+    ``np.lexsort`` on (param_a, param_b), and only then made ``Collision``
+    objects.
     """
     if n_t < 16 or n_s < 16:
         raise ValueError(f"injectivity grid sizes must be >= 16, got {n_t}x{n_s}")

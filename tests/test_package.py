@@ -1,5 +1,8 @@
+import ast
 import importlib
 import pkgutil
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -12,3 +15,27 @@ MODULES = ["spun4d"] + [f"spun4d.{m.name}" for m in pkgutil.iter_modules(spun4d.
 def test_every_name_in_all_resolves(name):
     module = importlib.import_module(name)
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def _referenced(tree) -> Counter:
+    """How often each name occurs in ``tree`` as a Name, an Attribute or an
+    import alias."""
+    return Counter(node.id if isinstance(node, ast.Name) else
+                   node.attr if isinstance(node, ast.Attribute) else node.name
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute, ast.alias)))
+
+
+def test_every_private_function_is_referenced_in_the_package():
+    # a private function or method that nothing but its own body names is
+    # dead code, or a fork kept alive by its tests alone
+    trees = {path.name: ast.parse(path.read_text()) for path in Path(spun4d.__file__).parent.glob("*.py")}
+    used = sum((_referenced(tree) for tree in trees.values()), Counter())
+    unused = []
+    for module, tree in sorted(trees.items()):
+        defs = [node for top in tree.body
+                for node in (top.body if isinstance(top, ast.ClassDef) else [top])
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        unused += [f"{module}: {node.name}" for node in defs
+                   if node.name.startswith("_") and not node.name.startswith("__")
+                   and used[node.name] == _referenced(node)[node.name]]
+    assert unused == []

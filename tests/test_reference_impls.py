@@ -41,8 +41,8 @@ from spun4d.twist import (
     PRECHECK_NT, Bump, choose_bump, make_axis, polynomialize_twist, twist_spin,
 )
 from spun4d.verify import (
-    _PLANE, MAX_COLLISIONS, Collision, _close_pairs, _factor_plane, _gram, _inset_samples,
-    _suspects, injectivity_scan, jacobian_rank_scan,
+    _PLANE, MAX_COLLISIONS, Collision, _factor_plane, _gram, _image_plane, _inset_samples,
+    _space_pairs, _suspects, injectivity_scan, jacobian_rank_scan,
 )
 
 
@@ -1242,11 +1242,22 @@ def test_injectivity_scan_with_an_overflowing_factor_bound_matches_meshgrid_refe
 # -- close-pair search ---------------------------------------------------------------
 
 
+def _scan_pairs(pts, r):
+    """Yield batches ``(i, j)`` of the index pairs of the rows of the (m, 4)
+    array ``pts`` at most ``r`` apart, as ``injectivity_scan`` composes its
+    two stages for a sampler without ``_factors``: the plane stage on the
+    rows, the R^4 stage on the suspects' rows alone, and its indices mapped
+    back to the rows."""
+    sus = _suspects(_image_plane(pts, r))
+    for i, j in _space_pairs(pts[sus], r):
+        yield sus[i], sus[j]
+
+
 def _assert_close_pairs_match_kdtree(pts, r):
     """The hashed search finds each pair once, and exactly the pairs
     ``cKDTree.query_pairs`` finds."""
     cKDTree = pytest.importorskip("scipy.spatial").cKDTree
-    got = [(int(a), int(b)) for i, j in _close_pairs(pts, r) for a, b in zip(i, j)]
+    got = [(int(a), int(b)) for i, j in _scan_pairs(pts, r) for a, b in zip(i, j)]
     assert all(i < j for i, j in got)
     assert len(set(got)) == len(got)
     assert sorted(got) == sorted(cKDTree(pts).query_pairs(r))
@@ -1353,7 +1364,7 @@ def test_close_pairs_finds_planted_collisions_near_overflow(seed, n, a, frac):
     pts[a] = rng.uniform(-1.0, 1.0, 4)
     pts[b] = pts[a] + frac * r * offset / np.linalg.norm(offset)
     pts = np.concatenate([pts, pts[c:c + 1]])
-    got = {(int(i), int(j)) for bi, bj in _close_pairs(pts, r) for i, j in zip(bi, bj)}
+    got = {(int(i), int(j)) for bi, bj in _scan_pairs(pts, r) for i, j in zip(bi, bj)}
     assert got == {(min(a, b), max(a, b)), (c, n)}
 
 
