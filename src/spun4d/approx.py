@@ -72,8 +72,19 @@ def _mulx(c: np.ndarray) -> np.ndarray:
 
 def chebyshev_fit(f: Callable[[np.ndarray], np.ndarray], iv: Interval, degree: int) -> ChebFit:
     """Degree-``degree`` interpolant of ``f`` at Chebyshev nodes mapped to ``iv``,
-    converted to the monomial basis in t, with its max error over 1000 uniform
-    samples.
+    converted to the monomial basis in t (``_chebyshev_interpolant``), with
+    its max error over 1000 uniform samples."""
+    poly = _chebyshev_interpolant(f, iv, degree)
+    ts = iv.sample(_ERROR_SAMPLES)
+    ref = np.asarray(f(ts), float)
+    if not np.all(np.isfinite(ref)):
+        raise NonFiniteSample("function returned non-finite values on the interval")
+    err = float(np.max(np.abs(poly(ts) - ref)))
+    return ChebFit(poly, err)
+
+
+def _chebyshev_interpolant(f: Callable[[np.ndarray], np.ndarray], iv: Interval, degree: int) -> Poly1:
+    """``chebyshev_fit``'s polynomial, without its error check.
 
     numpy's ``chebinterpolate`` gives the Chebyshev coefficients; the change
     to powers of t repeats numpy.polynomial's arithmetic on plain arrays
@@ -89,14 +100,7 @@ def chebyshev_fit(f: Callable[[np.ndarray], np.ndarray], iv: Interval, degree: i
     if not np.all(np.isfinite(values)):
         raise NonFiniteSample("function returned non-finite values at Chebyshev nodes")
     cheb_coeffs = ncheb.chebinterpolate(lambda x: values, degree)
-    poly = Poly1(tuple(_cheb_to_power(cheb_coeffs, mid, half)))
-
-    ts = iv.sample(_ERROR_SAMPLES)
-    ref = np.asarray(f(ts), float)
-    if not np.all(np.isfinite(ref)):
-        raise NonFiniteSample("function returned non-finite values on the interval")
-    err = float(np.max(np.abs(poly(ts) - ref)))
-    return ChebFit(poly, err)
+    return Poly1(tuple(_cheb_to_power(cheb_coeffs, mid, half)))
 
 
 def _bernstein_to_power(c: np.ndarray) -> None:

@@ -8,13 +8,16 @@ where a t-factor is a ``Poly1`` or a ``Bump`` and a theta-factor is a
 ``Poly1`` or a ``Trig`` (cos or sin of an integer multiple of theta).  Every
 construction here has this form: the spin has one term per coordinate, the
 k-twist spin at most four.  One evaluator serves points, grids and partials:
-it samples each distinct factor once on t and once on theta and sums the
-broadcast products term by term, so a grid given as a column of t and a row
-of theta costs one factor sample per grid line.  First partials follow by the
-product rule, never by finite differences.  The scans take a tensor grid,
-and its partials when they ask, instead as a rank-K product of the terms'
-t-rows and theta-rows: each model has one such method, ``_factors``
-(``PolyMap4``'s rows are Vandermonde matrices).
+it samples each distinct factor once on t and once on theta and stacks each
+coordinate's term rows.  At points it sums the broadcast products term by
+term.  A tensor grid, a column of t and a row of theta, costs one factor
+sample per grid line and one product per coordinate of its own stacked
+t-rows and theta-rows, which adds the same products in the same order, so
+a grid is its points bit for bit.  First partials follow by the product
+rule, never by finite differences.  The scans take a tensor grid, and its
+partials when they ask, as a rank-K product of the terms' t-rows and
+theta-rows: each model has one such method, ``_factors`` (``PolyMap4``'s
+rows are Vandermonde matrices).
 
 Surface files keep the tagged tree format (``sum``, ``product``, ``const``,
 ``poly_t``, ``poly_theta``, ``cos_k``, ``sin_k``, ``bump``): the writer emits
@@ -159,24 +162,28 @@ def _collect(terms) -> tuple[Term, ...]:
 # -- evaluation -------------------------------------------------------------
 
 def _term_rows(coords, side: str, x, deriv: bool):
-    """Per coordinate, the list of its terms' pairs (product, derivative):
-    the product of the term's ``side`` ("t" or "s") factors on the samples
-    x, with c folded into the t side, and with ``deriv`` its x-derivative by
-    the product rule (else None).  Every distinct factor is evaluated once
-    for all coordinates, on x in its own shape."""
+    """Per coordinate, its terms' rows stacked: an array of shape
+    (1 + deriv, K_i) + x.shape whose row [0, k] is the product of term k's
+    ``side`` ("t" or "s") factors on the samples x, with c folded into the
+    t side, and with ``deriv`` row [1, k] its x-derivative by the product
+    rule.  A term with no factors on that side has a constant row (c or 1,
+    derivative 0).  Every distinct factor is evaluated once for all
+    coordinates, on x in its own shape."""
     distinct = {f for terms in coords for term in terms for f in getattr(term, side)}
     val = {f: f(x) for f in distinct}
     der = {f: _slope(f, x) for f in distinct} if deriv else {}
     out = []
     for terms in coords:
-        rows = []
-        for term in terms:
+        rows = np.empty((1 + deriv, len(terms)) + x.shape)
+        for k, term in enumerate(terms):
             p, d = (term.c if side == "t" else 1.0), 0.0
             for f in getattr(term, side):
                 if deriv:
                     d = d * val[f] + p * der[f]
                 p = p * val[f]
-            rows.append((p, d if deriv else None))
+            rows[0, k] = p
+            if deriv:
+                rows[1, k] = d
         out.append(rows)
     return out
 
@@ -185,17 +192,46 @@ def _eval_points(coords, t, th, deriv: str = "") -> np.ndarray:
     """Coordinates at the points broadcast(t, th); shape that + (len(coords),).
     With ``deriv`` "t" or "s", their partial derivative in t or theta.
 
-    Each factor is sampled on t and on th in their own shapes, so an outer
-    product t[:, None], th[None, :] samples it once per grid line; the terms
-    c a(t) b(th) are then summed, broadcast, in order of the terms."""
+    Each factor is sampled on t and on th in their own shapes.  A tensor
+    grid ``tvals[:, None], svals[None, :]`` goes to ``_grid_sums``, other
+    points to ``_broadcast_sums``; both sum the terms c a(t) b(th) in term
+    order from 0.0, each product rounded on its own, so a grid is its
+    points bit for bit."""
     t, th = np.asarray(t, float), np.asarray(th, float)
-    dt, ds = deriv == "t", deriv == "s"
-    out = np.zeros(np.broadcast_shapes(t.shape, th.shape) + (len(coords),))
+    dt, ds = int(deriv == "t"), int(deriv == "s")
+    # a grid of one node would make einsum's loop a dot product, which sums
+    # in another order
+    grid = t.ndim == th.ndim == 2 and t.shape[1] == th.shape[0] == 1 < t.size * th.size
+    if grid:
+        t, th = t[:, 0], th[0]
     a_rows, s_rows = _term_rows(coords, "t", t, dt), _term_rows(coords, "s", th, ds)
-    for i, (a, s) in enumerate(zip(a_rows, s_rows)):
-        # each row is a pair (product, derivative): index True picks the derivative
-        for ak, sk in zip(a, s):
-            out[..., i] += ak[dt] * sk[ds]
+    rows = [(a[dt], s[ds]) for a, s in zip(a_rows, s_rows)]
+    if grid:
+        return _grid_sums(rows, len(t), len(th))
+    return _broadcast_sums(rows, np.broadcast_shapes(t.shape, th.shape))
+
+
+def _grid_sums(rows, n_t: int, n_s: int) -> np.ndarray:
+    """The tensor grid of each coordinate's stacked rows ``(a, b)``, a of
+    shape (K_i, n_t) and b (K_i, n_s): the sum over k of a[k, t] b[k, s],
+    one einsum per coordinate.  Its loop runs k outside s, so each node
+    adds its products in term order from 0.0, each rounded on its own, as
+    ``_broadcast_sums`` does.  The result is an (n_t, n_s, len(rows)) view
+    of a coordinate-major array, so a coordinate's slice is contiguous."""
+    out = np.empty((len(rows), n_t, n_s))
+    for o, (a, b) in zip(out, rows):
+        np.einsum("kt,ks->ts", a, b, out=o)
+    return np.moveaxis(out, 0, -1)
+
+
+def _broadcast_sums(rows, shape) -> np.ndarray:
+    """The sum over k of the broadcast products a[k] b[k] of each
+    coordinate's stacked rows ``(a, b)``, added one by one in term order
+    into a zeroed array of ``shape`` + (len(rows),)."""
+    out = np.zeros(shape + (len(rows),))
+    for i, (a, b) in enumerate(rows):
+        for ak, bk in zip(a, b):
+            out[..., i] += ak * bk
     return out
 
 
@@ -365,16 +401,15 @@ class Surface4:
         rounds by at most eps * m, summed over the coordinates: K times that
         sum bounds the rounding of K products summed in a row."""
         tvals, svals = np.asarray(tvals, float), np.asarray(svals, float)
-        n, k = 1 + deriv, sum(map(len, self.coords))
-        a = np.empty((n, len(tvals), k))
+        a_rows, b_rows = (_term_rows(self.coords, side, x, deriv)
+                          for side, x in (("t", tvals), ("s", svals)))
+        a = np.concatenate(a_rows, axis=1).swapaxes(1, 2).copy()
+        n, k = a.shape[0], a.shape[2]
         b = np.zeros((n, k, len(svals), 4))
         col = 0
-        for i, (a_rows, b_rows) in enumerate(zip(_term_rows(self.coords, "t", tvals, deriv),
-                                                 _term_rows(self.coords, "s", svals, deriv))):
-            for a_pair, b_pair in zip(a_rows, b_rows):
-                for j in range(n):
-                    a[j, :, col], b[j, col, :, i] = a_pair[j], b_pair[j]
-                col += 1
+        for i, rows in enumerate(b_rows):
+            b[:, col:col + rows.shape[1], :, i] = rows
+            col += rows.shape[1]
         m = k * np.max(np.abs(a[0]) @ np.abs(b[0]).max(axis=(1, 2)), initial=0.0)
         return a, b, m
 
@@ -485,16 +520,28 @@ def _grid_nodes(n_t: int, n_s: int, periodic_s: bool, pole_low: bool, pole_high:
     return ids, np.flatnonzero(is_first)
 
 
+def _squared_distances(d: np.ndarray) -> np.ndarray:
+    """The squared norms of the rows of the (..., 4) array ``d``, squared in
+    place, summed as ((d0^2 + d1^2) + d2^2) + d3^2: the order of
+    ``np.linalg.norm``'s sum over a length-4 axis, without its reduction
+    loop."""
+    d *= d
+    return d[..., 0] + d[..., 1] + d[..., 2] + d[..., 3]
+
+
 def _max_distance(pa: np.ndarray, pb: np.ndarray, what: str) -> float:
     """Largest Euclidean distance between matching points of two arrays of
-    shape (..., 4), both ``_images`` output.  A distance beyond double
-    range raises a ValueError.  Only when the plain norm overflows are both
-    arrays first scaled by a power of two, so other values are unchanged."""
+    shape (..., 4), both ``_images`` output: the root of the largest squared
+    distance.  sqrt is monotone and correctly rounded, so that is the
+    largest of ``np.linalg.norm``'s distances bit for bit.  A distance
+    beyond double range raises a ValueError.  Only when a square overflows
+    are both arrays first scaled by a power of two, so other values are
+    unchanged."""
     with np.errstate(over="ignore"):
-        dist = np.max(np.linalg.norm(pa - pb, axis=-1))
+        dist = np.sqrt(np.max(_squared_distances(pa - pb)))
         if not np.isfinite(dist):
             scale = np.ldexp(1.0, -np.frexp(max(np.abs(pa).max(), np.abs(pb).max()))[1])
-            dist = np.max(np.linalg.norm(pa * scale - pb * scale, axis=-1)) / scale
+            dist = np.sqrt(np.max(_squared_distances(pa * scale - pb * scale))) / scale
     if not np.isfinite(dist):
         raise ValueError(f"{what}: the largest distance is beyond double range")
     return float(dist)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .approx import chebyshev_fit
+from .approx import _chebyshev_interpolant
 from .catalog import KnotArc
 from .errors import NonUnitAxis, NoRoom, PlaneCrossing
 from .poly import Poly1
@@ -227,9 +227,9 @@ def _polynomialized(s: Surface4, cheb_degree: int, bump_degree: int | None) -> S
     Chebyshev interpolant on the theta-domain, and each bump by its fit on
     the t-domain when ``bump_degree`` is given."""
     factors = dict.fromkeys(f for coord in s.coords for term in coord for f in term.t + term.s)
-    fits = {f: chebyshev_fit(f, s.s_dom, cheb_degree).poly for f in factors if isinstance(f, Trig)}
+    fits = {f: _chebyshev_interpolant(f, s.s_dom, cheb_degree) for f in factors if isinstance(f, Trig)}
     if bump_degree is not None:
-        fits.update((f, chebyshev_fit(f, s.t_dom, bump_degree).poly)
+        fits.update((f, _chebyshev_interpolant(f, s.t_dom, bump_degree))
                     for f in factors if isinstance(f, Bump))
     return replace(s, coords=tuple(
         [Term(c, *(tuple(fits.get(f, f) for f in fs) for fs in (tf, sf))) for c, tf, sf in terms]

@@ -15,7 +15,7 @@ import numpy as np
 from .approx import PerturbationSpec, _perturb
 from .catalog import KnotArc, height_admissible
 from .poly import Interval, poly_scale
-from .surface import _images
+from .surface import Surface4, _grid_sums, _images
 
 __all__ = [
     "VerifyReport", "Collision", "jacobian_rank_scan", "injectivity_scan",
@@ -109,11 +109,23 @@ def _gram(dt: np.ndarray, ds: np.ndarray):
 def _partials(s, tvals, svals):
     """The partials (d/dt, d/dtheta) over the tensor grid, from the
     sampler's rank-K factors and their derivatives (``_factors`` with
-    ``deriv``) in two products (n_t, K) @ (K, 4 n_s).  Each is an
-    (n_t, n_s, 4) view of a coordinate-major array, so a coordinate's slice
-    of it is contiguous."""
+    ``deriv``), each an (n_t, n_s, 4) view of a coordinate-major array, so
+    a coordinate's slice of it is contiguous.
+
+    A ``PolyMap4``'s columns serve every coordinate: each partial is one
+    product (n_t, K) times (K, 4 n_s).  A ``Surface4``'s coordinate owns
+    the columns of its own terms, which come in coordinate order, so each
+    coordinate is the product of those columns alone (``_grid_sums``).
+    Either way a node sums its products in column order from 0.0; the
+    columns a coordinate does not own would only add zeros."""
     (a, a_t), (b, b_s), _ = s._factors(tvals, svals, True)
     n_t, n_s, k = len(tvals), len(svals), a.shape[1]
+    if isinstance(s, Surface4):
+        ends = np.cumsum([0] + [len(terms) for terms in s.coords])
+        # the loop runs along theta innermost: contiguous theta-rows are faster
+        return tuple(_grid_sums([(x[:, lo:hi].T, np.ascontiguousarray(y[lo:hi, :, i]))
+                                 for i, (lo, hi) in enumerate(zip(ends[:-1], ends[1:]))], n_t, n_s)
+                     for x, y in ((a_t, b), (a, b_s)))
     # einsum, not matmul: on 2 cores a threaded BLAS product of this shape
     # can take a hundred times as long as one thread
     return tuple(np.einsum("ij,jk->ik", x, np.swapaxes(y, 1, 2).reshape(k, 4 * n_s))

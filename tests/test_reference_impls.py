@@ -22,9 +22,11 @@ from hypothesis import strategies as st
 
 import spun4d
 from spun4d import catalog
+from spun4d import surface as surface_module
 from spun4d import verify as verify_module
 from spun4d.approx import (
-    _cheb_to_power, _perturb, bernstein_fit2, bernstein_lattice, chebyshev_fit, odd_perturbation,
+    _cheb_to_power, _chebyshev_interpolant, _perturb, bernstein_fit2, bernstein_lattice, chebyshev_fit,
+    odd_perturbation,
 )
 from spun4d.catalog import (
     DIAG_SEP, GRID_N, MERGE_TOL, RESIDUAL_TOL, get_knot, knot_names, lift_height,
@@ -36,7 +38,9 @@ from spun4d.export import (
 )
 from spun4d.poly import Interval, Poly1, Poly2, poly_scale
 from spun4d.spin import polynomial_spin, spin
-from spun4d.surface import TWO_PI, PolyMap4, Surface4, Term, Trig, max_grid_deviation
+from spun4d.surface import (
+    TWO_PI, PolyMap4, Surface4, Term, Trig, _eval_points, _max_distance, max_grid_deviation,
+)
 from spun4d.twist import (
     PRECHECK_NT, Bump, choose_bump, make_axis, polynomialize_twist, twist_spin,
 )
@@ -182,6 +186,16 @@ def test_chebyshev_fit_matches_numpy_polynomial_bitwise(iv):
         for degree in (1, 2, 3, 4, 5, 8, 12, 16, 24, 40, 50, 60):
             got, ref = chebyshev_fit(f, iv, degree).poly, chebyshev_fit_numpy(f, iv, degree)
             assert _bits(np.array(got.coeffs)) == _bits(np.array(ref.coeffs))
+
+
+@pytest.mark.parametrize("degree", [8, 24])
+def test_chebyshev_interpolant_is_the_fit_polynomial(degree):
+    """The polynomialization's interpolant, without the 1000-sample error
+    check, is ``chebyshev_fit``'s polynomial bit for bit."""
+    fits = [(Trig(k), Interval(0.0, TWO_PI)) for k in (1, 3, 10)] + [(Bump(1.0, 2.0), Interval(-2.5, 2.5))]
+    for f, iv in fits:
+        got, ref = _chebyshev_interpolant(f, iv, degree), chebyshev_fit(f, iv, degree).poly
+        assert _bits(np.array(got.coeffs)) == _bits(np.array(ref.coeffs))
 
 
 # -- meshes and writers ---------------------------------------------------------
@@ -901,6 +915,34 @@ def test_tree_file_written_by_node_classes_loads():
     assert max_grid_deviation(surface, again) == 0.0
 
 
+# -- deviation distance ----------------------------------------------------------
+
+def max_distance_norm(pa, pb):
+    """Reference: the largest ``np.linalg.norm`` of the differences, over
+    the arrays scaled by a power of two when that overflows."""
+    with np.errstate(over="ignore"):
+        dist = np.max(np.linalg.norm(pa - pb, axis=-1))
+        if not np.isfinite(dist):
+            scale = np.ldexp(1.0, -np.frexp(max(np.abs(pa).max(), np.abs(pb).max()))[1])
+            dist = np.max(np.linalg.norm(pa * scale - pb * scale, axis=-1)) / scale
+    return float(dist)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-160, 2.0 ** 520], ids=["plain", "underflow", "rescaled"])
+def test_max_distance_is_the_largest_norm_bit_for_bit(scale):
+    """The root of the largest squared distance, summed coordinate by
+    coordinate, is the largest norm: on random arrays of spread magnitudes,
+    on arrays whose squares underflow, and on arrays whose squares overflow
+    and take the rescaled path."""
+    rng = np.random.default_rng(5)
+    for shape in ((60, 50, 4), (7, 4), (1, 4)):
+        pa, pb = rng.normal(size=(2,) + shape) * scale * 2.0 ** rng.integers(-20, 21, (2,) + shape)
+        with np.errstate(over="ignore"):
+            overflows = not np.isfinite(np.max(np.linalg.norm(pa - pb, axis=-1)))
+        assert overflows == (scale > 1.0)
+        assert _max_distance(pa, pb, "p") == max_distance_norm(pa, pb)
+
+
 # -- one sampling contract -------------------------------------------------------
 
 def _samplers():
@@ -980,6 +1022,86 @@ def test_sampler_contract(name):
         assert (np.abs(got - want) <= 1e-13 * np.einsum("tk,ksi->tsi", xa, ya)).all()
 
 
+def _refuse_broadcast_sums(monkeypatch):
+    def refuse(rows, shape):
+        raise AssertionError("a tensor grid was summed term by term")
+
+    monkeypatch.setattr(surface_module, "_broadcast_sums", refuse)
+
+
+def _grid_shapes():
+    """Surface4s of every shape of term rows: a polynomialized twist spin
+    (Poly1 theta-factors), the k = 3 tree file, terms with no t-factor and
+    with no theta-factor (constant rows), a coordinate of no terms, and a
+    coordinate of 64 terms."""
+    arc, axis = _twist_setup("trefoil_twist")
+    poly, _ = polynomialize_twist(twist_spin(arc, axis, choose_bump(arc, axis), 3), 24)
+    with open(os.path.join(os.path.dirname(__file__), "data", "trefoil_twist_k3_tree.json")) as fh:
+        tree = Surface4.from_json(json.load(fh))
+    quad = Poly1((0.5, -1.0, 2.0))
+    scalar = Surface4(((Term(2.0), Term(-1.5, (quad,)), Term(0.25, (), (Trig(3),))),
+                       (Term(1.0, (), (Trig(2, True), Poly1((1.0, 0.5)))),),
+                       (),
+                       (Term(3.0, (Bump(0.1, 0.5), quad)), Term(-1.0))), Interval(-1.0, 1.0))
+    many = tuple(Term(1.0 / (j + 1), (Poly1((0.0,) * (j % 8) + (1.0,)),), (Trig(j // 8 + 1, bool(j % 2)),))
+                 for j in range(64))
+    wide = Surface4((many, (), (Term(1.0, (quad,)),), many[:5]), Interval(-1.0, 1.0))
+    assert [len(c) for c in wide.coords] == [64, 0, 1, 5]
+    return {"polynomialized": poly, "tree_k3": tree, "scalar_rows": scalar, "64_terms": wide}
+
+
+@pytest.mark.parametrize("name", ["polynomialized", "tree_k3", "scalar_rows", "64_terms"])
+def test_grid_path_is_the_point_path_bit_for_bit(name, monkeypatch):
+    """A tensor grid sums each coordinate's stacked term rows in one einsum;
+    on the full meshgrid the point path sums the broadcast products term by
+    term.  Values and both partials agree bit for bit, and the grid never
+    reaches the term-by-term loop."""
+    s = _grid_shapes()[name]
+    tv, sv = s.t_dom.sample(41), s.s_dom.sample(33)
+    T, S = np.meshgrid(tv, sv, indexing="ij")
+    want = [_eval_points(s.coords, T, S, deriv) for deriv in ("", "t", "s")]
+    _refuse_broadcast_sums(monkeypatch)
+    assert _bits(s.eval_grid(tv, sv)) == _bits(want[0])
+    assert _bits(s.evaluate(tv[:, None], sv[None, :])) == _bits(want[0])
+    for got, ref in zip(s.partials_grid(tv, sv), want[1:]):
+        assert _bits(got) == _bits(ref)
+
+
+def test_grid_path_makes_nan_where_the_point_path_does(monkeypatch):
+    """A t-row that overflows to inf times a theta-row that is 0 (sin at
+    theta = 0), and an inf less an inf, give NaN at the same nodes on
+    either path; every other node agrees bit for bit."""
+    huge = Poly1((0.0, 0.0, 1e308))  # inf for |t| > 1
+    s = Surface4(((Term(1.0, (huge,), (Trig(1, True),)),),
+                  (Term(1.0, (huge,)), Term(-1.0, (huge,), (Trig(2),))),
+                  (Term(1.0, (huge,), (Trig(1),)),),
+                  ()), Interval(-2.0, 2.0))
+    tv, sv = s.t_dom.sample(21), s.s_dom.sample(17)
+    T, S = np.meshgrid(tv, sv, indexing="ij")
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _eval_points(s.coords, T, S)
+        _refuse_broadcast_sums(monkeypatch)
+        got = s.eval_grid(tv, sv)
+    nan = np.isnan(want)
+    assert nan[..., 0].any() and nan[..., 1].any() and not nan.all()
+    assert (np.isnan(got) == nan).all()
+    assert _bits(np.where(nan, 0.0, got)) == _bits(np.where(nan, 0.0, want))
+
+
+def test_deviation_grid_and_sample_grid_take_the_grid_path(monkeypatch):
+    """max_grid_deviation and export.sample_surface sample a Surface4 on a
+    tensor grid: with the term-by-term loop refused they still give the
+    point path's results."""
+    s = _samplers()["twist_k10"]
+    poly, dev = polynomialize_twist(s, 24)
+    tv, sv = s.t_dom.sample(60), s.s_dom.sample(50)
+    T, S = np.meshgrid(tv, sv, indexing="ij")
+    want = s.evaluate(T, S)
+    _refuse_broadcast_sums(monkeypatch)
+    assert max_grid_deviation(s, poly) == dev
+    assert _bits(sample_surface(s, 60, 50).points) == _bits(want)
+
+
 # -- rank scan ----------------------------------------------------------------------
 
 def jacobian_rank_ratio_reference(s, n_t, n_s):
@@ -1024,6 +1146,21 @@ def test_rank_scan_matches_partials_grid_reference(name, monkeypatch):
         ok, got = jacobian_rank_scan(s, *grid)
         assert ok and want[grid] > 0.0
         assert abs(got - want[grid]) <= rel * want[grid]
+
+
+@pytest.mark.parametrize("name", ["spin", "twist_k10", "polynomial_spin_8", "bernstein_20", "no_terms"])
+def test_rank_scan_partials_are_the_factor_products_in_column_order(name):
+    """The scan's partials are the rank-K derivative products, summed over
+    every column in order from 0.0, bit for bit: a Surface4 coordinate that
+    multiplies only the columns of its own terms skips only zeros."""
+    s = _no_terms() if name == "no_terms" else _samplers()[name]
+    tv, sv = _inset_samples(s.t_dom, 37), _inset_samples(s.s_dom, 29)
+    (a, a_t), (b, b_s), _ = s._factors(tv, sv, True)
+    for got, (x, y) in zip(verify_module._partials(s, tv, sv), ((a_t, b), (a, b_s))):
+        want = np.zeros((37, 29, 4))
+        for k in range(x.shape[1]):
+            want += x[:, k, None, None] * y[k]
+        assert _bits(got) == _bits(want)
 
 
 def test_rank_scan_of_a_degenerate_map_is_zero_without_partials_grid(monkeypatch):
