@@ -534,9 +534,9 @@ def _max_distance(pa: np.ndarray, pb: np.ndarray, what: str) -> float:
     shape (..., 4), both ``_images`` output: the root of the largest squared
     distance.  sqrt is monotone and correctly rounded, so that is the
     largest of ``np.linalg.norm``'s distances bit for bit.  A distance
-    beyond double range raises a ValueError.  Only when a square overflows
-    are both arrays first scaled by a power of two, so other values are
-    unchanged."""
+    beyond double range raises a ValueError.  Only when a squared distance
+    overflows are both arrays first scaled by a power of two, so other
+    values are unchanged."""
     with np.errstate(over="ignore"):
         dist = np.sqrt(np.max(_squared_distances(pa - pb)))
         if not np.isfinite(dist):

@@ -136,8 +136,9 @@ def jacobian_rank_scan(s, n_t: int, n_s: int, tol: float = RANK_TOL) -> tuple[bo
     """Smallest ratio sigma_2 / sigma_1 of the 4x2 Jacobian over an inset grid.
 
     The partials come from the sampler's rank-K factors and their
-    derivatives (``_factors`` with ``deriv``) in two matrix products, not
-    from ``partials_grid``; they agree with it to rounding.  A sampler without
+    derivatives (``_factors`` with ``deriv``) in matrix products
+    (``_partials``), not from ``partials_grid``; they agree with it to
+    rounding.  A sampler without
     them is refused with a TypeError.  A sampler of no terms has zero
     partials, and a ratio of 0.  The ratio comes from the eigenvalues of the
     2x2 Gram matrix J^T J; the scan passes when the minimum exceeds ``tol``.
