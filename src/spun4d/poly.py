@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -107,6 +108,11 @@ class Poly1:
         if self.is_zero:
             return Poly1()
         return Poly1(npoly.polyder(self.coeffs, m=order))
+
+    @cached_property
+    def _derivative(self) -> "Poly1":
+        """``derivative()``, built once and kept with the instance."""
+        return self.derivative()
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other: "Poly1") -> "Poly1":

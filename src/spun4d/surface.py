@@ -15,9 +15,9 @@ sample per grid line and one product per coordinate of its own stacked
 t-rows and theta-rows, which adds the same products in the same order, so
 a grid is its points bit for bit.  First partials follow by the product
 rule, never by finite differences.  The scans take a tensor grid, and its
-partials when they ask, as a rank-K product of the terms' t-rows and
-theta-rows: each model has one such method, ``_factors`` (``PolyMap4``'s
-rows are Vandermonde matrices).
+partials when they ask, as a rank-K product of each coordinate's own t-rows
+and theta-rows: both models give it in one layout, ``_factors``, which
+``Surface4._factors`` states (``PolyMap4``'s rows are Vandermonde matrices).
 
 Surface files keep the tagged tree format (``sum``, ``product``, ``const``,
 ``poly_t``, ``poly_theta``, ``cos_k``, ``sin_k``, ``bump``): the writer emits
@@ -118,7 +118,7 @@ class Trig:
 
 
 def _slope(f, x):
-    return f.derivative()(x) if isinstance(f, Poly1) else f.derivative(x)
+    return f._derivative(x) if isinstance(f, Poly1) else f.derivative(x)
 
 
 def _order(f):
@@ -384,34 +384,28 @@ class Surface4:
         return _eval_points(self.coords, t, th, "t"), _eval_points(self.coords, t, th, "s")
 
     def _factors(self, tvals, svals, deriv: bool = False):
-        """The tensor grid as a rank-K product: ``(a, b, m)`` with ``a`` of
-        shape (n, n_t, K), ``b`` of shape (n, K, n_s, 4) and coordinate i at
-        node (t, theta) the sum over k of a[0, t, k] * b[0, k, theta, i].
-        n = 1, or n = 2 with ``deriv``: a[1] and b[1] are the derivatives of
-        a[0] and b[0] in t and theta, so that d/dt is a[1] times b[0] and
-        d/dtheta is a[0] times b[1], summed over k.
+        """The tensor grid as a rank-K product, coordinate by coordinate:
+        ``(rows, m)``, rows[i] = (a_i, b_i) with a_i of shape (n, K_i, n_t)
+        and b_i of shape (n, K_i, n_s), and coordinate i at node (t, theta)
+        the sum over k of a_i[0, k, t] * b_i[0, k, theta].  n = 1, or n = 2
+        with ``deriv``: a_i[1] and b_i[1] are the derivatives of a_i[0] and
+        b_i[0] in t and theta, so that d/dt is a_i[1] times b_i[0] and
+        d/dtheta is a_i[0] times b_i[1], summed over k.  ``m`` is at least
+        the sum of |a_i[0]| |b_i[0]| over k and i at every node, and
+        ``evaluate`` there rounds by at most eps * m, summed over the
+        coordinates.
 
-        There is one k per term: a[:, :, k] is its t-row with c folded in,
-        as ``_term_rows`` makes it (the product rule per term for the
-        derivative), and b[:, k, :, i] its theta-row in the column of its
-        coordinate, 0 in the others.  Each distinct factor is sampled once
-        on t and once on theta.  Summed in term order from 0.0 the products
-        a[0] b[0] are ``eval_grid`` bit for bit.  ``m`` is at least the sum
-        of |a[0]| |b[0]| over k and i at every node, and ``evaluate`` there
-        rounds by at most eps * m, summed over the coordinates: K times that
-        sum bounds the rounding of K products summed in a row."""
+        Coordinate i has one k per term: its t-row with c folded in and its
+        theta-row, as ``_term_rows`` makes them (the product rule per term
+        for the derivatives).  Summed in term order from 0.0 the products
+        are ``eval_grid`` bit for bit, so K, the number of all terms, times
+        the largest sum of |a| |b| bounds their rounding."""
         tvals, svals = np.asarray(tvals, float), np.asarray(svals, float)
-        a_rows, b_rows = (_term_rows(self.coords, side, x, deriv)
-                          for side, x in (("t", tvals), ("s", svals)))
-        a = np.concatenate(a_rows, axis=1).swapaxes(1, 2).copy()
-        n, k = a.shape[0], a.shape[2]
-        b = np.zeros((n, k, len(svals), 4))
-        col = 0
-        for i, rows in enumerate(b_rows):
-            b[:, col:col + rows.shape[1], :, i] = rows
-            col += rows.shape[1]
-        m = k * np.max(np.abs(a[0]) @ np.abs(b[0]).max(axis=(1, 2)), initial=0.0)
-        return a, b, m
+        rows = list(zip(_term_rows(self.coords, "t", tvals, deriv),
+                        _term_rows(self.coords, "s", svals, deriv)))
+        k = sum(map(len, self.coords))
+        m = k * np.max(sum(np.abs(b[0]).max(axis=1) @ np.abs(a[0]) for a, b in rows), initial=0.0)
+        return rows, m
 
     def to_json(self) -> dict:
         return {"type": "surface4", "coords": [_coord_json(c) for c in self.coords],
@@ -445,15 +439,15 @@ class PolyMap4:
         return tuple(np.stack([p.partial(w)(t, s) for p in self.polys], axis=-1) for w in "ts")
 
     def _factors(self, tvals, svals, deriv: bool = False):
-        """The tensor grid as a rank-K product, K = deg_t + 1, as
-        ``Surface4._factors`` describes: ``a[0]`` is the Vandermonde matrix
-        of tvals, and b[0, :, :, i] the coefficients of coordinate i times
-        the transposed Vandermonde matrix of svals; with ``deriv``, a[1] and
-        b[1] are made from the differentiated Vandermonde matrices.
+        """The tensor grid as a rank-K product, K = deg_t + 1, in the layout
+        of ``Surface4._factors``: a, shared by the four coordinates, is the
+        transposed Vandermonde matrix of tvals, and b_i[0] the coefficients
+        of coordinate i times that of svals; with ``deriv``, a[1] and b_i[1]
+        are made from the differentiated Vandermonde matrices.
 
         ``m`` is 2 (deg_t + deg_s + 1) times the largest sum of
         |c_ij| |t|^i |s|^j over the coordinates, which bounds the sum of
-        |a[0]| |b[0]|.  ``evaluate``'s Horner steps in t and then in s round
+        |a[0]| |b_i[0]|.  ``evaluate``'s Horner steps in t and then in s round
         by at most (2 deg_t + 2 deg_s) eps / 2 times that sum, and the
         powers and products that make a and b by (deg_t + 2 deg_s + 1)
         eps / 2 times it: together at most eps * m."""
@@ -463,12 +457,11 @@ class PolyMap4:
             ci[:p.shape[0], :p.shape[1]] = p
         vt = np.vander(np.asarray(tvals, float), c.shape[1], increasing=True)
         vs = np.vander(np.asarray(svals, float), c.shape[2], increasing=True)
-        a = np.stack([vt, _vander_slope(vt)] if deriv else [vt])
-        vss = [vs, _vander_slope(vs)] if deriv else [vs]
-        b = np.stack([np.moveaxis(c @ v.T, 0, -1) for v in vss])
+        a = np.stack([vt, _vander_slope(vt)] if deriv else [vt]).swapaxes(1, 2)
+        b = np.stack([c @ v.T for v in ([vs, _vander_slope(vs)] if deriv else [vs])], axis=1)
         beta = np.abs(c).sum(axis=0) @ np.abs(vs).max(axis=0)
         m = 2.0 * (c.shape[1] + c.shape[2] - 1) * np.max(np.abs(vt) @ beta)
-        return a, b, m
+        return [(a, bi) for bi in b], m
 
     def to_json(self) -> dict:
         return {"type": "polymap4", "coords": [p.to_json() for p in self.polys],

@@ -15,7 +15,7 @@ import numpy as np
 from .approx import PerturbationSpec, _perturb
 from .catalog import KnotArc, height_admissible
 from .poly import Interval, poly_scale
-from .surface import Surface4, _grid_sums, _images
+from .surface import _grid_sums, _images
 
 __all__ = [
     "VerifyReport", "Collision", "jacobian_rank_scan", "injectivity_scan",
@@ -107,38 +107,23 @@ def _gram(dt: np.ndarray, ds: np.ndarray):
 
 
 def _partials(s, tvals, svals):
-    """The partials (d/dt, d/dtheta) over the tensor grid, from the
-    sampler's rank-K factors and their derivatives (``_factors`` with
-    ``deriv``), each an (n_t, n_s, 4) view of a coordinate-major array, so
-    a coordinate's slice of it is contiguous.
-
-    A ``PolyMap4``'s columns serve every coordinate: each partial is one
-    product (n_t, K) times (K, 4 n_s).  A ``Surface4``'s coordinate owns
-    the columns of its own terms, which come in coordinate order, so each
-    coordinate is the product of those columns alone (``_grid_sums``).
-    Either way a node sums its products in column order from 0.0; the
-    columns a coordinate does not own would only add zeros."""
-    (a, a_t), (b, b_s), _ = s._factors(tvals, svals, True)
-    n_t, n_s, k = len(tvals), len(svals), a.shape[1]
-    if isinstance(s, Surface4):
-        ends = np.cumsum([0] + [len(terms) for terms in s.coords])
-        # the loop runs along theta innermost: contiguous theta-rows are faster
-        return tuple(_grid_sums([(x[:, lo:hi].T, np.ascontiguousarray(y[lo:hi, :, i]))
-                                 for i, (lo, hi) in enumerate(zip(ends[:-1], ends[1:]))], n_t, n_s)
-                     for x, y in ((a_t, b), (a, b_s)))
-    # einsum, not matmul: on 2 cores a threaded BLAS product of this shape
-    # can take a hundred times as long as one thread
-    return tuple(np.einsum("ij,jk->ik", x, np.swapaxes(y, 1, 2).reshape(k, 4 * n_s))
-                 .reshape(n_t, 4, n_s).swapaxes(1, 2) for x, y in ((a_t, b), (a, b_s)))
+    """The partials (d/dt, d/dtheta) over the tensor grid: per coordinate,
+    the products of its own rank-K rows and their derivatives (``_factors``
+    with ``deriv``), summed in column order by ``_grid_sums``.  Each is an
+    (n_t, n_s, 4) view of a coordinate-major array."""
+    rows, _ = s._factors(tvals, svals, True)
+    n_t, n_s = len(tvals), len(svals)
+    return (_grid_sums([(a[1], b[0]) for a, b in rows], n_t, n_s),
+            _grid_sums([(a[0], b[1]) for a, b in rows], n_t, n_s))
 
 
 def jacobian_rank_scan(s, n_t: int, n_s: int, tol: float = RANK_TOL) -> tuple[bool, float]:
     """Smallest ratio sigma_2 / sigma_1 of the 4x2 Jacobian over an inset grid.
 
     The partials come from the sampler's rank-K factors and their
-    derivatives (``_factors`` with ``deriv``) in matrix products
-    (``_partials``), not from ``partials_grid``; they agree with it to
-    rounding.  A sampler without
+    derivatives (``_factors`` with ``deriv``), one product per coordinate of
+    its own rows, the same for every sampler (``_partials``), not from
+    ``partials_grid``; they agree with it to rounding.  A sampler without
     them is refused with a TypeError.  A sampler of no terms has zero
     partials, and a ratio of 0.  The ratio comes from the eigenvalues of the
     2x2 Gram matrix J^T J; the scan passes when the minimum exceeds ``tol``.
@@ -329,26 +314,30 @@ def _factor_plane(s, tvals, svals, r: float):
     """The plane coordinates, in half cells of the plane stage for radius
     ``r``, of every sample of the scan grid, as an (n_t * n_s, 2) array in
     row-major order, from the sampler's rank-K factors of its values,
-    ``(a,), (b,), m = s._factors(tvals, svals)``, in one product
-    a @ (b @ _PLANE); or None when m or b @ _PLANE is not finite.
+    ``rows, m = s._factors(tvals, svals)``, in one product: the t-rows of
+    all coordinates stacked, times their theta-rows each scaled by its
+    coordinate's row of ``_PLANE`` (entries of 0.5 or -0.5); or None when m
+    or a scaled theta-row is not finite.
 
-    The room is (K + 8) eps (m + 2**-1022).  At a node, the image that
-    ``evaluate`` returns is within eps * m of the exact sum of a b, summed
-    over the coordinates (the factors' contract), so its exact projection
-    is within eps * m / 2 of that sum's; the products and sums that make
-    the hashed coordinate, and its scaling, round by at most
-    (K + 5) eps * m / 4.  Two nodes take less than (K + 7) eps * m / 2;
-    2**-1022, the least normal double, covers underflow.  |a b| summed is
-    at most m, so scaled coordinates stay below 2**50 in size and floor
-    exactly.
+    The room is (K + 8) eps (m + 2**-1022), K the number of columns of
+    all coordinates.  At a node, the image that ``evaluate`` returns is
+    within eps * m of the exact sum of a b, summed over the coordinates (the
+    factors' contract), so its exact projection is within eps * m / 2 of
+    that sum's; the products and sums that make the hashed coordinate, and
+    its scaling, round by at most (K + 5) eps * m / 4.  Two nodes take less
+    than (K + 7) eps * m / 2; 2**-1022, the least normal double, covers
+    underflow.  |a b| summed is at most m, so scaled coordinates stay below
+    2**50 in size and floor exactly.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        (a,), (b,), m = s._factors(tvals, svals)
-        bp = b @ _PLANE
+        rows, m = s._factors(tvals, svals)
+        a = np.concatenate([a[0] for a, _ in rows])
+        bp = np.stack([np.concatenate([b[0] * w for (_, b), w in zip(rows, axis)])
+                       for axis in _PLANE.T], axis=-1)
     if not (np.isfinite(m) and np.isfinite(bp).all()):
         return None
-    k = a.shape[1]
-    u = np.matmul(a, bp.reshape(k, 2 * len(svals))).reshape(-1, 2)
+    k = len(a)
+    u = np.matmul(a.T, bp.reshape(k, 2 * len(svals))).reshape(-1, 2)
     u /= _half_width(r, (k + 8) * _EPS * (m + _TINY))
     return u
 

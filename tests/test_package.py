@@ -39,3 +39,10 @@ def test_every_private_function_is_referenced_in_the_package():
                    if node.name.startswith("_") and not node.name.startswith("__")
                    and used[node.name] == _referenced(node)[node.name]]
     assert unused == []
+
+
+def test_verify_names_no_surface_model():
+    # the scans reach a sampler through evaluate, its domains and flags and
+    # _factors alone, so verify holds no per-model code path
+    tree = ast.parse((Path(spun4d.__file__).parent / "verify.py").read_text())
+    assert sorted({"Surface4", "PolyMap4"} & set(_referenced(tree))) == []

@@ -977,13 +977,14 @@ def test_sampler_contract(name):
     points: eval_grid is evaluate on the meshgrid, bit for bit; a PolyMap4's
     grids and partials are its polynomials on the meshgrid, bit for bit.
 
-    Its rank-K ``_factors``: a Surface4's value factors summed in term
-    order are eval_grid bit for bit; with ``deriv`` the value factors are
-    unchanged and the derivative products are partials_grid to rounding; m
-    bounds the sum of |a| |b| at every node.  The rounding scale is the
-    products' sum of absolute values, for a PolyMap4 with |c_ij| |t|^i |s|^j
-    in place of its terms: a power basis cancels inside b (the polynomial
-    spin's theta fits, at theta = pi)."""
+    Its rank-K ``_factors``, one pair of rows per coordinate: a Surface4's
+    value rows summed in term order are that coordinate of eval_grid bit for
+    bit; with ``deriv`` the value rows are unchanged and the derivative
+    products are partials_grid to rounding; m bounds the sum of |a| |b|
+    over every column of every coordinate at every node.  The rounding
+    scale is the products' sum of absolute values, for a PolyMap4 with
+    |c_ij| |t|^i |s|^j in place of its terms: a power basis cancels inside
+    b (the polynomial spin's theta fits, at theta = pi)."""
     s = _no_terms() if name == "no_terms" else _samplers()[name]
     tv, sv = s.t_dom.sample(37), s.s_dom.sample(29)
     assert s.evaluate(tv, sv[3]).shape == (37, 4)
@@ -1000,26 +1001,31 @@ def test_sampler_contract(name):
         for got, w in zip(s.partials_grid(tv, sv), "ts"):
             assert _bits(got) == _bits(np.stack([p.partial(w)(T, S) for p in s.polys], axis=-1))
 
-    (a,), (b,), m = s._factors(tv, sv)
-    k = a.shape[1]
-    assert a.shape == (37, k) and b.shape == (k, 29, 4)
-    if isinstance(s, Surface4):
-        summed = np.zeros((37, 29, 4))
-        for j in range(k):
-            summed += a[:, j, None, None] * b[j]
-        assert _bits(summed) == _bits(grid)
-    assert (np.einsum("tk,ksi->ts", np.abs(a), np.abs(b)) <= m).all()
-    (a0, a_t), (b0, b_s), m_deriv = s._factors(tv, sv, True)
-    assert _bits(a0) == _bits(a) and _bits(b0) == _bits(b) and m_deriv == m
+    rows, m = s._factors(tv, sv)
+    assert len(rows) == 4
+    for i, (a, b) in enumerate(rows):
+        k = a.shape[1]
+        assert a.shape == (1, k, 37) and b.shape == (1, k, 29)
+        if isinstance(s, Surface4):
+            summed = np.zeros((37, 29))
+            for j in range(k):
+                summed += a[0, j, :, None] * b[0, j]
+            assert _bits(summed) == _bits(grid[..., i])
+    assert (sum(np.einsum("kt,ks->ts", np.abs(a[0]), np.abs(b[0])) for a, b in rows) <= m).all()
+    deriv_rows, m_deriv = s._factors(tv, sv, True)
+    assert m_deriv == m
+    for (a, b), (ad, bd) in zip(rows, deriv_rows):
+        assert _bits(ad[:1]) == _bits(a) and _bits(bd[:1]) == _bits(b)
     if isinstance(s, PolyMap4):
         bound = replace(s, polys=tuple(Poly2(np.abs(p.coeffs)) for p in s.polys))
-        (x_abs, x_t_abs), (y_abs, y_s_abs), _ = bound._factors(np.abs(tv), np.abs(sv), True)
+        abs_rows, _ = bound._factors(np.abs(tv), np.abs(sv), True)
     else:
-        x_abs, x_t_abs, y_abs, y_s_abs = map(np.abs, (a0, a_t, b0, b_s))
-    for (x, y), want, (xa, ya) in zip(((a_t, b0), (a0, b_s)), s.partials_grid(tv, sv),
-                                      ((x_t_abs, y_abs), (x_abs, y_s_abs))):
-        got = np.einsum("tk,ksi->tsi", x, y)
-        assert (np.abs(got - want) <= 1e-13 * np.einsum("tk,ksi->tsi", xa, ya)).all()
+        abs_rows = [(np.abs(a), np.abs(b)) for a, b in deriv_rows]
+    # d/dt is a[1] times b[0], d/dtheta a[0] times b[1]
+    for (da, db), want in zip(((1, 0), (0, 1)), s.partials_grid(tv, sv)):
+        got, scale = (np.stack([np.einsum("kt,ks->ts", a[da], b[db]) for a, b in r], axis=-1)
+                      for r in (deriv_rows, abs_rows))
+        assert (np.abs(got - want) <= 1e-13 * scale).all()
 
 
 def _refuse_broadcast_sums(monkeypatch):
@@ -1150,16 +1156,17 @@ def test_rank_scan_matches_partials_grid_reference(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["spin", "twist_k10", "polynomial_spin_8", "bernstein_20", "no_terms"])
 def test_rank_scan_partials_are_the_factor_products_in_column_order(name):
-    """The scan's partials are the rank-K derivative products, summed over
-    every column in order from 0.0, bit for bit: a Surface4 coordinate that
-    multiplies only the columns of its own terms skips only zeros."""
+    """The scan's partials are, coordinate by coordinate, the rank-K
+    derivative products of that coordinate's own rows, summed over its
+    columns in order from 0.0, bit for bit."""
     s = _no_terms() if name == "no_terms" else _samplers()[name]
     tv, sv = _inset_samples(s.t_dom, 37), _inset_samples(s.s_dom, 29)
-    (a, a_t), (b, b_s), _ = s._factors(tv, sv, True)
-    for got, (x, y) in zip(verify_module._partials(s, tv, sv), ((a_t, b), (a, b_s))):
+    rows, _ = s._factors(tv, sv, True)
+    for got, (da, db) in zip(verify_module._partials(s, tv, sv), ((1, 0), (0, 1))):
         want = np.zeros((37, 29, 4))
-        for k in range(x.shape[1]):
-            want += x[:, k, None, None] * y[k]
+        for i, (a, b) in enumerate(rows):
+            for k in range(a.shape[1]):
+                want[..., i] += a[da, k, :, None] * b[db, k]
         assert _bits(got) == _bits(want)
 
 
@@ -1294,7 +1301,7 @@ def test_injectivity_scan_matches_meshgrid_reference(name):
     if name == "sphere_poles":
         assert any(c.param_a == (-1.0, 0.0) for c in got)
     if name == "cancelling_terms":
-        _, _, m = s._factors(s.t_dom.sample(n), s.s_dom.sample(n))
+        _, m = s._factors(s.t_dom.sample(n), s.s_dom.sample(n))
         assert m > 1e14 * np.abs(s.eval_grid(s.t_dom.sample(n), s.s_dom.sample(n))).max()
         assert max(c.distance for c in got) > 0.9 * image_tol
         assert len(injectivity_scan_meshgrid(s, n, n, param_sep, 1.05 * image_tol)) > len(got)

@@ -122,10 +122,11 @@ def test_injectivity_scan_evaluates_images_at_suspects_only(monkeypatch):
     # that share a plane cell with another node have their images evaluated
     s = _twist_k10()
     tvals, svals = s.t_dom.sample(400), 2.0 * np.pi * np.arange(400) / 400
-    (a,), (b,), _ = s._factors(tvals, svals)
+    rows, _ = s._factors(tvals, svals)
     summed = np.zeros((400, 400, 4))
-    for k in range(a.shape[1]):
-        summed += a[:, k, None, None] * b[k]
+    for i, (a, b) in enumerate(rows):
+        for k in range(a.shape[1]):
+            summed[..., i] += a[0, k, :, None] * b[0, k]
     assert summed.tobytes() == s.eval_grid(tvals, svals).tobytes()
     points = []
     evaluate = surface_module._eval_points
@@ -296,6 +297,42 @@ def test_rank_scan_and_verify_refuse_an_evaluate_only_sampler():
         with pytest.raises(TypeError, match=r"rank-K factors \(_factors\).*_EvaluateOnly has none"):
             scan()
     assert s.points == []
+
+
+class _Permuted:
+    """A sampler of no model class: only ``evaluate``, the domains and
+    flags, and ``_factors`` in the one layout, those of a Surface4 with its
+    coordinates taken in the order ``perm``."""
+
+    def __init__(self, s, perm):
+        self._s, self._perm = s, list(perm)
+        self.t_dom, self.s_dom = s.t_dom, s.s_dom
+        self.periodic_s, self.pole_low, self.pole_high = s.periodic_s, s.pole_low, s.pole_high
+
+    def evaluate(self, t, th):
+        return self._s.evaluate(t, th)[..., self._perm]
+
+    def _factors(self, tvals, svals, deriv=False):
+        rows, m = self._s._factors(tvals, svals, deriv)
+        return [rows[i] for i in self._perm], m
+
+
+@pytest.mark.parametrize("name", ["twist_k3", "spin_without_poles"])
+def test_scans_hold_no_per_model_code(name):
+    # a sampler with the factor layout alone gets the rank ratio and the
+    # collisions of the Surface4 whose coordinates are permuted the same way
+    arc = get_knot("trefoil_twist")
+    axis = make_axis(arc, -2.19, 2.19)
+    s = {"twist_k3": twist_spin(arc, axis, choose_bump(arc, axis), 3),
+         "spin_without_poles": replace(spin(get_knot("trefoil_spun")), periodic_s=False,
+                                       pole_low=False, pole_high=False)}[name]
+    perm = (2, 0, 3, 1)
+    wrapped = _Permuted(s, perm)
+    same = replace(s, coords=tuple(s.coords[i] for i in perm))
+    assert jacobian_rank_scan(wrapped, 96, 80) == jacobian_rank_scan(same, 96, 80)
+    got = injectivity_scan(wrapped, 120, 120, 0.05)
+    assert got == injectivity_scan(same, 120, 120, 0.05)
+    assert (len(got) > 0) == (name == "spin_without_poles")
 
 
 @pytest.mark.parametrize("name", ["twist_k10", "polynomial_spin_8"])
