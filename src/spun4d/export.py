@@ -20,6 +20,8 @@ __all__ = [
 
 AXIS_NAMES = "xyzw"
 FLOAT_FMT = "%.9g"
+# rows per formatting pass of a text export
+WRITE_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -175,8 +177,9 @@ def _cell_segments(field, tvals, svals, value, center):
     segments = np.take_along_axis(edges, pairs, axis=1).reshape(-1, 2)
     segments = segments[pairs.reshape(-1, 2)[:, 0] >= 0]
 
-    # each used edge runs from node (i, j) to node (i1, j1), one step in t or in theta
-    keys = np.unique(segments)
+    # each used edge runs from node (i, j) to node (i1, j1), one step in t or
+    # in theta; an edge that two segments share is written twice, alike
+    keys = segments.ravel()
     in_s = keys >= n_h
     i, j = np.where(in_s, np.divmod(keys - n_h, ns - 1), np.divmod(keys, ns))
     i1, j1 = i + ~in_s, j + in_s
@@ -318,18 +321,22 @@ def to_mesh(grid: Grid) -> SurfaceMesh:
 
 # -- file export ------------------------------------------------------------
 
-def _format_rows(prefix: str, fmt: str, rows: np.ndarray, sep: str = " ") -> str:
-    """All rows of a 2D array as text in one formatting pass, one line each:
-    ``prefix`` then the row's values in ``fmt`` separated by ``sep``."""
+def _write_rows(fh, prefix: str, fmt: str, rows: np.ndarray, sep: str = " ") -> None:
+    """Write the rows of a 2D array to ``fh`` as text, one line each:
+    ``prefix`` then the row's values in ``fmt`` separated by ``sep``.  Each
+    ``WRITE_ROWS`` rows are formatted in one pass, so a large export never
+    holds all its text, or one tuple of all its values, at once."""
     line = prefix + sep.join([fmt] * rows.shape[1]) + "\n"
-    return (line * rows.shape[0]) % tuple(rows.ravel().tolist())
+    for i in range(0, rows.shape[0], WRITE_ROWS):
+        chunk = rows[i:i + WRITE_ROWS]
+        fh.write((line * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
 
 
 def export_mesh(mesh: SurfaceMesh, fmt: str, path) -> None:
     if fmt == "obj":
         with open(path, "w") as fh:
-            fh.write(_format_rows("v ", FLOAT_FMT, np.asarray(mesh.vertices)))
-            fh.write(_format_rows("f ", "%d", np.asarray(mesh.faces).reshape(-1, 3) + 1))
+            _write_rows(fh, "v ", FLOAT_FMT, np.asarray(mesh.vertices))
+            _write_rows(fh, "f ", "%d", np.asarray(mesh.faces).reshape(-1, 3) + 1)
     elif fmt == "ply":
         with open(path, "w") as fh:
             fh.write("ply\nformat ascii 1.0\n")
@@ -337,8 +344,8 @@ def export_mesh(mesh: SurfaceMesh, fmt: str, path) -> None:
             fh.write("property float x\nproperty float y\nproperty float z\n")
             fh.write(f"element face {len(mesh.faces)}\n")
             fh.write("property list uchar int vertex_indices\nend_header\n")
-            fh.write(_format_rows("", FLOAT_FMT, np.asarray(mesh.vertices)))
-            fh.write(_format_rows("3 ", "%d", np.asarray(mesh.faces).reshape(-1, 3)))
+            _write_rows(fh, "", FLOAT_FMT, np.asarray(mesh.vertices))
+            _write_rows(fh, "3 ", "%d", np.asarray(mesh.faces).reshape(-1, 3))
     elif fmt == "json":
         with open(path, "w") as fh:
             # json.dumps encodes in C; json.dump streams through the Python encoder
@@ -358,7 +365,7 @@ def export_grid_csv(grid, path) -> None:
     rows = np.column_stack([T.ravel(), S.ravel(), grid.points.reshape(-1, dim)])
     with open(path, "w") as fh:
         fh.write("t,theta," + ",".join(AXIS_NAMES[:dim]) + "\n")
-        fh.write(_format_rows("", FLOAT_FMT, rows, ","))
+        _write_rows(fh, "", FLOAT_FMT, rows, ",")
 
 
 def export_slices(slices, fmt: str, path_pattern: str) -> list[str]:
@@ -382,7 +389,7 @@ def export_slices(slices, fmt: str, path_pattern: str) -> list[str]:
             with open(path, "w") as fh:
                 fh.write("curve,closed,c0,c1,c2\n")
                 for ci, (pts, closed) in enumerate(zip(sl.curves, sl.closed)):
-                    fh.write(_format_rows(f"{ci},{int(closed)},", FLOAT_FMT, np.asarray(pts), ","))
+                    _write_rows(fh, f"{ci},{int(closed)},", FLOAT_FMT, np.asarray(pts), ",")
         else:
             raise ValueError(f"unsupported slice format {fmt!r}")
     return paths

@@ -15,7 +15,7 @@ import numpy as np
 from .approx import PerturbationSpec, _perturb
 from .catalog import KnotArc, height_admissible
 from .poly import Interval, poly_scale
-from .surface import _grid_sums, _images
+from .surface import _images
 
 __all__ = [
     "VerifyReport", "Collision", "jacobian_rank_scan", "injectivity_scan",
@@ -41,6 +41,9 @@ _CELL_HASH = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F
 _PLANE = np.array([[0.5, 0.5], [0.5, -0.5], [0.5, -0.5], [0.5, 0.5]])
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
+# elements per floor in _floored: numpy copies an input that overlaps its
+# output of another type, so each call copies one block, not the array
+_FLOOR_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -94,27 +97,30 @@ def _inset_samples(iv: Interval, n: int) -> np.ndarray:
     return iv.lo + step * (np.arange(n) + 0.5)
 
 
-def _gram(dt: np.ndarray, ds: np.ndarray):
-    """g11, g22, g12 of the Gram matrix J^T J from the partials, arrays of
-    shape (..., 4): each is summed over the coordinates as
-    ((p0 + p1) + p2) + p3, the order of ``np.sum`` over a length-4 axis,
-    without its reduction loop."""
-    def dot(x, y):
-        p = x * y
-        return p[..., 0] + p[..., 1] + p[..., 2] + p[..., 3]
-
-    return dot(dt, dt), dot(ds, ds), dot(dt, ds)
-
-
-def _partials(s, tvals, svals):
-    """The partials (d/dt, d/dtheta) over the tensor grid: per coordinate,
-    the products of its own rank-K rows and their derivatives (``_factors``
-    with ``deriv``), summed in column order by ``_grid_sums``.  Each is an
-    (n_t, n_s, 4) view of a coordinate-major array."""
+def _gram_grid(s, tvals, svals):
+    """g11, g22, g12 of the Gram matrix J^T J over the tensor grid, from the
+    sampler's rank-K factors and their derivatives (``_factors`` with
+    ``deriv``).  Coordinate i's partials are the products of its own rows,
+    d/dt of a_i[1] and b_i[0] and d/dtheta of a_i[0] and b_i[1], each an
+    einsum as ``surface._grid_sums`` makes it (its columns added in order
+    from 0.0) into a reused buffer.  Each Gram entry sums their products,
+    made in a third, over the coordinates as ((p0 + p1) + p2) + p3, the
+    order of ``np.sum`` over a length-4 axis.  No (n_t, n_s, 4) array is
+    built."""
     rows, _ = s._factors(tvals, svals, True)
-    n_t, n_s = len(tvals), len(svals)
-    return (_grid_sums([(a[1], b[0]) for a, b in rows], n_t, n_s),
-            _grid_sums([(a[0], b[1]) for a, b in rows], n_t, n_s))
+    shape = (len(tvals), len(svals))
+    g11, g22, g12 = np.empty(shape), np.empty(shape), np.empty(shape)
+    dt, ds, p = np.empty(shape), np.empty(shape), np.empty(shape)
+    for i, (a, b) in enumerate(rows):
+        np.einsum("kt,ks->ts", a[1], b[0], out=dt)
+        np.einsum("kt,ks->ts", a[0], b[1], out=ds)
+        for g, x, y in ((g11, dt, dt), (g22, ds, ds), (g12, dt, ds)):
+            if i:
+                np.multiply(x, y, out=p)
+                g += p
+            else:
+                np.multiply(x, y, out=g)
+    return g11, g22, g12
 
 
 def jacobian_rank_scan(s, n_t: int, n_s: int, tol: float = RANK_TOL) -> tuple[bool, float]:
@@ -122,12 +128,13 @@ def jacobian_rank_scan(s, n_t: int, n_s: int, tol: float = RANK_TOL) -> tuple[bo
 
     The partials come from the sampler's rank-K factors and their
     derivatives (``_factors`` with ``deriv``), one product per coordinate of
-    its own rows, the same for every sampler (``_partials``), not from
+    its own rows, the same for every sampler (``_gram_grid``), not from
     ``partials_grid``; they agree with it to rounding.  A sampler without
     them is refused with a TypeError.  A sampler of no terms has zero
     partials, and a ratio of 0.  The ratio comes from the eigenvalues of the
-    2x2 Gram matrix J^T J; the scan passes when the minimum exceeds ``tol``.
-    Pole rows are excluded by the half-cell inset (the parametrization is
+    2x2 Gram matrix J^T J, worked out in place in the Gram entries' buffers
+    and one more; the scan passes when the minimum exceeds ``tol``.  Pole
+    rows are excluded by the half-cell inset (the parametrization is
     intentionally degenerate there).
     """
     if not hasattr(s, "_factors"):
@@ -139,16 +146,32 @@ def jacobian_rank_scan(s, n_t: int, n_s: int, tol: float = RANK_TOL) -> tuple[bo
     tvals = _inset_samples(s.t_dom, n_t)
     svals = _inset_samples(s.s_dom, n_s)
     with np.errstate(all="ignore"):
-        g11, g22, g12 = _gram(*_partials(s, tvals, svals))
+        g11, g22, g12 = _gram_grid(s, tvals, svals)
         tr = g11 + g22
-        disc = np.sqrt(np.maximum((g11 - g22) ** 2 + 4.0 * g12 ** 2, 0.0))
-        lam_hi = 0.5 * (tr + disc)
-        lam_lo = np.maximum(0.5 * (tr - disc), 0.0)
-        ratio_sq = np.where(lam_hi > 0.0, lam_lo / lam_hi, 0.0)
-    # tr and disc are >= 0 or NaN, so lam_hi is finite iff both are
-    if not np.isfinite(lam_hi).all():
-        raise ValueError("the surface's Jacobian is not finite on the rank grid, "
-                         "or its Gram matrix overflows")
+        # disc = sqrt(max((g11 - g22)**2 + 4 g12**2, 0)), in g11
+        disc = g11
+        disc -= g22
+        disc *= disc
+        g12 *= g12
+        g12 *= 4.0
+        disc += g12
+        np.maximum(disc, 0.0, out=disc)
+        np.sqrt(disc, out=disc)
+        # lam_hi = (tr + disc) / 2 in g22, and lam_lo = max((tr - disc) / 2, 0) in tr
+        lam_hi = np.add(tr, disc, out=g22)
+        lam_hi *= 0.5
+        lam_lo = tr
+        lam_lo -= disc
+        lam_lo *= 0.5
+        np.maximum(lam_lo, 0.0, out=lam_lo)
+        # tr and disc are >= 0 or NaN, so lam_hi is finite iff both are
+        if not np.isfinite(lam_hi).all():
+            raise ValueError("the surface's Jacobian is not finite on the rank grid, "
+                             "or its Gram matrix overflows")
+        # the squared ratio lam_lo / lam_hi, and 0 where lam_hi is 0
+        positive = lam_hi > 0.0
+        ratio_sq = np.divide(lam_lo, lam_hi, out=lam_lo, where=positive)
+        ratio_sq[~positive] = 0.0
     # sqrt is monotone and correctly rounded: the root of the least square is
     # the least root
     min_ratio = float(np.sqrt(np.min(ratio_sq)))
@@ -163,9 +186,15 @@ def _half_width(r: float, room: float) -> float:
     return r * (1.0 + 2.0 ** -20) + room
 
 
-def _half_cells(u: np.ndarray) -> np.ndarray:
-    """floor(u) as int64."""
-    return np.floor(u).astype(np.int64)
+def _floored(u: np.ndarray) -> np.ndarray:
+    """floor(u) as int64, in place: the result is a view of the contiguous
+    float array ``u``, which is spent.  Its values must be finite and below
+    2**63 in size."""
+    flat = u.reshape(-1)
+    h = flat.view(np.int64)
+    for i in range(0, len(flat), _FLOOR_BLOCK):
+        np.floor(flat[i:i + _FLOOR_BLOCK], out=h[i:i + _FLOOR_BLOCK], casting="unsafe")
+    return h.reshape(u.shape)
 
 
 def _size(pts: np.ndarray) -> float:
@@ -173,8 +202,9 @@ def _size(pts: np.ndarray) -> float:
 
 
 def _image_plane(pts: np.ndarray, r: float) -> np.ndarray:
-    """The plane coordinates, in half cells of the plane stage for radius
-    ``r``, of the rows of the (m, 4) array ``pts``.
+    """The half-cell indices (hx, hy) of the plane stage for radius ``r``,
+    an (m, 2) int64 array, of the rows of the (m, 4) array ``pts``: the
+    floors of their plane coordinates in half cells.
 
     With size the largest |coordinate|, each is within 5 eps * size of the
     exact projection of its row (four products summed, and the scale
@@ -183,7 +213,7 @@ def _image_plane(pts: np.ndarray, r: float) -> np.ndarray:
     """
     # einsum, not matmul: a threaded BLAS product of this shape can take ten
     # times as long as one thread
-    return np.einsum("ij,jk->ik", pts, _PLANE / _half_width(r, 16.0 * _EPS * _size(pts)))
+    return _floored(np.einsum("ij,jk->ik", pts, _PLANE / _half_width(r, 16.0 * _EPS * _size(pts))))
 
 
 def _low_fields(y: np.ndarray) -> tuple[int, int]:
@@ -202,12 +232,12 @@ def _low_fields(y: np.ndarray) -> tuple[int, int]:
     return bits, ib
 
 
-def _suspects(u: np.ndarray) -> np.ndarray:
-    """The plane stage: ascending indices of the rows of the (m, 2) array
-    ``u`` of plane coordinates, in half cells, that have another row whose
-    half-cell indices (hx, hy) differ from theirs by at most 1 on both axes
-    (that is, share a cell in one of the 4 grids of the plane), and a few
-    more.
+def _suspects(h: np.ndarray) -> np.ndarray:
+    """The plane stage: ascending indices of the rows of the (m, 2) int64
+    array ``h`` of half-cell indices (hx, hy) that have another row whose
+    indices differ from theirs by at most 1 on both axes (that is, share a
+    cell in one of the 4 grids of the plane), and a few more.  ``h`` is
+    spent: it holds the keys and their steps.
 
     Two sorts find them.  For off = 0 and 1, the rows fall in columns
     (hx + off) >> 1, two half cells wide, and a pair with |dhx| <= 1 shares
@@ -220,27 +250,29 @@ def _suspects(u: np.ndarray) -> np.ndarray:
     Columns whose hashes agree, and the step from one column to the next,
     only add suspects.  The keys sort as unsigned, so the steps between
     neighbours are exact, and only a step under two index fields gets the
-    exact test.
+    exact test.  The first key is made in a buffer of its own and the
+    second over hx, which it then leaves for that buffer, to be sorted.
     """
-    m = len(u)
+    m = len(h)
     if m < 2:
         return np.zeros(0, np.intp)
-    low = _half_cells(u[:, 1])
+    x, low = h[:, 0], h[:, 1]
     bits, ib = _low_fields(low)
-    x = _half_cells(u[:, 0])
-    keys = (x >> 1, x)
+    buf = x >> 1
     x += 1
     x >>= 1
-    for key in keys:
+    for key in (buf, x):
         key *= _CELL_HASH[0]  # wraps
         key &= -1 << bits
         key |= low
-    # low is spent: its buffer takes the steps between sorted keys
+    # low is spent: its column takes the steps between sorted keys
     step = low.view(np.uint64)[1:]
     index = (1 << ib) - 1
     suspect = np.zeros(m, bool)
-    for key in keys:
-        key = key.view(np.uint64)
+    key = buf.view(np.uint64)
+    for second in (False, True):
+        if second:
+            buf[:] = x
         key.sort()
         np.subtract(key[1:], key[:-1], out=step)
         # neighbours less than two index fields apart, then the exact test
@@ -275,7 +307,7 @@ def _space_pairs(pts: np.ndarray, r: float):
     m = len(pts)
     if m < 2:
         return
-    h = _half_cells(pts / _half_width(r, 4.0 * _EPS * _size(pts)))
+    h = _floored(pts / _half_width(r, 4.0 * _EPS * _size(pts)))
     low = h[:, 3].copy()
     bits, ib = _low_fields(low)
     index = (1 << ib) - 1
@@ -311,9 +343,11 @@ def _space_pairs(pts: np.ndarray, r: float):
 
 
 def _factor_plane(s, tvals, svals, r: float):
-    """The plane coordinates, in half cells of the plane stage for radius
-    ``r``, of every sample of the scan grid, as an (n_t * n_s, 2) array in
-    row-major order, from the sampler's rank-K factors of its values,
+    """The half-cell indices (hx, hy) of the plane stage for radius ``r`` of
+    every sample of the scan grid, as an (n_t * n_s, 2) int64 array in
+    row-major order: the floors of the plane coordinates in half cells,
+    made in place in the buffer of the product that gives them.  Those
+    come from the sampler's rank-K factors of its values,
     ``rows, m = s._factors(tvals, svals)``, in one product: the t-rows of
     all coordinates stacked, times their theta-rows each scaled by its
     coordinate's row of ``_PLANE`` (entries of 0.5 or -0.5); or None when m
@@ -339,7 +373,7 @@ def _factor_plane(s, tvals, svals, r: float):
     k = len(a)
     u = np.matmul(a.T, bp.reshape(k, 2 * len(svals))).reshape(-1, 2)
     u /= _half_width(r, (k + 8) * _EPS * (m + _TINY))
-    return u
+    return _floored(u)
 
 
 def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float = IMAGE_TOL) -> list[Collision]:
@@ -359,10 +393,11 @@ def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float =
     come from the sampler's rank-K ``_factors`` when it has them with a
     finite bound (``_factor_plane``, whose rounding room covers the gap to
     the projections of the images that ``evaluate`` returns), and else from
-    the image grid (``_image_plane``), which is dropped once projected.  One
-    path follows: the plane stage (``_suspects``, two sorts of packed keys)
-    on the nodes, the images of the suspects alone, and the R^4 stage
-    (``_space_pairs``, eight sorts) on them.  The plane stage is an exact
+    the image grid (``_image_plane``), which is dropped once projected;
+    either floors them to half-cell indices in place.  One path follows:
+    the plane stage (``_suspects``, two sorts of packed keys) on the nodes,
+    the images of the suspects alone, and the R^4 stage (``_space_pairs``,
+    eight sorts) on them.  The plane stage is an exact
     prefilter: the projection moves no pair further apart, so a node with
     no other within one half cell on both axes of the plane is in no close
     pair.  The first ``MAX_COLLISIONS`` collisions it yields are kept as

@@ -1,17 +1,22 @@
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import spun4d
 from spun4d import export
 from spun4d.catalog import KnotArc, get_knot
 from spun4d.cli import _default_axis
 from spun4d.errors import BadAxes
 from spun4d.export import (
-    _chain_segments as chain_segments, export_grid_csv, export_mesh, export_slices, project,
-    sample_surface, slice_surface, sweep_surface, to_mesh,
+    FLOAT_FMT, WRITE_ROWS, _chain_segments as chain_segments, _write_rows, export_grid_csv,
+    export_mesh, export_slices, project, sample_surface, slice_surface, sweep_surface, to_mesh,
 )
 from spun4d.poly import Interval, Poly1, Poly2
 from spun4d.spin import spin
@@ -336,3 +341,39 @@ def test_export_slices_rejects_bad_pattern_before_writing(tmp_path, trefoil_surf
     assert list(tmp_path.iterdir()) == []
     # one slice needs no index
     assert export_slices(slices[:1], "json", str(tmp_path / "x.json")) == [str(tmp_path / "x.json")]
+
+
+def test_slicing_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on first use, 12-14 ms of a process that
+    # slices; the slicer keeps every edge it uses, duplicates included
+    code = """
+import sys
+from spun4d import get_knot, spin
+from spun4d.export import slice_surface, sweep_surface
+s = spin(get_knot("trefoil_spun"))
+assert slice_surface(s, "w", 0.5).curves and len(sweep_surface(s, "z", 4)) == 4
+print("numpy.ma" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spun4d.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+def format_rows_reference(prefix, fmt, rows, sep=" "):
+    """Reference: every row of a 2D array as text in one formatting pass."""
+    line = prefix + sep.join([fmt] * rows.shape[1]) + "\n"
+    return (line * rows.shape[0]) % tuple(rows.ravel().tolist())
+
+
+@pytest.mark.parametrize("n", [0, 1, WRITE_ROWS, 2 * WRITE_ROWS + WRITE_ROWS // 2])
+def test_write_rows_in_chunks_matches_one_pass_formatting(n):
+    rng = np.random.default_rng(n)
+    floats = rng.normal(0.0, 10.0, (n, 3)) * 10.0 ** rng.integers(-12, 12, (n, 1))
+    ints = rng.integers(0, 1 << 20, (n, 3))
+    for prefix, fmt, rows, sep in (("v ", FLOAT_FMT, floats, " "), ("3 ", "%d", ints, " "),
+                                   ("2,1,", FLOAT_FMT, floats, ",")):
+        fh = io.StringIO()
+        _write_rows(fh, prefix, fmt, rows, sep)
+        assert fh.getvalue() == format_rows_reference(prefix, fmt, rows, sep)

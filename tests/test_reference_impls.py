@@ -45,8 +45,8 @@ from spun4d.twist import (
     PRECHECK_NT, Bump, choose_bump, make_axis, polynomialize_twist, twist_spin,
 )
 from spun4d.verify import (
-    _PLANE, MAX_COLLISIONS, Collision, _factor_plane, _gram, _image_plane, _inset_samples,
-    _space_pairs, _suspects, injectivity_scan, jacobian_rank_scan,
+    _PLANE, MAX_COLLISIONS, Collision, _factor_plane, _floored, _gram_grid, _image_plane,
+    _inset_samples, _space_pairs, _suspects, injectivity_scan, jacobian_rank_scan,
 )
 
 
@@ -1110,16 +1110,47 @@ def test_deviation_grid_and_sample_grid_take_the_grid_path(monkeypatch):
 
 # -- rank scan ----------------------------------------------------------------------
 
-def jacobian_rank_ratio_reference(s, n_t, n_s):
-    """Reference: the least sigma_2 / sigma_1 over the inset grid, from
-    ``partials_grid`` through the same Gram sums and eigenvalues."""
-    tvals, svals = _inset_samples(s.t_dom, n_t), _inset_samples(s.s_dom, n_s)
-    g11, g22, g12 = _gram(*s.partials_grid(tvals, svals))
+def gram_reference(dt, ds):
+    """Reference: g11, g22, g12 of the Gram matrix J^T J from the partials,
+    arrays of shape (..., 4), each summed over the coordinates as
+    ((p0 + p1) + p2) + p3 from whole (..., 4) products."""
+    def dot(x, y):
+        p = x * y
+        return p[..., 0] + p[..., 1] + p[..., 2] + p[..., 3]
+
+    return dot(dt, dt), dot(ds, ds), dot(dt, ds)
+
+
+def factor_partials_reference(s, tvals, svals):
+    """Reference: the partials (d/dt, d/dtheta) over the tensor grid from
+    the sampler's rank-K derivative factors, coordinate by coordinate, each
+    column's product added in order into a zeroed (n_t, n_s, 4) array."""
+    rows, _ = s._factors(tvals, svals, True)
+    out = []
+    for da, db in ((1, 0), (0, 1)):
+        want = np.zeros((len(tvals), len(svals), 4))
+        for i, (a, b) in enumerate(rows):
+            for k in range(a.shape[1]):
+                want[..., i] += a[da, k, :, None] * b[db, k]
+        out.append(want)
+    return out
+
+
+def rank_ratio_reference(g11, g22, g12):
+    """Reference: the least sigma_2 / sigma_1 from the Gram entries, by the
+    eigenvalues of the 2x2 Gram matrix, each step a new array."""
     tr = g11 + g22
     disc = np.sqrt(np.maximum((g11 - g22) ** 2 + 4.0 * g12 ** 2, 0.0))
     lam_hi = 0.5 * (tr + disc)
     lam_lo = np.maximum(0.5 * (tr - disc), 0.0)
     return float(np.min(np.sqrt(np.where(lam_hi > 0.0, lam_lo / lam_hi, 0.0))))
+
+
+def jacobian_rank_ratio_reference(s, n_t, n_s):
+    """Reference: the least sigma_2 / sigma_1 over the inset grid, from
+    ``partials_grid`` through the same Gram sums and eigenvalues."""
+    tvals, svals = _inset_samples(s.t_dom, n_t), _inset_samples(s.s_dom, n_s)
+    return rank_ratio_reference(*gram_reference(*s.partials_grid(tvals, svals)))
 
 
 def _refuse_partials_grid(monkeypatch):
@@ -1156,18 +1187,20 @@ def test_rank_scan_matches_partials_grid_reference(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["spin", "twist_k10", "polynomial_spin_8", "bernstein_20", "no_terms"])
 def test_rank_scan_partials_are_the_factor_products_in_column_order(name):
-    """The scan's partials are, coordinate by coordinate, the rank-K
-    derivative products of that coordinate's own rows, summed over its
-    columns in order from 0.0, bit for bit."""
+    """The scan's Gram entries are those of its partials that are,
+    coordinate by coordinate, the rank-K derivative products of that
+    coordinate's own rows, summed over its columns in order from 0.0, bit
+    for bit; and its in-place eigenvalue steps give the reference's ratio
+    from them, bit for bit."""
     s = _no_terms() if name == "no_terms" else _samplers()[name]
     tv, sv = _inset_samples(s.t_dom, 37), _inset_samples(s.s_dom, 29)
-    rows, _ = s._factors(tv, sv, True)
-    for got, (da, db) in zip(verify_module._partials(s, tv, sv), ((1, 0), (0, 1))):
-        want = np.zeros((37, 29, 4))
-        for i, (a, b) in enumerate(rows):
-            for k in range(a.shape[1]):
-                want[..., i] += a[da, k, :, None] * b[db, k]
-        assert _bits(got) == _bits(want)
+    want = gram_reference(*factor_partials_reference(s, tv, sv))
+    for got, ref in zip(_gram_grid(s, tv, sv), want):
+        assert _bits(got) == _bits(ref)
+    # with no terms the reference's eigenvalues are 0, and its ratio 0 / 0 is dropped
+    with np.errstate(invalid="ignore"):
+        ratio = rank_ratio_reference(*want)
+    assert _bits(jacobian_rank_scan(s, 37, 29)[1]) == _bits(ratio)
 
 
 def test_rank_scan_of_a_degenerate_map_is_zero_without_partials_grid(monkeypatch):
@@ -1528,8 +1561,25 @@ def suspects_brute_force(u):
                                       for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy)}
 
 
+@pytest.mark.parametrize("shape", [(0, 2), (1, 2), (7, 2), (3 * verify_module._FLOOR_BLOCK + 5, 2)])
+def test_floored_is_floor_as_int64_in_place(shape):
+    # spread values, integers and values just below them, and values near
+    # +-2**49 half cells; the largest array spans four blocks
+    rng = np.random.default_rng(7)
+    n = shape[0] * shape[1]
+    pick = rng.integers(0, 4, n)
+    ints = rng.integers(-50, 51, n).astype(float)
+    u = np.select([pick == 0, pick == 1, pick == 2],
+                  [rng.uniform(-1e3, 1e3, n), ints, ints - 2.0 ** -40],
+                  rng.choice([-1.0, 1.0], n) * 2.0 ** 49 + rng.uniform(-3.0, 3.0, n)).reshape(shape)
+    want = np.floor(u).astype(np.int64)
+    got = _floored(u)
+    assert got.dtype == np.int64 and got.shape == shape and (n == 0 or np.shares_memory(got, u))
+    assert _bits(got) == _bits(want)
+
+
 def _assert_suspects_cover_brute_force(u):
-    got = _suspects(u)
+    got = _suspects(np.floor(u).astype(np.int64))
     assert np.issubdtype(got.dtype, np.integer)
     assert np.all(np.diff(got) > 0) and (len(got) == 0 or 0 <= got[0] <= got[-1] < len(u))
     want = suspects_brute_force(u)
@@ -1592,7 +1642,7 @@ def test_suspects_cover_brute_force_near_2_49_half_cells(seed, n, spread):
 ], ids=["m0", "m1", "m2_equal", "m2_diagonal", "m2_odd_column", "m2_corner", "m2_x_apart",
         "m2_y_apart", "m2_far"])
 def test_suspects_of_at_most_two_rows(u, want):
-    got = _suspects(u)
+    got = _suspects(np.floor(u).astype(np.int64))
     assert got.tolist() == want == sorted(suspects_brute_force(u))
 
 

@@ -19,9 +19,10 @@ from spun4d.spin import polynomial_spin, spin
 from spun4d.surface import PolyMap4, Surface4, Term
 from spun4d.twist import choose_bump, make_axis, twist_spin
 from spun4d.verify import (
-    MAX_COLLISIONS, VerifyReport, _gram, _inset_samples, boundary_check, injectivity_scan,
+    MAX_COLLISIONS, VerifyReport, _gram_grid, _inset_samples, boundary_check, injectivity_scan,
     isotopy_family_check, jacobian_rank_scan, verify_surface,
 )
+from test_reference_impls import factor_partials_reference
 
 TWO_PI = 2.0 * math.pi
 
@@ -221,16 +222,22 @@ def test_verify_surface_failure_reported():
     assert not report.collisions_capped and "collisions_capped" not in report.to_json()
 
 
+def _traced_peak(call):
+    """The result of ``call()`` and the peak of the memory traced during it."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 def test_constant_map_scan_stops_at_the_cap():
     # every pair of the 160,000 samples is a collision: about 1.3e10 of them
     const = PolyMap4(tuple(Poly2(np.array([[c]])) for c in (1.0, 2.0, 3.0, 4.0)),
                      Interval(-1, 1), Interval(-1, 1))
-    tracemalloc.start()
-    try:
-        report = verify_surface(const, None, n_rank=16, n_inject=400)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    report, peak = _traced_peak(lambda: verify_surface(const, None, n_rank=16, n_inject=400))
     assert len(report.collisions) == MAX_COLLISIONS and report.collisions_capped
     assert report.to_json()["collisions_capped"] is True
     assert peak < 200e6
@@ -246,18 +253,31 @@ def test_constant_map_scan_stops_at_the_cap():
 
 
 def test_injectivity_scan_peak_memory_at_600():
-    # no (600 * 600, 4) image grid: the plane coordinates of the grid take
-    # 5.8 MB, and the plane stage 9.4 MB: three int64 arrays of 2.9 MB (the
-    # keys of its two sorts and the steps between sorted keys) and its flags.
-    # The peak is 15.1 MB
+    # no (600 * 600, 4) image grid, and no float plane next to the keys: the
+    # half-cell indices of the grid, floored in place in the buffer of the
+    # plane product, take 5.8 MB, and hold the second key and the steps
+    # between sorted keys; the first key takes 2.9 MB and the flags 0.7 MB.
+    # The peak is 9.4 MB; it was 15.1 MB with the float plane alive
     s = _twist_k10()
-    tracemalloc.start()
-    try:
-        assert injectivity_scan(s, 600, 600, 0.05, 1e-3) == []
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 15.9e6
+    found, peak = _traced_peak(lambda: injectivity_scan(s, 600, 600, 0.05, 1e-3))
+    assert found == [] and peak < 10e6
+
+
+def test_rank_scan_peak_memory_at_300():
+    # no (300 * 300, 4) partials: three Gram entries and three buffers for
+    # a coordinate's partials and their products, 0.72 MB each.  The peak is
+    # 4.5 MB; it was 10.8 MB with both partials and a product built whole
+    s = _twist_k10()
+    (ok, _), peak = _traced_peak(lambda: jacobian_rank_scan(s, 300, 300))
+    assert ok and peak < 5.5e6
+
+
+def test_verify_surface_peak_memory_at_300_600():
+    # the grids of twist_certify's fine checks: the plane stage at 600 sets
+    # the peak, 9.4 MB; it was 15.1 MB
+    s = _twist_k10()
+    report, peak = _traced_peak(lambda: verify_surface(s, None, 300, 600))
+    assert report.ok and peak < 10e6
 
 
 class _EvaluateOnly:
@@ -279,13 +299,8 @@ def test_injectivity_scan_of_an_evaluate_only_sampler_at_600():
     # scan peaks no higher than the factor route; only the suspects' images
     # are evaluated again
     s = _EvaluateOnly(_twist_k10())
-    tracemalloc.start()
-    try:
-        assert injectivity_scan(s, 600, 600, 0.05, 1e-3) == []
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 23.8e6
+    found, peak = _traced_peak(lambda: injectivity_scan(s, 600, 600, 0.05, 1e-3))
+    assert found == [] and peak < 23.8e6
     assert len(s.points) == 2 and s.points[0] == 600 * 600
     assert 0 < s.points[1] < 0.02 * 600 * 600
 
@@ -337,10 +352,14 @@ def test_scans_hold_no_per_model_code(name):
 
 @pytest.mark.parametrize("name", ["twist_k10", "polynomial_spin_8"])
 def test_gram_sums_match_np_sum_bitwise(name):
+    # the scan sums each Gram entry coordinate by coordinate, into buffers
+    # of one coordinate's shape, as np.sum does over the (..., 4) products
+    # of the partials from the same factors
     s = _twist_k10() if name == "twist_k10" else polynomial_spin(get_knot("trefoil_spun"), 8)
-    dt, ds = s.partials_grid(_inset_samples(s.t_dom, 200), _inset_samples(s.s_dom, 200))
+    tv, sv = _inset_samples(s.t_dom, 200), _inset_samples(s.s_dom, 200)
+    dt, ds = factor_partials_reference(s, tv, sv)
     want = (np.sum(dt * dt, axis=-1), np.sum(ds * ds, axis=-1), np.sum(dt * ds, axis=-1))
-    for got, ref in zip(_gram(dt, ds), want):
+    for got, ref in zip(_gram_grid(s, tv, sv), want):
         assert got.tobytes() == ref.tobytes()
 
 
