@@ -41,9 +41,9 @@ _CELL_HASH = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F
 _PLANE = np.array([[0.5, 0.5], [0.5, -0.5], [0.5, -0.5], [0.5, 0.5]])
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
-# elements per floor in _floored: numpy copies an input that overlaps its
-# output of another type, so each call copies one block, not the array
-_FLOOR_BLOCK = 1 << 14
+# elements per call of the blocked array steps: a block's temporary is all
+# that one makes (numpy copies an input that overlaps its output)
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -192,8 +192,8 @@ def _floored(u: np.ndarray) -> np.ndarray:
     2**63 in size."""
     flat = u.reshape(-1)
     h = flat.view(np.int64)
-    for i in range(0, len(flat), _FLOOR_BLOCK):
-        np.floor(flat[i:i + _FLOOR_BLOCK], out=h[i:i + _FLOOR_BLOCK], casting="unsafe")
+    for i in range(0, len(flat), _BLOCK):
+        np.floor(flat[i:i + _BLOCK], out=h[i:i + _BLOCK], casting="unsafe")
     return h.reshape(u.shape)
 
 
@@ -228,7 +228,9 @@ def _low_fields(y: np.ndarray) -> tuple[int, int]:
     bits = min(ib + yb, 40)
     y >>= ib + yb - bits
     y <<= ib
-    y |= np.arange(len(y))
+    # the indices a block at a time, so that no array of them all is made
+    for i in range(0, len(y), _BLOCK):
+        y[i:i + _BLOCK] |= np.arange(i, min(i + _BLOCK, len(y)))
     return bits, ib
 
 
@@ -250,29 +252,35 @@ def _suspects(h: np.ndarray) -> np.ndarray:
     Columns whose hashes agree, and the step from one column to the next,
     only add suspects.  The keys sort as unsigned, so the steps between
     neighbours are exact, and only a step under two index fields gets the
-    exact test.  The first key is made in a buffer of its own and the
-    second over hx, which it then leaves for that buffer, to be sorted.
+    exact test.  Each pass runs on contiguous columns: hx is copied to a
+    buffer of its own, where the first key is made, and hy to the first
+    half of the buffer of ``h``, whose second half takes the second key.
     """
     m = len(h)
     if m < 2:
         return np.zeros(0, np.intp)
-    x, low = h[:, 0], h[:, 1]
+    flat = h.reshape(-1)
+    x = h[:, 0].copy()
+    low, spare = flat[:m], flat[m:]
+    # row i's hy moves from 2i + 1 to i: each block writes below all that
+    # later blocks read
+    for i in range(0, m, _BLOCK):
+        j = min(i + _BLOCK, m)
+        low[i:j] = flat[2 * i + 1:2 * j:2]
     bits, ib = _low_fields(low)
-    buf = x >> 1
-    x += 1
+    np.add(x, 1, out=spare)
+    spare >>= 1
     x >>= 1
-    for key in (buf, x):
+    for key in (x, spare):
         key *= _CELL_HASH[0]  # wraps
         key &= -1 << bits
         key |= low
-    # low is spent: its column takes the steps between sorted keys
+    # low is spent: its buffer takes the steps between sorted keys
     step = low.view(np.uint64)[1:]
     index = (1 << ib) - 1
     suspect = np.zeros(m, bool)
-    key = buf.view(np.uint64)
-    for second in (False, True):
-        if second:
-            buf[:] = x
+    for key in (x, spare):
+        key = key.view(np.uint64)
         key.sort()
         np.subtract(key[1:], key[:-1], out=step)
         # neighbours less than two index fields apart, then the exact test

@@ -1561,7 +1561,7 @@ def suspects_brute_force(u):
                                       for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy)}
 
 
-@pytest.mark.parametrize("shape", [(0, 2), (1, 2), (7, 2), (3 * verify_module._FLOOR_BLOCK + 5, 2)])
+@pytest.mark.parametrize("shape", [(0, 2), (1, 2), (7, 2), (3 * verify_module._BLOCK + 5, 2)])
 def test_floored_is_floor_as_int64_in_place(shape):
     # spread values, integers and values just below them, and values near
     # +-2**49 half cells; the largest array spans four blocks
