@@ -15,7 +15,7 @@ import numpy as np
 from .approx import PerturbationSpec, _perturb
 from .catalog import KnotArc, height_admissible
 from .poly import Interval, poly_scale
-from .surface import _images
+from .surface import _images, _squared_distances
 
 __all__ = [
     "VerifyReport", "Collision", "jacobian_rank_scan", "injectivity_scan",
@@ -148,14 +148,14 @@ def jacobian_rank_scan(s, n_t: int, n_s: int, tol: float = RANK_TOL) -> tuple[bo
     with np.errstate(all="ignore"):
         g11, g22, g12 = _gram_grid(s, tvals, svals)
         tr = g11 + g22
-        # disc = sqrt(max((g11 - g22)**2 + 4 g12**2, 0)), in g11
+        # disc = sqrt((g11 - g22)**2 + 4 g12**2), in g11: a sum of squares,
+        # so >= 0 or NaN
         disc = g11
         disc -= g22
         disc *= disc
         g12 *= g12
         g12 *= 4.0
         disc += g12
-        np.maximum(disc, 0.0, out=disc)
         np.sqrt(disc, out=disc)
         # lam_hi = (tr + disc) / 2 in g22, and lam_lo = max((tr - disc) / 2, 0) in tr
         lam_hi = np.add(tr, disc, out=g22)
@@ -201,10 +201,10 @@ def _size(pts: np.ndarray) -> float:
     return max(float(pts.max(initial=0.0)), -float(pts.min(initial=0.0)))
 
 
-def _image_plane(pts: np.ndarray, r: float) -> np.ndarray:
-    """The half-cell indices (hx, hy) of the plane stage for radius ``r``,
-    an (m, 2) int64 array, of the rows of the (m, 4) array ``pts``: the
-    floors of their plane coordinates in half cells.
+def _image_plane(pts: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """The half-cell indices hx and hy of the plane stage for radius ``r``,
+    two (m,) int64 arrays, the rows of one buffer, of the rows of the (m, 4)
+    array ``pts``: the floors of their plane coordinates in half cells.
 
     With size the largest |coordinate|, each is within 5 eps * size of the
     exact projection of its row (four products summed, and the scale
@@ -213,7 +213,9 @@ def _image_plane(pts: np.ndarray, r: float) -> np.ndarray:
     """
     # einsum, not matmul: a threaded BLAS product of this shape can take ten
     # times as long as one thread
-    return _floored(np.einsum("ij,jk->ik", pts, _PLANE / _half_width(r, 16.0 * _EPS * _size(pts))))
+    u = np.einsum("ij,jk->ki", pts, _PLANE / _half_width(r, 16.0 * _EPS * _size(pts)),
+                  out=np.empty((2, len(pts))))
+    return tuple(_floored(u))
 
 
 def _low_fields(y: np.ndarray) -> tuple[int, int]:
@@ -234,12 +236,12 @@ def _low_fields(y: np.ndarray) -> tuple[int, int]:
     return bits, ib
 
 
-def _suspects(h: np.ndarray) -> np.ndarray:
-    """The plane stage: ascending indices of the rows of the (m, 2) int64
-    array ``h`` of half-cell indices (hx, hy) that have another row whose
-    indices differ from theirs by at most 1 on both axes (that is, share a
-    cell in one of the 4 grids of the plane), and a few more.  ``h`` is
-    spent: it holds the keys and their steps.
+def _suspects(hx: np.ndarray, hy: np.ndarray) -> np.ndarray:
+    """The plane stage: ascending indices of the rows whose half-cell
+    indices, in the contiguous (m,) int64 arrays ``hx`` and ``hy``, differ
+    from another row's by at most 1 on both axes (that is, share a cell in
+    one of the 4 grids of the plane), and a few more.  ``hx`` and ``hy`` are
+    spent: they hold the keys and their steps.
 
     Two sorts find them.  For off = 0 and 1, the rows fall in columns
     (hx + off) >> 1, two half cells wide, and a pair with |dhx| <= 1 shares
@@ -252,34 +254,25 @@ def _suspects(h: np.ndarray) -> np.ndarray:
     Columns whose hashes agree, and the step from one column to the next,
     only add suspects.  The keys sort as unsigned, so the steps between
     neighbours are exact, and only a step under two index fields gets the
-    exact test.  Each pass runs on contiguous columns: hx is copied to a
-    buffer of its own, where the first key is made, and hy to the first
-    half of the buffer of ``h``, whose second half takes the second key.
+    exact test.  The first key is made in hx, the second in one new buffer,
+    and the low fields in hy, which then takes the steps.
     """
-    m = len(h)
+    m = len(hx)
     if m < 2:
         return np.zeros(0, np.intp)
-    flat = h.reshape(-1)
-    x = h[:, 0].copy()
-    low, spare = flat[:m], flat[m:]
-    # row i's hy moves from 2i + 1 to i: each block writes below all that
-    # later blocks read
-    for i in range(0, m, _BLOCK):
-        j = min(i + _BLOCK, m)
-        low[i:j] = flat[2 * i + 1:2 * j:2]
-    bits, ib = _low_fields(low)
-    np.add(x, 1, out=spare)
+    bits, ib = _low_fields(hy)
+    spare = np.add(hx, 1)
     spare >>= 1
-    x >>= 1
-    for key in (x, spare):
+    hx >>= 1
+    for key in (hx, spare):
         key *= _CELL_HASH[0]  # wraps
         key &= -1 << bits
-        key |= low
-    # low is spent: its buffer takes the steps between sorted keys
-    step = low.view(np.uint64)[1:]
+        key |= hy
+    # hy is spent: its buffer takes the steps between sorted keys
+    step = hy.view(np.uint64)[1:]
     index = (1 << ib) - 1
     suspect = np.zeros(m, bool)
-    for key in (x, spare):
+    for key in (hx, spare):
         key = key.view(np.uint64)
         key.sort()
         np.subtract(key[1:], key[:-1], out=step)
@@ -309,8 +302,8 @@ def _space_pairs(pts: np.ndarray, r: float):
     d = 1, 2, ... along the sorted keys, at the positions whose key at d is
     at most 1 above their own, meets the pair.  Columns whose hashes agree, and the step from one
     column to the next, only add candidates.  The test is the squared
-    distance summed coordinate by coordinate, at most r * r, as
-    ``cKDTree.query_pairs`` makes it.
+    distance of ``surface._squared_distances``, summed coordinate by
+    coordinate, at most r * r, as ``cKDTree.query_pairs`` makes it.
     """
     m = len(pts)
     if m < 2:
@@ -341,8 +334,7 @@ def _space_pairs(pts: np.ndarray, r: float):
             # rows whose keys agree by chance may be far apart: a square
             # beyond double range is inf, which fails the test
             with np.errstate(over="ignore"):
-                sq = np.square(pts[i] - pts[j])
-                close = sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3] <= r * r
+                close = _squared_distances(pts[i] - pts[j]) <= r * r
             if close.any():
                 i, j = i[close], j[close]
                 yield np.minimum(i, j), np.maximum(i, j)
@@ -351,15 +343,15 @@ def _space_pairs(pts: np.ndarray, r: float):
 
 
 def _factor_plane(s, tvals, svals, r: float):
-    """The half-cell indices (hx, hy) of the plane stage for radius ``r`` of
-    every sample of the scan grid, as an (n_t * n_s, 2) int64 array in
-    row-major order: the floors of the plane coordinates in half cells,
-    made in place in the buffer of the product that gives them.  Those
-    come from the sampler's rank-K factors of its values,
-    ``rows, m = s._factors(tvals, svals)``, in one product: the t-rows of
-    all coordinates stacked, times their theta-rows each scaled by its
-    coordinate's row of ``_PLANE`` (entries of 0.5 or -0.5); or None when m
-    or a scaled theta-row is not finite.
+    """The half-cell indices hx and hy of the plane stage for radius ``r``
+    of every sample of the scan grid, two (n_t * n_s,) int64 arrays in
+    row-major order, the rows of one buffer: the floors of the plane
+    coordinates in half cells, made in place where the products put them.
+    Those come from the sampler's rank-K factors of its values,
+    ``rows, m = s._factors(tvals, svals)``, in one product per axis of the
+    plane: the t-rows of all coordinates stacked, times their theta-rows
+    each scaled by its coordinate's weight on that axis (0.5 or -0.5,
+    from ``_PLANE``); or None when m or a scaled theta-row is not finite.
 
     The room is (K + 8) eps (m + 2**-1022), K the number of columns of
     all coordinates.  At a node, the image that ``evaluate`` returns is
@@ -374,14 +366,14 @@ def _factor_plane(s, tvals, svals, r: float):
     with np.errstate(over="ignore", invalid="ignore"):
         rows, m = s._factors(tvals, svals)
         a = np.concatenate([a[0] for a, _ in rows])
-        bp = np.stack([np.concatenate([b[0] * w for (_, b), w in zip(rows, axis)])
-                       for axis in _PLANE.T], axis=-1)
+        bp = np.stack([np.concatenate([b[0] * w for (_, b), w in zip(rows, axis)]) for axis in _PLANE.T])
     if not (np.isfinite(m) and np.isfinite(bp).all()):
         return None
-    k = len(a)
-    u = np.matmul(a.T, bp.reshape(k, 2 * len(svals))).reshape(-1, 2)
-    u /= _half_width(r, (k + 8) * _EPS * (m + _TINY))
-    return _floored(u)
+    # both products in one (2, n_t, n_s) buffer: with two of half its size,
+    # perfbench's twist_certify ran about 5% fewer ops per second
+    u = np.matmul(a.T, bp)
+    u /= _half_width(r, (len(a) + 8) * _EPS * (m + _TINY))
+    return tuple(_floored(u).reshape(2, -1))
 
 
 def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float = IMAGE_TOL) -> list[Collision]:
@@ -402,16 +394,19 @@ def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float =
     finite bound (``_factor_plane``, whose rounding room covers the gap to
     the projections of the images that ``evaluate`` returns), and else from
     the image grid (``_image_plane``), which is dropped once projected;
-    either floors them to half-cell indices in place.  One path follows:
-    the plane stage (``_suspects``, two sorts of packed keys) on the nodes,
-    the images of the suspects alone, and the R^4 stage (``_space_pairs``,
-    eight sorts) on them.  The plane stage is an exact
-    prefilter: the projection moves no pair further apart, so a node with
-    no other within one half cell on both axes of the plane is in no close
-    pair.  The first ``MAX_COLLISIONS`` collisions it yields are kept as
-    arrays, each pair with its lesser (t, theta) first, sorted by a stable
-    ``np.lexsort`` on (param_a, param_b), and only then made ``Collision``
-    objects.
+    either floors them in place to two contiguous arrays of half-cell
+    indices, hx and hy, one per axis of the plane, and sample start takes
+    sample 0's in both.  One path follows: the plane stage (``_suspects``,
+    two sorts of packed keys) on the nodes' slices of hx and hy, the images
+    of the suspects alone, and the R^4 stage (``_space_pairs``, eight
+    sorts) on them.  The plane stage is an exact prefilter: the projection
+    moves no pair further apart, so a node with no other within one half
+    cell on both axes of the plane is in no close pair.  The first
+    ``MAX_COLLISIONS`` collisions it yields are kept as arrays, their
+    distances the roots of ``surface._squared_distances`` (the bits of
+    ``np.linalg.norm``'s), each pair with its lesser (t, theta) first,
+    sorted by a stable ``np.lexsort`` on (param_a, param_b), and only then
+    made ``Collision`` objects.
     """
     if n_t < 16 or n_s < 16:
         raise ValueError(f"injectivity grid sizes must be >= 16, got {n_t}x{n_s}")
@@ -433,9 +428,10 @@ def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float =
     plane = _factor_plane(s, tvals, svals, image_tol) if hasattr(s, "_factors") else None
     if plane is None:
         plane = _image_plane(_images(s, tvals[:, None], svals[None, :], what).reshape(-1, 4), image_tol)
-    plane[start] = plane[0]
-    sus = _suspects(plane[start:stop])
-    del plane
+    hx, hy = plane
+    hx[start], hy[start] = hx[0], hy[0]
+    sus = _suspects(hx[start:stop], hy[start:stop])
+    del plane, hx, hy
     if len(sus) == 0:
         return []
     # grid row and column of each suspect's first sample
@@ -457,7 +453,7 @@ def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float =
         dv = np.where(pole.any(axis=1), 0.0, dv)
         hits = np.flatnonzero(np.hypot(du, dv) > param_sep)[:MAX_COLLISIONS - count]
         i, j = pairs[hits].T
-        found.append((tp[hits], sp[hits], np.linalg.norm(pts[i] - pts[j], axis=-1)))
+        found.append((tp[hits], sp[hits], np.sqrt(_squared_distances(pts[i] - pts[j]))))
         count += len(hits)
         if count >= MAX_COLLISIONS:
             break

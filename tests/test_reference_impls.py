@@ -1425,7 +1425,7 @@ def _scan_pairs(pts, r):
     two stages for a sampler without ``_factors``: the plane stage on the
     rows, the R^4 stage on the suspects' rows alone, and its indices mapped
     back to the rows."""
-    sus = _suspects(_image_plane(pts, r))
+    sus = _suspects(*_image_plane(pts, r))
     for i, j in _space_pairs(pts[sus], r):
         yield sus[i], sus[j]
 
@@ -1578,8 +1578,15 @@ def test_floored_is_floor_as_int64_in_place(shape):
     assert _bits(got) == _bits(want)
 
 
+def _floored_axes(u):
+    """The floors of the (m, 2) array ``u``, as ``_suspects`` takes them: one
+    C-contiguous int64 array per axis."""
+    hx, hy = np.floor(u).astype(np.int64).T.copy()
+    return hx, hy
+
+
 def _assert_suspects_cover_brute_force(u):
-    got = _suspects(np.floor(u).astype(np.int64))
+    got = _suspects(*_floored_axes(u))
     assert np.issubdtype(got.dtype, np.integer)
     assert np.all(np.diff(got) > 0) and (len(got) == 0 or 0 <= got[0] <= got[-1] < len(u))
     want = suspects_brute_force(u)
@@ -1642,7 +1649,7 @@ def test_suspects_cover_brute_force_near_2_49_half_cells(seed, n, spread):
 ], ids=["m0", "m1", "m2_equal", "m2_diagonal", "m2_odd_column", "m2_corner", "m2_x_apart",
         "m2_y_apart", "m2_far"])
 def test_suspects_of_at_most_two_rows(u, want):
-    got = _suspects(np.floor(u).astype(np.int64))
+    got = _suspects(*_floored_axes(u))
     assert got.tolist() == want == sorted(suspects_brute_force(u))
 
 
@@ -1651,8 +1658,28 @@ def test_suspects_of_twist_k10_at_400_are_few():
     arc, axis = _twist_setup("trefoil_twist")
     s = twist_spin(arc, axis, choose_bump(arc, axis), 10)
     svals = s.s_dom.lo + s.s_dom.length * np.arange(400) / 400
-    got, want = _assert_suspects_cover_brute_force(_factor_plane(s, s.t_dom.sample(400), svals, 1e-3))
+    hx, hy = _factor_plane(s, s.t_dom.sample(400), svals, 1e-3)
+    got, want = _assert_suspects_cover_brute_force(np.stack([hx, hy], axis=1))
     assert 0 < len(got) <= 1.1 * len(want)
+
+
+@pytest.mark.parametrize("model", ["twist_k10", "polynomial_spin_8"])
+def test_plane_indices_are_two_contiguous_int64_arrays(model):
+    # both producers of the plane stage's input, from the factors and from
+    # the image grid, on a grid that is not square
+    if model == "twist_k10":
+        arc, axis = _twist_setup("trefoil_twist")
+        s = twist_spin(arc, axis, choose_bump(arc, axis), 10)
+    else:
+        s = polynomial_spin(get_knot("trefoil_spun"), 8)
+    tvals, svals = s.t_dom.sample(37), s.s_dom.sample(50)
+    for plane in (_factor_plane(s, tvals, svals, 1e-3),
+                  _image_plane(s.eval_grid(tvals, svals).reshape(-1, 4), 1e-3)):
+        assert isinstance(plane, tuple) and len(plane) == 2
+        hx, hy = plane
+        for h in plane:
+            assert h.dtype == np.int64 and h.shape == (37 * 50,) and h.flags.c_contiguous
+        assert not np.shares_memory(hx, hy)
 
 
 # -- column-hash collisions ------------------------------------------------------------
