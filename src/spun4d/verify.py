@@ -213,8 +213,7 @@ def _image_plane(pts: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
     """
     # einsum, not matmul: a threaded BLAS product of this shape can take ten
     # times as long as one thread
-    u = np.einsum("ij,jk->ki", pts, _PLANE / _half_width(r, 16.0 * _EPS * _size(pts)),
-                  out=np.empty((2, len(pts))))
+    u = np.einsum("ij,jk->ki", pts, _PLANE / _half_width(r, 16.0 * _EPS * _size(pts)), order="C")
     return tuple(_floored(u))
 
 

@@ -1398,6 +1398,18 @@ def test_injectivity_scan_matches_meshgrid_reference_with_one_pole(pole):
     assert got == injectivity_scan_meshgrid(s, 64, 64, 0.05, 1e-3)
 
 
+def test_injectivity_scan_pins_a_flagged_pole_row_on_both_plane_axes():
+    # (t**2, s, 0, 0) with its t = -1 row flagged as a pole: that row is not
+    # one point, so the node standing for it must take the plane indices of
+    # its first sample (-1, -1) on both axes, whose image (1, -1) is that
+    # of (1, -1); the row's last sample lies 2 away on the second axis
+    s = PolyMap4((Poly2.from_t(Poly1((0.0, 0.0, 1.0))), Poly2.from_s(Poly1((0.0, 1.0))), Poly2(), Poly2()),
+                 Interval(-1.0, 1.0), Interval(-1.0, 1.0), False, True, False)
+    got = injectivity_scan(s, 32, 32, 0.05, 1e-3)
+    assert Collision((-1.0, -1.0), (1.0, -1.0), 0.0) in got
+    assert got == injectivity_scan_meshgrid(s, 32, 32, 0.05, 1e-3)
+
+
 def test_injectivity_scan_with_an_overflowing_factor_bound_matches_meshgrid_reference():
     # x is +-2**1022 (1 + t) on two t factors that differ only in a 2**-60 t**2
     # term, below the rounding of 1 + t on [-1, 1]: the terms cancel exactly in
