@@ -30,7 +30,8 @@ class Grid:
     points[i, j] is the image of (tvals[i], svals[j]).
 
     ``seam_duplicated`` flags a last theta column that repeats the first,
-    ``pole_low`` / ``pole_high`` a first / last row that is one point."""
+    ``pole_low`` / ``pole_high`` a first / last row that is one point;
+    ``columns`` names the d coordinates: axes of R^4, or p0-p2 for a matrix."""
 
     tvals: np.ndarray
     svals: np.ndarray
@@ -38,6 +39,7 @@ class Grid:
     seam_duplicated: bool
     pole_low: bool
     pole_high: bool
+    columns: tuple[str, ...] = tuple(AXIS_NAMES)
 
 
 @dataclass(frozen=True)
@@ -106,15 +108,15 @@ def project(grid: Grid, spec) -> Grid:
     projection applied pointwise."""
     if isinstance(spec, str):
         idx = _axes_indices(spec)
-        pts = grid.points[..., idx]
+        pts, columns = grid.points[..., idx], tuple(spec)
     else:
         M = np.asarray(spec, float)
         if M.shape != (3, 4):
             raise BadAxes(f"projection matrix must be 3x4, got {M.shape}")
         if np.linalg.matrix_rank(M) < 3:
             raise BadAxes("projection matrix rows must be independent")
-        pts = grid.points @ M.T
-    return replace(grid, points=pts)
+        pts, columns = grid.points @ M.T, ("p0", "p1", "p2")
+    return replace(grid, points=pts, columns=columns)
 
 
 # -- marching squares -------------------------------------------------------
@@ -359,12 +361,12 @@ def export_mesh(mesh: SurfaceMesh, fmt: str, path) -> None:
 
 
 def export_grid_csv(grid, path) -> None:
-    """One sample per row: t, theta, then the image coordinates."""
+    """One sample per row: t, theta, then the grid's ``columns``."""
     dim = grid.points.shape[-1]
     T, S = np.meshgrid(grid.tvals, grid.svals, indexing="ij")
     rows = np.column_stack([T.ravel(), S.ravel(), grid.points.reshape(-1, dim)])
     with open(path, "w") as fh:
-        fh.write("t,theta," + ",".join(AXIS_NAMES[:dim]) + "\n")
+        fh.write("t,theta," + ",".join(grid.columns) + "\n")
         _write_rows(fh, "", FLOAT_FMT, rows, ",")
 
 

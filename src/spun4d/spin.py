@@ -36,9 +36,9 @@ def spin(arc: KnotArc) -> Surface4:
 
 def polynomial_spin(arc: KnotArc, cheb_degree: int) -> PolyMap4:
     """The spin of ``arc`` polynomialized as ``twist.polynomialize_twist``
-    does it, with cos and sin replaced by their Chebyshev interpolants on
-    [0, 2*pi], and multiplied out into a ``PolyMap4``:
-    (f(t), g(t), h(t) C(theta), h(t) S(theta)).
+    does it, cos and sin replaced by their Chebyshev interpolants on [0, 2*pi],
+    multiplied out into a ``PolyMap4`` (f(t), g(t), h(t) C(theta), h(t) S(theta))
+    that the spin's own evaluator samples, by rows in the powers of t.
 
     The deviation from the exact spin is bounded by max|h| times the fit
     errors; compare with ``surface.max_grid_deviation``.

@@ -7,17 +7,16 @@ Each coordinate of a ``Surface4`` is a flat sum of terms
 where a t-factor is a ``Poly1`` or a ``Bump`` and a theta-factor is a
 ``Poly1`` or a ``Trig`` (cos or sin of an integer multiple of theta).  Every
 construction here has this form: the spin has one term per coordinate, the
-k-twist spin at most four.  One evaluator serves points, grids and partials:
-it samples each distinct factor once on t and once on theta and stacks each
-coordinate's term rows.  At points it sums the broadcast products term by
-term.  A tensor grid, a column of t and a row of theta, costs one factor
-sample per grid line and one product per coordinate of its own stacked
-t-rows and theta-rows, which adds the same products in the same order, so
-a grid is its points bit for bit.  First partials follow by the product
-rule, never by finite differences.  The scans take a tensor grid, and its
-partials when they ask, as a rank-K product of each coordinate's own t-rows
-and theta-rows: both models give it in one layout, ``_factors``, which
-``Surface4._factors`` states (``PolyMap4``'s rows are Vandermonde matrices).
+k-twist spin at most four; a ``PolyMap4``, a polynomial in (t, s) per
+coordinate, has one term per power of t.  One evaluator serves both models
+at points, on tensor grids and for exact partials, from each coordinate's
+rows on t and on theta: a ``Surface4``'s term rows (each distinct factor
+sampled once, c folded into the t-rows), or a ``PolyMap4``'s powers of t,
+shared by its four coordinates, and its coefficients times the powers of
+theta.  At points it sums the broadcast products row by row; on a tensor
+grid it makes one product per coordinate of its stacked rows, which adds
+the same products in the same order, so a grid is its points bit for bit.
+The scans take a tensor grid as the same rows, a rank-K product (``_factors``).
 
 Surface files keep the tagged tree format (``sum``, ``product``, ``const``,
 ``poly_t``, ``poly_theta``, ``cos_k``, ``sin_k``, ``bump``): the writer emits
@@ -188,15 +187,24 @@ def _term_rows(coords, side: str, x, deriv: bool):
     return out
 
 
-def _eval_points(coords, t, th, deriv: str = "") -> np.ndarray:
-    """Coordinates at the points broadcast(t, th); shape that + (len(coords),).
-    With ``deriv`` "t" or "s", their partial derivative in t or theta.
+def _powers(x, n: int, deriv: bool) -> np.ndarray:
+    """x^0, ..., x^(n-1) on x, each the one before times x as in ``np.vander``,
+    shape (1 + deriv, n) + x.shape; with ``deriv`` row [1, j] is j x^(j-1)."""
+    out = np.ones((1 + deriv, n) + x.shape)
+    np.multiply.accumulate(np.broadcast_to(x, (n - 1,) + x.shape), axis=0, out=out[0, 1:])
+    if deriv:
+        out[1, 0] = 0.0
+        out[1, 1:] = out[0, :-1] * np.arange(1.0, n).reshape((-1,) + (1,) * x.ndim)
+    return out
 
-    Each factor is sampled on t and on th in their own shapes.  A tensor
-    grid ``tvals[:, None], svals[None, :]`` goes to ``_grid_sums``, other
-    points to ``_broadcast_sums``; both sum the terms c a(t) b(th) in term
-    order from 0.0, each product rounded on its own, so a grid is its
-    points bit for bit."""
+
+def _eval_points(rows, t, th, deriv: str = "") -> np.ndarray:
+    """Coordinates at the points broadcast(t, th), shape that + (number of
+    coordinates,), or with ``deriv`` "t" or "s" their partial in t or theta,
+    from ``rows(side, x, deriv)``, a model's ``_rows`` on x in its own shape.
+    A tensor grid ``tvals[:, None], svals[None, :]`` goes to ``_grid_sums``,
+    other points to ``_broadcast_sums``; both sum the products a(t) b(th) in
+    row order from 0.0, each rounded on its own: a grid is its points."""
     t, th = np.asarray(t, float), np.asarray(th, float)
     dt, ds = int(deriv == "t"), int(deriv == "s")
     # a grid of one node would make einsum's loop a dot product, which sums
@@ -204,11 +212,34 @@ def _eval_points(coords, t, th, deriv: str = "") -> np.ndarray:
     grid = t.ndim == th.ndim == 2 and t.shape[1] == th.shape[0] == 1 < t.size * th.size
     if grid:
         t, th = t[:, 0], th[0]
-    a_rows, s_rows = _term_rows(coords, "t", t, dt), _term_rows(coords, "s", th, ds)
-    rows = [(a[dt], s[ds]) for a, s in zip(a_rows, s_rows)]
+    pairs = [(a[dt], b[ds]) for a, b in zip(rows("t", t, dt), rows("s", th, ds))]
     if grid:
-        return _grid_sums(rows, len(t), len(th))
-    return _broadcast_sums(rows, np.broadcast_shapes(t.shape, th.shape))
+        return _grid_sums(pairs, len(t), len(th))
+    return _broadcast_sums(pairs, np.broadcast_shapes(t.shape, th.shape))
+
+
+def _eval_grid(rows, tvals, svals, deriv: str = "") -> np.ndarray:
+    """``_eval_points`` on the tensor grid of tvals and svals."""
+    return _eval_points(rows, np.reshape(tvals, (-1, 1)), np.reshape(svals, (1, -1)), deriv)
+
+
+def _rank_factors(s, tvals, svals, deriv: bool = False):
+    """Both models' ``_factors``: the tensor grid as a rank-K product,
+    ``(rows, m)``.  rows[i] = (a_i, b_i) are coordinate i's ``_rows``, a_i
+    of shape (n, K_i, n_t) and b_i (n, K_i, n_s); the coordinate at node
+    (t, theta) is the sum over k of a_i[0, k, t] * b_i[0, k, theta].  n = 1,
+    or n = 2 with ``deriv``: a_i[1] and b_i[1] are the derivatives of a_i[0]
+    and b_i[0], so d/dt is a_i[1] times b_i[0] and d/dtheta a_i[0] times
+    b_i[1], summed over k.  ``m`` is at least the sum of |a_i[0]| |b_i[0]|
+    over k and i at every node, and ``evaluate`` there rounds by at most
+    eps * m, summed over the coordinates: it adds these products in row
+    order from 0.0, so K, the number of all rows, times the largest sum of
+    |a| |b| bounds its rounding."""
+    tvals, svals = np.asarray(tvals, float), np.asarray(svals, float)
+    pairs = list(zip(s._rows("t", tvals, deriv), s._rows("s", svals, deriv)))
+    k = sum(a.shape[1] for a, _ in pairs)
+    m = k * np.max(sum(np.abs(b[0]).max(axis=1) @ np.abs(a[0]) for a, b in pairs), initial=0.0)
+    return pairs, m
 
 
 def _grid_sums(rows, n_t: int, n_s: int) -> np.ndarray:
@@ -371,41 +402,21 @@ class Surface4:
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(_collect(c) for c in self.coords))
 
+    def _rows(self, side: str, x, deriv: bool):
+        return _term_rows(self.coords, side, x, deriv)
+
     def evaluate(self, t, th) -> np.ndarray:
         """Evaluate all four coordinates; result shape broadcast(t, th) + (4,)."""
-        return _eval_points(self.coords, t, th)
+        return _eval_points(self._rows, t, th)
 
     def eval_grid(self, tvals, svals) -> np.ndarray:
-        return _eval_points(self.coords, np.reshape(tvals, (-1, 1)), np.reshape(svals, (1, -1)))
+        return _eval_grid(self._rows, tvals, svals)
 
     def partials_grid(self, tvals, svals):
         """(d/dt, d/dtheta) of all coordinates over the tensor grid."""
-        t, th = np.reshape(tvals, (-1, 1)), np.reshape(svals, (1, -1))
-        return _eval_points(self.coords, t, th, "t"), _eval_points(self.coords, t, th, "s")
+        return _eval_grid(self._rows, tvals, svals, "t"), _eval_grid(self._rows, tvals, svals, "s")
 
-    def _factors(self, tvals, svals, deriv: bool = False):
-        """The tensor grid as a rank-K product, coordinate by coordinate:
-        ``(rows, m)``, rows[i] = (a_i, b_i) with a_i of shape (n, K_i, n_t)
-        and b_i of shape (n, K_i, n_s), and coordinate i at node (t, theta)
-        the sum over k of a_i[0, k, t] * b_i[0, k, theta].  n = 1, or n = 2
-        with ``deriv``: a_i[1] and b_i[1] are the derivatives of a_i[0] and
-        b_i[0] in t and theta, so that d/dt is a_i[1] times b_i[0] and
-        d/dtheta is a_i[0] times b_i[1], summed over k.  ``m`` is at least
-        the sum of |a_i[0]| |b_i[0]| over k and i at every node, and
-        ``evaluate`` there rounds by at most eps * m, summed over the
-        coordinates.
-
-        Coordinate i has one k per term: its t-row with c folded in and its
-        theta-row, as ``_term_rows`` makes them (the product rule per term
-        for the derivatives).  Summed in term order from 0.0 the products
-        are ``eval_grid`` bit for bit, so K, the number of all terms, times
-        the largest sum of |a| |b| bounds their rounding."""
-        tvals, svals = np.asarray(tvals, float), np.asarray(svals, float)
-        rows = list(zip(_term_rows(self.coords, "t", tvals, deriv),
-                        _term_rows(self.coords, "s", svals, deriv)))
-        k = sum(map(len, self.coords))
-        m = k * np.max(sum(np.abs(b[0]).max(axis=1) @ np.abs(a[0]) for a, b in rows), initial=0.0)
-        return rows, m
+    _factors = _rank_factors
 
     def to_json(self) -> dict:
         return {"type": "surface4", "coords": [_coord_json(c) for c in self.coords],
@@ -418,7 +429,8 @@ class Surface4:
 
 @dataclass(frozen=True)
 class PolyMap4:
-    """Fully polynomial map (t, s) -> R^4; same sampling protocol as Surface4."""
+    """Fully polynomial map (t, s) -> R^4, coordinate i the sum of
+    polys[i].coeffs[j, k] t^j s^k, sampled as a Surface4 is, by its ``_rows``."""
 
     polys: tuple[Poly2, Poly2, Poly2, Poly2]
     t_dom: Interval
@@ -427,41 +439,33 @@ class PolyMap4:
     pole_low: bool = False
     pole_high: bool = False
 
+    def _rows(self, side: str, x, deriv: bool):
+        """One row per power of t, in the layout of ``_term_rows`` (with
+        ``deriv``, row [1] the derivative): on side "t" the powers of x, one
+        array for the four coordinates; on side "s" coordinate q's row i is
+        the sum over j of its c_ij x^j, for all rows and samples in one
+        einsum whose loop adds the products in order of j from 0.0 for x of
+        any shape (not as a dot product or BLAS ``@``): a grid's rows are its points'."""
+        c = np.zeros((max(p.deg_s for p in self.polys) + 1, 4, max(p.deg_t for p in self.polys) + 1))
+        if side == "t":
+            return (_powers(x, c.shape[2], deriv),) * 4
+        for q, p in enumerate(self.polys):
+            c[:p.deg_s + 1, q, :p.deg_t + 1] = p.coeffs.T
+        v = _powers(x, len(c), deriv).swapaxes(0, 1)
+        rows = np.einsum("jk,jm->km", c.reshape(len(c), -1), v.reshape(len(c), -1))
+        return np.moveaxis(rows.reshape((4, -1) + v.shape[1:]), 2, 1)
+
     def evaluate(self, t, s) -> np.ndarray:
         """All four coordinates; result shape broadcast(t, s) + (4,)."""
-        return np.stack([p(t, s) for p in self.polys], axis=-1)
+        return _eval_points(self._rows, t, s)
 
     def eval_grid(self, tvals, svals) -> np.ndarray:
-        return self.evaluate(np.reshape(tvals, (-1, 1)), np.reshape(svals, (1, -1)))
+        return _eval_grid(self._rows, tvals, svals)
 
     def partials_grid(self, tvals, svals):
-        t, s = np.reshape(tvals, (-1, 1)), np.reshape(svals, (1, -1))
-        return tuple(np.stack([p.partial(w)(t, s) for p in self.polys], axis=-1) for w in "ts")
+        return _eval_grid(self._rows, tvals, svals, "t"), _eval_grid(self._rows, tvals, svals, "s")
 
-    def _factors(self, tvals, svals, deriv: bool = False):
-        """The tensor grid as a rank-K product, K = deg_t + 1, in the layout
-        of ``Surface4._factors``: a, shared by the four coordinates, is the
-        transposed Vandermonde matrix of tvals, and b_i[0] the coefficients
-        of coordinate i times that of svals; with ``deriv``, a[1] and b_i[1]
-        are made from the differentiated Vandermonde matrices.
-
-        ``m`` is 2 (deg_t + deg_s + 1) times the largest sum of
-        |c_ij| |t|^i |s|^j over the coordinates, which bounds the sum of
-        |a[0]| |b_i[0]|.  ``evaluate``'s Horner steps in t and then in s round
-        by at most (2 deg_t + 2 deg_s) eps / 2 times that sum, and the
-        powers and products that make a and b by (deg_t + 2 deg_s + 1)
-        eps / 2 times it: together at most eps * m."""
-        coeffs = [p.coeffs for p in self.polys]
-        c = np.zeros((4, max(p.shape[0] for p in coeffs), max(p.shape[1] for p in coeffs)))
-        for ci, p in zip(c, coeffs):
-            ci[:p.shape[0], :p.shape[1]] = p
-        vt = np.vander(np.asarray(tvals, float), c.shape[1], increasing=True)
-        vs = np.vander(np.asarray(svals, float), c.shape[2], increasing=True)
-        a = np.stack([vt, _vander_slope(vt)] if deriv else [vt]).swapaxes(1, 2)
-        b = np.stack([c @ v.T for v in ([vs, _vander_slope(vs)] if deriv else [vs])], axis=1)
-        beta = np.abs(c).sum(axis=0) @ np.abs(vs).max(axis=0)
-        m = 2.0 * (c.shape[1] + c.shape[2] - 1) * np.max(np.abs(vt) @ beta)
-        return [(a, bi) for bi in b], m
+    _factors = _rank_factors
 
     def to_json(self) -> dict:
         return {"type": "polymap4", "coords": [p.to_json() for p in self.polys],
@@ -483,14 +487,6 @@ def surface_from_json(doc):
         raise ValueError(f"not a surface file (key 'type' is {tag!r}, "
                          "expected 'surface4' or 'polymap4')")
     return cls.from_json(doc)
-
-
-def _vander_slope(v: np.ndarray) -> np.ndarray:
-    """The x-derivative of an increasing Vandermonde matrix of x: column j
-    is j x^(j-1)."""
-    out = np.zeros_like(v)
-    out[:, 1:] = v[:, :-1] * np.arange(1, v.shape[1])
-    return out
 
 
 def _grid_nodes(n_t: int, n_s: int, periodic_s: bool, pole_low: bool, pole_high: bool):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .catalog import KnotArc
 from .errors import NonUnitAxis, NoRoom, PlaneCrossing
 from .poly import Poly1
 from .surface import (
-    TRIG_MAX_K, TWO_PI, Bump, Surface4, Term, Trig, _eval_points, max_grid_deviation,
+    TRIG_MAX_K, TWO_PI, Bump, Surface4, Term, Trig, _eval_points, _term_rows, max_grid_deviation,
 )
 
 __all__ = [
@@ -150,7 +151,7 @@ def twisted_arc(arc: KnotArc, axis: TwistAxis, bump: Bump, phi: float):
     """The blended rotated arc at a fixed rotation angle phi, as a function
     t -> (f~, g~, h~)(t) with result shape t.shape + (3,)."""
     coords = _twisted_coords(arc, axis, bump, 1)
-    return lambda t: _eval_points(coords, t, phi)
+    return lambda t: _eval_points(partial(_term_rows, coords), t, phi)
 
 
 BUMP_MARGIN_FRAC = 0.05
@@ -191,8 +192,8 @@ def _check_height_positive(arc: KnotArc, axis: TwistAxis, bump: Bump, k: int):
     arc's alpha + beta is checked instead."""
     ts = arc.ab.sample(PRECHECK_NT + 2)[1:-1]  # open interior
     fixed, drop, cos_term, sin_term = _twisted_coords(arc, axis, bump, 1)[2]
-    alpha, beta, gamma = _eval_points(
-        ([fixed, drop], [cos_term._replace(s=())], [sin_term._replace(s=())]), ts, 0.0).T
+    parts = ([fixed, drop], [cos_term._replace(s=())], [sin_term._replace(s=())])
+    alpha, beta, gamma = _eval_points(partial(_term_rows, parts), ts, 0.0).T
     low = alpha + beta if k == 0 else alpha - np.hypot(beta, gamma)
     i = np.argmin(low)
     if low[i] <= 0.0:

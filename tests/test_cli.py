@@ -255,7 +255,7 @@ def test_project_and_export(workdir):
     assert dispatch(["spin", "trefoil_spun", "--out", "s.json"]) == 0
     assert dispatch(["project", "s.json", "--plane", "xzw", "--out", "g.csv"]) == 0
     header = (workdir / "g.csv").read_text().splitlines()[0]
-    assert header == "t,theta,x,y,z"
+    assert header == "t,theta,x,z,w"
     assert dispatch(["export", "s.json", "--format", "ply", "--out", "m.ply"]) == 0
     assert (workdir / "m.ply").read_text().startswith("ply")
 
@@ -796,10 +796,15 @@ _WIDE = [-10.0, 10.0]
 # the degree-8 fit's t^4 coefficient is 70 * 6 / 256 times 1.7e308
 _MIDDLE_ROW_X = {"tag": "product", "factors": [{"tag": "const", "value": 1.7e308},
                                                {"tag": "bump", "d1": 0.01, "d2": 0.04}]}
-# 1.7e308 (1 - 0.75 s - 0.75 s^2) on s in [-1, 1]: the degree-2 fit's coefficients
-# (1.0625, -1.275, -0.6375) x 1e308 are finite, but their sum at s = -1 overflows
-_OVERFLOWING_FIT_X = {"tag": "product", "factors": [{"tag": "const", "value": 1.7e308},
-                                                    {"tag": "poly_theta", "coeffs": [1.0, -0.75, -0.75]}]}
+# 0.85e308 (1 + theta / 10) on the lattice row t = 0, and 0 on the others: samples up
+# to 1.7e308, and a degree-8 fit whose finite coefficients sum, on the lattice, to
+# values within 0.26 times the largest double (a Bernstein fit's values there are
+# means of the samples), but whose rank-K theta-row for t^4, (70 * 6 / 256) 0.85e308
+# (1 + s), is 1.55 times the largest double at s = 1 in exact arithmetic: it
+# overflows in any order of its sum
+_OVERFLOWING_ROWS_X = {"tag": "product", "factors": [{"tag": "const", "value": 0.85e308},
+                                                     {"tag": "bump", "d1": 0.01, "d2": 0.04},
+                                                     {"tag": "poly_theta", "coeffs": [1.0, 0.1]}]}
 
 
 def _x_surface(x, t_dom, s_dom=(0.0, 2.0 * math.pi)):
@@ -812,7 +817,7 @@ def _x_surface(x, t_dom, s_dom=(0.0, 2.0 * math.pi)):
     (["polynomialize", "big.json"], _OVERFLOWING_X, _WIDE, "not finite"),
     (["approx", "bernstein", "big.json", "--degree", "8"], _MIDDLE_ROW_X, _WIDE,
      "coordinate x of the degree-8 Bernstein fit has a coefficient beyond double range"),
-    (["approx", "bernstein", "big.json", "--degree", "2"], _OVERFLOWING_FIT_X, [-1.0, 1.0],
+    (["approx", "bernstein", "big.json", "--degree", "8"], _OVERFLOWING_ROWS_X, _WIDE,
      "the Bernstein fit on its lattice: an image is not finite"),
 ], ids=["bernstein_samples", "polynomialize", "bernstein_coefficient", "bernstein_fit_image"])
 def test_fit_of_an_overflowing_surface_is_one_error_line(workdir, capsys, argv, x, dom, message):

@@ -46,7 +46,7 @@ from spun4d.twist import (
 )
 from spun4d.verify import (
     _PLANE, MAX_COLLISIONS, Collision, _factor_plane, _floored, _gram_grid, _image_plane,
-    _inset_samples, _space_pairs, _suspects, injectivity_scan, jacobian_rank_scan,
+    _inset_samples, _space_pairs, _suspects, injectivity_scan, jacobian_rank_scan, verify_surface,
 )
 
 
@@ -269,10 +269,13 @@ def export_mesh_loop(mesh, fmt, path):
             }, fh)
 
 
-def export_grid_csv_loop(grid, path):
+def export_grid_csv_loop(grid, columns, path):
+    """Reference: the header names t, theta and ``columns``, the grid's
+    coordinates as the test made them."""
     nt, ns, dim = grid.points.shape
+    assert len(columns) == dim
     with open(path, "w") as fh:
-        fh.write("t,theta," + ",".join(AXIS_NAMES[:dim]) + "\n")
+        fh.write("t,theta," + ",".join(columns) + "\n")
         for i in range(nt):
             for j in range(ns):
                 row = [grid.tvals[i], grid.svals[j], *grid.points[i, j]]
@@ -322,10 +325,14 @@ def test_mesh_writers_match_loop_reference(tmp_path, fmt):
 
 
 def test_grid_csv_matches_loop_reference(tmp_path):
+    """The header names the columns a grid holds: the axes of R^4 it keeps,
+    and no axis letters for the rows of a projection matrix."""
     g4 = sample_surface(spin(get_knot("trefoil_spun")), 31, 17)
-    for i, grid in enumerate((g4, project(g4, "xzw"))):
+    matrix = [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+    cases = ((g4, "xyzw"), (project(g4, "xzw"), "xzw"), (project(g4, matrix), ("p0", "p1", "p2")))
+    for i, (grid, columns) in enumerate(cases):
         export_grid_csv(grid, tmp_path / f"got{i}.csv")
-        export_grid_csv_loop(grid, tmp_path / f"ref{i}.csv")
+        export_grid_csv_loop(grid, columns, tmp_path / f"ref{i}.csv")
         assert (tmp_path / f"got{i}.csv").read_bytes() == (tmp_path / f"ref{i}.csv").read_bytes()
 
 
@@ -945,22 +952,27 @@ def test_max_distance_is_the_largest_norm_bit_for_bit(scale):
 
 # -- one sampling contract -------------------------------------------------------
 
+def _bernstein_20():
+    """The degree-20 Bernstein fit of the spin of trefoil_spun."""
+    exact = spin(get_knot("trefoil_spun"))
+    u = bernstein_lattice(20)
+    samples = exact.eval_grid(exact.t_dom.mid + 0.5 * exact.t_dom.length * u,
+                              exact.s_dom.mid + 0.5 * exact.s_dom.length * u)
+    return PolyMap4(bernstein_fit2(samples, 20), Interval(-1.0, 1.0), Interval(-1.0, 1.0))
+
+
 def _samplers():
     """Each model the library builds: the spin, the k = 10 twist, a
     polynomial spin, a Bernstein fit and a perturbed family map."""
     arc = get_knot("trefoil_spun")
     twist_arc, axis = _twist_setup("trefoil_twist")
     poly = polynomial_spin(arc, 8)
-    exact = spin(arc)
-    u = bernstein_lattice(20)
-    samples = exact.eval_grid(exact.t_dom.mid + 0.5 * exact.t_dom.length * u,
-                              exact.s_dom.mid + 0.5 * exact.s_dom.length * u)
     _, perturbed = odd_perturbation(poly.polys, 2, [])
     return {
-        "spin": exact,
+        "spin": spin(arc),
         "twist_k10": twist_spin(twist_arc, axis, choose_bump(twist_arc, axis), 10),
         "polynomial_spin_8": poly,
-        "bernstein_20": PolyMap4(bernstein_fit2(samples, 20), Interval(-1.0, 1.0), Interval(-1.0, 1.0)),
+        "bernstein_20": _bernstein_20(),
         "family": replace(poly, polys=perturbed),
     }
 
@@ -970,21 +982,31 @@ def _no_terms():
     return Surface4(((),) * 4, Interval(0.0, 1.0), Interval(0.0, 1.0))
 
 
+def _horner_tolerance(s) -> float:
+    """2 (K_t + K_s) eps for a PolyMap4 of K_t powers of t and K_s of s.
+    Horner's steps and the rank-K rows' powers, products and sums each
+    round every term c_ij t^i s^j by at most (K_t + K_s) eps relative, so
+    the two differ by at most this times the sum of |c_ij| |t|^i |s|^j."""
+    k_t, k_s = (max(p.coeffs.shape[axis] for p in s.polys) for axis in (0, 1))
+    return 2.0 * (k_t + k_s) * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("name", ["spin", "twist_k10", "polynomial_spin_8", "bernstein_20", "family",
                                   "no_terms"])
 def test_sampler_contract(name):
     """Every model evaluates at broadcast arguments, and its grids are its
-    points: eval_grid is evaluate on the meshgrid, bit for bit; a PolyMap4's
-    grids and partials are its polynomials on the meshgrid, bit for bit.
+    points: eval_grid is evaluate on the meshgrid, bit for bit.
 
-    Its rank-K ``_factors``, one pair of rows per coordinate: a Surface4's
-    value rows summed in term order are that coordinate of eval_grid bit for
-    bit; with ``deriv`` the value rows are unchanged and the derivative
-    products are partials_grid to rounding; m bounds the sum of |a| |b|
-    over every column of every coordinate at every node.  The rounding
-    scale is the products' sum of absolute values, for a PolyMap4 with
-    |c_ij| |t|^i |s|^j in place of its terms: a power basis cancels inside
-    b (the polynomial spin's theta fits, at theta = pi)."""
+    Its rank-K ``_factors``, one pair of rows per coordinate: the value rows
+    summed in row order are that coordinate of eval_grid bit for bit; with
+    ``deriv`` the value rows are unchanged and the derivative products are
+    partials_grid bit for bit; m bounds the sum of |a| |b| over every
+    column of every coordinate at every node.  A PolyMap4's values and
+    partials are its polynomials by Horner (``Poly2.__call__``) within
+    ``_horner_tolerance`` times the rounding scale: the products' sum of
+    absolute values, with |c_ij| |t|^i |s|^j in place of a PolyMap4's rows,
+    since a power basis cancels inside b (the polynomial spin's theta fits,
+    at theta = pi)."""
     s = _no_terms() if name == "no_terms" else _samplers()[name]
     tv, sv = s.t_dom.sample(37), s.s_dom.sample(29)
     assert s.evaluate(tv, sv[3]).shape == (37, 4)
@@ -996,36 +1018,55 @@ def test_sampler_contract(name):
     assert _bits(s.evaluate(tv[:, None], sv[None, :])) == _bits(grid)
     assert _bits(s.evaluate(tv, sv[3])) == _bits(grid[:, 3])
     assert _bits(s.evaluate(tv[5], sv)) == _bits(grid[5])
-    if isinstance(s, PolyMap4):
-        assert _bits(grid) == _bits(np.stack([p(T, S) for p in s.polys], axis=-1))
-        for got, w in zip(s.partials_grid(tv, sv), "ts"):
-            assert _bits(got) == _bits(np.stack([p.partial(w)(T, S) for p in s.polys], axis=-1))
+    assert _bits(s.evaluate(tv[5], sv[3])) == _bits(grid[5, 3])
 
     rows, m = s._factors(tv, sv)
     assert len(rows) == 4
     for i, (a, b) in enumerate(rows):
         k = a.shape[1]
         assert a.shape == (1, k, 37) and b.shape == (1, k, 29)
-        if isinstance(s, Surface4):
-            summed = np.zeros((37, 29))
-            for j in range(k):
-                summed += a[0, j, :, None] * b[0, j]
-            assert _bits(summed) == _bits(grid[..., i])
+        summed = np.zeros((37, 29))
+        for j in range(k):
+            summed += a[0, j, :, None] * b[0, j]
+        assert _bits(summed) == _bits(grid[..., i])
     assert (sum(np.einsum("kt,ks->ts", np.abs(a[0]), np.abs(b[0])) for a, b in rows) <= m).all()
     deriv_rows, m_deriv = s._factors(tv, sv, True)
     assert m_deriv == m
     for (a, b), (ad, bd) in zip(rows, deriv_rows):
         assert _bits(ad[:1]) == _bits(a) and _bits(bd[:1]) == _bits(b)
+    # values, d/dt (a[1] times b[0]) and d/dtheta (a[0] times b[1])
+    products = [lambda r, da=da, db=db: np.stack([np.einsum("kt,ks->ts", a[da], b[db]) for a, b in r], axis=-1)
+                for da, db in ((0, 0), (1, 0), (0, 1))]
+    partials = s.partials_grid(tv, sv)
+    for product, want in zip(products[1:], partials):
+        assert _bits(product(deriv_rows)) == _bits(want)
     if isinstance(s, PolyMap4):
         bound = replace(s, polys=tuple(Poly2(np.abs(p.coeffs)) for p in s.polys))
         abs_rows, _ = bound._factors(np.abs(tv), np.abs(sv), True)
-    else:
-        abs_rows = [(np.abs(a), np.abs(b)) for a, b in deriv_rows]
-    # d/dt is a[1] times b[0], d/dtheta a[0] times b[1]
-    for (da, db), want in zip(((1, 0), (0, 1)), s.partials_grid(tv, sv)):
-        got, scale = (np.stack([np.einsum("kt,ks->ts", a[da], b[db]) for a, b in r], axis=-1)
-                      for r in (deriv_rows, abs_rows))
-        assert (np.abs(got - want) <= 1e-13 * scale).all()
+        horner = [np.stack([p(T, S) for p in s.polys], axis=-1)]
+        horner += [np.stack([p.partial(w)(T, S) for p in s.polys], axis=-1) for w in "ts"]
+        for got, want, product in zip((grid, *partials), horner, products):
+            assert (np.abs(got - want) <= _horner_tolerance(s) * product(abs_rows)).all()
+
+
+def test_polymap4_samples_without_its_polynomials(monkeypatch):
+    """A PolyMap4 is sampled through its rank-K rows alone: with
+    ``Poly2.__call__`` and ``Poly2.partial`` refused, its points, grids,
+    partials, factors and a whole verification still run."""
+    s = polynomial_spin(get_knot("trefoil_spun"), 8)
+    want = verify_surface(s, None, n_rank=32, n_inject=48).to_json()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a PolyMap4 was sampled through Poly2")
+
+    monkeypatch.setattr(Poly2, "__call__", refuse)
+    monkeypatch.setattr(Poly2, "partial", refuse)
+    tv, sv = s.t_dom.sample(20), s.s_dom.sample(30)
+    assert s.evaluate(tv[:, None], sv[None, :]).shape == (20, 30, 4)
+    assert s.eval_grid(tv, sv).shape == (20, 30, 4)
+    assert [p.shape for p in s.partials_grid(tv, sv)] == [(20, 30, 4)] * 2
+    assert len(s._factors(tv, sv, True)[0]) == 4
+    assert verify_surface(s, None, n_rank=32, n_inject=48).to_json() == want
 
 
 def _refuse_broadcast_sums(monkeypatch):
@@ -1039,7 +1080,8 @@ def _grid_shapes():
     """Surface4s of every shape of term rows: a polynomialized twist spin
     (Poly1 theta-factors), the k = 3 tree file, terms with no t-factor and
     with no theta-factor (constant rows), a coordinate of no terms, and a
-    coordinate of 64 terms."""
+    coordinate of 64 terms; and PolyMap4s, whose four coordinates share
+    their t-rows: a polynomial spin and a Bernstein fit."""
     arc, axis = _twist_setup("trefoil_twist")
     poly, _ = polynomialize_twist(twist_spin(arc, axis, choose_bump(arc, axis), 3), 24)
     with open(os.path.join(os.path.dirname(__file__), "data", "trefoil_twist_k3_tree.json")) as fh:
@@ -1053,19 +1095,21 @@ def _grid_shapes():
                  for j in range(64))
     wide = Surface4((many, (), (Term(1.0, (quad,)),), many[:5]), Interval(-1.0, 1.0))
     assert [len(c) for c in wide.coords] == [64, 0, 1, 5]
-    return {"polynomialized": poly, "tree_k3": tree, "scalar_rows": scalar, "64_terms": wide}
+    return {"polynomialized": poly, "tree_k3": tree, "scalar_rows": scalar, "64_terms": wide,
+            "polynomial_spin_8": polynomial_spin(get_knot("trefoil_spun"), 8), "bernstein_20": _bernstein_20()}
 
 
-@pytest.mark.parametrize("name", ["polynomialized", "tree_k3", "scalar_rows", "64_terms"])
+@pytest.mark.parametrize("name", ["polynomialized", "tree_k3", "scalar_rows", "64_terms",
+                                  "polynomial_spin_8", "bernstein_20"])
 def test_grid_path_is_the_point_path_bit_for_bit(name, monkeypatch):
-    """A tensor grid sums each coordinate's stacked term rows in one einsum;
-    on the full meshgrid the point path sums the broadcast products term by
-    term.  Values and both partials agree bit for bit, and the grid never
+    """A tensor grid sums each coordinate's stacked rows in one einsum; on
+    the full meshgrid the point path sums the broadcast products row by
+    row.  Values and both partials agree bit for bit, and the grid never
     reaches the term-by-term loop."""
     s = _grid_shapes()[name]
     tv, sv = s.t_dom.sample(41), s.s_dom.sample(33)
     T, S = np.meshgrid(tv, sv, indexing="ij")
-    want = [_eval_points(s.coords, T, S, deriv) for deriv in ("", "t", "s")]
+    want = [_eval_points(s._rows, T, S, deriv) for deriv in ("", "t", "s")]
     _refuse_broadcast_sums(monkeypatch)
     assert _bits(s.eval_grid(tv, sv)) == _bits(want[0])
     assert _bits(s.evaluate(tv[:, None], sv[None, :])) == _bits(want[0])
@@ -1085,7 +1129,7 @@ def test_grid_path_makes_nan_where_the_point_path_does(monkeypatch):
     tv, sv = s.t_dom.sample(21), s.s_dom.sample(17)
     T, S = np.meshgrid(tv, sv, indexing="ij")
     with np.errstate(over="ignore", invalid="ignore"):
-        want = _eval_points(s.coords, T, S)
+        want = _eval_points(s._rows, T, S)
         _refuse_broadcast_sums(monkeypatch)
         got = s.eval_grid(tv, sv)
     nan = np.isnan(want)

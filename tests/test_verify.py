@@ -255,8 +255,8 @@ def test_constant_map_scan_stops_at_the_cap():
 def test_injectivity_scan_peak_memory_at_600():
     # no (600 * 600, 4) image grid, and no float plane next to the keys: the
     # half-cell indices of the grid, floored in place in the buffer of the
-    # plane product, take 5.8 MB, and hold the second key and the steps
-    # between sorted keys; the first key takes 2.9 MB and the flags 0.7 MB.
+    # plane product, take 5.8 MB, and hold the first key and the steps
+    # between sorted keys; the second key takes 2.9 MB and the flags 0.7 MB.
     # The peak is 9.4 MB; it was 15.1 MB with the float plane alive
     s = _twist_k10()
     found, peak = _traced_peak(lambda: injectivity_scan(s, 600, 600, 0.05, 1e-3))
