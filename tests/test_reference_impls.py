@@ -1105,7 +1105,7 @@ def test_grid_path_is_the_point_path_bit_for_bit(name, monkeypatch):
     """A tensor grid sums each coordinate's stacked rows in one einsum; on
     the full meshgrid the point path sums the broadcast products row by
     row.  Values and both partials agree bit for bit, and the grid never
-    reaches the term-by-term loop."""
+    reaches the row-by-row loop."""
     s = _grid_shapes()[name]
     tv, sv = s.t_dom.sample(41), s.s_dom.sample(33)
     T, S = np.meshgrid(tv, sv, indexing="ij")
