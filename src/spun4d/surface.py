@@ -11,12 +11,12 @@ k-twist spin at most four; a ``PolyMap4``, a polynomial in (t, s) per
 coordinate, has one term per power of t.  One evaluator serves both models
 at points, on tensor grids and for exact partials, from each coordinate's
 rows on t and on theta: a ``Surface4``'s term rows (each distinct factor
-sampled once, c folded into the t-rows), or a ``PolyMap4``'s powers of t,
-shared by its four coordinates, and its coefficients times the powers of
-theta.  At points it sums the broadcast products row by row; on a tensor
-grid it makes one product per coordinate of its stacked rows, which adds
-the same products in the same order, so a grid is its points bit for bit.
-The scans take a tensor grid as the same rows, a rank-K product (``_factors``).
+sampled once, c folded into the t-rows), or a ``PolyMap4``'s powers of t
+(one array, sliced to each coordinate's degree) and its coefficients times
+the powers of theta.  At points it sums the broadcast products row by row;
+on a tensor grid it makes one product per coordinate of its stacked rows,
+which adds the same products in the same order, so a grid is its points
+bit for bit.  The scans in ``verify`` read a grid as the same rows.
 
 Surface files keep the tagged tree format (``sum``, ``product``, ``const``,
 ``poly_t``, ``poly_theta``, ``cos_k``, ``sin_k``, ``bump``): the writer emits
@@ -223,25 +223,6 @@ def _eval_grid(rows, tvals, svals, deriv: str = "") -> np.ndarray:
     return _eval_points(rows, np.reshape(tvals, (-1, 1)), np.reshape(svals, (1, -1)), deriv)
 
 
-def _rank_factors(s, tvals, svals, deriv: bool = False):
-    """Both models' ``_factors``: the tensor grid as a rank-K product,
-    ``(rows, m)``.  rows[i] = (a_i, b_i) are coordinate i's ``_rows``, a_i
-    of shape (n, K_i, n_t) and b_i (n, K_i, n_s); the coordinate at node
-    (t, theta) is the sum over k of a_i[0, k, t] * b_i[0, k, theta].  n = 1,
-    or n = 2 with ``deriv``: a_i[1] and b_i[1] are the derivatives of a_i[0]
-    and b_i[0], so d/dt is a_i[1] times b_i[0] and d/dtheta a_i[0] times
-    b_i[1], summed over k.  ``m`` is at least the sum of |a_i[0]| |b_i[0]|
-    over k and i at every node, and ``evaluate`` there rounds by at most
-    eps * m, summed over the coordinates: it adds these products in row
-    order from 0.0, so K, the number of all rows, times the largest sum of
-    |a| |b| bounds its rounding."""
-    tvals, svals = np.asarray(tvals, float), np.asarray(svals, float)
-    pairs = list(zip(s._rows("t", tvals, deriv), s._rows("s", svals, deriv)))
-    k = sum(a.shape[1] for a, _ in pairs)
-    m = k * np.max(sum(np.abs(b[0]).max(axis=1) @ np.abs(a[0]) for a, b in pairs), initial=0.0)
-    return pairs, m
-
-
 def _grid_sums(rows, n_t: int, n_s: int) -> np.ndarray:
     """The tensor grid of each coordinate's stacked rows ``(a, b)``, a of
     shape (K_i, n_t) and b (K_i, n_s): the sum over k of a[k, t] b[k, s],
@@ -416,8 +397,6 @@ class Surface4:
         """(d/dt, d/dtheta) of all coordinates over the tensor grid."""
         return _eval_grid(self._rows, tvals, svals, "t"), _eval_grid(self._rows, tvals, svals, "s")
 
-    _factors = _rank_factors
-
     def to_json(self) -> dict:
         return {"type": "surface4", "coords": [_coord_json(c) for c in self.coords],
                 **_domain_json(self)}
@@ -440,20 +419,23 @@ class PolyMap4:
     pole_high: bool = False
 
     def _rows(self, side: str, x, deriv: bool):
-        """One row per power of t, in the layout of ``_term_rows`` (with
-        ``deriv``, row [1] the derivative): on side "t" the powers of x, one
-        array for the four coordinates; on side "s" coordinate q's row i is
-        the sum over j of its c_ij x^j, for all rows and samples in one
-        einsum whose loop adds the products in order of j from 0.0 for x of
-        any shape (not as a dot product or BLAS ``@``): a grid's rows are its points'."""
+        """One row per power of t up to the coordinate's degree in t, in the
+        layout of ``_term_rows`` (with ``deriv``, row [1] the derivative): on
+        side "t" the powers of x, sliced from one array, so an overflowing
+        power meets no zero row; on side "s" coordinate q's row i is the sum
+        over j of its c_ij x^j, for all rows and samples in one einsum whose
+        loop adds the products in order of j from 0.0 for x of any shape
+        (not as a dot product or BLAS ``@``): a grid's rows are its points'."""
         c = np.zeros((max(p.deg_s for p in self.polys) + 1, 4, max(p.deg_t for p in self.polys) + 1))
         if side == "t":
-            return (_powers(x, c.shape[2], deriv),) * 4
+            rows = _powers(x, c.shape[2], deriv)
+            return [rows[:, :p.deg_t + 1] for p in self.polys]
         for q, p in enumerate(self.polys):
             c[:p.deg_s + 1, q, :p.deg_t + 1] = p.coeffs.T
         v = _powers(x, len(c), deriv).swapaxes(0, 1)
         rows = np.einsum("jk,jm->km", c.reshape(len(c), -1), v.reshape(len(c), -1))
-        return np.moveaxis(rows.reshape((4, -1) + v.shape[1:]), 2, 1)
+        rows = np.moveaxis(rows.reshape((4, -1) + v.shape[1:]), 2, 1)
+        return [r[:, :p.deg_t + 1] for r, p in zip(rows, self.polys)]
 
     def evaluate(self, t, s) -> np.ndarray:
         """All four coordinates; result shape broadcast(t, s) + (4,)."""
@@ -464,8 +446,6 @@ class PolyMap4:
 
     def partials_grid(self, tvals, svals):
         return _eval_grid(self._rows, tvals, svals, "t"), _eval_grid(self._rows, tvals, svals, "s")
-
-    _factors = _rank_factors
 
     def to_json(self) -> dict:
         return {"type": "polymap4", "coords": [p.to_json() for p in self.polys],

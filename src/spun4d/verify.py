@@ -99,15 +99,15 @@ def _inset_samples(iv: Interval, n: int) -> np.ndarray:
 
 def _gram_grid(s, tvals, svals):
     """g11, g22, g12 of the Gram matrix J^T J over the tensor grid, from the
-    sampler's rank-K factors and their derivatives (``_factors`` with
-    ``deriv``).  Coordinate i's partials are the products of its own rows,
+    sampler's ``_rows`` with their derivatives, a_i on t and b_i on theta
+    for coordinate i.  Its partials are the products of its own rows,
     d/dt of a_i[1] and b_i[0] and d/dtheta of a_i[0] and b_i[1], each an
     einsum as ``surface._grid_sums`` makes it (its columns added in order
     from 0.0) into a reused buffer.  Each Gram entry sums their products,
     made in a third, over the coordinates as ((p0 + p1) + p2) + p3, the
     order of ``np.sum`` over a length-4 axis.  No (n_t, n_s, 4) array is
     built."""
-    rows, _ = s._factors(tvals, svals, True)
+    rows = zip(s._rows("t", tvals, True), s._rows("s", svals, True))
     shape = (len(tvals), len(svals))
     g11, g22, g12 = np.empty(shape), np.empty(shape), np.empty(shape)
     dt, ds, p = np.empty(shape), np.empty(shape), np.empty(shape)
@@ -126,19 +126,19 @@ def _gram_grid(s, tvals, svals):
 def jacobian_rank_scan(s, n_t: int, n_s: int, tol: float = RANK_TOL) -> tuple[bool, float]:
     """Smallest ratio sigma_2 / sigma_1 of the 4x2 Jacobian over an inset grid.
 
-    The partials come from the sampler's rank-K factors and their
-    derivatives (``_factors`` with ``deriv``), one product per coordinate of
-    its own rows, the same for every sampler (``_gram_grid``), not from
-    ``partials_grid``; they agree with it to rounding.  A sampler without
-    them is refused with a TypeError.  A sampler of no terms has zero
+    The partials come from the sampler's rank-K rows and their derivatives
+    (``_rows`` with ``deriv``), one product per coordinate of its own rows,
+    the same for every sampler (``_gram_grid``), not from ``partials_grid``;
+    they are its values bit for bit.  A sampler without ``_rows`` is
+    refused with a TypeError.  A sampler of no terms has zero
     partials, and a ratio of 0.  The ratio comes from the eigenvalues of the
     2x2 Gram matrix J^T J, worked out in place in the Gram entries' buffers
     and one more; the scan passes when the minimum exceeds ``tol``.  Pole
     rows are excluded by the half-cell inset (the parametrization is
     intentionally degenerate there).
     """
-    if not hasattr(s, "_factors"):
-        raise TypeError(f"the rank scan needs rank-K factors (_factors); {type(s).__name__} has none")
+    if not hasattr(s, "_rows"):
+        raise TypeError(f"the rank scan needs rank-K rows (_rows); {type(s).__name__} has none")
     if n_t < 16 or n_s < 16:
         raise ValueError("grid sizes must be >= 16")
     if not 0.0 < tol < 1.0:
@@ -341,21 +341,30 @@ def _space_pairs(pts: np.ndarray, r: float):
             pos = pos[pos + d < m]
 
 
+def _rounding_bound(rows) -> float:
+    """m of ``_factor_plane``: K, the number of columns of all coordinates'
+    value rows ``(a, b)``, times a bound on their sum of |a| |b| at every
+    node.  ``evaluate`` adds the products in column order from 0.0, so it
+    rounds by at most eps * m, summed over the coordinates."""
+    k = sum(a.shape[1] for a, _ in rows)
+    return k * np.max(sum(np.abs(b[0]).max(axis=1) @ np.abs(a[0]) for a, b in rows), initial=0.0)
+
+
 def _factor_plane(s, tvals, svals, r: float):
     """The half-cell indices hx and hy of the plane stage for radius ``r``
     of every sample of the scan grid, two (n_t * n_s,) int64 arrays in
     row-major order, the rows of one buffer: the floors of the plane
     coordinates in half cells, made in place where the products put them.
-    Those come from the sampler's rank-K factors of its values,
-    ``rows, m = s._factors(tvals, svals)``, in one product per axis of the
-    plane: the t-rows of all coordinates stacked, times their theta-rows
-    each scaled by its coordinate's weight on that axis (0.5 or -0.5,
-    from ``_PLANE``); or None when m or a scaled theta-row is not finite.
+    Those come from the sampler's value rows, a_i on t and b_i on theta
+    for coordinate i (``_rows``), in one product per axis of the plane:
+    the t-rows of all coordinates stacked, times their theta-rows each
+    scaled by its coordinate's weight on that axis (0.5 or -0.5, from
+    ``_PLANE``); or None when m or a scaled theta-row is not finite.
 
     The room is (K + 8) eps (m + 2**-1022), K the number of columns of
     all coordinates.  At a node, the image that ``evaluate`` returns is
-    within eps * m of the exact sum of a b, summed over the coordinates (the
-    factors' contract), so its exact projection is within eps * m / 2 of
+    within eps * m of the exact sum of a b, summed over the coordinates
+    (``_rounding_bound``), so its exact projection is within eps * m / 2 of
     that sum's; the products and sums that make the hashed coordinate, and
     its scaling, round by at most (K + 5) eps * m / 4.  Two nodes take less
     than (K + 7) eps * m / 2; 2**-1022, the least normal double, covers
@@ -363,7 +372,8 @@ def _factor_plane(s, tvals, svals, r: float):
     2**50 in size and floor exactly.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        rows, m = s._factors(tvals, svals)
+        rows = list(zip(s._rows("t", tvals, False), s._rows("s", svals, False)))
+        m = _rounding_bound(rows)
         a = np.concatenate([a[0] for a, _ in rows])
         bp = np.stack([np.concatenate([b[0] * w for (_, b), w in zip(rows, axis)]) for axis in _PLANE.T])
     if not (np.isfinite(m) and np.isfinite(bp).all()):
@@ -389,7 +399,7 @@ def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float =
     column, and each flagged pole row is one node, its first sample.  The
     nodes are then the samples start:stop of the row-major grid, once sample
     start stands for the low pole.  The plane coordinates of every sample
-    come from the sampler's rank-K ``_factors`` when it has them with a
+    come from the sampler's rank-K ``_rows`` when it has them with a
     finite bound (``_factor_plane``, whose rounding room covers the gap to
     the projections of the images that ``evaluate`` returns), and else from
     the image grid (``_image_plane``), which is dropped once projected;
@@ -424,7 +434,7 @@ def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float =
     what = "the surface's image on the injectivity grid"
     start = n_s - 1 if s.pole_low else 0
     stop = (n_t - 1) * n_s + 1 if s.pole_high else n_t * n_s
-    plane = _factor_plane(s, tvals, svals, image_tol) if hasattr(s, "_factors") else None
+    plane = _factor_plane(s, tvals, svals, image_tol) if hasattr(s, "_rows") else None
     if plane is None:
         plane = _image_plane(_images(s, tvals[:, None], svals[None, :], what).reshape(-1, 4), image_tol)
     hx, hy = plane
@@ -512,7 +522,7 @@ def verify_surface(
     image_tol: float = IMAGE_TOL,
 ) -> VerifyReport:
     """Bundle of all applicable checks for one surface, as a report; a sampler
-    without rank-K ``_factors`` (only ``evaluate``) is refused with a TypeError."""
+    without rank-K ``_rows`` (only ``evaluate``) is refused with a TypeError."""
     rank_ok, min_ratio = jacobian_rank_scan(s, n_rank, n_rank, rank_tol)
     collisions = injectivity_scan(s, n_inject, n_inject, param_sep, image_tol)
     boundary_ok = boundary_check(arc) if arc is not None else None

@@ -41,8 +41,26 @@ def test_every_private_function_is_referenced_in_the_package():
     assert unused == []
 
 
+def _verify_tree():
+    return ast.parse((Path(spun4d.__file__).parent / "verify.py").read_text())
+
+
 def test_verify_names_no_surface_model():
     # the scans reach a sampler through evaluate, its domains and flags and
-    # _factors alone, so verify holds no per-model code path
-    tree = ast.parse((Path(spun4d.__file__).parent / "verify.py").read_text())
-    assert sorted({"Surface4", "PolyMap4"} & set(_referenced(tree))) == []
+    # _rows alone, so verify holds no per-model code path
+    assert sorted({"Surface4", "PolyMap4"} & set(_referenced(_verify_tree()))) == []
+
+
+def test_verify_reads_only_the_sampling_contract_off_a_sampler():
+    # every attribute that verify reads off its sampler argument s, directly
+    # or by hasattr, is one of the sampling contract's
+    read = set()
+    for node in ast.walk(_verify_tree()):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "s":
+            read.add(node.attr)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "hasattr"
+                and isinstance(node.args[0], ast.Name) and node.args[0].id == "s"):
+            read.add(node.args[1].value)
+    contract = {"evaluate", "_rows", "t_dom", "s_dom", "periodic_s", "pole_low", "pole_high"}
+    assert sorted(read - contract) == []
+    assert "_rows" in read

@@ -46,7 +46,8 @@ from spun4d.twist import (
 )
 from spun4d.verify import (
     _PLANE, MAX_COLLISIONS, Collision, _factor_plane, _floored, _gram_grid, _image_plane,
-    _inset_samples, _space_pairs, _suspects, injectivity_scan, jacobian_rank_scan, verify_surface,
+    _inset_samples, _rounding_bound, _space_pairs, _suspects, injectivity_scan, jacobian_rank_scan,
+    verify_surface,
 )
 
 
@@ -982,6 +983,13 @@ def _no_terms():
     return Surface4(((),) * 4, Interval(0.0, 1.0), Interval(0.0, 1.0))
 
 
+def row_pairs(s, tvals, svals, deriv: bool = False) -> list:
+    """Each coordinate's t-rows and theta-rows, ``s._rows`` on tvals and on
+    svals zipped, as the scans take them: the tensor grid as a rank-K
+    product."""
+    return list(zip(s._rows("t", tvals, deriv), s._rows("s", svals, deriv)))
+
+
 def _horner_tolerance(s) -> float:
     """2 (K_t + K_s) eps for a PolyMap4 of K_t powers of t and K_s of s.
     Horner's steps and the rank-K rows' powers, products and sums each
@@ -997,16 +1005,17 @@ def test_sampler_contract(name):
     """Every model evaluates at broadcast arguments, and its grids are its
     points: eval_grid is evaluate on the meshgrid, bit for bit.
 
-    Its rank-K ``_factors``, one pair of rows per coordinate: the value rows
-    summed in row order are that coordinate of eval_grid bit for bit; with
-    ``deriv`` the value rows are unchanged and the derivative products are
-    partials_grid bit for bit; m bounds the sum of |a| |b| over every
-    column of every coordinate at every node.  A PolyMap4's values and
-    partials are its polynomials by Horner (``Poly2.__call__``) within
-    ``_horner_tolerance`` times the rounding scale: the products' sum of
-    absolute values, with |c_ij| |t|^i |s|^j in place of a PolyMap4's rows,
-    since a power basis cancels inside b (the polynomial spin's theta fits,
-    at theta = pi)."""
+    Its rank-K rows (``_rows``), one pair of rows per coordinate: the value
+    rows summed in row order are that coordinate of eval_grid bit for bit;
+    with ``deriv`` the value rows are unchanged and the derivative products
+    are partials_grid bit for bit; the scans' m (``_rounding_bound``)
+    bounds the sum of |a| |b| over every column of every coordinate at
+    every node, and a PolyMap4 coordinate has one column per power of t up
+    to its degree.  A PolyMap4's values and partials are its polynomials by
+    Horner (``Poly2.__call__``) within ``_horner_tolerance`` times the
+    rounding scale: the products' sum of absolute values, with |c_ij|
+    |t|^i |s|^j in place of a PolyMap4's rows, since a power basis cancels
+    inside b (the polynomial spin's theta fits, at theta = pi)."""
     s = _no_terms() if name == "no_terms" else _samplers()[name]
     tv, sv = s.t_dom.sample(37), s.s_dom.sample(29)
     assert s.evaluate(tv, sv[3]).shape == (37, 4)
@@ -1020,8 +1029,11 @@ def test_sampler_contract(name):
     assert _bits(s.evaluate(tv[5], sv)) == _bits(grid[5])
     assert _bits(s.evaluate(tv[5], sv[3])) == _bits(grid[5, 3])
 
-    rows, m = s._factors(tv, sv)
+    rows = row_pairs(s, tv, sv)
+    m = _rounding_bound(rows)
     assert len(rows) == 4
+    if isinstance(s, PolyMap4):
+        assert [a.shape[1] for a, _ in rows] == [p.deg_t + 1 for p in s.polys]
     for i, (a, b) in enumerate(rows):
         k = a.shape[1]
         assert a.shape == (1, k, 37) and b.shape == (1, k, 29)
@@ -1030,8 +1042,7 @@ def test_sampler_contract(name):
             summed += a[0, j, :, None] * b[0, j]
         assert _bits(summed) == _bits(grid[..., i])
     assert (sum(np.einsum("kt,ks->ts", np.abs(a[0]), np.abs(b[0])) for a, b in rows) <= m).all()
-    deriv_rows, m_deriv = s._factors(tv, sv, True)
-    assert m_deriv == m
+    deriv_rows = row_pairs(s, tv, sv, True)
     for (a, b), (ad, bd) in zip(rows, deriv_rows):
         assert _bits(ad[:1]) == _bits(a) and _bits(bd[:1]) == _bits(b)
     # values, d/dt (a[1] times b[0]) and d/dtheta (a[0] times b[1])
@@ -1042,7 +1053,7 @@ def test_sampler_contract(name):
         assert _bits(product(deriv_rows)) == _bits(want)
     if isinstance(s, PolyMap4):
         bound = replace(s, polys=tuple(Poly2(np.abs(p.coeffs)) for p in s.polys))
-        abs_rows, _ = bound._factors(np.abs(tv), np.abs(sv), True)
+        abs_rows = row_pairs(bound, np.abs(tv), np.abs(sv), True)
         horner = [np.stack([p(T, S) for p in s.polys], axis=-1)]
         horner += [np.stack([p.partial(w)(T, S) for p in s.polys], axis=-1) for w in "ts"]
         for got, want, product in zip((grid, *partials), horner, products):
@@ -1052,7 +1063,7 @@ def test_sampler_contract(name):
 def test_polymap4_samples_without_its_polynomials(monkeypatch):
     """A PolyMap4 is sampled through its rank-K rows alone: with
     ``Poly2.__call__`` and ``Poly2.partial`` refused, its points, grids,
-    partials, factors and a whole verification still run."""
+    partials, rows and a whole verification still run."""
     s = polynomial_spin(get_knot("trefoil_spun"), 8)
     want = verify_surface(s, None, n_rank=32, n_inject=48).to_json()
 
@@ -1065,7 +1076,7 @@ def test_polymap4_samples_without_its_polynomials(monkeypatch):
     assert s.evaluate(tv[:, None], sv[None, :]).shape == (20, 30, 4)
     assert s.eval_grid(tv, sv).shape == (20, 30, 4)
     assert [p.shape for p in s.partials_grid(tv, sv)] == [(20, 30, 4)] * 2
-    assert len(s._factors(tv, sv, True)[0]) == 4
+    assert len(row_pairs(s, tv, sv, True)) == 4
     assert verify_surface(s, None, n_rank=32, n_inject=48).to_json() == want
 
 
@@ -1138,6 +1149,20 @@ def test_grid_path_makes_nan_where_the_point_path_does(monkeypatch):
     assert _bits(np.where(nan, 0.0, got)) == _bits(np.where(nan, 0.0, want))
 
 
+def test_polymap4_coordinate_takes_no_power_of_t_above_its_degree():
+    """Where t^2 overflows, the coordinates of degree 0 in t keep their
+    values on both paths, not the NaN of inf times their zero rows; the
+    overflow of c t^2 itself stays."""
+    s = PolyMap4((Poly2.from_t(Poly1((0.0, 0.0, 1e-300))), Poly2.from_s(Poly1((0.0, 1.0))), Poly2(), Poly2()),
+                 Interval(-1e200, 1e200), Interval(0.0, 1.0))
+    with np.errstate(over="ignore"):
+        point = s.evaluate(1e200, 0.5)
+        grid = s.eval_grid([1e200, 2.0], [0.5, 0.25])
+    assert point.tolist() == [np.inf, 0.5, 0.0, 0.0]
+    assert _bits(grid[0, 0]) == _bits(point)
+    assert grid[1].tolist() == [[4e-300, 0.5, 0.0, 0.0], [4e-300, 0.25, 0.0, 0.0]]
+
+
 def test_deviation_grid_and_sample_grid_take_the_grid_path(monkeypatch):
     """max_grid_deviation and export.sample_surface sample a Surface4 on a
     tensor grid: with the term-by-term loop refused they still give the
@@ -1167,9 +1192,9 @@ def gram_reference(dt, ds):
 
 def factor_partials_reference(s, tvals, svals):
     """Reference: the partials (d/dt, d/dtheta) over the tensor grid from
-    the sampler's rank-K derivative factors, coordinate by coordinate, each
+    the sampler's rank-K derivative rows, coordinate by coordinate, each
     column's product added in order into a zeroed (n_t, n_s, 4) array."""
-    rows, _ = s._factors(tvals, svals, True)
+    rows = row_pairs(s, tvals, svals, True)
     out = []
     for da, db in ((1, 0), (0, 1)):
         want = np.zeros((len(tvals), len(svals), 4))
@@ -1378,7 +1403,7 @@ def test_injectivity_scan_matches_meshgrid_reference(name):
     if name == "sphere_poles":
         assert any(c.param_a == (-1.0, 0.0) for c in got)
     if name == "cancelling_terms":
-        _, m = s._factors(s.t_dom.sample(n), s.s_dom.sample(n))
+        m = _rounding_bound(row_pairs(s, s.t_dom.sample(n), s.s_dom.sample(n)))
         assert m > 1e14 * np.abs(s.eval_grid(s.t_dom.sample(n), s.s_dom.sample(n))).max()
         assert max(c.distance for c in got) > 0.9 * image_tol
         assert len(injectivity_scan_meshgrid(s, n, n, param_sep, 1.05 * image_tol)) > len(got)
@@ -1478,7 +1503,7 @@ def test_injectivity_scan_with_an_overflowing_factor_bound_matches_meshgrid_refe
 def _scan_pairs(pts, r):
     """Yield batches ``(i, j)`` of the index pairs of the rows of the (m, 4)
     array ``pts`` at most ``r`` apart, as ``injectivity_scan`` composes its
-    two stages for a sampler without ``_factors``: the plane stage on the
+    two stages for a sampler without ``_rows``: the plane stage on the
     rows, the R^4 stage on the suspects' rows alone, and its indices mapped
     back to the rows."""
     sus = _suspects(*_image_plane(pts, r))

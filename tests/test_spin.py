@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from spun4d.catalog import get_knot
 from spun4d.poly import Poly1
 from spun4d.spin import polynomial_spin, spin
-from spun4d.surface import Surface4, max_grid_deviation
+from spun4d.surface import PolyMap4, Surface4, max_grid_deviation, surface_from_json
+from spun4d.verify import verify_surface
+from test_reference_impls import _bernstein_20
 
 TWO_PI = 2.0 * math.pi
 
@@ -94,6 +97,20 @@ def test_spin_surface_json_roundtrip():
     s = spin(get_knot("trefoil_spun"))
     s2 = Surface4.from_json(s.to_json())
     assert max_grid_deviation(s, s2, 40, 40) == 0.0
+
+
+@pytest.mark.parametrize("name", ["polynomial_spin_8", "bernstein_20"])
+def test_polymap4_json_roundtrip(name):
+    # through the text of a file: the loaded map samples bit for bit as the
+    # one written, and verifies the same
+    p = polynomial_spin(get_knot("trefoil_spun"), 8) if name == "polynomial_spin_8" else _bernstein_20()
+    q = surface_from_json(json.loads(json.dumps(p.to_json())))
+    assert type(q) is PolyMap4 and q.to_json() == p.to_json()
+    tv, sv = p.t_dom.sample(37), p.s_dom.sample(29)
+    assert q.eval_grid(tv, sv).tobytes() == p.eval_grid(tv, sv).tobytes()
+    for got, want in zip(q.partials_grid(tv, sv), p.partials_grid(tv, sv)):
+        assert got.tobytes() == want.tobytes()
+    assert verify_surface(q, None, 32, 48).to_json() == verify_surface(p, None, 32, 48).to_json()
 
 
 def test_surface_file_power_of_a_sum_loads_collected():

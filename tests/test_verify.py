@@ -22,7 +22,7 @@ from spun4d.verify import (
     MAX_COLLISIONS, VerifyReport, _gram_grid, _inset_samples, boundary_check, injectivity_scan,
     isotopy_family_check, jacobian_rank_scan, verify_surface,
 )
-from test_reference_impls import factor_partials_reference
+from test_reference_impls import factor_partials_reference, row_pairs
 
 TWO_PI = 2.0 * math.pi
 
@@ -123,7 +123,7 @@ def test_injectivity_scan_evaluates_images_at_suspects_only(monkeypatch):
     # that share a plane cell with another node have their images evaluated
     s = _twist_k10()
     tvals, svals = s.t_dom.sample(400), 2.0 * np.pi * np.arange(400) / 400
-    rows, _ = s._factors(tvals, svals)
+    rows = row_pairs(s, tvals, svals)
     summed = np.zeros((400, 400, 4))
     for i, (a, b) in enumerate(rows):
         for k in range(a.shape[1]):
@@ -306,17 +306,17 @@ def test_injectivity_scan_of_an_evaluate_only_sampler_at_600():
 
 
 def test_rank_scan_and_verify_refuse_an_evaluate_only_sampler():
-    # the rank scan needs rank-K factors; it refuses before sampling anything
+    # the rank scan needs rank-K rows; it refuses before sampling anything
     s = _EvaluateOnly(_twist_k10())
     for scan in (lambda: jacobian_rank_scan(s, 32, 32), lambda: verify_surface(s)):
-        with pytest.raises(TypeError, match=r"rank-K factors \(_factors\).*_EvaluateOnly has none"):
+        with pytest.raises(TypeError, match=r"rank-K rows \(_rows\).*_EvaluateOnly has none"):
             scan()
     assert s.points == []
 
 
 class _Permuted:
     """A sampler of no model class: only ``evaluate``, the domains and
-    flags, and ``_factors`` in the one layout, those of a Surface4 with its
+    flags, and ``_rows`` in the one layout, those of a Surface4 with its
     coordinates taken in the order ``perm``."""
 
     def __init__(self, s, perm):
@@ -327,14 +327,14 @@ class _Permuted:
     def evaluate(self, t, th):
         return self._s.evaluate(t, th)[..., self._perm]
 
-    def _factors(self, tvals, svals, deriv=False):
-        rows, m = self._s._factors(tvals, svals, deriv)
-        return [rows[i] for i in self._perm], m
+    def _rows(self, side, x, deriv):
+        rows = self._s._rows(side, x, deriv)
+        return [rows[i] for i in self._perm]
 
 
 @pytest.mark.parametrize("name", ["twist_k3", "spin_without_poles"])
 def test_scans_hold_no_per_model_code(name):
-    # a sampler with the factor layout alone gets the rank ratio and the
+    # a sampler with the row layout alone gets the rank ratio and the
     # collisions of the Surface4 whose coordinates are permuted the same way
     arc = get_knot("trefoil_twist")
     axis = make_axis(arc, -2.19, 2.19)
