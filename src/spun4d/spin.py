@@ -15,8 +15,8 @@ import numpy as np
 
 from .catalog import KnotArc
 from .poly import Poly2
-from .surface import PolyMap4, Surface4, Term, Trig
-from .twist import _polynomialized
+from .surface import PolyMap4, Surface4, Term
+from .twist import _polynomialized, _spun
 
 __all__ = ["spin", "polynomial_spin"]
 
@@ -25,13 +25,7 @@ def spin(arc: KnotArc) -> Surface4:
     """Exact spun surface (f(t), g(t), h(t) cos(theta), h(t) sin(theta)): a
     topological 2-sphere, with a cone point at each pole unless the arc
     meets the plane h = 0 at a right angle there."""
-    # Surface4's defaults: theta in [0, 2 pi] with its seam, a pole at each arc end
-    return Surface4((
-        (Term(1.0, (arc.f,)),),
-        (Term(1.0, (arc.g,)),),
-        (Term(1.0, (arc.h,), (Trig(1),)),),
-        (Term(1.0, (arc.h,), (Trig(1, sine=True),)),),
-    ), arc.ab)
+    return _spun(*([Term(1.0, (p,))] for p in (arc.f, arc.g, arc.h)), arc.ab)
 
 
 def polynomial_spin(arc: KnotArc, cheb_degree: int) -> PolyMap4:

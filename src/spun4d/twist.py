@@ -4,7 +4,9 @@ chord PQ while spinning about the xy-plane.
 The rotation about PQ is Rodrigues' rotation about the horizontal axis
 direction, conjugated by the translation taking an axis point to the origin.
 A smooth bump in t confines the rotation to the knotted part so the arc ends
-stay put on the boundary plane.
+stay put on the boundary plane.  The rotated arc is one family
+A + B cos(phi) + C sin(phi) in t (``_arc_family``), turned by phi = k theta
+and spun (``_spun``) as ``spin.spin`` spins the fixed arc, where B = C = 0.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from .approx import _chebyshev_interpolant
 from .catalog import KnotArc
 from .errors import NonUnitAxis, NoRoom, PlaneCrossing
-from .poly import Poly1
+from .poly import Interval, Poly1
 from .surface import (
     TRIG_MAX_K, TWO_PI, Bump, Surface4, Term, Trig, _eval_points, _term_rows, max_grid_deviation,
 )
@@ -118,15 +120,16 @@ def axis_rotation(axis: TwistAxis, phi: float) -> AffineMap:
 
 # -- twisted arc ------------------------------------------------------------
 
-def _twisted_coords(arc: KnotArc, axis: TwistAxis, bump: Bump, k: int):
-    """Terms of (f~, g~, h~)(t, theta): the arc rotated by k*theta about PQ,
-    blended into the fixed arc by the bump.
+def _arc_family(arc: KnotArc, axis: TwistAxis, bump: Bump):
+    """Per coordinate of the arc rotated by phi about PQ and blended into the
+    fixed arc by the bump, its term lists (A, B, C) in t alone, so that the
+    rotated arc is A + B cos(phi) + C sin(phi).
 
     With v(t) = (f, g, h)(t) - P and Rodrigues' R = kk^T + (I - kk^T) cos +
     K sin about the unit axis direction k, the blend
-    (f, g, h) + B (P + R v - (f, g, h)) is
-    (f, g, h) - B u + B u cos(k theta) + B w sin(k theta) with
-    u = (I - kk^T) v and w = K v, all polynomials of the arc's degree.
+    (f, g, h) + bump (P + R v - (f, g, h)) has A = (f, g, h) - bump u,
+    B = bump u and C = bump w with u = (I - kk^T) v and w = K v, all
+    polynomials of the arc's degree.
     """
     kx, ky = axis.f21 / axis.n_len, axis.g21 / axis.n_len
     vx = arc.f - Poly1((axis.p1[0],))
@@ -139,18 +142,30 @@ def _twisted_coords(arc: KnotArc, axis: TwistAxis, bump: Bump, k: int):
         ((1.0, kx * kx * vy - kx * ky * vx), (-kx, vz)),
         ((1.0, vz), (1.0, kx * vy - ky * vx)),
     )
-    cos_k, sin_k = Trig(k), Trig(k, sine=True)
     return tuple(
-        (Term(1.0, (p,)), Term(-a, (bump, u)),
-         Term(a, (bump, u), (cos_k,)), Term(b, (bump, w), (sin_k,)))
+        ([Term(1.0, (p,)), Term(-a, (bump, u))], [Term(a, (bump, u))], [Term(b, (bump, w))])
         for p, ((a, u), (b, w)) in zip((arc.f, arc.g, arc.h), uw)
     )
+
+
+def _turned(family, k: int):
+    """Per coordinate, the terms of A + B cos(k theta) + C sin(k theta)."""
+    trigs = (Trig(k), Trig(k, sine=True))
+    return tuple(a + [Term(c, tf, sf + (trig,)) for trig, bc in zip(trigs, bcs) for c, tf, sf in bc]
+                 for a, *bcs in family)
+
+
+def _spun(x, y, h, ab) -> Surface4:
+    """The spin (x, y, h cos(theta), h sin(theta)) of an arc's terms over ab,
+    its last two coordinates the families (0, h, 0) and (0, 0, h) turned once."""
+    # Surface4's defaults: theta in [0, 2 pi] with its seam, a pole at each arc end
+    return Surface4((x, y, *_turned((([], h, []), ([], [], h)), 1)), ab)
 
 
 def twisted_arc(arc: KnotArc, axis: TwistAxis, bump: Bump, phi: float):
     """The blended rotated arc at a fixed rotation angle phi, as a function
     t -> (f~, g~, h~)(t) with result shape t.shape + (3,)."""
-    coords = _twisted_coords(arc, axis, bump, 1)
+    coords = _turned(_arc_family(arc, axis, bump), 1)
     return lambda t: _eval_points(partial(_term_rows, coords), t, phi)
 
 
@@ -181,19 +196,17 @@ PRECHECK_NT = 2000
 PRECHECK_NPHI = 1
 
 
-def _check_height_positive(arc: KnotArc, axis: TwistAxis, bump: Bump, k: int):
-    """Refuse a twist whose height h~ is <= 0 inside the arc, at any angle.
+def _check_height_positive(ab: Interval, height, k: int):
+    """Refuse a twist whose height h~ is <= 0 inside ``ab``, at any angle.
 
-    h~ depends on k and theta only through the rotation angle phi = k theta,
-    and the 1-twist's height is alpha(t) + beta(t) cos phi + gamma(t) sin phi.
-    So at each of PRECHECK_NT interior t samples its least value over every
-    phi is alpha - hypot(beta, gamma), taken at phi = atan2(-gamma, -beta):
-    exact in phi, sampled in t.  For k = 0 the angle stays 0 and the fixed
-    arc's alpha + beta is checked instead."""
-    ts = arc.ab.sample(PRECHECK_NT + 2)[1:-1]  # open interior
-    fixed, drop, cos_term, sin_term = _twisted_coords(arc, axis, bump, 1)[2]
-    parts = ([fixed, drop], [cos_term._replace(s=())], [sin_term._replace(s=())])
-    alpha, beta, gamma = _eval_points(partial(_term_rows, parts), ts, 0.0).T
+    h~ is alpha(t) + beta(t) cos phi + gamma(t) sin phi at phi = k theta, the
+    arc family's ``height`` row (alpha, beta, gamma).  So at each of
+    PRECHECK_NT interior t samples its least value over every phi is
+    alpha - hypot(beta, gamma), taken at phi = atan2(-gamma, -beta): exact
+    in phi, sampled in t.  For k = 0 the angle stays 0 and the fixed arc's
+    alpha + beta is checked instead."""
+    ts = ab.sample(PRECHECK_NT + 2)[1:-1]  # open interior
+    alpha, beta, gamma = _eval_points(partial(_term_rows, height), ts, 0.0).T
     low = alpha + beta if k == 0 else alpha - np.hypot(beta, gamma)
     i = np.argmin(low)
     if low[i] <= 0.0:
@@ -202,25 +215,24 @@ def _check_height_positive(arc: KnotArc, axis: TwistAxis, bump: Bump, k: int):
 
 
 def twist_spin(arc: KnotArc, axis: TwistAxis, bump: Bump, k: int) -> Surface4:
-    """k-twist spun surface (f~(t,k th), g~(t,k th), h~(t,k th) cos th, h~(t,k th) sin th).
+    """k-twist spun surface (f~(t,k th), g~(t,k th), h~(t,k th) cos th, h~(t,k th) sin th):
+    the arc family turned by k theta and spun; k = 0 gives ``spin(arc)`` exactly.
 
-    Rejects the construction with NoRoom if the bump does not vanish at both
-    arc ends (d2 > min(a^2, b^2)), and with PlaneCrossing if the rotating
-    knotted part would dip below the xy-plane at any rotation angle (exact
-    in the angle, at 2000 samples of t).
+    Rejects k with a ValueError, before any work, unless it is an integer
+    in [0, 2**53]; the construction with NoRoom if the bump does not vanish
+    at both arc ends (d2 > min(a^2, b^2)), and with PlaneCrossing if the
+    rotating knotted part would dip below the xy-plane at any rotation angle
+    (exact in the angle, at 2000 samples of t).
     """
-    if not 0 <= k <= TRIG_MAX_K:
-        raise ValueError(f"twist count k must be in [0, 2**53], got {k}")
+    if isinstance(k, bool) or not hasattr(type(k), "__index__") or not 0 <= k <= TRIG_MAX_K:
+        raise ValueError(f"twist count k must be an integer in [0, 2**53], got {k!r}")
     bound = min(arc.ab.lo ** 2, arc.ab.hi ** 2)
     if bump.d2 > bound:
         raise NoRoom(f"bump support d2={bump.d2!r} reaches past the arc ends: "
                      f"need d2 <= min(a^2, b^2) = {bound:.6g}")
-    _check_height_positive(arc, axis, bump, k)
-    ft, gt, ht = _twisted_coords(arc, axis, bump, k)
-    spun = [[Term(c, tf, sf + (trig,)) for c, tf, sf in ht]
-            for trig in (Trig(1), Trig(1, sine=True))]
-    # Surface4's defaults: theta in [0, 2 pi] with its seam, a pole at each arc end
-    return Surface4((ft, gt, *spun), arc.ab)
+    family = _arc_family(arc, axis, bump)
+    _check_height_positive(arc.ab, family[2], k)
+    return _spun(*_turned(family, k), arc.ab)
 
 
 def _polynomialized(s: Surface4, cheb_degree: int, bump_degree: int | None) -> Surface4:

@@ -51,6 +51,19 @@ def test_verify_names_no_surface_model():
     assert sorted({"Surface4", "PolyMap4"} & set(_referenced(_verify_tree()))) == []
 
 
+def test_spin_and_twist_spin_share_one_spinning_step():
+    # (x, y, h cos theta, h sin theta) is written once: the constructions in
+    # spin.py and twist.py call Surface4( only inside twist._spun
+    pkg = Path(spun4d.__file__).parent
+    callers = []
+    for module in ("spin.py", "twist.py"):
+        for top in ast.parse((pkg / module).read_text()).body:
+            callers += [f"{module}: {getattr(top, 'name', '<module>')}" for node in ast.walk(top)
+                        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "Surface4"]
+    assert callers == ["twist.py: _spun"]
+
+
 def test_verify_reads_only_the_sampling_contract_off_a_sampler():
     # every attribute that verify reads off its sampler argument s, directly
     # or by hasattr, is one of the sampling contract's

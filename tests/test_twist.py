@@ -195,6 +195,16 @@ def twist_setup():
 def test_twist_spin_zero_twists_matches_spin(twist_setup):
     arc, axis, bump = twist_setup
     assert max_grid_deviation(twist_spin(arc, axis, bump, 0), spin(arc)) < 1e-10
+    # B cos 0 cancels A's -B u and C sin 0 drops out as the terms are collected
+    assert twist_spin(arc, axis, bump, 0) == spin(arc)
+
+
+def test_twist_spin_zero_twists_is_the_spin_of_the_short_trefoil():
+    # the axis of acceptance criterion 5, halfway from the crossings to the ends
+    arc = get_knot("trefoil_spun")
+    hi = 0.5 * (arc.crossing_iv.hi + arc.ab.hi)
+    axis = make_axis(arc, -hi, hi)
+    assert twist_spin(arc, axis, choose_bump(arc, axis), 0) == spin(arc)
 
 
 def test_twist_spin_theta_zero_section(twist_setup):
@@ -237,10 +247,26 @@ def test_twist_spin_partials_match_finite_differences(twist_setup):
     assert np.max(np.abs(ds - fd_s)) < 1e-5
 
 
-def test_twist_spin_rejects_negative_k(twist_setup):
+def test_twist_spin_rejects_negative_k(twist_setup, monkeypatch):
+    # a twist count that is not a nonnegative integer is refused before the
+    # height pre-check evaluates a point
     arc, axis, bump = twist_setup
-    with pytest.raises(ValueError):
-        twist_spin(arc, axis, bump, -1)
+    points = []
+
+    def counting(coords, t, th, deriv=""):
+        points.append(np.broadcast(t, th).size)
+        return _eval_points(coords, t, th, deriv)
+
+    monkeypatch.setattr(twist_module, "_eval_points", counting)
+    for k in (-1, 2.0, 2.5, True):
+        with pytest.raises(ValueError, match=f"twist count k .*got {k!r}"):
+            twist_spin(arc, axis, bump, k)
+    assert points == []
+
+
+def test_twist_spin_accepts_a_numpy_integer_k(twist_setup):
+    arc, axis, bump = twist_setup
+    assert twist_spin(arc, axis, bump, np.int64(3)) == twist_spin(arc, axis, bump, 3)
 
 
 def test_twist_spin_rejects_k_beyond_float_precision(twist_setup):
@@ -292,6 +318,7 @@ def test_twist_spin_zero_twists_checks_the_fixed_arc_only():
     axis = make_axis(arc, -1.0, 1.0)
     bump = choose_bump(arc, axis)
     assert max_grid_deviation(twist_spin(arc, axis, bump, 0), spin(arc)) < 1e-10
+    assert twist_spin(arc, axis, bump, 0) == spin(arc)
     with pytest.raises(PlaneCrossing):
         twist_spin(arc, axis, bump, 1)
 
