@@ -12,7 +12,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as ncheb
 
 from .errors import GridMismatch, NonFiniteSample, Spun4dError, ZeroGap
-from .poly import Interval, Poly1, Poly2
+from .poly import Interval, Poly1, Poly2, _count
 
 __all__ = ["ChebFit", "chebyshev_fit", "bernstein_fit2", "PerturbationSpec", "odd_perturbation"]
 
@@ -91,8 +91,7 @@ def _chebyshev_interpolant(f: Callable[[np.ndarray], np.ndarray], iv: Interval, 
     (``_cheb_to_power``), so the coefficients are those of ``cheb2poly`` and
     ``Polynomial`` composition bit for bit.
     """
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
+    degree = _count(degree, "degree", 1)
     mid, half = iv.mid, 0.5 * iv.length
     # the nodes chebinterpolate samples at, checked before it interpolates
     nodes = ncheb.chebpts1(degree + 1)
@@ -132,7 +131,7 @@ def bernstein_fit2(samples: np.ndarray, degree: int) -> tuple[Poly2, Poly2, Poly
     Samples that are not finite raise NonFiniteSample, and a coefficient
     beyond double range raises Spun4dError.
     """
-    _check_degree(degree)
+    degree = _count(degree, "degree", 1)
     samples = np.asarray(samples, float)
     if samples.shape != (degree + 1, degree + 1, 4):
         raise GridMismatch(
@@ -160,14 +159,9 @@ def bernstein_fit2(samples: np.ndarray, degree: int) -> tuple[Poly2, Poly2, Poly
     return tuple(out)
 
 
-def _check_degree(degree: int) -> None:
-    if degree < 1:
-        raise ValueError(f"Bernstein degree must be at least 1, got {degree}")
-
-
 def bernstein_lattice(degree: int) -> np.ndarray:
     """The (degree+1) uniform control abscissae on [-1, 1]."""
-    _check_degree(degree)
+    degree = _count(degree, "degree", 1)
     return -1.0 + 2.0 * np.arange(degree + 1) / degree
 
 
@@ -205,8 +199,7 @@ def odd_perturbation(
     overall eps is half the minimum over all pairs (safety margin for the
     numerical detection of ``S``).  With no finite constraint eps defaults to 1.
     """
-    if N < 1:
-        raise ValueError("N must be a positive integer")
+    N = _count(N, "N", 1)
     _, _, z, w = map4
     power = 2 * N + 1
     bound = math.inf

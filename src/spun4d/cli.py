@@ -24,7 +24,7 @@ from .export import (
     _axes_indices, export_grid_csv, export_mesh, export_slices, project, sample_surface,
     slice_surface, sweep_surface, to_mesh,
 )
-from .poly import Interval, Poly1, roots_in_interval
+from .poly import Interval, Poly1, _count, roots_in_interval
 from .spin import spin
 from .surface import DEVIATION_GRID, PolyMap4, _images, _max_distance, surface_from_json
 from .twist import Bump, choose_bump, make_axis, polynomialize_twist, twist_spin
@@ -217,9 +217,7 @@ def _slice_files(surface, axis, args, cfg, pattern):
             raise ValueError(f"--values {args.values!r}: {exc}") from None
         slices = [slice_surface(surface, axis, v, n, n) for v in values]
     else:
-        count = 24 if args.count is None else args.count
-        if count < 1:
-            raise ValueError(f"--count must be at least 1, got {count}")
+        count = 24 if args.count is None else _count(args.count, "--count", 1)
         slices = sweep_surface(surface, axis, count, n, n)
     return export_slices(slices, args.format or "json", pattern)
 

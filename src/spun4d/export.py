@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BadAxes
-from .poly import Interval
+from .poly import Interval, _count
 from .surface import _grid_nodes, _images
 
 __all__ = [
@@ -90,8 +90,7 @@ def sample_surface(s, n_t: int, n_s: int) -> Grid:
     """Uniform grid over the domain rectangle, including both theta endpoints
     (the seam row is duplicated and flagged).  A surface whose image is not
     finite on the grid is refused with a ValueError."""
-    if n_t < 2 or n_s < 2:
-        raise ValueError("grid sizes must be >= 2")
+    n_t, n_s = _count(n_t, "n_t", 2), _count(n_s, "n_s", 2)
     tvals, svals = s.t_dom.sample(n_t), s.s_dom.sample(n_s)
     pts = _images(s, tvals[:, None], svals[None, :], "the surface's image on the sample grid")
     return Grid(tvals, svals, pts, s.periodic_s, s.pole_low, s.pole_high)
@@ -237,7 +236,7 @@ def slice_surface(s, axis: str, value: float, n_t: int = 128, n_s: int = 128) ->
     the seam or a pole goes on across it.  A surface whose image is not
     finite at a sample, a saddle centre or a crossing is refused with a ValueError.
     """
-    _check_slice(axis, n_t, n_s)
+    n_t, n_s = _check_slice(axis, n_t, n_s)
     if not np.isfinite(value):
         raise ValueError(f"slice value must be finite, got {value!r}")
     return _slicer(s, axis, n_t, n_s)[1](value)
@@ -246,18 +245,17 @@ def slice_surface(s, axis: str, value: float, n_t: int = 128, n_s: int = 128) ->
 def sweep_surface(s, axis: str, count: int, n_t: int = 128, n_s: int = 128) -> list[SliceCurveSet]:
     """``count`` slices at levels evenly spaced strictly inside the range the axis
     takes on the sampled grid, seam column and pole rows included: one sampling for all."""
-    _check_slice(axis, n_t, n_s)
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
+    n_t, n_s = _check_slice(axis, n_t, n_s)
+    count = _count(count, "count", 1)
     w, level = _slicer(s, axis, n_t, n_s)
     return [level(v) for v in np.linspace(float(w.min()), float(w.max()), count + 2)[1:-1]]
 
 
-def _check_slice(axis, n_t, n_s):
-    if n_t < 64 or n_s < 64:
-        raise ValueError("slice grid must be at least 64x64")
+def _check_slice(axis, n_t, n_s) -> tuple[int, int]:
+    n_t, n_s = _count(n_t, "n_t", 64), _count(n_s, "n_s", 64)
     if axis not in AXIS_NAMES:
         raise BadAxes(f"axis must be one of 'xyzw', got {axis!r}")
+    return n_t, n_s
 
 
 def _slicer(s, axis, n_t, n_s):

@@ -9,6 +9,7 @@ of ``t**i * s**j``.  Both are immutable and safe to share between threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -59,6 +60,21 @@ def _finite(x, where: str = "") -> float:
     return float(x)
 
 
+def _count(n, name: str, least: int) -> int:
+    """``n`` as a Python int, the package's one check of a count (a grid size,
+    a degree, N or k): refused with a ValueError naming ``name`` unless it is
+    an integer (not a bool, nor a whole float) and at least ``least``."""
+    try:
+        value = operator.index(n)
+    except TypeError:
+        value = None
+    if value is None or isinstance(n, bool):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
+
+
 def _coeffs_json(doc) -> list:
     """The list under key 'coeffs' of a polynomial's JSON form."""
     if not isinstance(doc, dict):
@@ -103,8 +119,7 @@ class Poly1:
 
     # -- calculus ----------------------------------------------------------
     def derivative(self, order: int = 1) -> "Poly1":
-        if order < 1:
-            raise ValueError("order must be >= 1")
+        order = _count(order, "order", 1)
         if self.is_zero:
             return Poly1()
         return Poly1(npoly.polyder(self.coeffs, m=order))
@@ -308,7 +323,7 @@ def roots_in_interval(p: Poly1, iv: Interval, tol: float = 1e-9) -> list[float]:
     root of p' in such a cell is refined in the same way, and kept when |p|
     there is at most ``tol * poly_scale(p, iv)``.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if p.is_zero:
         raise DegenerateInput("cannot isolate roots of the zero polynomial")

@@ -14,7 +14,7 @@ from functools import reduce
 import numpy as np
 
 from .catalog import KnotArc
-from .poly import Poly2
+from .poly import Poly2, _count
 from .surface import PolyMap4, Surface4, Term
 from .twist import _polynomialized, _spun
 
@@ -37,8 +37,7 @@ def polynomial_spin(arc: KnotArc, cheb_degree: int) -> PolyMap4:
     The deviation from the exact spin is bounded by max|h| times the fit
     errors; compare with ``surface.max_grid_deviation``.
     """
-    if cheb_degree < 6:
-        raise ValueError(f"cheb_degree must be >= 6, got {cheb_degree}")
+    cheb_degree = _count(cheb_degree, "cheb_degree", 6)
     s = _polynomialized(spin(arc), cheb_degree, None)
     return PolyMap4(tuple(map(_multiplied_out, s.coords)), s.t_dom, s.s_dom,
                     s.periodic_s, s.pole_low, s.pole_high)

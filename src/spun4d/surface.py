@@ -26,13 +26,12 @@ terms.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .poly import Interval, Poly1, Poly2, _finite
+from .poly import Interval, Poly1, Poly2, _count, _finite
 
 __all__ = ["Bump", "Trig", "Term", "Surface4", "PolyMap4", "max_grid_deviation"]
 
@@ -103,8 +102,8 @@ class Trig:
     sine: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "k", operator.index(self.k))
-        if not 0 <= self.k <= TRIG_MAX_K:
+        object.__setattr__(self, "k", _count(self.k, "trig multiple k", 0))
+        if self.k > TRIG_MAX_K:
             raise ValueError(f"trig multiple k must be in [0, 2**53], got {self.k}")
 
     def __call__(self, th):
@@ -267,19 +266,12 @@ def _coord_json(terms) -> dict:
     ]}
 
 
-def _trig(node, sine: bool) -> Trig:
-    k = node["k"]
-    if isinstance(k, bool) or not isinstance(k, int):
-        raise ValueError(f"'k' must be an integer, got {k!r}")
-    return Trig(k, sine)
-
-
 _LEAVES = {
     "const": lambda d: Term(_finite(d["value"], "key 'value': ")),
     "poly_t": lambda d: Term(1.0, (Poly1.from_json(d),)),
     "poly_theta": lambda d: Term(1.0, (), (Poly1.from_json(d),)),
-    "cos_k": lambda d: Term(1.0, (), (_trig(d, False),)),
-    "sin_k": lambda d: Term(1.0, (), (_trig(d, True),)),
+    "cos_k": lambda d: Term(1.0, (), (Trig(d["k"]),)),
+    "sin_k": lambda d: Term(1.0, (), (Trig(d["k"], True),)),
     "bump": lambda d: Term(1.0, (Bump(*(_finite(d[k], f"key {k!r}: ") for k in ("d1", "d2"))),)),
 }
 
@@ -523,6 +515,7 @@ def _images(s, t, th, what: str) -> np.ndarray:
 def max_grid_deviation(a, b, n_t: int = DEVIATION_GRID, n_s: int = DEVIATION_GRID) -> float:
     """Max Euclidean distance between two samplers over a shared tensor grid.
     An image that is not finite on the grid is refused with a ValueError."""
+    n_t, n_s = _count(n_t, "n_t", 1), _count(n_s, "n_s", 1)
     t, th = a.t_dom.sample(n_t)[:, None], a.s_dom.sample(n_s)[None, :]
     what = f"the {n_t}x{n_s} deviation grid"
     pa, pb = (_images(x, t, th, f"{what}: an image") for x in (a, b))

@@ -20,9 +20,9 @@ import numpy as np
 from .approx import _chebyshev_interpolant
 from .catalog import KnotArc
 from .errors import NonUnitAxis, NoRoom, PlaneCrossing
-from .poly import Interval, Poly1
+from .poly import Interval, Poly1, _count
 from .surface import (
-    TRIG_MAX_K, TWO_PI, Bump, Surface4, Term, Trig, _eval_points, _term_rows, max_grid_deviation,
+    TWO_PI, Bump, Surface4, Term, Trig, _eval_points, _term_rows, max_grid_deviation,
 )
 
 __all__ = [
@@ -224,15 +224,15 @@ def twist_spin(arc: KnotArc, axis: TwistAxis, bump: Bump, k: int) -> Surface4:
     rotating knotted part would dip below the xy-plane at any rotation angle
     (exact in the angle, at 2000 samples of t).
     """
-    if isinstance(k, bool) or not hasattr(type(k), "__index__") or not 0 <= k <= TRIG_MAX_K:
-        raise ValueError(f"twist count k must be an integer in [0, 2**53], got {k!r}")
+    k = _count(k, "twist count k", 0)
+    family = _arc_family(arc, axis, bump)
+    coords = _turned(family, k)  # Trig refuses k above 2**53
     bound = min(arc.ab.lo ** 2, arc.ab.hi ** 2)
     if bump.d2 > bound:
         raise NoRoom(f"bump support d2={bump.d2!r} reaches past the arc ends: "
                      f"need d2 <= min(a^2, b^2) = {bound:.6g}")
-    family = _arc_family(arc, axis, bump)
     _check_height_positive(arc.ab, family[2], k)
-    return _spun(*_turned(family, k), arc.ab)
+    return _spun(*coords, arc.ab)
 
 
 def _polynomialized(s: Surface4, cheb_degree: int, bump_degree: int | None) -> Surface4:
@@ -263,9 +263,7 @@ def polynomialize_twist(s: Surface4, cheb_degree: int, bump_degree: int | None =
 
     Returns the new surface and its max deviation from ``s`` on a 200x200 grid.
     """
-    if cheb_degree < 1:
-        raise ValueError(f"cheb_degree must be >= 1, got {cheb_degree}")
-    if bump_degree is not None and bump_degree < 1:
-        raise ValueError(f"bump_degree must be >= 1, got {bump_degree}")
+    cheb_degree = _count(cheb_degree, "cheb_degree", 1)
+    bump_degree = None if bump_degree is None else _count(bump_degree, "bump_degree", 1)
     out = _polynomialized(s, cheb_degree, bump_degree)
     return out, max_grid_deviation(s, out)

@@ -8,13 +8,14 @@ resolution", never a proof.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .approx import PerturbationSpec, _perturb
 from .catalog import KnotArc, height_admissible
-from .poly import Interval, poly_scale
+from .poly import Interval, _count, poly_scale
 from .surface import _images, _squared_distances
 
 __all__ = [
@@ -139,8 +140,7 @@ def jacobian_rank_scan(s, n_t: int, n_s: int, tol: float = RANK_TOL) -> tuple[bo
     """
     if not hasattr(s, "_rows"):
         raise TypeError(f"the rank scan needs rank-K rows (_rows); {type(s).__name__} has none")
-    if n_t < 16 or n_s < 16:
-        raise ValueError("grid sizes must be >= 16")
+    n_t, n_s = _count(n_t, "n_t", 16), _count(n_s, "n_s", 16)
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must be in (0, 1)")
     tvals = _inset_samples(s.t_dom, n_t)
@@ -417,8 +417,7 @@ def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float =
     sorted by a stable ``np.lexsort`` on (param_a, param_b), and only then
     made ``Collision`` objects.
     """
-    if n_t < 16 or n_s < 16:
-        raise ValueError(f"injectivity grid sizes must be >= 16, got {n_t}x{n_s}")
+    n_t, n_s = _count(n_t, "n_t", 16), _count(n_s, "n_s", 16)
     if not 0.0 < param_sep < 1.0:
         raise ValueError(f"param_sep must be in (0, 1), got {param_sep!r}")
     if not image_tol > 0.0:
@@ -503,8 +502,13 @@ def isotopy_family_check(
     perturbation family F_u for every u; stops at the first u that fails.
 
     ``map4`` is the *unperturbed* PolyMap4; F_u adds u * eps * t^(2N+1) and
-    u * eps * s^(2N+1) to the third and fourth coordinates.
+    u * eps * s^(2N+1) to the third and fourth coordinates.  An empty
+    ``u_samples``, which would check nothing, and a u that is not finite are
+    refused with a ValueError before any family map is built.
     """
+    u_samples = list(u_samples)
+    if not u_samples or not all(map(math.isfinite, u_samples)):
+        raise ValueError(f"u_samples must be one or more finite u, got {u_samples!r}")
     return all(
         verify_surface(replace(map4, polys=_perturb(map4.polys, spec.N, u * spec.epsilon)), None,
                        n_rank, n_inject, param_sep, rank_tol, image_tol).ok
@@ -523,6 +527,7 @@ def verify_surface(
 ) -> VerifyReport:
     """Bundle of all applicable checks for one surface, as a report; a sampler
     without rank-K ``_rows`` (only ``evaluate``) is refused with a TypeError."""
+    n_rank, n_inject = _count(n_rank, "n_rank", 16), _count(n_inject, "n_inject", 16)
     rank_ok, min_ratio = jacobian_rank_scan(s, n_rank, n_rank, rank_tol)
     collisions = injectivity_scan(s, n_inject, n_inject, param_sep, image_tol)
     boundary_ok = boundary_check(arc) if arc is not None else None

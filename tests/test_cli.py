@@ -526,7 +526,7 @@ def test_polynomialize_refuses_bump_degree_below_one(workdir, capsys, cmd, degre
     capsys.readouterr()
     source = "s.json" if cmd else "trefoil_spun"
     assert dispatch(["polynomialize", source, "--bump-degree", degree]) == 1
-    assert f"bump_degree must be >= 1, got {degree}" in _one_error_line(capsys)
+    assert f"bump_degree must be at least 1, got {degree}" in _one_error_line(capsys)
     assert sorted(os.listdir(workdir)) == written
 
 
@@ -738,7 +738,7 @@ def test_knot_file_with_a_tiny_high_degree_term_spins(workdir):
     assert os.path.exists(workdir / "s.json")
 
 
-@pytest.mark.parametrize("cfg, words", [({"n_inject": 1}, ">= 16, got 1x1"),
+@pytest.mark.parametrize("cfg, words", [({"n_inject": 1}, "n_inject must be at least 16, got 1"),
                                         ({"param_sep": 5}, "param_sep must be in (0, 1)")])
 def test_scan_setting_that_cannot_fail_is_one_error_line(workdir, capsys, cfg, words):
     # a 1x1 grid has no pair to test; normalized parameters lie at most sqrt(2)

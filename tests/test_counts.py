@@ -1,0 +1,108 @@
+"""Every count the package takes (a grid size, a degree, N or k) is checked
+by one rule, ``poly._count``, before any work: an integer, not a bool, at
+least its least value, refused otherwise with a ValueError naming it."""
+
+import json
+import pickle
+import re
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+import spun4d.surface as surface_module
+import spun4d.twist as twist_module
+from spun4d.approx import bernstein_fit2, bernstein_lattice, chebyshev_fit, odd_perturbation
+from spun4d.catalog import get_knot
+from spun4d.export import sample_surface, slice_surface, sweep_surface
+from spun4d.poly import Interval, Poly1
+from spun4d.spin import polynomial_spin, spin
+from spun4d.surface import Trig, max_grid_deviation
+from spun4d.twist import choose_bump, make_axis, polynomialize_twist, twist_spin
+from spun4d.verify import injectivity_scan, jacobian_rank_scan, verify_surface
+
+
+@pytest.fixture(scope="module")
+def ctx():
+    arc = get_knot("trefoil_spun")
+    twist_arc = get_knot("trefoil_twist")
+    axis = make_axis(twist_arc, -2.19, 2.19)
+    return SimpleNamespace(arc=arc, s=spin(arc), polys=polynomial_spin(arc, 8).polys,
+                           twist=(twist_arc, axis, choose_bump(twist_arc, axis)))
+
+
+# the entry point, the count's name, its least value, and a call with the count n
+COUNTS = [
+    ("jacobian_rank_scan", "n_t", 16, lambda c, n: jacobian_rank_scan(c.s, n, 16)),
+    ("jacobian_rank_scan", "n_s", 16, lambda c, n: jacobian_rank_scan(c.s, 16, n)),
+    ("injectivity_scan", "n_t", 16, lambda c, n: injectivity_scan(c.s, n, 16, 0.05)),
+    ("injectivity_scan", "n_s", 16, lambda c, n: injectivity_scan(c.s, 16, n, 0.05)),
+    ("verify_surface", "n_rank", 16, lambda c, n: verify_surface(c.s, c.arc, n, 16)),
+    ("verify_surface", "n_inject", 16, lambda c, n: verify_surface(c.s, c.arc, 16, n)),
+    ("sample_surface", "n_t", 2, lambda c, n: sample_surface(c.s, n, 2)),
+    ("sample_surface", "n_s", 2, lambda c, n: sample_surface(c.s, 2, n)),
+    ("slice_surface", "n_t", 64, lambda c, n: slice_surface(c.s, "w", 0.5, n, 64)),
+    ("slice_surface", "n_s", 64, lambda c, n: slice_surface(c.s, "w", 0.5, 64, n)),
+    ("sweep_surface", "n_t", 64, lambda c, n: sweep_surface(c.s, "w", 1, n, 64)),
+    ("sweep_surface", "n_s", 64, lambda c, n: sweep_surface(c.s, "w", 1, 64, n)),
+    ("sweep_surface", "count", 1, lambda c, n: sweep_surface(c.s, "w", n, 64, 64)),
+    ("max_grid_deviation", "n_t", 1, lambda c, n: max_grid_deviation(c.s, c.s, n, 1)),
+    ("max_grid_deviation", "n_s", 1, lambda c, n: max_grid_deviation(c.s, c.s, 1, n)),
+    ("chebyshev_fit", "degree", 1, lambda c, n: chebyshev_fit(np.cos, Interval(0.0, 1.0), n)),
+    ("polynomialize_twist", "cheb_degree", 1, lambda c, n: polynomialize_twist(c.s, n)),
+    ("polynomialize_twist", "bump_degree", 1, lambda c, n: polynomialize_twist(c.s, 1, n)),
+    ("polynomial_spin", "cheb_degree", 6, lambda c, n: polynomial_spin(c.arc, n)),
+    ("bernstein_fit2", "degree", 1, lambda c, n: bernstein_fit2(np.ones((2, 2, 4)), n)),
+    ("bernstein_lattice", "degree", 1, lambda c, n: bernstein_lattice(n)),
+    ("odd_perturbation", "N", 1, lambda c, n: odd_perturbation(c.polys, n, [])),
+    ("Poly1.derivative", "order", 1, lambda c, n: Poly1((1.0, 2.0, 3.0)).derivative(n)),
+    ("Trig", "trig multiple k", 0, lambda c, n: Trig(n)),
+    ("twist_spin", "twist count k", 0, lambda c, n: twist_spin(*c.twist, n)),
+]
+IDS = [f"{entry}-{name}" for entry, name, _, _ in COUNTS]
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """The number of calls of the samplers' evaluator and term rows."""
+    calls = []
+
+    def counting(real):
+        return lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs)
+
+    for module in (surface_module, twist_module):
+        for fn in ("_eval_points", "_term_rows"):
+            monkeypatch.setattr(module, fn, counting(getattr(module, fn)))
+    return calls
+
+
+@pytest.mark.parametrize("entry, name, least, call", COUNTS, ids=IDS)
+@pytest.mark.parametrize("bad", [16.5, 2.5, 2.0, True, np.True_, "16"])
+def test_a_count_that_is_not_an_integer_is_refused_before_any_work(ctx, evaluated, entry, name,
+                                                                   least, call, bad):
+    words = f"^{re.escape(name)} must be an integer, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=words):
+        call(ctx, bad)
+    assert evaluated == []
+
+
+@pytest.mark.parametrize("entry, name, least, call", COUNTS, ids=IDS)
+def test_a_count_below_its_least_value_is_refused_before_any_work(ctx, evaluated, entry, name,
+                                                                  least, call):
+    words = f"^{re.escape(name)} must be at least {least}, got {least - 1}$"
+    for n in (least - 1, np.int64(least - 1)):
+        with pytest.raises(ValueError, match=words):
+            call(ctx, n)
+    assert evaluated == []
+
+
+@pytest.mark.parametrize("entry, name, least, call", COUNTS, ids=IDS)
+def test_a_numpy_integer_count_gives_the_result_of_an_int(ctx, entry, name, least, call):
+    # pickled, the results agree in every value and type, a Python int for the count included
+    assert pickle.dumps(call(ctx, np.int64(least))) == pickle.dumps(call(ctx, least))
+
+
+def test_a_report_of_numpy_grid_sizes_is_json(ctx):
+    report = verify_surface(ctx.s, ctx.arc, np.int64(32), np.int64(48))
+    assert report.grid == (32, 48) and all(type(n) is int for n in report.grid)
+    assert json.loads(json.dumps(report.to_json()))["grid"] == [32, 48]

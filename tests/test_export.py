@@ -117,7 +117,7 @@ def test_slice_validates_input(trefoil_surface):
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             slice_surface(trefoil_surface, "w", value)
-    with pytest.raises(ValueError, match="64x64"):
+    with pytest.raises(ValueError, match="n_s must be at least 64, got 32"):
         sweep_surface(trefoil_surface, "w", 3, 128, 32)
     with pytest.raises(BadAxes):
         sweep_surface(trefoil_surface, "q", 3)

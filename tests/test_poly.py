@@ -128,6 +128,16 @@ def test_roots_in_interval_even_touch():
     assert np.allclose(got, [1.0], atol=1e-6)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
+def test_roots_in_interval_refuses_a_tol_that_is_not_positive(tol):
+    # with tol = nan no touch point passes |p| <= tol * scale, so the double
+    # root of (t - 0.1234)^2 would be lost
+    p = Poly1((0.1234 ** 2, -2 * 0.1234, 1.0))
+    assert np.allclose(roots_in_interval(p, Interval(-1.0, 1.0)), [0.1234], atol=1e-6)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        roots_in_interval(p, Interval(-1.0, 1.0), tol)
+
+
 @pytest.mark.parametrize("roots, want", [
     ((1.0, 1.0), [1.0]),
     ((-1.0, -1.0, 1.0, 1.0), [-1.0, 1.0]),

@@ -12,6 +12,7 @@ import pytest
 import spun4d
 
 import spun4d.surface as surface_module
+import spun4d.verify as verify_module
 from spun4d.approx import PerturbationSpec, odd_perturbation
 from spun4d.catalog import KnotArc, get_knot
 from spun4d.poly import Interval, Poly1, Poly2
@@ -390,6 +391,20 @@ def test_isotopy_family_check_passes_for_embedded_map():
     spec, _ = odd_perturbation(poly.polys, 2, [])
     assert spec.epsilon > 0
     assert isotopy_family_check(poly, spec, [0.0, 0.5, 1.0], n_rank=48, n_inject=96)
+
+
+@pytest.mark.parametrize("u_samples", [[], [math.nan], [0.0, math.inf]])
+def test_isotopy_family_check_refuses_no_u_or_a_u_that_is_not_finite(monkeypatch, u_samples):
+    # an empty family checks nothing; both are refused before any family map is built
+    poly = polynomial_spin(get_knot("trefoil_spun"), 8)
+    spec, _ = odd_perturbation(poly.polys, 2, [])
+    built = []
+    monkeypatch.setattr(verify_module, "_perturb", lambda *args: built.append(args))
+    with pytest.raises(ValueError, match=r"u_samples must be one or more finite u, got \["):
+        isotopy_family_check(poly, spec, u_samples, n_rank=32, n_inject=64)
+    assert built == []
+    monkeypatch.undo()
+    assert isotopy_family_check(poly, spec, [0.0], n_rank=32, n_inject=64)
 
 
 def test_isotopy_family_check_fails_for_folded_map():

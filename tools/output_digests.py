@@ -1,0 +1,133 @@
+"""sha256 digests of the package's outputs, to show that a change leaves them
+bit-identical.
+
+    python tools/output_digests.py SRC OUT
+
+SRC is a checkout of the repository: its ``src/`` is the package measured,
+and its ``perfbench/workloads.py`` gives the README's CLI commands
+(``COMMANDS``).  OUT is the JSON file written.  Run it on two checkouts and
+compare the two files byte for byte.
+
+Everything runs with one BLAS thread.  The commands run in order in one
+temporary directory; each one's exit code, stdout and stderr make one digest,
+and each file written one more, a manifest without its ``timing_seconds``.
+The library digests cover the spins of the catalog arcs and the twist spins
+of ``trefoil_twist`` at k = 0, 1, 3 and 10 (axis at t = -2.19 and 2.19):
+``eval_grid`` on 150 x 130 samples, ``verify_surface`` at 96 / 200 and the
+degree-24 ``polynomialize_twist``; the grids and reports of
+``polynomial_spin`` of ``trefoil_spun`` at degrees 8 and 12; and the
+verdict of acceptance criterion 8's perturbation family.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+DEGREE = 24
+GRID = (150, 130)
+VERIFY = (96, 200)
+
+
+def _sha(data) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+def _json_sha(doc) -> str:
+    return _sha(json.dumps(doc, sort_keys=True))
+
+
+def _command_digests(commands, env: dict) -> tuple[dict, dict]:
+    """Per command, the digest of its exit code, stdout and stderr; per file
+    the commands wrote, the digest of its bytes (a manifest's without its
+    timing)."""
+    done, files = {}, {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for cid, text, _ in commands:
+            proc = subprocess.run([sys.executable, "-m", "spun4d.cli", *text.split()], cwd=tmp,
+                                  env=env, capture_output=True)
+            done[cid] = _sha(f"{proc.returncode}\n".encode() + proc.stdout + b"\0" + proc.stderr)
+        for name in sorted(os.listdir(tmp)):
+            with open(os.path.join(tmp, name), "rb") as fh:
+                data = fh.read()
+            if name.endswith(".manifest.json"):
+                doc = json.loads(data)
+                doc.pop("timing_seconds")
+                files[name] = _json_sha(doc)
+            else:
+                files[name] = _sha(data)
+    return done, files
+
+
+def _library_digests() -> dict:
+    import numpy as np
+
+    from spun4d.approx import odd_perturbation
+    from spun4d.catalog import get_knot, knot_names
+    from spun4d.spin import polynomial_spin, spin
+    from spun4d.twist import choose_bump, make_axis, polynomialize_twist, twist_spin
+    from spun4d.verify import isotopy_family_check, verify_surface
+
+    def grid(s):
+        pts = np.ascontiguousarray(s.eval_grid(s.t_dom.sample(GRID[0]), s.s_dom.sample(GRID[1])))
+        return _sha(repr(pts.shape).encode() + pts.tobytes())
+
+    def report(s, arc):
+        return _json_sha(verify_surface(s, arc, *VERIFY).to_json())
+
+    out = {}
+    twist_arc = get_knot("trefoil_twist")
+    axis = make_axis(twist_arc, -2.19, 2.19)
+    bump = choose_bump(twist_arc, axis)
+    surfaces = [(f"spin {name}", spin(get_knot(name)), get_knot(name)) for name in knot_names()]
+    surfaces += [(f"twist_spin trefoil_twist k={k}", twist_spin(twist_arc, axis, bump, k), twist_arc)
+                 for k in (0, 1, 3, 10)]
+    for label, s, arc in surfaces:
+        out[f"{label}: eval_grid {GRID[0]}x{GRID[1]}"] = grid(s)
+        out[f"{label}: verify_surface {VERIFY[0]}/{VERIFY[1]}"] = report(s, arc)
+        poly, dev = polynomialize_twist(s, DEGREE)
+        out[f"{label}: polynomialize_twist {DEGREE}"] = _json_sha({"surface": poly.to_json(),
+                                                                   "deviation": dev})
+    arc = get_knot("trefoil_spun")
+    for degree in (8, 12):
+        p, label = polynomial_spin(arc, degree), f"polynomial_spin trefoil_spun {degree}"
+        out[f"{label}: eval_grid {GRID[0]}x{GRID[1]}"] = grid(p)
+        out[f"{label}: verify_surface {VERIFY[0]}/{VERIFY[1]}"] = report(p, arc)
+    p = polynomial_spin(arc, 8)
+    spec, _ = odd_perturbation(p.polys, 2, [])
+    ok = isotopy_family_check(p, spec, [0.0, 0.25, 0.5, 0.75, 1.0], n_rank=96, n_inject=200,
+                              param_sep=0.05)
+    out["criterion 8 family verdict"] = _json_sha({"N": spec.N, "epsilon": spec.epsilon, "ok": ok})
+    return out
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print("usage: python tools/output_digests.py SRC OUT", file=sys.stderr)
+        return 2
+    src, out_path = os.path.abspath(argv[0]), argv[1]
+    # SRC's own perfbench and package, imported before numpy so that its
+    # BLAS starts with one thread
+    sys.path[:0] = [os.path.join(src, "perfbench"), os.path.join(src, "src")]
+    from workloads import COMMANDS, THREAD_VARS, check_provenance, child_env
+
+    os.environ.update({v: "1" for v in THREAD_VARS})
+    import spun4d
+
+    check_provenance(spun4d.__file__, src)
+    commands, files = _command_digests(COMMANDS, child_env(src))
+    library = _library_digests()
+    with open(out_path, "w") as fh:
+        json.dump({"commands": commands, "files": files, "library": library}, fh, indent=1,
+                  sort_keys=True)
+        fh.write("\n")
+    print(f"{out_path}: {len(commands)} commands, {len(files)} files, {len(library)} library entries")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
