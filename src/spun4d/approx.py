@@ -1,5 +1,11 @@
 """Function approximation: Chebyshev interpolants on an interval, bivariate
 Bernstein fits of sampled maps, and the odd-degree injectivity perturbation.
+
+A Bernstein fit changes basis exactly.  The samples and the integer
+basis-change matrix are split into 16-bit limbs, and their products run as
+float64 matrix products in which every partial sum is an integer below 2^53,
+so BLAS computes them exactly in any order.  Carries are propagated in int64,
+and each coefficient is rounded once, to the nearest double, ties to even.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as ncheb
 
 from .errors import GridMismatch, NonFiniteSample, Spun4dError, ZeroGap
-from .poly import Interval, Poly1, Poly2, _count
+from .poly import Interval, Poly1, Poly2, _count, _finite
 
 __all__ = ["ChebFit", "chebyshev_fit", "bernstein_fit2", "PerturbationSpec", "odd_perturbation"]
 
@@ -102,19 +108,129 @@ def _chebyshev_interpolant(f: Callable[[np.ndarray], np.ndarray], iv: Interval, 
     return Poly1(tuple(_cheb_to_power(cheb_coeffs, mid, half)))
 
 
-def _bernstein_to_power(c: np.ndarray) -> None:
-    """Along axis 0 of an object array of integers, in place: Bernstein
-    coefficients of degree n on [-1, 1] become 2^n times the power
-    coefficients in t.  With u = (t + 1) / 2, the power coefficients in u are
-    comb(n, k) * (k-th forward difference at 0); weights 2^(n - k) express
-    them in x = 2u, and repeated suffix sums are the Taylor shift x -> t + 1."""
-    n = len(c) - 1
-    for k in range(1, n + 1):
-        c[k:] = c[k:] - c[k - 1:-1]
-    c *= np.array([math.comb(n, k) << (n - k) for k in range(n + 1)],
-                  dtype=object).reshape((-1,) + (1,) * (c.ndim - 1))
-    for i in range(n):
-        c[i:] = np.add.accumulate(c[i:][::-1])[::-1]
+# The exact basis change works on integers split into signed limbs of _B bits
+# and multiplies them as float64 matrices.  A product of two limbs is below
+# 2^(2 _B) in magnitude, and an entry of a limb product sums n + 1 of them for
+# each of at most min(L_T, L_X) limb pairs, where L_T and L_X are the two
+# operands' limb counts.  With _B = 16 every partial sum is therefore an integer
+# below (n + 1) min(L_T, L_X) 2^32 < 2^53, so each is exact whatever order or
+# thread count BLAS sums in.  T's entries have at most 2n bits, so L_T <= n/8 + 1
+# and the bound holds up to degree 4000 (_MAX_LIMB_TERMS).
+_B = 16
+_LIMB = (1 << _B) - 1
+_MAX_LIMB_TERMS = 1 << (53 - 2 * _B)
+
+
+def _power_limbs(n: int) -> np.ndarray:
+    """T in _B-bit limbs, least significant first on axis 0, as ``_carry``
+    leaves them: T[m, k] is the coefficient of t^m in
+    comb(n, k) (1 + t)^k (1 - t)^(n - k), so ``T @ b`` is 2^n times the power
+    coefficients in t of the degree-n Bernstein coefficients ``b`` on [-1, 1].
+
+    Column k is that polynomial's value at t = 2^S, each coefficient raised by
+    2^(S - 1) so that the base-2^S digits are the coefficients: S bits hold
+    |T| <= 4^n and a sign."""
+    n_limbs = 2 * n // _B + 1
+    base = 1 << (_B * n_limbs)
+    bias = (base >> 1) * ((base ** (n + 1) - 1) // (base - 1))
+    size = n_limbs * (n + 1) * _B // 8
+    col, raw = (1 - base) ** n, []
+    for k in range(n + 1):
+        raw.append((math.comb(n, k) * col + bias).to_bytes(size, "little"))
+        col = col // (1 - base) * (1 + base)  # the next (1 + t)^k (1 - t)^(n - k)
+    limbs = np.frombuffer(b"".join(raw), f"<u{_B // 8}").reshape(n + 1, n + 1, n_limbs)
+    limbs = limbs.T.astype(np.int64)
+    limbs[-1] -= 1 << (_B - 1)
+    return _carry(limbs).astype(float)
+
+
+def _sample_limbs(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The samples x[i, j, c] as W[c, j, i] 2^e[c] exactly, W integers and e[c]
+    the least exponent of coordinate c: W in signed _B-bit limbs, least
+    significant first on axis 0, and e."""
+    mant, exp = np.frexp(samples.transpose(2, 1, 0))
+    m = (mant * 2.0 ** 53).astype(np.int64)  # x = m 2^(exp - 53), |m| < 2^53
+    exp = exp.astype(np.int64) - 53
+    e = np.where(m != 0, exp, np.iinfo(exp.dtype).max).min(axis=(1, 2))
+    e[~m.any(axis=(1, 2))] = 0
+    shift = np.where(m != 0, exp - e[:, None, None], 0).ravel()
+    n_limbs = -(-(int(shift.max()) + 53) // _B)
+    # |m| 2^(shift % _B) has five limbs, placed from limb shift // _B up
+    low, r = np.divmod(shift, _B)
+    mag, r = np.abs(m.ravel()).astype(np.uint64), r.astype(np.uint64)
+    at = low * m.size + np.arange(m.size)
+    w = np.zeros((n_limbs + 4,) + m.shape)
+    for i in range(5):
+        limb = (mag << r if i == 0 else mag >> (np.uint64(_B * i) - r)) & np.uint64(_LIMB)
+        w.ravel()[at + i * m.size] = np.copysign(limb, mant.ravel())
+    return w[:n_limbs], e
+
+
+def _carry(z: np.ndarray) -> np.ndarray:
+    """Carries int64 limb sums along axis 0, in place: every limb but the top
+    one into [0, 2^_B), the top one keeping the rest, signed.  Returns them
+    without the top limbs that only extend the sign of the limb below."""
+    carry = np.empty_like(z[0])
+    for k in range(len(z) - 1):
+        np.right_shift(z[k], _B, out=carry)
+        z[k] &= _LIMB
+        z[k + 1] += carry
+    n_limbs = len(z)
+    while n_limbs > 1:
+        folded = z[n_limbs - 2] + (z[n_limbs - 1] << _B)
+        if np.any((folded < -(1 << (_B - 1))) | (folded >= 1 << (_B - 1))):
+            break
+        n_limbs -= 1
+        z[n_limbs - 1] = folded
+    return z[:n_limbs]
+
+
+def _limb_matmul(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """X @ T.T exactly, over the last axis of X: T and X are integers in limbs,
+    least significant first on axis 0.  Returns the product's limbs as
+    ``_carry`` leaves them, the top one within [-2^(_B - 1), 2^(_B - 1))."""
+    n_terms = t.shape[-1] * min(len(t), len(x))
+    if n_terms >= _MAX_LIMB_TERMS:
+        raise Spun4dError(f"an exact product of {n_terms} limb terms is beyond float64's exact sums")
+    # three more limbs take the carries out of sums below 2^53
+    out = np.zeros((len(t) + len(x) + 2,) + x.shape[1:])
+    flat = np.ascontiguousarray(x, dtype=float).reshape(-1, x.shape[-1])
+    for a, limb in enumerate(t):
+        out[a:a + len(x)] += (flat @ limb.T).reshape(x.shape)
+    return _carry(out.astype(np.int64))
+
+
+def _round_limbs(z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The floats nearest, ties to even, to Z 2^e, Z the integers that the
+    limbs ``z`` (as ``_carry`` leaves them) give along axis 0; inf where the
+    rounded value is beyond double range.
+
+    A 64-bit window starting at the leading bit of |Z|, with a sticky bit for
+    the bits below it, is rounded once: at bit 11 of the window for a normal
+    result, higher up for a subnormal one."""
+    neg = z[-1] < 0
+    mag = _carry(np.where(neg, -z, z))
+    n_limbs, size = mag.shape
+    nonzero = mag != 0
+    top = (nonzero * np.arange(n_limbs)[:, None]).max(axis=0)
+    # the top limb and the four below it, of |Z| over four zero limbs
+    flat = np.concatenate((np.zeros(4 * size, np.int64), mag.ravel()))
+    at = (top + 4) * size + np.arange(size)
+    d = [flat[at - i * size].astype(np.uint64) for i in range(5)]
+    below = nonzero.sum(axis=0) > sum(x != 0 for x in d)
+    bl = np.frexp(d[0])[1].astype(np.uint64)  # the top limb's bit length (0 where Z = 0)
+    w = ((d[0] << (64 - bl)) | (d[1] << (48 - bl)) | (d[2] << (32 - bl)) | (d[3] << (16 - bl))
+         | (d[4] >> bl))
+    sticky = below | ((d[4] & ((np.uint64(1) << bl) - np.uint64(1))) != 0)
+    exp = _B * (top - 4) + bl.astype(np.int64) + e  # |Z| 2^e = (w + sticky part) 2^exp
+    drop = np.clip(-1074 - exp, 11, 64)  # bits of w below the result's last bit
+    half = np.uint64(1) << (drop - 1).astype(np.uint64)
+    q = (w >> (drop - 1).astype(np.uint64)) >> np.uint64(1)
+    rem = w & (half | (half - np.uint64(1)))
+    q += (rem > half) | ((rem == half) & (sticky | (q & np.uint64(1) != 0)))
+    with np.errstate(over="ignore"):  # where exp + drop < -1074, q <= 1 goes to 0
+        out = np.ldexp(q.astype(float), exp + drop)
+    return np.where(neg, -out, out)
 
 
 def bernstein_fit2(samples: np.ndarray, degree: int) -> tuple[Poly2, Poly2, Poly2, Poly2]:
@@ -125,11 +241,20 @@ def bernstein_fit2(samples: np.ndarray, degree: int) -> tuple[Poly2, Poly2, Poly
     monomial basis.  Bernstein approximation converges but does not
     interpolate; only constants and degree-1 coordinates come back exactly.
 
-    The basis change is exact, in Python integers: forward differences and a
-    Taylor shift (Farouki and Rajan, CAGD 1988), along t and then along s.  In
-    float64 its alternating sums cancel catastrophically beyond degree ~25.
-    Samples that are not finite raise NonFiniteSample, and a coefficient
-    beyond double range raises Spun4dError.
+    The basis change is exact (Farouki and Rajan, CAGD 1988).  Each
+    coordinate's samples are integers W over one power of two, through
+    ``np.frexp``.  The integer matrix T (``_power_limbs``) takes Bernstein
+    coefficients to 2^n times power coefficients, so the coefficients are
+    T W T^T over 4^n times that power of two.  Both products run as float64
+    matrix products of 16-bit limbs, for all four coordinates at once.  A
+    limb product sums n + 1 products below 2^32 for each of at most
+    min(L_T, L_W) limb pairs, so every partial sum is an integer below 2^53
+    and exact in any summation order (see _B).  Carries are propagated in
+    int64.  Each coefficient is then rounded once, to nearest even, from a
+    64-bit window at its leading bit and a sticky bit (``_round_limbs``).  In
+    float64 the alternating sums of T would cancel catastrophically beyond
+    degree ~25.  Samples that are not finite raise NonFiniteSample, and a
+    coefficient beyond double range raises Spun4dError.
     """
     degree = _count(degree, "degree", 1)
     samples = np.asarray(samples, float)
@@ -139,24 +264,17 @@ def bernstein_fit2(samples: np.ndarray, degree: int) -> tuple[Poly2, Poly2, Poly
         )
     if not np.isfinite(samples).all():
         raise NonFiniteSample("Bernstein samples are not finite")
-    # Every float sample is an integer over a power of two, so all samples of a
-    # coordinate become integers over one common power of two; floats only
-    # appear in the final int / int division, which Python rounds correctly.
-    out = []
-    for c in range(4):
-        ratios = [x.as_integer_ratio() for x in samples[:, :, c].ravel().tolist()]
-        denom = max(d for _, d in ratios)
-        W = np.array([n * (denom // d) for n, d in ratios], dtype=object).reshape(degree + 1, -1)
-        _bernstein_to_power(W)
-        _bernstein_to_power(W.T)
-        scale = denom * 4 ** degree
-        try:
-            coeffs = [[w / scale for w in row] for row in W.tolist()]
-        except OverflowError:
-            raise Spun4dError(f"coordinate {'xyzw'[c]} of the degree-{degree} Bernstein fit "
-                              "has a coefficient beyond double range") from None
-        out.append(Poly2(np.array(coeffs)))
-    return tuple(out)
+    t = _power_limbs(degree)
+    w, e = _sample_limbs(samples)  # W_c^T, as w[:, c]
+    y = _limb_matmul(t, w)  # (T W_c)^T
+    c = _limb_matmul(t, y.swapaxes(2, 3))  # T W_c T^T
+    coeffs = _round_limbs(c.reshape(len(c), -1), np.repeat(e - 2 * degree, (degree + 1) ** 2))
+    coeffs = coeffs.reshape(4, degree + 1, degree + 1)
+    for k in range(4):
+        if np.isinf(coeffs[k]).any():
+            raise Spun4dError(f"coordinate {'xyzw'[k]} of the degree-{degree} Bernstein fit "
+                              "has a coefficient beyond double range")
+    return tuple(Poly2(coeffs[k]) for k in range(4))
 
 
 def bernstein_lattice(degree: int) -> np.ndarray:
@@ -167,10 +285,15 @@ def bernstein_lattice(degree: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """Odd-degree perturbation (z, w) -> (z + eps t^(2N+1), w + eps s^(2N+1))."""
+    """Odd-degree perturbation (z, w) -> (z + eps t^(2N+1), w + eps s^(2N+1)).
+    N must be an integer of at least 1 and epsilon a finite number."""
 
     N: int
     epsilon: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "N", _count(self.N, "N", 1))
+        object.__setattr__(self, "epsilon", _finite(self.epsilon, "epsilon: "))
 
 
 _GAP_TOL = 1e-12

@@ -49,6 +49,10 @@ DEFAULT_CONFIG = {
     "slice_n": 128,
 }
 
+# the least n_t and n_s that slice_surface and sample_surface take, for the
+# config keys that size their grids
+_CONFIG_LEAST = {"slice_n": 64, "grid_nt": 2, "grid_ns": 2}
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the contract reserves 2 for
@@ -86,13 +90,17 @@ def _load_config(path: str | None) -> dict:
 
 def _check_config_value(path: str, key: str, value) -> None:
     """An int where the default is an int, a finite number where it is a
-    float; either way greater than 0."""
+    float; either way greater than 0, and a grid size at least its least
+    (``_CONFIG_LEAST``)."""
     if isinstance(DEFAULT_CONFIG[key], int):
         ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
     else:
         ok, kind = isinstance(value, (int, float)) and not isinstance(value, bool), "a finite number"
     if not ok or not 0 < value < float("inf"):
         raise ValueError(f"{path}: config key {key!r} must be {kind} > 0, got {value!r}")
+    if value < _CONFIG_LEAST.get(key, 0):
+        raise ValueError(f"{path}: config key {key!r} must be at least {_CONFIG_LEAST[key]}, "
+                         f"got {value!r}")
 
 
 def _config_hash(cfg: dict) -> str:

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spun4d.approx import (
-    ChebFit, PerturbationSpec, _bernstein_to_power, bernstein_fit2, bernstein_lattice,
-    chebyshev_fit, odd_perturbation,
+    ChebFit, PerturbationSpec, _limb_matmul, _power_limbs, _round_limbs, bernstein_fit2,
+    bernstein_lattice, chebyshev_fit, odd_perturbation,
 )
 from spun4d.errors import GridMismatch, NonFiniteSample, Spun4dError, ZeroGap
 from spun4d.poly import Interval, Poly1, Poly2
@@ -131,21 +133,6 @@ def test_bernstein_rejects_degree_below_one(degree):
         bernstein_fit2(np.zeros((1, 1, 4)), degree)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 80).flatmap(
-           lambda n: st.lists(st.integers(-2 ** 300, 2 ** 300), min_size=n + 1, max_size=n + 1)),
-       st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=3, max_size=3))
-def test_bernstein_to_power_matches_the_definition(b, ts):
-    # 2^n sum_i b_i comb(n, i) ((1 + t) / 2)^i ((1 - t) / 2)^(n - i), in exact integers
-    n = len(b) - 1
-    c = np.array(b, dtype=object)
-    _bernstein_to_power(c)
-    for t in ts:
-        expected = sum(bi * math.comb(n, i) * (1 + t) ** i * (1 - t) ** (n - i)
-                       for i, bi in enumerate(b))
-        assert sum(ck * t ** k for k, ck in enumerate(c.tolist())) == expected
-
-
 def test_bernstein_refuses_non_finite_samples():
     samples = np.zeros((5, 5, 4))
     samples[2, 3, 1] = np.inf
@@ -159,6 +146,93 @@ def test_bernstein_refuses_a_coefficient_beyond_double_range():
     samples[4, :, 2] = 1.7e308
     with pytest.raises(Spun4dError, match="coordinate z of the degree-8 Bernstein fit"):
         bernstein_fit2(samples, 8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 30, 31, 32, 48, 65])
+def test_power_limbs_match_the_definition(n):
+    limbs = _power_limbs(n)
+    assert np.all((limbs[:-1] >= 0) & (limbs[:-1] < 2 ** 16))
+    assert np.all((limbs[-1] >= -2 ** 15) & (limbs[-1] < 2 ** 15))
+    got = sum(limbs[a].astype(np.int64).astype(object) * 2 ** (16 * a) for a in range(len(limbs)))
+    for k in range(n + 1):
+        # the coefficient of t^m in comb(n, k) (1 + t)^k (1 - t)^(n - k)
+        want = [math.comb(n, k) * sum(math.comb(k, j) * math.comb(n - k, m - j) * (-1) ** (m - j)
+                                      for j in range(max(0, m - n + k), min(k, m) + 1))
+                for m in range(n + 1)]
+        assert got[:, k].tolist() == want
+
+
+def _limbs_of(values):
+    """Python ints in two's complement 16-bit limbs, least significant first
+    on axis 0: every limb but the top one in [0, 2^16), the top one signed."""
+    n_limbs = max(v.bit_length() for v in values) // 16 + 1
+    return np.array([[v >> (16 * i) if i == n_limbs - 1 else (v >> (16 * i)) & 0xFFFF for v in values]
+                     for i in range(n_limbs)], dtype=np.int64)
+
+
+def _python_float(n, e):
+    """n 2^e as Python rounds it: correctly, ties to even; inf beyond range."""
+    try:
+        return n / 2 ** -e if e < 0 else float(n << e)
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
+
+
+def _ties(m, j, e, sign):
+    """(2m + 1) 2^e, halfway between two doubles when 2m + 1 has 54 bits and
+    the result is normal, written as an integer with j more trailing zeros."""
+    return sign * ((2 * m + 1) << j), e - j
+
+
+_ROUNDING_CASES = st.one_of(
+    st.tuples(st.integers(-2 ** 1200, 2 ** 1200), st.integers(-2400, 1100)),
+    st.builds(_ties, st.integers(2 ** 52, 2 ** 53 - 1), st.integers(0, 300), st.integers(-1080, 975),
+              st.sampled_from([1, -1])),
+    # halfway between two subnormals, and 2m + 1 of any size at the subnormal end
+    st.builds(_ties, st.integers(0, 2 ** 60), st.integers(0, 300), st.just(-1075), st.sampled_from([1, -1])),
+    # one unit off a tie, normal or subnormal: the sticky bit decides
+    st.builds(lambda t, d: (t[0] + d, t[1]),
+              st.builds(_ties, st.integers(2 ** 52, 2 ** 53 - 1), st.integers(1, 300),
+                        st.integers(-1140, 975), st.sampled_from([1, -1])) |
+              st.builds(_ties, st.integers(0, 2 ** 52), st.integers(1, 300), st.just(-1075),
+                        st.sampled_from([1, -1])),
+              st.sampled_from([1, -1])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_ROUNDING_CASES, min_size=1, max_size=30))
+def test_round_limbs_rounds_as_python_does(cases):
+    got = _round_limbs(_limbs_of([n for n, _ in cases]), np.array([e for _, e in cases]))
+    for (n, e), x in zip(cases, got.tolist()):
+        assert struct.pack("<d", x) == struct.pack("<d", _python_float(n, e)), (n, e)
+
+
+@pytest.mark.parametrize("n, e, want", [
+    ((1 << 53) | 1, 0, 2.0 ** 53),  # a tie rounds to the even neighbour, down
+    ((1 << 53) | 3, 0, 2.0 ** 53 + 4),  # and up
+    (((1 << 53) | 1) << 80 | 1, -80, 2.0 ** 53 + 2),  # a bit below the window breaks the tie
+    (-1, -1075, -0.0),  # half the least subnormal, to even: zero, with its sign
+    (3, -1075, 1e-323),  # 1.5 least subnormals, to even: 2
+    (1, -1076, 0.0),
+    ((1 << 52) - 1, -1074, 2.225073858507201e-308),  # the greatest subnormal
+    (((1 << 53) - 1) << 971, 0, 1.7976931348623157e308),  # the greatest double
+    (((1 << 54) - 1) << 970, 0, math.inf),  # a tie that rounds to 2^1024
+    ((((1 << 54) - 1) << 970) - 1, 0, 1.7976931348623157e308),
+    (0, -5000, 0.0),
+], ids=["tie_down", "tie_up", "sticky", "negative_zero", "subnormal_tie", "below_half", "subnormal",
+        "greatest", "overflowing_tie", "below_overflowing_tie", "zero"])
+def test_round_limbs_ties_subnormals_and_overflow(n, e, want):
+    assert _python_float(n, e) == want
+    got = _round_limbs(_limbs_of([n]), np.array([e]))[0]
+    assert struct.pack("<d", got) == struct.pack("<d", want)
+
+
+def test_limb_products_refuse_sums_beyond_exact_float64():
+    # 2^20 terms for each of 2 limb pairs: a partial sum could reach 2^53
+    t = np.zeros((2, 1, 1 << 20))
+    with pytest.raises(Spun4dError, match="beyond float64's exact sums"):
+        _limb_matmul(t, t)
 
 
 def test_bernstein_lattice_endpoints():
@@ -207,6 +281,22 @@ def test_odd_perturbation_zero_gap():
         odd_perturbation(m, 2, [((0.5, 0.5), (0.5, 0.5))])
     with pytest.raises(ValueError):
         odd_perturbation(m, 0, [])
+
+
+@pytest.mark.parametrize("N, epsilon, words", [
+    (2.5, 1.0, "N must be an integer, got 2.5"),
+    (0, 1.0, "N must be at least 1, got 0"),
+    (True, 1.0, "N must be an integer, got True"),
+    (2, math.nan, "epsilon: expected a finite number, got nan"),
+])
+def test_perturbation_spec_refuses_a_bad_N_or_epsilon(N, epsilon, words):
+    with pytest.raises(ValueError, match=re.escape(words)):
+        PerturbationSpec(N, epsilon)
+
+
+def test_perturbation_spec_takes_a_zero_or_integer_epsilon():
+    assert PerturbationSpec(np.int64(2), 0) == PerturbationSpec(2, 0.0)
+    assert type(PerturbationSpec(2, 1).epsilon) is float
 
 
 def test_perturbation_is_odd_symmetric():

@@ -289,6 +289,21 @@ def test_bad_config_value_is_one_error_line(workdir, capsys, cfg):
     assert repr(next(iter(cfg))) in err[0]
 
 
+@pytest.mark.parametrize("cfg, cmd, words", [
+    ({"slice_n": 32}, ["slice", "s.json", "--values", "0"], "'slice_n' must be at least 64, got 32"),
+    ({"grid_nt": 1}, ["project", "s.json", "--out", "g.csv"], "'grid_nt' must be at least 2, got 1"),
+    ({"grid_ns": 1}, ["export", "s.json", "--format", "ply", "--out", "m.ply"],
+     "'grid_ns' must be at least 2, got 1"),
+], ids=["slice_n", "grid_nt", "grid_ns"])
+def test_grid_size_config_below_its_least_names_the_file_and_key(workdir, capsys, cfg, cmd, words):
+    assert dispatch(["spin", "trefoil_spun", "--out", "s.json"]) == 0
+    capsys.readouterr()
+    (workdir / "cfg.json").write_text(json.dumps(cfg))
+    assert dispatch(["--config", "cfg.json", *cmd]) == 1
+    assert _one_error_line(capsys) == f"spun4d: error: cfg.json: config key {words}"
+    assert sorted(os.listdir(workdir)) == ["cfg.json", "s.json", "s.json.manifest.json"]
+
+
 def test_invalid_config_json_names_the_file(workdir, capsys):
     (workdir / "bad.json").write_text("{'n_rank': 64}")
     assert dispatch(["--config", "bad.json", "catalog"]) == 1

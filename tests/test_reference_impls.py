@@ -9,6 +9,7 @@ are held to a rounding-error bound instead.
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -31,7 +32,7 @@ from spun4d.approx import (
 from spun4d.catalog import (
     DIAG_SEP, GRID_N, MERGE_TOL, RESIDUAL_TOL, get_knot, knot_names, lift_height,
 )
-from spun4d.errors import NonGeneric, PlaneCrossing
+from spun4d.errors import NonGeneric, PlaneCrossing, Spun4dError
 from spun4d.export import (
     AXIS_NAMES, FLOAT_FMT, SurfaceMesh, _cell_segments, _chain_segments,
     export_grid_csv, export_mesh, export_slices, project, sample_surface, slice_surface, to_mesh,
@@ -138,6 +139,88 @@ def test_bernstein_fit_matches_fraction_reference(degree):
         ref = bernstein_fit2_fraction(samples, degree)
         for p, q in zip(got, ref):
             assert _bits(p.coeffs) == _bits(q.coeffs)
+
+
+def _bernstein_to_power(c):
+    """Along axis 0 of an object array of integers, in place: Bernstein
+    coefficients of degree n on [-1, 1] become 2^n times the power
+    coefficients in t.  With u = (t + 1) / 2, the power coefficients in u are
+    comb(n, k) * (k-th forward difference at 0); weights 2^(n - k) express
+    them in x = 2u, and repeated suffix sums are the Taylor shift x -> t + 1."""
+    n = len(c) - 1
+    for k in range(1, n + 1):
+        c[k:] = c[k:] - c[k - 1:-1]
+    c *= np.array([math.comb(n, k) << (n - k) for k in range(n + 1)],
+                  dtype=object).reshape((-1,) + (1,) * (c.ndim - 1))
+    for i in range(n):
+        c[i:] = np.add.accumulate(c[i:][::-1])[::-1]
+
+
+def bernstein_fit2_integer(samples, degree):
+    """Reference: the coefficient arrays of ``bernstein_fit2`` in Python
+    integers, entry by entry.  The samples of a coordinate become integers over
+    their largest denominator, ``_bernstein_to_power`` runs along t and then
+    along s, and Python's int / int division rounds once; a coefficient beyond
+    double range raises the same Spun4dError."""
+    out = []
+    for c in range(4):
+        ratios = [x.as_integer_ratio() for x in samples[:, :, c].ravel().tolist()]
+        denom = max(d for _, d in ratios)
+        W = np.array([n * (denom // d) for n, d in ratios], dtype=object).reshape(degree + 1, -1)
+        _bernstein_to_power(W)
+        _bernstein_to_power(W.T)
+        scale = denom * 4 ** degree
+        try:
+            out.append(np.array([[w / scale for w in row] for row in W.tolist()]))
+        except OverflowError:
+            raise Spun4dError(f"coordinate {'xyzw'[c]} of the degree-{degree} Bernstein fit "
+                              "has a coefficient beyond double range") from None
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 80).flatmap(
+           lambda n: st.lists(st.integers(-2 ** 300, 2 ** 300), min_size=n + 1, max_size=n + 1)),
+       st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=3, max_size=3))
+def test_bernstein_to_power_matches_the_definition(b, ts):
+    # 2^n sum_i b_i comb(n, i) ((1 + t) / 2)^i ((1 - t) / 2)^(n - i), in exact integers
+    n = len(b) - 1
+    c = np.array(b, dtype=object)
+    _bernstein_to_power(c)
+    for t in ts:
+        expected = sum(bi * math.comb(n, i) * (1 + t) ** i * (1 - t) ** (n - i)
+                       for i, bi in enumerate(b))
+        assert sum(ck * t ** k for k, ck in enumerate(c.tolist())) == expected
+
+
+# samples that stress the exact path: signed zeros, the least subnormal, the
+# ends of the normal range and values whose coefficients leave double range
+_AWKWARD = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300, 1e300, -1e300,
+            1.7e308, -1.7e308, 1.0, -1.5, 0.1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(degree=st.integers(1, 48), seed=st.integers(0, 2 ** 32 - 1),
+       scales=st.lists(st.sampled_from([1.0, 1e-300, 1e300, 1e-320, 1e307]), min_size=4, max_size=4),
+       planted=st.lists(st.tuples(st.integers(0, 10 ** 6),
+                                  st.sampled_from(_AWKWARD) | st.floats(allow_nan=False,
+                                                                         allow_infinity=False)),
+                        max_size=12))
+def test_bernstein_fit_matches_the_integer_oracle(degree, seed, scales, planted):
+    rng = np.random.default_rng(seed)
+    samples = rng.normal(size=(degree + 1, degree + 1, 4)) * scales
+    flat = samples.reshape(-1)
+    for at, x in planted:
+        flat[at % flat.size] = x
+    try:
+        want = bernstein_fit2_integer(samples, degree)
+    except Spun4dError as exc:
+        with pytest.raises(Spun4dError, match=f"^{re.escape(str(exc))}$"):
+            bernstein_fit2(samples, degree)
+        return
+    got = bernstein_fit2(samples, degree)
+    for p, q in zip(got, want):
+        assert _bits(p.coeffs) == _bits(q)
 
 
 # -- Chebyshev conversion -------------------------------------------------------

@@ -15,8 +15,11 @@ The library digests cover the spins of the catalog arcs and the twist spins
 of ``trefoil_twist`` at k = 0, 1, 3 and 10 (axis at t = -2.19 and 2.19):
 ``eval_grid`` on 150 x 130 samples, ``verify_surface`` at 96 / 200 and the
 degree-24 ``polynomialize_twist``; the grids and reports of
-``polynomial_spin`` of ``trefoil_spun`` at degrees 8 and 12; and the
-verdict of acceptance criterion 8's perturbation family.
+``polynomial_spin`` of ``trefoil_spun`` at degrees 8 and 12; the verdict
+of acceptance criterion 8's perturbation family; and the coefficient bits of
+``bernstein_fit2`` at degrees 6, 16, 20, 24, 28 and 30, on the spun trefoil's
+lattice samples and on seeded awkward samples (signed zeros, magnitudes near
+1e-300 and 1e+300).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import sys
 import tempfile
 
 DEGREE = 24
+BERNSTEIN_DEGREES = (6, 16, 20, 24, 28, 30)
 GRID = (150, 130)
 VERIFY = (96, 200)
 
@@ -66,7 +70,7 @@ def _command_digests(commands, env: dict) -> tuple[dict, dict]:
 def _library_digests() -> dict:
     import numpy as np
 
-    from spun4d.approx import odd_perturbation
+    from spun4d.approx import bernstein_fit2, bernstein_lattice, odd_perturbation
     from spun4d.catalog import get_knot, knot_names
     from spun4d.spin import polynomial_spin, spin
     from spun4d.twist import choose_bump, make_axis, polynomialize_twist, twist_spin
@@ -102,7 +106,33 @@ def _library_digests() -> dict:
     ok = isotopy_family_check(p, spec, [0.0, 0.25, 0.5, 0.75, 1.0], n_rank=96, n_inject=200,
                               param_sep=0.05)
     out["criterion 8 family verdict"] = _json_sha({"N": spec.N, "epsilon": spec.epsilon, "ok": ok})
+    s = spin(arc)
+    for degree in BERNSTEIN_DEGREES:
+        u = bernstein_lattice(degree)
+        lattice = s.eval_grid(s.t_dom.mid + 0.5 * s.t_dom.length * u,
+                              s.s_dom.mid + 0.5 * s.s_dom.length * u)
+        for label, samples in (("trefoil_spun lattice", lattice),
+                               (f"awkward samples, seed {degree}", _awkward_samples(degree))):
+            fit = bernstein_fit2(samples, degree)
+            out[f"bernstein_fit2 {degree}: {label}"] = _sha(
+                b"".join(repr(c.coeffs.shape).encode() + c.coeffs.tobytes() for c in fit))
     return out
+
+
+def _awkward_samples(degree: int):
+    """Seeded normal samples with exact zeros and -0.0, one coordinate near
+    1e-300, one near 1e+300 and one partly near 1e-300."""
+    import numpy as np
+
+    rng = np.random.default_rng(degree)
+    n = degree + 1
+    x = rng.normal(size=(n, n, 4))
+    x[rng.random((n, n, 4)) < 0.15] = 0.0
+    x[rng.random((n, n, 4)) < 0.15] = -0.0
+    x[..., 1] *= 1e-300
+    x[..., 2] *= 1e300
+    x[::3, ::2, 3] *= 1e-300
+    return x
 
 
 def main(argv) -> int:
