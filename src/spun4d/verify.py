@@ -41,10 +41,18 @@ _CELL_HASH = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F
 # theta circles stay circles)
 _PLANE = np.array([[0.5, 0.5], [0.5, -0.5], [0.5, -0.5], [0.5, 0.5]])
 _EPS = np.finfo(float).eps
-_TINY = np.finfo(float).tiny
-# elements per call of the blocked array steps: a block's temporary is all
-# that one makes (numpy copies an input that overlaps its output)
+# elements per call of the blocked index step of ``_low_fields``: a block's
+# temporary is all that it makes
 _BLOCK = 1 << 14
+# adding 1.5 * 2**52 rounds a double below 2**51 in size to an integer, which
+# the sum's low bits then hold
+_ROUNDER = 1.5 * 2.0 ** 52
+_ROUNDER_BITS = np.float64(_ROUNDER).view(np.int64)
+# the R^4 stage's column shifts on axes 0-2, each numbered by its bits, and
+# how many keys it sorts at once: those of as many shifts as fit, at least one
+_SHIFTS = np.array(list(np.ndindex(2, 2, 2)))
+_SHIFT_BITS = np.array([4, 2, 1], np.uint8)
+_SORT_KEYS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -180,21 +188,28 @@ def jacobian_rank_scan(s, n_t: int, n_s: int, tol: float = RANK_TOL) -> tuple[bo
 
 def _half_width(r: float, room: float) -> float:
     """Half the cell side of the close-pair search for radius ``r``.  A
-    pair that passes the distance test is at most r (1 + 4 eps) apart,
-    which the factor 1 + 2**-20 covers; ``room`` covers the rounding of the
-    scaled coordinates."""
+    pair that passes the distance test is at most r (1 + 4 eps) apart (r at
+    least 2**-511, so that r * r is a normal double), which the factor
+    1 + 2**-20 exceeds by a margin of more than 2**-21 of the half width;
+    ``room`` covers the rounding of the scaled coordinates.  So such a pair
+    is strictly less than one half cell apart on every axis once scaled,
+    and its half-cell indices (``_rounded``) differ by at most 1."""
     return r * (1.0 + 2.0 ** -20) + room
 
 
-def _floored(u: np.ndarray) -> np.ndarray:
-    """floor(u) as int64, in place: the result is a view of the contiguous
-    float array ``u``, which is spent.  Its values must be finite and below
-    2**63 in size."""
-    flat = u.reshape(-1)
-    h = flat.view(np.int64)
-    for i in range(0, len(flat), _BLOCK):
-        np.floor(flat[i:i + _BLOCK], out=h[i:i + _BLOCK], casting="unsafe")
-    return h.reshape(u.shape)
+def _rounded(u: np.ndarray) -> np.ndarray:
+    """The integers nearest the values of ``u``, ties to even (``np.rint``),
+    as int64, in place: the result is a view of the contiguous float array
+    ``u``, which is spent.  Its values must be below 2**51 in size: then
+    u + 1.5 * 2**52 lies in [2**52, 2**53], where the doubles are the
+    integers, so the sum rounds u once, to nearest even (1.5 * 2**52 is
+    even), and its bits less those of 1.5 * 2**52 are that integer.  Two
+    values less than 1 apart get indices at most 1 apart: each index is
+    within 1/2 of its value."""
+    u += _ROUNDER
+    h = u.view(np.int64)
+    h -= _ROUNDER_BITS
+    return h
 
 
 def _size(pts: np.ndarray) -> float:
@@ -204,17 +219,20 @@ def _size(pts: np.ndarray) -> float:
 def _image_plane(pts: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
     """The half-cell indices hx and hy of the plane stage for radius ``r``,
     two (m,) int64 arrays, the rows of one buffer, of the rows of the (m, 4)
-    array ``pts``: the floors of their plane coordinates in half cells.
+    array ``pts``: their plane coordinates in half cells, rounded in place
+    (``_rounded``).
 
-    With size the largest |coordinate|, each is within 5 eps * size of the
-    exact projection of its row (four products summed, and the scale
-    rounded), so a room of 16 eps * size covers two rows; scaled
-    coordinates stay below 2**50 in size, so they floor exactly.
+    The plane's basis is divided by the half width h before the one
+    product.  With size the largest |coordinate|, each scaled coordinate
+    is within 5 eps * size / h of the exact projection of its row over h
+    (the basis rounded, four products summed), so a room of 16 eps * size
+    covers two rows; scaled coordinates stay below 2**48 in size, so they
+    round exactly.
     """
     # einsum, not matmul: a threaded BLAS product of this shape can take ten
     # times as long as one thread
     u = np.einsum("ij,jk->ki", pts, _PLANE / _half_width(r, 16.0 * _EPS * _size(pts)), order="C")
-    return tuple(_floored(u))
+    return tuple(_rounded(u))
 
 
 def _low_fields(y: np.ndarray) -> tuple[int, int]:
@@ -287,48 +305,66 @@ def _space_pairs(pts: np.ndarray, r: float):
     """The R^4 stage: yield batches ``(i, j)``, i < j, of the index pairs of
     the rows of the (m, 4) array ``pts`` at most ``r`` apart, each pair once.
 
-    The half cells have side r plus 4 eps * size: a scaled coordinate is
-    within eps * size / 2 of its exact value, which the room covers for two
-    rows.  Eight sorts find the pairs, as two find the plane stage's
-    suspects.  For each off in {0, 1}**3, the rows fall in columns
-    (h + off) >> 1 on axes 0-2, and a row's key packs the top bits of a
-    multiplicative hash of its column above the low fields of
+    The half cells have side r (1 + 2**-20) plus 4 eps * size: a scaled
+    coordinate is within eps * size / 2 of its exact value in half cells,
+    which the room covers for two rows, so a close pair's indices h
+    (``_rounded``) differ by at most 1 on every axis.  For each shift off
+    in {0, 1}**3, numbered by its bits, the rows fall in columns
+    (h + off) >> 1 on axes 0-2, and a row's key packs, from the high bits
+    to the low, the shift's number in 3 bits, the top bits (21 or more) of
+    a multiplicative hash of its column, and the low fields of
     ``_low_fields`` on axis 3.  A close pair shares a column for the off
     that is 1 just on the axes where its indices h >> 1 differ, and is kept
     only there; an off that is 1 on an axis where every row has the same
-    h >> 1 owns no pair and is skipped.  Sorted, the rows between the two
-    have keys, less the index bits, between theirs, so the walk over offsets
-    d = 1, 2, ... along the sorted keys, at the positions whose key at d is
-    at most 1 above their own, meets the pair.  Columns whose hashes agree, and the step from one
-    column to the next, only add candidates.  The test is the squared
-    distance of ``surface._squared_distances``, summed coordinate by
-    coordinate, at most r * r, as ``cKDTree.query_pairs`` makes it.
+    h >> 1 owns no pair and is skipped.  The keys of the owned shifts are
+    sorted together, as many shifts at once as fit in ``_SORT_KEYS`` keys
+    (at least one), and walked once.  Sorted, the rows between the two of a
+    pair have keys, less the index bits, between theirs, so the walk over
+    offsets d = 1, 2, ... along the sorted keys, at the positions whose key
+    at d is at most 1 above their own, meets the pair.  Columns whose
+    hashes agree, and the step from one column or shift to the next, only
+    add candidates; a candidate is kept when both its keys carry its own
+    shift.  The test is the squared distance of
+    ``surface._squared_distances``, summed coordinate by coordinate, at
+    most r * r, as ``cKDTree.query_pairs`` makes it.
     """
     m = len(pts)
     if m < 2:
         return
-    h = _floored(pts / _half_width(r, 4.0 * _EPS * _size(pts)))
+    h = _rounded(pts / _half_width(r, 4.0 * _EPS * _size(pts)))
     low = h[:, 3].copy()
     bits, ib = _low_fields(low)
+    low = low.view(np.uint64)
     index = (1 << ib) - 1
+    # (h + 1) >> 1 is h >> 1, plus 1 where h is odd
     cell = h[:, :3] >> 1
-    varies = (cell != cell[0]).any(axis=0)
-    for off in np.ndindex(2, 2, 2):
-        if any(o and not v for o, v in zip(off, varies)):
-            continue
-        key = ((h[:, :3] + off) >> 1) @ _CELL_HASH  # wraps
-        key &= -1 << bits
+    odd = (h[:, :3] & 1).astype(bool)
+    del h
+    varies = int((cell != cell[0]).any(axis=0).view(np.uint8) @ _SHIFT_BITS)
+    owned = [n for n in range(8) if not n & ~varies]
+    per = max(1, _SORT_KEYS // m)
+    for first in range(0, len(owned), per):
+        shifts = owned[first:first + per]
+        col = _SHIFTS[shifts, None] & odd
+        col += cell
+        key = (col @ _CELL_HASH).view(np.uint64)  # wraps
+        del col
+        # from the high bits: the shift's number, the hash's top bits, the
+        # low fields
+        key >>= 3
+        key &= (1 << 61) - (1 << bits)
+        key |= np.array(shifts, np.uint64)[:, None] << 61
         key |= low
-        key = key.view(np.uint64)
+        key = key.reshape(-1)
         key.sort()
         top = key >> ib
-        pos = np.arange(m - 1)
+        pos = np.flatnonzero(top[1:] - top[:-1] <= 1)
         d = 1
         while len(pos):
-            pos = pos[top[pos + d] - top[pos] <= 1]
             i = (key[pos] & index).astype(np.intp)
             j = (key[pos + d] & index).astype(np.intp)
-            mine = ((cell[i] != cell[j]) == off).all(axis=1)
+            own = (cell[i] != cell[j]).view(np.uint8) @ _SHIFT_BITS
+            mine = (own == key[pos] >> 61) & (own == key[pos + d] >> 61)
             i, j = i[mine], j[mine]
             # rows whose keys agree by chance may be far apart: a square
             # beyond double range is inf, which fails the test
@@ -338,7 +374,8 @@ def _space_pairs(pts: np.ndarray, r: float):
                 i, j = i[close], j[close]
                 yield np.minimum(i, j), np.maximum(i, j)
             d += 1
-            pos = pos[pos + d < m]
+            pos = pos[pos + d < len(key)]
+            pos = pos[top[pos + d] - top[pos] <= 1]
 
 
 def _rounding_bound(rows) -> float:
@@ -353,36 +390,40 @@ def _rounding_bound(rows) -> float:
 def _factor_plane(s, tvals, svals, r: float):
     """The half-cell indices hx and hy of the plane stage for radius ``r``
     of every sample of the scan grid, two (n_t * n_s,) int64 arrays in
-    row-major order, the rows of one buffer: the floors of the plane
-    coordinates in half cells, made in place where the products put them.
+    row-major order, the rows of one buffer: the plane coordinates in half
+    cells, rounded in place (``_rounded``) where the product puts them.
     Those come from the sampler's value rows, a_i on t and b_i on theta
-    for coordinate i (``_rows``), in one product per axis of the plane:
-    the t-rows of all coordinates stacked, times their theta-rows each
-    scaled by its coordinate's weight on that axis (0.5 or -0.5, from
-    ``_PLANE``); or None when m or a scaled theta-row is not finite.
+    for coordinate i (``_rows``), in one product per axis of the plane: the
+    t-rows of all coordinates stacked, times their theta-rows each scaled
+    by its coordinate's weight on that axis (0.5 or -0.5, from ``_PLANE``)
+    over the half width h; or None when m or a scaled theta-row is not
+    finite.
 
-    The room is (K + 8) eps (m + 2**-1022), K the number of columns of
-    all coordinates.  At a node, the image that ``evaluate`` returns is
-    within eps * m of the exact sum of a b, summed over the coordinates
-    (``_rounding_bound``), so its exact projection is within eps * m / 2 of
-    that sum's; the products and sums that make the hashed coordinate, and
-    its scaling, round by at most (K + 5) eps * m / 4.  Two nodes take less
-    than (K + 7) eps * m / 2; 2**-1022, the least normal double, covers
-    underflow.  |a b| summed is at most m, so scaled coordinates stay below
-    2**50 in size and floor exactly.
+    The room is 4 eps m, m from ``_rounding_bound``, K the number of
+    columns of all coordinates.  At a node, the image that ``evaluate``
+    returns is within eps * m of the exact sum of a b, summed over the
+    coordinates, so its exact projection is within eps * m / 2 of that
+    sum's.  The scaled weight, each scaled theta-row entry, and the
+    product's K products and sums round by a relative (K + 2) eps / 2 of
+    the sum of |a b| / 2h, which is at most m / 2Kh: less than eps * m / h
+    in all.  Two nodes take less than 3 eps m / h, and the room 4 eps m
+    covers it.  An entry or product below 2**-1022 in size rounds by at
+    most 2**-1075, that is 2**-1075 |a| < 2**-51 half cells; for K < 2**28
+    the 4K of two nodes stay below 2**-21 half cells, less than the margin
+    that ``_half_width`` and the room leave.  Scaled coordinates stay
+    below 2**49 in size, so they round exactly.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         rows = list(zip(s._rows("t", tvals, False), s._rows("s", svals, False)))
         m = _rounding_bound(rows)
         a = np.concatenate([a[0] for a, _ in rows])
-        bp = np.stack([np.concatenate([b[0] * w for (_, b), w in zip(rows, axis)]) for axis in _PLANE.T])
+        weights = _PLANE / _half_width(r, 4.0 * _EPS * m)
+        bp = np.stack([np.concatenate([b[0] * w for (_, b), w in zip(rows, axis)]) for axis in weights.T])
     if not (np.isfinite(m) and np.isfinite(bp).all()):
         return None
     # both products in one (2, n_t, n_s) buffer: with two of half its size,
     # perfbench's twist_certify ran about 5% fewer ops per second
-    u = np.matmul(a.T, bp)
-    u /= _half_width(r, (len(a) + 8) * _EPS * (m + _TINY))
-    return tuple(_floored(u).reshape(2, -1))
+    return tuple(_rounded(np.matmul(a.T, bp)).reshape(2, -1))
 
 
 def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float = IMAGE_TOL) -> list[Collision]:
@@ -403,14 +444,19 @@ def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float =
     finite bound (``_factor_plane``, whose rounding room covers the gap to
     the projections of the images that ``evaluate`` returns), and else from
     the image grid (``_image_plane``), which is dropped once projected;
-    either floors them in place to two contiguous arrays of half-cell
-    indices, hx and hy, one per axis of the plane, and sample start takes
-    sample 0's in both.  One path follows: the plane stage (``_suspects``,
-    two sorts of packed keys) on the nodes' slices of hx and hy, the images
-    of the suspects alone, and the R^4 stage (``_space_pairs``, eight
-    sorts) on them.  The plane stage is an exact prefilter: the projection
-    moves no pair further apart, so a node with no other within one half
-    cell on both axes of the plane is in no close pair.  The first
+    either scales them by the half cell as it projects, and rounds them in
+    place (``_rounded``) to two contiguous arrays of half-cell indices, hx
+    and hy, one per axis of the plane, and sample start takes sample 0's in
+    both.  One path follows: the plane stage (``_suspects``, two sorts of
+    packed keys) on the nodes' slices of hx and hy, the images of the
+    suspects alone, and the R^4 stage (``_space_pairs``, one sort of the
+    keys of all its column shifts when they fit in ``_SORT_KEYS``) on them.
+    Both stages find a superset of the close pairs: two nodes whose images
+    pass the distance test are strictly less than one half cell apart on
+    every axis (``_half_width``), so their indices differ by at most 1.
+    The plane stage is an exact prefilter: the projection moves no pair
+    further apart, so a node with no other within one half cell on both
+    axes of the plane is in no close pair.  The first
     ``MAX_COLLISIONS`` collisions it yields are kept as arrays, their
     distances the roots of ``surface._squared_distances`` (the bits of
     ``np.linalg.norm``'s), each pair with its lesser (t, theta) first,

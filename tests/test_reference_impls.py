@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import chebyshev as ncheb
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spun4d
@@ -46,8 +46,8 @@ from spun4d.twist import (
     PRECHECK_NT, Bump, choose_bump, make_axis, polynomialize_twist, twist_spin,
 )
 from spun4d.verify import (
-    _PLANE, MAX_COLLISIONS, Collision, _factor_plane, _floored, _gram_grid, _image_plane,
-    _inset_samples, _rounding_bound, _space_pairs, _suspects, injectivity_scan, jacobian_rank_scan,
+    _PLANE, MAX_COLLISIONS, Collision, _factor_plane, _gram_grid, _image_plane, _inset_samples,
+    _rounded, _rounding_bound, _space_pairs, _suspects, injectivity_scan, jacobian_rank_scan,
     verify_surface,
 )
 
@@ -1725,21 +1725,35 @@ def suspects_brute_force(u):
                                       for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy)}
 
 
-@pytest.mark.parametrize("shape", [(0, 2), (1, 2), (7, 2), (3 * verify_module._BLOCK + 5, 2)])
-def test_floored_is_floor_as_int64_in_place(shape):
-    # spread values, integers and values just below them, and values near
-    # +-2**49 half cells; the largest array spans four blocks
+@pytest.mark.parametrize("shape", [(0, 2), (1, 2), (7, 2), (2, 200, 200)])
+def test_rounded_is_rint_as_int64_in_place(shape):
+    # spread values, exact ties k + 0.5 of both parities, +-0.0, and values
+    # near +-2**50 half cells, the most a scan's scaled coordinate reaches;
+    # the largest array has the shape of a 200 x 200 scan's plane buffer
     rng = np.random.default_rng(7)
-    n = shape[0] * shape[1]
+    n = math.prod(shape)
     pick = rng.integers(0, 4, n)
     ints = rng.integers(-50, 51, n).astype(float)
     u = np.select([pick == 0, pick == 1, pick == 2],
-                  [rng.uniform(-1e3, 1e3, n), ints, ints - 2.0 ** -40],
-                  rng.choice([-1.0, 1.0], n) * 2.0 ** 49 + rng.uniform(-3.0, 3.0, n)).reshape(shape)
-    want = np.floor(u).astype(np.int64)
-    got = _floored(u)
+                  [rng.uniform(-1e3, 1e3, n), ints + 0.5, rng.choice([-0.0, 0.0], n)],
+                  rng.choice([-1.0, 1.0], n) * 2.0 ** 50 + rng.uniform(-3.0, 3.0, n)).reshape(shape)
+    if n >= 7:
+        u.flat[:7] = [0.5, 1.5, -0.5, -1.5, -0.0, 2.0 ** 50 - 0.5, -2.0 ** 50 + 0.5]
+    want = np.rint(u).astype(np.int64)
+    got = _rounded(u)
     assert got.dtype == np.int64 and got.shape == shape and (n == 0 or np.shares_memory(got, u))
     assert _bits(got) == _bits(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.floats(-2.0 ** 50, 2.0 ** 50), gap=st.floats(0.0, 1.0, exclude_max=True),
+       sign=st.sampled_from([-1.0, 1.0]))
+def test_rounded_values_less_than_1_apart_are_at_most_1_apart(x, gap, sign):
+    # each index is within 1/2 of its value; ties round to even
+    u = np.array([x, x + sign * gap])
+    assume(abs(u[1] - u[0]) < 1.0)
+    hx, hy = _rounded(u.copy())
+    assert abs(int(hx) - int(hy)) <= 1
 
 
 def _floored_axes(u):

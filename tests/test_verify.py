@@ -20,8 +20,8 @@ from spun4d.spin import polynomial_spin, spin
 from spun4d.surface import PolyMap4, Surface4, Term
 from spun4d.twist import choose_bump, make_axis, twist_spin
 from spun4d.verify import (
-    MAX_COLLISIONS, VerifyReport, _gram_grid, _inset_samples, boundary_check, injectivity_scan,
-    isotopy_family_check, jacobian_rank_scan, verify_surface,
+    _PLANE, MAX_COLLISIONS, VerifyReport, _factor_plane, _gram_grid, _inset_samples, _space_pairs,
+    boundary_check, injectivity_scan, isotopy_family_check, jacobian_rank_scan, verify_surface,
 )
 from test_reference_impls import factor_partials_reference, row_pairs
 
@@ -304,6 +304,47 @@ def test_injectivity_scan_of_an_evaluate_only_sampler_at_600():
     assert found == [] and peak < 23.8e6
     assert len(s.points) == 2 and s.points[0] == 600 * 600
     assert 0 < s.points[1] < 0.02 * 600 * 600
+
+
+def test_space_pairs_peak_memory_on_a_cloud_owning_every_shift():
+    # 2**17 points spread over 80 half cells on every axis, so that every
+    # column shift owns pairs; each shift's 2**17 keys take a sort of their
+    # own.  The peak is 11.9 MB; with a sort and a walk per shift, and the
+    # rounded coordinates kept whole, it was 15.71 MB
+    pts = np.random.default_rng(0).uniform(-1.0, 1.0, (1 << 17, 4))
+    count, peak = _traced_peak(lambda: sum(len(i) for i, _ in _space_pairs(pts, 0.05)))
+    assert count == 16088 and peak < 15.71e6
+
+
+def _tied_fold(direction, r):
+    """(t**2 + r, s, 0, r) + t r direction / 2 on [-1, 1]**2: the images of
+    (-t, s) and (t, s) are |t| r apart along the unit vector ``direction``,
+    exactly r at t = +-1.  Its entries, r and a 17 x 17 grid are dyadic, so
+    every image is exact; at half cells of exactly r, the midpoints of those
+    pairs would lie on odd indices, on both axes of the plane and on axis 0,
+    and their ends on ties that round two indices apart."""
+    c = 0.5 * r * np.asarray(direction)
+    coeffs = [np.array([[r], [c[0]], [1.0]]), np.array([[0.0, 1.0], [c[1], 0.0]]),
+              np.array([[0.0], [c[2]]]), np.array([[r], [c[3]]])]
+    return PolyMap4(tuple(map(Poly2, coeffs)), Interval(-1.0, 1.0), Interval(-1.0, 1.0))
+
+
+@pytest.mark.parametrize("direction", ["plane_x", "plane_y", "kernel", "axis_0"])
+def test_injectivity_scan_reports_a_pair_exactly_image_tol_apart_on_both_routes(direction):
+    # the pairs at t = +-1 tie the radius: along an axis of the plane they
+    # are exactly one radius apart there too, along the plane's kernel they
+    # project to one point, and along axis 0 they tie it on one coordinate.
+    # At param_sep 0.9 they are the only collisions, and both the factor
+    # route and the image route must report all 17
+    r = 2.0 ** -10
+    v = {"plane_x": _PLANE[:, 0], "plane_y": _PLANE[:, 1], "kernel": [0.5, -0.5, 0.5, -0.5],
+         "axis_0": [1.0, 0.0, 0.0, 0.0]}[direction]
+    s = _tied_fold(v, r)
+    svals = np.linspace(-1.0, 1.0, 17)
+    assert _factor_plane(s, svals, svals, r) is not None
+    want = [verify_module.Collision((-1.0, x), (1.0, x), r) for x in svals.tolist()]
+    assert injectivity_scan(s, 17, 17, 0.9, r) == want
+    assert injectivity_scan(_EvaluateOnly(s), 17, 17, 0.9, r) == want
 
 
 def test_rank_scan_and_verify_refuse_an_evaluate_only_sampler():

@@ -16,10 +16,14 @@ of ``trefoil_twist`` at k = 0, 1, 3 and 10 (axis at t = -2.19 and 2.19):
 ``eval_grid`` on 150 x 130 samples, ``verify_surface`` at 96 / 200 and the
 degree-24 ``polynomialize_twist``; the grids and reports of
 ``polynomial_spin`` of ``trefoil_spun`` at degrees 8 and 12; the verdict
-of acceptance criterion 8's perturbation family; and the coefficient bits of
+of acceptance criterion 8's perturbation family; the coefficient bits of
 ``bernstein_fit2`` at degrees 6, 16, 20, 24, 28 and 30, on the spun trefoil's
 lattice samples and on seeded awkward samples (signed zeros, magnitudes near
-1e-300 and 1e+300).
+1e-300 and 1e+300); and collision lists that are neither empty nor capped:
+``injectivity_scan`` of the fold (t^2, s, 0, 0) on [-1, 1]^2 at 101 x 101
+(image_tol 1e-6), from its factors and from an evaluate-only wrapper of it,
+and of the ``Surface4`` of no terms on [0, 1]^2 at 16 x 16, whose 256 nodes
+make 32,640 collisions.
 """
 
 from __future__ import annotations
@@ -65,6 +69,39 @@ def _command_digests(commands, env: dict) -> tuple[dict, dict]:
             else:
                 files[name] = _sha(data)
     return done, files
+
+
+class _EvaluateOnly:
+    """A sampler of ``evaluate``, the domains and the flags alone, so that
+    ``injectivity_scan`` projects its image grid."""
+
+    def __init__(self, s):
+        self._s = s
+        self.t_dom, self.s_dom = s.t_dom, s.s_dom
+        self.periodic_s, self.pole_low, self.pole_high = s.periodic_s, s.pole_low, s.pole_high
+
+    def evaluate(self, t, th):
+        return self._s.evaluate(t, th)
+
+
+def _collision_digests() -> dict:
+    from spun4d.poly import Interval, Poly1, Poly2
+    from spun4d.surface import PolyMap4, Surface4
+    from spun4d.verify import MAX_COLLISIONS, injectivity_scan
+
+    fold = PolyMap4((Poly2.from_t(Poly1((0.0, 0.0, 1.0))), Poly2.from_s(Poly1((0.0, 1.0))), Poly2(),
+                     Poly2()), Interval(-1.0, 1.0), Interval(-1.0, 1.0))
+    empty = Surface4(((), (), (), ()), Interval(0.0, 1.0), Interval(0.0, 1.0), False, False, False)
+    out = {}
+    for label, s, n, image_tol in (("fold (t^2, s, 0, 0)", fold, 101, 1e-6),
+                                   ("fold (t^2, s, 0, 0), evaluate only", _EvaluateOnly(fold), 101, 1e-6),
+                                   ("Surface4 of no terms", empty, 16, 1e-3)):
+        found = injectivity_scan(s, n, n, 0.05, image_tol)
+        if not 0 < len(found) < MAX_COLLISIONS:
+            raise RuntimeError(f"{label}: {len(found)} collisions, not an uncapped, non-empty list")
+        out[f"{label}: injectivity_scan {n}x{n}, {len(found)} collisions"] = _json_sha(
+            [[c.param_a, c.param_b, c.distance] for c in found])
+    return out
 
 
 def _library_digests() -> dict:
@@ -116,6 +153,7 @@ def _library_digests() -> dict:
             fit = bernstein_fit2(samples, degree)
             out[f"bernstein_fit2 {degree}: {label}"] = _sha(
                 b"".join(repr(c.coeffs.shape).encode() + c.coeffs.tobytes() for c in fit))
+    out.update(_collision_digests())
     return out
 
 
