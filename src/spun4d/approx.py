@@ -197,7 +197,11 @@ def _limb_matmul(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     flat = np.ascontiguousarray(x, dtype=float).reshape(-1, x.shape[-1])
     for a, limb in enumerate(t):
         out[a:a + len(x)] += (flat @ limb.T).reshape(x.shape)
-    return _carry(out.astype(np.int64))
+    # the sums become int64 in their own buffer: a flat copy between two
+    # views of one buffer converts element by element, with no temporary
+    sums = out.view(np.int64)
+    np.copyto(sums.reshape(-1), out.reshape(-1), casting="unsafe")
+    return _carry(sums)
 
 
 def _round_limbs(z: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -267,7 +271,9 @@ def bernstein_fit2(samples: np.ndarray, degree: int) -> tuple[Poly2, Poly2, Poly
     t = _power_limbs(degree)
     w, e = _sample_limbs(samples)  # W_c^T, as w[:, c]
     y = _limb_matmul(t, w)  # (T W_c)^T
+    del w
     c = _limb_matmul(t, y.swapaxes(2, 3))  # T W_c T^T
+    del y
     coeffs = _round_limbs(c.reshape(len(c), -1), np.repeat(e - 2 * degree, (degree + 1) ** 2))
     coeffs = coeffs.reshape(4, degree + 1, degree + 1)
     for k in range(4):

@@ -26,6 +26,8 @@ DIAG_SEP = 1e-3
 MERGE_TOL = 1e-4
 RESIDUAL_TOL = 1e-8
 GRID_N = 600
+# rows of the distance grid per block of its g part and of its band mask
+_ROW_BLOCK = 64
 # a height must be positive at this many evenly spaced interior points
 HEIGHT_SAMPLES = 1000
 # lift_height's binary search stops once its bracket on the shift is this narrow
@@ -118,6 +120,11 @@ def _newton_refine(f, g, df, dg, s0, t0, bound, iters=60):
     return x, F, det
 
 
+def _shifted(d: int) -> slice:
+    """The indices i + d, for every grid index i whose i + d is on the grid."""
+    return slice(max(d, 0), GRID_N + min(d, 0))
+
+
 def plane_double_points(f: Poly1, g: Poly1, iv: Interval) -> list[tuple[float, float]]:
     """All parameter pairs s < t in ``iv`` with f(s)=f(t) and g(s)=g(t).
 
@@ -125,13 +132,24 @@ def plane_double_points(f: Poly1, g: Poly1, iv: Interval) -> list[tuple[float, f
     600x600 grid and are polished by Newton iteration on the 2x2 system.
     Raises NonGeneric when a candidate converges onto a tangential
     (non-transverse) intersection.
+
+    The search holds one full-size float array, the squared distances D
+    (2.9 MB), built in place: the f part whole, the g part added in row
+    blocks of ``_ROW_BLOCK``.  The cells below the band j - i >= off are set
+    to +inf in D itself, in row blocks, and the 8-neighbour minima are slice
+    comparisons on D into one bool mask that starts as D < thresh.  No padded
+    copy, masked copy or triangular mask of the grid is made.
     """
     ts = iv.sample(GRID_N)
     step = iv.length / (GRID_N - 1)
     with np.errstate(over="ignore", invalid="ignore"):
         df, dg = f.derivative(), g.derivative()
         fv, gv = f(ts), g(ts)
-        D = (fv[:, None] - fv[None, :]) ** 2 + (gv[:, None] - gv[None, :]) ** 2
+        D = np.subtract.outer(fv, fv)
+        np.square(D, out=D)
+        for r in range(0, GRID_N, _ROW_BLOCK):
+            block = np.subtract.outer(gv[r:r + _ROW_BLOCK], gv)
+            D[r:r + _ROW_BLOCK] += np.square(block, out=block)
         speed = float(np.max(np.hypot(df(ts), dg(ts))))
         thresh, speed_sq = np.square([6.0 * step * max(speed, 1e-12), max(speed, 1.0)])
         scale = max(poly_scale(f, iv), poly_scale(g, iv))
@@ -141,17 +159,20 @@ def plane_double_points(f: Poly1, g: Poly1, iv: Interval) -> list[tuple[float, f
                               "squared distances overflow")
 
     off = max(1, int(np.ceil(DIAG_SEP / step)))
-    mask = np.triu(np.ones_like(D, bool), k=off)
-    Dm = np.where(mask, D, np.inf)
-    # local minima over the 8-neighborhood
-    P = np.pad(Dm, 1, constant_values=np.inf)
-    is_min = np.ones_like(Dm, bool)
+    cols = np.arange(GRID_N)
+    for r in range(0, GRID_N, _ROW_BLOCK):
+        rows = np.arange(r, min(r + _ROW_BLOCK, GRID_N))[:, None]
+        D[r:r + _ROW_BLOCK][cols < rows + off] = np.inf
+    # local minima over the 8-neighbourhood; a cell on the border has no
+    # neighbour beyond it to lose to
+    is_min = D < thresh
     for di in (-1, 0, 1):
         for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            is_min &= Dm <= P[1 + di : 1 + di + GRID_N, 1 + dj : 1 + dj + GRID_N]
-    cand = np.argwhere(is_min & (Dm < thresh))
+            if di or dj:
+                here = _shifted(-di), _shifted(-dj)
+                is_min[here] &= D[here] <= D[_shifted(di), _shifted(dj)]
+    cand = np.argwhere(is_min)
+    del D, is_min
 
     bound = 2.0 * max(abs(iv.lo), abs(iv.hi)) + 1.0
     found: list[tuple[float, float]] = []

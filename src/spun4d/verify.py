@@ -432,8 +432,9 @@ def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float =
     Images of the parameter grid are searched for pairs at most ``image_tol``
     apart whose normalized parameter separation (torus metric in theta when
     periodic, zero between identified pole parameters) exceeds
-    ``param_sep``.  An empty result means no self-intersection detected at
-    this resolution.  The scan stops once it holds ``MAX_COLLISIONS``
+    ``param_sep``; ``image_tol`` must be at least 2**-511, so that its
+    square is a normal double.  An empty result means no self-intersection
+    detected at this resolution.  The scan stops once it holds ``MAX_COLLISIONS``
     collisions, so a result of that length is a lower bound.
 
     Theta is sampled without its end when periodic, so the grid has no seam
@@ -468,6 +469,8 @@ def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float =
         raise ValueError(f"param_sep must be in (0, 1), got {param_sep!r}")
     if not image_tol > 0.0:
         raise ValueError(f"image_tol must be > 0, got {image_tol!r}")
+    if image_tol < 2.0 ** -511:  # below it, the distance test's image_tol**2 is not a normal double
+        raise ValueError(f"image_tol must be at least 2**-511 (about 1.49e-154), got {image_tol!r}")
     for name, dom in (("t_dom", s.t_dom), ("s_dom", s.s_dom)):
         if not dom.length > 0.0:
             raise ValueError(f"{name} must have positive length, got [{dom.lo!r}, {dom.hi!r}]")

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from spun4d import catalog
 from spun4d.catalog import (
     KnotArc, get_knot, knot_names, lift_height, plane_double_points,
 )
-from spun4d.errors import UnknownKnot, UnliftableHeight
+from spun4d.errors import DegenerateInput, UnknownKnot, UnliftableHeight
 from spun4d.poly import Interval, Poly1
+from test_verify import _traced_peak
 
 
 def brute_double_points(f, g, iv, n=2000, diag_sep=1e-3):
@@ -139,6 +141,26 @@ def test_double_points_survive_a_zero_lu_pivot():
     found = plane_double_points(*_seeded_curve(5), Interval(-2, 2))
     assert len(found) == 1
     assert found[0] == pytest.approx((-1.81856, 1.77704), abs=1e-5)
+
+
+@pytest.mark.parametrize("name", knot_names())
+def test_double_point_search_holds_one_grid_array(name):
+    # the 600 x 600 float64 distances are 2.9 MB, and beside them the search
+    # may hold bool masks of the grid, 0.36 MB each, but no other float copy
+    arc = get_knot(name)
+    for iv in (arc.ab, Interval(-5.0, 5.0)):
+        _, peak = _traced_peak(lambda: plane_double_points(arc.f, arc.g, iv))
+        assert peak <= 4e6, (iv, peak)
+
+
+def test_double_point_search_refuses_overflow_before_newton(monkeypatch):
+    def newton(*args, **kwargs):
+        raise AssertionError("Newton started on an overflowing curve")
+
+    monkeypatch.setattr(catalog, "_newton_refine", newton)
+    # (1e161)^2 is beyond double range
+    with pytest.raises(DegenerateInput, match="too large for double precision"):
+        plane_double_points(Poly1((0.0, 1e160)), Poly1((0.0, 0.0, 1.0)), Interval(-5.0, 5.0))
 
 
 def test_catalog_names_and_arcs():

@@ -321,6 +321,14 @@ def test_file_that_is_not_utf8_names_the_file(workdir, capsys, cmd):
     assert os.listdir(workdir) == ["pic.json"]
 
 
+def test_image_tol_below_its_least_is_one_error_line(workdir, capsys):
+    assert dispatch(["spin", "trefoil_spun", "--out", "s.json"]) == 0
+    capsys.readouterr()
+    (workdir / "spun4d.json").write_text(json.dumps({"image_tol": 1e-200}))
+    assert dispatch(["verify", "s.json"]) == 1
+    assert "image_tol must be at least 2**-511" in _one_error_line(capsys)
+
+
 def test_int_config_value_accepted_where_default_is_float(workdir):
     (workdir / "spun4d.json").write_text(json.dumps({"image_tol": 1, "param_sep": 0.25}))
     assert dispatch(["catalog"]) == 0

@@ -62,6 +62,10 @@ def test_injectivity_scan_input_validation():
     for image_tol in (0.0, -1e-3, math.nan):
         with pytest.raises(ValueError, match="image_tol must be > 0"):
             injectivity_scan(s, 64, 64, 0.05, image_tol)
+    # below 2**-511 the squared tolerance of the distance test is subnormal
+    assert injectivity_scan(s, 64, 64, 0.05, 2.0 ** -511) == []
+    with pytest.raises(ValueError, match=r"image_tol must be at least 2\*\*-511"):
+        injectivity_scan(s, 64, 64, 0.05, np.nextafter(2.0 ** -511, 0.0))
     # 1e300 t^2 overflows to inf at t = +-1e5
     huge = PolyMap4((Poly2.from_t(Poly1((0.0, 0.0, 1e300))), Poly2.from_s(Poly1((0.0, 1.0))),
                      Poly2(), Poly2()), Interval(-1e5, 1e5), Interval(-1, 1))

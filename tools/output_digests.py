@@ -23,7 +23,10 @@ lattice samples and on seeded awkward samples (signed zeros, magnitudes near
 ``injectivity_scan`` of the fold (t^2, s, 0, 0) on [-1, 1]^2 at 101 x 101
 (image_tol 1e-6), from its factors and from an evaluate-only wrapper of it,
 and of the ``Surface4`` of no terms on [0, 1]^2 at 16 x 16, whose 256 nodes
-make 32,640 collisions.
+make 32,640 collisions.  The crossing search has digests of its own: each
+catalog arc's ``ab``, ``crossings`` and ``crossing_iv``, its
+``plane_double_points`` on [-5, 5] and [-1.3, 2.1], and ``lift_height`` of
+-t^4 + 4t^2 - 1 over ``trefoil_spun``'s f and g.
 """
 
 from __future__ import annotations
@@ -104,6 +107,25 @@ def _collision_digests() -> dict:
     return out
 
 
+def _crossing_digests() -> dict:
+    from spun4d.catalog import get_knot, knot_names, lift_height, plane_double_points
+    from spun4d.poly import Interval, Poly1
+
+    out = {}
+    for name in knot_names():
+        arc = get_knot(name)
+        iv = arc.crossing_iv
+        out[f"{name}: ab, crossings, crossing_iv"] = _sha(repr(
+            ((arc.ab.lo, arc.ab.hi), arc.crossings, None if iv is None else (iv.lo, iv.hi))))
+        for lo, hi in ((-5.0, 5.0), (-1.3, 2.1)):
+            out[f"{name}: plane_double_points [{lo}, {hi}]"] = _sha(
+                repr(plane_double_points(arc.f, arc.g, Interval(lo, hi))))
+    arc = get_knot("trefoil_spun")
+    h, ab = lift_height(Poly1((-1.0, 0.0, 4.0, 0.0, -1.0)), arc.f, arc.g)
+    out["trefoil_spun: lift_height -t^4 + 4t^2 - 1"] = _sha(repr((h.coeffs, ab.lo, ab.hi)))
+    return out
+
+
 def _library_digests() -> dict:
     import numpy as np
 
@@ -154,6 +176,7 @@ def _library_digests() -> dict:
             out[f"bernstein_fit2 {degree}: {label}"] = _sha(
                 b"".join(repr(c.coeffs.shape).encode() + c.coeffs.tobytes() for c in fit))
     out.update(_collision_digests())
+    out.update(_crossing_digests())
     return out
 
 
