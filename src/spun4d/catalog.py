@@ -8,14 +8,13 @@ the arc lies in the upper half space with both endpoints on the xy-plane.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import DegenerateInput, NonGeneric, UnknownKnot, UnliftableHeight
-from .poly import Interval, Poly1, poly_scale, roots_in_interval
+from .poly import Interval, Poly1, _keyed, _read_json, poly_scale, roots_in_interval
 
 __all__ = ["KnotArc", "get_knot", "height_admissible", "knot_names", "lift_height",
            "plane_double_points"]
@@ -315,28 +314,21 @@ def get_knot(name: str) -> KnotArc:
 
 def _load_user_knot(path: str) -> KnotArc:
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = _read_json(path)
     except OSError as exc:
         raise UnknownKnot(f"cannot read knot definition {path!r}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:
-        raise DegenerateInput(f"knot definition {path!r} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise DegenerateInput(f"knot definition {exc}") from None
     if not isinstance(doc, dict):
         raise DegenerateInput(f"knot definition {path!r} must be a JSON object with keys "
                               f"'f', 'g' and 'h', got a JSON {type(doc).__name__}")
-
-    def read(key, cls):
-        try:
-            return cls.from_json(doc[key])
-        except KeyError:
-            raise DegenerateInput(f"knot definition {path!r}: missing key {key!r} "
-                                  "(expected {\"coeffs\": [...]})") from None
-        except ValueError as exc:
-            raise DegenerateInput(f"knot definition {path!r}: key {key!r}: {exc}") from None
-
-    f, g, h = (read(key, Poly1) for key in "fgh")
-    hint = read("interval_hint", Interval) if "interval_hint" in doc else None
     try:
+        f, g, h = (_keyed(f"key {key!r}", Poly1.from_json, doc[key]) for key in "fgh")
+        hint = (_keyed("key 'interval_hint'", Interval.from_json, doc["interval_hint"])
+                if "interval_hint" in doc else None)
         return _build_arc(doc.get("name", path), f, g, h, hint)
-    except DegenerateInput as exc:
+    except KeyError as exc:  # the keys of the arc's parts are _keyed's
+        raise DegenerateInput(f"knot definition {path!r}: missing key {exc} "
+                              "(expected {\"coeffs\": [...]})") from None
+    except (ValueError, DegenerateInput) as exc:
         raise DegenerateInput(f"knot definition {path!r}: {exc}") from None

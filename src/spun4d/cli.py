@@ -24,11 +24,11 @@ from .export import (
     _axes_indices, export_grid_csv, export_mesh, export_slices, project, sample_surface,
     slice_surface, sweep_surface, to_mesh,
 )
-from .poly import Interval, Poly1, _count, roots_in_interval
+from .poly import Interval, Poly1, _count, _finite, _read_json, roots_in_interval
 from .spin import spin
 from .surface import DEVIATION_GRID, PolyMap4, _images, _max_distance, surface_from_json
 from .twist import Bump, choose_bump, make_axis, polynomialize_twist, twist_spin
-from .verify import IMAGE_TOL, N_INJECT, N_RANK, PARAM_SEP, RANK_TOL, verify_surface
+from .verify import IMAGE_TOL, N_INJECT, N_RANK, PARAM_SEP, RANK_TOL, _settings, verify_surface
 
 PROG = "spun4d"
 
@@ -52,6 +52,8 @@ DEFAULT_CONFIG = {
 # the least n_t and n_s that slice_surface and sample_surface take, for the
 # config keys that size their grids
 _CONFIG_LEAST = {"slice_n": 64, "grid_nt": 2, "grid_ns": 2}
+# the config keys of verify_surface's settings, in the order of verify._settings
+_VERIFY_KEYS = ("n_rank", "n_inject", "rank_tol", "param_sep", "image_tol")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,43 +66,29 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _read_json(path: str):
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except (ValueError, RecursionError) as exc:  # ValueError: also text that is not UTF-8
-            raise ValueError(f"{path}: not valid JSON ({exc})") from None
-
-
 def _load_config(path: str | None) -> dict:
-    cfg = dict(DEFAULT_CONFIG)
-    candidate = path or "spun4d.json"
-    if path is not None or os.path.exists(candidate):
-        user = _read_json(candidate)
-        if not isinstance(user, dict):
-            raise ValueError(f"{candidate}: config must be a JSON object")
-        unknown = set(user) - set(DEFAULT_CONFIG)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in user.items():
-            _check_config_value(candidate, key, value)
-        cfg.update(user)
+    if path is None and not os.path.exists("spun4d.json"):
+        return dict(DEFAULT_CONFIG)
+    return _read_json(path or "spun4d.json", _config)
+
+
+def _config(user) -> dict:
+    """The defaults updated by a config file's object ``user``, each value
+    checked, then verify_surface's settings as it checks them."""
+    if not isinstance(user, dict):
+        raise ValueError("config must be a JSON object")
+    unknown = set(user) - set(DEFAULT_CONFIG)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in user.items():
+        name = f"config key {key!r}"
+        if isinstance(DEFAULT_CONFIG[key], int):
+            _count(value, name, _CONFIG_LEAST.get(key, 1))
+        elif not _finite(value, f"{name}: ") > 0:
+            raise ValueError(f"{name} must be > 0, got {value!r}")
+    cfg = {**DEFAULT_CONFIG, **user}
+    _settings(*(cfg[key] for key in _VERIFY_KEYS))
     return cfg
-
-
-def _check_config_value(path: str, key: str, value) -> None:
-    """An int where the default is an int, a finite number where it is a
-    float; either way greater than 0, and a grid size at least its least
-    (``_CONFIG_LEAST``)."""
-    if isinstance(DEFAULT_CONFIG[key], int):
-        ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
-    else:
-        ok, kind = isinstance(value, (int, float)) and not isinstance(value, bool), "a finite number"
-    if not ok or not 0 < value < float("inf"):
-        raise ValueError(f"{path}: config key {key!r} must be {kind} > 0, got {value!r}")
-    if value < _CONFIG_LEAST.get(key, 0):
-        raise ValueError(f"{path}: config key {key!r} must be at least {_CONFIG_LEAST[key]}, "
-                         f"got {value!r}")
 
 
 def _config_hash(cfg: dict) -> str:
@@ -130,18 +118,9 @@ def _write_manifest(args, cfg, outputs, t0, warnings):
     )
 
 
-def _load_surface(path: str):
-    """A surface4 or polymap4 file; any defect names the file and the key."""
-    doc = _read_json(path)
-    try:
-        return surface_from_json(doc)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
 def _input_surface(name: str):
     """The spin of a catalog arc, or the surface in a file."""
-    return spin(get_knot(name)) if name in knot_names() else _load_surface(name)
+    return spin(get_knot(name)) if name in knot_names() else _read_json(name, surface_from_json)
 
 
 def _default_axis(arc):
@@ -167,22 +146,9 @@ def _build_surface(args):
     arc = get_knot(args.knot)
     if args.cmd == "spin":
         return spin(arc), arc
-    if args.t1 is not None or args.t2 is not None:
-        if args.t1 is None or args.t2 is None:
-            raise ValueError("--t1 and --t2 must be given together")
-        axis = make_axis(arc, args.t1, args.t2)
-    else:
-        axis = _default_axis(arc)
-    if args.d1 is not None or args.d2 is not None:
-        if args.d1 is None or args.d2 is None:
-            raise ValueError("--d1 and --d2 must be given together")
-        bump = Bump(args.d1, args.d2)
-    else:
-        bump = choose_bump(arc, axis)
+    axis = _default_axis(arc) if args.t1 is None else make_axis(arc, args.t1, args.t2)
+    bump = choose_bump(arc, axis) if args.d1 is None else Bump(args.d1, args.d2)
     return twist_spin(arc, axis, bump, args.k), arc
-
-
-_VERIFY_KEYS = ("n_rank", "n_inject", "param_sep", "rank_tol", "image_tol")
 
 
 def _run_verify(surface, arc, cfg):
@@ -225,8 +191,7 @@ def _slice_files(surface, axis, args, cfg, pattern):
             raise ValueError(f"--values {args.values!r}: {exc}") from None
         slices = [slice_surface(surface, axis, v, n, n) for v in values]
     else:
-        count = 24 if args.count is None else _count(args.count, "--count", 1)
-        slices = sweep_surface(surface, axis, count, n, n)
+        slices = sweep_surface(surface, axis, 24 if args.count is None else args.count, n, n)
     return export_slices(slices, args.format or "json", pattern)
 
 
@@ -245,11 +210,14 @@ def _cmd_catalog(args, cfg):
 def _cmd_construct(args, cfg):
     if args.cmd == "twistspin" and args.sweep and (args.export or args.out):
         raise ValueError("--sweep names its slice files by --out-pattern, not --export or --out")
-    if args.cmd == "twistspin" and not args.sweep:
+    if args.cmd == "twistspin":
         for flag, value in (("--out-pattern", args.out_pattern), ("--count", args.count),
                             ("--format", args.format)):
-            if value is not None:
+            if value is not None and not args.sweep:
                 raise ValueError(f"{flag} applies only with --sweep")
+        for a, b in (("t1", "t2"), ("d1", "d2")):
+            if (getattr(args, a) is None) != (getattr(args, b) is None):
+                raise ValueError(f"--{a} and --{b} must be given together")
     if args.export and not args.out:
         raise ValueError("--export requires --out")
     _check_plane(args.export, args.plane)
@@ -311,7 +279,7 @@ def _cmd_approx(args, cfg):
 
 
 def _cmd_verify(args, cfg):
-    surface = _load_surface(args.input)
+    surface = _read_json(args.input, surface_from_json)
     arc = get_knot(args.knot) if args.knot else None
     report = _run_verify(surface, arc, cfg)
     out = args.out or args.input + ".report.json"
@@ -320,21 +288,21 @@ def _cmd_verify(args, cfg):
 
 
 def _cmd_project(args, cfg):
-    surface = _load_surface(args.input)
+    surface = _read_json(args.input, surface_from_json)
     grid = sample_surface(surface, cfg["grid_nt"], cfg["grid_ns"])
     export_grid_csv(project(grid, args.plane), args.out)
     return 0, [args.out], []
 
 
 def _cmd_slice(args, cfg):
-    surface = _load_surface(args.input)
+    surface = _read_json(args.input, surface_from_json)
     pattern = args.out_pattern or f"{args.cmd}_{args.axis}_{{}}.{args.format}"
     return 0, _slice_files(surface, args.axis, args, cfg, pattern), []
 
 
 def _cmd_export(args, cfg):
     _check_plane(args.format, args.plane)
-    surface = _load_surface(args.input)
+    surface = _read_json(args.input, surface_from_json)
     _export_surface(surface, args.format, args.out, args.plane, cfg)
     return 0, [args.out], []
 
@@ -435,6 +403,8 @@ def dispatch(argv) -> int:
     try:
         cfg = _load_config(args.config)
         _axes_indices(getattr(args, "plane", None) or "xyz")  # for every format, before any work
+        if getattr(args, "count", None) is not None:  # for every command, before any work
+            _count(args.count, "--count", 1)
         t0 = time.time()
         code, outputs, warnings = args.run(args, cfg)
         if outputs:

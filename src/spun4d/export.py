@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BadAxes
-from .poly import Interval, _count
+from .poly import Interval, _count, _real
 from .surface import _grid_nodes, _images
 
 __all__ = [
@@ -237,7 +237,7 @@ def slice_surface(s, axis: str, value: float, n_t: int = 128, n_s: int = 128) ->
     finite at a sample, a saddle centre or a crossing is refused with a ValueError.
     """
     n_t, n_s = _check_slice(axis, n_t, n_s)
-    if not np.isfinite(value):
+    if not np.isfinite(_real(value)):
         raise ValueError(f"slice value must be finite, got {value!r}")
     return _slicer(s, axis, n_t, n_s)[1](value)
 

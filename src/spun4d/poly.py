@@ -8,7 +8,9 @@ of ``t**i * s**j``.  Both are immutable and safe to share between threads.
 
 from __future__ import annotations
 
+import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -52,10 +54,21 @@ class Interval:
         return cls(*(_finite(x) for x in doc))
 
 
+def _real(x) -> float:
+    """``x`` as a float if it is a real number (numpy's too) but not a bool, else
+    nan, which fails every range test: the one test of a real-valued setting."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return math.nan
+    try:
+        return float(x)
+    except OverflowError:  # an int beyond double range
+        return math.inf if x > 0 else -math.inf
+
+
 def _finite(x, where: str = "") -> float:
-    """A JSON number that is finite; booleans, strings and null are refused.
-    ``where`` prefixes the message (the key the number was read from)."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
+    """A real number (``_real``) that is finite; booleans, strings and null are
+    refused.  ``where`` prefixes the message (the key the number was read from)."""
+    if not math.isfinite(_real(x)):
         raise ValueError(f"{where}expected a finite number, got {x!r}")
     return float(x)
 
@@ -73,6 +86,28 @@ def _count(n, name: str, least: int) -> int:
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
     return value
+
+
+def _keyed(where: str, parse, value):
+    """``parse(value)``, with any defect reported under ``where``."""
+    try:
+        return parse(value)
+    except KeyError as exc:
+        raise ValueError(f"{where}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _read_json(path: str, parse=lambda doc: doc):
+    """``parse`` of the JSON document in the file ``path``, any defect reported
+    under the file's name (``_keyed``), text that is not JSON (nor UTF-8, nor
+    shallow enough to parse) too; an unreadable file raises ``open``'s OSError."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # ValueError: also text that is not UTF-8
+            raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    return _keyed(path, parse, doc)
 
 
 def _coeffs_json(doc) -> list:
@@ -323,7 +358,7 @@ def roots_in_interval(p: Poly1, iv: Interval, tol: float = 1e-9) -> list[float]:
     root of p' in such a cell is refined in the same way, and kept when |p|
     there is at most ``tol * poly_scale(p, iv)``.
     """
-    if not tol > 0:
+    if not _real(tol) > 0:
         raise ValueError("tol must be positive")
     if p.is_zero:
         raise DegenerateInput("cannot isolate roots of the zero polynomial")

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .poly import Interval, Poly1, Poly2, _count, _finite
+from .poly import Interval, Poly1, Poly2, _count, _finite, _keyed, _real
 
 __all__ = ["Bump", "Trig", "Term", "Surface4", "PolyMap4", "max_grid_deviation"]
 
@@ -65,7 +65,7 @@ class Bump:
     d2: float
 
     def __post_init__(self):
-        if not 0.0 < self.d1 < self.d2:
+        if not 0.0 < _real(self.d1) < _real(self.d2):
             raise ValueError(f"need 0 < d1 < d2, got d1={self.d1}, d2={self.d2}")
 
     def __call__(self, t):
@@ -310,16 +310,6 @@ def _terms_from_json(node) -> list[Term] | tuple[Term, ...]:
     raise ValueError(f"unknown node tag {tag!r}")
 
 
-def _keyed(key: str, parse, value):
-    """``parse(value)``, with any defect reported under ``key``."""
-    try:
-        return parse(value)
-    except KeyError as exc:
-        raise ValueError(f"key {key}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"key {key}: {exc}") from None
-
-
 def _read(doc: dict, parse, flag_default: bool):
     """The keys both surface file types share: four coordinates (each read
     by ``parse``), the two domains and the three flags."""
@@ -327,12 +317,12 @@ def _read(doc: dict, parse, flag_default: bool):
     if not (isinstance(coords, list) and len(coords) == 4):
         raise ValueError(f"key 'coords' must be a list of 4 coordinates, got "
                          f"{len(coords) if isinstance(coords, list) else repr(coords)}")
-    parsed = tuple(_keyed(f"'coords'[{i}]", parse, c) for i, c in enumerate(coords))
+    parsed = tuple(_keyed(f"key 'coords'[{i}]", parse, c) for i, c in enumerate(coords))
     domains = []
     for key in ("t_dom", "s_dom"):
         if key not in doc:
             raise ValueError(f"missing key {key!r}")
-        domains.append(_keyed(repr(key), Interval.from_json, doc[key]))
+        domains.append(_keyed(f"key {key!r}", Interval.from_json, doc[key]))
         if domains[-1].length == 0.0:
             raise ValueError(f"key {key!r}: the domain has length 0, got {doc[key]}")
     flags = []

@@ -20,7 +20,7 @@ import numpy as np
 from .approx import _chebyshev_interpolant
 from .catalog import KnotArc
 from .errors import NonUnitAxis, NoRoom, PlaneCrossing
-from .poly import Interval, Poly1, _count
+from .poly import Interval, Poly1, _count, _real
 from .surface import (
     TWO_PI, Bump, Surface4, Term, Trig, _eval_points, _term_rows, max_grid_deviation,
 )
@@ -81,7 +81,7 @@ def make_axis(arc: KnotArc, t1: float, t2: float) -> TwistAxis:
     """Axis through (f, g, h)(t1) and (f, g, h)(t2); heights must agree and the
     crossing interval must sit strictly between t1 and t2."""
     a, b = arc.ab.lo, arc.ab.hi
-    if not (a <= t1 <= b and a <= t2 <= b):
+    if not (a <= _real(t1) <= b and a <= _real(t2) <= b):
         raise ValueError(f"axis endpoints must be arc points, finite numbers in "
                          f"[{a:.6g}, {b:.6g}], got t1={t1!r}, t2={t2!r}")
     h1, h2 = float(arc.h(t1)), float(arc.h(t2))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .approx import PerturbationSpec, _perturb
 from .catalog import KnotArc, height_admissible
-from .poly import Interval, _count, poly_scale
+from .poly import Interval, _count, _real, poly_scale
 from .surface import _images, _squared_distances
 
 __all__ = [
@@ -106,6 +106,23 @@ def _inset_samples(iv: Interval, n: int) -> np.ndarray:
     return iv.lo + step * (np.arange(n) + 0.5)
 
 
+def _settings(n_t, n_s, tol=RANK_TOL, param_sep=PARAM_SEP, image_tol=IMAGE_TOL,
+              names=("n_rank", "n_inject", "rank_tol")) -> tuple[int, int]:
+    """The scans' settings, refused with a ValueError before any work: the grid
+    sizes (``poly._count``, at least 16), then the real-valued ones
+    (``poly._real``) out of range.  ``names`` names the sizes and ``tol``."""
+    n_t, n_s = _count(n_t, names[0], 16), _count(n_s, names[1], 16)
+    if not 0.0 < _real(tol) < 1.0:
+        raise ValueError(f"{names[2]} must be in (0, 1), got {tol!r}")
+    if not 0.0 < _real(param_sep) < 1.0:
+        raise ValueError(f"param_sep must be in (0, 1), got {param_sep!r}")
+    if not _real(image_tol) > 0.0:
+        raise ValueError(f"image_tol must be > 0, got {image_tol!r}")
+    if image_tol < 2.0 ** -511:  # below it, the distance test's image_tol**2 is not a normal double
+        raise ValueError(f"image_tol must be at least 2**-511 (about 1.49e-154), got {image_tol!r}")
+    return n_t, n_s
+
+
 def _gram_grid(s, tvals, svals):
     """g11, g22, g12 of the Gram matrix J^T J over the tensor grid, from the
     sampler's ``_rows`` with their derivatives, a_i on t and b_i on theta
@@ -148,9 +165,7 @@ def jacobian_rank_scan(s, n_t: int, n_s: int, tol: float = RANK_TOL) -> tuple[bo
     """
     if not hasattr(s, "_rows"):
         raise TypeError(f"the rank scan needs rank-K rows (_rows); {type(s).__name__} has none")
-    n_t, n_s = _count(n_t, "n_t", 16), _count(n_s, "n_s", 16)
-    if not 0.0 < tol < 1.0:
-        raise ValueError("tol must be in (0, 1)")
+    n_t, n_s = _settings(n_t, n_s, tol, names=("n_t", "n_s", "tol"))
     tvals = _inset_samples(s.t_dom, n_t)
     svals = _inset_samples(s.s_dom, n_s)
     with np.errstate(all="ignore"):
@@ -183,7 +198,7 @@ def jacobian_rank_scan(s, n_t: int, n_s: int, tol: float = RANK_TOL) -> tuple[bo
     # sqrt is monotone and correctly rounded: the root of the least square is
     # the least root
     min_ratio = float(np.sqrt(np.min(ratio_sq)))
-    return min_ratio > tol, min_ratio
+    return bool(min_ratio > tol), min_ratio
 
 
 def _half_width(r: float, room: float) -> float:
@@ -432,10 +447,12 @@ def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float =
     Images of the parameter grid are searched for pairs at most ``image_tol``
     apart whose normalized parameter separation (torus metric in theta when
     periodic, zero between identified pole parameters) exceeds
-    ``param_sep``; ``image_tol`` must be at least 2**-511, so that its
-    square is a normal double.  An empty result means no self-intersection
-    detected at this resolution.  The scan stops once it holds ``MAX_COLLISIONS``
-    collisions, so a result of that length is a lower bound.
+    ``param_sep``.  Before any work the grid sizes, then ``param_sep`` and
+    ``image_tol`` (``_settings``; at least 2**-511, so that its square is a
+    normal double), then the domains are checked.  An empty result means no
+    self-intersection detected at this resolution.  The scan stops once it
+    holds ``MAX_COLLISIONS`` collisions, so a result of that length is a
+    lower bound.
 
     Theta is sampled without its end when periodic, so the grid has no seam
     column, and each flagged pole row is one node, its first sample.  The
@@ -464,13 +481,7 @@ def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float =
     sorted by a stable ``np.lexsort`` on (param_a, param_b), and only then
     made ``Collision`` objects.
     """
-    n_t, n_s = _count(n_t, "n_t", 16), _count(n_s, "n_s", 16)
-    if not 0.0 < param_sep < 1.0:
-        raise ValueError(f"param_sep must be in (0, 1), got {param_sep!r}")
-    if not image_tol > 0.0:
-        raise ValueError(f"image_tol must be > 0, got {image_tol!r}")
-    if image_tol < 2.0 ** -511:  # below it, the distance test's image_tol**2 is not a normal double
-        raise ValueError(f"image_tol must be at least 2**-511 (about 1.49e-154), got {image_tol!r}")
+    n_t, n_s = _settings(n_t, n_s, param_sep=param_sep, image_tol=image_tol, names=("n_t", "n_s", "tol"))
     for name, dom in (("t_dom", s.t_dom), ("s_dom", s.s_dom)):
         if not dom.length > 0.0:
             raise ValueError(f"{name} must have positive length, got [{dom.lo!r}, {dom.hi!r}]")
@@ -556,7 +567,7 @@ def isotopy_family_check(
     refused with a ValueError before any family map is built.
     """
     u_samples = list(u_samples)
-    if not u_samples or not all(map(math.isfinite, u_samples)):
+    if not u_samples or not all(math.isfinite(_real(u)) for u in u_samples):
         raise ValueError(f"u_samples must be one or more finite u, got {u_samples!r}")
     return all(
         verify_surface(replace(map4, polys=_perturb(map4.polys, spec.N, u * spec.epsilon)), None,
@@ -574,9 +585,10 @@ def verify_surface(
     rank_tol: float = RANK_TOL,
     image_tol: float = IMAGE_TOL,
 ) -> VerifyReport:
-    """Bundle of all applicable checks for one surface, as a report; a sampler
+    """Bundle of all applicable checks for one surface, as a report.  All five
+    settings are checked (``_settings``) before the first scan; then a sampler
     without rank-K ``_rows`` (only ``evaluate``) is refused with a TypeError."""
-    n_rank, n_inject = _count(n_rank, "n_rank", 16), _count(n_inject, "n_inject", 16)
+    n_rank, n_inject = _settings(n_rank, n_inject, rank_tol, param_sep, image_tol)
     rank_ok, min_ratio = jacobian_rank_scan(s, n_rank, n_rank, rank_tol)
     collisions = injectivity_scan(s, n_inject, n_inject, param_sep, image_tol)
     boundary_ok = boundary_check(arc) if arc is not None else None

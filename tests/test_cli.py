@@ -882,3 +882,72 @@ def test_max_distance_scales_only_when_the_plain_norm_overflows():
     big[0, 0] = 1.7e308
     with pytest.raises(ValueError, match="beyond double range"):
         _max_distance(big, -big, "p")
+
+
+# -- every input rule before any work -----------------------------------------
+
+def test_count_below_one_is_refused_before_the_twist_is_built(workdir, capsys, monkeypatch):
+    import spun4d.cli as cli
+
+    called = []
+    for name in ("get_knot", "twist_spin", "verify_surface"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, _n=name, _r=real, **k: called.append(_n) or _r(*a, **k))
+    argv = ["twistspin", "trefoil_twist", "--k", "10", "--verify", "--sweep", "w", "--count", "0"]
+    assert dispatch(argv) == 1
+    assert "--count must be at least 1, got 0" in _one_error_line(capsys)
+    assert called == [] and os.listdir(workdir) == []
+
+
+@pytest.mark.parametrize("flags", [["--t1", "-2.19"], ["--t2", "2.19"], ["--d1", "0.5"], ["--d2", "3"]])
+def test_half_a_flag_pair_is_refused_before_the_arc_is_built(workdir, capsys, monkeypatch, flags):
+    import spun4d.cli as cli
+
+    monkeypatch.setattr(cli, "get_knot", lambda name: pytest.fail("the arc was built"))
+    assert dispatch(["twistspin", "trefoil_twist", "--k", "1", *flags]) == 1
+    assert "must be given together" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("cfg, words", [
+    ({"param_sep": 5}, "param_sep must be in (0, 1), got 5"),
+    ({"image_tol": 1e-200}, "image_tol must be at least 2**-511"),
+    ({"rank_tol": 2}, "rank_tol must be in (0, 1), got 2"),
+    ({"n_inject": 8}, "n_inject must be at least 16, got 8"),
+], ids=["param_sep", "image_tol", "rank_tol", "n_inject"])
+def test_a_config_that_verify_would_refuse_is_refused_at_load(workdir, capsys, cfg, words):
+    assert dispatch(_SPIN) == 0
+    capsys.readouterr()
+    before = sorted(os.listdir(workdir))
+    (workdir / "cfg.json").write_text(json.dumps(cfg))
+    for cmd in (["export", "s.json", "--format", "ply", "--out", "m.ply"], ["catalog"],
+                ["spin", "trefoil_spun", "--out", "t.json"], ["verify", "s.json"]):
+        assert dispatch(["--config", "cfg.json", *cmd]) == 1
+        line = _one_error_line(capsys)
+        assert line.startswith("spun4d: error: cfg.json: ") and words in line
+    assert sorted(os.listdir(workdir)) == sorted(before + ["cfg.json"])
+
+
+def test_a_config_is_refused_before_the_surface_file_is_opened(workdir, capsys):
+    # s.json does not exist: the refusal is the config's
+    (workdir / "spun4d.json").write_text(json.dumps({"image_tol": 1e-200}))
+    assert dispatch(["verify", "s.json"]) == 1
+    assert _one_error_line(capsys).startswith("spun4d: error: spun4d.json: image_tol must be at least")
+
+
+_HUGE = "1" + "0" * 400  # a JSON integer beyond double range
+
+
+@pytest.mark.parametrize("name, text, cmd", [
+    ("k.json", '{"f": {"coeffs": [0, ' + _HUGE + ']}, "g": {"coeffs": [0, 0, 1]}, '
+     '"h": {"coeffs": [1, 0, -1]}}', ["spin", "k.json"]),
+    ("cfg.json", '{"image_tol": ' + _HUGE + "}", ["--config", "cfg.json", "catalog"]),
+    ("s.json", '{"type": "polymap4", "coords": [{"coeffs": [[' + _HUGE + ']]}, {"coeffs": [[0]]}, '
+     '{"coeffs": [[0]]}, {"coeffs": [[0]]}], "t_dom": [-1, 1], "s_dom": [-1, 1]}',
+     ["project", "s.json", "--out", "g.csv"]),
+], ids=["knot", "config", "surface"])
+def test_an_integer_beyond_double_range_is_one_error_line(workdir, capsys, name, text, cmd):
+    (workdir / name).write_text(text)
+    assert dispatch(cmd) == 1
+    line = _one_error_line(capsys)
+    assert name in line and "expected a finite number" in line
+    assert os.listdir(workdir) == [name]

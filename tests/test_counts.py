@@ -1,8 +1,11 @@
 """Every count the package takes (a grid size, a degree, N or k) is checked
 by one rule, ``poly._count``, before any work: an integer, not a bool, at
-least its least value, refused otherwise with a ValueError naming it."""
+least its least value, refused otherwise with a ValueError naming it.  So is
+every real-valued setting of the scans, a slice and root isolation, by
+``poly._real``: a real number, not a bool nor a string, in its range."""
 
 import json
+import math
 import pickle
 import re
 from types import SimpleNamespace
@@ -12,14 +15,17 @@ import pytest
 
 import spun4d.surface as surface_module
 import spun4d.twist as twist_module
-from spun4d.approx import bernstein_fit2, bernstein_lattice, chebyshev_fit, odd_perturbation
+import spun4d.verify as verify_module
+from spun4d.approx import (
+    PerturbationSpec, bernstein_fit2, bernstein_lattice, chebyshev_fit, odd_perturbation,
+)
 from spun4d.catalog import get_knot
 from spun4d.export import sample_surface, slice_surface, sweep_surface
-from spun4d.poly import Interval, Poly1
+from spun4d.poly import Interval, Poly1, roots_in_interval
 from spun4d.spin import polynomial_spin, spin
-from spun4d.surface import Trig, max_grid_deviation
+from spun4d.surface import PolyMap4, Surface4, Trig, max_grid_deviation
 from spun4d.twist import choose_bump, make_axis, polynomialize_twist, twist_spin
-from spun4d.verify import injectivity_scan, jacobian_rank_scan, verify_surface
+from spun4d.verify import injectivity_scan, isotopy_family_check, jacobian_rank_scan, verify_surface
 
 
 @pytest.fixture(scope="module")
@@ -106,3 +112,102 @@ def test_a_report_of_numpy_grid_sizes_is_json(ctx):
     report = verify_surface(ctx.s, ctx.arc, np.int64(32), np.int64(48))
     assert report.grid == (32, 48) and all(type(n) is int for n in report.grid)
     assert json.loads(json.dumps(report.to_json()))["grid"] == [32, 48]
+
+
+# the entry point, the setting's name, a value it takes, the values out of its
+# range, and a call with the setting x
+_FAMILY = (PerturbationSpec(1, 1e-3), [0.0])
+SETTINGS = [
+    ("jacobian_rank_scan", "tol", 1e-6, [0.0, 1.0, -0.5, 2.0, math.inf],
+     lambda c, x: jacobian_rank_scan(c.s, 16, 16, x)),
+    ("injectivity_scan", "param_sep", 0.05, [0.0, 1.0, -0.1, 5, math.inf],
+     lambda c, x: injectivity_scan(c.s, 16, 16, x)),
+    ("injectivity_scan", "image_tol", 1e-3, [0.0, -1e-3, 1e-200, -math.inf],
+     lambda c, x: injectivity_scan(c.s, 16, 16, 0.05, x)),
+    ("verify_surface", "rank_tol", 1e-6, [0.0, 1.0, 2.0],
+     lambda c, x: verify_surface(c.s, c.arc, 16, 16, rank_tol=x)),
+    ("verify_surface", "param_sep", 0.05, [0.0, 1.0, 5],
+     lambda c, x: verify_surface(c.s, c.arc, 16, 16, param_sep=x)),
+    ("verify_surface", "image_tol", 1e-3, [0.0, -1e-3, 1e-200],
+     lambda c, x: verify_surface(c.s, c.arc, 16, 16, image_tol=x)),
+    ("isotopy_family_check", "rank_tol", 1e-6, [0.0, 1.0],
+     lambda c, x: isotopy_family_check(c.poly, *_FAMILY, 16, 16, rank_tol=x)),
+    ("isotopy_family_check", "param_sep", 0.05, [0.0, 1.0, 5],
+     lambda c, x: isotopy_family_check(c.poly, *_FAMILY, 16, 16, param_sep=x)),
+    ("isotopy_family_check", "image_tol", 1e-3, [0.0, 1e-200],
+     lambda c, x: isotopy_family_check(c.poly, *_FAMILY, 16, 16, image_tol=x)),
+    ("slice_surface", "slice value", 0.5, [math.inf, -math.inf],
+     lambda c, x: slice_surface(c.s, "w", x, 64, 64)),
+    ("roots_in_interval", "tol", 1e-9, [0.0, -1e-9, -math.inf],
+     lambda c, x: roots_in_interval(Poly1((0.25, -1.0, 1.0)), Interval(-1.0, 1.0), x)),
+]
+SETTING_IDS = [f"{entry}-{name}" for entry, name, _, _, _ in SETTINGS]
+
+
+@pytest.fixture(scope="module")
+def poly_ctx(ctx):
+    return SimpleNamespace(**vars(ctx), poly=polynomial_spin(ctx.arc, 8))
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """The calls of the samplers' rows, the Gram grid and the point evaluator."""
+    calls = []
+
+    def counting(real):
+        return lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs)
+
+    for owner, fn in ((Surface4, "_rows"), (PolyMap4, "_rows"), (verify_module, "_gram_grid"),
+                      (surface_module, "_eval_points")):
+        monkeypatch.setattr(owner, fn, counting(getattr(owner, fn)))
+    return calls
+
+
+@pytest.mark.parametrize("entry, name, good, out_of_range, call", SETTINGS, ids=SETTING_IDS)
+@pytest.mark.parametrize("bad", [True, np.True_, False, "0.1", None, math.nan, [0.1]])
+def test_a_real_setting_that_is_not_a_real_number_is_refused_before_any_work(
+        poly_ctx, scanned, entry, name, good, out_of_range, call, bad):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be "):
+        call(poly_ctx, bad)
+    assert scanned == []
+
+
+@pytest.mark.parametrize("entry, name, good, out_of_range, call", SETTINGS, ids=SETTING_IDS)
+def test_a_real_setting_out_of_its_range_is_refused_before_any_work(poly_ctx, scanned, entry, name,
+                                                                    good, out_of_range, call):
+    for x in out_of_range:
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be "):
+            call(poly_ctx, x)
+    assert scanned == []
+
+
+@pytest.mark.parametrize("entry, name, good, out_of_range, call", SETTINGS, ids=SETTING_IDS)
+def test_a_numpy_real_setting_gives_the_result_of_a_float(poly_ctx, entry, name, good,
+                                                          out_of_range, call):
+    def plain(result):
+        doc = result.to_json() if hasattr(result, "to_json") else result
+        return json.dumps(doc, default=repr)
+
+    assert plain(call(poly_ctx, np.float64(good))) == plain(call(poly_ctx, good))
+    call(poly_ctx, np.float32(good))
+
+
+def test_the_settings_of_verify_surface_are_checked_before_its_rank_scan(ctx, scanned):
+    # each bad setting is refused before the first scan, whichever scan reads it
+    for bad in ({"param_sep": 2.0}, {"image_tol": 1e-200}, {"rank_tol": "0.5"}, {"n_inject": 8}):
+        with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be "):
+            verify_surface(ctx.s, None, **{"n_rank": 200, "n_inject": 400, **bad})
+    assert scanned == []
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, "0.5", None, math.nan])
+def test_a_bool_or_a_string_is_refused_where_a_real_number_is_taken(poly_ctx, bad):
+    from spun4d.surface import Bump
+
+    twist_arc = poly_ctx.twist[0]
+    with pytest.raises(ValueError, match="^need 0 < d1 < d2"):
+        Bump(bad, 2.0)
+    with pytest.raises(ValueError, match="^axis endpoints must be arc points"):
+        make_axis(twist_arc, bad, 2.19)
+    with pytest.raises(ValueError, match="^u_samples must be one or more finite u"):
+        isotopy_family_check(poly_ctx.poly, _FAMILY[0], [0.0, bad], 16, 16)

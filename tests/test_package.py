@@ -77,3 +77,20 @@ def test_verify_reads_only_the_sampling_contract_off_a_sampler():
     contract = {"evaluate", "_rows", "t_dom", "s_dom", "periodic_s", "pole_low", "pole_high"}
     assert sorted(read - contract) == []
     assert "_rows" in read
+
+
+def test_each_input_rule_has_one_copy_in_poly():
+    # a file is read as JSON by poly._read_json alone, and the rules of a
+    # count, a real number and a keyed defect are each defined once, in poly
+    loads, defs = [], []
+    for path in sorted(Path(spun4d.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+                    and node.func.attr == "load"):
+                loads.append(path.name)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.append((node.name, path.name))
+    assert loads == ["poly.py"]
+    rules = ("_read_json", "_keyed", "_count", "_real", "_finite")
+    assert sorted(d for d in defs if d[0] in rules) == sorted((name, "poly.py") for name in rules)

@@ -27,6 +27,11 @@ make 32,640 collisions.  The crossing search has digests of its own: each
 catalog arc's ``ab``, ``crossings`` and ``crossing_iv``, its
 ``plane_double_points`` on [-5, 5] and [-1.3, 2.1], and ``lift_height`` of
 -t^4 + 4t^2 - 1 over ``trefoil_spun``'s f and g.
+
+The refusal digests cover the CLI's answer to malformed inputs
+(``REFUSALS``): config files, knot files and surface files, each written
+alone into a new temporary directory and given to one command there, whose
+exit code, stdout and stderr make one digest.
 """
 
 from __future__ import annotations
@@ -43,6 +48,33 @@ BERNSTEIN_DEGREES = (6, 16, 20, 24, 28, 30)
 GRID = (150, 130)
 VERIFY = (96, 200)
 
+_KNOT_GH = '"g": {"coeffs": [0, 0, 1]}, "h": {"coeffs": [1, 0, -1]}'
+_COORD = '{"coeffs": [[0.0]]}'
+_DOMAINS = '"t_dom": [-1, 1], "s_dom": [-1, 1]'
+_CONFIG_RUN = ["--config", "cfg.json", "spin", "trefoil_spun", "--verify", "--out", "v.json"]
+_KNOT_RUN = ["spin", "k.json", "--out", "s.json"]
+_SURFACE_RUN = ["project", "s.json", "--out", "g.csv"]
+# a malformed input per entry: its label, its file's name and text, and the
+# command given it
+REFUSALS = [
+    ("config: not JSON", "cfg.json", "{'n_rank': 64}", _CONFIG_RUN),
+    ("config: not an object", "cfg.json", "[64]", _CONFIG_RUN),
+    ("config: an unknown key", "cfg.json", '{"bogus": 1}', _CONFIG_RUN),
+    ("config: n_rank \"abc\"", "cfg.json", '{"n_rank": "abc"}', _CONFIG_RUN),
+    ("config: image_tol 1e-200", "cfg.json", '{"image_tol": 1e-200}', _CONFIG_RUN),
+    ("config: param_sep 5", "cfg.json", '{"param_sep": 5}', _CONFIG_RUN),
+    ("knot: not JSON", "k.json", "not json", _KNOT_RUN),
+    ("knot: a list", "k.json", '[{"f": {"coeffs": [0, 1]}, ' + _KNOT_GH + "}]", _KNOT_RUN),
+    ("knot: no h", "k.json", '{"f": {"coeffs": [0, 1]}, "g": {"coeffs": [0, 0, 1]}}', _KNOT_RUN),
+    ("knot: a NaN coefficient", "k.json", '{"f": {"coeffs": [0, NaN]}, ' + _KNOT_GH + "}", _KNOT_RUN),
+    ("surface: an unknown tag", "s.json",
+     '{"type": "surface4", "coords": [' + ", ".join(['{"tag": "bogus"}'] * 4) + "], " + _DOMAINS + "}",
+     _SURFACE_RUN),
+    ("surface: a ragged polymap4 row", "s.json",
+     '{"type": "polymap4", "coords": [{"coeffs": [[1, 2], [3]]}, ' + ", ".join([_COORD] * 3) + "], "
+     + _DOMAINS + "}", _SURFACE_RUN),
+]
+
 
 def _sha(data) -> str:
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
@@ -52,6 +84,25 @@ def _json_sha(doc) -> str:
     return _sha(json.dumps(doc, sort_keys=True))
 
 
+def _run(argv, cwd: str, env: dict) -> str:
+    """The digest of the exit code, stdout and stderr of one CLI command."""
+    proc = subprocess.run([sys.executable, "-m", "spun4d.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True)
+    return _sha(f"{proc.returncode}\n".encode() + proc.stdout + b"\0" + proc.stderr)
+
+
+def _refusal_digests(env: dict) -> dict:
+    """Per malformed input of ``REFUSALS``, the digest of its command's
+    answer, run alone in a new directory with the file."""
+    out = {}
+    for label, name, text, argv in REFUSALS:
+        with tempfile.TemporaryDirectory() as tmp:
+            with open(os.path.join(tmp, name), "w") as fh:
+                fh.write(text)
+            out[label] = _run(argv, tmp, env)
+    return out
+
+
 def _command_digests(commands, env: dict) -> tuple[dict, dict]:
     """Per command, the digest of its exit code, stdout and stderr; per file
     the commands wrote, the digest of its bytes (a manifest's without its
@@ -59,9 +110,7 @@ def _command_digests(commands, env: dict) -> tuple[dict, dict]:
     done, files = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for cid, text, _ in commands:
-            proc = subprocess.run([sys.executable, "-m", "spun4d.cli", *text.split()], cwd=tmp,
-                                  env=env, capture_output=True)
-            done[cid] = _sha(f"{proc.returncode}\n".encode() + proc.stdout + b"\0" + proc.stderr)
+            done[cid] = _run(text.split(), tmp, env)
         for name in sorted(os.listdir(tmp)):
             with open(os.path.join(tmp, name), "rb") as fh:
                 data = fh.read()
@@ -211,12 +260,14 @@ def main(argv) -> int:
 
     check_provenance(spun4d.__file__, src)
     commands, files = _command_digests(COMMANDS, child_env(src))
+    refusals = _refusal_digests(child_env(src))
     library = _library_digests()
     with open(out_path, "w") as fh:
-        json.dump({"commands": commands, "files": files, "library": library}, fh, indent=1,
-                  sort_keys=True)
+        json.dump({"commands": commands, "files": files, "library": library, "refusals": refusals},
+                  fh, indent=1, sort_keys=True)
         fh.write("\n")
-    print(f"{out_path}: {len(commands)} commands, {len(files)} files, {len(library)} library entries")
+    print(f"{out_path}: {len(commands)} commands, {len(files)} files, {len(library)} library "
+          f"entries, {len(refusals)} refusals")
     return 0
 
 
