@@ -29,8 +29,11 @@ class Interval:
     hi: float
 
     def __post_init__(self):
-        if not self.lo <= self.hi:
+        lo, hi = _real(self.lo), _real(self.hi)
+        if not lo <= hi:
             raise ValueError(f"interval requires lo <= hi, got [{self.lo}, {self.hi}]")
+        for key, x in (("lo", lo), ("hi", hi)):
+            object.__setattr__(self, key, x)
 
     @property
     def length(self) -> float:
@@ -56,7 +59,7 @@ class Interval:
 
 def _real(x) -> float:
     """``x`` as a float if it is a real number (numpy's too) but not a bool, else
-    nan, which fails every range test: the one test of a real-valued setting."""
+    nan, which fails every range test: the one test and conversion of a real."""
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
         return math.nan
     try:
@@ -358,7 +361,8 @@ def roots_in_interval(p: Poly1, iv: Interval, tol: float = 1e-9) -> list[float]:
     root of p' in such a cell is refined in the same way, and kept when |p|
     there is at most ``tol * poly_scale(p, iv)``.
     """
-    if not _real(tol) > 0:
+    tol = _real(tol)
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if p.is_zero:
         raise DegenerateInput("cannot isolate roots of the zero polynomial")

@@ -65,8 +65,11 @@ class Bump:
     d2: float
 
     def __post_init__(self):
-        if not 0.0 < _real(self.d1) < _real(self.d2):
+        d1, d2 = _real(self.d1), _real(self.d2)
+        if not 0.0 < d1 < d2:
             raise ValueError(f"need 0 < d1 < d2, got d1={self.d1}, d2={self.d2}")
+        for key, x in (("d1", d1), ("d2", d2)):
+            object.__setattr__(self, key, x)
 
     def __call__(self, t):
         t2 = np.asarray(t, float) ** 2
@@ -281,6 +284,7 @@ _LEAVES = {
 # factor arrays grow with the count; the constructions write at most 4
 MAX_TERMS = 1 << 8
 DEVIATION_GRID = 200  # samples per side of max_grid_deviation's default grid
+_FLAGS = ("periodic_s", "pole_low", "pole_high")  # both models', checked by _keep_flags
 
 
 def _bounded(n: int) -> None:
@@ -325,23 +329,22 @@ def _read(doc: dict, parse, flag_default: bool):
         domains.append(_keyed(f"key {key!r}", Interval.from_json, doc[key]))
         if domains[-1].length == 0.0:
             raise ValueError(f"key {key!r}: the domain has length 0, got {doc[key]}")
-    flags = []
-    for key in ("periodic_s", "pole_low", "pole_high"):
-        v = doc.get(key, flag_default)
-        if not isinstance(v, bool):
+    return (parsed, *domains, *(doc.get(key, flag_default) for key in _FLAGS))
+
+
+def _keep_flags(s) -> None:
+    """Keep the three flags of the model ``s`` as bools, a numpy bool too;
+    any other value is refused, in the words of the file reader."""
+    for key in _FLAGS:
+        v = getattr(s, key)
+        if not isinstance(v, (bool, np.bool_)):
             raise ValueError(f"key {key!r} must be true or false, got {v!r}")
-        flags.append(v)
-    return (parsed, *domains, *flags)
+        object.__setattr__(s, key, bool(v))
 
 
 def _domain_json(s) -> dict:
-    return {
-        "t_dom": [s.t_dom.lo, s.t_dom.hi],
-        "s_dom": [s.s_dom.lo, s.s_dom.hi],
-        "periodic_s": s.periodic_s,
-        "pole_low": s.pole_low,
-        "pole_high": s.pole_high,
-    }
+    return {"t_dom": [s.t_dom.lo, s.t_dom.hi], "s_dom": [s.s_dom.lo, s.s_dom.hi],
+            **{key: getattr(s, key) for key in _FLAGS}}
 
 
 # -- surfaces ---------------------------------------------------------------
@@ -364,6 +367,7 @@ class Surface4:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(_collect(c) for c in self.coords))
+        _keep_flags(self)
 
     def _rows(self, side: str, x, deriv: bool):
         return _term_rows(self.coords, side, x, deriv)
@@ -399,6 +403,9 @@ class PolyMap4:
     periodic_s: bool = False
     pole_low: bool = False
     pole_high: bool = False
+
+    def __post_init__(self):
+        _keep_flags(self)
 
     def _rows(self, side: str, x, deriv: bool):
         """One row per power of t up to the coordinate's degree in t, in the

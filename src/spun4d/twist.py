@@ -84,6 +84,7 @@ def make_axis(arc: KnotArc, t1: float, t2: float) -> TwistAxis:
     if not (a <= _real(t1) <= b and a <= _real(t2) <= b):
         raise ValueError(f"axis endpoints must be arc points, finite numbers in "
                          f"[{a:.6g}, {b:.6g}], got t1={t1!r}, t2={t2!r}")
+    t1, t2 = float(t1), float(t2)
     h1, h2 = float(arc.h(t1)), float(arc.h(t2))
     scale = max(abs(h1), abs(h2), 1.0)
     if abs(h1 - h2) > HEIGHT_MATCH_TOL * scale:

@@ -40,7 +40,7 @@ _CELL_HASH = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F
 # maps both the xy and the zw plane onto it one to one (a spun surface's
 # theta circles stay circles)
 _PLANE = np.array([[0.5, 0.5], [0.5, -0.5], [0.5, -0.5], [0.5, 0.5]])
-_EPS = np.finfo(float).eps
+_EPS = 2.0 ** -52
 # elements per call of the blocked index step of ``_low_fields``: a block's
 # temporary is all that it makes
 _BLOCK = 1 << 14
@@ -107,10 +107,10 @@ def _inset_samples(iv: Interval, n: int) -> np.ndarray:
 
 
 def _settings(n_t, n_s, tol=RANK_TOL, param_sep=PARAM_SEP, image_tol=IMAGE_TOL,
-              names=("n_rank", "n_inject", "rank_tol")) -> tuple[int, int]:
-    """The scans' settings, refused with a ValueError before any work: the grid
-    sizes (``poly._count``, at least 16), then the real-valued ones
-    (``poly._real``) out of range.  ``names`` names the sizes and ``tol``."""
+              names=("n_rank", "n_inject", "rank_tol")) -> tuple[int, int, float, float, float]:
+    """The scans' settings, two ints and three floats, refused with a ValueError
+    before any work: the grid sizes (``poly._count``, at least 16), then the
+    real ones (``poly._real``) out of range.  ``names`` names sizes and ``tol``."""
     n_t, n_s = _count(n_t, names[0], 16), _count(n_s, names[1], 16)
     if not 0.0 < _real(tol) < 1.0:
         raise ValueError(f"{names[2]} must be in (0, 1), got {tol!r}")
@@ -118,9 +118,9 @@ def _settings(n_t, n_s, tol=RANK_TOL, param_sep=PARAM_SEP, image_tol=IMAGE_TOL,
         raise ValueError(f"param_sep must be in (0, 1), got {param_sep!r}")
     if not _real(image_tol) > 0.0:
         raise ValueError(f"image_tol must be > 0, got {image_tol!r}")
-    if image_tol < 2.0 ** -511:  # below it, the distance test's image_tol**2 is not a normal double
+    if _real(image_tol) < 2.0 ** -511:  # below it, the distance test's image_tol**2 is not a normal double
         raise ValueError(f"image_tol must be at least 2**-511 (about 1.49e-154), got {image_tol!r}")
-    return n_t, n_s
+    return n_t, n_s, float(tol), float(param_sep), float(image_tol)
 
 
 def _gram_grid(s, tvals, svals):
@@ -165,7 +165,7 @@ def jacobian_rank_scan(s, n_t: int, n_s: int, tol: float = RANK_TOL) -> tuple[bo
     """
     if not hasattr(s, "_rows"):
         raise TypeError(f"the rank scan needs rank-K rows (_rows); {type(s).__name__} has none")
-    n_t, n_s = _settings(n_t, n_s, tol, names=("n_t", "n_s", "tol"))
+    n_t, n_s, tol, _, _ = _settings(n_t, n_s, tol, names=("n_t", "n_s", "tol"))
     tvals = _inset_samples(s.t_dom, n_t)
     svals = _inset_samples(s.s_dom, n_s)
     with np.errstate(all="ignore"):
@@ -399,7 +399,7 @@ def _rounding_bound(rows) -> float:
     node.  ``evaluate`` adds the products in column order from 0.0, so it
     rounds by at most eps * m, summed over the coordinates."""
     k = sum(a.shape[1] for a, _ in rows)
-    return k * np.max(sum(np.abs(b[0]).max(axis=1) @ np.abs(a[0]) for a, b in rows), initial=0.0)
+    return k * float(np.max(sum(np.abs(b[0]).max(axis=1) @ np.abs(a[0]) for a, b in rows), initial=0.0))
 
 
 def _factor_plane(s, tvals, svals, r: float):
@@ -448,40 +448,40 @@ def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float =
     apart whose normalized parameter separation (torus metric in theta when
     periodic, zero between identified pole parameters) exceeds
     ``param_sep``.  Before any work the grid sizes, then ``param_sep`` and
-    ``image_tol`` (``_settings``; at least 2**-511, so that its square is a
-    normal double), then the domains are checked.  An empty result means no
-    self-intersection detected at this resolution.  The scan stops once it
-    holds ``MAX_COLLISIONS`` collisions, so a result of that length is a
-    lower bound.
+    ``image_tol`` (``_settings``, whose floats it scans with; at least
+    2**-511, so that its square is a normal double), then the domains are
+    checked.  An empty result means no self-intersection detected at this
+    resolution.  The scan stops once it holds ``MAX_COLLISIONS``
+    collisions, so a result of that length is a lower bound.
 
     Theta is sampled without its end when periodic, so the grid has no seam
     column, and each flagged pole row is one node, its first sample.  The
     nodes are then the samples start:stop of the row-major grid, once sample
-    start stands for the low pole.  The plane coordinates of every sample
-    come from the sampler's rank-K ``_rows`` when it has them with a
-    finite bound (``_factor_plane``, whose rounding room covers the gap to
-    the projections of the images that ``evaluate`` returns), and else from
-    the image grid (``_image_plane``), which is dropped once projected;
-    either scales them by the half cell as it projects, and rounds them in
-    place (``_rounded``) to two contiguous arrays of half-cell indices, hx
-    and hy, one per axis of the plane, and sample start takes sample 0's in
-    both.  One path follows: the plane stage (``_suspects``, two sorts of
-    packed keys) on the nodes' slices of hx and hy, the images of the
-    suspects alone, and the R^4 stage (``_space_pairs``, one sort of the
-    keys of all its column shifts when they fit in ``_SORT_KEYS``) on them.
-    Both stages find a superset of the close pairs: two nodes whose images
-    pass the distance test are strictly less than one half cell apart on
-    every axis (``_half_width``), so their indices differ by at most 1.
-    The plane stage is an exact prefilter: the projection moves no pair
-    further apart, so a node with no other within one half cell on both
-    axes of the plane is in no close pair.  The first
-    ``MAX_COLLISIONS`` collisions it yields are kept as arrays, their
-    distances the roots of ``surface._squared_distances`` (the bits of
-    ``np.linalg.norm``'s), each pair with its lesser (t, theta) first,
-    sorted by a stable ``np.lexsort`` on (param_a, param_b), and only then
-    made ``Collision`` objects.
+    start stands for the low pole.  The plane coordinates of every sample come
+    from the sampler's rank-K ``_rows`` when it has them with a finite bound
+    (``_factor_plane``, whose rounding room covers the gap to the projections
+    of the images that ``evaluate`` returns), and else from the image grid
+    (``_image_plane``), which is dropped once projected: the route of
+    evaluate-only samplers, such as acceptance criterion 6's ``_Projected``
+    and demo 01's xzw projection.  Either scales them by the half cell as it
+    projects, and rounds them in place (``_rounded``) to two contiguous arrays
+    of half-cell indices, hx and hy, one per axis of the plane, and sample
+    start takes sample 0's in both.  One path follows: the plane stage
+    (``_suspects``, two sorts of packed keys) on the nodes' slices of hx and
+    hy, the images of the suspects alone, and the R^4 stage (``_space_pairs``,
+    one sort of the keys of all its column shifts when they fit in
+    ``_SORT_KEYS``) on them.  Both stages find a superset of the close pairs:
+    two nodes whose images pass the distance test are strictly less than one
+    half cell apart on every axis (``_half_width``), so their indices differ
+    by at most 1.  The plane stage is an exact prefilter: the projection moves
+    no pair further apart, so a node with no other within one half cell on
+    both axes of the plane is in no close pair.  The first ``MAX_COLLISIONS``
+    collisions it yields are kept as arrays, their distances the roots of
+    ``surface._squared_distances`` (the bits of ``np.linalg.norm``'s), each
+    pair with its lesser (t, theta) first, sorted by a stable ``np.lexsort``
+    on (param_a, param_b), and only then made ``Collision`` objects.
     """
-    n_t, n_s = _settings(n_t, n_s, param_sep=param_sep, image_tol=image_tol, names=("n_t", "n_s", "tol"))
+    n_t, n_s, _, param_sep, image_tol = _settings(n_t, n_s, RANK_TOL, param_sep, image_tol, ("n_t", "n_s", "tol"))
     for name, dom in (("t_dom", s.t_dom), ("s_dom", s.s_dom)):
         if not dom.length > 0.0:
             raise ValueError(f"{name} must have positive length, got [{dom.lo!r}, {dom.hi!r}]")
@@ -567,12 +567,13 @@ def isotopy_family_check(
     refused with a ValueError before any family map is built.
     """
     u_samples = list(u_samples)
-    if not u_samples or not all(math.isfinite(_real(u)) for u in u_samples):
+    us = [_real(u) for u in u_samples]
+    if not us or not all(map(math.isfinite, us)):
         raise ValueError(f"u_samples must be one or more finite u, got {u_samples!r}")
     return all(
         verify_surface(replace(map4, polys=_perturb(map4.polys, spec.N, u * spec.epsilon)), None,
                        n_rank, n_inject, param_sep, rank_tol, image_tol).ok
-        for u in u_samples
+        for u in us
     )
 
 
@@ -588,7 +589,7 @@ def verify_surface(
     """Bundle of all applicable checks for one surface, as a report.  All five
     settings are checked (``_settings``) before the first scan; then a sampler
     without rank-K ``_rows`` (only ``evaluate``) is refused with a TypeError."""
-    n_rank, n_inject = _settings(n_rank, n_inject, rank_tol, param_sep, image_tol)
+    n_rank, n_inject, rank_tol, param_sep, image_tol = _settings(n_rank, n_inject, rank_tol, param_sep, image_tol)
     rank_ok, min_ratio = jacobian_rank_scan(s, n_rank, n_rank, rank_tol)
     collisions = injectivity_scan(s, n_inject, n_inject, param_sep, image_tol)
     boundary_ok = boundary_check(arc) if arc is not None else None

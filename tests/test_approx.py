@@ -306,3 +306,10 @@ def test_perturbation_is_odd_symmetric():
     zero = np.zeros_like(t)
     assert np.allclose(pert[2](t, zero), -pert[2](-t, zero))
     assert np.allclose(pert[3](zero, t), -pert[3](zero, -t))
+
+
+def test_chebyshev_fit_refuses_a_function_not_finite_at_its_error_samples():
+    # finite at every Chebyshev node, NaN only near the right end, where the
+    # error samples reach
+    with pytest.raises(NonFiniteSample, match="non-finite values on the interval$"):
+        chebyshev_fit(lambda t: np.where(t > 0.999, np.nan, 1.0), Interval(-1.0, 1.0), 4)

@@ -8,7 +8,7 @@ from spun4d import catalog
 from spun4d.catalog import (
     KnotArc, get_knot, knot_names, lift_height, plane_double_points,
 )
-from spun4d.errors import DegenerateInput, UnknownKnot, UnliftableHeight
+from spun4d.errors import DegenerateInput, NonGeneric, UnknownKnot, UnliftableHeight
 from spun4d.poly import Interval, Poly1
 from test_verify import _traced_peak
 
@@ -258,3 +258,16 @@ def test_user_knot_json_is_reread_after_edit(tmp_path):
     assert get_knot(str(path)).ab.hi == pytest.approx(1.0, abs=1e-9)
     write([4.0, 0.0, -1.0])  # roots at -2, 2
     assert get_knot(str(path)).ab.hi == pytest.approx(2.0, abs=1e-9)
+
+
+def test_a_projection_that_folds_onto_itself_is_not_generic():
+    # (t^2, t^4 - t^2) meets itself at every pair (t, -t): no crossing is transverse
+    with pytest.raises(NonGeneric, match="tangential self-intersection"):
+        plane_double_points(Poly1((0.0, 0.0, 1.0)), Poly1((0.0, 0.0, -1.0, 0.0, 1.0)), Interval(-2.0, 2.0))
+
+
+def test_a_knot_path_that_is_a_directory_is_an_unknown_knot(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d.json").mkdir()
+    with pytest.raises(UnknownKnot, match="^cannot read knot definition 'd.json'"):
+        get_knot("d.json")

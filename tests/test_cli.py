@@ -951,3 +951,32 @@ def test_an_integer_beyond_double_range_is_one_error_line(workdir, capsys, name,
     line = _one_error_line(capsys)
     assert name in line and "expected a finite number" in line
     assert os.listdir(workdir) == [name]
+
+
+def test_twistspin_of_a_crossing_free_arc_takes_the_default_axis_and_verifies(workdir, capsys):
+    # figure8_spun has no crossing interval: its default axis spans the middle half of [a, b]
+    assert dispatch(["twistspin", "figure8_spun", "--k", "1", "--verify", "--out", "f8.json"]) == 0
+    assert "overall: pass" in capsys.readouterr().out
+    assert json.loads((workdir / "f8.json").read_text())["type"] == "surface4"
+
+
+def test_spin_export_csv_writes_the_grid(workdir):
+    assert dispatch(["spin", "trefoil_spun", "--export", "csv", "--out", "s.csv"]) == 0
+    lines = (workdir / "s.csv").read_text().splitlines()
+    assert lines[0] == "t,theta,x,y,z,w" and len(lines) == 1 + 200 * 200
+    assert json.loads((workdir / "s.csv.manifest.json").read_text())["outputs"] == ["s.csv"]
+
+
+def test_twistspin_axis_ends_at_one_plane_point_is_one_error_line(workdir, capsys):
+    assert dispatch(["twistspin", "figure8_spun", "--k", "1", "--t1", "0.5", "--t2", "0.5"]) == 1
+    assert _one_error_line(capsys) == "spun4d: error: axis endpoints project to the same plane point"
+    assert os.listdir(workdir) == []
+
+
+def test_verify_refuses_a_surface_file_whose_flag_is_not_a_bool(workdir, capsys):
+    assert dispatch(["spin", "trefoil_spun", "--out", "s.json"]) == 0
+    doc = json.loads((workdir / "s.json").read_text())
+    (workdir / "s.json").write_text(json.dumps({**doc, "pole_low": 1}))
+    capsys.readouterr()
+    assert dispatch(["verify", "s.json"]) == 1
+    assert _one_error_line(capsys) == "spun4d: error: s.json: key 'pole_low' must be true or false, got 1"

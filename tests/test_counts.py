@@ -2,12 +2,16 @@
 by one rule, ``poly._count``, before any work: an integer, not a bool, at
 least its least value, refused otherwise with a ValueError naming it.  So is
 every real-valued setting of the scans, a slice and root isolation, by
-``poly._real``: a real number, not a bool nor a string, in its range."""
+``poly._real``: a real number, not a bool nor a string, in its range.  The
+real numbers the package keeps are the Python floats that rule returns
+(``KEPT``), and the models' flags are bools."""
 
 import json
 import math
 import pickle
 import re
+import sys
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,9 +25,9 @@ from spun4d.approx import (
 )
 from spun4d.catalog import get_knot
 from spun4d.export import sample_surface, slice_surface, sweep_surface
-from spun4d.poly import Interval, Poly1, roots_in_interval
+from spun4d.poly import Interval, Poly1, Poly2, roots_in_interval
 from spun4d.spin import polynomial_spin, spin
-from spun4d.surface import PolyMap4, Surface4, Trig, max_grid_deviation
+from spun4d.surface import Bump, PolyMap4, Surface4, Trig, max_grid_deviation, surface_from_json
 from spun4d.twist import choose_bump, make_axis, polynomialize_twist, twist_spin
 from spun4d.verify import injectivity_scan, isotopy_family_check, jacobian_rank_scan, verify_surface
 
@@ -211,3 +215,154 @@ def test_a_bool_or_a_string_is_refused_where_a_real_number_is_taken(poly_ctx, ba
         make_axis(twist_arc, bad, 2.19)
     with pytest.raises(ValueError, match="^u_samples must be one or more finite u"):
         isotopy_family_check(poly_ctx.poly, _FAMILY[0], [0.0, bad], 16, 16)
+
+
+def _kept_locals(fn_name, names, call):
+    """The locals ``names`` of the function ``fn_name`` as it first returns,
+    the values it computed with, and the result of ``call()``."""
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code.co_name == fn_name and not seen:
+            seen.append([frame.f_locals[n] for n in names])
+
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(None)
+    return seen[0], result
+
+
+def _family_kept(call):
+    """verify_surface's kept settings, and the result of ``call()``."""
+    return _kept_locals("verify_surface", ["rank_tol", "param_sep", "image_tol"], call)
+
+
+def _report_kept(call):
+    """verify_surface's kept settings and its report's tolerances, and the report."""
+    kept, report = _family_kept(call)
+    return kept + list(report.tolerances.values()), report
+
+
+def _u_kept(c, x):
+    """The u that isotopy_family_check keeps for ``[x]``, and its verdict."""
+    (us,), ok = _kept_locals("isotopy_family_check", ["us"],
+                             lambda: isotopy_family_check(c.poly, _FAMILY[0], [x], 16, 16))
+    return us, ok
+
+
+def _fields(obj, *names):
+    """The values of ``obj``'s fields ``names``, and ``obj``."""
+    return [getattr(obj, n) for n in names], obj
+
+
+# Every real the package keeps is a Python float.  Per site: a float it
+# takes, an int it takes (None where its range, (0, 1), holds no int), and a
+# call with x that returns the values the site kept and its result
+KEPT = [
+    ("jacobian_rank_scan tol", 1e-6, None, lambda c, x: _kept_locals(
+        "jacobian_rank_scan", ["tol"], lambda: jacobian_rank_scan(c.s, 16, 16, x))),
+    ("injectivity_scan param_sep", 0.05, None, lambda c, x: _kept_locals(
+        "injectivity_scan", ["param_sep", "image_tol"], lambda: injectivity_scan(c.s, 16, 16, x))),
+    ("injectivity_scan image_tol", 0.5, 1, lambda c, x: _kept_locals(
+        "injectivity_scan", ["param_sep", "image_tol"], lambda: injectivity_scan(c.s, 16, 16, 0.05, x))),
+    ("verify_surface rank_tol", 1e-6, None,
+     lambda c, x: _report_kept(lambda: verify_surface(c.s, c.arc, 16, 16, rank_tol=x))),
+    ("verify_surface param_sep", 0.05, None,
+     lambda c, x: _report_kept(lambda: verify_surface(c.s, c.arc, 16, 16, param_sep=x))),
+    ("verify_surface image_tol", 0.5, 1,
+     lambda c, x: _report_kept(lambda: verify_surface(c.s, c.arc, 16, 16, image_tol=x))),
+    ("isotopy_family_check rank_tol", 1e-6, None,
+     lambda c, x: _family_kept(lambda: isotopy_family_check(c.poly, *_FAMILY, 16, 16, rank_tol=x))),
+    ("isotopy_family_check param_sep", 0.05, None,
+     lambda c, x: _family_kept(lambda: isotopy_family_check(c.poly, *_FAMILY, 16, 16, param_sep=x))),
+    ("isotopy_family_check image_tol", 0.5, 1,
+     lambda c, x: _family_kept(lambda: isotopy_family_check(c.poly, *_FAMILY, 16, 16, image_tol=x))),
+    ("isotopy_family_check u", 0.5, 1, _u_kept),
+    ("Interval", 2.5, 2, lambda c, x: _fields(Interval(-x, x), "lo", "hi")),
+    ("Bump", 1.5, 1, lambda c, x: _fields(Bump(x, 2 * x), "d1", "d2")),
+    ("make_axis", 2.19, 2, lambda c, x: _fields(make_axis(c.twist[0], -x, x), "t1", "t2")),
+    ("roots_in_interval tol", 1e-9, 1, lambda c, x: _kept_locals(
+        "roots_in_interval", ["tol"],
+        lambda: roots_in_interval(Poly1((0.25, -1.0, 1.0)), Interval(-1.0, 1.0), x))),
+]
+_NUMBER_TYPES = {"np.float32": np.float32, "np.float64": np.float64, "np.int64": np.int64, "int": int}
+KEPT_CASES = [pytest.param(call, kind(whole if kind in (np.int64, int) else real), id=f"{site}-{name}")
+              for site, real, whole, call in KEPT for name, kind in _NUMBER_TYPES.items()
+              if whole is not None or kind not in (np.int64, int)]
+
+
+@pytest.mark.parametrize("call, x", KEPT_CASES)
+def test_a_real_is_kept_as_a_float_and_gives_the_result_of_that_float(poly_ctx, call, x):
+    kept, result = call(poly_ctx, x)
+    assert kept and all(type(v) is float for v in kept), kept
+    # pickled, the results agree in every value and type
+    assert pickle.dumps(result) == pickle.dumps(call(poly_ctx, float(x))[1])
+
+
+@pytest.mark.parametrize("image_tol", [np.float32(0.5), np.float64(0.5), np.int64(1)],
+                         ids=["np.float32", "np.float64", "np.int64"])
+def test_no_scan_computes_its_cells_from_a_numpy_scalar(poly_ctx, monkeypatch, image_tol):
+    # _half_width sizes the cells of both stages, on the factor route and on
+    # the image route of an evaluate-only sampler
+    seen, real = [], verify_module._half_width
+    monkeypatch.setattr(verify_module, "_half_width",
+                        lambda r, room: seen.append((type(r), type(room))) or real(r, room))
+    s = poly_ctx.s
+    evaluate_only = SimpleNamespace(evaluate=s.evaluate, t_dom=s.t_dom, s_dom=s.s_dom,
+                                    periodic_s=s.periodic_s, pole_low=s.pole_low, pole_high=s.pole_high)
+    verify_surface(s, None, 16, 16, image_tol=image_tol)
+    injectivity_scan(evaluate_only, 16, 16, 0.05, image_tol)
+    assert len(seen) == 4 and set(seen) == {(float, float)}
+
+
+def test_reports_and_surfaces_built_from_float32_values_are_json(ctx):
+    arc, twist_arc = ctx.arc, ctx.twist[0]
+    report = verify_surface(spin(arc), arc, 16, 16, image_tol=np.float32(1e-3))
+    assert json.loads(json.dumps(report.to_json()))["tolerances"]["image_tol"] == float(np.float32(1e-3))
+    lo, hi = np.float32(-2.19), np.float32(2.19)
+    docs = [json.dumps(twist_spin(twist_arc, a, choose_bump(twist_arc, a), 1).to_json())
+            for a in (make_axis(twist_arc, lo, hi), make_axis(twist_arc, float(lo), float(hi)))]
+    assert docs[0] == docs[1]
+    ends = (np.float32(arc.ab.lo), np.float32(arc.ab.hi))
+    docs = [json.dumps(replace(spin(arc), t_dom=Interval(*map(kind, ends))).to_json())
+            for kind in (lambda x: x, float)]
+    assert docs[0] == docs[1]
+
+
+def test_roots_with_a_float32_tol_are_those_of_its_float():
+    # a float32 tol times the scale 2e45 would overflow to inf and keep the
+    # minimum of a polynomial with no real root
+    p, iv = Poly1((1e45, 0.0, 1e45)), Interval(-1.0, 1.0)
+    assert roots_in_interval(p, iv, np.float32(1e-9)) == [] == roots_in_interval(p, iv, 1e-9)
+
+
+def _models(flag, real):
+    """A spin and a fold PolyMap4 with the flags ``flag(True)`` and
+    ``flag(False)`` and domains of the numbers ``real(x)``."""
+    arc = get_knot("trefoil_spun")
+    t_dom = Interval(real(arc.ab.lo), real(arc.ab.hi))
+    s_dom = Interval(real(0.0), real(6.25))
+    fold = (Poly2.from_t(Poly1((0.0, 0.0, 1.0))), Poly2.from_s(Poly1((0.0, 1.0))), Poly2(), Poly2())
+    return (replace(spin(arc), t_dom=t_dom, s_dom=s_dom, periodic_s=flag(False), pole_low=flag(True)),
+            PolyMap4(fold, t_dom, s_dom, flag(True), flag(False), flag(True)))
+
+
+def test_models_of_numpy_flags_and_float32_domains_write_json_that_reads_back():
+    plain = _models(bool, lambda x: float(np.float32(x)))
+    for model, want in zip(_models(np.bool_, np.float32), plain):
+        assert all(type(getattr(model, key)) is bool for key in ("periodic_s", "pole_low", "pole_high"))
+        read = surface_from_json(json.loads(json.dumps(model.to_json())))
+        assert type(read) is type(want) and read.to_json() == want.to_json()
+        keys = ("t_dom", "s_dom", "periodic_s", "pole_low", "pole_high")
+        assert [getattr(read, k) for k in keys] == [getattr(want, k) for k in keys]
+        assert isinstance(want, PolyMap4) or read == want
+
+
+@pytest.mark.parametrize("bad", [1, 0, None, "true", np.int64(1), 1.0],
+                         ids=["1", "0", "None", "'true'", "np.int64(1)", "1.0"])
+def test_a_flag_that_is_not_a_bool_is_refused_in_the_file_readers_words(bad):
+    for model in _models(bool, float):
+        with pytest.raises(ValueError, match=f"^key 'pole_low' must be true or false, got {re.escape(repr(bad))}$"):
+            replace(model, pole_low=bad)

@@ -221,3 +221,8 @@ def test_roots_in_interval_refuses_overflowing_values(coeffs):
     with warnings.catch_warnings(), pytest.raises(DegenerateInput, match="overflow double precision"):
         warnings.simplefilter("error")
         roots_in_interval(Poly1(coeffs), Interval(-3.0, 3.0))
+
+
+def test_roots_of_the_zero_polynomial_are_refused():
+    with pytest.raises(DegenerateInput, match="zero polynomial"):
+        roots_in_interval(Poly1(()), Interval(-1.0, 1.0))

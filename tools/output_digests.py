@@ -26,7 +26,17 @@ and of the ``Surface4`` of no terms on [0, 1]^2 at 16 x 16, whose 256 nodes
 make 32,640 collisions.  The crossing search has digests of its own: each
 catalog arc's ``ab``, ``crossings`` and ``crossing_iv``, its
 ``plane_double_points`` on [-5, 5] and [-1.3, 2.1], and ``lift_height`` of
--t^4 + 4t^2 - 1 over ``trefoil_spun``'s f and g.
+-t^4 + 4t^2 - 1 over ``trefoil_spun``'s f and g.  Three objects are built
+from numpy float32 values and again from the Python floats of the same
+values, which must give the same digest: the k = 1 twist spin of
+``trefoil_twist`` with its axis at float32 -2.19 and 2.19, its
+``verify_surface`` report at 96 / 200 with float32 settings, and the spin of
+``trefoil_spun`` on a float32 interval.  Each digest is of the object's
+JSON, or, where that cannot be written, of the exception's type and message.
+
+Two more CLI commands (``MORE_COMMANDS``), run in order in a second
+temporary directory, add their digests and those of their files to the
+README's.
 
 The refusal digests cover the CLI's answer to malformed inputs
 (``REFUSALS``): config files, knot files and surface files, each written
@@ -54,6 +64,12 @@ _DOMAINS = '"t_dom": [-1, 1], "s_dom": [-1, 1]'
 _CONFIG_RUN = ["--config", "cfg.json", "spin", "trefoil_spun", "--verify", "--out", "v.json"]
 _KNOT_RUN = ["spin", "k.json", "--out", "s.json"]
 _SURFACE_RUN = ["project", "s.json", "--out", "g.csv"]
+# commands beyond the README's, in the form of ``COMMANDS``: an id, the
+# command line and (unused here) the ids it depends on
+MORE_COMMANDS = [
+    ("spin_csv", "spin trefoil_spun --export csv --out s.csv", ()),
+    ("twistspin_figure8", "twistspin figure8_spun --k 1 --verify --out f8.json", ()),
+]
 # a malformed input per entry: its label, its file's name and text, and the
 # command given it
 REFUSALS = [
@@ -175,6 +191,42 @@ def _crossing_digests() -> dict:
     return out
 
 
+def _float32_digests() -> dict:
+    """Per object of three, the digest of its JSON when built from numpy
+    float32 values and when built from their Python floats."""
+    from dataclasses import replace
+
+    import numpy as np
+
+    from spun4d.catalog import get_knot
+    from spun4d.poly import Interval
+    from spun4d.spin import spin
+    from spun4d.twist import choose_bump, make_axis, twist_spin
+    from spun4d.verify import verify_surface
+
+    def digest(build):
+        doc = build().to_json()
+        try:
+            return _json_sha(doc)
+        except TypeError as exc:  # a value that JSON cannot write
+            return _sha(f"{type(exc).__name__}: {exc}")
+
+    twist_arc, arc = get_knot("trefoil_twist"), get_knot("trefoil_spun")
+    out = {}
+    for label, real in (("float32", np.float32), ("float", lambda x: float(np.float32(x)))):
+        def twist(real=real):
+            axis = make_axis(twist_arc, real(-2.19), real(2.19))
+            return twist_spin(twist_arc, axis, choose_bump(twist_arc, axis), 1)
+
+        name = f"twist_spin trefoil_twist k=1, axis at {label} -2.19 and 2.19"
+        out[name] = digest(twist)
+        out[f"{name}: verify_surface {VERIFY[0]}/{VERIFY[1]}, {label} settings"] = digest(
+            lambda real=real: verify_surface(twist(), twist_arc, *VERIFY, real(0.05), real(1e-6), real(1e-3)))
+        out[f"spin trefoil_spun on a {label} interval"] = digest(
+            lambda real=real: replace(spin(arc), t_dom=Interval(real(arc.ab.lo), real(arc.ab.hi))))
+    return out
+
+
 def _library_digests() -> dict:
     import numpy as np
 
@@ -226,6 +278,7 @@ def _library_digests() -> dict:
                 b"".join(repr(c.coeffs.shape).encode() + c.coeffs.tobytes() for c in fit))
     out.update(_collision_digests())
     out.update(_crossing_digests())
+    out.update(_float32_digests())
     return out
 
 
@@ -260,6 +313,11 @@ def main(argv) -> int:
 
     check_provenance(spun4d.__file__, src)
     commands, files = _command_digests(COMMANDS, child_env(src))
+    more, more_files = _command_digests(MORE_COMMANDS, child_env(src))
+    if set(more) & set(commands) or set(more_files) & set(files):
+        raise RuntimeError("MORE_COMMANDS repeat a README command's id or file name")
+    commands.update(more)
+    files.update(more_files)
     refusals = _refusal_digests(child_env(src))
     library = _library_digests()
     with open(out_path, "w") as fh:
