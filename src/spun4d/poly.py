@@ -232,6 +232,16 @@ class Poly2:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _trim2(self.coeffs))
 
+    # equal when the trimmed coefficient grids have one shape and the same
+    # bits, so -0.0 differs from 0.0 and a NaN equals its own bits
+    def __eq__(self, other):
+        if not isinstance(other, Poly2):
+            return NotImplemented
+        return self.coeffs.shape == other.coeffs.shape and self.coeffs.tobytes() == other.coeffs.tobytes()
+
+    def __hash__(self):
+        return hash((self.coeffs.shape, self.coeffs.tobytes()))
+
     @property
     def is_zero(self) -> bool:
         return self.coeffs.shape == (1, 1) and self.coeffs[0, 0] == 0.0

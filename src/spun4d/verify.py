@@ -53,6 +53,17 @@ _ROUNDER_BITS = np.float64(_ROUNDER).view(np.int64)
 _SHIFTS = np.array(list(np.ndindex(2, 2, 2)))
 _SHIFT_BITS = np.array([4, 2, 1], np.uint8)
 _SORT_KEYS = 1 << 17
+# every sort key has bit 61 set and bits 62-63 clear (``_sort_keys``); the R^4
+# stage's shift number sits below it
+_KEY_MARK = 1 << 61
+_SHIFT_AT = 58
+# the plane stage's columns are 2**_COLUMN_BITS half cells wide on hx; _EDGE is
+# the last half cell's hx mod 2**_COLUMN_BITS
+_COLUMN_BITS = 4
+_EDGE = (1 << _COLUMN_BITS) - 1
+# the plane stage's walk tests sorted neighbours less than _WALK apart, and
+# takes both rows of a run still open at _WALK untested
+_WALK = 6
 
 
 @dataclass(frozen=True)
@@ -260,7 +271,8 @@ def _low_fields(y: np.ndarray) -> tuple[int, int]:
     y -= y.min()
     yb = int(y.max()).bit_length()
     bits = min(ib + yb, 40)
-    y >>= ib + yb - bits
+    if ib + yb > bits:
+        y >>= ib + yb - bits
     y <<= ib
     # the indices a block at a time, so that no array of them all is made
     for i in range(0, len(y), _BLOCK):
@@ -268,51 +280,101 @@ def _low_fields(y: np.ndarray) -> tuple[int, int]:
     return bits, ib
 
 
+def _sort_keys(key: np.ndarray) -> None:
+    """Sort the int64 or uint64 keys ``key``, all in [2**61, 2**62), in
+    place through a float64 view.  Bit 62 is 0 and bit 61 is 1, so each
+    key's bits are those of a positive double with an exponent field in
+    [512, 1023], a normal number; positive doubles order as their bits read
+    as unsigned integers, so the float sort is the unsigned one, and numpy's
+    float64 sort is the faster of the two."""
+    key.view(np.float64).sort()
+
+
 def _suspects(hx: np.ndarray, hy: np.ndarray) -> np.ndarray:
     """The plane stage: ascending indices of the rows whose half-cell
     indices, in the contiguous (m,) int64 arrays ``hx`` and ``hy``, differ
     from another row's by at most 1 on both axes (that is, share a cell in
-    one of the 4 grids of the plane), and a few more.  ``hx`` and ``hy`` are
-    spent: they hold the keys and their steps.
+    one of the 4 grids of the plane), and a few more.  ``hy`` is spent: it
+    holds the low fields, then the steps between sorted keys and the flags.
 
-    Two sorts find them.  For off = 0 and 1, the rows fall in columns
-    (hx + off) >> 1, two half cells wide, and a pair with |dhx| <= 1 shares
-    a column for one of the two.  A row's key packs, from the high bits to
-    the low, the top bits of a multiplicative hash of its column and the
-    low fields of ``_low_fields``: hy - min(hy) and the row's index.
-    Sorted, a column lists its rows by hy, so a row with another at
-    |dhy| <= 1 in its column has one as a sorted neighbour; two neighbours
-    whose keys, less the index bits, differ by at most 1 are both suspects.
-    Columns whose hashes agree, and the step from one column to the next,
-    only add suspects.  The keys sort as unsigned, so the steps between
-    neighbours are exact, and only a step under two index fields gets the
-    exact test.  The first key is made in hx, the second in one new buffer,
-    and the low fields in hy, which then takes the steps.
+    One sort finds them.  The rows fall in columns hx >> w, 2**w half cells
+    wide (w = ``_COLUMN_BITS``), and a row on the last half cell of its
+    column (hx = -1 mod 2**w) is keyed into the next column too, so a pair
+    with |dhx| <= 1 shares a column, and m rows make about m (1 + 2**-w)
+    keys.  A key packs, from the high bits to the low, the bit 2**61
+    (``_sort_keys``), the top bits of a multiplicative hash of its column,
+    and the low fields of ``_low_fields``: hy - min(hy) and the row's index.
+    Sorted, a column lists its rows by hy, so the rows between the two of a
+    pair have keys, less the index bits, between theirs.  The walk over
+    offsets d = 1, 2, ..., W (W = ``_WALK``) keeps the runs, the positions
+    whose key at d is, less the index bits, at most 1 above their own.  At
+    d < W the two rows of a run that pass the exact test |dhx| <= 1 are
+    suspects; at d = W both rows are, untested.  A pair at d >= W is met
+    there: its lower row's run is still open at W, and so is the run of the
+    row W before its upper row.  So the walk ends at W however many rows
+    share a cell (a cluster, a constant map).  Columns whose hashes agree,
+    and the step from one column to the next, only add suspects; so do the
+    runs open at W, which on the scans of the k = 0-10 twist spins of
+    ``trefoil_twist`` at 400 (k = 1 and 10 at 600 too) and of
+    ``polynomial_spin(..., 8-16)`` at 200 hold no row that is not in a pair.
     """
     m = len(hx)
     if m < 2:
         return np.zeros(0, np.intp)
     bits, ib = _low_fields(hy)
-    spare = np.add(hx, 1)
-    spare >>= 1
-    hx >>= 1
-    for key in (hx, spare):
-        key *= _CELL_HASH[0]  # wraps
-        key &= -1 << bits
-        key |= hy
-    # hy is spent: its buffer takes the steps between sorted keys
-    step = hy.view(np.uint64)[1:]
+    # the rows on their column's last half cell, from hx mod 256
+    edge = hx.astype(np.uint8)
+    edge &= _EDGE
+    edge = np.flatnonzero(edge == _EDGE)
+    key = np.empty(m + len(edge), np.int64)
+    np.right_shift(hx, _COLUMN_BITS, out=key[:m])
+    np.take(hx, edge, out=key[m:])
+    key[m:] >>= _COLUMN_BITS
+    key[m:] += 1
+    key *= _CELL_HASH[0]  # wraps
+    # the mask clears the bits that the shift fills with the sign
+    key >>= 3
+    key &= (1 << 61) - (1 << bits)
+    key |= _KEY_MARK
+    key[:m] |= hy
+    key[m:] |= hy[edge]
+    del edge
+    _sort_keys(key)
+    # hy is spent: the first half of its buffer takes the steps, m // 2 at a
+    # time, and the second flags the positions whose step is under two index
+    # fields, the candidates of the walk
+    n = len(key) - 1
+    step, near = hy[:m // 2], hy.view(bool)[4 * m:4 * m + n]
+    for i in range(0, n, len(step)):
+        part = step[:n - i]
+        np.subtract(key[i + 1:i + 1 + len(part)], key[i:i + len(part)], out=part)
+        np.less(part, 2 << ib, out=near[i:i + len(part)])
+    pos = np.flatnonzero(near)
+    suspect = hy.view(bool)[:m]
+    suspect[:] = False
+    # each run's first key, less its index field, its row and the row's hx
     index = (1 << ib) - 1
-    suspect = np.zeros(m, bool)
-    for key in (hx, spare):
-        key = key.view(np.uint64)
-        key.sort()
-        np.subtract(key[1:], key[:-1], out=step)
-        # neighbours less than two index fields apart, then the exact test
-        pos = np.flatnonzero(step < 2 << ib)
-        pos = pos[(key[pos + 1] >> ib) - (key[pos] >> ib) <= 1]
-        suspect[key[pos] & index] = True
-        suspect[key[pos + 1] & index] = True
+    top = key[pos]
+    row = top & index
+    top >>= ib
+    x = hx[row]
+    for d in range(1, _WALK + 1):
+        # the runs with a key at d, and those still open there
+        k = np.searchsorted(pos, n + 1 - d)
+        pos, top, row, x = pos[:k], top[:k], row[:k], x[:k]
+        b = key[d:][pos]
+        run = (b >> ib) - top <= 1
+        # in a cluster every run stays open: no copies
+        if not run.all():
+            pos, top, row, x, b = pos[run], top[run], row[run], x[run], b[run]
+        b &= index
+        if d < _WALK:
+            close = np.abs(hx[b] - x) <= 1
+            suspect[row[close]] = True
+            suspect[b[close]] = True
+        else:
+            suspect[row] = True
+            suspect[b] = True
     return np.flatnonzero(suspect)
 
 
@@ -326,12 +388,12 @@ def _space_pairs(pts: np.ndarray, r: float):
     (``_rounded``) differ by at most 1 on every axis.  For each shift off
     in {0, 1}**3, numbered by its bits, the rows fall in columns
     (h + off) >> 1 on axes 0-2, and a row's key packs, from the high bits
-    to the low, the shift's number in 3 bits, the top bits (21 or more) of
-    a multiplicative hash of its column, and the low fields of
-    ``_low_fields`` on axis 3.  A close pair shares a column for the off
-    that is 1 just on the axes where its indices h >> 1 differ, and is kept
-    only there; an off that is 1 on an axis where every row has the same
-    h >> 1 owns no pair and is skipped.  The keys of the owned shifts are
+    to the low, the bit 2**61 (``_sort_keys``), the shift's number in 3
+    bits, the top bits (18 or more) of a multiplicative hash of its column,
+    and the low fields of ``_low_fields`` on axis 3.  A close pair shares a
+    column for the off that is 1 just on the axes where its indices h >> 1
+    differ, and is kept only there; an off that is 1 on an axis where every
+    row has the same h >> 1 owns no pair and is skipped.  The keys of the owned shifts are
     sorted together, as many shifts at once as fit in ``_SORT_KEYS`` keys
     (at least one), and walked once.  Sorted, the rows between the two of a
     pair have keys, less the index bits, between theirs, so the walk over
@@ -364,14 +426,14 @@ def _space_pairs(pts: np.ndarray, r: float):
         col += cell
         key = (col @ _CELL_HASH).view(np.uint64)  # wraps
         del col
-        # from the high bits: the shift's number, the hash's top bits, the
-        # low fields
-        key >>= 3
-        key &= (1 << 61) - (1 << bits)
-        key |= np.array(shifts, np.uint64)[:, None] << 61
+        # from the high bits: the bit 2**61, the shift's number, the hash's
+        # top bits, the low fields
+        key >>= 64 - _SHIFT_AT
+        key &= (1 << _SHIFT_AT) - (1 << bits)
+        key |= np.array(shifts, np.uint64)[:, None] << _SHIFT_AT | _KEY_MARK
         key |= low
         key = key.reshape(-1)
-        key.sort()
+        _sort_keys(key)
         top = key >> ib
         pos = np.flatnonzero(top[1:] - top[:-1] <= 1)
         d = 1
@@ -379,7 +441,8 @@ def _space_pairs(pts: np.ndarray, r: float):
             i = (key[pos] & index).astype(np.intp)
             j = (key[pos + d] & index).astype(np.intp)
             own = (cell[i] != cell[j]).view(np.uint8) @ _SHIFT_BITS
-            mine = (own == key[pos] >> 61) & (own == key[pos + d] >> 61)
+            own |= _KEY_MARK >> _SHIFT_AT
+            mine = (own == key[pos] >> _SHIFT_AT) & (own == key[pos + d] >> _SHIFT_AT)
             i, j = i[mine], j[mine]
             # rows whose keys agree by chance may be far apart: a square
             # beyond double range is inf, which fails the test
@@ -467,10 +530,14 @@ def injectivity_scan(s, n_t: int, n_s: int, param_sep: float, image_tol: float =
     projects, and rounds them in place (``_rounded``) to two contiguous arrays
     of half-cell indices, hx and hy, one per axis of the plane, and sample
     start takes sample 0's in both.  One path follows: the plane stage
-    (``_suspects``, two sorts of packed keys) on the nodes' slices of hx and
-    hy, the images of the suspects alone, and the R^4 stage (``_space_pairs``,
-    one sort of the keys of all its column shifts when they fit in
-    ``_SORT_KEYS``) on them.  Both stages find a superset of the close pairs:
+    (``_suspects``: one sort of packed keys, each row in its column
+    2**``_COLUMN_BITS`` half cells wide and the rows of a column's last half
+    cell in the next one too, walked at most ``_WALK`` sorted keys on) on the
+    nodes' slices of hx and hy, the images of the suspects alone, and the
+    R^4 stage (``_space_pairs``, one sort of the keys of all its column
+    shifts when they fit in ``_SORT_KEYS``) on them.  Both sort keys in
+    [2**61, 2**62) as float64, whose order there is the keys' unsigned one
+    (``_sort_keys``).  Both stages find a superset of the close pairs:
     two nodes whose images pass the distance test are strictly less than one
     half cell apart on every axis (``_half_width``), so their indices differ
     by at most 1.  The plane stage is an exact prefilter: the projection moves

@@ -83,6 +83,20 @@ def test_poly2_product_matches_pointwise():
     assert np.allclose((a * b)(t, s), a(t, s) * b(t, s))
 
 
+def test_poly2_equality_and_hash_are_on_shape_and_coefficient_bits():
+    a, b = Poly2(np.ones((2, 2))), Poly2(np.ones((2, 2)))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    # trailing zero rows and columns are trimmed before the comparison
+    assert Poly2(np.ones((2, 2))) == Poly2(np.pad(np.ones((2, 2)), ((0, 1), (0, 2))))
+    assert Poly2(np.ones((2, 2))) != Poly2(np.ones((2, 1)))
+    assert Poly2(np.ones((1, 2))) != Poly2(np.ones((2, 1)))
+    assert Poly2(np.array([[1.0, 2.0]])) != Poly2(np.array([[1.0, np.nextafter(2.0, 3.0)]]))
+    assert Poly2(np.array([[-0.0, 1.0]])) != Poly2(np.array([[0.0, 1.0]]))
+    nan = Poly2(np.array([[np.nan, 1.0]]))
+    assert nan == Poly2(np.array([[np.nan, 1.0]])) and hash(nan) == hash(Poly2(np.array([[np.nan, 1.0]])))
+    assert Poly2() != Poly1((0.0,)) and Poly2() != 0.0
+
+
 def test_poly2_from_t_from_s():
     p = Poly1((1.0, 2.0, 3.0))
     t = np.linspace(-2, 2, 9)

@@ -47,8 +47,8 @@ from spun4d.twist import (
 )
 from spun4d.verify import (
     _PLANE, MAX_COLLISIONS, Collision, _factor_plane, _gram_grid, _image_plane, _inset_samples,
-    _rounded, _rounding_bound, _space_pairs, _suspects, injectivity_scan, jacobian_rank_scan,
-    verify_surface,
+    _rounded, _rounding_bound, _sort_keys, _space_pairs, _suspects, injectivity_scan,
+    jacobian_rank_scan, verify_surface,
 )
 
 
@@ -1860,7 +1860,71 @@ def test_suspects_of_twist_k10_at_400_are_few():
     svals = s.s_dom.lo + s.s_dom.length * np.arange(400) / 400
     hx, hy = _factor_plane(s, s.t_dom.sample(400), svals, 1e-3)
     got, want = _assert_suspects_cover_brute_force(np.stack([hx, hy], axis=1))
-    assert 0 < len(got) <= 1.1 * len(want)
+    assert len(got) > 0 and set(got.tolist()) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_SEED, n=st.integers(1, 60), spread=st.integers(0, 2))
+def test_suspects_across_the_plane_stage_column_edges(seed, n, spread):
+    # clusters of rows about a row on the last half cell of a column of the
+    # plane stage's width, hx = -1 mod 2**w: rows on the next column's first
+    # half cell, 1 apart on hx, and rows 2 apart on hx, within and across the
+    # edge, each up to 1 + spread apart on hy.  The clusters are far apart,
+    # so the suspects are exactly the rows of the brute-force pairs
+    width = 1 << verify_module._COLUMN_BITS
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(n):
+        hx, hy = int(rng.integers(-10 ** 6, 10 ** 6)) * width - 1, int(rng.integers(-10 ** 6, 10 ** 6))
+        rows.append((hx, hy))
+        for dx in rng.choice([-2, -1, 0, 1, 2, 3], int(rng.integers(1, 4)), replace=False):
+            rows.append((hx + int(dx), hy + int(rng.integers(-1 - spread, 2 + spread))))
+    u = rng.permutation(np.array(rows, float)) + rng.uniform(0.0, 1.0, (len(rows), 2))
+    got, want = _assert_suspects_cover_brute_force(u)
+    assert set(got.tolist()) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(keys=st.lists(st.integers(2 ** 61, 2 ** 62 - 1), max_size=60), seed=_SEED,
+       n=st.integers(0, 3000), repeats=st.integers(0, 60))
+def test_sort_keys_is_the_unsigned_sort_on_2_61_to_2_62(keys, seed, n, repeats):
+    # drawn keys, seeded ones, both ends of the range, and repeats of them all
+    rng = np.random.default_rng(seed)
+    key = np.concatenate([np.array(keys + [2 ** 61, 2 ** 61 + 1, 2 ** 62 - 2, 2 ** 62 - 1], np.uint64),
+                          rng.integers(2 ** 61, 2 ** 62, n, dtype=np.uint64)])
+    key = rng.permutation(np.concatenate([key, rng.choice(key, repeats)]))
+    want = np.sort(key, kind="stable")
+    for dtype in (np.uint64, np.int64):
+        got = key.astype(dtype)
+        _sort_keys(got)
+        assert got.dtype == dtype and got.tobytes() == want.astype(dtype).tobytes()
+
+
+@pytest.mark.parametrize("hx", [0, -1], ids=["first_half_cell", "last_half_cell"])
+def test_suspects_of_identical_rows_walk_a_bounded_number_of_offsets(hx):
+    # 10**5 rows in one half cell, the first or the last of its column: every
+    # row is a suspect, and the walk ends at its bound, so the plane stage
+    # runs a bounded number of lines, not one walk step per row
+    m, lines = 10 ** 5, 0
+
+    def trace(frame, event, arg):
+        if frame.f_code is not _suspects.__code__:
+            return None
+
+        def count(frame, event, arg):
+            nonlocal lines
+            lines += event == "line"
+            if lines > 1000:
+                raise RuntimeError("the plane stage's walk runs on")
+            return count
+        return count
+
+    sys.settrace(trace)
+    try:
+        got = _suspects(np.full(m, hx, np.int64), np.full(m, 3, np.int64))
+    finally:
+        sys.settrace(None)
+    assert got.tolist() == list(range(m))
 
 
 @pytest.mark.parametrize("model", ["twist_k10", "polynomial_spin_8"])

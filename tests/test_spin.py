@@ -113,6 +113,13 @@ def test_polymap4_json_roundtrip(name):
     assert verify_surface(q, None, 32, 48).to_json() == verify_surface(p, None, 32, 48).to_json()
 
 
+def test_polynomial_spins_of_one_arc_and_degree_are_equal():
+    arc = get_knot("trefoil_spun")
+    p, q = polynomial_spin(arc, 8), polynomial_spin(arc, 8)
+    assert p == q and hash(p) == hash(q)
+    assert p != polynomial_spin(arc, 10)
+
+
 def test_surface_file_power_of_a_sum_loads_collected():
     # (1 + t)^25 multiplied out in full would be 2^25 terms; collected after
     # each factor it is the 26 powers of t

@@ -259,10 +259,11 @@ def test_constant_map_scan_stops_at_the_cap():
 
 def test_injectivity_scan_peak_memory_at_600():
     # no (600 * 600, 4) image grid, and no float plane next to the keys: the
-    # half-cell indices of the grid, floored in place in the buffer of the
-    # plane product, take 5.8 MB, and hold the first key and the steps
-    # between sorted keys; the second key takes 2.9 MB and the flags 0.7 MB.
-    # The peak is 9.4 MB; it was 15.1 MB with the float plane alive
+    # half-cell indices of the grid, rounded in place in the buffer of the
+    # plane product, take 5.8 MB, and hy's row then holds the steps between
+    # sorted keys and the flags; the one sort's keys, about 1 + 2**-4 per
+    # node, take 3.1 MB.  The peak is 9.3 MB; it was 9.4 MB with two sorts,
+    # and 15.1 MB with the float plane alive
     s = _twist_k10()
     found, peak = _traced_peak(lambda: injectivity_scan(s, 600, 600, 0.05, 1e-3))
     assert found == [] and peak < 10e6
@@ -279,7 +280,7 @@ def test_rank_scan_peak_memory_at_300():
 
 def test_verify_surface_peak_memory_at_300_600():
     # the grids of twist_certify's fine checks: the plane stage at 600 sets
-    # the peak, 9.4 MB; it was 15.1 MB
+    # the peak, 9.3 MB; it was 15.1 MB
     s = _twist_k10()
     report, peak = _traced_peak(lambda: verify_surface(s, None, 300, 600))
     assert report.ok and peak < 10e6

@@ -22,8 +22,11 @@ lattice samples and on seeded awkward samples (signed zeros, magnitudes near
 1e-300 and 1e+300); and collision lists that are neither empty nor capped:
 ``injectivity_scan`` of the fold (t^2, s, 0, 0) on [-1, 1]^2 at 101 x 101
 (image_tol 1e-6), from its factors and from an evaluate-only wrapper of it,
-and of the ``Surface4`` of no terms on [0, 1]^2 at 16 x 16, whose 256 nodes
-make 32,640 collisions.  The crossing search has digests of its own: each
+of the ``Surface4`` of no terms on [0, 1]^2 at 16 x 16, whose 256 nodes
+make 32,640 collisions, and of the k = 1 twist spin of ``trefoil_twist``
+from its factors at 400 x 400 (param_sep 0.002, image_tol 0.01), whose
+plane stage keeps about 23,000 suspects and whose 800 collisions are theta
+neighbours on the rows next to the poles.  The crossing search has digests of its own: each
 catalog arc's ``ab``, ``crossings`` and ``crossing_iv``, its
 ``plane_double_points`` on [-5, 5] and [-1.3, 2.1], and ``lift_height`` of
 -t^4 + 4t^2 - 1 over ``trefoil_spun``'s f and g.  Three objects are built
@@ -153,18 +156,25 @@ class _EvaluateOnly:
 
 
 def _collision_digests() -> dict:
+    from spun4d.catalog import get_knot
     from spun4d.poly import Interval, Poly1, Poly2
     from spun4d.surface import PolyMap4, Surface4
+    from spun4d.twist import choose_bump, make_axis, twist_spin
     from spun4d.verify import MAX_COLLISIONS, injectivity_scan
 
     fold = PolyMap4((Poly2.from_t(Poly1((0.0, 0.0, 1.0))), Poly2.from_s(Poly1((0.0, 1.0))), Poly2(),
                      Poly2()), Interval(-1.0, 1.0), Interval(-1.0, 1.0))
     empty = Surface4(((), (), (), ()), Interval(0.0, 1.0), Interval(0.0, 1.0), False, False, False)
+    arc = get_knot("trefoil_twist")
+    axis = make_axis(arc, -2.19, 2.19)
+    twist = twist_spin(arc, axis, choose_bump(arc, axis), 1)
     out = {}
-    for label, s, n, image_tol in (("fold (t^2, s, 0, 0)", fold, 101, 1e-6),
-                                   ("fold (t^2, s, 0, 0), evaluate only", _EvaluateOnly(fold), 101, 1e-6),
-                                   ("Surface4 of no terms", empty, 16, 1e-3)):
-        found = injectivity_scan(s, n, n, 0.05, image_tol)
+    for label, s, n, param_sep, image_tol in (
+            ("fold (t^2, s, 0, 0)", fold, 101, 0.05, 1e-6),
+            ("fold (t^2, s, 0, 0), evaluate only", _EvaluateOnly(fold), 101, 0.05, 1e-6),
+            ("Surface4 of no terms", empty, 16, 0.05, 1e-3),
+            ("twist_spin trefoil_twist k=1, param_sep 0.002, image_tol 0.01", twist, 400, 0.002, 1e-2)):
+        found = injectivity_scan(s, n, n, param_sep, image_tol)
         if not 0 < len(found) < MAX_COLLISIONS:
             raise RuntimeError(f"{label}: {len(found)} collisions, not an uncapped, non-empty list")
         out[f"{label}: injectivity_scan {n}x{n}, {len(found)} collisions"] = _json_sha(
