@@ -12,16 +12,18 @@ coordinate, has one term per power of t.  One evaluator serves both models
 at points, on tensor grids and for exact partials, from each coordinate's
 rows on t and on theta: a ``Surface4``'s term rows (each distinct factor
 sampled once, c folded into the t-rows), or a ``PolyMap4``'s powers of t
-(one array, sliced to each coordinate's degree) and its coefficients times
-the powers of theta.  At points it sums the broadcast products row by row;
-on a tensor grid it makes one product per coordinate of its stacked rows,
-which adds the same products in the same order, so a grid is its points
-bit for bit.  The scans in ``verify`` read a grid as the same rows.
+and its coefficients times the powers of theta, each coordinate's taken
+from one table of powers up to its own degree, so that no coordinate
+meets a power above its degree.  At points it sums the broadcast products
+row by row; on a tensor grid it makes one product per coordinate of its
+stacked rows, which adds the same products in the same order, so a grid
+is its points bit for bit.  The scans in ``verify`` read a grid as the same rows.
 
 Surface files keep the tagged tree format (``sum``, ``product``, ``const``,
 ``poly_t``, ``poly_theta``, ``cos_k``, ``sin_k``, ``bump``): the writer emits
 each coordinate as a sum of products, the reader distributes any tree into
-terms.
+terms.  Both models check, when they are built, that they have four
+coordinates and two domains of finite length, in the reader's words.
 """
 
 from __future__ import annotations
@@ -284,7 +286,7 @@ _LEAVES = {
 # factor arrays grow with the count; the constructions write at most 4
 MAX_TERMS = 1 << 8
 DEVIATION_GRID = 200  # samples per side of max_grid_deviation's default grid
-_FLAGS = ("periodic_s", "pole_low", "pole_high")  # both models', checked by _keep_flags
+_FLAGS = ("periodic_s", "pole_low", "pole_high")  # both models', checked by _check_model
 
 
 def _bounded(n: int) -> None:
@@ -332,9 +334,17 @@ def _read(doc: dict, parse, flag_default: bool):
     return (parsed, *domains, *(doc.get(key, flag_default) for key in _FLAGS))
 
 
-def _keep_flags(s) -> None:
-    """Keep the three flags of the model ``s`` as bools, a numpy bool too;
-    any other value is refused, in the words of the file reader."""
+def _check_model(s, coords) -> None:
+    """The construction check of both models, in the words of the file
+    reader: the model ``s`` has the four coordinates ``coords`` and two
+    domains of finite length, and its three flags are kept as bools (a
+    numpy bool too); anything else is refused."""
+    if len(coords) != 4:
+        raise ValueError(f"key 'coords' must be a list of 4 coordinates, got {len(coords)}")
+    for key in ("t_dom", "s_dom"):
+        dom = getattr(s, key)
+        if not np.isfinite(dom.length):
+            raise ValueError(f"key {key!r}: the domain's length overflows, got [{dom.lo!r}, {dom.hi!r}]")
     for key in _FLAGS:
         v = getattr(s, key)
         if not isinstance(v, (bool, np.bool_)):
@@ -367,7 +377,7 @@ class Surface4:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(_collect(c) for c in self.coords))
-        _keep_flags(self)
+        _check_model(self, self.coords)
 
     def _rows(self, side: str, x, deriv: bool):
         return _term_rows(self.coords, side, x, deriv)
@@ -405,26 +415,28 @@ class PolyMap4:
     pole_high: bool = False
 
     def __post_init__(self):
-        _keep_flags(self)
+        _check_model(self, self.polys)
 
     def _rows(self, side: str, x, deriv: bool):
         """One row per power of t up to the coordinate's degree in t, in the
-        layout of ``_term_rows`` (with ``deriv``, row [1] the derivative): on
-        side "t" the powers of x, sliced from one array, so an overflowing
-        power meets no zero row; on side "s" coordinate q's row i is the sum
-        over j of its c_ij x^j, for all rows and samples in one einsum whose
-        loop adds the products in order of j from 0.0 for x of any shape
-        (not as a dot product or BLAS ``@``): a grid's rows are its points'."""
-        c = np.zeros((max(p.deg_s for p in self.polys) + 1, 4, max(p.deg_t for p in self.polys) + 1))
+        layout of ``_term_rows`` (with ``deriv``, row [1] the derivative),
+        each coordinate's from its own powers and coefficients, so no power
+        above its degree meets a zero (0 * inf).  Side "t": its prefix of one
+        table of powers.  Side "s": row i is the sum over j of c_ij x^j, from
+        one einsum of its C-contiguous block c[j, i] and its prefix of the
+        powers, j leading both.  With two outputs or more that loop adds in
+        order of j from 0.0 for x of any shape; one output, a transposed view
+        or BLAS ``@`` sums as a dot product, so a coordinate of degree 0 in t
+        gets a zero column, whose row is dropped.  A grid's rows are its
+        points'."""
+        v = _powers(x, max(p.deg_s if side == "s" else p.deg_t for p in self.polys) + 1, deriv)
         if side == "t":
-            rows = _powers(x, c.shape[2], deriv)
-            return [rows[:, :p.deg_t + 1] for p in self.polys]
-        for q, p in enumerate(self.polys):
-            c[:p.deg_s + 1, q, :p.deg_t + 1] = p.coeffs.T
-        v = _powers(x, len(c), deriv).swapaxes(0, 1)
-        rows = np.einsum("jk,jm->km", c.reshape(len(c), -1), v.reshape(len(c), -1))
-        rows = np.moveaxis(rows.reshape((4, -1) + v.shape[1:]), 2, 1)
-        return [r[:, :p.deg_t + 1] for r, p in zip(rows, self.polys)]
+            return [v[:, :p.deg_t + 1] for p in self.polys]
+        v = v.swapaxes(0, 1).reshape(len(v[0]), -1)
+        blocks = [np.ascontiguousarray(p.coeffs.T) if p.deg_t
+                  else np.hstack((p.coeffs.T, np.zeros_like(p.coeffs.T))) for p in self.polys]
+        return [np.einsum("jk,jm->km", c, v[:len(c)])[:p.deg_t + 1].reshape((p.deg_t + 1, 1 + deriv) + x.shape)
+                .swapaxes(0, 1) for c, p in zip(blocks, self.polys)]
 
     # Surface4's samplers under PolyMap4's own names: perfbench/tracing.py wraps cls.__dict__[meth]
     evaluate, eval_grid, partials_grid = Surface4.evaluate, Surface4.eval_grid, Surface4.partials_grid

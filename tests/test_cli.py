@@ -114,6 +114,26 @@ def test_verify_zero_length_domain_is_one_error_line(workdir, capsys, key, dom):
     assert sorted(os.listdir(workdir)) == ["s.json", "s.json.manifest.json", "z.json"]
 
 
+_OVERFLOWING_DOMAIN = ('{"type": "polymap4", "coords": [{"coeffs": [[1]]}, {"coeffs": [[0]]}, {"coeffs": [[0]]}, '
+                         '{"coeffs": [[0]]}], "t_dom": [-1, 1], "s_dom": [-1e308, 1e308]}')
+
+
+@pytest.mark.parametrize("cmd", [["verify", "s.json"], ["project", "s.json", "--out", "g.csv"],
+                                 ["slice", "s.json", "--values", "0"],
+                                 ["export", "s.json", "--format", "obj", "--out", "m.obj"]],
+                         ids=["verify", "project", "slice", "export"])
+def test_a_domain_whose_length_overflows_is_one_error_line(workdir, capsys, cmd):
+    # finite ends whose difference overflows: the scans' separations would
+    # divide by inf, so the model refuses the domain when it is built
+    (workdir / "s.json").write_text(_OVERFLOWING_DOMAIN)
+    start = time.perf_counter()
+    assert dispatch(cmd) == 1
+    assert time.perf_counter() - start < 1.0
+    assert _one_error_line(capsys) == ("spun4d: error: s.json: key 's_dom': the domain's length overflows, "
+                                       "got [-1e+308, 1e+308]")
+    assert os.listdir(workdir) == ["s.json"]
+
+
 def test_twistspin_sweep_emits_count_files(workdir):
     assert dispatch(["twistspin", "trefoil_twist", "--k", "2", "--sweep", "w",
                      "--count", "5"]) == 0

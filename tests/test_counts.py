@@ -4,14 +4,15 @@ least its least value, refused otherwise with a ValueError naming it.  So is
 every real-valued setting of the scans, a slice and root isolation, by
 ``poly._real``: a real number, not a bool nor a string, in its range.  The
 real numbers the package keeps are the Python floats that rule returns
-(``KEPT``), and the models' flags are bools."""
+(``KEPT``), and the models' flags are bools.  A model has four coordinates
+and domains of finite length, checked where it is built."""
 
 import json
 import math
 import pickle
 import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -358,6 +359,37 @@ def test_models_of_numpy_flags_and_float32_domains_write_json_that_reads_back():
         keys = ("t_dom", "s_dom", "periodic_s", "pole_low", "pole_high")
         assert [getattr(read, k) for k in keys] == [getattr(want, k) for k in keys]
         assert isinstance(want, PolyMap4) or read == want
+
+
+def _rebuilt(model, **changes):
+    """``model`` built again by its constructor, with ``changes``."""
+    return type(model)(**{**{f.name: getattr(model, f.name) for f in fields(model)}, **changes})
+
+
+@pytest.mark.parametrize("key", ["t_dom", "s_dom"])
+def test_a_domain_whose_length_overflows_is_refused_in_the_file_readers_words(key):
+    wide = Interval(-1e308, 1e308)
+    want = "^" + re.escape(f"key '{key}': the domain's length overflows, got [-1e+308, 1e+308]") + "$"
+    for model in _models(bool, float):
+        for build in (replace, _rebuilt):
+            with pytest.raises(ValueError, match=want):
+                build(model, **{key: wide})
+        doc = {**model.to_json(), key: [-1e308, 1e308]}
+        with pytest.raises(ValueError, match=want):
+            surface_from_json(json.loads(json.dumps(doc)))
+        # finite ends, finite length: the widest domain that is kept
+        assert getattr(replace(model, **{key: Interval(-8e307, 8e307)}), key).length == 1.6e308
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_a_model_of_other_than_four_coordinates_is_refused_in_the_file_readers_words(n):
+    want = f"^key 'coords' must be a list of 4 coordinates, got {n}$"
+    for model in _models(bool, float):
+        key = "coords" if isinstance(model, Surface4) else "polys"
+        coords = (getattr(model, key) * 2)[:n]
+        for build in (replace, _rebuilt):
+            with pytest.raises(ValueError, match=want):
+                build(model, **{key: coords})
 
 
 @pytest.mark.parametrize("bad", [1, 0, None, "true", np.int64(1), 1.0],

@@ -14,6 +14,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 from numpy.polynomial import chebyshev as ncheb
@@ -1266,6 +1267,83 @@ def test_polymap4_coordinate_takes_no_power_of_t_above_its_degree():
     assert point.tolist() == [np.inf, 0.5, 0.0, 0.0]
     assert _bits(grid[0, 0]) == _bits(point)
     assert grid[1].tolist() == [[4e-300, 0.5, 0.0, 0.0], [4e-300, 0.25, 0.0, 0.0]]
+
+
+def test_polymap4_coordinate_takes_no_power_of_theta_above_its_degree():
+    """Where theta^2 overflows, the coordinates of degree 0 in theta keep
+    their values on both paths, not the NaN of inf times a zero
+    coefficient; the overflow of c theta^2 itself stays."""
+    s = PolyMap4((Poly2.from_s(Poly1((0.0, 0.0, 1e-300))), Poly2.from_t(Poly1((0.0, 1.0))), Poly2(), Poly2()),
+                 Interval(0.0, 1.0), Interval(-1e200, 1e200))
+    with np.errstate(over="ignore"):
+        point = s.evaluate(0.5, 1e200)
+        grid = s.eval_grid([0.5, 0.25], [1e200, 2.0])
+    with np.errstate(over="ignore", invalid="ignore"):  # d/dt is 0 times the inf of c theta^2
+        d_theta = s.partials_grid([0.5], [1e200])[1]
+    assert point.tolist() == [np.inf, 0.5, 0.0, 0.0]
+    assert _bits(grid[0, 0]) == _bits(point)
+    assert grid[:, 1].tolist() == [[4e-300, 0.5, 0.0, 0.0], [4e-300, 0.25, 0.0, 0.0]]
+    assert d_theta.tolist() == [[[2e-100, 0.0, 0.0, 0.0]]]
+
+
+def _padded_rows(s, side: str, x, deriv: bool) -> list:
+    """``PolyMap4._rows`` as it was built from one zero-padded block of all
+    four coordinates' coefficients, (max deg_s + 1) x 4 x (max deg_t + 1),
+    in one einsum: the reference on finite samples (where a power above a
+    coordinate's degree overflows, its zero coefficient gives NaN)."""
+    c = np.zeros((max(p.deg_s for p in s.polys) + 1, 4, max(p.deg_t for p in s.polys) + 1))
+    if side == "t":
+        rows = surface_module._powers(x, c.shape[2], deriv)
+        return [rows[:, :p.deg_t + 1] for p in s.polys]
+    for q, p in enumerate(s.polys):
+        c[:p.deg_s + 1, q, :p.deg_t + 1] = p.coeffs.T
+    v = surface_module._powers(x, len(c), deriv).swapaxes(0, 1)
+    rows = np.einsum("jk,jm->km", c.reshape(len(c), -1), v.reshape(len(c), -1))
+    rows = np.moveaxis(rows.reshape((4, -1) + v.shape[1:]), 2, 1)
+    return [r[:, :p.deg_t + 1] for r, p in zip(rows, s.polys)]
+
+
+def _mixed_poly2(degrees, rng) -> Poly2:
+    """A Poly2 of the degrees (deg_t, deg_s): normal coefficients, some of
+    them 0.0 and -0.0, the leading one nonzero."""
+    c = rng.normal(size=(degrees[0] + 1, degrees[1] + 1))
+    c[rng.random(c.shape) < 0.15] = 0.0
+    c[rng.random(c.shape) < 0.15] = -0.0
+    c[-1, -1] = 1.0 + rng.random()
+    return Poly2(c)
+
+
+_DEGREES = st.tuples(st.integers(0, 12), st.integers(0, 12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(degrees=st.tuples(*[_DEGREES] * 4), seed=st.integers(0, 2 ** 32 - 1), q=st.integers(0, 3),
+       other=_DEGREES)
+def test_polymap4_rows_are_the_padded_blocks_bit_for_bit(degrees, seed, q, other):
+    """On finite samples, each coordinate's rows from its own coefficients
+    are bitwise those of the one zero-padded block (``_padded_rows``), at a
+    scalar, a 1-D, a broadcast and a grid x, with and without derivatives,
+    and so are the values and partials summed from them at points, on
+    broadcast arguments and on grids.  Giving one coordinate other degrees
+    leaves the other coordinates' rows bit-identical."""
+    rng = np.random.default_rng(seed)
+    s = PolyMap4(tuple(_mixed_poly2(d, rng) for d in degrees), Interval(-1.5, 1.5), Interval(-2.0, 2.0))
+    changed = replace(s, polys=s.polys[:q] + (_mixed_poly2(other, rng),) + s.polys[q + 1:])
+    xs = [np.asarray(rng.uniform(-2.0, 2.0)), np.asarray(-0.0), np.array([0.75]), rng.uniform(-2.0, 2.0, 7),
+          rng.uniform(-2.0, 2.0, (5, 1)), rng.uniform(-2.0, 2.0, (1, 4)), rng.uniform(-2.0, 2.0, (3, 4))]
+    for x in xs:
+        for side in "ts":
+            for deriv in (False, True):
+                got = [_bits(r) for r in s._rows(side, x, deriv)]
+                assert got == [_bits(r) for r in _padded_rows(s, side, x, deriv)]
+                moved = [_bits(r) for r in changed._rows(side, x, deriv)]
+                assert moved[:q] + moved[q + 1:] == got[:q] + got[q + 1:]
+    tv, sv = rng.uniform(-1.5, 1.5, 6), rng.uniform(-2.0, 2.0, 5)
+    padded = partial(_padded_rows, s)
+    for t, th in ((tv[2], sv[1]), (tv, sv[3]), (tv[4], sv), (tv, sv[:1]), (tv[:, None], sv[None, :]),
+                  (tv[:1, None], sv[None, :]), (tv[:, None], sv[None, :1])):
+        for deriv in ("", "t", "s"):
+            assert _bits(_eval_points(s._rows, t, th, deriv)) == _bits(_eval_points(padded, t, th, deriv))
 
 
 def test_deviation_grid_and_sample_grid_take_the_grid_path(monkeypatch):

@@ -3,10 +3,13 @@ bit-identical.
 
     python tools/output_digests.py SRC OUT
 
+    python tools/output_digests.py --compare A.json B.json
+
 SRC is a checkout of the repository: its ``src/`` is the package measured,
 and its ``perfbench/workloads.py`` gives the README's CLI commands
 (``COMMANDS``).  OUT is the JSON file written.  Run it on two checkouts and
-compare the two files byte for byte.
+compare the two files: ``--compare`` prints, per section, the keys added,
+removed or changed from A to B, and exits 1 if any differ, 0 if none do.
 
 Everything runs with one BLAS thread.  The commands run in order in one
 temporary directory; each one's exit code, stdout and stderr make one digest,
@@ -19,9 +22,14 @@ degree-24 ``polynomialize_twist``; the grids and reports of
 of acceptance criterion 8's perturbation family; the coefficient bits of
 ``bernstein_fit2`` at degrees 6, 16, 20, 24, 28 and 30, on the spun trefoil's
 lattice samples and on seeded awkward samples (signed zeros, magnitudes near
-1e-300 and 1e+300); and collision lists that are neither empty nor capped:
-``injectivity_scan`` of the fold (t^2, s, 0, 0) on [-1, 1]^2 at 101 x 101
-(image_tol 1e-6), from its factors and from an evaluate-only wrapper of it,
+1e-300 and 1e+300); ``evaluate`` at a scalar theta and at a scalar t, and
+``partials_grid``, of four ``PolyMap4``s on the 150 x 130 samples: the
+polynomial spins of degrees 8 and 12, the degree-20 Bernstein fit of the
+spun trefoil and criterion 8's family map at u = 1, and the point
+(0.5, 1e200) of (1e-300 s^2, t, 0, 0), where s^2 overflows; and collision
+lists that are neither empty nor capped: ``injectivity_scan`` of the fold
+(t^2, s, 0, 0) on [-1, 1]^2 at 101 x 101 (image_tol 1e-6), from its
+factors and from an evaluate-only wrapper of it,
 of the ``Surface4`` of no terms on [0, 1]^2 at 16 x 16, whose 256 nodes
 make 32,640 collisions, and of the k = 1 twist spin of ``trefoil_twist``
 from its factors at 400 x 400 (param_sep 0.002, image_tol 0.01), whose
@@ -92,6 +100,9 @@ REFUSALS = [
     ("surface: a ragged polymap4 row", "s.json",
      '{"type": "polymap4", "coords": [{"coeffs": [[1, 2], [3]]}, ' + ", ".join([_COORD] * 3) + "], "
      + _DOMAINS + "}", _SURFACE_RUN),
+    ("surface: a domain whose length overflows", "s.json",
+     '{"type": "polymap4", "coords": [' + ", ".join([_COORD] * 4) + '], "t_dom": [-1, 1], '
+     '"s_dom": [-1e308, 1e308]}', _SURFACE_RUN),
 ]
 
 
@@ -240,7 +251,7 @@ def _float32_digests() -> dict:
 def _library_digests() -> dict:
     import numpy as np
 
-    from spun4d.approx import bernstein_fit2, bernstein_lattice, odd_perturbation
+    from spun4d.approx import bernstein_fit2, odd_perturbation
     from spun4d.catalog import get_knot, knot_names
     from spun4d.spin import polynomial_spin, spin
     from spun4d.twist import choose_bump, make_axis, polynomialize_twist, twist_spin
@@ -278,17 +289,63 @@ def _library_digests() -> dict:
     out["criterion 8 family verdict"] = _json_sha({"N": spec.N, "epsilon": spec.epsilon, "ok": ok})
     s = spin(arc)
     for degree in BERNSTEIN_DEGREES:
-        u = bernstein_lattice(degree)
-        lattice = s.eval_grid(s.t_dom.mid + 0.5 * s.t_dom.length * u,
-                              s.s_dom.mid + 0.5 * s.s_dom.length * u)
-        for label, samples in (("trefoil_spun lattice", lattice),
+        for label, samples in (("trefoil_spun lattice", _lattice_samples(s, degree)),
                                (f"awkward samples, seed {degree}", _awkward_samples(degree))):
             fit = bernstein_fit2(samples, degree)
             out[f"bernstein_fit2 {degree}: {label}"] = _sha(
                 b"".join(repr(c.coeffs.shape).encode() + c.coeffs.tobytes() for c in fit))
+    out.update(_shape_digests())
     out.update(_collision_digests())
     out.update(_crossing_digests())
     out.update(_float32_digests())
+    return out
+
+
+def _lattice_samples(s, degree: int):
+    """``s`` sampled on the Bernstein lattice of ``degree`` over its domains."""
+    from spun4d.approx import bernstein_lattice
+
+    u = bernstein_lattice(degree)
+    return s.eval_grid(s.t_dom.mid + 0.5 * s.t_dom.length * u, s.s_dom.mid + 0.5 * s.s_dom.length * u)
+
+
+def _shape_digests() -> dict:
+    """Per PolyMap4 the package builds (two polynomial spins, a Bernstein
+    fit, criterion 8's family map at u = 1), the bits of ``evaluate`` at a
+    scalar theta and at a scalar t, and of ``partials_grid``, on the GRID
+    samples; and the bits of one point of a map whose theta^2 overflows."""
+    from dataclasses import replace
+
+    import numpy as np
+
+    from spun4d.approx import bernstein_fit2, odd_perturbation
+    from spun4d.catalog import get_knot
+    from spun4d.poly import Interval, Poly1, Poly2
+    from spun4d.spin import polynomial_spin, spin
+    from spun4d.surface import PolyMap4
+
+    def bits(a):
+        a = np.ascontiguousarray(a)
+        return _sha(repr(a.shape).encode() + a.tobytes())
+
+    arc = get_knot("trefoil_spun")
+    p8 = polynomial_spin(arc, 8)
+    _, family = odd_perturbation(p8.polys, 2, [])
+    out = {}
+    for label, s in (("polynomial_spin trefoil_spun 8", p8),
+                     ("polynomial_spin trefoil_spun 12", polynomial_spin(arc, 12)),
+                     ("bernstein_fit2 20 of spin trefoil_spun",
+                      PolyMap4(bernstein_fit2(_lattice_samples(spin(arc), 20), 20), Interval(-1.0, 1.0),
+                               Interval(-1.0, 1.0))),
+                     ("criterion 8 family map at u = 1", replace(p8, polys=family))):
+        tv, sv = s.t_dom.sample(GRID[0]), s.s_dom.sample(GRID[1])
+        out[f"{label}: evaluate at theta sample 37 of {GRID[1]}"] = bits(s.evaluate(tv, sv[37]))
+        out[f"{label}: evaluate at t sample 41 of {GRID[0]}"] = bits(s.evaluate(tv[41], sv))
+        out[f"{label}: partials_grid {GRID[0]}x{GRID[1]}"] = bits(s.partials_grid(tv, sv))
+    witness = PolyMap4((Poly2.from_s(Poly1((0.0, 0.0, 1e-300))), Poly2.from_t(Poly1((0.0, 1.0))), Poly2(),
+                        Poly2()), Interval(0.0, 1.0), Interval(-1e200, 1e200))
+    with np.errstate(over="ignore"):
+        out["(1e-300 s^2, t, 0, 0): evaluate at (0.5, 1e200)"] = bits(witness.evaluate(0.5, 1e200))
     return out
 
 
@@ -308,9 +365,34 @@ def _awkward_samples(degree: int):
     return x
 
 
+def compare(path_a: str, path_b: str) -> int:
+    """Print, per section of two digest files, the count of equal entries
+    and the keys added, removed or changed from A to B; 1 if any differ."""
+    docs = []
+    for path in (path_a, path_b):
+        with open(path) as fh:
+            docs.append(json.load(fh))
+    a, b = docs
+    differ = False
+    for section in sorted(set(a) | set(b)):
+        x, y = a.get(section, {}), b.get(section, {})
+        moved = {"added": sorted(set(y) - set(x)), "removed": sorted(set(x) - set(y)),
+                 "changed": sorted(k for k in set(x) & set(y) if x[k] != y[k])}
+        equal = len(set(x) & set(y)) - len(moved["changed"])
+        print(f"{section}: {equal} equal, " + ", ".join(f"{len(v)} {k}" for k, v in moved.items()))
+        for what, keys in moved.items():
+            for key in keys:
+                print(f"  {what}: {key}")
+        differ |= any(moved.values())
+    return int(differ)
+
+
 def main(argv) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(argv[1], argv[2])
     if len(argv) != 2:
-        print("usage: python tools/output_digests.py SRC OUT", file=sys.stderr)
+        print("usage: python tools/output_digests.py SRC OUT\n"
+              "       python tools/output_digests.py --compare A.json B.json", file=sys.stderr)
         return 2
     src, out_path = os.path.abspath(argv[0]), argv[1]
     # SRC's own perfbench and package, imported before numpy so that its
