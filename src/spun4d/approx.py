@@ -2,10 +2,13 @@
 Bernstein fits of sampled maps, and the odd-degree injectivity perturbation.
 
 A Bernstein fit changes basis exactly.  The samples and the integer
-basis-change matrix are split into 16-bit limbs, and their products run as
+basis-change matrix are split into limbs of b bits, and their products run as
 float64 matrix products in which every partial sum is an integer below 2^53,
-so BLAS computes them exactly in any order.  Carries are propagated in int64,
-and each coefficient is rounded once, to the nearest double, ties to even.
+so BLAS computes them exactly in any order.  A degree-n fit takes the widest
+b up to 25 with (n + 1) L_T 2^(2b) < 2^53, L_T being the matrix's limb count
+at that width: 23 bits at degrees 19-41, 21 at 100, 16 from 2438.  Carries
+are propagated in int64, and each coefficient is rounded once, to the nearest
+double, ties to even.
 """
 
 from __future__ import annotations
@@ -108,45 +111,74 @@ def _chebyshev_interpolant(f: Callable[[np.ndarray], np.ndarray], iv: Interval, 
     return Poly1(tuple(_cheb_to_power(cheb_coeffs, mid, half)))
 
 
-# The exact basis change works on integers split into signed limbs of _B bits
+# The exact basis change works on integers split into signed limbs of b bits
 # and multiplies them as float64 matrices.  A product of two limbs is below
-# 2^(2 _B) in magnitude, and an entry of a limb product sums n + 1 of them for
+# 2^(2b) in magnitude, and an entry of a limb product sums n + 1 of them for
 # each of at most min(L_T, L_X) limb pairs, where L_T and L_X are the two
-# operands' limb counts.  With _B = 16 every partial sum is therefore an integer
-# below (n + 1) min(L_T, L_X) 2^32 < 2^53, so each is exact whatever order or
-# thread count BLAS sums in.  T's entries have at most 2n bits, so L_T <= n/8 + 1
-# and the bound holds up to degree 4000 (_MAX_LIMB_TERMS).
-_B = 16
-_LIMB = (1 << _B) - 1
-_MAX_LIMB_TERMS = 1 << (53 - 2 * _B)
+# operands' limb counts.  So while (n + 1) min(L_T, L_X) < 2^(53 - 2b)
+# (``_max_limb_terms``) every partial sum is an integer below 2^53, exact
+# whatever order or thread count BLAS sums in.  A fit's b is ``_limb_width``;
+# the limb functions take it as an argument, which ``_power_limbs``,
+# ``_limb_matmul`` and ``_round_limbs`` default to 16.
 
 
-def _power_limbs(n: int) -> np.ndarray:
-    """T in _B-bit limbs, least significant first on axis 0, as ``_carry``
+def _power_bits(n: int) -> int:
+    """The bits that hold every entry of the degree-n T (``_power_limbs``)
+    with its sign.  Its largest entry in magnitude is comb(n, h) comb(h, h // 2),
+    h = n // 2, in the column (1 - t^2)^h (1 - t)^(n - 2h), as checked against T
+    up to degree 260.  The count only chooses the width: were it short at some
+    degree, T would take more limbs, and ``_limb_matmul`` checks those."""
+    h = n // 2
+    return (math.comb(n, h) * math.comb(h, h // 2)).bit_length() + 1
+
+
+def _max_limb_terms(b: int) -> int:
+    """2^(53 - 2b): the count of b-bit limb products that a float64 sum must
+    stay below for every partial sum to be an integer below 2^53."""
+    return 1 << (53 - 2 * b)
+
+
+def _limb_width(n: int) -> int:
+    """The limb width b of a degree-n fit: the widest b up to 25 at which
+    (n + 1) L_T(b) 2^(2b) < 2^53, L_T(b) = ceil(bits / b) being T's limb
+    count (``_power_bits``).  It is 24 at degree 16, 23 at degrees 19-41, 21
+    at 100 and 20 at 200, and falls to 16 at degree 2438.  From degree 4733
+    no width meets the bound; b stays 16 there, and ``_limb_matmul`` refuses
+    any product whose own limb counts break it."""
+    bits = _power_bits(n)
+    return next((b for b in range(25, 16, -1) if (n + 1) * -(-bits // b) < _max_limb_terms(b)), 16)
+
+
+def _power_limbs(n: int, b: int = 16) -> np.ndarray:
+    """T in b-bit limbs, least significant first on axis 0, as ``_carry``
     leaves them: T[m, k] is the coefficient of t^m in
-    comb(n, k) (1 + t)^k (1 - t)^(n - k), so ``T @ b`` is 2^n times the power
-    coefficients in t of the degree-n Bernstein coefficients ``b`` on [-1, 1].
+    comb(n, k) (1 + t)^k (1 - t)^(n - k), so ``T @ c`` is 2^n times the power
+    coefficients in t of the degree-n Bernstein coefficients ``c`` on [-1, 1].
 
     Column k is that polynomial's value at t = 2^S, each coefficient raised by
-    2^(S - 1) so that the base-2^S digits are the coefficients: S bits hold
-    |T| <= 4^n and a sign."""
-    n_limbs = 2 * n // _B + 1
-    base = 1 << (_B * n_limbs)
+    2^(S - 1) so that the base-2^S digits are the coefficients: S bits, a
+    multiple of b, hold |T| <= 4^n and a sign."""
+    n_limbs = 2 * n // b + 1
+    base = 1 << (b * n_limbs)
     bias = (base >> 1) * ((base ** (n + 1) - 1) // (base - 1))
-    size = n_limbs * (n + 1) * _B // 8
+    size = -(-n_limbs * (n + 1) * b // 8) + 3  # three spare bytes: see words
     col, raw = (1 - base) ** n, []
     for k in range(n + 1):
         raw.append((math.comb(n, k) * col + bias).to_bytes(size, "little"))
         col = col // (1 - base) * (1 + base)  # the next (1 + t)^k (1 - t)^(n - k)
-    limbs = np.frombuffer(b"".join(raw), f"<u{_B // 8}").reshape(n + 1, n + 1, n_limbs)
-    limbs = limbs.T.astype(np.int64)
-    limbs[-1] -= 1 << (_B - 1)
-    return _carry(limbs).astype(float)
+    # each b-bit digit, b <= 25, lies in the four bytes from the one holding
+    # its first bit: words[k, j] reads bytes j to j + 3 of column k, unaligned
+    words = np.ndarray((n + 1, size - 3), "<u4", b"".join(raw), strides=(size, 1))
+    at = np.arange((n + 1) * n_limbs) * b
+    digits = (words[:, at >> 3] >> (at & 7).astype(np.uint32)).astype(np.int64) & ((1 << b) - 1)
+    limbs = digits.reshape(n + 1, n + 1, n_limbs).T
+    limbs[-1] -= 1 << (b - 1)
+    return _carry(limbs, b).astype(float)
 
 
-def _sample_limbs(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sample_limbs(samples: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
     """The samples x[i, j, c] as W[c, j, i] 2^e[c] exactly, W integers and e[c]
-    the least exponent of coordinate c: W in signed _B-bit limbs, least
+    the least exponent of coordinate c: W in signed b-bit limbs, least
     significant first on axis 0, and e."""
     mant, exp = np.frexp(samples.transpose(2, 1, 0))
     m = (mant * 2.0 ** 53).astype(np.int64)  # x = m 2^(exp - 53), |m| < 2^53
@@ -154,46 +186,52 @@ def _sample_limbs(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e = np.where(m != 0, exp, np.iinfo(exp.dtype).max).min(axis=(1, 2))
     e[~m.any(axis=(1, 2))] = 0
     shift = np.where(m != 0, exp - e[:, None, None], 0).ravel()
-    n_limbs = -(-(int(shift.max()) + 53) // _B)
-    # |m| 2^(shift % _B) has five limbs, placed from limb shift // _B up
-    low, r = np.divmod(shift, _B)
+    n_limbs = -(-(int(shift.max()) + 53) // b)
+    # |m| 2^(shift % b), below 2^(52 + b), has 1 + ceil(52 / b) limbs, placed
+    # from limb shift // b up
+    parts = 1 - (-52 // b)
+    low, r = np.divmod(shift, b)
     mag, r = np.abs(m.ravel()).astype(np.uint64), r.astype(np.uint64)
     at = low * m.size + np.arange(m.size)
-    w = np.zeros((n_limbs + 4,) + m.shape)
-    for i in range(5):
-        limb = (mag << r if i == 0 else mag >> (np.uint64(_B * i) - r)) & np.uint64(_LIMB)
+    w = np.zeros((n_limbs + parts - 1,) + m.shape)
+    mask = np.uint64((1 << b) - 1)
+    for i in range(parts):
+        limb = (mag << r if i == 0 else mag >> (np.uint64(b * i) - r)) & mask
         w.ravel()[at + i * m.size] = np.copysign(limb, mant.ravel())
     return w[:n_limbs], e
 
 
-def _carry(z: np.ndarray) -> np.ndarray:
+def _carry(z: np.ndarray, b: int) -> np.ndarray:
     """Carries int64 limb sums along axis 0, in place: every limb but the top
-    one into [0, 2^_B), the top one keeping the rest, signed.  Returns them
+    one into [0, 2^b), the top one keeping the rest, signed.  Returns them
     without the top limbs that only extend the sign of the limb below."""
     carry = np.empty_like(z[0])
     for k in range(len(z) - 1):
-        np.right_shift(z[k], _B, out=carry)
-        z[k] &= _LIMB
+        np.right_shift(z[k], b, out=carry)
+        z[k] &= (1 << b) - 1
         z[k + 1] += carry
     n_limbs = len(z)
     while n_limbs > 1:
-        folded = z[n_limbs - 2] + (z[n_limbs - 1] << _B)
-        if np.any((folded < -(1 << (_B - 1))) | (folded >= 1 << (_B - 1))):
+        folded = z[n_limbs - 2] + (z[n_limbs - 1] << b)
+        if np.any((folded < -(1 << (b - 1))) | (folded >= 1 << (b - 1))):
             break
         n_limbs -= 1
         z[n_limbs - 1] = folded
     return z[:n_limbs]
 
 
-def _limb_matmul(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """X @ T.T exactly, over the last axis of X: T and X are integers in limbs,
-    least significant first on axis 0.  Returns the product's limbs as
-    ``_carry`` leaves them, the top one within [-2^(_B - 1), 2^(_B - 1))."""
+def _limb_matmul(t: np.ndarray, x: np.ndarray, b: int = 16) -> np.ndarray:
+    """X @ T.T exactly, over the last axis of X: T and X are integers in b-bit
+    limbs, least significant first on axis 0.  Refuses operands whose
+    n + 1 = t.shape[-1] terms for each of min(L_T, L_X) limb pairs reach
+    2^(53 - 2b) (``_max_limb_terms``).  Returns the product's limbs as
+    ``_carry`` leaves them, the top one within [-2^(b - 1), 2^(b - 1))."""
     n_terms = t.shape[-1] * min(len(t), len(x))
-    if n_terms >= _MAX_LIMB_TERMS:
+    if n_terms >= _max_limb_terms(b):
         raise Spun4dError(f"an exact product of {n_terms} limb terms is beyond float64's exact sums")
-    # three more limbs take the carries out of sums below 2^53
-    out = np.zeros((len(t) + len(x) + 2,) + x.shape[1:])
+    # a sum below 2^53 at the top position, carried with its sign, needs
+    # ceil(55 / b) limbs from there
+    out = np.zeros((len(t) + len(x) - 2 - (-55 // b),) + x.shape[1:])
     flat = np.ascontiguousarray(x, dtype=float).reshape(-1, x.shape[-1])
     for a, limb in enumerate(t):
         out[a:a + len(x)] += (flat @ limb.T).reshape(x.shape)
@@ -201,32 +239,41 @@ def _limb_matmul(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     # views of one buffer converts element by element, with no temporary
     sums = out.view(np.int64)
     np.copyto(sums.reshape(-1), out.reshape(-1), casting="unsafe")
-    return _carry(sums)
+    return _carry(sums, b)
 
 
-def _round_limbs(z: np.ndarray, e: np.ndarray) -> np.ndarray:
+def _round_limbs(z: np.ndarray, e: np.ndarray, b: int = 16) -> np.ndarray:
     """The floats nearest, ties to even, to Z 2^e, Z the integers that the
-    limbs ``z`` (as ``_carry`` leaves them) give along axis 0; inf where the
-    rounded value is beyond double range.
+    b-bit limbs ``z`` (as ``_carry`` leaves them) give along axis 0; inf
+    where the rounded value is beyond double range.
 
     A 64-bit window starting at the leading bit of |Z|, with a sticky bit for
     the bits below it, is rounded once: at bit 11 of the window for a normal
     result, higher up for a subnormal one."""
     neg = z[-1] < 0
-    mag = _carry(np.where(neg, -z, z))
+    mag = _carry(np.where(neg, -z, z), b)
     n_limbs, size = mag.shape
     nonzero = mag != 0
     top = (nonzero * np.arange(n_limbs)[:, None]).max(axis=0)
-    # the top limb and the four below it, of |Z| over four zero limbs
-    flat = np.concatenate((np.zeros(4 * size, np.int64), mag.ravel()))
-    at = (top + 4) * size + np.arange(size)
-    d = [flat[at - i * size].astype(np.uint64) for i in range(5)]
-    below = nonzero.sum(axis=0) > sum(x != 0 for x in d)
+    # the top limb d[0] and the k below it, of |Z| over k zero limbs, hold
+    # the window: k b >= 64 bits below the top limb
+    k = -(-64 // b)
+    flat = np.concatenate((np.zeros(k * size, np.int64), mag.ravel()))
+    at = (top + k) * size + np.arange(size)
+    d = [flat[at - i * size].astype(np.uint64) for i in range(k + 1)]
+    sticky = nonzero.sum(axis=0) > sum(x != 0 for x in d)
+    # the 64 bits below the top limb, and whether any bit below them is set
+    below = np.zeros(size, np.uint64)
+    for i in range(1, k + 1):
+        if 64 >= i * b:
+            below |= d[i] << np.uint64(64 - i * b)
+        else:
+            below |= d[i] >> np.uint64(i * b - 64)
+            sticky |= (d[i] & np.uint64((1 << (i * b - 64)) - 1)) != 0
     bl = np.frexp(d[0])[1].astype(np.uint64)  # the top limb's bit length (0 where Z = 0)
-    w = ((d[0] << (64 - bl)) | (d[1] << (48 - bl)) | (d[2] << (32 - bl)) | (d[3] << (16 - bl))
-         | (d[4] >> bl))
-    sticky = below | ((d[4] & ((np.uint64(1) << bl) - np.uint64(1))) != 0)
-    exp = _B * (top - 4) + bl.astype(np.int64) + e  # |Z| 2^e = (w + sticky part) 2^exp
+    w = (d[0] << (64 - bl)) | (below >> bl)
+    sticky |= (below & ((np.uint64(1) << bl) - np.uint64(1))) != 0
+    exp = b * top + bl.astype(np.int64) - 64 + e  # |Z| 2^e = (w + sticky part) 2^exp
     drop = np.clip(-1074 - exp, 11, 64)  # bits of w below the result's last bit
     half = np.uint64(1) << (drop - 1).astype(np.uint64)
     q = (w >> (drop - 1).astype(np.uint64)) >> np.uint64(1)
@@ -250,14 +297,15 @@ def bernstein_fit2(samples: np.ndarray, degree: int) -> tuple[Poly2, Poly2, Poly
     ``np.frexp``.  The integer matrix T (``_power_limbs``) takes Bernstein
     coefficients to 2^n times power coefficients, so the coefficients are
     T W T^T over 4^n times that power of two.  Both products run as float64
-    matrix products of 16-bit limbs, for all four coordinates at once.  A
-    limb product sums n + 1 products below 2^32 for each of at most
-    min(L_T, L_W) limb pairs, so every partial sum is an integer below 2^53
-    and exact in any summation order (see _B).  Carries are propagated in
-    int64.  Each coefficient is then rounded once, to nearest even, from a
-    64-bit window at its leading bit and a sticky bit (``_round_limbs``).  In
-    float64 the alternating sums of T would cancel catastrophically beyond
-    degree ~25.  Samples that are not finite raise NonFiniteSample, and a
+    matrix products of b-bit limbs, for all four coordinates at once, b the
+    widest width up to 25 at which (n + 1) L_T 2^(2b) < 2^53, L_T being T's
+    limb count (``_limb_width``).  A limb product sums n + 1 products below
+    2^(2b) for each of at most min(L_T, L_W) limb pairs, so every partial
+    sum is an integer below 2^53 and exact in any summation order.  The
+    samples are cut, the carries propagated in int64 and each coefficient
+    rounded at that width: once, to nearest even, from a 64-bit window at its
+    leading bit and a sticky bit (``_round_limbs``).  In float64 the
+    alternating sums of T would cancel catastrophically beyond degree ~25.  Samples that are not finite raise NonFiniteSample, and a
     coefficient beyond double range raises Spun4dError.
     """
     degree = _count(degree, "degree", 1)
@@ -268,13 +316,14 @@ def bernstein_fit2(samples: np.ndarray, degree: int) -> tuple[Poly2, Poly2, Poly
         )
     if not np.isfinite(samples).all():
         raise NonFiniteSample("Bernstein samples are not finite")
-    t = _power_limbs(degree)
-    w, e = _sample_limbs(samples)  # W_c^T, as w[:, c]
-    y = _limb_matmul(t, w)  # (T W_c)^T
+    b = _limb_width(degree)
+    t = _power_limbs(degree, b)
+    w, e = _sample_limbs(samples, b)  # W_c^T, as w[:, c]
+    y = _limb_matmul(t, w, b)  # (T W_c)^T
     del w
-    c = _limb_matmul(t, y.swapaxes(2, 3))  # T W_c T^T
+    c = _limb_matmul(t, y.swapaxes(2, 3), b)  # T W_c T^T
     del y
-    coeffs = _round_limbs(c.reshape(len(c), -1), np.repeat(e - 2 * degree, (degree + 1) ** 2))
+    coeffs = _round_limbs(c.reshape(len(c), -1), np.repeat(e - 2 * degree, (degree + 1) ** 2), b)
     coeffs = coeffs.reshape(4, degree + 1, degree + 1)
     for k in range(4):
         if np.isinf(coeffs[k]).any():

@@ -333,6 +333,13 @@ def _write_rows(fh, prefix: str, fmt: str, rows: np.ndarray, sep: str = " ") -> 
 
 
 def export_mesh(mesh: SurfaceMesh, fmt: str, path) -> None:
+    """Write ``mesh`` as an OBJ, PLY or JSON file.  OBJ and PLY take 3-D
+    vertices only, and refuse others with a ValueError; JSON keeps any
+    dimension."""
+    dim = np.shape(mesh.vertices)[-1]
+    if fmt in ("obj", "ply") and dim != 3:
+        raise ValueError(f"a {fmt} file takes 3-D vertices, got {dim}-D ones; project the grid "
+                         "to three axes first, with spun4d.project")
     if fmt == "obj":
         with open(path, "w") as fh:
             _write_rows(fh, "v ", FLOAT_FMT, np.asarray(mesh.vertices))

@@ -41,7 +41,8 @@ class Interval:
 
     @property
     def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
+        # halved first, so that lo + hi cannot overflow
+        return 0.5 * self.lo + 0.5 * self.hi
 
     def contains(self, t, slack: float = 0.0) -> bool:
         return bool(np.all((np.asarray(t) >= self.lo - slack) & (np.asarray(t) <= self.hi + slack)))

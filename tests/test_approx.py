@@ -3,6 +3,8 @@ import math
 import os
 import re
 import struct
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spun4d.approx import (
-    ChebFit, PerturbationSpec, _limb_matmul, _power_limbs, _round_limbs, bernstein_fit2,
-    bernstein_lattice, chebyshev_fit, odd_perturbation,
+    ChebFit, PerturbationSpec, _carry, _limb_matmul, _limb_width, _power_bits, _power_limbs, _round_limbs,
+    _sample_limbs, bernstein_fit2, bernstein_lattice, chebyshev_fit, odd_perturbation,
 )
 from spun4d.errors import GridMismatch, NonFiniteSample, Spun4dError, ZeroGap
 from spun4d.poly import Interval, Poly1, Poly2
@@ -162,12 +164,19 @@ def test_power_limbs_match_the_definition(n):
         assert got[:, k].tolist() == want
 
 
-def _limbs_of(values):
-    """Python ints in two's complement 16-bit limbs, least significant first
-    on axis 0: every limb but the top one in [0, 2^16), the top one signed."""
-    n_limbs = max(v.bit_length() for v in values) // 16 + 1
-    return np.array([[v >> (16 * i) if i == n_limbs - 1 else (v >> (16 * i)) & 0xFFFF for v in values]
+def _limbs_of(values, width=16):
+    """Python ints in two's complement limbs of ``width`` bits, least
+    significant first on axis 0: every limb but the top one in
+    [0, 2^width), the top one signed."""
+    n_limbs = max(v.bit_length() for v in values) // width + 1
+    mask = (1 << width) - 1
+    return np.array([[v >> (width * i) if i == n_limbs - 1 else (v >> (width * i)) & mask for v in values]
                      for i in range(n_limbs)], dtype=np.int64)
+
+
+def _value_of(limbs, width):
+    """The Python ints that limbs of ``width`` bits give along axis 0."""
+    return sum(np.asarray(limbs[a]).astype(np.int64).astype(object) << (width * a) for a in range(len(limbs)))
 
 
 def _python_float(n, e):
@@ -233,6 +242,103 @@ def test_limb_products_refuse_sums_beyond_exact_float64():
     t = np.zeros((2, 1, 1 << 20))
     with pytest.raises(Spun4dError, match="beyond float64's exact sums"):
         _limb_matmul(t, t)
+
+
+def _bound_holds(n, bits, b):
+    """(n + 1) L_T 2^(2b) < 2^53, L_T = ceil(bits / b) being T's limb count
+    at width b."""
+    return (n + 1) * -(-bits // b) * 4 ** b < 2 ** 53
+
+
+def test_limb_width_is_the_widest_that_keeps_sums_exact():
+    for n in range(1, 4101):
+        b, bits = _limb_width(n), _power_bits(n)
+        assert 16 <= b <= 25
+        assert _bound_holds(n, bits, b) and not _bound_holds(n, bits, b + 1), n
+    assert [_limb_width(n) for n in (6, 7, 16, 18, 19, 20, 41, 42, 84, 85, 100, 200, 2437, 2438, 4100)] == [
+        25, 24, 24, 24, 23, 23, 23, 22, 22, 21, 21, 20, 17, 16, 16]
+    # from degree 4733 no width keeps the bound: the width stays at 16
+    assert not _bound_holds(4733, _power_bits(4733), 16) and _limb_width(4733) == 16
+
+
+def _largest_power_entry(n):
+    """max |T[m, k]| over the degree-n T, in Python integers: each column
+    (1 + t)^k (1 - t)^(n - k) is the last one times (1 + t) / (1 - t)."""
+    col, best = [math.comb(n, j) * (-1) ** j for j in range(n + 1)], 0
+    for k in range(n + 1):
+        best = max(best, math.comb(n, k) * max(map(abs, col)))
+        col = list(accumulate(a + b for a, b in zip(col, [0] + col)))
+    return best
+
+
+def test_power_bits_hold_the_largest_entry_of_t():
+    for n in range(1, 121):
+        assert _power_bits(n) == _largest_power_entry(n).bit_length() + 1, n
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 16, 19, 30, 41, 42, 65])
+@pytest.mark.parametrize("b", range(16, 26))
+def test_power_limbs_at_every_width(n, b):
+    limbs = _power_limbs(n, b)
+    assert len(limbs) == -(-_power_bits(n) // b)
+    assert np.all((limbs[:-1] >= 0) & (limbs[:-1] < 2 ** b))
+    assert np.all((limbs[-1] >= -2 ** (b - 1)) & (limbs[-1] < 2 ** (b - 1)))
+    assert (_value_of(limbs, b) == _value_of(_power_limbs(n), 16)).all()
+
+
+@pytest.mark.parametrize("b", range(16, 26))
+def test_sample_limbs_and_products_are_exact_at_every_width(b):
+    rng = np.random.default_rng(b)
+    x = rng.normal(size=(7, 7, 4)) * [1.0, 1e-300, 1e300, 1.0]
+    x[rng.random(x.shape) < 0.2] = 0.0
+    x[0, 0, 3], x[1, 0, 3] = -5e-324, 1.7e308
+    w, e = _sample_limbs(x, b)
+    assert np.all(np.abs(w) < 2 ** b)
+    got = _value_of(w, b)  # W[c, j, i]
+    for (i, j, c), v in np.ndenumerate(x):
+        assert Fraction(float(v)) == Fraction(got[c, j, i]) * Fraction(2) ** int(e[c])
+    t = _power_limbs(6, b)
+    y = _limb_matmul(t, w, b)
+    assert np.all((y[:-1] >= 0) & (y[:-1] < 2 ** b))
+    assert np.all((y[-1] >= -2 ** (b - 1)) & (y[-1] < 2 ** (b - 1)))
+    assert (_value_of(y, b) == got @ _value_of(t, b).T).all()
+
+
+@pytest.mark.parametrize("b", range(17, 26))
+def test_limb_products_refuse_sums_beyond_exact_float64_at_every_width(b):
+    # 2 limb pairs of 2^(52 - 2b) terms: a partial sum could reach 2^53
+    t = np.zeros((2, 1, 1 << (52 - 2 * b)))
+    with pytest.raises(Spun4dError, match="beyond float64's exact sums"):
+        _limb_matmul(t, t, b)
+
+
+def _signed_limb_count(values, width):
+    """The fewest limbs of ``width`` bits whose top one, signed, holds each value."""
+    n_limbs = 1
+    while not all(-(1 << (width * n_limbs - 1)) <= v < 1 << (width * n_limbs - 1) for v in values):
+        n_limbs += 1
+    return n_limbs
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(17, 25), st.lists(_ROUNDING_CASES, min_size=1, max_size=30), st.integers(0, 2 ** 32 - 1))
+def test_carry_and_round_limbs_at_other_widths(b, cases, seed):
+    values = [n for n, _ in cases]
+    # limb sums that need carrying: each pair of neighbours trades c 2^b, and
+    # two limbs of zeros go on top
+    z = np.concatenate((_limbs_of(values, b), np.zeros((2, len(values)), np.int64)))
+    rng = np.random.default_rng(seed)
+    for i in range(len(z) - 1):
+        c = rng.integers(-2 ** 20, 2 ** 20, len(values))
+        z[i] += c << b
+        z[i + 1] -= c
+    z = _carry(z, b)
+    assert np.all((z[:-1] >= 0) & (z[:-1] < 2 ** b))
+    assert len(z) == _signed_limb_count(values, b)
+    assert _value_of(z, b).tolist() == values
+    got = _round_limbs(z, np.array([e for _, e in cases]), b)
+    for (n, e), x in zip(cases, got.tolist()):
+        assert struct.pack("<d", x) == struct.pack("<d", _python_float(n, e)), (b, n, e)
 
 
 def test_bernstein_lattice_endpoints():

@@ -134,6 +134,20 @@ def test_a_domain_whose_length_overflows_is_one_error_line(workdir, capsys, cmd)
     assert os.listdir(workdir) == ["s.json"]
 
 
+def test_approx_bernstein_of_a_domain_whose_ends_sum_beyond_double_range(workdir, capsys):
+    # (1, 1e-308 s, 0, 0) is finite on [8e307, 1.7e308], whose midpoint is 1.25e308
+    (workdir / "s.json").write_text(json.dumps({
+        "type": "polymap4", "coords": [{"coeffs": [[1.0]]}, {"coeffs": [[0.0, 1e-308]]}, {"coeffs": [[0.0]]},
+                                       {"coeffs": [[0.0]]}],
+        "t_dom": [-1.0, 1.0], "s_dom": [8e307, 1.7e308]}))
+    assert dispatch(["approx", "bernstein", "s.json", "--degree", "4", "--out", "b.json"]) == 0
+    assert capsys.readouterr().out.startswith("lattice residual: ")
+    doc = json.loads((workdir / "b.json").read_text())
+    assert doc["source_s_dom"] == [8e307, 1.7e308]
+    assert doc["coords"][0]["coeffs"] == [[1.0]]
+    assert doc["coords"][1]["coeffs"][0][:2] == pytest.approx([1.25, 0.45])
+
+
 def test_twistspin_sweep_emits_count_files(workdir):
     assert dispatch(["twistspin", "trefoil_twist", "--k", "2", "--sweep", "w",
                      "--count", "5"]) == 0

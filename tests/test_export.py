@@ -308,6 +308,18 @@ def test_mesh_export_formats(tmp_path, trefoil_surface):
         export_mesh(mesh, "stl", tmp_path / "m.stl")
 
 
+@pytest.mark.parametrize("fmt", ["obj", "ply"])
+def test_mesh_export_refuses_vertices_that_are_not_3d(tmp_path, fmt):
+    # without project the mesh keeps all four coordinates of each vertex
+    mesh = to_mesh(sample_surface(_unknot_spin(), 16, 16))
+    assert mesh.vertices.shape[1] == 4
+    with pytest.raises(ValueError, match=r"takes 3-D vertices, got 4-D ones; .*spun4d\.project"):
+        export_mesh(mesh, fmt, tmp_path / f"m.{fmt}")
+    assert not os.listdir(tmp_path)
+    export_mesh(mesh, "json", tmp_path / "m.json")
+    assert np.array(json.loads((tmp_path / "m.json").read_text())["vertices"]).shape == mesh.vertices.shape
+
+
 def test_grid_csv_roundtrip(tmp_path, trefoil_surface):
     g = sample_surface(trefoil_surface, 12, 12)
     path = tmp_path / "grid.csv"

@@ -19,6 +19,14 @@ def test_interval_basics():
     assert s[0] == -2.0 and s[-1] == 3.0 and len(s) == 11
 
 
+def test_interval_mid_of_ends_whose_sum_overflows():
+    # lo + hi overflows, but the length and the midpoint are finite
+    iv = Interval(8e307, 1.7e308)
+    assert math.isfinite(iv.length)
+    assert iv.mid == 1.25e308
+    assert Interval(-1.7e308, 1.7e308).mid == 0.0
+
+
 def test_interval_reversed_raises():
     with pytest.raises(ValueError):
         Interval(2.0, 1.0)

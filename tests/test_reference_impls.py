@@ -27,8 +27,8 @@ from spun4d import catalog
 from spun4d import surface as surface_module
 from spun4d import verify as verify_module
 from spun4d.approx import (
-    _cheb_to_power, _chebyshev_interpolant, _perturb, bernstein_fit2, bernstein_lattice, chebyshev_fit,
-    odd_perturbation,
+    _cheb_to_power, _chebyshev_interpolant, _limb_width, _perturb, bernstein_fit2, bernstein_lattice,
+    chebyshev_fit, odd_perturbation,
 )
 from spun4d.catalog import (
     DIAG_SEP, GRID_N, MERGE_TOL, RESIDUAL_TOL, get_knot, knot_names, lift_height,
@@ -222,6 +222,29 @@ def test_bernstein_fit_matches_the_integer_oracle(degree, seed, scales, planted)
     got = bernstein_fit2(samples, degree)
     for p, q in zip(got, want):
         assert _bits(p.coeffs) == _bits(q)
+
+
+# the degrees on both sides of each change of the limb width up to 100, and 100
+_WIDTH_CHANGES = sorted({m for n in range(2, 101) if _limb_width(n) != _limb_width(n - 1) for m in (n - 1, n)}
+                        | {100})
+
+
+@pytest.mark.parametrize("degree", _WIDTH_CHANGES)
+def test_bernstein_fit_matches_the_integer_oracle_where_the_limb_width_changes(degree):
+    awkward = _awkward_samples(degree, np.random.default_rng(degree))
+    # the same, with the coordinate near 1e300 brought near 1, so that no
+    # coefficient leaves double range
+    tame = awkward * [1.0, 1.0, 1e-300, 1.0]
+    for samples in (_spun_trefoil_samples(degree), awkward, tame):
+        try:
+            want = bernstein_fit2_integer(samples, degree)
+        except Spun4dError as exc:
+            with pytest.raises(Spun4dError, match=f"^{re.escape(str(exc))}$"):
+                bernstein_fit2(samples, degree)
+            continue
+        got = bernstein_fit2(samples, degree)
+        for p, q in zip(got, want):
+            assert _bits(p.coeffs) == _bits(Poly2(q).coeffs)
 
 
 # -- Chebyshev conversion -------------------------------------------------------

@@ -7,9 +7,12 @@ bit-identical.
 
 SRC is a checkout of the repository: its ``src/`` is the package measured,
 and its ``perfbench/workloads.py`` gives the README's CLI commands
-(``COMMANDS``).  OUT is the JSON file written.  Run it on two checkouts and
-compare the two files: ``--compare`` prints, per section, the keys added,
-removed or changed from A to B, and exits 1 if any differ, 0 if none do.
+(``COMMANDS``).  OUT is the JSON file written; its ``environment`` section
+records the Python and numpy versions and the platform.  Run it on two
+checkouts and compare the two files: ``--compare`` prints, per section, the
+keys added, removed or changed from A to B, and exits 1 if any differ, 0 if
+none do.  It also prints each difference of the two environments, which
+does not count as a difference of the outputs.
 
 Everything runs with one BLAS thread.  The commands run in order in one
 temporary directory; each one's exit code, stdout and stderr make one digest,
@@ -60,6 +63,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -373,6 +377,10 @@ def compare(path_a: str, path_b: str) -> int:
         with open(path) as fh:
             docs.append(json.load(fh))
     a, b = docs
+    env_a, env_b = a.pop("environment", {}), b.pop("environment", {})
+    for key in sorted(set(env_a) | set(env_b)):
+        if env_a.get(key) != env_b.get(key):
+            print(f"environment: {key} {env_a.get(key)} in A, {env_b.get(key)} in B")
     differ = False
     for section in sorted(set(a) | set(b)):
         x, y = a.get(section, {}), b.get(section, {})
@@ -412,9 +420,13 @@ def main(argv) -> int:
     files.update(more_files)
     refusals = _refusal_digests(child_env(src))
     library = _library_digests()
+    import numpy as np
+
+    environment = {"python": platform.python_version(), "numpy": np.__version__,
+                   "platform": f"{platform.system()} {platform.machine()}, {' '.join(platform.libc_ver())}"}
     with open(out_path, "w") as fh:
-        json.dump({"commands": commands, "files": files, "library": library, "refusals": refusals},
-                  fh, indent=1, sort_keys=True)
+        json.dump({"commands": commands, "environment": environment, "files": files, "library": library,
+                   "refusals": refusals}, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"{out_path}: {len(commands)} commands, {len(files)} files, {len(library)} library "
           f"entries, {len(refusals)} refusals")
