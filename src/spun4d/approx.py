@@ -117,9 +117,7 @@ def _chebyshev_interpolant(f: Callable[[np.ndarray], np.ndarray], iv: Interval, 
 # each of at most min(L_T, L_X) limb pairs, where L_T and L_X are the two
 # operands' limb counts.  So while (n + 1) min(L_T, L_X) < 2^(53 - 2b)
 # (``_max_limb_terms``) every partial sum is an integer below 2^53, exact
-# whatever order or thread count BLAS sums in.  A fit's b is ``_limb_width``;
-# the limb functions take it as an argument, which ``_power_limbs``,
-# ``_limb_matmul`` and ``_round_limbs`` default to 16.
+# whatever order or thread count BLAS sums in.  A fit's b is ``_limb_width``.
 
 
 def _power_bits(n: int) -> int:
@@ -149,7 +147,7 @@ def _limb_width(n: int) -> int:
     return next((b for b in range(25, 16, -1) if (n + 1) * -(-bits // b) < _max_limb_terms(b)), 16)
 
 
-def _power_limbs(n: int, b: int = 16) -> np.ndarray:
+def _power_limbs(n: int, b: int) -> np.ndarray:
     """T in b-bit limbs, least significant first on axis 0, as ``_carry``
     leaves them: T[m, k] is the coefficient of t^m in
     comb(n, k) (1 + t)^k (1 - t)^(n - k), so ``T @ c`` is 2^n times the power
@@ -220,7 +218,7 @@ def _carry(z: np.ndarray, b: int) -> np.ndarray:
     return z[:n_limbs]
 
 
-def _limb_matmul(t: np.ndarray, x: np.ndarray, b: int = 16) -> np.ndarray:
+def _limb_matmul(t: np.ndarray, x: np.ndarray, b: int) -> np.ndarray:
     """X @ T.T exactly, over the last axis of X: T and X are integers in b-bit
     limbs, least significant first on axis 0.  Refuses operands whose
     n + 1 = t.shape[-1] terms for each of min(L_T, L_X) limb pairs reach
@@ -242,7 +240,7 @@ def _limb_matmul(t: np.ndarray, x: np.ndarray, b: int = 16) -> np.ndarray:
     return _carry(sums, b)
 
 
-def _round_limbs(z: np.ndarray, e: np.ndarray, b: int = 16) -> np.ndarray:
+def _round_limbs(z: np.ndarray, e: np.ndarray, b: int) -> np.ndarray:
     """The floats nearest, ties to even, to Z 2^e, Z the integers that the
     b-bit limbs ``z`` (as ``_carry`` leaves them) give along axis 0; inf
     where the rounded value is beyond double range.

@@ -59,7 +59,7 @@ def height_admissible(h: Poly1, ab: Interval) -> bool:
     """True iff h is positive at ``HEIGHT_SAMPLES`` evenly spaced points
     strictly inside [a, b] and crosses zero transversely at both ends:
     h'(a) > 0 > h'(b)."""
-    interior = np.linspace(ab.lo, ab.hi, HEIGHT_SAMPLES + 2)[1:-1]
+    interior = ab.sample(HEIGHT_SAMPLES + 2)[1:-1]
     if not np.min(h(interior)) > 0.0:
         return False
     dh = h.derivative()
@@ -253,14 +253,9 @@ _FIXTURES = {
     },
     # figure-eight plane curve (degree 5 / 7) with quartic height
     "figure8_spun": {
-        "f": tuple(np.polynomial.polynomial.polymul(
-            np.polynomial.polynomial.polymul([-7.0, 0.0, 1.0], [-10.0, 0.0, 1.0]),
-            [0.0, 0.4])),
-        "g": tuple(np.polynomial.polynomial.polymul(
-            np.polynomial.polynomial.polymul(
-                np.polynomial.polynomial.polymul([-4.0, 0.0, 1.0], [-9.0, 0.0, 1.0]),
-                [-12.0, 0.0, 1.0]),
-            [0.0, 0.1])),
+        "f": (Poly1((-7.0, 0.0, 1.0)) * Poly1((-10.0, 0.0, 1.0)) * Poly1((0.0, 0.4))).coeffs,
+        "g": (Poly1((-4.0, 0.0, 1.0)) * Poly1((-9.0, 0.0, 1.0)) * Poly1((-12.0, 0.0, 1.0))
+              * Poly1((0.0, 0.1))).coeffs,
         "h": (20.0, 0.0, -13.0, 0.0, -1.0),  # 20 - 13 t^2 - t^4
     },
 }

@@ -96,22 +96,28 @@ def sample_surface(s, n_t: int, n_s: int) -> Grid:
     return Grid(tvals, svals, pts, s.periodic_s, s.pole_low, s.pole_high)
 
 
-def _axes_indices(spec: str) -> list[int]:
+def _axes_indices(spec: str, columns=AXIS_NAMES) -> list[int]:
+    """The places in ``columns`` of the axes spec's three letters."""
     if len(spec) != 3 or len(set(spec)) != 3 or any(c not in AXIS_NAMES for c in spec):
         raise BadAxes(f"axes spec must be 3 distinct letters from 'xyzw', got {spec!r}")
-    return [AXIS_NAMES.index(c) for c in spec]
+    if any(c not in columns for c in spec):
+        raise BadAxes(f"the grid has no axis of {spec!r}; its columns are {', '.join(columns)}")
+    return [columns.index(c) for c in spec]
 
 
 def project(grid: Grid, spec) -> Grid:
-    """Coordinate-triple selection (e.g. "xzw") or a general 3x4 linear
-    projection applied pointwise."""
+    """Coordinate-triple selection (e.g. "xzw") among the grid's ``columns``, or
+    a general 3 x d linear projection, d its column count, applied pointwise."""
     if isinstance(spec, str):
-        idx = _axes_indices(spec)
+        idx = _axes_indices(spec, grid.columns)
         pts, columns = grid.points[..., idx], tuple(spec)
     else:
         M = np.asarray(spec, float)
-        if M.shape != (3, 4):
-            raise BadAxes(f"projection matrix must be 3x4, got {M.shape}")
+        d = grid.points.shape[-1]
+        if M.shape != (3, d):
+            raise BadAxes(f"projection matrix must be 3x{d}, got {M.shape}")
+        if not np.isfinite(M).all():
+            raise BadAxes("projection matrix entries must be finite")
         if np.linalg.matrix_rank(M) < 3:
             raise BadAxes("projection matrix rows must be independent")
         pts, columns = grid.points @ M.T, ("p0", "p1", "p2")

@@ -13,7 +13,6 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -162,11 +161,6 @@ class Poly1:
         if self.is_zero:
             return Poly1()
         return Poly1(npoly.polyder(self.coeffs, m=order))
-
-    @cached_property
-    def _derivative(self) -> "Poly1":
-        """``derivative()``, built once and kept with the instance."""
-        return self.derivative()
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other: "Poly1") -> "Poly1":

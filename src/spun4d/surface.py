@@ -121,7 +121,7 @@ class Trig:
 
 
 def _slope(f, x):
-    return f._derivative(x) if isinstance(f, Poly1) else f.derivative(x)
+    return f.derivative()(x) if isinstance(f, Poly1) else f.derivative(x)
 
 
 def _order(f):

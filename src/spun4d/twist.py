@@ -99,24 +99,13 @@ def make_axis(arc: KnotArc, t1: float, t2: float) -> TwistAxis:
                      (float(arc.f(t1)), float(arc.g(t1))))
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """x -> A x + b on R^3."""
-
-    A: np.ndarray
-    b: np.ndarray
-
-    def __call__(self, x):
-        return np.asarray(x, float) @ self.A.T + self.b
-
-
-def axis_rotation(axis: TwistAxis, phi: float) -> AffineMap:
-    """Rotation by phi about the line PQ: Rodrigues about the horizontal axis
-    direction conjugated by translation onto the line (which lifts the axis to
-    height c); fixes both P and Q."""
+def axis_rotation(axis: TwistAxis, phi: float):
+    """Rotation by phi about the line PQ, x -> x R^T + (P - R P) on R^3:
+    Rodrigues about the horizontal axis direction conjugated by translation
+    onto the line (which lifts the axis to height c); fixes both P and Q."""
     R = rodrigues(axis.direction, phi)
-    p0 = axis.P
-    return AffineMap(R, p0 - R @ p0)
+    b = axis.P - R @ axis.P
+    return lambda x: np.asarray(x, float) @ R.T + b
 
 
 # -- twisted arc ------------------------------------------------------------

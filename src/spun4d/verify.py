@@ -117,7 +117,7 @@ def _inset_samples(iv: Interval, n: int) -> np.ndarray:
     return iv.lo + step * (np.arange(n) + 0.5)
 
 
-def _settings(n_t, n_s, tol=RANK_TOL, param_sep=PARAM_SEP, image_tol=IMAGE_TOL,
+def _settings(n_t, n_s, tol, param_sep=PARAM_SEP, image_tol=IMAGE_TOL,
               names=("n_rank", "n_inject", "rank_tol")) -> tuple[int, int, float, float, float]:
     """The scans' settings, two ints and three floats, refused with a ValueError
     before any work: the grid sizes (``poly._count``, at least 16), then the
@@ -191,12 +191,10 @@ def jacobian_rank_scan(s, n_t: int, n_s: int, tol: float = RANK_TOL) -> tuple[bo
         g12 *= 4.0
         disc += g12
         np.sqrt(disc, out=disc)
-        # lam_hi = (tr + disc) / 2 in g22, and lam_lo = max((tr - disc) / 2, 0) in tr
+        # twice the eigenvalues: lam_hi = tr + disc in g22, lam_lo = max(tr - disc, 0) in tr
         lam_hi = np.add(tr, disc, out=g22)
-        lam_hi *= 0.5
         lam_lo = tr
         lam_lo -= disc
-        lam_lo *= 0.5
         np.maximum(lam_lo, 0.0, out=lam_lo)
         # tr and disc are >= 0 or NaN, so lam_hi is finite iff both are
         if not np.isfinite(lam_hi).all():

@@ -152,7 +152,7 @@ def test_bernstein_refuses_a_coefficient_beyond_double_range():
 
 @pytest.mark.parametrize("n", [1, 2, 5, 16, 30, 31, 32, 48, 65])
 def test_power_limbs_match_the_definition(n):
-    limbs = _power_limbs(n)
+    limbs = _power_limbs(n, 16)
     assert np.all((limbs[:-1] >= 0) & (limbs[:-1] < 2 ** 16))
     assert np.all((limbs[-1] >= -2 ** 15) & (limbs[-1] < 2 ** 15))
     got = sum(limbs[a].astype(np.int64).astype(object) * 2 ** (16 * a) for a in range(len(limbs)))
@@ -212,7 +212,7 @@ _ROUNDING_CASES = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_ROUNDING_CASES, min_size=1, max_size=30))
 def test_round_limbs_rounds_as_python_does(cases):
-    got = _round_limbs(_limbs_of([n for n, _ in cases]), np.array([e for _, e in cases]))
+    got = _round_limbs(_limbs_of([n for n, _ in cases]), np.array([e for _, e in cases]), 16)
     for (n, e), x in zip(cases, got.tolist()):
         assert struct.pack("<d", x) == struct.pack("<d", _python_float(n, e)), (n, e)
 
@@ -233,7 +233,7 @@ def test_round_limbs_rounds_as_python_does(cases):
         "greatest", "overflowing_tie", "below_overflowing_tie", "zero"])
 def test_round_limbs_ties_subnormals_and_overflow(n, e, want):
     assert _python_float(n, e) == want
-    got = _round_limbs(_limbs_of([n]), np.array([e]))[0]
+    got = _round_limbs(_limbs_of([n]), np.array([e]), 16)[0]
     assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
@@ -241,7 +241,7 @@ def test_limb_products_refuse_sums_beyond_exact_float64():
     # 2^20 terms for each of 2 limb pairs: a partial sum could reach 2^53
     t = np.zeros((2, 1, 1 << 20))
     with pytest.raises(Spun4dError, match="beyond float64's exact sums"):
-        _limb_matmul(t, t)
+        _limb_matmul(t, t, 16)
 
 
 def _bound_holds(n, bits, b):
@@ -283,7 +283,7 @@ def test_power_limbs_at_every_width(n, b):
     assert len(limbs) == -(-_power_bits(n) // b)
     assert np.all((limbs[:-1] >= 0) & (limbs[:-1] < 2 ** b))
     assert np.all((limbs[-1] >= -2 ** (b - 1)) & (limbs[-1] < 2 ** (b - 1)))
-    assert (_value_of(limbs, b) == _value_of(_power_limbs(n), 16)).all()
+    assert (_value_of(limbs, b) == _value_of(_power_limbs(n, 16), 16)).all()
 
 
 @pytest.mark.parametrize("b", range(16, 26))

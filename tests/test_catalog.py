@@ -177,6 +177,16 @@ def test_catalog_names_and_arcs():
     assert get_knot("trefoil_spun") is get_knot("trefoil_spun")  # cached
 
 
+def test_figure8_fixture_is_the_product_of_its_factors_bit_for_bit():
+    # numpy's nested products, the fixture's first form
+    mul = np.polynomial.polynomial.polymul
+    f = mul(mul([-7.0, 0.0, 1.0], [-10.0, 0.0, 1.0]), [0.0, 0.4])
+    g = mul(mul(mul([-4.0, 0.0, 1.0], [-9.0, 0.0, 1.0]), [-12.0, 0.0, 1.0]), [0.0, 0.1])
+    fx = catalog._FIXTURES["figure8_spun"]
+    for got, want in ((fx["f"], f), (fx["g"], g)):
+        assert np.asarray(got, float).tobytes() == np.asarray(want, float).tobytes()
+
+
 def test_trefoil_interval_analytic():
     arc = get_knot("trefoil_spun")
     r = math.sqrt(2.0 + math.sqrt(7.0))

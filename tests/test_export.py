@@ -70,6 +70,35 @@ def test_project_rejects_bad_spec(trefoil_surface):
         project(g, np.zeros((2, 4)))
 
 
+def test_project_of_a_projected_grid_reads_its_own_columns(trefoil_surface):
+    g = sample_surface(trefoil_surface, 8, 8)
+    p = project(g, "xzw")
+    q = project(p, "wxz")
+    assert q.columns == ("w", "x", "z")
+    assert q.points.tobytes() == g.points[..., [3, 0, 2]].tobytes()
+
+
+@pytest.mark.parametrize("spec", ["xyz", "xyw"])
+def test_project_refuses_a_letter_the_grid_lacks(trefoil_surface, spec):
+    p = project(sample_surface(trefoil_surface, 8, 8), "xzw")
+    with pytest.raises(BadAxes, match=f"the grid has no axis of '{spec}'; its columns are x, z, w"):
+        project(p, spec)
+
+
+def test_project_refuses_a_matrix_of_other_than_the_grid_s_columns(trefoil_surface):
+    p = project(sample_surface(trefoil_surface, 8, 8), "xzw")
+    with pytest.raises(BadAxes, match=r"projection matrix must be 3x3, got \(3, 4\)"):
+        project(p, np.eye(3, 4))
+    assert np.array_equal(project(p, np.eye(3)).points, p.points)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_project_refuses_a_matrix_that_is_not_finite(trefoil_surface, bad):
+    g = sample_surface(trefoil_surface, 8, 8)
+    with pytest.raises(BadAxes, match="projection matrix entries must be finite"):
+        project(g, np.full((3, 4), bad))
+
+
 def test_slice_unknot_z0_is_two_circles_worth():
     # the unknot sphere {x^2 + (z,w)-radius structure}: z = 0 cuts the spun
     # sphere where cos(theta) = 0, giving closed curves

@@ -41,6 +41,55 @@ def test_every_private_function_is_referenced_in_the_package():
     assert unused == []
 
 
+def _positional(node, method: bool) -> list[str]:
+    """The positional parameters of def ``node``, but a method's first (self
+    or cls)."""
+    params = [p.arg for p in node.args.posonlyargs + node.args.args]
+    static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+    return params[1:] if method and not static else params
+
+
+def _defaulted(node, method: bool) -> list[str]:
+    """The parameters of def ``node`` that have defaults, in order."""
+    a, positional = node.args, _positional(node, method)
+    return (positional[len(positional) - len(a.defaults):] if a.defaults else []) + [
+        p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+
+
+def _supplied(node, call, method: bool):
+    """The parameters of def ``node`` that ``call`` passes; None for all of
+    them, when it passes *args or **kwargs."""
+    if any(isinstance(x, ast.Starred) for x in call.args) or any(k.arg is None for k in call.keywords):
+        return None
+    return set(_positional(node, method)[:len(call.args)]) | {k.arg for k in call.keywords}
+
+
+def test_every_default_of_a_private_function_is_taken_by_some_call():
+    # a default that every call in the package overrides is an option that no
+    # caller uses; a function passed on uncalled (to partial, say) may be
+    # called with any arguments, so it is taken to use its defaults
+    trees = {path.name: ast.parse(path.read_text()) for path in Path(spun4d.__file__).parent.glob("*.py")}
+    calls, funcs, named = {}, set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(getattr(node.func, "id", getattr(node.func, "attr", None)), []).append(node)
+                funcs.add(id(node.func))
+        named |= {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in funcs}
+    untaken = []
+    for module, tree in sorted(trees.items()):
+        defs = [(node, isinstance(parent, ast.ClassDef)) for parent in ast.walk(tree)
+                for node in ast.iter_child_nodes(parent) if isinstance(node, ast.FunctionDef)]
+        for node, method in defs:
+            if not node.name.startswith("_") or node.name.startswith("__") or node.name in named:
+                continue
+            supplied = [_supplied(node, call, method) for call in calls.get(node.name, [])]
+            untaken += [f"{module}: {node.name}({p})" for p in _defaulted(node, method)
+                        if all(s is None or p in s for s in supplied)]
+    assert untaken == []
+
+
 def _verify_tree():
     return ast.parse((Path(spun4d.__file__).parent / "verify.py").read_text())
 

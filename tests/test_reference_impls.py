@@ -1478,6 +1478,31 @@ def test_rank_scan_partials_are_the_factor_products_in_column_order(name):
     assert _bits(jacobian_rank_scan(s, 37, 29)[1]) == _bits(ratio)
 
 
+def _rank_scan_case(name):
+    """(sampler, grid) of a rank scan the package runs: a catalog spin at
+    verify_surface's default grid, a twist spin at a twist op's grid, or a
+    polynomial spin at the isotopy family check's."""
+    kind, arg, n = name.split(":")
+    if kind == "spin":
+        return spin(get_knot(arg)), int(n)
+    if kind == "twist":
+        arc, axis = _twist_setup("trefoil_twist")
+        return twist_spin(arc, axis, choose_bump(arc, axis), int(arg)), int(n)
+    return polynomial_spin(get_knot("trefoil_spun"), int(arg)), int(n)
+
+
+@pytest.mark.parametrize("name", [f"spin:{knot}:200" for knot in knot_names()]
+                         + [f"twist:{k}:200" for k in (0, 1, 3, 10)] + ["twist:1:300", "twist:10:300"]
+                         + [f"polynomial_spin:{d}:96" for d in (8, 12, 16)])
+def test_rank_scan_ratio_is_the_halved_eigenvalues_ratio_bit_for_bit(name):
+    """The scan's quotient of the Gram matrix's doubled eigenvalues,
+    max(tr - disc, 0) / (tr + disc), is the reference's quotient of the
+    halved ones, bit for bit, on the models and grids the package scans."""
+    s, n = _rank_scan_case(name)
+    g = _gram_grid(s, _inset_samples(s.t_dom, n), _inset_samples(s.s_dom, n))
+    assert _bits(jacobian_rank_scan(s, n, n)[1]) == _bits(rank_ratio_reference(*g))
+
+
 def test_rank_scan_of_a_degenerate_map_is_zero_without_partials_grid(monkeypatch):
     # the second coordinate is twice the first: rank 1 everywhere; and a
     # Surface4 of no terms, whose partials are all 0

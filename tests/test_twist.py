@@ -130,6 +130,21 @@ def test_axis_rotation_half_turn_height():
     assert image[2] == pytest.approx(2.0 * axis.c - 16.0, abs=1e-9)
 
 
+def test_axis_rotation_is_the_affine_map_bit_for_bit():
+    # the map x -> x R^T + (P - R P), as the rotation's matrix and offset
+    # gave it, at random points and angles and at demo 02's point
+    arc = get_knot("trefoil_twist")
+    axis = make_axis(arc, -2.19, 2.19)
+    rng = np.random.default_rng(7)
+    cases = [(math.pi, [0.0, 0.0, 16.0])] + [(rng.uniform(-10, 10), rng.normal(0, 5, (17, 3)))
+                                              for _ in range(20)]
+    for phi, x in cases:
+        R = rodrigues(axis.direction, phi)
+        want = np.asarray(x, float) @ R.T + (axis.P - R @ axis.P)
+        got = axis_rotation(axis, phi)(x)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 # -- twisted arc and bump choice -------------------------------------------
 
 def test_choose_bump_brackets_crossings():

@@ -9,14 +9,25 @@ loaded as a package of its own, ``spun4d_a`` and ``spun4d_b``, so both run
 in this process, on one BLAS thread.
 
 The ops are ``bernstein_fit2`` at each degree, on the spun trefoil's samples
-on the Bernstein lattice.  Each op runs its pairs in one block, after a
-warm-up of three calls on each side: every pair times one call on each
-side, A first in even pairs and B first in odd ones.  (Interleaving the ops
-pair by pair would time the call after a large op's frees: the degree-16
-fit after a degree-100 one spread from 0.68 to 1.07 in its ratio
-quartiles, on 2 shared cores.)  Per op it prints the median times, the median ratio B / A with
-its quartiles, and the number of pairs in which B was faster.  Module state
-is per copy; the allocator is shared, so each side sees the other's frees.
+on the Bernstein lattice, then the in-process benchmark workloads' ops, each
+timed on its own.  For each k from 0 to 10, on the tall trefoil about the
+chord at t = -2.19, 2.19: ``twist_spin``, then ``verify_surface`` of that
+twist spin at 200 / 400 (300 / 600 for k = 1 and 10), then
+``polynomialize_twist`` of it at degree 24.  For each degree 8, 12 and 16:
+``polynomial_spin`` of the spun trefoil, ``odd_perturbation`` of it with
+N = 2, and ``isotopy_family_check`` of the two at the five u of acceptance
+criterion 8, on its default grids.  An op's input is built anew, untimed,
+before each call, as the workloads build it in each of their ops: a model
+kept across calls would time whatever it keeps from the calls before.
+
+Each op runs its pairs in one block, after a warm-up of three calls on each
+side: every pair times one call on each side, A first in even pairs and B
+first in odd ones.  (Interleaving the ops pair by pair would time the call
+after a large op's frees: the degree-16 fit after a degree-100 one spread
+from 0.68 to 1.07 in its ratio quartiles, on 2 shared cores.)  Per op it
+prints the median times, the median ratio B / A with its quartiles, and the
+number of pairs in which B was faster.  Module state is per copy; the
+allocator is shared, so each side sees the other's frees.
 """
 
 from __future__ import annotations
@@ -30,6 +41,7 @@ import sys
 import tarfile
 import tempfile
 import time
+from functools import partial
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "SPUN4D_THREADS")
@@ -60,15 +72,41 @@ def _load(name: str, path: str):
 
 
 def _ops(pkg, degrees):
-    """Per degree, a label and a call of ``bernstein_fit2`` on the spun
-    trefoil's lattice samples."""
-    s = pkg.spin(pkg.get_knot("trefoil_spun"))
+    """A label and a maker of each op: a call of no arguments that builds
+    the op's input and returns the call to time.  Per degree,
+    ``bernstein_fit2`` on the spun trefoil's lattice samples; then the twist
+    and polynomial-spin ops."""
+    spun = pkg.get_knot("trefoil_spun")
+    s = pkg.spin(spun)
     ops = []
     for degree in degrees:
         u = pkg.approx.bernstein_lattice(degree)
         samples = s.eval_grid(s.t_dom.mid + 0.5 * s.t_dom.length * u, s.s_dom.mid + 0.5 * s.s_dom.length * u)
         ops.append((f"bernstein_fit2 {degree}",
-                    lambda samples=samples, degree=degree: pkg.bernstein_fit2(samples, degree)))
+                    lambda samples=samples, degree=degree: partial(pkg.bernstein_fit2, samples, degree)))
+    arc = pkg.get_knot("trefoil_twist")
+    axis = pkg.make_axis(arc, -2.19, 2.19)
+    bump = pkg.choose_bump(arc, axis)
+    for k in range(11):
+        twist = partial(pkg.twist_spin, arc, axis, bump, k)
+        n_rank, n_inject = (300, 600) if k in (1, 10) else (200, 400)
+        ops += [(f"twist_spin {k}", lambda twist=twist: twist),
+                (f"verify_surface {k} {n_rank}/{n_inject}",
+                 lambda twist=twist, n_rank=n_rank, n_inject=n_inject: partial(
+                     pkg.verify_surface, twist(), arc, n_rank=n_rank, n_inject=n_inject)),
+                (f"polynomialize_twist {k}",
+                 lambda twist=twist: partial(pkg.polynomialize_twist, twist(), 24))]
+    us = [0.0, 0.25, 0.5, 0.75, 1.0]
+    for degree in (8, 12, 16):
+        poly = partial(pkg.polynomial_spin, spun, degree)
+
+        def family(poly=poly):
+            pm = poly()
+            return partial(pkg.isotopy_family_check, pm, pkg.odd_perturbation(pm.polys, 2, [])[0], us)
+
+        ops += [(f"polynomial_spin {degree}", lambda poly=poly: poly),
+                (f"odd_perturbation {degree}", lambda poly=poly: partial(pkg.odd_perturbation, poly().polys, 2, [])),
+                (f"isotopy_family_check {degree}", family)]
     return ops
 
 
@@ -91,14 +129,14 @@ def main(argv) -> int:
         sides = [_ops(_load(f"spun4d_{n}", _tree(spec, tmp)), degrees) for n, spec in (("a", args.a),
                                                                                       ("b", args.b))]
         times = {}
-        for (label, call_a), (_, call_b) in zip(*sides):
+        for (label, make_a), (_, make_b) in zip(*sides):
             for _ in range(3):
-                call_a()
-                call_b()
+                make_a()()
+                make_b()()
             times[label] = ([], [])
             for pair in range(args.pairs):
                 for side in ((0, 1) if pair % 2 == 0 else (1, 0)):
-                    call = (call_a, call_b)[side]
+                    call = (make_a, make_b)[side]()
                     start = time.perf_counter()
                     call()
                     times[label][side].append(time.perf_counter() - start)
@@ -107,7 +145,7 @@ def main(argv) -> int:
         ratios = [b / a for a, b in zip(ta, tb)]
         q1, med, q3 = _quartiles(ratios)
         wins = sum(r < 1 for r in ratios)
-        print(f"{label:>20}: A {_quartiles(ta)[1] * 1e3:.3f} ms, B {_quartiles(tb)[1] * 1e3:.3f} ms, "
+        print(f"{label:>28}: A {_quartiles(ta)[1] * 1e3:.3f} ms, B {_quartiles(tb)[1] * 1e3:.3f} ms, "
               f"ratio {med:.3f} [{q1:.3f}, {q3:.3f}], B faster in {wins}/{args.pairs}")
     return 0
 
