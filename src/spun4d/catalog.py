@@ -31,6 +31,8 @@ _ROW_BLOCK = 64
 HEIGHT_SAMPLES = 1000
 # lift_height's binary search stops once its bracket on the shift is this narrow
 LIFT_GRANULARITY = 1e-3
+# a Newton start of plane_double_points takes at most this many steps
+NEWTON_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,22 @@ def height_admissible(h: Poly1, ab: Interval) -> bool:
     return float(dh(ab.lo)) > 0.0 and float(dh(ab.hi)) < 0.0
 
 
+def _admit(h: Poly1, search: Optional[Interval]) -> Interval | str:
+    """The admission of an arc's height: [a, b] for its two roots a < b in
+    ``search`` (by default within the Cauchy bound plus 1) when h is
+    ``height_admissible`` on [a, b], else why not, in the words of a refusal
+    after "height of <arc> "."""
+    search = search or Interval(-(_root_bound(h) + 1.0), _root_bound(h) + 1.0)
+    roots = roots_in_interval(h, search)
+    if len(roots) != 2:
+        return f"has {len(roots)} roots in {search}; expected exactly 2"
+    ab = Interval(roots[0], roots[1])
+    if not height_admissible(h, ab):
+        return (f"is not positive between its roots {ab.lo:.6g} and {ab.hi:.6g}, "
+                "or does not cross zero transversely at both")
+    return ab
+
+
 def _system(f, g, df, dg, x):
     """Residual (f(s) - f(t), g(s) - g(t)), its Jacobian and the Jacobian's
     determinant at every row (s, t) of ``x``."""
@@ -76,7 +94,7 @@ def _system(f, g, df, dg, x):
     return F, J, det
 
 
-def _newton_refine(f, g, df, dg, s0, t0, bound, iters=60):
+def _newton_refine(f, g, df, dg, s0, t0, bound):
     """Newton iteration from every start (s0[k], t0[k]) at once; each start
     runs exactly the steps it would run alone.
 
@@ -88,7 +106,7 @@ def _newton_refine(f, g, df, dg, s0, t0, bound, iters=60):
     x = np.column_stack([s0, t0]).astype(float)
     running = np.ones(len(x), bool)
     singular = np.zeros(len(x), bool)
-    for _ in range(iters):
+    for _ in range(NEWTON_STEPS):
         k = np.flatnonzero(running)
         if not k.size:
             break
@@ -210,13 +228,8 @@ def lift_height(h0: Poly1, f: Poly1, g: Poly1) -> tuple[Poly1, Interval]:
     params = [p for pair in crossings for p in pair]
 
     def ok(R: float) -> Optional[Interval]:
-        h = h0 + Poly1((R,))
-        b = _root_bound(h) + 1.0
-        roots = roots_in_interval(h, Interval(-b, b))
-        if len(roots) != 2:
-            return None
-        ab = Interval(roots[0], roots[1])
-        if not height_admissible(h, ab) or any(not ab.contains(p) for p in params):
+        ab = _admit(h0 + Poly1((R,)), None)
+        if isinstance(ab, str) or any(not ab.contains(p) for p in params):
             return None
         return ab
 
@@ -265,18 +278,9 @@ CROSSING_IV_PAD = 1e-3
 
 
 def _build_arc(name: str, f: Poly1, g: Poly1, h: Poly1, hint: Optional[Interval] = None) -> KnotArc:
-    search = hint or Interval(-(_root_bound(h) + 1.0), _root_bound(h) + 1.0)
-    roots = roots_in_interval(h, search)
-    if len(roots) != 2:
-        raise DegenerateInput(
-            f"height of {name!r} has {len(roots)} roots in {search}; expected exactly 2"
-        )
-    ab = Interval(roots[0], roots[1])
-    if not height_admissible(h, ab):
-        raise DegenerateInput(
-            f"height of {name!r} is not positive between its roots {ab.lo:.6g} and "
-            f"{ab.hi:.6g}, or does not cross zero transversely at both"
-        )
+    ab = _admit(h, hint)
+    if isinstance(ab, str):
+        raise DegenerateInput(f"height of {name!r} {ab}")
     crossings = tuple(plane_double_points(f, g, ab))
     if crossings:
         params = [p for pair in crossings for p in pair]

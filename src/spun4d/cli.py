@@ -21,8 +21,8 @@ from .approx import bernstein_fit2, bernstein_lattice
 from .catalog import get_knot, knot_names
 from .errors import Spun4dError
 from .export import (
-    _axes_indices, export_grid_csv, export_mesh, export_slices, project, sample_surface,
-    slice_surface, sweep_surface, to_mesh,
+    GRID_LEAST, SLICE_LEAST, SLICE_N, _axes_indices, export_grid_csv, export_mesh, export_slices,
+    project, sample_surface, slice_surface, sweep_surface, to_mesh,
 )
 from .poly import Interval, Poly1, _count, _finite, _read_json, roots_in_interval
 from .spin import spin
@@ -46,12 +46,13 @@ DEFAULT_CONFIG = {
     "cheb_degree": 8,
     "grid_nt": 200,
     "grid_ns": 200,
-    "slice_n": 128,
+    "slice_n": SLICE_N,
 }
 
-# the least n_t and n_s that slice_surface and sample_surface take, for the
-# config keys that size their grids
-_CONFIG_LEAST = {"slice_n": 64, "grid_nt": 2, "grid_ns": 2}
+# the least value of each integer config key but verify's sizes, whose least
+# _settings checks in its own words: a degree, and n_t and n_s of
+# slice_surface and sample_surface
+_CONFIG_LEAST = {"cheb_degree": 1, "slice_n": SLICE_LEAST, "grid_nt": GRID_LEAST, "grid_ns": GRID_LEAST}
 # the config keys of verify_surface's settings, in the order of verify._settings
 _VERIFY_KEYS = ("n_rank", "n_inject", "rank_tol", "param_sep", "image_tol")
 
@@ -83,7 +84,7 @@ def _config(user) -> dict:
     for key, value in user.items():
         name = f"config key {key!r}"
         if isinstance(DEFAULT_CONFIG[key], int):
-            _count(value, name, _CONFIG_LEAST.get(key, 1))
+            _count(value, name, _CONFIG_LEAST.get(key, -np.inf))
         elif not _finite(value, f"{name}: ") > 0:
             raise ValueError(f"{name} must be > 0, got {value!r}")
     cfg = {**DEFAULT_CONFIG, **user}

@@ -22,6 +22,8 @@ AXIS_NAMES = "xyzw"
 FLOAT_FMT = "%.9g"
 # rows per formatting pass of a text export
 WRITE_ROWS = 1 << 12
+# the least sides of a sample grid and of a slice grid, and a slice grid's default
+GRID_LEAST, SLICE_LEAST, SLICE_N = 2, 64, 128
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,7 @@ def sample_surface(s, n_t: int, n_s: int) -> Grid:
     """Uniform grid over the domain rectangle, including both theta endpoints
     (the seam row is duplicated and flagged).  A surface whose image is not
     finite on the grid is refused with a ValueError."""
-    n_t, n_s = _count(n_t, "n_t", 2), _count(n_s, "n_s", 2)
+    n_t, n_s = _count(n_t, "n_t", GRID_LEAST), _count(n_s, "n_s", GRID_LEAST)
     tvals, svals = s.t_dom.sample(n_t), s.s_dom.sample(n_s)
     pts = _images(s, tvals[:, None], svals[None, :], "the surface's image on the sample grid")
     return Grid(tvals, svals, pts, s.periodic_s, s.pole_low, s.pole_high)
@@ -231,7 +233,7 @@ def _chain_segments(segments):
     return chains
 
 
-def slice_surface(s, axis: str, value: float, n_t: int = 128, n_s: int = 128) -> SliceCurveSet:
+def slice_surface(s, axis: str, value: float, n_t: int = SLICE_N, n_s: int = SLICE_N) -> SliceCurveSet:
     """Marching-squares cross-section of the surface by {coordinate == value}.
 
     The level set is traced on the parameter grid of the chosen coordinate,
@@ -248,7 +250,7 @@ def slice_surface(s, axis: str, value: float, n_t: int = 128, n_s: int = 128) ->
     return _slicer(s, axis, n_t, n_s)[1](value)
 
 
-def sweep_surface(s, axis: str, count: int, n_t: int = 128, n_s: int = 128) -> list[SliceCurveSet]:
+def sweep_surface(s, axis: str, count: int, n_t: int = SLICE_N, n_s: int = SLICE_N) -> list[SliceCurveSet]:
     """``count`` slices at levels evenly spaced strictly inside the range the axis
     takes on the sampled grid, seam column and pole rows included: one sampling for all."""
     n_t, n_s = _check_slice(axis, n_t, n_s)
@@ -258,7 +260,7 @@ def sweep_surface(s, axis: str, count: int, n_t: int = 128, n_s: int = 128) -> l
 
 
 def _check_slice(axis, n_t, n_s) -> tuple[int, int]:
-    n_t, n_s = _count(n_t, "n_t", 64), _count(n_s, "n_s", 64)
+    n_t, n_s = _count(n_t, "n_t", SLICE_LEAST), _count(n_s, "n_s", SLICE_LEAST)
     if axis not in AXIS_NAMES:
         raise BadAxes(f"axis must be one of 'xyzw', got {axis!r}")
     return n_t, n_s

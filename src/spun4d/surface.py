@@ -23,7 +23,7 @@ Surface files keep the tagged tree format (``sum``, ``product``, ``const``,
 ``poly_t``, ``poly_theta``, ``cos_k``, ``sin_k``, ``bump``): the writer emits
 each coordinate as a sum of products, the reader distributes any tree into
 terms.  Both models check, when they are built, that they have four
-coordinates and two domains of finite length, in the reader's words.
+coordinates and two domains of positive finite length, in the reader's words.
 """
 
 from __future__ import annotations
@@ -317,32 +317,32 @@ def _terms_from_json(node) -> list[Term] | tuple[Term, ...]:
 
 
 def _read(doc: dict, parse, flag_default: bool):
-    """The keys both surface file types share: four coordinates (each read
-    by ``parse``), the two domains and the three flags."""
+    """The keys both surface file types share: the coordinates (each read by
+    ``parse``), the two domains and the three flags; their count and the
+    domains' lengths are ``_check_model``'s."""
     coords = doc.get("coords")
-    if not (isinstance(coords, list) and len(coords) == 4):
-        raise ValueError(f"key 'coords' must be a list of 4 coordinates, got "
-                         f"{len(coords) if isinstance(coords, list) else repr(coords)}")
+    if not isinstance(coords, list):
+        raise ValueError(f"key 'coords' must be a list of 4 coordinates, got {coords!r}")
     parsed = tuple(_keyed(f"key 'coords'[{i}]", parse, c) for i, c in enumerate(coords))
     domains = []
     for key in ("t_dom", "s_dom"):
         if key not in doc:
             raise ValueError(f"missing key {key!r}")
         domains.append(_keyed(f"key {key!r}", Interval.from_json, doc[key]))
-        if domains[-1].length == 0.0:
-            raise ValueError(f"key {key!r}: the domain has length 0, got {doc[key]}")
     return (parsed, *domains, *(doc.get(key, flag_default) for key in _FLAGS))
 
 
 def _check_model(s, coords) -> None:
     """The construction check of both models, in the words of the file
     reader: the model ``s`` has the four coordinates ``coords`` and two
-    domains of finite length, and its three flags are kept as bools (a
-    numpy bool too); anything else is refused."""
+    domains of positive finite length, and its three flags are kept as bools
+    (a numpy bool too); anything else is refused."""
     if len(coords) != 4:
         raise ValueError(f"key 'coords' must be a list of 4 coordinates, got {len(coords)}")
     for key in ("t_dom", "s_dom"):
         dom = getattr(s, key)
+        if dom.length == 0.0:
+            raise ValueError(f"key {key!r}: the domain has length 0, got [{dom.lo!r}, {dom.hi!r}]")
         if not np.isfinite(dom.length):
             raise ValueError(f"key {key!r}: the domain's length overflows, got [{dom.lo!r}, {dom.hi!r}]")
     for key in _FLAGS:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from spun4d.catalog import get_knot
-from spun4d.cli import dispatch
+from spun4d.cli import DEFAULT_CONFIG, dispatch
 from spun4d.errors import PlaneCrossing
 from spun4d.surface import MAX_TERMS
 from spun4d.twist import choose_bump, make_axis, twist_spin
@@ -312,7 +312,7 @@ def test_config_file_overrides(workdir, capsys):
 
 
 @pytest.mark.parametrize("cfg", [
-    {"n_rank": "abc"}, {"n_rank": True}, {"n_inject": 2.5}, {"n_rank": 0},
+    {"n_rank": "abc"}, {"n_rank": True}, {"n_inject": 2.5},
     {"image_tol": 0}, {"rank_tol": -1e-6}, {"param_sep": "0.1"}, {"image_tol": None},
 ])
 def test_bad_config_value_is_one_error_line(workdir, capsys, cfg):
@@ -336,6 +336,26 @@ def test_grid_size_config_below_its_least_names_the_file_and_key(workdir, capsys
     assert dispatch(["--config", "cfg.json", *cmd]) == 1
     assert _one_error_line(capsys) == f"spun4d: error: cfg.json: config key {words}"
     assert sorted(os.listdir(workdir)) == ["cfg.json", "s.json", "s.json.manifest.json"]
+
+
+_INT_CONFIG_LEAST = {"n_rank": 16, "n_inject": 16, "cheb_degree": 1, "grid_nt": 2, "grid_ns": 2, "slice_n": 64}
+
+
+def test_every_integer_config_key_has_a_least():
+    assert sorted(_INT_CONFIG_LEAST) == sorted(k for k, v in DEFAULT_CONFIG.items() if isinstance(v, int))
+
+
+@pytest.mark.parametrize("key, least", _INT_CONFIG_LEAST.items(), ids=list(_INT_CONFIG_LEAST))
+def test_an_integer_config_key_takes_its_least_and_refuses_below_it(workdir, capsys, key, least):
+    # verify's sizes are refused in the scans' words, the others as config keys
+    (workdir / "cfg.json").write_text(json.dumps({key: least}))
+    assert dispatch(["--config", "cfg.json", "catalog"]) == 0
+    capsys.readouterr()
+    for below in sorted({least - 1, 0, -1}):
+        (workdir / "cfg.json").write_text(json.dumps({key: below}))
+        assert dispatch(["--config", "cfg.json", "catalog"]) == 1
+        name = key if key in ("n_rank", "n_inject") else f"config key {key!r}"
+        assert _one_error_line(capsys) == f"spun4d: error: cfg.json: {name} must be at least {least}, got {below}"
 
 
 def test_invalid_config_json_names_the_file(workdir, capsys):

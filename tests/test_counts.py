@@ -5,7 +5,7 @@ every real-valued setting of the scans, a slice and root isolation, by
 ``poly._real``: a real number, not a bool nor a string, in its range.  The
 real numbers the package keeps are the Python floats that rule returns
 (``KEPT``), and the models' flags are bools.  A model has four coordinates
-and domains of finite length, checked where it is built."""
+and domains of positive finite length, checked where it is built."""
 
 import json
 import math
@@ -379,6 +379,20 @@ def test_a_domain_whose_length_overflows_is_refused_in_the_file_readers_words(ke
             surface_from_json(json.loads(json.dumps(doc)))
         # finite ends, finite length: the widest domain that is kept
         assert getattr(replace(model, **{key: Interval(-8e307, 8e307)}), key).length == 1.6e308
+
+
+@pytest.mark.parametrize("key", ["t_dom", "s_dom"])
+def test_a_domain_of_length_0_is_refused_in_the_file_readers_words(key):
+    # over it every parameter separation of the injectivity scan is 0 / 0, and
+    # the rank scan and a mesh sample one curve as if it were a surface
+    want = "^" + re.escape(f"key '{key}': the domain has length 0, got [0.5, 0.5]") + "$"
+    for model in _models(bool, float):
+        for build in (replace, _rebuilt):
+            with pytest.raises(ValueError, match=want):
+                build(model, **{key: Interval(0.5, 0.5)})
+        doc = {**model.to_json(), key: [0.5, 0.5]}
+        with pytest.raises(ValueError, match=want):
+            surface_from_json(json.loads(json.dumps(doc)))
 
 
 @pytest.mark.parametrize("n", [3, 5])

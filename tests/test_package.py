@@ -64,10 +64,13 @@ def _supplied(node, call, method: bool):
     return set(_positional(node, method)[:len(call.args)]) | {k.arg for k in call.keywords}
 
 
-def test_every_default_of_a_private_function_is_taken_by_some_call():
-    # a default that every call in the package overrides is an option that no
-    # caller uses; a function passed on uncalled (to partial, say) may be
-    # called with any arguments, so it is taken to use its defaults
+def _private_defaults():
+    """Per defaulted parameter of a private function or method in the
+    package: "module: name(parameter)" and, per call of the name in the
+    package, whether it passes that parameter.  A call with *args or
+    **kwargs, and a function named without being called (passed to partial,
+    say), which may be called with any arguments, pass every parameter, and
+    the function so named is skipped."""
     trees = {path.name: ast.parse(path.read_text()) for path in Path(spun4d.__file__).parent.glob("*.py")}
     calls, funcs, named = {}, set(), set()
     for tree in trees.values():
@@ -77,7 +80,6 @@ def test_every_default_of_a_private_function_is_taken_by_some_call():
                 funcs.add(id(node.func))
         named |= {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)
                   if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in funcs}
-    untaken = []
     for module, tree in sorted(trees.items()):
         defs = [(node, isinstance(parent, ast.ClassDef)) for parent in ast.walk(tree)
                 for node in ast.iter_child_nodes(parent) if isinstance(node, ast.FunctionDef)]
@@ -85,9 +87,20 @@ def test_every_default_of_a_private_function_is_taken_by_some_call():
             if not node.name.startswith("_") or node.name.startswith("__") or node.name in named:
                 continue
             supplied = [_supplied(node, call, method) for call in calls.get(node.name, [])]
-            untaken += [f"{module}: {node.name}({p})" for p in _defaulted(node, method)
-                        if all(s is None or p in s for s in supplied)]
-    assert untaken == []
+            for p in _defaulted(node, method):
+                yield f"{module}: {node.name}({p})", [s is None or p in s for s in supplied]
+
+
+def test_every_default_of_a_private_function_is_taken_by_some_call():
+    # a default that every call in the package overrides is an option that no
+    # caller uses
+    assert [name for name, passed in _private_defaults() if all(passed)] == []
+
+
+def test_every_default_of_a_private_function_is_overridden_by_some_call():
+    # a default that no call in the package overrides is a constant written as
+    # an option
+    assert [name for name, passed in _private_defaults() if not any(passed)] == []
 
 
 def _verify_tree():

@@ -71,46 +71,6 @@ def test_import_loads_no_scipy():
 
 # -- Bernstein fit ------------------------------------------------------------
 
-def _fraction_poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
-def _bernstein_basis_fraction(n):
-    """M[i, m]: 2^n times the coefficient of t^m in
-    comb(n, i) ((1 + t) / 2)^i ((1 - t) / 2)^(n - i), expanded from the
-    definition; the integers keep the products below fast."""
-    half = Fraction(1, 2)
-    M = np.empty((n + 1, n + 1), dtype=object)
-    for i in range(n + 1):
-        p = [Fraction(math.comb(n, i))]
-        for factor in [[half, half]] * i + [[half, -half]] * (n - i):
-            p = _fraction_poly_mul(p, factor)
-        scaled = [x * 2 ** n for x in p]
-        assert all(x.denominator == 1 for x in scaled)
-        M[i] = [x.numerator for x in scaled]
-    return M
-
-
-def bernstein_fit2_fraction(samples, degree):
-    """Reference: sum_ij samples[i, j] b_i(t) b_j(s) expanded in Fraction arithmetic."""
-    samples = np.asarray(samples, float)
-    M = _bernstein_basis_fraction(degree)
-    scale = Fraction(4 ** degree)
-    out = []
-    for c in range(4):
-        V = np.empty((degree + 1, degree + 1), dtype=object)
-        for i in range(degree + 1):
-            for j in range(degree + 1):
-                V[i, j] = Fraction(float(samples[i, j, c]))
-        W = M.T @ V @ M
-        out.append(Poly2(np.array([[float(w / scale) for w in row] for row in W])))
-    return tuple(out)
-
-
 def _spun_trefoil_samples(degree):
     surface = spin(get_knot("trefoil_spun"))
     u = bernstein_lattice(degree)
@@ -130,16 +90,6 @@ def _awkward_samples(degree, rng):
     x[..., 2] *= 1e300
     x[::3, ::2, 3] *= 1e-300
     return x
-
-
-@pytest.mark.parametrize("degree", range(1, 31))
-def test_bernstein_fit_matches_fraction_reference(degree):
-    rng = np.random.default_rng(degree)
-    for samples in (_spun_trefoil_samples(degree), _awkward_samples(degree, rng)):
-        got = bernstein_fit2(samples, degree)
-        ref = bernstein_fit2_fraction(samples, degree)
-        for p, q in zip(got, ref):
-            assert _bits(p.coeffs) == _bits(q.coeffs)
 
 
 def _bernstein_to_power(c):
@@ -177,6 +127,17 @@ def bernstein_fit2_integer(samples, degree):
             raise Spun4dError(f"coordinate {'xyzw'[c]} of the degree-{degree} Bernstein fit "
                               "has a coefficient beyond double range") from None
     return out
+
+
+@pytest.mark.parametrize("degree", range(1, 31))
+def test_bernstein_fit_matches_the_integer_oracle_at_every_degree_to_30(degree):
+    # the spun trefoil's lattice samples and the seeded awkward ones: no
+    # coefficient of either leaves double range
+    rng = np.random.default_rng(degree)
+    for samples in (_spun_trefoil_samples(degree), _awkward_samples(degree, rng)):
+        got = bernstein_fit2(samples, degree)
+        for p, q in zip(got, bernstein_fit2_integer(samples, degree)):
+            assert _bits(p.coeffs) == _bits(Poly2(q).coeffs)
 
 
 @settings(max_examples=60, deadline=None)
