@@ -68,9 +68,9 @@ def _private_defaults():
     """Per defaulted parameter of a private function or method in the
     package: "module: name(parameter)" and, per call of the name in the
     package, whether it passes that parameter.  A call with *args or
-    **kwargs, and a function named without being called (passed to partial,
-    say), which may be called with any arguments, pass every parameter, and
-    the function so named is skipped."""
+    **kwargs passes every parameter; a function named without being called
+    (passed to partial, say) may be called with any arguments, so it is
+    skipped."""
     trees = {path.name: ast.parse(path.read_text()) for path in Path(spun4d.__file__).parent.glob("*.py")}
     calls, funcs, named = {}, set(), set()
     for tree in trees.values():
