@@ -13,6 +13,7 @@ double, ties to even.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -147,11 +148,14 @@ def _limb_width(n: int) -> int:
     return next((b for b in range(25, 16, -1) if (n + 1) * -(-bits // b) < _max_limb_terms(b)), 16)
 
 
+@functools.lru_cache(maxsize=8)
 def _power_limbs(n: int, b: int) -> np.ndarray:
     """T in b-bit limbs, least significant first on axis 0, as ``_carry``
     leaves them: T[m, k] is the coefficient of t^m in
     comb(n, k) (1 + t)^k (1 - t)^(n - k), so ``T @ c`` is 2^n times the power
     coefficients in t of the degree-n Bernstein coefficients ``c`` on [-1, 1].
+    Read-only, since the last 8 (n, b) asked for are kept for reuse: T takes
+    15 KiB at degree 30, 558 KiB at 100 and 4.6 MiB at 200.
 
     Column k is that polynomial's value at t = 2^S, each coefficient raised by
     2^(S - 1) so that the base-2^S digits are the coefficients: S bits, a
@@ -171,7 +175,9 @@ def _power_limbs(n: int, b: int) -> np.ndarray:
     digits = (words[:, at >> 3] >> (at & 7).astype(np.uint32)).astype(np.int64) & ((1 << b) - 1)
     limbs = digits.reshape(n + 1, n + 1, n_limbs).T
     limbs[-1] -= 1 << (b - 1)
-    return _carry(limbs, b).astype(float)
+    t = _carry(limbs, b).astype(float)
+    t.flags.writeable = False
+    return t
 
 
 def _sample_limbs(samples: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -205,13 +211,14 @@ def _carry(z: np.ndarray, b: int) -> np.ndarray:
     without the top limbs that only extend the sign of the limb below."""
     carry = np.empty_like(z[0])
     for k in range(len(z) - 1):
-        np.right_shift(z[k], b, out=carry)
-        z[k] &= (1 << b) - 1
-        z[k + 1] += carry
-    n_limbs = len(z)
-    while n_limbs > 1:
+        z[k + 1] += np.right_shift(z[k], b, out=carry)
+    z[:-1] &= (1 << b) - 1
+    # the top limb folds into the one below only where it is 0 or -1, so a
+    # top limb outside [-1, 0] ends the folding without a folded copy
+    half, n_limbs = 1 << (b - 1), len(z)
+    while n_limbs > 1 and z[n_limbs - 1].min() >= -1 and z[n_limbs - 1].max() <= 0:
         folded = z[n_limbs - 2] + (z[n_limbs - 1] << b)
-        if np.any((folded < -(1 << (b - 1))) | (folded >= 1 << (b - 1))):
+        if folded.min() < -half or folded.max() >= half:
             break
         n_limbs -= 1
         z[n_limbs - 1] = folded
@@ -229,10 +236,12 @@ def _limb_matmul(t: np.ndarray, x: np.ndarray, b: int) -> np.ndarray:
         raise Spun4dError(f"an exact product of {n_terms} limb terms is beyond float64's exact sums")
     # a sum below 2^53 at the top position, carried with its sign, needs
     # ceil(55 / b) limbs from there
-    out = np.zeros((len(t) + len(x) - 2 - (-55 // b),) + x.shape[1:])
+    out = np.empty((len(t) + len(x) - 2 - (-55 // b),) + x.shape[1:])
     flat = np.ascontiguousarray(x, dtype=float).reshape(-1, x.shape[-1])
-    for a, limb in enumerate(t):
-        out[a:a + len(x)] += (flat @ limb.T).reshape(x.shape)
+    np.matmul(flat, t[0].T, out=out[:len(x)].reshape(flat.shape))
+    out[len(x):] = 0
+    for a in range(1, len(t)):
+        out[a:a + len(x)] += (flat @ t[a].T).reshape(x.shape)
     # the sums become int64 in their own buffer: a flat copy between two
     # views of one buffer converts element by element, with no temporary
     sums = out.view(np.int64)
@@ -243,23 +252,41 @@ def _limb_matmul(t: np.ndarray, x: np.ndarray, b: int) -> np.ndarray:
 def _round_limbs(z: np.ndarray, e: np.ndarray, b: int) -> np.ndarray:
     """The floats nearest, ties to even, to Z 2^e, Z the integers that the
     b-bit limbs ``z`` (as ``_carry`` leaves them) give along axis 0; inf
-    where the rounded value is beyond double range.
+    where the rounded value is beyond double range.  Spends ``z``: its limbs
+    become those of |Z|.
 
     A 64-bit window starting at the leading bit of |Z|, with a sticky bit for
     the bits below it, is rounded once: at bit 11 of the window for a normal
     result, higher up for a subnormal one."""
-    neg = z[-1] < 0
-    mag = _carry(np.where(neg, -z, z), b)
-    n_limbs, size = mag.shape
-    nonzero = mag != 0
-    top = (nonzero * np.arange(n_limbs)[:, None]).max(axis=0)
-    # the top limb d[0] and the k below it, of |Z| over k zero limbs, hold
-    # the window: k b >= 64 bits below the top limb
+    sign = z[-1] >> 63  # -1 where Z < 0, else 0
+    # |Z| = ~Z + 1 where Z < 0: ~Z's limbs are carried already, and the 1
+    # carries only through limbs of 2^b
+    z ^= sign
+    z[:-1] &= (1 << b) - 1
+    z[0] -= sign
+    for k in range(len(z) - 1):
+        carry = z[k] >> b
+        if not carry.any():
+            break
+        z[k] &= (1 << b) - 1
+        z[k + 1] += carry
+    # the top limb d[0] and the k below it hold the window: k b >= 64 bits
     k = -(-64 // b)
-    flat = np.concatenate((np.zeros(k * size, np.int64), mag.ravel()))
-    at = (top + k) * size + np.arange(size)
-    d = [flat[at - i * size].astype(np.uint64) for i in range(k + 1)]
-    sticky = nonzero.sum(axis=0) > sum(x != 0 for x in d)
+    if len(z) <= k:
+        z = np.concatenate((z, np.zeros((k + 1 - len(z), z.shape[1]), np.int64)))
+    n_limbs, size = z.shape
+    # the rows of the top and lowest nonzero limbs (0 where Z = 0), from
+    # maxima over narrow integers
+    nonzero = z != 0
+    rows = np.arange(n_limbs, dtype=np.min_scalar_type(n_limbs))[:, None]
+    top = (nonzero * rows).max(axis=0).astype(np.int64)
+    low = n_limbs - 1 - (nonzero * rows[::-1]).max(axis=0).astype(np.int64)
+    sticky = low < top - k
+    # a limb below limb 0 reads as a limb above the top one, which is 0 as
+    # n_limbs > k: flat index (top - i) size + j wraps to row n_limbs + top - i
+    at = top * size + np.arange(size)
+    flat = z.reshape(-1).view(np.uint64)
+    d = [flat[at - i * size] for i in range(k + 1)]
     # the 64 bits below the top limb, and whether any bit below them is set
     below = np.zeros(size, np.uint64)
     for i in range(1, k + 1):
@@ -279,7 +306,7 @@ def _round_limbs(z: np.ndarray, e: np.ndarray, b: int) -> np.ndarray:
     q += (rem > half) | ((rem == half) & (sticky | (q & np.uint64(1) != 0)))
     with np.errstate(over="ignore"):  # where exp + drop < -1074, q <= 1 goes to 0
         out = np.ldexp(q.astype(float), exp + drop)
-    return np.where(neg, -out, out)
+    return np.copysign(out, sign, out=out)
 
 
 def bernstein_fit2(samples: np.ndarray, degree: int) -> tuple[Poly2, Poly2, Poly2, Poly2]:
@@ -319,7 +346,10 @@ def bernstein_fit2(samples: np.ndarray, degree: int) -> tuple[Poly2, Poly2, Poly
     w, e = _sample_limbs(samples, b)  # W_c^T, as w[:, c]
     y = _limb_matmul(t, w, b)  # (T W_c)^T
     del w
-    c = _limb_matmul(t, y.swapaxes(2, 3), b)  # T W_c T^T
+    # T W_c as the float operand of the second product, in place of y's
+    # int64 buffer, which is freed before that product's buffer is taken
+    y = np.ascontiguousarray(y.swapaxes(2, 3), dtype=float)
+    c = _limb_matmul(t, y, b)  # T W_c T^T
     del y
     coeffs = _round_limbs(c.reshape(len(c), -1), np.repeat(e - 2 * degree, (degree + 1) ** 2), b)
     coeffs = coeffs.reshape(4, degree + 1, degree + 1)
@@ -374,16 +404,22 @@ def odd_perturbation(
     Each pair constrains eps through the coordinate whose images differ; the
     overall eps is half the minimum over all pairs (safety margin for the
     numerical detection of ``S``).  With no finite constraint eps defaults to 1.
+    A pair with a t or s whose power 2N + 1 is beyond double range is refused
+    with a ValueError.
     """
     N = _count(N, "N", 1)
     _, _, z, w = map4
     power = 2 * N + 1
     bound = math.inf
     for (t1, s1), (t2, s2) in S:
+        try:
+            t_den = abs(float(t1) ** power - float(t2) ** power)
+            s_den = abs(float(s1) ** power - float(s2) ** power)
+        except OverflowError:
+            raise ValueError(f"pair ({t1}, {s1}) / ({t2}, {s2}): with N = {N}, a parameter to the power "
+                             f"2N + 1 = {power} is beyond double range") from None
         z_gap = abs(float(z(t1, s1)) - float(z(t2, s2)))
         w_gap = abs(float(w(t1, s1)) - float(w(t2, s2)))
-        t_den = abs(t1 ** power - t2 ** power)
-        s_den = abs(s1 ** power - s2 ** power)
         allowances = [a for a in (_route_allowance(z_gap, t_den), _route_allowance(w_gap, s_den)) if a is not None]
         if not allowances:
             raise ZeroGap(

@@ -196,16 +196,26 @@ class Poly1:
 
 
 def _trim2(grid) -> np.ndarray:
-    a = np.array(grid, dtype=float)
+    """A read-only copy of ``grid`` without its trailing all-zero rows and
+    columns, keeping at least one of each."""
+    a = np.asarray(grid, dtype=float)
     if a.ndim != 2:
         a = np.atleast_2d(a)
-    while a.shape[0] > 1 and not a[-1].any():
-        a = a[:-1]
-    while a.shape[1] > 1 and not a[:, -1].any():
-        a = a[:, :-1]
+    # a grid whose last row and column hold a nonzero, as most do, is
+    # tested on those two alone
+    if a.shape[0] > 1 and not a[-1].any():
+        a = a[:_kept(a.any(axis=1))]
+    if a.shape[1] > 1 and not a[:, -1].any():
+        a = a[:, :_kept(a.any(axis=0))]
     a = a.copy()
     a.flags.writeable = False
     return a
+
+
+def _kept(nonzero: np.ndarray) -> int:
+    """The length that keeps every True of ``nonzero``, at least 1."""
+    at = np.flatnonzero(nonzero)
+    return int(at[-1]) + 1 if len(at) else 1
 
 
 def _convolve2(a: np.ndarray, b: np.ndarray) -> np.ndarray:

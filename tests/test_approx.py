@@ -3,6 +3,7 @@ import math
 import os
 import re
 import struct
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 
@@ -15,8 +16,10 @@ from spun4d.approx import (
     ChebFit, PerturbationSpec, _carry, _limb_matmul, _limb_width, _power_bits, _power_limbs, _round_limbs,
     _sample_limbs, bernstein_fit2, bernstein_lattice, chebyshev_fit, odd_perturbation,
 )
+from spun4d.catalog import get_knot
 from spun4d.errors import GridMismatch, NonFiniteSample, Spun4dError, ZeroGap
 from spun4d.poly import Interval, Poly1, Poly2
+from spun4d.spin import polynomial_spin, spin
 
 TWO_PI = 2.0 * math.pi
 
@@ -148,6 +151,42 @@ def test_bernstein_refuses_a_coefficient_beyond_double_range():
     samples[4, :, 2] = 1.7e308
     with pytest.raises(Spun4dError, match="coordinate z of the degree-8 Bernstein fit"):
         bernstein_fit2(samples, 8)
+
+
+def _spun_trefoil_samples(degree):
+    """The spun trefoil's samples on the degree-``degree`` Bernstein lattice."""
+    s = spin(get_knot("trefoil_spun"))
+    u = bernstein_lattice(degree)
+    return s.eval_grid(s.t_dom.mid + 0.5 * s.t_dom.length * u, s.s_dom.mid + 0.5 * s.s_dom.length * u)
+
+
+def test_bernstein_fit_spends_only_its_own_buffers():
+    samples = _spun_trefoil_samples(24)
+    before = samples.copy()
+    first, second = bernstein_fit2(samples, 24), bernstein_fit2(samples, 24)
+    assert samples.tobytes() == before.tobytes()
+    assert first == second  # Poly2 equality compares the coefficients' bits
+    assert not any(np.shares_memory(p.coeffs, q.coeffs) for p, q in zip(first, second))
+    # the basis change's limbs are kept for the next fit at that degree, read-only
+    t = _power_limbs(24, _limb_width(24))
+    assert t is _power_limbs(24, _limb_width(24)) and not t.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        t[0, 0, 0] = 1.0
+
+
+def test_bernstein_fit_peak_memory_at_100():
+    # with T built inside the call: the rounding works in the product's own
+    # buffer and the first product's int64 buffer is freed before the second
+    # product's is taken.  The peak is 15.1 MB; it was 27.9 MB
+    samples = _spun_trefoil_samples(100)
+    _power_limbs.cache_clear()
+    tracemalloc.start()
+    try:
+        bernstein_fit2(samples, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18e6
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 16, 30, 31, 32, 48, 65])
@@ -403,6 +442,17 @@ def test_perturbation_spec_refuses_a_bad_N_or_epsilon(N, epsilon, words):
 def test_perturbation_spec_takes_a_zero_or_integer_epsilon():
     assert PerturbationSpec(np.int64(2), 0) == PerturbationSpec(2, 0.0)
     assert type(PerturbationSpec(2, 1).epsilon) is float
+
+
+@pytest.mark.parametrize("N, pair", [
+    (1000, ((2.0, 1.0), (0.5, 2.0))),  # 2^2001
+    (2, ((1e200, 0.0), (0.5, 0.5))),  # (1e200)^5, where z and w would overflow first
+])
+def test_odd_perturbation_refuses_a_pair_whose_power_overflows(N, pair):
+    (t1, s1), (t2, s2) = pair
+    words = f"pair ({t1}, {s1}) / ({t2}, {s2}): with N = {N}, a parameter to the power 2N + 1 = {2 * N + 1}"
+    with pytest.raises(ValueError, match=re.escape(words)):
+        odd_perturbation(polynomial_spin(get_knot("trefoil_spun"), 8).polys, N, [pair])
 
 
 def test_perturbation_is_odd_symmetric():

@@ -105,6 +105,33 @@ def test_poly2_equality_and_hash_are_on_shape_and_coefficient_bits():
     assert Poly2() != Poly1((0.0,)) and Poly2() != 0.0
 
 
+def _trimmed_row_by_row(grid):
+    """The trim of a coefficient grid, one trailing zero row or column at a time."""
+    a = np.atleast_2d(np.array(grid, dtype=float))
+    while a.shape[0] > 1 and not a[-1].any():
+        a = a[:-1]
+    while a.shape[1] > 1 and not a[:, -1].any():
+        a = a[:, :-1]
+    return a
+
+
+def test_poly2_trims_as_row_by_row_trimming_does():
+    rng = np.random.default_rng(7)
+    grids = [np.zeros((31, 31)), np.zeros((1, 1)), np.zeros(5), np.array(3.0), [[1.0, 0.0], [0.0, 0.0]],
+             np.array([[0.0, -0.0], [np.nan, 0.0]]), rng.normal(size=(31, 31)).T,
+             rng.normal(size=(31, 31))[::2, ::3]]
+    for shape in [(31, 31), (6, 1), (1, 6), (4, 9)] * 4:
+        g = rng.normal(size=shape)
+        g[rng.integers(1, shape[0] + 1):] = 0.0
+        g[:, rng.integers(1, shape[1] + 1):] = -0.0
+        grids.append(g)
+    grids += [rng.normal(size=(n, m)) * (rng.random((n, m)) < 0.3) for n, m in rng.integers(1, 8, (100, 2))]
+    for g in grids:
+        got, want = Poly2(g).coeffs, _trimmed_row_by_row(g)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), g
+        assert got.flags.c_contiguous and not got.flags.writeable
+
+
 def test_poly2_from_t_from_s():
     p = Poly1((1.0, 2.0, 3.0))
     t = np.linspace(-2, 2, 9)

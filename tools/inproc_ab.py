@@ -26,8 +26,11 @@ first in odd ones.  (Interleaving the ops pair by pair would time the call
 after a large op's frees: the degree-16 fit after a degree-100 one spread
 from 0.68 to 1.07 in its ratio quartiles, on 2 shared cores.)  Per op it
 prints the median times, the median ratio B / A with its quartiles, and the
-number of pairs in which B was faster.  Module state is per copy; the
-allocator is shared, so each side sees the other's frees.
+number of pairs in which B was faster, and each side's median minor page
+faults per call (``getrusage``'s ``ru_minflt`` around the call): a call
+that faults pays for memory the allocator returned to the system or never
+took from it.  Module state is per copy; the allocator is shared, so each
+side sees the other's frees.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import argparse
 import importlib.util
 import io
 import os
+import resource
 import subprocess
 import sys
 import tarfile
@@ -44,7 +48,7 @@ import time
 from functools import partial
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "SPUN4D_THREADS")
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _tree(spec: str, tmp: str) -> str:
@@ -128,25 +132,30 @@ def main(argv) -> int:
     with tempfile.TemporaryDirectory() as tmp:  # kept while the packages run
         sides = [_ops(_load(f"spun4d_{n}", _tree(spec, tmp)), degrees) for n, spec in (("a", args.a),
                                                                                       ("b", args.b))]
-        times = {}
+        times, faults = {}, {}
         for (label, make_a), (_, make_b) in zip(*sides):
             for _ in range(3):
                 make_a()()
                 make_b()()
-            times[label] = ([], [])
+            times[label], faults[label] = ([], []), ([], [])
             for pair in range(args.pairs):
                 for side in ((0, 1) if pair % 2 == 0 else (1, 0)):
                     call = (make_a, make_b)[side]()
+                    minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                     start = time.perf_counter()
                     call()
                     times[label][side].append(time.perf_counter() - start)
-    print(f"{args.pairs} pairs, B / A per pair: median [quartiles], pairs B faster")
+                    faults[label][side].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt)
+    print(f"{args.pairs} pairs, B / A per pair: median [quartiles], pairs B faster; "
+          "median minor page faults per call")
     for label, (ta, tb) in times.items():
         ratios = [b / a for a, b in zip(ta, tb)]
         q1, med, q3 = _quartiles(ratios)
         wins = sum(r < 1 for r in ratios)
+        fa, fb = (_quartiles(f)[1] for f in faults[label])
         print(f"{label:>28}: A {_quartiles(ta)[1] * 1e3:.3f} ms, B {_quartiles(tb)[1] * 1e3:.3f} ms, "
-              f"ratio {med:.3f} [{q1:.3f}, {q3:.3f}], B faster in {wins}/{args.pairs}")
+              f"ratio {med:.3f} [{q1:.3f}, {q3:.3f}], B faster in {wins}/{args.pairs}, "
+              f"faults A {fa:g}, B {fb:g}")
     return 0
 
 
