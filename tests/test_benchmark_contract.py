@@ -12,6 +12,7 @@ modules are imported from the checkout as they are.
 import json
 import os
 import random
+import subprocess
 import sys
 
 import pytest
@@ -94,3 +95,35 @@ def test_benchmark_runs_traced_against_the_package(tmp_path, monkeypatch, capsys
     # only results) ran, reading its arguments, on a call of this run
     names = {rec[0] for rec in tracer.spans}
     assert {name for name in tracing.HOOKS if name.count(".") == 1} <= names
+
+
+_ROUND_TRIP = """
+import sys
+import spun4d
+import spun4d.cli
+import tracing
+
+public = [n for n in spun4d.__all__ if n != "__version__"]
+homes = [sys.modules["spun4d." + layer] for layer in tracing.LAYERS]
+# each public object as its home module holds it, read without the package
+originals = {n: obj for mod in homes for n, obj in vars(mod).items()
+             if n in public and getattr(obj, "__module__", None) == mod.__name__}
+assert sorted(originals) == sorted(public)
+tracer = tracing.Tracer()
+tracer.install()
+wrapped = [n for n in public if getattr(spun4d, n) is not originals[n]]
+tracer.uninstall()
+print(len(wrapped), [n for n in public if getattr(spun4d, n) is not originals[n]])
+"""
+
+
+def test_a_tracer_round_trip_leaves_the_package_namespace_clean():
+    # the package reads each public name from its home module at every access:
+    # while the tracer is installed that is the wrapper, and after it is
+    # uninstalled the original.  A fresh process, so that each name is first
+    # read through the package while the wrappers are installed.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(ROOT, "src"), PERFBENCH]))
+    out = subprocess.run([sys.executable, "-c", _ROUND_TRIP], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    wrapped, left = out.stdout.split(maxsplit=1)
+    assert int(wrapped) > 0 and left.strip() == "[]"

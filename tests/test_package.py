@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -15,6 +18,50 @@ MODULES = ["spun4d"] + [f"spun4d.{m.name}" for m in pkgutil.iter_modules(spun4d.
 def test_every_name_in_all_resolves(name):
     module = importlib.import_module(name)
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def _fresh(code: str) -> str:
+    """What ``code`` prints in a fresh interpreter that imports this
+    checkout's package."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spun4d.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
+def test_import_loads_no_layer_and_no_numpy():
+    # each layer, and numpy with it, is imported when a name first needs it
+    loaded = _fresh("import sys, spun4d; "
+                    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy' or m.startswith('spun4d.')))")
+    assert loaded == "[]"
+    assert _fresh("import spun4d; print(spun4d.export.__name__, spun4d.verify_surface.__module__)") == (
+        "spun4d.export spun4d.verify")
+
+
+def test_every_public_name_is_its_home_modules_object():
+    for name in spun4d.__all__:
+        if name == "__version__":
+            continue
+        obj = getattr(spun4d, name)
+        assert obj.__module__.startswith("spun4d.") and obj.__name__ == name
+        assert getattr(sys.modules[obj.__module__], name) is obj
+
+
+@pytest.mark.parametrize("first", ["import spun4d.cli", "import spun4d.spin", "from spun4d.spin import spin",
+                                   "import spun4d.twist"])
+def test_spin_is_the_function_whatever_is_imported_first(first):
+    # spin names both a submodule and its function; the package's spin is the
+    # function, also after an import of the submodule (by ``first``, or by a
+    # first read of spun4d.spin itself) binds it to the package
+    code = f"{first}\nimport sys, spun4d\nprint([spun4d.spin is sys.modules['spun4d.spin'].spin for _ in range(2)])"
+    assert _fresh(code) == "[True, True]"
+
+
+def test_an_unknown_name_is_an_attribute_error_and_dir_lists_all():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        spun4d.no_such_name  # noqa: B018
+    assert sorted(set(spun4d.__all__) - set(dir(spun4d))) == []
+    assert {m.name for m in pkgutil.iter_modules(spun4d.__path__)} <= set(dir(spun4d))
 
 
 def _referenced(tree) -> Counter:
