@@ -27,6 +27,7 @@ _LAYERS = {
                "jacobian_rank_scan", "verify_surface"),
     "export": ("SliceCurveSet", "SurfaceMesh", "export_grid_csv", "export_mesh", "export_slices",
                "project", "sample_surface", "slice_surface", "sweep_surface", "to_mesh"),
+    "defaults": (),
     "errors": (),
     "cli": (),
 }

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from numpy.polynomial import chebyshev as ncheb
 
 from .errors import GridMismatch, NonFiniteSample, Spun4dError, ZeroGap
 from .poly import Interval, Poly1, Poly2, _count, _finite
@@ -101,6 +100,8 @@ def _chebyshev_interpolant(f: Callable[[np.ndarray], np.ndarray], iv: Interval, 
     (``_cheb_to_power``), so the coefficients are those of ``cheb2poly`` and
     ``Polynomial`` composition bit for bit.
     """
+    from numpy.polynomial import chebyshev as ncheb  # only a Chebyshev fit needs numpy.polynomial
+
     degree = _count(degree, "degree", 1)
     mid, half = iv.mid, 0.5 * iv.length
     # the nodes chebinterpolate samples at, checked before it interpolates

@@ -3,32 +3,43 @@
 Subcommands compose through JSON surface files on disk; every run that writes
 outputs also writes a manifest (command line, config hash, version,
 tolerances, timing, output list) alongside them.
+
+``import spun4d.cli`` registers the layers without running them, so a command
+runs only the layers it calls.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
+import importlib.util
 import json
+import math
 import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
-from .approx import bernstein_fit2, bernstein_lattice
-from .catalog import get_knot, knot_names
+from .defaults import GRID_LEAST, IMAGE_TOL, N_INJECT, N_RANK, PARAM_SEP, RANK_TOL, SLICE_LEAST, SLICE_N
 from .errors import Spun4dError
-from .export import (
-    GRID_LEAST, SLICE_LEAST, SLICE_N, _axes_indices, export_grid_csv, export_mesh, export_slices,
-    project, sample_surface, slice_surface, sweep_surface, to_mesh,
-)
-from .poly import Interval, Poly1, _count, _finite, _read_json, roots_in_interval
-from .spin import spin
-from .surface import DEVIATION_GRID, PolyMap4, _images, _max_distance, surface_from_json
-from .twist import Bump, choose_bump, make_axis, polynomialize_twist, twist_spin
-from .verify import IMAGE_TOL, N_INJECT, N_RANK, PARAM_SEP, RANK_TOL, _settings, verify_surface
+
+
+def _layer(name: str):
+    """The module ``spun4d.<name>``: the one imported already, else one put in
+    sys.modules unexecuted, whose code runs at its first attribute access
+    (``importlib.util.LazyLoader``)."""
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[full] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
+
+
+# the handlers call each layer's functions through its module
+_approx, _catalog, _export, _poly, _spin, _surface, _twist, _verify = map(
+    _layer, ("approx", "catalog", "export", "poly", "spin", "surface", "twist", "verify"))
 
 PROG = "spun4d"
 
@@ -70,7 +81,7 @@ class _Parser(argparse.ArgumentParser):
 def _load_config(path: str | None) -> dict:
     if path is None and not os.path.exists("spun4d.json"):
         return dict(DEFAULT_CONFIG)
-    return _read_json(path or "spun4d.json", _config)
+    return _poly._read_json(path or "spun4d.json", _config)
 
 
 def _config(user) -> dict:
@@ -84,15 +95,17 @@ def _config(user) -> dict:
     for key, value in user.items():
         name = f"config key {key!r}"
         if isinstance(DEFAULT_CONFIG[key], int):
-            _count(value, name, _CONFIG_LEAST.get(key, -np.inf))
-        elif not _finite(value, f"{name}: ") > 0:
+            _poly._count(value, name, _CONFIG_LEAST.get(key, -math.inf))
+        elif not _poly._finite(value, f"{name}: ") > 0:
             raise ValueError(f"{name} must be > 0, got {value!r}")
     cfg = {**DEFAULT_CONFIG, **user}
-    _settings(*(cfg[key] for key in _VERIFY_KEYS))
+    _verify._settings(*(cfg[key] for key in _VERIFY_KEYS))
     return cfg
 
 
 def _config_hash(cfg: dict) -> str:
+    import hashlib  # a command that writes no file hashes nothing
+
     blob = json.dumps(cfg, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -121,7 +134,9 @@ def _write_manifest(args, cfg, outputs, t0, warnings):
 
 def _input_surface(name: str):
     """The spin of a catalog arc, or the surface in a file."""
-    return spin(get_knot(name)) if name in knot_names() else _read_json(name, surface_from_json)
+    if name in _catalog.knot_names():
+        return _spin.spin(_catalog.get_knot(name))
+    return _poly._read_json(name, _surface.surface_from_json)
 
 
 def _default_axis(arc):
@@ -136,25 +151,25 @@ def _default_axis(arc):
         t2 = 0.5 * (arc.crossing_iv.hi + arc.ab.hi)
         cut = arc.crossing_iv.lo
     level = float(arc.h(t2))
-    matches = roots_in_interval(arc.h - Poly1((level,)), Interval(arc.ab.lo, cut))
+    matches = _poly.roots_in_interval(arc.h - _poly.Poly1((level,)), _poly.Interval(arc.ab.lo, cut))
     if not matches:
         raise ValueError("no equal-height axis endpoint below the crossings; pass --t1/--t2")
-    return make_axis(arc, matches[-1], t2)
+    return _twist.make_axis(arc, matches[-1], t2)
 
 
 def _build_surface(args):
     """Surface for the construction subcommands, plus the source arc."""
-    arc = get_knot(args.knot)
+    arc = _catalog.get_knot(args.knot)
     if args.cmd == "spin":
-        return spin(arc), arc
-    axis = _default_axis(arc) if args.t1 is None else make_axis(arc, args.t1, args.t2)
-    bump = choose_bump(arc, axis) if args.d1 is None else Bump(args.d1, args.d2)
-    return twist_spin(arc, axis, bump, args.k), arc
+        return _spin.spin(arc), arc
+    axis = _default_axis(arc) if args.t1 is None else _twist.make_axis(arc, args.t1, args.t2)
+    bump = _twist.choose_bump(arc, axis) if args.d1 is None else _twist.Bump(args.d1, args.d2)
+    return _twist.twist_spin(arc, axis, bump, args.k), arc
 
 
 def _run_verify(surface, arc, cfg):
     """The verification report, printed one line per check."""
-    report = verify_surface(surface, arc, **{key: cfg[key] for key in _VERIFY_KEYS})
+    report = _verify.verify_surface(surface, arc, **{key: cfg[key] for key in _VERIFY_KEYS})
     print(f"rank-2 on grid: {'pass' if report.rank_ok else 'FAIL'} "
           f"(min singular ratio {report.min_singular_ratio:.3e})")
     count = f"{'at least ' if report.collisions_capped else ''}{len(report.collisions)}"
@@ -174,11 +189,11 @@ def _check_plane(fmt, plane):
 
 
 def _export_surface(surface, fmt, out, plane, cfg):
-    grid = sample_surface(surface, cfg["grid_nt"], cfg["grid_ns"])
+    grid = _export.sample_surface(surface, cfg["grid_nt"], cfg["grid_ns"])
     if fmt == "csv":
-        export_grid_csv(grid, out)
+        _export.export_grid_csv(grid, out)
     else:
-        export_mesh(to_mesh(project(grid, plane or "xyz")), fmt, out)
+        _export.export_mesh(_export.to_mesh(_export.project(grid, plane or "xyz")), fmt, out)
 
 
 def _slice_files(surface, axis, args, cfg, pattern):
@@ -190,18 +205,18 @@ def _slice_files(surface, axis, args, cfg, pattern):
             values = [float(v) for v in args.values.split(",")]
         except ValueError as exc:  # the message quotes the entry
             raise ValueError(f"--values {args.values!r}: {exc}") from None
-        slices = [slice_surface(surface, axis, v, n, n) for v in values]
+        slices = [_export.slice_surface(surface, axis, v, n, n) for v in values]
     else:
-        slices = sweep_surface(surface, axis, 24 if args.count is None else args.count, n, n)
-    return export_slices(slices, args.format or "json", pattern)
+        slices = _export.sweep_surface(surface, axis, 24 if args.count is None else args.count, n, n)
+    return _export.export_slices(slices, args.format or "json", pattern)
 
 
 # Each handler returns (exit code, files written, manifest warnings);
 # dispatch writes the manifest when any file was written.
 
 def _cmd_catalog(args, cfg):
-    for name in knot_names():
-        arc = get_knot(name)
+    for name in _catalog.knot_names():
+        arc = _catalog.get_knot(name)
         print(f"{name:15s} deg(f,g,h)=({arc.f.degree},{arc.g.degree},{arc.h.degree}) "
               f"t in [{arc.ab.lo:.6g}, {arc.ab.hi:.6g}] "
               f"crossings={len(arc.crossings)}")
@@ -243,14 +258,15 @@ def _cmd_construct(args, cfg):
 def _cmd_polynomialize(args, cfg):
     degree = cfg["cheb_degree"] if args.cheb_degree is None else args.cheb_degree
     surface = _input_surface(args.input)
-    if isinstance(surface, PolyMap4):
+    if isinstance(surface, _surface.PolyMap4):
         raise ValueError(f"{args.input}: key 'type' must be 'surface4' to polynomialize; "
                          "a polymap4 is polynomial already")
-    poly, dev = polynomialize_twist(surface, degree, args.bump_degree)
+    poly, dev = _twist.polynomialize_twist(surface, degree, args.bump_degree)
     out = args.out or "polynomialized.json"
     _write_json(poly.to_json(), out)
     print(f"max grid deviation from exact surface: {dev:.6e}")
-    size = float(np.abs(sample_surface(surface, DEVIATION_GRID, DEVIATION_GRID).points).max())
+    grid = _export.sample_surface(surface, _surface.DEVIATION_GRID, _surface.DEVIATION_GRID)
+    size = float(abs(grid.points).max())
     if dev > POLY_DEVIATION_WARN * size:
         warning = (f"the deviation {dev:.3e} exceeds {POLY_DEVIATION_WARN:g} times the surface's "
                    f"largest |coordinate| {size:.3e}: the Chebyshev fit has diverged")
@@ -261,15 +277,16 @@ def _cmd_polynomialize(args, cfg):
 
 def _cmd_approx(args, cfg):
     surface = _input_surface(args.input)
-    u = bernstein_lattice(args.degree)
+    u = _approx.bernstein_lattice(args.degree)
     tv = surface.t_dom.mid + 0.5 * surface.t_dom.length * u
     sv = surface.s_dom.mid + 0.5 * surface.s_dom.length * u
-    samples = _images(surface, tv[:, None], sv[None, :], "the surface's image on the Bernstein lattice")
-    polys = bernstein_fit2(samples, args.degree)
-    fit = PolyMap4(polys, Interval(-1.0, 1.0), Interval(-1.0, 1.0),
-                   surface.periodic_s, surface.pole_low, surface.pole_high)
+    images = _surface._images
+    samples = images(surface, tv[:, None], sv[None, :], "the surface's image on the Bernstein lattice")
+    polys = _approx.bernstein_fit2(samples, args.degree)
+    fit = _surface.PolyMap4(polys, _poly.Interval(-1.0, 1.0), _poly.Interval(-1.0, 1.0),
+                            surface.periodic_s, surface.pole_low, surface.pole_high)
     what = "the Bernstein fit on its lattice"
-    err = _max_distance(_images(fit, u[:, None], u[None, :], f"{what}: an image"), samples, what)
+    err = _surface._max_distance(images(fit, u[:, None], u[None, :], f"{what}: an image"), samples, what)
     out = args.out or "bernstein.json"
     doc = fit.to_json()
     doc["source_t_dom"] = [surface.t_dom.lo, surface.t_dom.hi]
@@ -280,8 +297,8 @@ def _cmd_approx(args, cfg):
 
 
 def _cmd_verify(args, cfg):
-    surface = _read_json(args.input, surface_from_json)
-    arc = get_knot(args.knot) if args.knot else None
+    surface = _poly._read_json(args.input, _surface.surface_from_json)
+    arc = _catalog.get_knot(args.knot) if args.knot else None
     report = _run_verify(surface, arc, cfg)
     out = args.out or args.input + ".report.json"
     _write_json(report.to_json(), out)
@@ -289,21 +306,21 @@ def _cmd_verify(args, cfg):
 
 
 def _cmd_project(args, cfg):
-    surface = _read_json(args.input, surface_from_json)
-    grid = sample_surface(surface, cfg["grid_nt"], cfg["grid_ns"])
-    export_grid_csv(project(grid, args.plane), args.out)
+    surface = _poly._read_json(args.input, _surface.surface_from_json)
+    grid = _export.sample_surface(surface, cfg["grid_nt"], cfg["grid_ns"])
+    _export.export_grid_csv(_export.project(grid, args.plane), args.out)
     return 0, [args.out], []
 
 
 def _cmd_slice(args, cfg):
-    surface = _read_json(args.input, surface_from_json)
+    surface = _poly._read_json(args.input, _surface.surface_from_json)
     pattern = args.out_pattern or f"{args.cmd}_{args.axis}_{{}}.{args.format}"
     return 0, _slice_files(surface, args.axis, args, cfg, pattern), []
 
 
 def _cmd_export(args, cfg):
     _check_plane(args.format, args.plane)
-    surface = _read_json(args.input, surface_from_json)
+    surface = _poly._read_json(args.input, _surface.surface_from_json)
     _export_surface(surface, args.format, args.out, args.plane, cfg)
     return 0, [args.out], []
 
@@ -403,9 +420,10 @@ def dispatch(argv) -> int:
 
     try:
         cfg = _load_config(args.config)
-        _axes_indices(getattr(args, "plane", None) or "xyz")  # for every format, before any work
+        if getattr(args, "plane", None) is not None:  # for every format, before any work
+            _export._axes_indices(args.plane)
         if getattr(args, "count", None) is not None:  # for every command, before any work
-            _count(args.count, "--count", 1)
+            _poly._count(args.count, "--count", 1)
         t0 = time.time()
         code, outputs, warnings = args.run(args, cfg)
         if outputs:

@@ -8,6 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .defaults import GRID_LEAST, SLICE_LEAST, SLICE_N
 from .errors import BadAxes
 from .poly import Interval, _count, _real
 from .surface import _grid_nodes, _images
@@ -22,8 +23,6 @@ AXIS_NAMES = "xyzw"
 FLOAT_FMT = "%.9g"
 # rows per formatting pass of a text export
 WRITE_ROWS = 1 << 12
-# the least sides of a sample grid and of a slice grid, and a slice grid's default
-GRID_LEAST, SLICE_LEAST, SLICE_N = 2, 64, 128
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import DegenerateInput
 
@@ -124,6 +123,26 @@ def _coeffs_json(doc) -> list:
     return doc["coeffs"]
 
 
+# Evaluation, derivatives, sums and products take numpy.polynomial.polynomial's
+# steps, on numpy core alone, so they give its bits without importing it
+
+def _polyval(x, c):
+    """``polyval(x, c, tensor=False)``: Horner along c's first axis, from
+    ``c[-1] + x * 0``."""
+    y = c[-1] + x * 0
+    for i in range(2, len(c) + 1):
+        y = c[-i] + y * x
+    return y
+
+
+def _polyder(c: np.ndarray) -> np.ndarray:
+    """``polyder(c)`` along c's first axis: ``j * c[j]``, or ``c[:1] * 0`` for
+    a constant."""
+    if len(c) == 1:
+        return c[:1] * 0
+    return np.arange(1, len(c)).reshape((-1,) + (1,) * (c.ndim - 1)) * c[1:]
+
+
 def _trim1(coeffs) -> tuple[float, ...]:
     c = [float(x) for x in coeffs]
     while c and c[-1] == 0.0:
@@ -153,27 +172,44 @@ class Poly1:
     def __call__(self, t):
         if self.is_zero:
             return np.zeros_like(np.asarray(t, dtype=float)) + 0.0
-        return npoly.polyval(np.asarray(t, dtype=float), self.coeffs)
+        return _polyval(np.asarray(t, dtype=float), np.array(self.coeffs))
 
     # -- calculus ----------------------------------------------------------
     def derivative(self, order: int = 1) -> "Poly1":
         order = _count(order, "order", 1)
         if self.is_zero:
             return Poly1()
-        return Poly1(npoly.polyder(self.coeffs, m=order))
+        c = np.array(self.coeffs)
+        if order >= len(c):  # polyder(c, m=order) takes no step then
+            return Poly1(c[:1] * 0)
+        for _ in range(order):
+            c = _polyder(c)
+        return Poly1(c)
 
     # -- arithmetic --------------------------------------------------------
+    # polyadd and polysub: the longer operand takes the shorter one in place
     def __add__(self, other: "Poly1") -> "Poly1":
-        return Poly1(npoly.polyadd(self.coeffs or (0.0,), other.coeffs or (0.0,)))
+        a, b = np.array(self.coeffs or (0.0,)), np.array(other.coeffs or (0.0,))
+        if len(a) > len(b):
+            a[:len(b)] += b
+            return Poly1(a)
+        b[:len(a)] += a
+        return Poly1(b)
 
     def __sub__(self, other: "Poly1") -> "Poly1":
-        return Poly1(npoly.polysub(self.coeffs or (0.0,), other.coeffs or (0.0,)))
+        a, b = np.array(self.coeffs or (0.0,)), np.array(other.coeffs or (0.0,))
+        if len(a) > len(b):
+            a[:len(b)] -= b
+            return Poly1(a)
+        b = -b
+        b[:len(a)] += a
+        return Poly1(b)
 
     def __mul__(self, other):
         if isinstance(other, Poly1):
             if self.is_zero or other.is_zero:
                 return Poly1()
-            return Poly1(npoly.polymul(self.coeffs, other.coeffs))
+            return Poly1(np.convolve(self.coeffs, other.coeffs))
         return Poly1(tuple(float(other) * c for c in self.coeffs))
 
     __rmul__ = __mul__
@@ -264,14 +300,15 @@ class Poly2:
         then in s, so a grid given as t[:, None], s[None, :] costs one t-pass
         per grid row.  Same steps as ``polyval2d``, without its shape check."""
         t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
-        return npoly.polyval(s, npoly.polyval(t, self.coeffs), tensor=False)
+        c = self.coeffs
+        return _polyval(s, _polyval(t, c.reshape(c.shape + (1,) * t.ndim)))
 
     def partial(self, wrt: str) -> "Poly2":
         """Formal partial derivative with respect to 't' or 's'."""
         if wrt == "t":
-            return Poly2(npoly.polyder(self.coeffs, axis=0))
+            return Poly2(_polyder(self.coeffs))
         if wrt == "s":
-            return Poly2(npoly.polyder(self.coeffs, axis=1))
+            return Poly2(_polyder(self.coeffs.T).T)
         raise ValueError("wrt must be 't' or 's'")
 
     def __add__(self, other: "Poly2") -> "Poly2":

@@ -17,7 +17,6 @@ from functools import partial
 
 import numpy as np
 
-from .approx import _chebyshev_interpolant
 from .catalog import KnotArc
 from .errors import NonUnitAxis, NoRoom, PlaneCrossing
 from .poly import Interval, Poly1, _count, _real
@@ -229,6 +228,8 @@ def _polynomialized(s: Surface4, cheb_degree: int, bump_degree: int | None) -> S
     """``s`` with each distinct cos/sin(k th) factor replaced, once, by its
     Chebyshev interpolant on the theta-domain, and each bump by its fit on
     the t-domain when ``bump_degree`` is given."""
+    from .approx import _chebyshev_interpolant  # a construction alone needs no fit
+
     factors = dict.fromkeys(f for coord in s.coords for term in coord for f in term.t + term.s)
     fits = {f: _chebyshev_interpolant(f, s.s_dom, cheb_degree) for f in factors if isinstance(f, Trig)}
     if bump_degree is not None:

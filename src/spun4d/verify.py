@@ -10,25 +10,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .approx import PerturbationSpec, _perturb
 from .catalog import KnotArc, height_admissible
+from .defaults import IMAGE_TOL, N_INJECT, N_RANK, PARAM_SEP, RANK_TOL
 from .poly import Interval, _count, _real, poly_scale
 from .surface import _images, _squared_distances
+
+if TYPE_CHECKING:
+    from .approx import PerturbationSpec
 
 __all__ = [
     "VerifyReport", "Collision", "jacobian_rank_scan", "injectivity_scan",
     "boundary_check", "isotopy_family_check", "verify_surface",
 ]
 
-RANK_TOL = 1e-6
-IMAGE_TOL = 1e-3
-# verify_surface's least parameter separation of a collision, and its grids
-PARAM_SEP = 0.05
-N_RANK = 200
-N_INJECT = 400
 # the injectivity scan stops once it holds this many collisions
 MAX_COLLISIONS = 1 << 16
 
@@ -631,6 +629,8 @@ def isotopy_family_check(
     ``u_samples``, which would check nothing, and a u that is not finite are
     refused with a ValueError before any family map is built.
     """
+    from .approx import _perturb  # the one check that perturbs a map
+
     u_samples = list(u_samples)
     us = [_real(u) for u in u_samples]
     if not us or not all(map(math.isfinite, us)):

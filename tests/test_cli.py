@@ -14,6 +14,7 @@ from spun4d.cli import DEFAULT_CONFIG, dispatch
 from spun4d.errors import PlaneCrossing
 from spun4d.surface import MAX_TERMS
 from spun4d.twist import choose_bump, make_axis, twist_spin
+from test_cli_imports import run_cli
 from test_reference_impls import assert_exact_plane_crossing
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -677,16 +678,12 @@ def test_failed_verification_manifest_lists_the_report(workdir, capsys, cmd, rep
 def test_spin_command_loads_no_scipy(tmp_path):
     # scipy.spatial costs more to import than a whole command takes; the
     # injectivity scan of the verifying commands needs numpy alone
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     for cmd in (_SPIN, ["spin", "trefoil_spun", "--verify", "--out", "v.json"],
                 ["verify", "s.json", "--knot", "trefoil_spun"]):
-        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "spun4d.cli"] + cmd,
-                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        imported = [ln.rsplit("|", 1)[-1].strip() for ln in proc.stderr.splitlines()
-                    if ln.startswith("import time:")]
-        assert "spun4d.verify" in imported
-        assert [m for m in imported if m.split(".")[0] == "scipy"] == [], cmd
+        code, ran, modules = run_cli(cmd, str(tmp_path))
+        assert code == 0
+        assert ("verify" in ran) == (cmd[0] == "verify" or "--verify" in cmd), cmd
+        assert [m for m in modules if m.split(".")[0] == "scipy"] == [], cmd
 
 
 def test_verify_constant_map_reports_at_least_the_cap(workdir, capsys):
@@ -941,12 +938,16 @@ def test_max_distance_scales_only_when_the_plain_norm_overflows():
 # -- every input rule before any work -----------------------------------------
 
 def test_count_below_one_is_refused_before_the_twist_is_built(workdir, capsys, monkeypatch):
-    import spun4d.cli as cli
+    import spun4d.catalog
+    import spun4d.twist
+    import spun4d.verify
 
+    # the handlers read each function from its layer when they call it
     called = []
-    for name in ("get_knot", "twist_spin", "verify_surface"):
-        real = getattr(cli, name)
-        monkeypatch.setattr(cli, name, lambda *a, _n=name, _r=real, **k: called.append(_n) or _r(*a, **k))
+    for module, name in ((spun4d.catalog, "get_knot"), (spun4d.twist, "twist_spin"),
+                         (spun4d.verify, "verify_surface")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _n=name, _r=real, **k: called.append(_n) or _r(*a, **k))
     argv = ["twistspin", "trefoil_twist", "--k", "10", "--verify", "--sweep", "w", "--count", "0"]
     assert dispatch(argv) == 1
     assert "--count must be at least 1, got 0" in _one_error_line(capsys)
@@ -955,9 +956,9 @@ def test_count_below_one_is_refused_before_the_twist_is_built(workdir, capsys, m
 
 @pytest.mark.parametrize("flags", [["--t1", "-2.19"], ["--t2", "2.19"], ["--d1", "0.5"], ["--d2", "3"]])
 def test_half_a_flag_pair_is_refused_before_the_arc_is_built(workdir, capsys, monkeypatch, flags):
-    import spun4d.cli as cli
+    import spun4d.catalog
 
-    monkeypatch.setattr(cli, "get_knot", lambda name: pytest.fail("the arc was built"))
+    monkeypatch.setattr(spun4d.catalog, "get_knot", lambda name: pytest.fail("the arc was built"))
     assert dispatch(["twistspin", "trefoil_twist", "--k", "1", *flags]) == 1
     assert "must be given together" in _one_error_line(capsys)
 

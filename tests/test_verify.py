@@ -11,6 +11,7 @@ import pytest
 
 import spun4d
 
+import spun4d.approx as approx_module
 import spun4d.surface as surface_module
 import spun4d.verify as verify_module
 from spun4d.approx import PerturbationSpec, odd_perturbation
@@ -448,7 +449,8 @@ def test_isotopy_family_check_refuses_no_u_or_a_u_that_is_not_finite(monkeypatch
     poly = polynomial_spin(get_knot("trefoil_spun"), 8)
     spec, _ = odd_perturbation(poly.polys, 2, [])
     built = []
-    monkeypatch.setattr(verify_module, "_perturb", lambda *args: built.append(args))
+    # isotopy_family_check reads _perturb from approx when it runs
+    monkeypatch.setattr(approx_module, "_perturb", lambda *args: built.append(args))
     with pytest.raises(ValueError, match=r"u_samples must be one or more finite u, got \["):
         isotopy_family_check(poly, spec, u_samples, n_rank=32, n_inject=64)
     assert built == []

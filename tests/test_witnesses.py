@@ -20,7 +20,7 @@ with open(os.path.join(WITNESSES, "index.json")) as fh:
     INDEX = json.load(fh)["witnesses"]
 
 # the gates whose defect stands today
-STANDING = {"dip", "dip-piece", "touch"}
+STANDING = {"dip", "dip-piece", "touch", "scaled-2m7", "scaled-2m20"}
 
 NUMBER = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
 
